@@ -1,7 +1,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: all build vet lint test race bench bench-all trace-check
+.PHONY: all build vet lint test race bench bench-compare bench-kernels bench-all trace-check
 
 all: lint build test
 
@@ -44,17 +44,31 @@ trace-check:
 		-trace /tmp/sysds-trace.json -stats -print s > /tmp/sysds-stats.txt
 	$(GO) run ./cmd/tracecheck -trace /tmp/sysds-trace.json -stats /tmp/sysds-stats.txt
 
-# Compressed-vs-dense MV/TSMM/matrix-RHS kernels (plus the partitioned dist
-# executor), planner-vs-forced matmult strategies, fused-vs-unfused,
-# kernel-parallelism and tiled-vs-simple GEMM/TSMM/MultiplyAcc benchmarks with
-# allocation stats, plus the adaptive-runtime pairs (cold-vs-warm cross-run
-# lineage reuse, uncalibrated-vs-calibrated planning); the parsed results land
-# in BENCH_pr9.json (the perf trajectory of the repo). The compressed and
-# lineage benchmarks additionally report databytes/op (bytes of matrix
-# representation streamed or spilled per operation) and the dense kernel
-# benchmarks report gflops.
+# The repo's benchmark (bench/, a module of its own; see bench/README.md):
+# all eight script-level workloads, every end-to-end and per-layer metric by
+# name and unit, written to BENCH_OUT for bench-compare.
+BENCH_OUT ?= bench.json
 bench:
-	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|CalibrationDelta' -benchmem -timeout 30m -run '^$$' . | $(GO) run ./cmd/benchjson -out BENCH_pr9.json
+	bash bench/run.sh -seed 1 -out $(BENCH_OUT)
+
+# The regression gate between two result files of `make bench`: markdown
+# delta table, exit 1 when a median worsens beyond its bound.
+#   make bench-compare BASE=base.json NEW=new.json
+bench-compare:
+	bash bench/run.sh -compare $(BASE) $(NEW)
+
+# The go-test kernel sweep: compressed-vs-dense MV/TSMM/matrix-RHS kernels
+# (plus the partitioned dist executor), planner-vs-forced matmult strategies,
+# fused-vs-unfused, kernel-parallelism and tiled-vs-simple GEMM/TSMM/
+# MultiplyAcc benchmarks with allocation stats, plus the adaptive-runtime
+# pairs (cold-vs-warm cross-run lineage reuse, uncalibrated-vs-calibrated
+# planning), parsed into BENCH_KERNELS_OUT. The compressed and lineage
+# benchmarks additionally report databytes/op (bytes of matrix representation
+# streamed or spilled per operation) and the dense kernel benchmarks report
+# gflops.
+BENCH_KERNELS_OUT ?= bench_kernels.json
+bench-kernels:
+	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|CalibrationDelta' -benchmem -timeout 30m -run '^$$' . | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
 
 # Full benchmark sweep (single iteration per benchmark).
 bench-all:

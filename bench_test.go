@@ -488,6 +488,45 @@ func BenchmarkFusedMMChainThreads4(b *testing.B)   { benchmarkFusedMMChain(b, 4)
 func BenchmarkUnfusedMMChainThreads1(b *testing.B) { benchmarkUnfusedMMChain(b, 1) }
 func BenchmarkUnfusedMMChainThreads4(b *testing.B) { benchmarkUnfusedMMChain(b, 4) }
 
+// Transpose-free t(X) %*% y against the materialize-then-multiply plan it
+// replaces, and the dense matrix-vector product, on the tall-skinny shape of
+// the iterative scripts (the bench/ l2svm.dense workload's 20 000 x 100).
+
+func xtyBenchData() (x, y, w *matrix.MatrixBlock) {
+	return matrix.RandUniform(20000, 100, -1, 1, 1.0, 311),
+		matrix.RandUniform(20000, 1, -1, 1, 1.0, 312), matrix.RandUniform(100, 1, -1, 1, 1.0, 313)
+}
+
+func BenchmarkFusedXtY(b *testing.B) {
+	x, y, _ := xtyBenchData()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := matrix.TransposeMultiply(x, y, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkUnfusedXtY(b *testing.B) {
+	x, y, _ := xtyBenchData()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := matrix.Multiply(matrix.Transpose(x), y, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKernelGEMMMatVec(b *testing.B) {
+	x, _, w := xtyBenchData()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := matrix.MatVec(x, w, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Kernel-parallelism benchmarks: the formerly single-threaded elementwise and
 // aggregation kernels, at 1 vs 4 threads.
 

@@ -62,10 +62,19 @@ type Pool struct {
 	// inMem is the running total of in-memory bytes across registered
 	// entries, maintained on register/restore/evict/unregister so budget
 	// enforcement does not rescan the LRU list on every access.
-	inMem   int64
-	stats   Stats
-	counter int64
+	inMem int64
+	stats Stats
+	// spilt holds the ids whose entry was evicted at least once: only those
+	// have spill files to remove when they are unregistered (a restored entry
+	// keeps its file until then).
+	spilt map[int64]bool
 }
+
+// entryIDs hands out entry ids for every pool of the process. Ids name spill
+// files, and pools can share a spill directory — every run has its own pool,
+// and entries the lineage cache retains outlive their run — so they must be
+// unique across pools, not per pool.
+var entryIDs atomic.Int64
 
 // New creates a buffer pool with the given byte budget and spill directory.
 // A budget <= 0 disables eviction (everything stays in memory).
@@ -77,7 +86,7 @@ func New(budgetBytes int64, dir string) *Pool {
 }
 
 // NextID returns a fresh id for a new entry.
-func (p *Pool) NextID() int64 { return atomic.AddInt64(&p.counter, 1) }
+func (p *Pool) NextID() int64 { return entryIDs.Add(1) }
 
 // SpillPath returns the spill file path for an entry id.
 func (p *Pool) SpillPath(id int64) string {
@@ -118,11 +127,34 @@ func (p *Pool) Unregister(id int64) {
 		p.lru.Remove(el)
 		delete(p.entries, id)
 	}
+	spilt := p.spilt[id]
+	delete(p.spilt, id)
 	p.mu.Unlock()
 	// best effort clean up of the spill file(s)
-	_ = os.Remove(p.SpillPath(id))
+	if spilt {
+		_ = os.Remove(p.SpillPath(id))
+	}
 	if discard != nil {
 		discard.Discard()
+	}
+}
+
+// ReleaseExcept unregisters every entry keep rejects, removing its spill
+// file(s). A run calls it when it ends, keeping only what outlives the run.
+func (p *Pool) ReleaseExcept(keep func(Entry) bool) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	entries := make([]Entry, 0, p.lru.Len())
+	for el := p.lru.Front(); el != nil; el = el.Next() {
+		entries = append(entries, el.Value.(Entry))
+	}
+	p.mu.Unlock()
+	for _, e := range entries {
+		if !keep(e) {
+			p.Unregister(e.PoolID())
+		}
 	}
 }
 
@@ -170,6 +202,10 @@ func (p *Pool) enforceBudget() {
 			err := e.Evict(p.SpillPath(e.PoolID()))
 			sp.EndBytes(size)
 			if err == nil {
+				if p.spilt == nil {
+					p.spilt = map[int64]bool{}
+				}
+				p.spilt[e.PoolID()] = true
 				p.inMem -= size
 				p.stats.Evictions++
 				p.stats.BytesSpilt += size

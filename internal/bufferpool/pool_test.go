@@ -137,6 +137,31 @@ func TestPoolUnregisterRemovesSpillFile(t *testing.T) {
 	}
 }
 
+// TestPoolReleaseExcept: the end-of-run release drops every entry the
+// predicate rejects together with its spill file, keeps the rest restorable,
+// and ids never collide across pools sharing a spill directory.
+func TestPoolReleaseExcept(t *testing.T) {
+	dir := t.TempDir()
+	p := New(100, dir)
+	kept, dropped := newFake(p, 400), newFake(p, 400)
+	p.Register(kept)
+	p.Register(dropped) // both over budget -> evicted to files
+	other := New(100, dir)
+	if id := newFake(other, 1).PoolID(); id == kept.PoolID() || id == dropped.PoolID() {
+		t.Fatalf("entry id %d reused across pools of one directory", id)
+	}
+	p.ReleaseExcept(func(e Entry) bool { return e == Entry(kept) })
+	if _, err := os.Stat(p.SpillPath(dropped.PoolID())); !os.IsNotExist(err) {
+		t.Error("released entry's spill file not removed")
+	}
+	if _, err := os.Stat(p.SpillPath(kept.PoolID())); err != nil {
+		t.Errorf("kept entry's spill file: %v", err)
+	}
+	if p.Len() != 1 {
+		t.Errorf("Len = %d, want 1", p.Len())
+	}
+}
+
 // scanBytes recomputes the in-memory total the slow way, to cross-check the
 // running counter.
 func scanBytes(p *Pool) int64 {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/lang"
@@ -52,6 +53,11 @@ type Compiler struct {
 	// reassignment. Transient reads of tracked variables are marked
 	// CompressedRead so pricing and EXPLAIN see the representation.
 	compressedVars map[string]bool
+	// recompileMu serializes dynamic recompilation. buildBlock mutates
+	// compiler-wide state (compressedVars on every DAG flush, the temp and
+	// predicate counters, the function table when a builtin is first
+	// referenced), and parfor workers recompile body blocks concurrently.
+	recompileMu sync.Mutex
 }
 
 // New creates a compiler.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/instructions"
@@ -50,10 +49,11 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 		// loop bodies recompile on every execution; memoize the lowered
 		// instructions by the live size signature so stable-size iterations
 		// (the common case) pay the HOP pipeline once, not per iteration.
-		// The mutex guards the memo against concurrent parfor workers; the
-		// cached instruction objects are immutable during execution, exactly
-		// like a block's statically compiled instruction list.
-		var mu sync.Mutex
+		// Parfor workers recompile concurrently — the same block, and
+		// different blocks of one body — so the memo and buildBlock both run
+		// under the compiler-wide recompile lock; the cached instruction
+		// objects are immutable during execution, exactly like a block's
+		// statically compiled instruction list.
 		var memoKey string
 		var memoInstrs []runtime.Instruction
 		block.Recompile = func(ctx *runtime.Context) ([]runtime.Instruction, error) {
@@ -78,8 +78,8 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 					fmt.Fprintf(&key, "%s=%s;", name, dc)
 				}
 			}
-			mu.Lock()
-			defer mu.Unlock()
+			c.recompileMu.Lock()
+			defer c.recompileMu.Unlock()
 			if memoInstrs != nil && memoKey == key.String() {
 				return memoInstrs, nil
 			}

@@ -282,6 +282,11 @@ func lowerHop(h *hops.Hop) (runtime.Instruction, error) {
 		inst.EstBytes = estBytesOf(h)
 		return inst, nil
 	case hops.KindMMChain:
+		if h.Op == hops.OpXtY {
+			inst := instructions.NewXtY(out, in(0), in(1))
+			inst.EstBytes = estBytesOf(h)
+			return inst, nil
+		}
 		if len(h.Inputs) == 3 {
 			return instructions.NewMMChain(out, in(0), in(1), in(2), true), nil
 		}

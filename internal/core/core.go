@@ -194,6 +194,8 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 	ctx.Cache = e.cache
 	ctx.Out = e.out
 	ctx.Prog = prog
+	// whatever the run spills is released when it returns, success or error
+	defer ctx.ReleasePool()
 	for name, v := range inputs {
 		d, err := toRuntimeData(v, ctx)
 		if err != nil {

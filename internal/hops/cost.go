@@ -139,6 +139,14 @@ func estimateFLOPs(h *Hop) float64 {
 		if n < 0 {
 			return -1
 		}
+		if h.Op == OpXtY {
+			// the plain product: 2*m*n*k scaled by X's sparsity when known
+			k := h.Inputs[1].DC.Cols
+			if k < 0 {
+				return -1
+			}
+			return 2 * n * float64(k) * h.Inputs[0].DC.Sparsity()
+		}
 		// two passes over X (X%*%v and t(X)%*%·), plus the optional weighting
 		f := 4 * n
 		if len(h.Inputs) == 3 {
@@ -751,6 +759,12 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 				kernel = "cmv" // X %*% v and t(X) %*% v pre-aggregate per group
 			} else if !CompressedOutput(h.Inputs[0]) && h.Inputs[0].DC.Rows == 1 {
 				kernel = "cvm" // u %*% X, the vector-matrix kernel
+			}
+			sb.WriteString(" kernel=" + kernel)
+		case h.Kind == KindMMChain && h.Op == OpXtY && CompressedOutput(h.Inputs[0]):
+			kernel := "cmm"
+			if h.Inputs[1].DC.Cols == 1 {
+				kernel = "cvm" // t(X) %*% y runs the vector-matrix kernel over X
 			}
 			sb.WriteString(" kernel=" + kernel)
 		case (h.Kind == KindMatMult || h.Kind == KindTSMM) && h.CostEst.Known &&

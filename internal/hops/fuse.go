@@ -5,7 +5,9 @@
 //
 //   - mmchain: t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) — the
 //     linear-regression / logistic-regression inner loop — become KindMMChain,
-//     avoiding the materialized transpose and the m x 1 intermediate.
+//     avoiding the materialized transpose and the m x 1 intermediate. Any
+//     other t(X) %*% Y becomes the xty variant of the same kind: one pass
+//     over X, no transpose.
 //   - cellwise-aggregate pipelines: sum/min/max/colSums/rowSums over a tree
 //     of cellwise binary/unary/scalar operations with single-consumer
 //     intermediates (e.g. sum(X*Y), sum((X-P)^2)) become KindFusedAgg with a
@@ -67,8 +69,14 @@ func consumerCounts(d *DAG) map[int64]int {
 
 // --- mmchain ----------------------------------------------------------------
 
+// OpXtY is the Op of the KindMMChain variant computing t(X) %*% Y from inputs
+// [X, Y]; the two chain shapes keep Op "mmchain" and are told apart by their
+// input count.
+const OpXtY = "xty"
+
 // fuseMMChains rewrites t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) into
-// KindMMChain hops with inputs [X, v] or [X, v, w].
+// KindMMChain hops with inputs [X, v] or [X, v, w], and every remaining
+// t(X) %*% Y into the xty variant with inputs [X, Y].
 func fuseMMChains(d *DAG, p PlannerParams) {
 	consumers := consumerCounts(d)
 	for _, h := range d.Nodes() {
@@ -84,11 +92,13 @@ func fuseMMChains(d *DAG, p PlannerParams) {
 			continue
 		}
 		x := t.Inputs[0]
-		if !x.IsMatrix() || consumers[rhs.ID] != 1 {
+		if !x.IsMatrix() || WouldRunDist(h, p) {
 			continue
 		}
 		var v, w *Hop
 		switch {
+		case consumers[rhs.ID] != 1:
+			// a shared right-hand side is materialized anyway: no chain
 		case rhs.Kind == KindMatMult && len(rhs.Inputs) == 2 && rhs.Inputs[0] == x:
 			// t(X) %*% (X %*% v)
 			v = rhs.Inputs[1]
@@ -104,17 +114,16 @@ func fuseMMChains(d *DAG, p PlannerParams) {
 				}
 			}
 		}
-		if v == nil || !isColVector(v, x.DC.Cols) {
-			continue
-		}
-		if WouldRunDist(h, p) {
-			continue
-		}
 		h.Kind = KindMMChain
 		h.Op = "mmchain"
-		if w != nil {
+		switch {
+		case v == nil || !isColVector(v, x.DC.Cols):
+			// no chain to fold: the multiply itself still reads X in place
+			h.Op = OpXtY
+			h.Inputs = []*Hop{x, rhs}
+		case w != nil:
 			h.Inputs = []*Hop{x, v, w}
-		} else {
+		default:
 			h.Inputs = []*Hop{x, v}
 		}
 		// interior nodes are now unreachable; refresh edge counts so later

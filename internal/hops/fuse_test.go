@@ -89,8 +89,77 @@ func TestNoFuseMMChainMultiConsumer(t *testing.T) {
 	root.DataType = types.Matrix
 	d := &DAG{Roots: []*Hop{NewWrite("g", root), NewWrite("p", xv)}}
 	prepare(d)
+	// the chain must not fold the shared X %*% v away; the outer multiply
+	// still becomes the transpose-free xty over the materialized intermediate
+	if root.Kind != KindMMChain || root.Op != OpXtY {
+		t.Fatalf("chain with shared intermediate must stop at xty, got %s %s", root.Kind, root.Op)
+	}
+	if len(root.Inputs) != 2 || root.Inputs[0] != x || root.Inputs[1] != xv {
+		t.Error("xty inputs should be [X, X v]")
+	}
+	if xv.Kind != KindMatMult {
+		t.Errorf("shared intermediate was rewritten to %s", xv.Kind)
+	}
+}
+
+// TestFuseXtY: a plain t(X) %*% Y (vector or matrix Y) becomes the xty
+// variant with inputs [X, Y]; the transpose disappears unless something else
+// consumes it, in which case it stays for that consumer only.
+func TestFuseXtY(t *testing.T) {
+	for _, k := range []int64{1, 7} {
+		x := matRead("X", 100, 20)
+		y := matRead("Y", 100, k)
+		tx := NewHop(KindReorg, "t", x)
+		tx.DataType = types.Matrix
+		root := NewHop(KindMatMult, "ba+*", tx, y)
+		root.DataType = types.Matrix
+		d := &DAG{Roots: []*Hop{NewWrite("g", root)}}
+		prepare(d)
+		PropagateSizes(d, nil)
+		if root.Kind != KindMMChain || root.Op != OpXtY {
+			t.Fatalf("k=%d: expected xty fusion, got %s %s", k, root.Kind, root.Op)
+		}
+		if len(root.Inputs) != 2 || root.Inputs[0] != x || root.Inputs[1] != y {
+			t.Errorf("k=%d: xty inputs should be [X, Y]", k)
+		}
+		if d.CountKind(KindReorg) != 0 {
+			t.Errorf("k=%d: transpose should be removed from the DAG", k)
+		}
+		if root.DC.Rows != 20 || root.DC.Cols != k {
+			t.Errorf("k=%d: xty output characteristics = %v, want 20x%d", k, root.DC, k)
+		}
+	}
+	// shared transpose: fused anyway, t(X) survives for its other consumer
+	x := matRead("X", 100, 20)
+	y := matRead("Y", 100, 1)
+	tx := NewHop(KindReorg, "t", x)
+	tx.DataType = types.Matrix
+	root := NewHop(KindMatMult, "ba+*", tx, y)
+	root.DataType = types.Matrix
+	d := &DAG{Roots: []*Hop{NewWrite("g", root), NewWrite("Xt", tx)}}
+	prepare(d)
+	if root.Kind != KindMMChain || root.Op != OpXtY {
+		t.Fatalf("shared t(X): expected xty fusion, got %s %s", root.Kind, root.Op)
+	}
+	if d.CountKind(KindReorg) != 1 {
+		t.Error("shared t(X) must stay materialized for its other consumer")
+	}
+}
+
+// TestNoFuseXtYWhenDist: a multiply the planner would send to the blocked
+// backend keeps its materialize-then-multiply plan.
+func TestNoFuseXtYWhenDist(t *testing.T) {
+	x := matRead("X", 4000, 200)
+	y := matRead("Y", 4000, 1)
+	tx := NewHop(KindReorg, "t", x)
+	tx.DataType = types.Matrix
+	root := NewHop(KindMatMult, "ba+*", tx, y)
+	root.DataType = types.Matrix
+	d := &DAG{Roots: []*Hop{NewWrite("g", root)}}
+	PropagateSizes(d, nil)
+	FuseOperators(d, PlannerParams{DistEnabled: true, MemBudget: 2 << 20, Blocksize: types.DefaultBlocksize})
 	if root.Kind != KindMatMult {
-		t.Fatalf("chain with shared intermediate must not fuse, got %s", root.Kind)
+		t.Fatalf("dist-bound multiply must not fuse, got %s", root.Kind)
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 	KindFunctionCall             // call to a user or DML-bodied function
 	KindCast                     // as.scalar, as.matrix, as.double, ...
 	KindWrite                    // transient write of a variable (DAG output)
-	KindMMChain                  // fused t(X)%*%(X%*%v) / t(X)%*%(w*(X%*%v))
+	KindMMChain                  // fused t(X)%*%(X%*%v) / t(X)%*%(w*(X%*%v)) / t(X)%*%Y (Op xty)
 	KindFusedAgg                 // fused cellwise pipeline under an aggregate
 	KindCompress                 // compression decision site before a reuse scope
 )

@@ -196,9 +196,11 @@ func SimplifyAlgebraic(d *DAG) {
 	}
 }
 
-// FuseTranspose rewrites t(X) %*% X into the fused TSMM operator and marks
-// t(X) %*% Y patterns so lowering can use a transpose-fused multiply,
-// avoiding the materialized transpose TensorFlow pays for in Figure 5.
+// FuseTranspose rewrites t(X) %*% X into the fused TSMM operator, avoiding
+// the materialized transpose TensorFlow pays for in Figure 5. The general
+// t(X) %*% Y is left alone here: the fusion pass (fuse.go) turns it into the
+// xty variant of KindMMChain once sizes and the planner's dist gate are
+// known.
 func FuseTranspose(d *DAG) {
 	for _, h := range d.Nodes() {
 		if h.Kind != KindMatMult || len(h.Inputs) != 2 {

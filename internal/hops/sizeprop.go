@@ -95,7 +95,13 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 	case KindMMChain:
 		if len(h.Inputs) >= 2 {
 			in := h.Inputs[0].DC
-			h.DC = types.NewDataCharacteristics(in.Cols, 1, in.Blocksize, -1)
+			if h.Op == OpXtY {
+				tx := types.NewDataCharacteristics(in.Cols, in.Rows, in.Blocksize, in.NNZ)
+				y := h.Inputs[1].DC
+				h.DC = types.NewDataCharacteristics(in.Cols, y.Cols, in.Blocksize, MatMultNNZBound(tx, y))
+			} else {
+				h.DC = types.NewDataCharacteristics(in.Cols, 1, in.Blocksize, -1)
+			}
 		}
 	case KindFusedAgg:
 		if h.FusedAgg != nil {

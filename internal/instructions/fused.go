@@ -3,6 +3,7 @@ package instructions
 import (
 	"fmt"
 
+	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 )
@@ -71,6 +72,70 @@ func (i *MMChainInst) Execute(ctx *runtime.Context) error {
 	ctx.CountMMChain()
 	ctx.SetMatrix(i.outs[0], res)
 	return nil
+}
+
+// XtYInst computes t(X) %*% Y (opcode "mmchain", lineage data "xty") without
+// materializing the transpose, dispatching on X's representation: federated X
+// pushes the product to the sites, compressed X runs the vector-matrix /
+// transposed matrix-matrix kernels on the column groups, and every other X
+// takes one pass of matrix.TransposeMultiply over the local block.
+type XtYInst struct {
+	base
+	X, Y Operand
+	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
+	// recorded next to the actual bytes when the compressed kernels run.
+	EstBytes int64
+}
+
+// NewXtY creates a fused t(X) %*% Y instruction.
+func NewXtY(out string, x, y Operand) *XtYInst {
+	inst := &XtYInst{X: x, Y: y, EstBytes: -1}
+	inst.base = newBase("mmchain", []string{out}, hops.OpXtY, x, y)
+	return inst
+}
+
+// Execute implements runtime.Instruction.
+func (i *XtYInst) Execute(ctx *runtime.Context) error {
+	res, err := i.multiply(ctx)
+	if err != nil {
+		return fmt.Errorf("instructions: xty: %w", err)
+	}
+	ctx.CountMMChain()
+	ctx.SetMatrix(i.outs[0], res)
+	return nil
+}
+
+func (i *XtYInst) multiply(ctx *runtime.Context) (*matrix.MatrixBlock, error) {
+	xd, err := i.X.Resolve(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if fo, ok := xd.(*runtime.FederatedObject); ok {
+		return xtyFederated(ctx, fo, i.Y, i.opcode)
+	}
+	yb, err := i.Y.MatrixBlockFor(ctx, i.opcode)
+	if err != nil {
+		return nil, err
+	}
+	threads := ctx.Config.Threads()
+	if co, ok := resolveCompressed(xd); ok {
+		cm, err := co.Compressed()
+		if err != nil {
+			return nil, err
+		}
+		res, kernel, err := xtyCompressed(cm, yb, threads)
+		if err != nil {
+			return nil, err
+		}
+		ctx.CountCompressedOp()
+		ctx.RecordPlan(i.opcode, kernel+":"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
+		return res, nil
+	}
+	xb, err := i.X.MatrixBlockFor(ctx, i.opcode)
+	if err != nil {
+		return nil, err
+	}
+	return matrix.TransposeMultiply(xb, yb, threads)
 }
 
 // FusedAggInst evaluates a fused cellwise-aggregate pipeline (opcode

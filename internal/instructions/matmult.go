@@ -3,6 +3,7 @@ package instructions
 import (
 	"fmt"
 
+	"github.com/systemds/systemds-go/internal/compress"
 	"github.com/systemds/systemds-go/internal/dist"
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -66,7 +67,12 @@ func (i *MatMultInst) Execute(ctx *runtime.Context) error {
 	}
 	// federated paths
 	if tf, ok := l.(*TransposedFederated); ok {
-		return i.executeTransposedFederated(ctx, tf, r)
+		res, err := xtyFederated(ctx, tf.Source, i.Right, i.opcode)
+		if err != nil {
+			return err
+		}
+		ctx.SetMatrix(i.outs[0], res)
+		return nil
 	}
 	if fo, ok := l.(*runtime.FederatedObject); ok {
 		rb, err := i.Right.MatrixBlockFor(ctx, i.opcode)
@@ -186,7 +192,7 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 			ctx.SetMatrix(i.outs[0], res)
 			return true, nil
 		}
-		if _, rc, rok := matrixDims(r); rok {
+		if _, _, rok := matrixDims(r); rok {
 			cm, err := tc.Source.Compressed()
 			if err != nil {
 				return true, err
@@ -195,30 +201,12 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 			if err != nil {
 				return true, err
 			}
-			if rc == 1 {
-				rowVec, err := rb.Reshape(1, rb.Rows(), true)
-				if err != nil {
-					return true, err
-				}
-				res, err := cm.VecMat(rowVec, threads)
-				if err != nil {
-					return true, err
-				}
-				col, err := res.Reshape(res.Cols(), 1, true)
-				if err != nil {
-					return true, err
-				}
-				ctx.CountCompressedOp()
-				ctx.RecordPlan(i.opcode, "cvm:"+cm.EncodingSummary(), i.EstBytes, col.InMemorySize())
-				ctx.SetMatrix(i.outs[0], col)
-				return true, nil
-			}
-			res, err := cm.TransMatMultDense(rb, threads)
+			res, kernel, err := xtyCompressed(cm, rb, threads)
 			if err != nil {
 				return true, err
 			}
 			ctx.CountCompressedOp()
-			ctx.RecordPlan(i.opcode, "cmm:"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
+			ctx.RecordPlan(i.opcode, kernel+":"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
 			ctx.SetMatrix(i.outs[0], res)
 			return true, nil
 		}
@@ -341,31 +329,46 @@ func lateBoundStrategy(ctx *runtime.Context, l, r runtime.Data) types.MatMultMet
 	return types.MMBroadcastRight
 }
 
-// executeTransposedFederated handles t(X) %*% Y where X is federated: when Y
-// is federated with aligned row ranges the multiplication is pushed down as
-// xty; when Y is a local matrix, the rows of Y are shipped to the matching
-// sites.
-func (i *MatMultInst) executeTransposedFederated(ctx *runtime.Context, tf *TransposedFederated, r runtime.Data) error {
-	if rf, ok := r.(*runtime.FederatedObject); ok {
-		res, err := tf.Source.Fed.XtY(rf.Fed)
-		if err != nil {
-			return err
-		}
-		ctx.SetMatrix(i.outs[0], res)
-		return nil
+// xtyCompressed computes t(X) %*% Y directly on the column groups of a
+// compressed X — the vector-matrix kernel for a column vector Y, the
+// transposed matrix-matrix kernel otherwise — and names the kernel for the
+// plan record. It serves both the fused xty instruction and ba+* over the lazy
+// transpose view.
+func xtyCompressed(cm *compress.CompressedMatrix, y *matrix.MatrixBlock, threads int) (*matrix.MatrixBlock, string, error) {
+	if y.Cols() != 1 {
+		res, err := cm.TransMatMultDense(y, threads)
+		return res, "cmm", err
 	}
-	rb, err := i.Right.MatrixBlockFor(ctx, i.opcode)
+	rowVec, err := y.Reshape(1, y.Rows(), true)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	// t(X) %*% y with local y: ship the per-site slices of y and sum the
-	// partial t(X_i) %*% y_i results (only d x 1 aggregates come back).
-	res, err := tf.Source.Fed.XtLocalY(rb)
+	res, err := cm.VecMat(rowVec, threads)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	ctx.SetMatrix(i.outs[0], res)
-	return nil
+	col, err := res.Reshape(res.Cols(), 1, true)
+	return col, "cvm", err
+}
+
+// xtyFederated computes t(X) %*% Y for a federated X without collecting it:
+// when Y is federated with aligned row ranges the multiplication is pushed
+// down as xty; when Y is a local matrix its per-site row slices are shipped
+// and the partial t(X_i) %*% Y_i results are summed (only d x k aggregates
+// come back).
+func xtyFederated(ctx *runtime.Context, x *runtime.FederatedObject, y Operand, opcode string) (*matrix.MatrixBlock, error) {
+	yd, err := y.Resolve(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if yf, ok := yd.(*runtime.FederatedObject); ok {
+		return x.Fed.XtY(yf.Fed)
+	}
+	yb, err := y.MatrixBlockFor(ctx, opcode)
+	if err != nil {
+		return nil, err
+	}
+	return x.Fed.XtLocalY(yb)
 }
 
 // TSMMInst computes the fused t(X) %*% X (opcode "tsmm") with local,

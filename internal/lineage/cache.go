@@ -60,6 +60,9 @@ type Cache struct {
 	stats    CacheStats
 	disabled bool
 	store    BackingStore
+	// held counts the entries holding each cached value (Holds); values are
+	// map keys, so they must be comparable — runtime data objects are pointers
+	held map[any]int
 }
 
 // NewCache creates a reuse cache with the given byte budget. A budget of 0
@@ -156,10 +159,7 @@ func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persis
 		}
 		// hash collision: replace the old entry, otherwise the colliding item
 		// could never be cached (every Get would fail the Equals check)
-		c.lru.Remove(el)
-		delete(c.entries, entry.Item.Hash())
-		c.used -= entry.SizeBytes
-		c.stats.Evictions++
+		c.removeLocked(el)
 	}
 	for c.used+sizeBytes > c.budget && c.lru.Len() > 0 {
 		c.evictMinBenefitLocked()
@@ -167,6 +167,10 @@ func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persis
 	entry := &CacheEntry{Item: item, Value: value, SizeBytes: sizeBytes, ComputeNs: computeNs}
 	el := c.lru.PushFront(entry)
 	c.entries[item.Hash()] = el
+	if c.held == nil {
+		c.held = map[any]int{}
+	}
+	c.held[value]++
 	c.used += sizeBytes
 	c.stats.Puts++
 	c.stats.BytesCached = c.used
@@ -203,14 +207,34 @@ func (c *Cache) evictMinBenefitLocked() {
 			victim, victimScore = el, score
 		}
 	}
-	if victim == nil {
-		return
+	if victim != nil {
+		c.removeLocked(victim)
 	}
-	entry := victim.Value.(*CacheEntry)
-	c.lru.Remove(victim)
+}
+
+// removeLocked drops one entry and counts it as an eviction.
+func (c *Cache) removeLocked(el *list.Element) {
+	entry := el.Value.(*CacheEntry)
+	c.lru.Remove(el)
 	delete(c.entries, entry.Item.Hash())
+	if c.held[entry.Value]--; c.held[entry.Value] <= 0 {
+		delete(c.held, entry.Value)
+	}
 	c.used -= entry.SizeBytes
 	c.stats.Evictions++
+}
+
+// Holds reports whether some entry currently holds exactly this value
+// (identity, not structural equality). The runtime asks before it releases a
+// value's buffer-pool spill file: a cached intermediate may be spilt, and the
+// next hit restores it from that file.
+func (c *Cache) Holds(value any) bool {
+	if !c.Enabled() {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.held[value] > 0
 }
 
 // RecordPartialHit increments the partial-reuse counter (compensation plans
@@ -254,6 +278,7 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = map[uint64]*list.Element{}
+	c.held = nil
 	c.lru.Init()
 	c.used = 0
 }

@@ -133,6 +133,30 @@ func TestCachePutGet(t *testing.T) {
 	}
 }
 
+// TestCacheHolds: Holds follows a value by identity through insert, eviction
+// and Clear.
+func TestCacheHolds(t *testing.T) {
+	c := NewCache(250)
+	a, b, d := new(int), new(int), new(int)
+	c.Put(NewInstruction("op", "a", NewLiteral("1")), a, 100, 0)
+	c.Put(NewInstruction("op", "b", NewLiteral("1")), b, 100, 10)
+	if !c.Holds(a) || !c.Holds(b) || c.Holds(d) {
+		t.Fatalf("Holds(a, b, d) = %v %v %v, want true true false", c.Holds(a), c.Holds(b), c.Holds(d))
+	}
+	// a third entry exceeds the budget: the zero-benefit entry is evicted
+	c.Put(NewInstruction("op", "d", NewLiteral("1")), d, 100, 10)
+	if c.Holds(a) || !c.Holds(b) || !c.Holds(d) {
+		t.Errorf("after eviction Holds(a, b, d) = %v %v %v, want false true true", c.Holds(a), c.Holds(b), c.Holds(d))
+	}
+	c.Clear()
+	if c.Holds(b) || c.Holds(d) {
+		t.Error("Clear left values held")
+	}
+	if NewCache(0).Holds(a) {
+		t.Error("a disabled cache holds nothing")
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(250)
 	items := make([]*Item, 5)

@@ -805,10 +805,10 @@ func MMChain(x, v, w *MatrixBlock, threads int) (*MatrixBlock, error) {
 					d2 *= wd[r+2]
 					d3 *= wd[r+3]
 				}
-				mmchainScatter(buf, row0, d0)
-				mmchainScatter(buf, row1, d1)
-				mmchainScatter(buf, row2, d2)
-				mmchainScatter(buf, row3, d3)
+				scaledAdd(buf, row0, d0)
+				scaledAdd(buf, row1, d1)
+				scaledAdd(buf, row2, d2)
+				scaledAdd(buf, row3, d3)
 			}
 			for ; r < r1; r++ {
 				row := x.dense[r*n : (r+1)*n]
@@ -819,7 +819,7 @@ func MMChain(x, v, w *MatrixBlock, threads int) (*MatrixBlock, error) {
 				if wd != nil {
 					dot *= wd[r]
 				}
-				mmchainScatter(buf, row, dot)
+				scaledAdd(buf, row, dot)
 			}
 		}
 		parts[ci] = buf
@@ -842,14 +842,14 @@ func MMChain(x, v, w *MatrixBlock, threads int) (*MatrixBlock, error) {
 	return out, nil
 }
 
-// mmchainScatter accumulates dot * row into buf, skipping zero dots (the
-// annihilation short-cut of the row-at-a-time mmchain loop).
-func mmchainScatter(buf, row []float64, dot float64) {
-	if dot == 0 {
+// scaledAdd accumulates s * row into buf, skipping a zero scale (the
+// annihilation short-cut of the row-at-a-time scatter loops).
+func scaledAdd(buf, row []float64, s float64) {
+	if s == 0 {
 		return
 	}
 	for j, xv := range row {
-		buf[j] += float64(dot * xv)
+		buf[j] += float64(s * xv)
 	}
 }
 
@@ -858,4 +858,88 @@ func mmchainScatter(buf, row []float64, dot float64) {
 // relative to the fused pass).
 func vectorValues(v *MatrixBlock) []float64 {
 	return asDense(v).dense
+}
+
+// --- transpose-free t(X) %*% Y ------------------------------------------------
+
+// xtyMaxPartialCells bounds the total size of the per-chunk partial outputs
+// of the row-scatter leg of TransposeMultiply (8 MB of float64): the chunk
+// count shrinks as the output grows. It is a function of the shapes alone, so
+// the determinism contract is unaffected.
+const xtyMaxPartialCells = 1 << 20
+
+// TransposeMultiply computes t(x) %*% y in one pass over x, without
+// materializing the transpose. Dense products above the GEMM crossover run on
+// the tiled engine with the A side packed straight from x's column panels;
+// output rows are disjoint per worker and every cell accumulates in ascending
+// row order. Everything else — the t(X) %*% y vector shape of iterative
+// algorithms, sparse x, degenerate widths — scatters row by row,
+// out[j,:] += x[i,j] * y[i,:], into one partial output per fixed row chunk,
+// combined in chunk order. Either way results are bitwise-reproducible across
+// thread counts.
+func TransposeMultiply(x, y *MatrixBlock, threads int) (*MatrixBlock, error) {
+	if x.rows != y.rows {
+		return nil, fmt.Errorf("matrix: transpose-multiply dimension mismatch t(%dx%d) %%*%% %dx%d", x.rows, x.cols, y.rows, y.cols)
+	}
+	m, n, k := x.rows, x.cols, y.cols
+	out := NewDense(n, k)
+	if m == 0 || n == 0 || k == 0 {
+		return out, nil
+	}
+	yd := asDense(y)
+	if !x.IsSparse() && gemmUseTiled(n, m, k) {
+		out.nnz = accDenseDenseTiled(out, x, yd, resolveThreads(threads), true)
+		return out, nil
+	}
+	var xs *CSR
+	if x.IsSparse() {
+		xs = x.csr()
+	}
+	num, size := fusedChunks(m)
+	if maxNum := max(1, xtyMaxPartialCells/(n*k)); num > maxNum {
+		size = (m + maxNum - 1) / maxNum
+		num = (m + size - 1) / size
+	}
+	nw := chunkWorkers(num, threads, m*n)
+	// one allocation per chunk, not one slab: neighbouring chunks run on
+	// different workers, and adjacent partials would share cache lines
+	parts := make([][]float64, num)
+	runChunks(m, num, size, nw, func(wi, ci, r0, r1 int) {
+		buf := make([]float64, n*k)
+		switch {
+		case xs != nil:
+			for r := r0; r < r1; r++ {
+				yrow := yd.dense[r*k : (r+1)*k]
+				for p := xs.RowPtr[r]; p < xs.RowPtr[r+1]; p++ {
+					j := xs.ColIdx[p]
+					scaledAdd(buf[j*k:(j+1)*k], yrow, xs.Values[p])
+				}
+			}
+		case k == 1:
+			for r := r0; r < r1; r++ {
+				scaledAdd(buf, x.dense[r*n:(r+1)*n], yd.dense[r])
+			}
+		default:
+			for r := r0; r < r1; r++ {
+				yrow := yd.dense[r*k : (r+1)*k]
+				for j, xv := range x.dense[r*n : (r+1)*n] {
+					scaledAdd(buf[j*k:(j+1)*k], yrow, xv)
+				}
+			}
+		}
+		parts[ci] = buf
+	})
+	var nnz int64
+	for c := range out.dense {
+		var acc float64
+		for _, buf := range parts {
+			acc += buf[c]
+		}
+		out.dense[c] = acc
+		if acc != 0 {
+			nnz++
+		}
+	}
+	out.nnz = nnz
+	return out, nil
 }

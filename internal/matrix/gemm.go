@@ -320,15 +320,22 @@ func gemmMicroEdge(ap, bp []float64, kc int, cv []float64, ci, ldc, h, w int) {
 // jc/pc/ic blocked loop nest. bpack is the fully packed B (k-high gemmNR
 // panels), apack the caller's packed-A scratch (gemmPackARows*gemmKC). Every
 // output cell is visited once per pc block with pc ascending, so its
-// contributions arrive in ascending-k order.
-func gemmTiledRows(cv, av, bpack, apack []float64, k, n, r0, r1 int) {
+// contributions arrive in ascending-k order. With transA, av holds the
+// row-major k x m matrix X (leading dimension lda) and the product is
+// t(X) %*% b: only the A-side packing changes, reading X column panels in
+// place, so the transpose never materializes.
+func gemmTiledRows(cv, av, bpack, apack []float64, lda int, transA bool, k, n, r0, r1 int) {
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			for ic := r0; ic < r1; ic += gemmMC {
 				mc := min(gemmMC, r1-ic)
-				packAPanels(apack, av, k, ic, mc, pc, kc)
+				if transA {
+					packATPanels(apack, av, lda, pc, kc, ic, mc)
+				} else {
+					packAPanels(apack, av, lda, ic, mc, pc, kc)
+				}
 				for jr := jc; jr < jc+nc; jr += gemmNR {
 					w := min(gemmNR, n-jr)
 					bpanel := bpack[(jr/gemmNR)*k*gemmNR+pc*gemmNR:]
@@ -348,13 +355,17 @@ func gemmTiledRows(cv, av, bpack, apack []float64, k, n, r0, r1 int) {
 	}
 }
 
-// accDenseDenseTiled accumulates dense(a) %*% dense(b) into the dense
-// accumulator via the tiled engine and returns the recounted non-zero total.
-// Bitwise-interchangeable with accDenseDense for finite inputs: both add each
-// cell's contributions one at a time in ascending k (the simple kernel skips
-// a==0 terms, which cannot change a finite running sum).
-func accDenseDenseTiled(acc, a, b *MatrixBlock, threads int) int64 {
+// accDenseDenseTiled accumulates dense(a) %*% dense(b) — or, with transA,
+// t(dense(a)) %*% dense(b) — into the dense accumulator via the tiled engine
+// and returns the recounted non-zero total. Bitwise-interchangeable with
+// accDenseDense for finite inputs: both add each cell's contributions one at
+// a time in ascending k (the simple kernel skips a==0 terms, which cannot
+// change a finite running sum).
+func accDenseDenseTiled(acc, a, b *MatrixBlock, threads int, transA bool) int64 {
 	m, k, n := a.rows, a.cols, b.cols
+	if transA {
+		m, k = k, m
+	}
 	av, bv, cv := a.dense, b.dense, acc.dense
 	if m == 0 || n == 0 {
 		return 0
@@ -365,7 +376,7 @@ func accDenseDenseTiled(acc, a, b *MatrixBlock, threads int) int64 {
 	var nnz atomic.Int64
 	parallelRows(m, threads, func(r0, r1 int) {
 		abuf := gemmGetBuf(gemmPackARows * gemmKC)
-		gemmTiledRows(cv, av, bbuf.f, abuf.f, k, n, r0, r1)
+		gemmTiledRows(cv, av, bbuf.f, abuf.f, a.cols, transA, k, n, r0, r1)
 		gemmPutBuf(abuf)
 		nnz.Add(countRowRangeNNZ(cv, n, r0, r1))
 	})

@@ -53,7 +53,7 @@ func MultiplyBLAS(a, b *MatrixBlock, threads int) (*MatrixBlock, error) {
 	ad, bd := asDense(a), asDense(b)
 	if gemmUseTiled(ad.rows, ad.cols, bd.cols) {
 		out := NewDense(ad.rows, bd.cols)
-		out.nnz = accDenseDenseTiled(out, ad, bd, threads)
+		out.nnz = accDenseDenseTiled(out, ad, bd, threads, false)
 		return out, nil
 	}
 	return multDenseDense(ad, bd, threads, true), nil
@@ -185,7 +185,7 @@ func multDenseDense(a, b *MatrixBlock, threads int, blas bool) *MatrixBlock {
 // accumulates onto a tiled full product without any drift).
 func gemmAcc(acc, a, b *MatrixBlock, threads int) int64 {
 	if gemmUseTiled(a.rows, a.cols, b.cols) {
-		return accDenseDenseTiled(acc, a, b, threads)
+		return accDenseDenseTiled(acc, a, b, threads, false)
 	}
 	return accDenseDense(acc, a, b, threads)
 }
@@ -197,6 +197,9 @@ func gemmAcc(acc, a, b *MatrixBlock, threads int) int64 {
 // accumulator.
 func accDenseDense(acc, a, b *MatrixBlock, threads int) int64 {
 	m, k, n := a.rows, a.cols, b.cols
+	if n == 1 {
+		return accDenseMV(acc, a, b, threads)
+	}
 	av, bv, cv := a.dense, b.dense, acc.dense
 	var nnz atomic.Int64
 	const blkK, blkJ = 64, 512
@@ -222,6 +225,47 @@ func accDenseDense(acc, a, b *MatrixBlock, threads int) int64 {
 			}
 		}
 		nnz.Add(countRowRangeNNZ(cv, n, r0, r1))
+	})
+	return nnz.Load()
+}
+
+// accDenseMV is the n == 1 leg of accDenseDense: acc += dense(a) %*% v for a
+// column vector v. The generic i-k-j loop degenerates to one dot product per
+// row whose single accumulator serializes on FP-add latency, far below memory
+// bandwidth; here four rows share one pass over v with four independent
+// accumulators (the register blocking of MMChain's dense leg). Every row still
+// adds its products one at a time in ascending k, starting from the
+// accumulator's value, so the result is bitwise-equal to the generic loop for
+// finite inputs and the MultiplyAcc stripe contract holds unchanged.
+func accDenseMV(acc, a, v *MatrixBlock, threads int) int64 {
+	m, k := a.rows, a.cols
+	av, vv, cv := a.dense, v.dense[:k], acc.dense
+	var nnz atomic.Int64
+	parallelRows(m, threads, func(r0, r1 int) {
+		i := r0
+		for ; i+4 <= r1; i += 4 {
+			row0 := av[i*k : (i+1)*k]
+			row1 := av[(i+1)*k : (i+2)*k]
+			row2 := av[(i+2)*k : (i+3)*k]
+			row3 := av[(i+3)*k : (i+4)*k]
+			d0, d1, d2, d3 := cv[i], cv[i+1], cv[i+2], cv[i+3]
+			for p, vp := range vv {
+				d0 += float64(row0[p] * vp)
+				d1 += float64(row1[p] * vp)
+				d2 += float64(row2[p] * vp)
+				d3 += float64(row3[p] * vp)
+			}
+			cv[i], cv[i+1], cv[i+2], cv[i+3] = d0, d1, d2, d3
+		}
+		for ; i < r1; i++ {
+			row := av[i*k : (i+1)*k]
+			d := cv[i]
+			for p, vp := range vv {
+				d += float64(row[p] * vp)
+			}
+			cv[i] = d
+		}
+		nnz.Add(countRowRangeNNZ(cv, 1, r0, r1))
 	})
 	return nnz.Load()
 }

@@ -45,8 +45,9 @@ func (c *distCounters) snapshot() DistStats {
 }
 
 // FusedStats is a snapshot of the fused-operator hit counters of one context
-// tree: how many fused mmchain and fused cellwise-aggregate instructions
-// executed (the fusion analogue of DistStats, surfaced through core.Stats).
+// tree: how many fused mmchain (both chain shapes and the transpose-free
+// t(X) %*% Y) and fused cellwise-aggregate instructions executed (the fusion
+// analogue of DistStats, surfaced through core.Stats).
 type FusedStats struct {
 	MMChainOps  int64
 	FusedAggOps int64

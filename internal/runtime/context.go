@@ -44,8 +44,9 @@ type Config struct {
 	// DistEnabled allows the compiler to select the blocked distributed
 	// backend for large operations.
 	DistEnabled bool
-	// FusionDisabled turns off the HOP-level operator fusion pass (mmchain
-	// and cellwise-aggregate pipelines). Fusion is on by default.
+	// FusionDisabled turns off the HOP-level operator fusion pass (mmchain,
+	// transpose-free t(X) %*% Y and cellwise-aggregate pipelines). Fusion is
+	// on by default.
 	FusionDisabled bool
 	// CompressionEnabled turns on compressed linear algebra: the compiler
 	// plants compression decision sites before loops that re-read large
@@ -280,7 +281,8 @@ func (ctx *Context) CountCompressedOp() {
 // FusedStats returns a snapshot of the fused-operator hit counters.
 func (ctx *Context) FusedStats() FusedStats { return ctx.fused.snapshot() }
 
-// CountMMChain records one executed fused mmchain instruction.
+// CountMMChain records one executed fused mmchain instruction (either chain
+// shape, or the xty variant).
 func (ctx *Context) CountMMChain() {
 	if ctx.fused != nil {
 		ctx.fused.mmchain.Add(1)
@@ -338,11 +340,21 @@ func (ctx *Context) Remove(name string) {
 				}
 			}
 			ctx.mu.RUnlock()
-			if !shared {
+			// nor while the reuse cache holds it: a cached intermediate may be
+			// spilt, and the next hit restores it from the spill file
+			if !shared && !ctx.Cache.Holds(d) {
 				ctx.Pool.Unregister(entry.PoolID())
 			}
 		}
 	}
+}
+
+// ReleasePool ends a run's claim on its buffer pool: every entry the reuse
+// cache does not hold is unregistered — bound variables, and values that were
+// rebound or went out of scope in a function or parfor child — so no spill
+// file outlives the run except those a later cache hit restores from.
+func (ctx *Context) ReleasePool() {
+	ctx.Pool.ReleaseExcept(func(e bufferpool.Entry) bool { return ctx.Cache.Holds(e) })
 }
 
 // Variables returns the names of all bound variables in sorted order, so

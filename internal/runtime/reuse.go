@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 )
@@ -19,8 +20,8 @@ func tryPartialReuse(ctx *Context, inst Instruction, inputItems []*lineage.Item,
 	switch inst.Opcode() {
 	case "tsmm":
 		return tryPartialTSMM(ctx, inst, inputItems)
-	case "ba+*":
-		return tryPartialMatMultOverCBind(ctx, inst, inputItems)
+	case "mmchain":
+		return tryPartialXtYOverCBind(ctx, inst, inputItems)
 	default:
 		return nil, false
 	}
@@ -66,7 +67,7 @@ func tryPartialTSMM(ctx *Context, inst Instruction, inputItems []*lineage.Item) 
 		return nil, false
 	}
 	threads := ctx.Config.Threads()
-	tbx, err := matrix.Multiply(matrix.Transpose(b), x, threads)
+	tbx, err := matrix.TransposeMultiply(b, x, threads)
 	if err != nil {
 		return nil, false
 	}
@@ -100,23 +101,18 @@ func tryPartialTSMM(ctx *Context, inst Instruction, inputItems []*lineage.Item) 
 	return NewMatrixObject(out, ctx.Pool), true
 }
 
-// tryPartialMatMultOverCBind handles t(cbind(A, B)) %*% y when
-// t(A) %*% y is cached: the missing rows are t(B) %*% y.
-func tryPartialMatMultOverCBind(ctx *Context, inst Instruction, inputItems []*lineage.Item) (Data, bool) {
-	if len(inputItems) != 2 {
+// tryPartialXtYOverCBind handles the fused t(cbind(A, B)) %*% y (the xty
+// variant of mmchain) when t(A) %*% y is cached: the missing rows are
+// t(B) %*% y, computed from the newly added columns alone.
+func tryPartialXtYOverCBind(ctx *Context, inst Instruction, inputItems []*lineage.Item) (Data, bool) {
+	if inst.LineageData() != hops.OpXtY || len(inputItems) != 2 {
 		return nil, false
 	}
-	left, yItem := inputItems[0], inputItems[1]
-	if left.Opcode != "r'" || len(left.Inputs) != 1 {
-		return nil, false
-	}
-	cbindItem := left.Inputs[0]
+	cbindItem, yItem := inputItems[0], inputItems[1]
 	if cbindItem.Opcode != "cbind" || len(cbindItem.Inputs) != 2 {
 		return nil, false
 	}
-	cachedItem := lineage.NewInstruction("ba+*", "",
-		lineage.NewInstruction("r'", "", cbindItem.Inputs[0]), yItem)
-	cachedAny, ok := ctx.Cache.Get(cachedItem)
+	cachedAny, ok := ctx.Cache.Get(lineage.NewInstruction("mmchain", hops.OpXtY, cbindItem.Inputs[0], yItem))
 	if !ok {
 		return nil, false
 	}
@@ -128,12 +124,12 @@ func tryPartialMatMultOverCBind(ctx *Context, inst Instruction, inputItems []*li
 	if err != nil {
 		return nil, false
 	}
-	// inputs: t(cbind(A,B)) and y are instruction input variables
+	// inputs: cbind(A,B) and y are instruction input variables
 	ins := inst.Inputs()
 	if len(ins) != 2 {
 		return nil, false
 	}
-	tx, err := ctx.GetMatrixBlockFor(ins[0], "reuse")
+	x, err := ctx.GetMatrixBlockFor(ins[0], "reuse")
 	if err != nil {
 		return nil, false
 	}
@@ -142,15 +138,14 @@ func tryPartialMatMultOverCBind(ctx *Context, inst Instruction, inputItems []*li
 		return nil, false
 	}
 	k1 := aty.Rows()
-	if tx.Rows() <= k1 {
+	if x.Cols() <= k1 {
 		return nil, false
 	}
-	// rows k1..end of t(X) are t(B)
-	tb, err := matrix.Slice(tx, k1, tx.Rows(), 0, tx.Cols())
+	b, err := matrix.Slice(x, 0, x.Rows(), k1, x.Cols())
 	if err != nil {
 		return nil, false
 	}
-	bty, err := matrix.Multiply(tb, y, ctx.Config.Threads())
+	bty, err := matrix.TransposeMultiply(b, y, ctx.Config.Threads())
 	if err != nil {
 		return nil, false
 	}

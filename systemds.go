@@ -146,8 +146,8 @@ func WithBLAS(enabled bool) Option {
 	return func(c *runtime.Config) { c.UseBLAS = enabled }
 }
 
-// WithFusion toggles the HOP-level operator fusion pass (fused mmchain and
-// cellwise-aggregate pipelines). Fusion is enabled by default; disabling it
+// WithFusion toggles the HOP-level operator fusion pass (fused mmchain,
+// transpose-free t(X) %*% Y and cellwise-aggregate pipelines). Fusion is enabled by default; disabling it
 // is mainly useful for fused-vs-unfused comparisons.
 func WithFusion(enabled bool) Option {
 	return func(c *runtime.Config) { c.FusionDisabled = !enabled }
