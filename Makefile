@@ -24,13 +24,15 @@ test:
 # Race-enabled run of the full module (bufferpool, paramserv, frame, tensor
 # and lineage included — nothing is skipped), followed by the compressed
 # lm-loop determinism gate run twice in one process (-count=2 compares
-# fingerprints across invocations via package state), and a bench smoke that
-# drives the tiled GEMM engine's multi-threaded row-panel workers plus the
-# deep compressed kernels (TSMM, matrix right-hand side, partitioned dist MV)
-# under the race detector.
+# fingerprints across invocations via package state), the O(1)-lineage-probe
+# gates repeated (the 200-trip reuse-on loop; workers sharing one cache), and
+# a bench smoke that drives the tiled GEMM engine's multi-threaded row-panel
+# workers plus the deep compressed kernels (TSMM, matrix right-hand side,
+# partitioned dist MV) under the race detector.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
+	$(GO) test -race -run 'TestReuseLoopCostsLikeReuseOff|TestCacheSharedByWorkers' -count=3 . ./internal/lineage/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' .
 
 # Observability acceptance gate: run the traced lm-loop scenario end to end
@@ -62,13 +64,15 @@ bench-compare:
 # fused-vs-unfused, kernel-parallelism and tiled-vs-simple GEMM/TSMM/
 # MultiplyAcc benchmarks with allocation stats, plus the adaptive-runtime
 # pairs (cold-vs-warm cross-run lineage reuse, uncalibrated-vs-calibrated
-# planning), parsed into BENCH_KERNELS_OUT. The compressed and lineage
+# planning) and the lineage probe at chain depth 10/100/1000 (ns/op and
+# allocs/op are per probe and must not depend on depth), parsed into
+# BENCH_KERNELS_OUT. The compressed and lineage
 # benchmarks additionally report databytes/op (bytes of matrix representation
 # streamed or spilled per operation) and the dense kernel benchmarks report
 # gflops.
 BENCH_KERNELS_OUT ?= bench_kernels.json
 bench-kernels:
-	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|CalibrationDelta' -benchmem -timeout 30m -run '^$$' . | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
+	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|LineageProbe|CalibrationDelta' -benchmem -timeout 30m -run '^$$' . | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
 
 # Full benchmark sweep (single iteration per benchmark).
 bench-all:

@@ -15,10 +15,10 @@ import (
 // used by the persistent lineage store to keep reuse-cache entries alive
 // across processes (the cross-run half of Section 3.1's lineage-based reuse).
 // Each entry is one self-describing file carrying a verification key (the
-// rendered lineage DAG), the compute time the payload saved, and a payload
-// checksum. The store tolerates corruption: a file that fails any structural
-// check is deleted and reported as a miss, never an error — the caller simply
-// recomputes.
+// fixed-width rendering of the full lineage hash), the compute time the
+// payload saved, and a payload checksum. The store tolerates corruption: a
+// file that fails any structural check is deleted and reported as a miss,
+// never an error — the caller simply recomputes.
 //
 // Eviction under the byte budget is cost-benefit, not LRU: the entry with the
 // lowest computeNs-saved-per-byte-retained score is dropped first, so a large
@@ -52,7 +52,8 @@ type FileStoreStats struct {
 	Puts    int64
 	Skipped int64
 	// Evictions counts budget evictions, CorruptDropped files deleted because
-	// a structural check failed (bad magic, truncation, checksum mismatch).
+	// a structural check failed (bad magic, another format version,
+	// truncation, checksum mismatch).
 	Evictions      int64
 	CorruptDropped int64
 	// BytesWritten and BytesRead count payload traffic.
@@ -62,8 +63,12 @@ type FileStoreStats struct {
 
 const (
 	// fileStoreMagic identifies lineage store files ("SDSL").
-	fileStoreMagic   uint32 = 0x5344534C
-	fileStoreVersion uint32 = 1
+	fileStoreMagic uint32 = 0x5344534C
+	// fileStoreVersion changes whenever the file layout or the meaning of
+	// hash and key does (2: 128-bit lineage hash, key = its hex rendering).
+	// Files of any other version are dropped at open like corrupt ones: a
+	// store is a cache, so an old one costs a cold start, never a wrong hit.
+	fileStoreVersion uint32 = 2
 	// fileStoreHeaderLen is the fixed-length prefix before key and payload:
 	// magic(4) version(4) hash(8) computeNs(8) keyLen(4) payloadLen(8)
 	// checksum(8).

@@ -2,6 +2,7 @@ package bufferpool
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -167,6 +168,50 @@ func TestFileStoreCorruptFileRecovery(t *testing.T) {
 	}
 	if _, err := os.Stat(p2); !os.IsNotExist(err) {
 		t.Error("bit-flipped file not deleted")
+	}
+}
+
+// TestFileStorePreviousVersionOpensEmpty: files written under the previous
+// format version (other hash scheme, other key) are intact by every other
+// check, yet a fresh open indexes none of them, deletes them, counts each drop
+// and reports no error — an old store is a cold start, never a wrong hit.
+func TestFileStorePreviousVersionOpensEmpty(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFileStore(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := uint64(1); h <= 3; h++ {
+		if err := s.Put(h, "tsmm(tread·X)", []byte("payload"), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, filePrefix+"*"+fileSuffix))
+	if err != nil || len(files) != 3 {
+		t.Fatalf("store files = %v (%v), want 3", files, err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[4:], fileStoreVersion-1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, err := OpenFileStore(dir, 1<<20)
+	if err != nil {
+		t.Fatalf("opening a previous-version store must not fail: %v", err)
+	}
+	if st := old.Stats(); st.Files != 0 || st.Bytes != 0 || st.CorruptDropped != 3 {
+		t.Errorf("stats = %+v, want an empty store with 3 counted drops", st)
+	}
+	if _, _, ok := old.Get(1, "tsmm(tread·X)"); ok {
+		t.Error("a previous-version entry was served")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Errorf("previous-version files left on disk: %v", left)
 	}
 }
 

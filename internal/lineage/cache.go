@@ -2,8 +2,6 @@ package lineage
 
 import (
 	"container/list"
-	"fmt"
-	"os"
 	"sync"
 )
 
@@ -35,7 +33,9 @@ type CacheStats struct {
 // probes it on a memory miss and writes qualifying entries through to it;
 // implementations live above this package (the runtime provides the value
 // codec, the buffer pool the spill files) so the lineage package stays
-// dependency-free. key is the rendered lineage DAG, used to verify the hash.
+// dependency-free. hash is the low lane of the item's 128-bit hash and
+// addresses the entry; key is the fixed-width rendering of all 128 bits
+// (Hash.String) and verifies it.
 type BackingStore interface {
 	// Lookup returns the persisted value stored under the lineage hash, or
 	// ok=false (a corrupt or missing entry is a miss, never an error).
@@ -55,7 +55,7 @@ type Cache struct {
 	mu       sync.Mutex
 	budget   int64
 	used     int64
-	entries  map[uint64]*list.Element
+	entries  map[Hash]*list.Element
 	lru      *list.List // of *CacheEntry, front = most recently used
 	stats    CacheStats
 	disabled bool
@@ -70,7 +70,7 @@ type Cache struct {
 func NewCache(budgetBytes int64) *Cache {
 	return &Cache{
 		budget:   budgetBytes,
-		entries:  map[uint64]*list.Element{},
+		entries:  map[Hash]*list.Element{},
 		lru:      list.New(),
 		disabled: budgetBytes <= 0,
 	}
@@ -90,43 +90,40 @@ func (c *Cache) SetStore(s BackingStore) {
 	c.mu.Unlock()
 }
 
-// Get probes the cache for an intermediate with the given lineage. It
-// verifies full structural equality to guard against hash collisions. On a
-// memory miss it falls through to the attached backing store, reloading the
-// persisted value of a previous run lazily.
+// Get probes the cache for an intermediate with the given lineage; Equals
+// confirms the entry found under the hash. On a memory miss it falls through
+// to the attached backing store, reloading the persisted value of a previous
+// run lazily.
 func (c *Cache) Get(item *Item) (any, bool) {
 	if !c.Enabled() {
 		return nil, false
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[item.Hash()]; ok {
+	if el, ok := c.entries[item.hash]; ok {
 		entry := el.Value.(*CacheEntry)
 		if entry.Item.Equals(item) {
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
 			c.mu.Unlock()
-			if os.Getenv("SYSDS_DEBUG_CACHE") != "" {
-				fmt.Printf("CACHE HIT: %s\n", item.String())
-			}
 			return entry.Value, true
 		}
 	}
 	store := c.store
+	if store == nil {
+		c.stats.Misses++
+		c.mu.Unlock()
+		return nil, false
+	}
 	c.mu.Unlock()
 	// disk probe outside the lock: concurrent operators of the inter-op
 	// scheduler must not serialize on file reads
-	if store != nil {
-		if v, sizeBytes, computeNs, ok := store.Lookup(item.Hash(), item.String()); ok {
-			c.insert(item, v, sizeBytes, computeNs, false)
-			c.mu.Lock()
-			c.stats.Hits++
-			c.stats.StoreHits++
-			c.mu.Unlock()
-			if os.Getenv("SYSDS_DEBUG_CACHE") != "" {
-				fmt.Printf("CACHE STORE HIT: %s\n", item.String())
-			}
-			return v, true
-		}
+	if v, sizeBytes, computeNs, ok := store.Lookup(item.hash.Lo, item.hash.String()); ok {
+		c.insert(item, v, sizeBytes, computeNs, false)
+		c.mu.Lock()
+		c.stats.Hits++
+		c.stats.StoreHits++
+		c.mu.Unlock()
+		return v, true
 	}
 	c.mu.Lock()
 	c.stats.Misses++
@@ -149,7 +146,7 @@ func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persis
 		return
 	}
 	c.mu.Lock()
-	if el, exists := c.entries[item.Hash()]; exists {
+	if el, exists := c.entries[item.hash]; exists {
 		entry := el.Value.(*CacheEntry)
 		if entry.Item.Equals(item) {
 			// same intermediate: refresh its LRU position
@@ -166,7 +163,7 @@ func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persis
 	}
 	entry := &CacheEntry{Item: item, Value: value, SizeBytes: sizeBytes, ComputeNs: computeNs}
 	el := c.lru.PushFront(entry)
-	c.entries[item.Hash()] = el
+	c.entries[item.hash] = el
 	if c.held == nil {
 		c.held = map[any]int{}
 	}
@@ -179,7 +176,7 @@ func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persis
 	// write-through outside the lock, for the same reason Get probes
 	// outside it
 	if persist && store != nil {
-		if store.Persist(item.Hash(), item.String(), value, sizeBytes, computeNs) {
+		if store.Persist(item.hash.Lo, item.hash.String(), value, sizeBytes, computeNs) {
 			c.mu.Lock()
 			c.stats.StorePuts++
 			c.mu.Unlock()
@@ -216,7 +213,7 @@ func (c *Cache) evictMinBenefitLocked() {
 func (c *Cache) removeLocked(el *list.Element) {
 	entry := el.Value.(*CacheEntry)
 	c.lru.Remove(el)
-	delete(c.entries, entry.Item.Hash())
+	delete(c.entries, entry.Item.hash)
 	if c.held[entry.Value]--; c.held[entry.Value] <= 0 {
 		delete(c.held, entry.Value)
 	}
@@ -277,8 +274,8 @@ func (c *Cache) Clear() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[uint64]*list.Element{}
-	c.held = nil
+	clear(c.entries)
+	clear(c.held)
 	c.lru.Init()
 	c.used = 0
 }

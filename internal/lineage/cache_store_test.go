@@ -50,11 +50,13 @@ func TestCacheEvictionTiesDegradeToLRU(t *testing.T) {
 	}
 }
 
-// memStore is an in-memory BackingStore double.
+// memStore is an in-memory BackingStore double. It records every key whose
+// length is not the 32 hex digits of a rendered Hash.
 type memStore struct {
 	mu      sync.Mutex
 	entries map[uint64]memEntry
 	lookups int
+	badKeys []string
 }
 
 type memEntry struct {
@@ -70,6 +72,7 @@ func (m *memStore) Lookup(hash uint64, key string) (any, int64, int64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.lookups++
+	m.checkKey(key)
 	e, ok := m.entries[hash]
 	if !ok || e.key != key {
 		return nil, 0, 0, false
@@ -80,8 +83,15 @@ func (m *memStore) Lookup(hash uint64, key string) (any, int64, int64, bool) {
 func (m *memStore) Persist(hash uint64, key string, value any, sizeBytes, computeNs int64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.checkKey(key)
 	m.entries[hash] = memEntry{key: key, value: value, sizeBytes: sizeBytes, computeNs: computeNs}
 	return true
+}
+
+func (m *memStore) checkKey(key string) {
+	if len(key) != 32 {
+		m.badKeys = append(m.badKeys, key)
+	}
 }
 
 // TestCacheStoreFallthrough checks the cross-run path at the cache level: a
@@ -91,7 +101,7 @@ func (m *memStore) Persist(hash uint64, key string, value any, sizeBytes, comput
 func TestCacheStoreFallthrough(t *testing.T) {
 	store := newMemStore()
 	warm := NewInstruction("tsmm", "", NewCreation("input", "X#abc"))
-	store.Persist(warm.Hash(), warm.String(), "persisted", 100, 777)
+	store.Persist(warm.Hash().Lo, warm.Hash().String(), "persisted", 100, 777)
 
 	c := NewCache(1 << 20)
 	c.SetStore(store)
@@ -114,7 +124,7 @@ func TestCacheStoreFallthrough(t *testing.T) {
 	// write-through: a fresh Put lands in the store
 	item := NewInstruction("ba+*", "", NewCreation("input", "Y#def"))
 	c.Put(item, "computed", 50, 123)
-	if _, _, _, ok := store.Lookup(item.Hash(), item.String()); !ok {
+	if _, _, _, ok := store.Lookup(item.Hash().Lo, item.Hash().String()); !ok {
 		t.Error("Put was not written through to the store")
 	}
 	if c.Stats().StorePuts != 1 {
@@ -142,5 +152,33 @@ func TestCacheStoreMissCountsMiss(t *testing.T) {
 	}
 	if store.lookups != before {
 		t.Error("disabled cache probed the store")
+	}
+}
+
+// TestCacheStoreKeyIsFixedWidth: the store is addressed by the rendered hash,
+// never by the rendered DAG — the key stays 32 characters however deep the
+// lineage is, on the hit, miss and write-through paths.
+func TestCacheStoreKeyIsFixedWidth(t *testing.T) {
+	store := newMemStore()
+	c := NewCache(1 << 20)
+	c.SetStore(store)
+	item := NewCreation("input", "X#abc")
+	for depth := 0; depth < 200; depth++ {
+		item = NewInstruction("+", "0=1", item, item)
+		if _, ok := c.Get(item); ok {
+			t.Fatalf("depth %d: unexpected hit", depth)
+		}
+		c.Put(item, depth, 8, 1)
+	}
+	fresh := NewCache(1 << 20) // empty memory, same store: the hit comes from Lookup
+	fresh.SetStore(store)
+	if v, ok := fresh.Get(item); !ok || v != 199 {
+		t.Fatalf("store hit on the deepest item = (%v, %v), want (199, true)", v, ok)
+	}
+	if len(store.badKeys) != 0 {
+		t.Errorf("%d store keys are not 32 characters, first %q", len(store.badKeys), store.badKeys[0])
+	}
+	if store.lookups != 201 || len(store.entries) != 200 {
+		t.Errorf("store saw %d lookups and holds %d entries, want 201 and 200", store.lookups, len(store.entries))
 	}
 }

@@ -7,16 +7,15 @@
 package lineage
 
 import (
-	"fmt"
-	"hash/fnv"
+	"encoding/binary"
+	"encoding/hex"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// ItemKind distinguishes leaves (literals, input reads) from operation nodes
-// and deduplicated sub-DAG references.
+// ItemKind distinguishes leaves (literals, input reads) from operation nodes.
 type ItemKind int
 
 // Lineage item kinds.
@@ -24,88 +23,128 @@ const (
 	KindLiteral ItemKind = iota
 	KindCreation
 	KindInstruction
-	KindDedup
 )
 
-var itemIDCounter int64
+// Hash is the 128-bit structural hash of a lineage DAG: two independently
+// mixed 64-bit lanes over (kind, opcode, data, input hashes).
+type Hash struct{ Hi, Lo uint64 }
 
-// Item is a node of a lineage DAG. Items are immutable after creation and
-// cache their hash.
+// String renders the hash as 32 lower-case hex digits. The fixed-width
+// rendering is the verification key of the persistent store.
+func (h Hash) String() string {
+	var raw [16]byte
+	binary.BigEndian.PutUint64(raw[:8], h.Hi)
+	binary.BigEndian.PutUint64(raw[8:], h.Lo)
+	return hex.EncodeToString(raw[:])
+}
+
+// Item is a node of a lineage DAG. Items are immutable after creation; the
+// hash is computed by the constructor from the node's own fields and the
+// hashes its inputs already carry, so building an item costs O(fan-in)
+// however deep the DAG below it is.
 type Item struct {
-	ID     int64
 	Kind   ItemKind
 	Opcode string
 	Data   string // literal value, variable/file name, or extra operands (e.g. seeds)
 	Inputs []*Item
 
-	hashOnce sync.Once
-	hash     uint64
+	hash Hash
 }
 
 // NewLiteral creates a literal leaf item (constants, generated seeds).
 func NewLiteral(data string) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindLiteral, Opcode: "lit", Data: data}
+	return newItem(KindLiteral, "lit", data, nil)
 }
 
 // NewCreation creates a leaf item for an external input (file read, named
 // script input).
 func NewCreation(op, data string) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindCreation, Opcode: op, Data: data}
+	return newItem(KindCreation, op, data, nil)
 }
 
 // NewInstruction creates an operation item with the given inputs.
 func NewInstruction(opcode, data string, inputs ...*Item) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindInstruction, Opcode: opcode, Data: data, Inputs: inputs}
+	return newItem(KindInstruction, opcode, data, inputs)
 }
 
-// NewDedup creates a deduplication item that references a previously traced
-// loop-body sub-DAG by name and path id, so loops with few distinct control
-// flow paths store the per-path trace only once.
-func NewDedup(pathName string, inputs ...*Item) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindDedup, Opcode: "dedup", Data: pathName, Inputs: inputs}
+func newItem(kind ItemKind, opcode, data string, inputs []*Item) *Item {
+	h := hasher{a: 0xcbf29ce484222325, b: 0x9e3779b97f4a7c15}
+	h.word(uint64(kind)<<32 | uint64(len(inputs)))
+	h.str(opcode)
+	h.str(data)
+	for _, in := range inputs {
+		h.word(in.hash.Hi)
+		h.word(in.hash.Lo)
+	}
+	return &Item{Kind: kind, Opcode: opcode, Data: data, Inputs: inputs, hash: h.sum()}
 }
 
-// Hash returns a structural hash over the item's opcode, data and transitive
-// inputs. Identical computations produce identical hashes, which makes the
-// hash usable as reuse-cache key.
-func (it *Item) Hash() uint64 {
-	it.hashOnce.Do(func() {
-		h := fnv.New64a()
-		var write func(i *Item)
-		write = func(i *Item) {
-			fmt.Fprintf(h, "(%d|%s|%s", i.Kind, i.Opcode, i.Data)
-			for _, in := range i.Inputs {
-				write(in)
-			}
-			fmt.Fprint(h, ")")
+// hasher is the allocation-free two-lane mixer behind Item hashes. The lanes
+// use different multipliers and different feedback (shift-xor vs rotate), so
+// a collision in one is not a collision in the other.
+type hasher struct{ a, b uint64 }
+
+func (h *hasher) word(w uint64) {
+	h.a = (h.a ^ w) * 0x100000001b3
+	h.a ^= h.a >> 32
+	h.b = (bits.RotateLeft64(h.b, 27) ^ w) * 0xff51afd7ed558ccd
+}
+
+// str feeds the length and then the bytes, eight per word, so neighbouring
+// strings cannot run into each other.
+func (h *hasher) str(s string) {
+	h.word(uint64(len(s)))
+	for len(s) > 0 {
+		var w uint64
+		n := len(s)
+		if n > 8 {
+			n = 8
 		}
-		write(it)
-		it.hash = h.Sum64()
-	})
-	return it.hash
+		for i := 0; i < n; i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h.word(w)
+		s = s[n:]
+	}
 }
 
-// Equals reports whether two lineage DAGs are structurally identical.
+func (h *hasher) sum() Hash { return Hash{Hi: fmix64(h.a), Lo: fmix64(h.b)} }
+
+// fmix64 is the MurmurHash3 finalizer: every input bit reaches every output
+// bit.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// Hash returns the structural hash over the item's kind, opcode, data and
+// transitive inputs. Identical computations produce identical hashes, which
+// makes the hash the reuse-cache key.
+func (it *Item) Hash() Hash { return it.hash }
+
+// Equals reports whether two lineage DAGs are identical: the same node, or
+// equal 128-bit hashes and equal own fields. The inputs are not compared — the
+// hash covers them — so equality below this node is hash equality and a probe
+// costs O(1); the own-field check only keeps the cache from trusting its map
+// key alone.
 func (it *Item) Equals(o *Item) bool {
 	if it == o {
 		return true
 	}
-	if it == nil || o == nil {
+	if it == nil || o == nil || it.hash != o.hash {
 		return false
 	}
-	if it.Kind != o.Kind || it.Opcode != o.Opcode || it.Data != o.Data || len(it.Inputs) != len(o.Inputs) {
-		return false
-	}
-	for i := range it.Inputs {
-		if !it.Inputs[i].Equals(o.Inputs[i]) {
-			return false
-		}
-	}
-	return true
+	return it.Kind == o.Kind && it.Opcode == o.Opcode && it.Data == o.Data && len(it.Inputs) == len(o.Inputs)
 }
 
 // String renders the lineage DAG in a compact nested form, e.g.
-// "tsmm(cbind(tread(X),tread(Z)))".
+// "tsmm(cbind(tread(X),tread(Z)))". It walks the whole input tree (shared
+// nodes once per reference) and is meant for EXPLAIN and debugging; nothing on
+// the reuse path calls it.
 func (it *Item) String() string {
 	var sb strings.Builder
 	it.render(&sb)
@@ -154,13 +193,11 @@ func (it *Item) Size() int {
 type Tracer struct {
 	mu    sync.Mutex
 	items map[string]*Item
-	// dedup path traces per loop body (keyed by block id and path signature)
-	dedupPaths map[string]*Item
 }
 
 // NewTracer creates an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{items: map[string]*Item{}, dedupPaths: map[string]*Item{}}
+	return &Tracer{items: map[string]*Item{}}
 }
 
 // Get returns the lineage item of a variable, creating a leaf item lazily for
@@ -214,23 +251,4 @@ func (t *Tracer) Variables() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// RegisterDedupPath stores the lineage trace of one loop-body control-flow
-// path so subsequent iterations taking the same path reference it with a
-// single dedup node instead of re-tracing every operation.
-func (t *Tracer) RegisterDedupPath(key string, trace *Item) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.dedupPaths[key]; !ok {
-		t.dedupPaths[key] = trace
-	}
-}
-
-// DedupPath returns the registered trace for a loop-body path, if any.
-func (t *Tracer) DedupPath(key string) (*Item, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	it, ok := t.dedupPaths[key]
-	return it, ok
 }

@@ -2,8 +2,10 @@ package lineage
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestItemHashDeterminismAndEquality(t *testing.T) {
@@ -32,6 +34,91 @@ func TestItemHashDeterminismAndEquality(t *testing.T) {
 	e2 := NewInstruction("+", "", a1, lit2)
 	if e1.Equals(e2) || e1.Hash() == e2.Hash() {
 		t.Error("different literals must produce different lineage")
+	}
+}
+
+// doubleChain builds a depth-deep chain in which every node consumes its
+// predecessor twice — the shape of a loop-carried variable. As a tree it has
+// 2^depth leaves; as a DAG, depth+1 nodes.
+func doubleChain(leaf string, depth int) *Item {
+	it := NewCreation("tread", leaf)
+	for i := 0; i < depth; i++ {
+		it = NewInstruction("+", "", it, it)
+	}
+	return it
+}
+
+// TestDeepSharedChainIsLinear: constructing, hashing, comparing and probing a
+// 1000-deep chain of doubly consumed nodes touches each node once. Any walk of
+// the input tree would need 2^1000 steps, so finishing at all is the bound;
+// the deadline only makes a regression fail instead of hang.
+func TestDeepSharedChainIsLinear(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		a, b := doubleChain("X", 1000), doubleChain("X", 1000)
+		if a.Hash() != b.Hash() || !a.Equals(b) {
+			t.Error("independently built equal chains must be hash-equal and Equals")
+		}
+		other := doubleChain("Z", 1000)
+		if a.Hash() == other.Hash() || a.Equals(other) {
+			t.Error("chains differing only in the leaf 1000 levels down must differ")
+		}
+		if shorter := doubleChain("X", 999); a.Equals(shorter) {
+			t.Error("chains of different depth must differ")
+		}
+		c := NewCache(1 << 20)
+		c.Put(a, "va", 8, 1)
+		if v, ok := c.Get(b); !ok || v != "va" {
+			t.Errorf("probe with the independently built twin = (%v, %v), want a hit", v, ok)
+		}
+		if _, ok := c.Get(other); ok {
+			t.Error("probe with the chain over another leaf must miss")
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a 1000-deep shared chain did not finish in 30 s: something walks the input tree")
+	}
+}
+
+// TestCacheSharedByWorkers: parfor workers trace the same loop body over the
+// same inputs and share one cache. Eight goroutines build the same chain
+// independently, probing and inserting at every level; every level ends up
+// cached once and every probe is accounted for (run under -race).
+func TestCacheSharedByWorkers(t *testing.T) {
+	const workers, depth = 8, 200
+	c := NewCache(1 << 20)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			it := NewCreation("tread", "X")
+			for level := 0; level < depth; level++ {
+				it = NewInstruction("+", "", it, it)
+				if _, ok := c.Get(it); !ok {
+					c.Put(it, level, 8, 1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Stats()
+	if c.Len() != depth || st.Hits+st.Misses != workers*depth || st.Puts != depth {
+		t.Errorf("Len = %d, stats = %+v; want %d entries, %d probes, %d puts", c.Len(), st, depth, workers*depth, depth)
+	}
+}
+
+func TestHashStringIsFixedWidth(t *testing.T) {
+	for _, h := range []Hash{{}, {Hi: 1, Lo: 0xabc}, {Hi: ^uint64(0), Lo: ^uint64(0)}, NewLiteral("x").Hash()} {
+		if s := h.String(); len(s) != 32 {
+			t.Errorf("Hash%v renders as %q (%d characters), want 32", h, s, len(s))
+		}
+	}
+	if got, want := (Hash{Hi: 0x0123456789abcdef, Lo: 0xf}).String(), "0123456789abcdef000000000000000f"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
@@ -75,30 +162,6 @@ func TestTracer(t *testing.T) {
 	vars := tr.Variables()
 	if len(vars) != 2 || vars[0] != "G" || vars[1] != "X" {
 		t.Errorf("variables = %v", vars)
-	}
-}
-
-func TestTracerDedupPaths(t *testing.T) {
-	tr := NewTracer()
-	trace := NewInstruction("body", "", NewLiteral("1"))
-	tr.RegisterDedupPath("loop1:path0", trace)
-	got, ok := tr.DedupPath("loop1:path0")
-	if !ok || got != trace {
-		t.Error("dedup path not registered")
-	}
-	// duplicate registration keeps the first trace
-	other := NewInstruction("body", "", NewLiteral("2"))
-	tr.RegisterDedupPath("loop1:path0", other)
-	got, _ = tr.DedupPath("loop1:path0")
-	if got != trace {
-		t.Error("duplicate registration overwrote the original trace")
-	}
-	if _, ok := tr.DedupPath("unknown"); ok {
-		t.Error("unknown path should not resolve")
-	}
-	d := NewDedup("loop1:path0", NewLiteral("3"))
-	if d.Kind != KindDedup || d.Opcode != "dedup" {
-		t.Error("dedup item malformed")
 	}
 }
 
@@ -182,17 +245,20 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// forceHash pins an item's memoized hash, simulating hash collisions between
-// structurally different lineage DAGs.
-func forceHash(it *Item, h uint64) *Item {
-	it.hashOnce.Do(func() { it.hash = h })
+// forceHash overwrites an item's hash, simulating a collision between
+// structurally different lineage DAGs (128 honest bits never produce one).
+func forceHash(it *Item, h Hash) *Item {
+	it.hash = h
 	return it
 }
 
 func TestCachePutCollisionReplaces(t *testing.T) {
 	c := NewCache(1 << 20)
-	a := forceHash(NewInstruction("op", "a", NewLiteral("a")), 42)
-	b := forceHash(NewInstruction("op", "b", NewLiteral("b")), 42)
+	a := forceHash(NewInstruction("op", "a", NewLiteral("a")), Hash{Hi: 4, Lo: 2})
+	b := forceHash(NewInstruction("op", "b", NewLiteral("b")), Hash{Hi: 4, Lo: 2})
+	if a.Equals(b) {
+		t.Fatal("Equals must tell colliding items apart by their own fields")
+	}
 	c.Put(a, "va", 100, 0)
 	// colliding item must not be locked out forever: the new entry replaces
 	// the old one

@@ -140,6 +140,43 @@ var nonCacheableOpcodes = map[string]bool{
 	"fcall": true, "rand": true, "sample": true, "rmvar": true,
 }
 
+// probeSkipOpcodes read a matrix but can never repay a cache probe: metadata
+// reads answer from the data characteristics and assignvar only binds a name,
+// so executing them is cheaper than looking them up.
+var probeSkipOpcodes = map[string]bool{
+	"nrow": true, "ncol": true, "length": true, "assignvar": true,
+}
+
+// matrixGeneratorOpcodes produce a matrix from scalar operands alone; their
+// results are admitted like any other matrix although no input is one.
+var matrixGeneratorOpcodes = map[string]bool{"fill": true, "seq": true}
+
+// reuseCandidate is the cache admission rule. It depends only on the plan —
+// opcode, output arity and the data types of the bound inputs — never on
+// measured time, so the same script probes and caches the same instructions
+// on every run. An instruction is probed, and its result cached, when it has
+// one output, is in neither skip table above and either generates a matrix or
+// reads at least one non-scalar input: that admits every matrix result and
+// the aggregates and casts that reduce data to a scalar, and leaves out only
+// scalar-only arithmetic.
+func reuseCandidate(ctx *Context, inst Instruction, inputs, outs []string) bool {
+	op := inst.Opcode()
+	if len(outs) != 1 || nonCacheableOpcodes[op] || probeSkipOpcodes[op] {
+		return false
+	}
+	if matrixGeneratorOpcodes[op] {
+		return true
+	}
+	for _, in := range inputs {
+		if d, err := ctx.Get(in); err == nil {
+			if _, scalar := d.(*Scalar); !scalar {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // ExecuteInstruction executes one instruction with lineage tracing and
 // lineage-based reuse (Section 3.1): the output lineage is computed before
 // execution, the reuse cache is probed for full or partial reuse, and
@@ -183,18 +220,19 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 	for i, in := range inputs {
 		items[i] = ctx.Lineage.Get(in)
 	}
+	data := inst.LineageData()
 	var outItem *lineage.Item
-	if inst.Opcode() == "assignvar" && len(items) == 1 && inst.LineageData() == "" {
+	if inst.Opcode() == "assignvar" && len(items) == 1 && data == "" {
 		// plain variable copies are lineage-transparent: the output IS the
 		// input value, so downstream consumers and the reuse cache see the
 		// producing operation directly
 		outItem = items[0]
 	} else {
-		outItem = lineage.NewInstruction(inst.Opcode(), inst.LineageData(), items...)
+		outItem = lineage.NewInstruction(inst.Opcode(), data, items...)
 	}
 	outs := inst.Outputs()
-	cacheable := ctx.Config.ReuseEnabled && ctx.Cache.Enabled() &&
-		len(outs) == 1 && !nonCacheableOpcodes[inst.Opcode()]
+	cacheable := ctx.Config.ReuseEnabled && ctx.Cache.Enabled() && reuseCandidate(ctx, inst, inputs, outs)
+	var start time.Time
 	if cacheable {
 		if v, ok := ctx.Cache.Get(outItem); ok {
 			if d, isData := v.(Data); isData {
@@ -211,12 +249,11 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 			ctx.Cache.Put(outItem, d, SizeOf(d), 0)
 			return nil
 		}
+		start = time.Now() // compute time is the benefit side of cache eviction
 	}
-	start := time.Now()
 	if err := inst.Execute(ctx); err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
 	// Record output lineage. Function calls and reads maintain their own
 	// (per-output) lineage during execution; multi-output instructions get
 	// one distinct item per output so different outputs never alias.
@@ -226,15 +263,13 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 		} else {
 			for idx, o := range outs {
 				ctx.Lineage.Set(o, lineage.NewInstruction(inst.Opcode(),
-					fmt.Sprintf("%s#out%d", inst.LineageData(), idx), items...))
+					fmt.Sprintf("%s#out%d", data, idx), items...))
 			}
 		}
 	}
 	if cacheable {
 		if d, err := ctx.Get(outs[0]); err == nil {
-			if _, isMat := d.(*MatrixObject); isMat || elapsed > 100*time.Microsecond {
-				ctx.Cache.Put(outItem, d, SizeOf(d), elapsed.Nanoseconds())
-			}
+			ctx.Cache.Put(outItem, d, SizeOf(d), time.Since(start).Nanoseconds())
 		}
 	}
 	return nil

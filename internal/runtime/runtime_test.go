@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -197,6 +198,67 @@ func TestExecuteInstructionNonCacheableOpcodes(t *testing.T) {
 	_ = ExecuteInstruction(ctx, inst)
 	if inst.runs.Load() != 2 {
 		t.Errorf("rand should never be reused, ran %d times", inst.runs.Load())
+	}
+}
+
+// TestReuseAdmissionDependsOnThePlanOnly pins the admission rule: what is
+// probed and cached follows from opcode, output arity and input data types, so
+// the counters below are exact and repeat on every run — a slow scalar
+// instruction is not admitted for being slow, a fast matrix one is not left
+// out for being fast.
+func TestReuseAdmissionDependsOnThePlanOnly(t *testing.T) {
+	scalarOut := func(c *Context) error { c.Set("out", NewDouble(1)); return nil }
+	cases := []struct {
+		name    string
+		opcode  string
+		inputs  []string
+		outputs []string
+		execute func(c *Context) error
+		probed  bool
+	}{
+		{"matrix result over a matrix", "t", []string{"X"}, []string{"out"},
+			func(c *Context) error { c.SetMatrix("out", matrix.NewDense(2, 2)); return nil }, true},
+		{"aggregate of a matrix", "sum", []string{"X"}, []string{"out"}, scalarOut, true},
+		{"matrix-scalar arithmetic", "*", []string{"X", "s"}, []string{"out"},
+			func(c *Context) error { c.SetMatrix("out", matrix.NewDense(2, 2)); return nil }, true},
+		{"metadata read", "ncol", []string{"X"}, []string{"out"}, scalarOut, false},
+		{"variable binding", "assignvar", []string{"X"}, []string{"out"}, scalarOut, false},
+		{"scalar-only arithmetic, however slow", "+", []string{"s", "s"}, []string{"out"},
+			func(c *Context) error { time.Sleep(time.Millisecond); return scalarOut(c) }, false},
+		{"matrix generator over scalars", "fill", []string{"s"}, []string{"out"},
+			func(c *Context) error { c.SetMatrix("out", matrix.NewDense(2, 2)); return nil }, true},
+		{"two outputs", "eigen", []string{"X"}, []string{"out", "out2"},
+			func(c *Context) error { c.Set("out2", NewDouble(2)); return scalarOut(c) }, false},
+		{"side effect", "print", []string{"X"}, []string{"out"}, scalarOut, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.ReuseEnabled = true
+			ctx := NewContext(cfg)
+			ctx.SetMatrix("X", matrix.NewDense(2, 2))
+			ctx.Set("s", NewDouble(3))
+			inst := &fakeInst{opcode: tc.opcode, inputs: tc.inputs, outputs: tc.outputs, data: "0=7", execute: tc.execute}
+			for run := 0; run < 2; run++ {
+				if err := ExecuteInstruction(ctx, inst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := lineage.CacheStats{}
+			wantRuns := int64(2)
+			if tc.probed {
+				want = lineage.CacheStats{Hits: 1, Misses: 1, Puts: 1}
+				wantRuns = 1
+			}
+			got := ctx.Cache.Stats()
+			got.BytesCached = 0
+			if got != want || inst.runs.Load() != wantRuns {
+				t.Errorf("stats = %+v after %d executions, want %+v after %d", got, inst.runs.Load(), want, wantRuns)
+			}
+			if !ctx.Lineage.Has("out") {
+				t.Error("output lineage must be traced whether or not the cache is probed")
+			}
+		})
 	}
 }
 

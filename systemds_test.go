@@ -2,10 +2,13 @@ package systemds_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	systemds "github.com/systemds/systemds-go"
 )
@@ -158,6 +161,80 @@ lambdas = seq(1, 8, 1) / 100
 	ctx.ClearCache()
 	if ctx.CacheStats().BytesCached != 0 {
 		t.Error("ClearCache did not drop entries")
+	}
+}
+
+// TestReuseLoopCostsLikeReuseOff is the acceptance test for O(1) lineage
+// probes: a gradient-descent loop whose carried variable is consumed twice per
+// trip (plus a metadata read), 200 trips on 500x8. Every trip adds a level to
+// the lineage DAG, so any per-probe walk of the input tree doubles per trip —
+// before hashes were combined from child hashes 22 trips took 98 s. With
+// reuse on the run must cost at most twice the reuse-off run (best of three
+// each, plus a fixed allowance for a loaded runner) and produce the same bits.
+func TestReuseLoopCostsLikeReuseOff(t *testing.T) {
+	const (
+		script = `
+w = matrix(0, ncol(X), 1)
+for (i in 1:200) {
+  q = X %*% w
+  g = t(X) %*% (q - y)
+  w = w - 0.0001 * g
+  n = ncol(w)
+}
+`
+		allowance = 250 * time.Millisecond
+		deadline  = 60 * time.Second
+	)
+	X, y := systemds.SyntheticRegression(500, 8, 1.0, 3)
+	run := func(reuse bool) (*systemds.Matrix, time.Duration, error) {
+		var w *systemds.Matrix
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 3; rep++ {
+			ctx := systemds.NewContext(systemds.WithReuse(reuse), systemds.WithParallelism(1))
+			start := time.Now()
+			res, err := ctx.Execute(script, map[string]any{"X": X, "y": y}, "w", "n")
+			if err != nil {
+				return nil, 0, err
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+			if n, _ := res.Float("n"); n != 1 {
+				return nil, 0, fmt.Errorf("n = %v, want 1", n)
+			}
+			if w, err = res.Matrix("w"); err != nil {
+				return nil, 0, err
+			}
+		}
+		return w, best, nil
+	}
+	done := make(chan error, 1)
+	go func() {
+		wOff, off, err := run(false)
+		if err != nil {
+			done <- err
+			return
+		}
+		wOn, on, err := run(true)
+		switch {
+		case err != nil:
+			done <- err
+		case !wOn.Equals(wOff, 0):
+			done <- fmt.Errorf("w differs between reuse on and reuse off")
+		case on > 2*off+allowance:
+			done <- fmt.Errorf("reuse on took %v, reuse off %v: more than 2x + %v", on, off, allowance)
+		default:
+			t.Logf("200 trips: reuse off %v, reuse on %v", off, on)
+			done <- nil
+		}
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(deadline):
+		t.Fatalf("the loop did not finish in %v: a lineage probe walks the input tree", deadline)
 	}
 }
 
