@@ -1,7 +1,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: all build vet lint test race bench bench-compare bench-kernels bench-all trace-check
+.PHONY: all build vet lint test race fuzz-smoke bench bench-compare bench-kernels bench-all trace-check
 
 all: lint build test
 
@@ -25,15 +25,25 @@ test:
 # and lineage included — nothing is skipped), followed by the compressed
 # lm-loop determinism gate run twice in one process (-count=2 compares
 # fingerprints across invocations via package state), the O(1)-lineage-probe
-# gates repeated (the 200-trip reuse-on loop; workers sharing one cache), and
-# a bench smoke that drives the tiled GEMM engine's multi-threaded row-panel
+# gates repeated (the 200-trip reuse-on loop; workers sharing one cache), the
+# buffer-pool liveness and budget-differential tests repeated (reference
+# counts across contexts, parfor workers and the reuse cache; outputs
+# bitwise-equal from 1/4 of the working set to no limit), and a bench smoke that drives the tiled GEMM engine's multi-threaded row-panel
 # workers plus the deep compressed kernels (TSMM, matrix right-hand side,
 # partitioned dist MV) under the race detector.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
 	$(GO) test -race -run 'TestReuseLoopCostsLikeReuseOff|TestCacheSharedByWorkers' -count=3 . ./internal/lineage/
+	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' .
+
+# Ten seconds of coverage-guided fuzzing of the SDSB decoder from its
+# checked-in seed corpus: spill files, persistent-store payloads and `read`
+# inputs all come in through it, and it must answer any bytes with a block or
+# an error.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
 
 # Observability acceptance gate: run the traced lm-loop scenario end to end
 # (distributed backend forced by a small memory budget, compression site
@@ -64,15 +74,16 @@ bench-compare:
 # fused-vs-unfused, kernel-parallelism and tiled-vs-simple GEMM/TSMM/
 # MultiplyAcc benchmarks with allocation stats, plus the adaptive-runtime
 # pairs (cold-vs-warm cross-run lineage reuse, uncalibrated-vs-calibrated
-# planning) and the lineage probe at chain depth 10/100/1000 (ns/op and
-# allocs/op are per probe and must not depend on depth), parsed into
+# planning), the lineage probe at chain depth 10/100/1000 (ns/op and
+# allocs/op are per probe and must not depend on depth) and the SDSB codec
+# into and out of memory (MB/s over the dense payload), parsed into
 # BENCH_KERNELS_OUT. The compressed and lineage
 # benchmarks additionally report databytes/op (bytes of matrix representation
 # streamed or spilled per operation) and the dense kernel benchmarks report
 # gflops.
 BENCH_KERNELS_OUT ?= bench_kernels.json
 bench-kernels:
-	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|LineageProbe|CalibrationDelta' -benchmem -timeout 30m -run '^$$' . | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
+	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|LineageProbe|CalibrationDelta|SDSB' -benchmem -timeout 30m -run '^$$' . ./internal/io/ | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
 
 # Full benchmark sweep (single iteration per benchmark).
 bench-all:

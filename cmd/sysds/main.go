@@ -174,8 +174,8 @@ func printExecStats(ctx *systemds.Context, persist bool) {
 		cs.Hits, cs.Misses, cs.PartialHits, cs.Puts, cs.Evictions)
 	stats := ctx.LastRunStats()
 	if stats != nil {
-		fmt.Printf("buffer pool: evictions=%d restores=%d spilt=%dB blocksRestored=%d blocksSkipped=%d\n",
-			stats.PoolStats.Evictions, stats.PoolStats.Restores, stats.PoolStats.BytesSpilt,
+		fmt.Printf("buffer pool: evictions=%d cleanDrops=%d restores=%d spilt=%dB blocksRestored=%d blocksSkipped=%d\n",
+			stats.PoolStats.Evictions, stats.PoolStats.CleanDrops, stats.PoolStats.Restores, stats.PoolStats.BytesSpilt,
 			stats.PoolStats.BlocksRestored, stats.PoolStats.BlocksSkipped)
 		fmt.Printf("distributed: partitions=%d collects=%d blockedOps=%d\n",
 			stats.DistStats.Partitions, stats.DistStats.Collects, stats.DistStats.BlockedOps)

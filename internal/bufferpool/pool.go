@@ -12,31 +12,38 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"github.com/systemds/systemds-go/internal/obs"
 )
 
 // Entry is the interface buffer-pool-managed objects implement. MatrixObject
-// in the runtime package is the primary implementation.
+// in the runtime package is the primary implementation. Entries are
+// immutable values, so a spill file stays valid for as long as it exists.
 type Entry interface {
 	// PoolID returns a stable unique id for the entry.
 	PoolID() int64
-	// MemorySize returns the in-memory size in bytes (0 when evicted).
+	// MemorySize returns the bytes the entry holds in memory (0 when evicted).
 	MemorySize() int64
-	// Evict writes the in-memory data to the given file and drops it.
-	Evict(path string) error
+	// Evict frees in-memory data: all of it, or — for an entry that holds its
+	// data in more than one form — the form it can best do without; the pool
+	// calls again if it needs the rest. Data with no copy on disk is written
+	// to the spill file(s) at path first. clean reports that an earlier Evict
+	// already wrote them, so they are not written again. Evict returns the
+	// bytes it freed and the bytes it wrote.
+	Evict(path string, clean bool) (freed, written int64, err error)
 	// IsPinned reports whether the entry is currently in use and must not be
 	// evicted.
 	IsPinned() bool
-	// IsInMemory reports whether the entry currently holds in-memory data.
-	IsInMemory() bool
 }
 
 // Stats reports buffer pool activity.
 type Stats struct {
+	// Evictions counts the evictions that wrote an entry to disk and
+	// BytesSpilt the bytes they wrote; CleanDrops counts the evictions that
+	// freed memory without writing, because the data was already on disk or
+	// can be derived from what the entry keeps.
 	Evictions  int64
-	Restores   int64
 	BytesSpilt int64
+	CleanDrops int64
+	Restores   int64
 	// BlocksRestored / BlocksSkipped account partial restores of per-block
 	// spilled entries: how many spill blocks an operator actually read back
 	// versus how many the partial access let it skip.
@@ -64,11 +71,20 @@ type Pool struct {
 	// enforcement does not rescan the LRU list on every access.
 	inMem int64
 	stats Stats
-	// spilt holds the ids whose entry was evicted at least once: only those
-	// have spill files to remove when they are unregistered (a restored entry
-	// keeps its file until then).
+	// spilt holds the ids whose entry was written to disk: their spill files
+	// stay valid — a restored entry is evicted again without writing — until
+	// they are removed when the entry is unregistered.
 	spilt map[int64]bool
 }
+
+// smallEntryFactor bounds what an eviction may cost relative to what it
+// gains: an entry that needs a spill file of its own is passed over while
+// its bytes are less than 1/smallEntryFactor of the overshoot. Creating a
+// file costs the same for 2 KB as for 2 MB, and entries that small are the
+// scalars-as-matrices and vectors an iterative script rebinds every
+// iteration; the large entry behind them in the LRU order closes the gap in
+// one write.
+const smallEntryFactor = 16
 
 // entryIDs hands out entry ids for every pool of the process. Ids name spill
 // files, and pools can share a spill directory — every run has its own pool,
@@ -101,11 +117,8 @@ func (p *Pool) Register(e Entry) {
 	}
 	p.mu.Lock()
 	if _, ok := p.entries[e.PoolID()]; !ok {
-		el := p.lru.PushFront(e)
-		p.entries[e.PoolID()] = el
-		if e.IsInMemory() {
-			p.inMem += e.MemorySize()
-		}
+		p.entries[e.PoolID()] = p.lru.PushFront(e)
+		p.inMem += e.MemorySize()
 	}
 	p.mu.Unlock()
 	p.enforceBudget()
@@ -120,9 +133,7 @@ func (p *Pool) Unregister(id int64) {
 	var discard Discarder
 	if el, ok := p.entries[id]; ok {
 		e := el.Value.(Entry)
-		if e.IsInMemory() {
-			p.inMem -= e.MemorySize()
-		}
+		p.inMem -= e.MemorySize()
 		discard, _ = e.(Discarder)
 		p.lru.Remove(el)
 		delete(p.entries, id)
@@ -158,60 +169,67 @@ func (p *Pool) ReleaseExcept(keep func(Entry) bool) {
 	}
 }
 
-// NotifyAccess moves the entry to the most-recently-used position and records
-// a restore if the entry had to be brought back to memory by the caller.
-// restored must only be true when the caller actually restored an evicted
-// entry, so the running in-memory counter stays consistent.
-func (p *Pool) NotifyAccess(e Entry, restored bool) {
+// NotifyAccess moves the entry to the most-recently-used position. restored
+// is the number of bytes the caller just read back from the entry's spill
+// file(s) — 0 when the access was served from memory — so the running
+// in-memory counter stays consistent.
+func (p *Pool) NotifyAccess(e Entry, restored int64) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	if el, ok := p.entries[e.PoolID()]; ok {
 		p.lru.MoveToFront(el)
-		if restored {
-			p.inMem += e.MemorySize()
-		}
+		p.inMem += restored
 	} else {
 		p.entries[e.PoolID()] = p.lru.PushFront(e)
-		if e.IsInMemory() {
-			p.inMem += e.MemorySize()
-		}
+		p.inMem += e.MemorySize()
 	}
-	if restored {
+	if restored > 0 {
 		p.stats.Restores++
 	}
 	p.mu.Unlock()
 	p.enforceBudget()
 }
 
-// enforceBudget evicts cold unpinned entries until the running in-memory
-// total fits the budget.
+// enforceBudget evicts unpinned entries, coldest first, until the running
+// in-memory total fits the budget. The first pass leaves small entries that
+// would need a file alone (smallEntryFactor); if the large ones did not
+// suffice, the second takes whatever is left, so the budget holds either way.
 func (p *Pool) enforceBudget() {
 	if p == nil || p.budget <= 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for el := p.lru.Back(); el != nil && p.inMem > p.budget; {
-		prev := el.Prev()
-		e := el.Value.(Entry)
-		if e.IsInMemory() && !e.IsPinned() {
-			size := e.MemorySize()
-			sp := obs.Begin(obs.CatPool, "spill")
-			err := e.Evict(p.SpillPath(e.PoolID()))
-			sp.EndBytes(size)
-			if err == nil {
-				if p.spilt == nil {
-					p.spilt = map[int64]bool{}
+	for pass := 0; pass < 2 && p.inMem > p.budget; pass++ {
+		for el := p.lru.Back(); el != nil && p.inMem > p.budget; el = el.Prev() {
+			e := el.Value.(Entry)
+			if e.IsPinned() {
+				continue
+			}
+			id := e.PoolID()
+			if pass == 0 && !p.spilt[id] && e.MemorySize()*smallEntryFactor < p.inMem-p.budget {
+				continue
+			}
+			for p.inMem > p.budget {
+				freed, written, err := e.Evict(p.SpillPath(id), p.spilt[id])
+				if err != nil || freed == 0 {
+					break
 				}
-				p.spilt[e.PoolID()] = true
-				p.inMem -= size
-				p.stats.Evictions++
-				p.stats.BytesSpilt += size
+				p.inMem -= freed
+				if written > 0 {
+					if p.spilt == nil {
+						p.spilt = map[int64]bool{}
+					}
+					p.spilt[id] = true
+					p.stats.Evictions++
+					p.stats.BytesSpilt += written
+				} else {
+					p.stats.CleanDrops++
+				}
 			}
 		}
-		el = prev
 	}
 }
 

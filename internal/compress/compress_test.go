@@ -285,7 +285,9 @@ func TestDictionaryOverflowFallsBack(t *testing.T) {
 	for r := 0; r < rows; r++ {
 		m.Set(r, 0, float64(r)+0.5)
 	}
-	if g := encodeDDC(m, 0, rows); g != nil {
+	encoded := make([]ColGroup, 1)
+	encodeUnits(m, []encodeUnit{{cols: []int{0}, enc: EncDDC}}, 1, encoded)
+	if encoded[0] != nil {
 		t.Fatalf("DDC encoding of %d distinct values should overflow", rows)
 	}
 }

@@ -134,19 +134,21 @@ func EstimatePlan(m *matrix.MatrixBlock, cfg PlannerConfig) *Plan {
 	if s := cfg.sampleRows(); rows > s {
 		step = rows / s
 	}
-	sampleIdx := make([]int, 0, rows/step+1)
-	for r := 0; r < rows; r += step {
-		sampleIdx = append(sampleIdx, r)
+	// the sampled rows are copied out once, side by side: the column scans
+	// below then walk a few hundred pages instead of one page per sampled row
+	n := (rows + step - 1) / step
+	sample := make([]float64, n*cols)
+	for i := 0; i < n; i++ {
+		m.CopyRow(sample[i*cols:(i+1)*cols], i*step, 0)
 	}
-	n := len(sampleIdx)
 	plan.SampledRows = n
 	plan.Cols = make([]ColPlan, cols)
 	for c := 0; c < cols; c++ {
 		freq := map[float64]int{}
 		changes := 0
 		prev := 0.0
-		for i, r := range sampleIdx {
-			v := m.Get(r, c)
+		for i := 0; i < n; i++ {
+			v := sample[i*cols+c]
 			freq[v]++
 			if i > 0 && v != prev {
 				changes++
@@ -175,7 +177,7 @@ func EstimatePlan(m *matrix.MatrixBlock, cfg PlannerConfig) *Plan {
 		cp.Default = defaultVal
 		plan.Cols[c] = cp
 	}
-	cocodePlan(m, sampleIdx, plan, rows)
+	cocodePlan(sample, plan, rows)
 	// total the plan: co-coded groups once, every other column separately
 	var total int64
 	for _, cc := range plan.CoCoded {
@@ -329,15 +331,36 @@ type cocodeKey struct {
 // dictionary sized by the Haas–Stokes estimate of the joint cardinality)
 // undercut the current set and the candidate encoded separately. One joint
 // sample scan per tested merge keeps the pass O(cols * sampleRows).
-func cocodePlan(m *matrix.MatrixBlock, sampleIdx []int, plan *Plan, rows int) {
-	n := len(sampleIdx)
+func cocodePlan(sample []float64, plan *Plan, rows int) {
+	cols := len(plan.Cols)
+	n := len(sample) / cols
 	if n == 0 {
 		return
 	}
-	var cur []int        // columns of the current candidate set
-	var curCodes []int32 // joint code per sampled row for cur
-	var curCard int      // Haas–Stokes joint-cardinality estimate for cur
-	var curBytes int64   // estimated merged bytes for cur
+	var cur []int      // columns of the current candidate set
+	var curCard int    // Haas–Stokes joint-cardinality estimate for cur
+	var curBytes int64 // estimated merged bytes for cur
+	// curCodes holds the joint code per sampled row for cur. Every scan below
+	// numbers (joint code, value) pairs into newCodes through the same table,
+	// so a pass over a hundred columns allocates two buffers and one table.
+	curCodes, newCodes := make([]int32, n), make([]int32, n)
+	ids := map[cocodeKey]int32{}
+	var counts []int
+	scan := func(c int) {
+		clear(ids)
+		counts = counts[:0]
+		for i := 0; i < n; i++ {
+			k := cocodeKey{code: curCodes[i], bits: math.Float64bits(sample[i*cols+c])}
+			id, ok := ids[k]
+			if !ok {
+				id = int32(len(ids))
+				ids[k] = id
+				counts = append(counts, 0)
+			}
+			counts[id]++
+			newCodes[i] = id
+		}
+	}
 	flush := func() {
 		if len(cur) >= 2 {
 			plan.CoCoded = append(plan.CoCoded, CoCodePlan{Cols: cur, EstCard: curCard, EstBytes: curBytes})
@@ -345,7 +368,7 @@ func cocodePlan(m *matrix.MatrixBlock, sampleIdx []int, plan *Plan, rows int) {
 				plan.Cols[cc].Enc = EncCoCoded
 			}
 		}
-		cur, curCodes = nil, nil
+		cur = nil
 	}
 	for c := 0; c < len(plan.Cols); c++ {
 		cp := plan.Cols[c]
@@ -354,18 +377,11 @@ func cocodePlan(m *matrix.MatrixBlock, sampleIdx []int, plan *Plan, rows int) {
 			continue
 		}
 		if cur == nil {
+			// a fresh set: the column's values extend the empty tuple
 			cur = []int{c}
-			curCodes = make([]int32, n)
-			ids := map[uint64]int32{}
-			for i, r := range sampleIdx {
-				b := math.Float64bits(m.Get(r, c))
-				id, ok := ids[b]
-				if !ok {
-					id = int32(len(ids))
-					ids[b] = id
-				}
-				curCodes[i] = id
-			}
+			clear(curCodes)
+			scan(c)
+			curCodes, newCodes = newCodes, curCodes
 			curCard, curBytes = cp.EstCard, cp.EstBytes
 			continue
 		}
@@ -376,20 +392,7 @@ func cocodePlan(m *matrix.MatrixBlock, sampleIdx []int, plan *Plan, rows int) {
 		}
 		// joint scan: extend the current per-row codes with this column's
 		// values and estimate the joint cardinality of the merged set
-		ids := map[cocodeKey]int32{}
-		newCodes := make([]int32, n)
-		var counts []int
-		for i, r := range sampleIdx {
-			k := cocodeKey{code: curCodes[i], bits: math.Float64bits(m.Get(r, c))}
-			id, ok := ids[k]
-			if !ok {
-				id = int32(len(ids))
-				ids[k] = id
-				counts = append(counts, 0)
-			}
-			counts[id]++
-			newCodes[i] = id
-		}
+		scan(c)
 		jointCard := haasStokes(rows, n, counts)
 		w := len(cur) + 1
 		mergedBytes := int64(-1)
@@ -404,7 +407,7 @@ func cocodePlan(m *matrix.MatrixBlock, sampleIdx []int, plan *Plan, rows int) {
 		// groups (their bytes plus one saved per-group overhead)
 		if mergedBytes >= 0 && mergedBytes < curBytes+cp.EstBytes+groupOverheadBytes {
 			cur = append(cur, c)
-			curCodes = newCodes
+			curCodes, newCodes = newCodes, curCodes
 			curCard, curBytes = jointCard, mergedBytes
 			continue
 		}

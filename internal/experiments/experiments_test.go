@@ -75,10 +75,20 @@ func TestFigure5cShowsReuseBenefit(t *testing.T) {
 		t.Errorf("rendering missing labels:\n%s", rendered)
 	}
 	// at the largest k, reuse should not be slower than no-reuse by more than
-	// a small factor (it is usually much faster; tiny inputs can be noisy)
+	// a small factor (it is usually much faster). One run at this scale is a
+	// single ~2 ms timing per point, which a scheduling hiccup can double, so
+	// each series point is the best of five figures.
 	last := len(fig.Series[0].Points) - 1
 	noReuse := fig.Series[0].Points[last].Seconds
 	withReuse := fig.Series[1].Points[last].Seconds
+	for i := 1; i < 5; i++ {
+		again, err := Figure5c(microScale(), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noReuse = min(noReuse, again.Series[0].Points[last].Seconds)
+		withReuse = min(withReuse, again.Series[1].Points[last].Seconds)
+	}
 	if withReuse > noReuse*1.5 {
 		t.Errorf("reuse run unexpectedly slow: %v vs %v", withReuse, noReuse)
 	}

@@ -80,6 +80,12 @@ func (i *FCallInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return err
 	}
+	// the results were handed over held; the bindings below take over
+	defer func() {
+		for _, d := range outs {
+			runtime.Release(d)
+		}
+	}()
 	if len(i.Targets) > len(outs) {
 		return fmt.Errorf("instructions: function %s returns %d values, %d requested", i.FuncName, len(outs), len(i.Targets))
 	}

@@ -1,6 +1,9 @@
 package io
 
 import (
+	"bufio"
+	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -299,4 +302,100 @@ func TestGeneratedReaderNonNumericToMatrix(t *testing.T) {
 	if _, err := r.ReadMatrix([]byte("hello\n")); err == nil {
 		t.Error("expected conversion error")
 	}
+}
+
+// --- SDSB codec: the implementation it replaced, kept as the test oracle ---
+
+// oracleWriteMatrixBinaryTo is the previous encoder: one Slice copy and one
+// byte slice per block. It densifies a sparse source in place, so callers
+// pass it a copy.
+func oracleWriteMatrixBinaryTo(dst io.Writer, m *matrix.MatrixBlock, blocksize int) error {
+	if blocksize <= 0 {
+		blocksize = 1024
+	}
+	w := bufio.NewWriterSize(dst, 1<<20)
+	header := []uint64{0x53445342, 1, uint64(m.Rows()), uint64(m.Cols()), uint64(blocksize)}
+	for _, h := range header {
+		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
+			return err
+		}
+	}
+	for r0 := 0; r0 < m.Rows() || r0 == 0; r0 += blocksize {
+		if m.Rows() == 0 && r0 > 0 {
+			break
+		}
+		r1 := min(r0+blocksize, m.Rows())
+		for c0 := 0; c0 < m.Cols() || c0 == 0; c0 += blocksize {
+			if m.Cols() == 0 && c0 > 0 {
+				break
+			}
+			c1 := min(c0+blocksize, m.Cols())
+			if r1 <= r0 || c1 <= c0 {
+				continue
+			}
+			blk, err := matrix.Slice(m, r0, r1, c0, c1)
+			if err != nil {
+				return err
+			}
+			for _, v := range []uint64{uint64(blk.Rows()), uint64(blk.Cols()), uint64(blk.NNZ())} {
+				if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+					return err
+				}
+			}
+			vals := blk.DenseValues()
+			buf := make([]byte, 8*len(vals))
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
+		if m.Rows() == 0 {
+			break
+		}
+	}
+	return w.Flush()
+}
+
+// oracleReadMatrixBinaryFrom is the previous decoder: one MatrixBlock and one
+// LeftIndex (a full copy of the output) per block. It trusts the header.
+func oracleReadMatrixBinaryFrom(src io.Reader) (*matrix.MatrixBlock, error) {
+	r := bufio.NewReaderSize(src, 1<<20)
+	header := make([]uint64, 5)
+	for i := range header {
+		if err := binary.Read(r, binary.LittleEndian, &header[i]); err != nil {
+			return nil, err
+		}
+	}
+	rows, cols, blocksize := int(header[2]), int(header[3]), int(header[4])
+	out := matrix.NewDense(rows, cols)
+	for r0 := 0; r0 < rows; r0 += blocksize {
+		r1 := min(r0+blocksize, rows)
+		for c0 := 0; c0 < cols; c0 += blocksize {
+			c1 := min(c0+blocksize, cols)
+			meta := make([]uint64, 3)
+			for i := range meta {
+				if err := binary.Read(r, binary.LittleEndian, &meta[i]); err != nil {
+					return nil, err
+				}
+			}
+			buf := make([]byte, 8*meta[0]*meta[1])
+			if _, err := io.ReadFull(r, buf); err != nil {
+				return nil, err
+			}
+			vals := make([]float64, meta[0]*meta[1])
+			for i := range vals {
+				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+			}
+			var err error
+			out, err = matrix.LeftIndex(out, matrix.NewDenseFromSlice(int(meta[0]), int(meta[1]), vals), r0, r1, c0, c1)
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	out.RecomputeNNZ()
+	out.ExamineAndApplySparsity()
+	return out, nil
 }

@@ -60,9 +60,36 @@ type Cache struct {
 	stats    CacheStats
 	disabled bool
 	store    BackingStore
-	// held counts the entries holding each cached value (Holds); values are
-	// map keys, so they must be comparable — runtime data objects are pointers
-	held map[any]int
+	// dropped queues the values of removed entries until their holds can be
+	// released outside the lock.
+	dropped []any
+}
+
+// Retainer is implemented by cached values that count their holders — the
+// runtime's buffer-pool-backed objects, whose spill files exist for as long
+// as somebody holds them. Every cache entry is a holder of its value, and
+// every hit hands the caller a holder of its own, taken under the probe's
+// lock: an eviction racing with the hit then cannot be the one that lets the
+// value go. The caller Releases it once it has bound or read the value.
+type Retainer interface {
+	Retain()
+	Release()
+}
+
+func retain(value any) {
+	if r, ok := value.(Retainer); ok {
+		r.Retain()
+	}
+}
+
+// releaseAll runs outside the cache lock: letting go of the last holder
+// removes files.
+func releaseAll(values []any) {
+	for _, v := range values {
+		if r, ok := v.(Retainer); ok {
+			r.Release()
+		}
+	}
 }
 
 // NewCache creates a reuse cache with the given byte budget. A budget of 0
@@ -93,7 +120,7 @@ func (c *Cache) SetStore(s BackingStore) {
 // Get probes the cache for an intermediate with the given lineage; Equals
 // confirms the entry found under the hash. On a memory miss it falls through
 // to the attached backing store, reloading the persisted value of a previous
-// run lazily.
+// run lazily. A hit on a Retainer is returned held (see Retainer).
 func (c *Cache) Get(item *Item) (any, bool) {
 	if !c.Enabled() {
 		return nil, false
@@ -104,6 +131,7 @@ func (c *Cache) Get(item *Item) (any, bool) {
 		if entry.Item.Equals(item) {
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
+			retain(entry.Value)
 			c.mu.Unlock()
 			return entry.Value, true
 		}
@@ -118,6 +146,7 @@ func (c *Cache) Get(item *Item) (any, bool) {
 	// disk probe outside the lock: concurrent operators of the inter-op
 	// scheduler must not serialize on file reads
 	if v, sizeBytes, computeNs, ok := store.Lookup(item.hash.Lo, item.hash.String()); ok {
+		retain(v)
 		c.insert(item, v, sizeBytes, computeNs, false)
 		c.mu.Lock()
 		c.stats.Hits++
@@ -164,15 +193,15 @@ func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persis
 	entry := &CacheEntry{Item: item, Value: value, SizeBytes: sizeBytes, ComputeNs: computeNs}
 	el := c.lru.PushFront(entry)
 	c.entries[item.hash] = el
-	if c.held == nil {
-		c.held = map[any]int{}
-	}
-	c.held[value]++
+	retain(value)
 	c.used += sizeBytes
 	c.stats.Puts++
 	c.stats.BytesCached = c.used
 	store := c.store
+	dropped := c.dropped
+	c.dropped = nil
 	c.mu.Unlock()
+	releaseAll(dropped)
 	// write-through outside the lock, for the same reason Get probes
 	// outside it
 	if persist && store != nil {
@@ -209,29 +238,16 @@ func (c *Cache) evictMinBenefitLocked() {
 	}
 }
 
-// removeLocked drops one entry and counts it as an eviction.
+// removeLocked drops one entry and counts it as an eviction. The entry's hold
+// on its value is queued in dropped, for the caller to release once it has
+// let go of the lock.
 func (c *Cache) removeLocked(el *list.Element) {
 	entry := el.Value.(*CacheEntry)
 	c.lru.Remove(el)
 	delete(c.entries, entry.Item.hash)
-	if c.held[entry.Value]--; c.held[entry.Value] <= 0 {
-		delete(c.held, entry.Value)
-	}
+	c.dropped = append(c.dropped, entry.Value)
 	c.used -= entry.SizeBytes
 	c.stats.Evictions++
-}
-
-// Holds reports whether some entry currently holds exactly this value
-// (identity, not structural equality). The runtime asks before it releases a
-// value's buffer-pool spill file: a cached intermediate may be spilt, and the
-// next hit restores it from that file.
-func (c *Cache) Holds(value any) bool {
-	if !c.Enabled() {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.held[value] > 0
 }
 
 // RecordPartialHit increments the partial-reuse counter (compensation plans
@@ -273,9 +289,14 @@ func (c *Cache) Clear() {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	dropped := c.dropped
+	c.dropped = nil
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		dropped = append(dropped, el.Value.(*CacheEntry).Value)
+	}
 	clear(c.entries)
-	clear(c.held)
 	c.lru.Init()
 	c.used = 0
+	c.mu.Unlock()
+	releaseAll(dropped)
 }

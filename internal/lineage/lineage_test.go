@@ -196,26 +196,40 @@ func TestCachePutGet(t *testing.T) {
 	}
 }
 
-// TestCacheHolds: Holds follows a value by identity through insert, eviction
-// and Clear.
-func TestCacheHolds(t *testing.T) {
+// counted is a cached value that counts its holders.
+type counted struct{ refs int }
+
+func (c *counted) Retain()  { c.refs++ }
+func (c *counted) Release() { c.refs-- }
+
+// TestCacheRetainsValues: every entry is a holder of its value through
+// insert, eviction, replacement and Clear, and every hit hands the caller one
+// more.
+func TestCacheRetainsValues(t *testing.T) {
 	c := NewCache(250)
-	a, b, d := new(int), new(int), new(int)
-	c.Put(NewInstruction("op", "a", NewLiteral("1")), a, 100, 0)
-	c.Put(NewInstruction("op", "b", NewLiteral("1")), b, 100, 10)
-	if !c.Holds(a) || !c.Holds(b) || c.Holds(d) {
-		t.Fatalf("Holds(a, b, d) = %v %v %v, want true true false", c.Holds(a), c.Holds(b), c.Holds(d))
+	a, b, d := new(counted), new(counted), new(counted)
+	itemA, itemB := NewInstruction("op", "a", NewLiteral("1")), NewInstruction("op", "b", NewLiteral("1"))
+	c.Put(itemA, a, 100, 0)
+	c.Put(itemB, b, 100, 10)
+	c.Put(itemB, b, 100, 10) // the same intermediate again: no second hold
+	if a.refs != 1 || b.refs != 1 || d.refs != 0 {
+		t.Fatalf("refs(a, b, d) = %d %d %d, want 1 1 0", a.refs, b.refs, d.refs)
 	}
+	if v, ok := c.Get(itemB); !ok || v != any(b) || b.refs != 2 {
+		t.Fatalf("hit = %v %v with %d refs, want b held twice", v, ok, b.refs)
+	}
+	b.Release() // what a caller does once it has bound the hit
 	// a third entry exceeds the budget: the zero-benefit entry is evicted
 	c.Put(NewInstruction("op", "d", NewLiteral("1")), d, 100, 10)
-	if c.Holds(a) || !c.Holds(b) || !c.Holds(d) {
-		t.Errorf("after eviction Holds(a, b, d) = %v %v %v, want false true true", c.Holds(a), c.Holds(b), c.Holds(d))
+	if a.refs != 0 || b.refs != 1 || d.refs != 1 {
+		t.Errorf("after eviction refs(a, b, d) = %d %d %d, want 0 1 1", a.refs, b.refs, d.refs)
 	}
 	c.Clear()
-	if c.Holds(b) || c.Holds(d) {
-		t.Error("Clear left values held")
+	if b.refs != 0 || d.refs != 0 {
+		t.Errorf("Clear left values held: refs(b, d) = %d %d", b.refs, d.refs)
 	}
-	if NewCache(0).Holds(a) {
+	NewCache(0).Put(itemA, a, 100, 0)
+	if a.refs != 0 {
 		t.Error("a disabled cache holds nothing")
 	}
 }

@@ -9,6 +9,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // SparseThreshold is the sparsity (nnz/cells) below which blocks prefer the
@@ -96,6 +97,48 @@ func (m *MatrixBlock) Sparsity() float64 {
 func (m *MatrixBlock) DenseValues() []float64 {
 	m.ToDense()
 	return m.dense
+}
+
+// CopyRow copies the cells [cl, cl+len(dst)) of row r into dst. A sparse
+// block is read in place — unlike DenseValues, which converts it — so
+// serializers can stream a block without changing its representation.
+func (m *MatrixBlock) CopyRow(dst []float64, r, cl int) {
+	if m.sparse == nil {
+		copy(dst, m.dense[r*m.cols+cl:r*m.cols+cl+len(dst)])
+		return
+	}
+	clear(dst)
+	s := m.csr()
+	lo, hi := s.RowPtr[r], s.RowPtr[r+1]
+	for p := lo + sort.SearchInts(s.ColIdx[lo:hi], cl); p < hi && s.ColIdx[p] < cl+len(dst); p++ {
+		dst[s.ColIdx[p]-cl] = s.Values[p]
+	}
+}
+
+// RangeNNZ counts the non-zero cells in [rl:ru, cl:cu) without converting the
+// block.
+func (m *MatrixBlock) RangeNNZ(rl, ru, cl, cu int) int64 {
+	var n int64
+	if m.sparse == nil {
+		for r := rl; r < ru; r++ {
+			for _, v := range m.dense[r*m.cols+cl : r*m.cols+cu] {
+				if v != 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	s := m.csr()
+	for r := rl; r < ru; r++ {
+		lo, hi := s.RowPtr[r], s.RowPtr[r+1]
+		for p := lo + sort.SearchInts(s.ColIdx[lo:hi], cl); p < hi && s.ColIdx[p] < cu; p++ {
+			if s.Values[p] != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Get returns the value at (r, c).

@@ -175,3 +175,37 @@ func TestSparsity(t *testing.T) {
 		t.Errorf("sparsity = %v, want 0.02", got)
 	}
 }
+
+// TestCopyRowAndRangeNNZ: both read a block in place — a sparse block stays
+// sparse — and agree with Get on either representation.
+func TestCopyRowAndRangeNNZ(t *testing.T) {
+	for _, m := range []*MatrixBlock{RandUniform(12, 9, -1, 1, 1, 1), RandUniform(12, 9, 0, 1, 0.15, 2), NewSparse(12, 9)} {
+		sparse := m.IsSparse()
+		row := make([]float64, 4)
+		for r := 0; r < m.Rows(); r++ {
+			m.CopyRow(row, r, 3)
+			for i, v := range row {
+				if v != m.Get(r, 3+i) {
+					t.Errorf("CopyRow(%d)[%d] = %v, want %v", r, i, v, m.Get(r, 3+i))
+				}
+			}
+		}
+		var want int64
+		for r := 2; r < 10; r++ {
+			for c := 1; c < 8; c++ {
+				if m.Get(r, c) != 0 {
+					want++
+				}
+			}
+		}
+		if got := m.RangeNNZ(2, 10, 1, 8); got != want {
+			t.Errorf("RangeNNZ = %d, want %d", got, want)
+		}
+		if m.RangeNNZ(0, m.Rows(), 0, m.Cols()) != m.NNZ() {
+			t.Errorf("RangeNNZ over the whole block = %d, NNZ = %d", m.RangeNNZ(0, m.Rows(), 0, m.Cols()), m.NNZ())
+		}
+		if m.IsSparse() != sparse {
+			t.Error("reading changed the representation")
+		}
+	}
+}

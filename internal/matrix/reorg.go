@@ -193,9 +193,15 @@ func LeftIndex(target, src *MatrixBlock, rl, ru, cl, cu int) (*MatrixBlock, erro
 		return nil, fmt.Errorf("matrix: left-index source %dx%d does not match range %dx%d", src.rows, src.cols, ru-rl, cu-cl)
 	}
 	out := target.Copy().ToDense()
-	for r := rl; r < ru; r++ {
-		for c := cl; c < cu; c++ {
-			out.dense[r*out.cols+c] = src.Get(r-rl, c-cl)
+	if w := cu - cl; src.sparse == nil && len(src.dense) == src.rows*w {
+		for r := rl; r < ru; r++ {
+			copy(out.dense[r*out.cols+cl:r*out.cols+cu], src.dense[(r-rl)*w:(r-rl+1)*w])
+		}
+	} else {
+		for r := rl; r < ru; r++ {
+			for c := cl; c < cu; c++ {
+				out.dense[r*out.cols+c] = src.Get(r-rl, c-cl)
+			}
 		}
 	}
 	out.RecomputeNNZ()

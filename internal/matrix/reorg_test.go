@@ -1,6 +1,9 @@
 package matrix
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestTransposeDense(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
@@ -190,5 +193,53 @@ func TestSelectRows(t *testing.T) {
 	}
 	if _, err := SelectRows(m, FromRows([][]float64{{9}})); err == nil {
 		t.Error("expected out of bounds error")
+	}
+}
+
+// TestLeftIndexDenseSourceMatchesCellwise: copying a dense source's rows into
+// place gives, bit for bit and in the same representation, what reading it
+// cell by cell gave — NaN payloads and -0 included — whatever the target's
+// and the source's representation.
+func TestLeftIndexDenseSourceMatchesCellwise(t *testing.T) {
+	cellwise := func(target, src *MatrixBlock, rl, ru, cl, cu int) *MatrixBlock {
+		out := target.Copy().ToDense()
+		for r := rl; r < ru; r++ {
+			for c := cl; c < cu; c++ {
+				out.dense[r*out.cols+c] = src.Get(r-rl, c-cl)
+			}
+		}
+		out.RecomputeNNZ()
+		out.ExamineAndApplySparsity()
+		return out
+	}
+	special := RandUniform(4, 3, -1, 1, 1, 1)
+	special.Set(0, 0, math.Float64frombits(0x7ff8dead0000beef))
+	special.Set(1, 1, math.Copysign(0, -1))
+	special.Set(2, 2, math.Inf(-1))
+	for _, tc := range []struct {
+		name        string
+		target, src *MatrixBlock
+	}{
+		{"dense into dense", RandUniform(9, 7, -1, 1, 1, 2), special},
+		{"dense into sparse", RandUniform(9, 7, 0, 1, 0.1, 3), special},
+		{"dense into empty", NewDense(9, 7), special},
+		{"sparse into dense", RandUniform(9, 7, -1, 1, 1, 4), RandUniform(4, 3, 0, 1, 0.2, 5)},
+		{"zeros into dense", RandUniform(9, 7, -1, 1, 1, 6), NewDense(4, 3)},
+	} {
+		got, err := LeftIndex(tc.target, tc.src, 2, 6, 3, 6)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := cellwise(tc.target, tc.src, 2, 6, 3, 6)
+		if got.IsSparse() != want.IsSparse() || got.NNZ() != want.NNZ() {
+			t.Errorf("%s: sparse %v nnz %d, want sparse %v nnz %d", tc.name, got.IsSparse(), got.NNZ(), want.IsSparse(), want.NNZ())
+		}
+		for r := 0; r < 9; r++ {
+			for c := 0; c < 7; c++ {
+				if a, b := math.Float64bits(got.Get(r, c)), math.Float64bits(want.Get(r, c)); a != b {
+					t.Errorf("%s: cell (%d,%d) = %#x, want %#x", tc.name, r, c, a, b)
+				}
+			}
+		}
 	}
 }

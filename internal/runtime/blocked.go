@@ -8,7 +8,6 @@ import (
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/dist"
-	sdsio "github.com/systemds/systemds-go/internal/io"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
 	"github.com/systemds/systemds-go/internal/types"
@@ -78,7 +77,7 @@ func (c *fusedCounters) snapshot() FusedStats {
 // Collect. The object participates in the buffer pool with per-block spill
 // files.
 type BlockedMatrixObject struct {
-	id   int64
+	poolRef
 	mu   sync.Mutex
 	dc   types.DataCharacteristics
 	bm   *dist.BlockedMatrix // nil when spilled
@@ -92,7 +91,6 @@ type BlockedMatrixObject struct {
 	// reader-held view (like a block handed out by MatrixObject.Acquire) and
 	// deliberately not part of MemorySize; eviction drops it.
 	local *matrix.MatrixBlock
-	pool  *bufferpool.Pool
 	ctr   *distCounters
 }
 
@@ -103,11 +101,10 @@ func NewBlockedMatrixObject(bm *dist.BlockedMatrix, pool *bufferpool.Pool, ctr *
 		dc:   types.DataCharacteristics{Rows: int64(bm.Rows), Cols: int64(bm.Cols), Blocksize: bm.Blocksize, NNZ: -1},
 		bm:   bm,
 		meta: dist.BlockedMatrix{Rows: bm.Rows, Cols: bm.Cols, Blocksize: bm.Blocksize},
-		pool: pool,
 		ctr:  ctr,
 	}
 	if pool != nil {
-		bo.id = pool.NextID()
+		bo.id, bo.pool = pool.NextID(), pool
 		pool.Register(bo)
 	}
 	return bo
@@ -134,7 +131,7 @@ func (b *BlockedMatrixObject) String() string {
 // their spill files if the object was evicted.
 func (b *BlockedMatrixObject) Blocked() (*dist.BlockedMatrix, error) {
 	b.mu.Lock()
-	restored := false
+	var restored int64
 	if b.bm == nil {
 		if b.spillBase == "" {
 			b.mu.Unlock()
@@ -143,7 +140,7 @@ func (b *BlockedMatrixObject) Blocked() (*dist.BlockedMatrix, error) {
 		bm := b.meta
 		bm.Blocks = make([]*matrix.MatrixBlock, b.nblocks)
 		for i := range bm.Blocks {
-			blk, err := sdsio.ReadMatrixBinary(blockSpillPath(b.spillBase, i))
+			blk, err := restoreBlock(blockSpillPath(b.spillBase, i), bm.Blocksize)
 			if err != nil {
 				b.mu.Unlock()
 				return nil, fmt.Errorf("runtime: restore evicted blocked matrix: %w", err)
@@ -151,13 +148,11 @@ func (b *BlockedMatrixObject) Blocked() (*dist.BlockedMatrix, error) {
 			bm.Blocks[i] = blk
 		}
 		b.bm = &bm
-		restored = true
+		restored = bm.InMemorySize()
 	}
 	bm := b.bm
 	b.mu.Unlock()
-	if b.pool != nil {
-		b.pool.NotifyAccess(b, restored)
-	}
+	b.pool.NotifyAccess(b, restored)
 	return bm, nil
 }
 
@@ -172,9 +167,7 @@ func (b *BlockedMatrixObject) Region(rl, ru, cl, cu int) (*matrix.MatrixBlock, e
 	if b.bm != nil {
 		bm := b.bm
 		b.mu.Unlock()
-		if b.pool != nil {
-			b.pool.NotifyAccess(b, false)
-		}
+		b.pool.NotifyAccess(b, 0)
 		res, err := bm.Region(rl, ru, cl, cu)
 		if err != nil {
 			return nil, err
@@ -200,7 +193,7 @@ func (b *BlockedMatrixObject) Region(rl, ru, cl, cu int) (*matrix.MatrixBlock, e
 	for bi := rl / bm.Blocksize; bi <= (ru-1)/bm.Blocksize; bi++ {
 		for bj := cl / bm.Blocksize; bj <= (cu-1)/bm.Blocksize; bj++ {
 			idx := bi*gc + bj
-			blk, err := sdsio.ReadMatrixBinary(blockSpillPath(base, idx))
+			blk, err := restoreBlock(blockSpillPath(base, idx), bm.Blocksize)
 			if err != nil {
 				return nil, fmt.Errorf("runtime: partial restore of block (%d,%d): %w", bi, bj, err)
 			}
@@ -208,9 +201,7 @@ func (b *BlockedMatrixObject) Region(rl, ru, cl, cu int) (*matrix.MatrixBlock, e
 			restored++
 		}
 	}
-	if b.pool != nil {
-		b.pool.RecordPartialRestore(restored, int64(nblocks)-restored)
-	}
+	b.pool.RecordPartialRestore(restored, int64(nblocks)-restored)
 	res, err := bm.Region(rl, ru, cl, cu)
 	if err != nil {
 		return nil, err
@@ -261,9 +252,6 @@ func (b *BlockedMatrixObject) collectBlocks() (*matrix.MatrixBlock, error) {
 	return bm.ToMatrixBlock()
 }
 
-// PoolID implements bufferpool.Entry.
-func (b *BlockedMatrixObject) PoolID() int64 { return b.id }
-
 // MemorySize implements bufferpool.Entry.
 func (b *BlockedMatrixObject) MemorySize() int64 {
 	b.mu.Lock()
@@ -274,35 +262,37 @@ func (b *BlockedMatrixObject) MemorySize() int64 {
 	return b.bm.InMemorySize()
 }
 
-// Evict implements bufferpool.Entry: every block is written to its own spill
-// file (path.b<i>) and the blocked matrix is dropped from memory.
-func (b *BlockedMatrixObject) Evict(path string) error {
+// Evict implements bufferpool.Entry: unless the spill files are in place
+// already (clean), every block is written to its own (path.b<i>); then the
+// blocked matrix is dropped from memory.
+func (b *BlockedMatrixObject) Evict(path string, clean bool) (freed, written int64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.bm == nil {
-		return nil
+		return 0, 0, nil
 	}
-	for i, blk := range b.bm.Blocks {
-		if err := sdsio.WriteMatrixBinary(blockSpillPath(path, i), blk, b.bm.Blocksize); err != nil {
-			// clean up the partial spill so the object stays in memory
-			for j := 0; j <= i; j++ {
-				_ = os.Remove(blockSpillPath(path, j))
+	if !clean {
+		for i, blk := range b.bm.Blocks {
+			n, err := spillBlock(blockSpillPath(path, i), blk, b.bm.Blocksize)
+			if err != nil {
+				// clean up the partial spill so the object stays in memory
+				for j := 0; j <= i; j++ {
+					_ = os.Remove(blockSpillPath(path, j))
+				}
+				return 0, 0, err
 			}
-			return err
+			written += n
 		}
+		b.spillBase = path
+		b.nblocks = len(b.bm.Blocks)
 	}
-	b.spillBase = path
-	b.nblocks = len(b.bm.Blocks)
+	freed = b.bm.InMemorySize()
 	b.bm = nil
 	b.local = nil
-	return nil
+	return freed, written, nil
 }
 
-// IsPinned implements bufferpool.Entry. Blocked matrices are immutable, so
-// in-flight readers keep their own reference and eviction is always safe.
-func (b *BlockedMatrixObject) IsPinned() bool { return false }
-
-// IsInMemory implements bufferpool.Entry.
+// IsInMemory reports whether the blocked matrix is resident.
 func (b *BlockedMatrixObject) IsInMemory() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -94,7 +95,7 @@ func (c *compressCounters) snapshot() CompressStats {
 // object participates in the buffer pool; eviction spills the *compressed*
 // bytes, never a decompressed cell image.
 type CompressedMatrixObject struct {
-	id        int64
+	poolRef
 	mu        sync.Mutex
 	dc        types.DataCharacteristics
 	cm        *compress.CompressedMatrix // nil when spilled
@@ -109,7 +110,6 @@ type CompressedMatrixObject struct {
 	// dropped on eviction together with cm.
 	part     *dist.CompressedBlocked
 	partSize int
-	pool     *bufferpool.Pool
 	ctr      *compressCounters
 }
 
@@ -121,12 +121,11 @@ func NewCompressedMatrixObject(cm *compress.CompressedMatrix, pool *bufferpool.P
 			Rows: int64(cm.Rows()), Cols: int64(cm.Cols()),
 			Blocksize: types.DefaultBlocksize, NNZ: cm.NNZ(),
 		},
-		cm:   cm,
-		pool: pool,
-		ctr:  ctr,
+		cm:  cm,
+		ctr: ctr,
 	}
 	if pool != nil {
-		co.id = pool.NextID()
+		co.id, co.pool = pool.NextID(), pool
 		pool.Register(co)
 	}
 	return co
@@ -153,25 +152,26 @@ func (c *CompressedMatrixObject) String() string {
 // spill file if the object was evicted.
 func (c *CompressedMatrixObject) Compressed() (*compress.CompressedMatrix, error) {
 	c.mu.Lock()
-	restored := false
+	var restored int64
 	if c.cm == nil {
 		if c.spillPath == "" {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("runtime: compressed matrix object %d has neither data nor spill file", c.id)
 		}
+		sp := obs.Begin(obs.CatPool, "restore")
 		cm, err := compress.ReadFile(c.spillPath)
 		if err != nil {
+			sp.End()
 			c.mu.Unlock()
 			return nil, fmt.Errorf("runtime: restore evicted compressed matrix: %w", err)
 		}
+		sp.EndBytes(fileSize(c.spillPath))
 		c.cm = cm
-		restored = true
+		restored = cm.InMemorySize()
 	}
 	cm := c.cm
 	c.mu.Unlock()
-	if c.pool != nil {
-		c.pool.NotifyAccess(c, restored)
-	}
+	c.pool.NotifyAccess(c, restored)
 	return cm, nil
 }
 
@@ -252,9 +252,6 @@ func (c *CompressedMatrixObject) CountCompressedOp() {
 	}
 }
 
-// PoolID implements bufferpool.Entry.
-func (c *CompressedMatrixObject) PoolID() int64 { return c.id }
-
 // MemorySize implements bufferpool.Entry.
 func (c *CompressedMatrixObject) MemorySize() int64 {
 	c.mu.Lock()
@@ -265,30 +262,46 @@ func (c *CompressedMatrixObject) MemorySize() int64 {
 	return c.cm.InMemorySize()
 }
 
-// Evict implements bufferpool.Entry: the compressed bytes are written to the
-// spill file — the compressed form is what hits disk — and both the
-// compressed matrix and any decompression memo are dropped from memory.
-func (c *CompressedMatrixObject) Evict(path string) error {
+// Evict implements bufferpool.Entry: unless the spill file is in place
+// already (clean), the compressed bytes are written to it — the compressed
+// form is what hits disk — and the compressed matrix and the memos derived
+// from it are dropped from memory.
+func (c *CompressedMatrixObject) Evict(path string, clean bool) (freed, written int64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cm == nil {
-		return nil
+		return 0, 0, nil
 	}
-	if err := c.cm.WriteFile(path); err != nil {
-		return err
+	if !clean {
+		sp := obs.Begin(obs.CatPool, "spill")
+		if err := c.cm.WriteFile(path); err != nil {
+			sp.End()
+			return 0, 0, err
+		}
+		if written = fileSize(path); written == 0 {
+			written = c.cm.InMemorySize() // the pool must still learn that a file exists
+		}
+		sp.EndBytes(written)
+		c.spillPath = path
 	}
-	c.spillPath = path
+	freed = c.cm.InMemorySize()
 	c.cm = nil
 	c.local = nil
 	c.part = nil
-	return nil
+	return freed, written, nil
 }
 
-// IsPinned implements bufferpool.Entry. Compressed matrices are immutable, so
-// in-flight readers keep their own reference and eviction is always safe.
-func (c *CompressedMatrixObject) IsPinned() bool { return false }
+// fileSize returns the size of a spill file just written or read (0 if it
+// cannot be told; the size only feeds statistics).
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
+}
 
-// IsInMemory implements bufferpool.Entry.
+// IsInMemory reports whether the compressed matrix is resident.
 func (c *CompressedMatrixObject) IsInMemory() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -341,6 +354,12 @@ func (t *TransposedCompressedObject) MaterializeFor(op string) (*matrix.MatrixBl
 	t.mu.Unlock()
 	return tr, nil
 }
+
+// Retain makes the view's holder a holder of its source.
+func (t *TransposedCompressedObject) Retain() { t.Source.Retain() }
+
+// Release drops what Retain added.
+func (t *TransposedCompressedObject) Release() { t.Source.Release() }
 
 // DataType implements Data.
 func (t *TransposedCompressedObject) DataType() types.DataType { return types.Matrix }

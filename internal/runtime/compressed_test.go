@@ -40,8 +40,12 @@ func TestCompressedObjectSpillsCompressedBytes(t *testing.T) {
 	co := NewCompressedMatrixObject(cm, pool, nil)
 
 	path := filepath.Join(dir, "spill.sdsc")
-	if err := co.Evict(path); err != nil {
+	freed, written, err := co.Evict(path, false)
+	if err != nil {
 		t.Fatalf("evict failed: %v", err)
+	}
+	if freed != cm.InMemorySize() {
+		t.Errorf("evict freed %d bytes, want %d", freed, cm.InMemorySize())
 	}
 	if co.IsInMemory() {
 		t.Fatalf("object still in memory after eviction")
@@ -49,6 +53,9 @@ func TestCompressedObjectSpillsCompressedBytes(t *testing.T) {
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatalf("spill file missing: %v", err)
+	}
+	if written != info.Size() {
+		t.Errorf("evict reports %d bytes written, the file has %d", written, info.Size())
 	}
 	if dense := m.InMemorySize(); info.Size() >= dense {
 		t.Errorf("spill file is %d bytes, want < dense image %d (compressed bytes must hit disk)", info.Size(), dense)

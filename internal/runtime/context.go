@@ -172,7 +172,8 @@ func NewContext(cfg *Config) *Context {
 }
 
 // ChildEmpty creates a child context with an empty symbol table (function
-// scopes); configuration, cache, pool, program and output are shared.
+// scopes); configuration, cache, pool, program and output are shared. The
+// scope ends with ReleaseVars.
 func (ctx *Context) ChildEmpty() *Context {
 	return &Context{
 		Config:     ctx.Config,
@@ -190,12 +191,14 @@ func (ctx *Context) ChildEmpty() *Context {
 }
 
 // ChildCopy creates a child context with a copied symbol table (parfor
-// workers); values are shared because they are immutable.
+// workers); values are shared because they are immutable. The child holds
+// every value it copied until its ReleaseVars.
 func (ctx *Context) ChildCopy() *Context {
 	ctx.mu.RLock()
 	vars := make(map[string]Data, len(ctx.vars))
 	for k, v := range ctx.vars {
 		vars[k] = v
+		Retain(v)
 	}
 	ctx.mu.RUnlock()
 	return &Context{
@@ -296,11 +299,16 @@ func (ctx *Context) CountFusedAgg() {
 	}
 }
 
-// Set binds a variable to a value.
+// Set binds a variable to a value. The binding holds the value (see poolRef);
+// a value it replaces loses that holder, and with its last one its place in
+// the buffer pool.
 func (ctx *Context) Set(name string, d Data) {
+	Retain(d)
 	ctx.mu.Lock()
+	old := ctx.vars[name]
 	ctx.vars[name] = d
 	ctx.mu.Unlock()
+	Release(old)
 }
 
 // Get returns the value of a variable.
@@ -325,36 +333,34 @@ func (ctx *Context) Has(name string) bool {
 // Remove unbinds a variable.
 func (ctx *Context) Remove(name string) {
 	ctx.mu.Lock()
-	d, ok := ctx.vars[name]
+	d := ctx.vars[name]
 	delete(ctx.vars, name)
 	ctx.mu.Unlock()
-	if ok {
-		if entry, pooled := d.(bufferpool.Entry); pooled && ctx.Pool != nil {
-			// only unregister if no other variable references the object
-			ctx.mu.RLock()
-			shared := false
-			for _, v := range ctx.vars {
-				if v == d {
-					shared = true
-					break
-				}
-			}
-			ctx.mu.RUnlock()
-			// nor while the reuse cache holds it: a cached intermediate may be
-			// spilt, and the next hit restores it from the spill file
-			if !shared && !ctx.Cache.Holds(d) {
-				ctx.Pool.Unregister(entry.PoolID())
-			}
-		}
-	}
+	Release(d)
 }
 
-// ReleasePool ends a run's claim on its buffer pool: every entry the reuse
-// cache does not hold is unregistered — bound variables, and values that were
-// rebound or went out of scope in a function or parfor child — so no spill
-// file outlives the run except those a later cache hit restores from.
+// ReleaseVars unbinds every variable: the end of a function scope, a parfor
+// worker or the run.
+func (ctx *Context) ReleaseVars() {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	for _, d := range ctx.vars {
+		Release(d)
+	}
+	clear(ctx.vars)
+}
+
+// ReleasePool ends a run's claim on its buffer pool: the symbol table is
+// dropped, and every entry nobody holds any more is unregistered — values
+// that were created but never bound, above all — so no spill file outlives
+// the run except those of values the reuse cache holds, which a later hit
+// restores from.
 func (ctx *Context) ReleasePool() {
-	ctx.Pool.ReleaseExcept(func(e bufferpool.Entry) bool { return ctx.Cache.Holds(e) })
+	ctx.ReleaseVars()
+	ctx.Pool.ReleaseExcept(func(e bufferpool.Entry) bool {
+		h, ok := e.(interface{ Held() bool })
+		return ok && h.Held()
+	})
 }
 
 // Variables returns the names of all bound variables in sorted order, so

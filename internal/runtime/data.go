@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/dist"
@@ -107,25 +108,85 @@ func (s *Scalar) StringValue() string {
 // String implements Data.
 func (s *Scalar) String() string { return s.StringValue() }
 
+// poolRef is what the buffer-pool-backed handles share: their identity in the
+// pool and the count of their holders. A holder is a symbol-table binding in
+// any context of the run, a list the value is an element of, a reuse-cache
+// entry, or a caller a value is being handed to (a function's results, a
+// cache hit). The value leaves the pool, and its spill files are removed,
+// when the last holder lets go — it can no longer be asked for, so the pool
+// must neither count it nor write it. A value nobody ever held (an output
+// that was never bound) is only collected when the run releases its pool.
+type poolRef struct {
+	id   int64
+	pool *bufferpool.Pool
+	refs atomic.Int32
+}
+
+// PoolID implements bufferpool.Entry.
+func (r *poolRef) PoolID() int64 { return r.id }
+
+// Retain adds a holder.
+func (r *poolRef) Retain() { r.refs.Add(1) }
+
+// Release drops a holder; the last one takes the value out of the pool.
+func (r *poolRef) Release() {
+	if r.refs.Add(-1) == 0 {
+		r.pool.Unregister(r.id)
+	}
+}
+
+// Held reports whether the value has a holder.
+func (r *poolRef) Held() bool { return r.refs.Load() > 0 }
+
+// IsPinned implements bufferpool.Entry. Runtime values are immutable, so
+// in-flight readers keep their own reference to the data and eviction is
+// always safe.
+func (r *poolRef) IsPinned() bool { return false }
+
+// refCounted is implemented by the values whose holders are counted: the
+// pooled handles, and the values that hold such handles in turn.
+type refCounted interface {
+	Retain()
+	Release()
+}
+
+// Retain adds a holder to d if d counts its holders (see poolRef).
+func Retain(d Data) {
+	if r, ok := d.(refCounted); ok {
+		r.Retain()
+	}
+}
+
+// Release drops a holder of d if d counts its holders.
+func Release(d Data) {
+	if r, ok := d.(refCounted); ok {
+		r.Release()
+	}
+}
+
 // MatrixObject is the buffer-pool-backed handle of a matrix: it carries the
 // data characteristics and either holds the block in memory or a reference to
 // its spill file.
 type MatrixObject struct {
-	id        int64
+	poolRef
 	mu        sync.Mutex
 	dc        types.DataCharacteristics
 	block     *matrix.MatrixBlock
-	spillPath string
-	pool      *bufferpool.Pool
+	spillPath string // set once the block has been written; valid from then on
 	// blocked memoizes the partitioned form of this object so named inputs
 	// consumed by distributed operators in several DAGs partition once, not
 	// once per DAG. Data objects are immutable — rebinding a variable creates
 	// a new object — so the object identity IS the symbol-table entry's
-	// version and the cache can never serve stale data. The memo is counted
-	// in MemorySize (the pool is notified of the growth when it is stored)
-	// and eviction drops it, so budget enforcement stays honest.
+	// version and the cache can never serve stale data. The memo is a second
+	// copy of the data and counts in MemorySize while it is resident. Under
+	// memory pressure the object gives up one of the two forms and keeps the
+	// other (Evict), so that the consumers that come next — dist operators
+	// through the memo, CP operators through the block — find theirs in
+	// memory.
 	blocked   *dist.BlockedMatrix
 	blockedBS int
+	// blockedLast records which form the latest consumer asked for.
+	blockedLast bool
 }
 
 // NewMatrixObject wraps a matrix block into a managed matrix object and
@@ -134,10 +195,9 @@ func NewMatrixObject(block *matrix.MatrixBlock, pool *bufferpool.Pool) *MatrixOb
 	mo := &MatrixObject{
 		dc:    types.DataCharacteristics{Rows: int64(block.Rows()), Cols: int64(block.Cols()), Blocksize: types.DefaultBlocksize, NNZ: block.NNZ()},
 		block: block,
-		pool:  pool,
 	}
 	if pool != nil {
-		mo.id = pool.NextID()
+		mo.id, mo.pool = pool.NextID(), pool
 		pool.Register(mo)
 	}
 	return mo
@@ -157,101 +217,130 @@ func (m *MatrixObject) DataCharacteristics() types.DataCharacteristics {
 // file if it was evicted by the buffer pool.
 func (m *MatrixObject) Acquire() (*matrix.MatrixBlock, error) {
 	m.mu.Lock()
-	restored := false
+	var restored int64
 	if m.block == nil {
 		if m.spillPath == "" {
 			m.mu.Unlock()
 			return nil, fmt.Errorf("runtime: matrix object %d has neither data nor spill file", m.id)
 		}
-		sp := obs.Begin(obs.CatPool, "restore")
-		blk, err := sdsio.ReadMatrixBinary(m.spillPath)
+		blk, err := restoreBlock(m.spillPath, types.DefaultBlocksize)
 		if err != nil {
-			sp.End()
 			m.mu.Unlock()
 			return nil, fmt.Errorf("runtime: restore evicted matrix: %w", err)
 		}
-		sp.EndBytes(blk.InMemorySize())
 		m.block = blk
-		restored = true
+		restored = blk.InMemorySize()
 	}
+	m.blockedLast = false
 	blk := m.block
 	m.mu.Unlock()
-	if m.pool != nil {
-		m.pool.NotifyAccess(m, restored)
-	}
+	m.pool.NotifyAccess(m, restored)
 	return blk, nil
 }
 
-// PoolID implements bufferpool.Entry.
-func (m *MatrixObject) PoolID() int64 { return m.id }
+// restoreBlock reads one spill file, written with the given blocksize, back
+// under a pool "restore" span carrying the bytes read.
+func restoreBlock(path string, blocksize int) (*matrix.MatrixBlock, error) {
+	sp := obs.Begin(obs.CatPool, "restore")
+	blk, err := sdsio.ReadMatrixBinary(path)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	sp.EndBytes(sdsio.EncodedSize(blk.Rows(), blk.Cols(), blocksize))
+	return blk, nil
+}
+
+// spillBlock writes one spill file under a pool "spill" span carrying the
+// bytes written, which it returns.
+func spillBlock(path string, blk *matrix.MatrixBlock, blocksize int) (int64, error) {
+	sp := obs.Begin(obs.CatPool, "spill")
+	if err := sdsio.WriteMatrixBinary(path, blk, blocksize); err != nil {
+		sp.End()
+		return 0, err
+	}
+	written := sdsio.EncodedSize(blk.Rows(), blk.Cols(), blocksize)
+	sp.EndBytes(written)
+	return written, nil
+}
 
 // MemorySize implements bufferpool.Entry: the local block plus the memoized
-// blocked form, if one is stored.
+// blocked form, whichever are resident.
 func (m *MatrixObject) MemorySize() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.block == nil {
-		return 0
+	var size int64
+	if m.block != nil {
+		size += m.block.InMemorySize()
 	}
-	size := m.block.InMemorySize()
 	if m.blocked != nil {
 		size += m.blocked.InMemorySize()
 	}
 	return size
 }
 
-// Evict implements bufferpool.Entry: the block is written to the spill file
-// and dropped from memory.
-func (m *MatrixObject) Evict(path string) error {
+// Evict implements bufferpool.Entry. An object holding both forms sheds the
+// one its latest consumer did not ask for: the memo, which the block can
+// rebuild, for free; the block for free if it is on disk already (clean),
+// else for one write — after which the object serves dist consumers from the
+// memo without touching disk. An object down to one form gives that up: the
+// block is written unless clean, the memo is only ever dropped (its block
+// went to disk before it).
+func (m *MatrixObject) Evict(path string, clean bool) (freed, written int64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.blocked != nil && (m.block == nil || !m.blockedLast) {
+		freed = m.blocked.InMemorySize()
+		m.blocked = nil
+		return freed, 0, nil
+	}
 	if m.block == nil {
-		return nil
+		return 0, 0, nil
 	}
-	if err := sdsio.WriteMatrixBinary(path, m.block, types.DefaultBlocksize); err != nil {
-		return err
+	if !clean {
+		if written, err = spillBlock(path, m.block, types.DefaultBlocksize); err != nil {
+			return 0, 0, err
+		}
+		m.spillPath = path
 	}
-	m.spillPath = path
+	freed = m.block.InMemorySize()
 	m.block = nil
-	m.blocked = nil
-	return nil
+	return freed, written, nil
 }
 
 // CachedBlocked returns the memoized partitioned form of the matrix for the
-// given block size, if one was stored since the last eviction.
+// given block size, if one is resident.
 func (m *MatrixObject) CachedBlocked(blocksize int) (*dist.BlockedMatrix, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.blocked != nil && m.blockedBS == blocksize {
-		return m.blocked, true
+	bm := m.blocked
+	if bm == nil || m.blockedBS != blocksize {
+		m.mu.Unlock()
+		return nil, false
 	}
-	return nil, false
+	m.blockedLast = true
+	m.mu.Unlock()
+	m.pool.NotifyAccess(m, 0)
+	return bm, true
 }
 
 // StoreBlocked memoizes the partitioned form of the matrix so later
 // distributed consumers of the same symbol-table entry reuse it, and reports
 // the growth to the buffer pool so budget enforcement sees the copy. The
 // first store wins: concurrent instructions racing to memoize the same input
-// must notify the pool exactly once, and storing on an object the pool has
-// already spilled is a no-op (the memo never outlives an eviction).
+// must notify the pool exactly once.
 func (m *MatrixObject) StoreBlocked(bm *dist.BlockedMatrix, blocksize int) {
 	m.mu.Lock()
-	stored := false
-	if m.block != nil && m.blocked == nil {
-		m.blocked, m.blockedBS = bm, blocksize
-		stored = true
+	stored := m.blocked == nil
+	if stored {
+		m.blocked, m.blockedBS, m.blockedLast = bm, blocksize, true
 	}
 	m.mu.Unlock()
-	if stored && m.pool != nil {
+	if stored {
 		m.pool.NotifyResize(m, bm.InMemorySize())
 	}
 }
 
-// IsPinned implements bufferpool.Entry. Matrix data is immutable, so in-flight
-// readers keep their own reference and eviction is always safe.
-func (m *MatrixObject) IsPinned() bool { return false }
-
-// IsInMemory implements bufferpool.Entry.
+// IsInMemory reports whether the local block is resident.
 func (m *MatrixObject) IsInMemory() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -291,6 +380,20 @@ func NewListObject(values []Data, names []string) *ListObject {
 
 // DataType returns types.List.
 func (l *ListObject) DataType() types.DataType { return types.List }
+
+// Retain makes the list's holder a holder of every element.
+func (l *ListObject) Retain() {
+	for _, v := range l.Values {
+		Retain(v)
+	}
+}
+
+// Release drops what Retain added.
+func (l *ListObject) Release() {
+	for _, v := range l.Values {
+		Release(v)
+	}
+}
 
 // String implements Data.
 func (l *ListObject) String() string { return fmt.Sprintf("List[%d]", len(l.Values)) }

@@ -97,6 +97,7 @@ func encodeLineagePayload(value any) ([]byte, bool) {
 			return nil, false
 		}
 		var buf bytes.Buffer
+		buf.Grow(1 + int(io.EncodedSize(blk.Rows(), blk.Cols(), 1024)))
 		buf.WriteByte(payloadKindMatrix)
 		if err := io.WriteMatrixBinaryTo(&buf, blk, 1024); err != nil {
 			return nil, false

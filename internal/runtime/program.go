@@ -237,6 +237,7 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 		if v, ok := ctx.Cache.Get(outItem); ok {
 			if d, isData := v.(Data); isData {
 				ctx.Set(outs[0], d)
+				Release(d) // the hit's own reference, now that the binding holds d
 				ctx.Lineage.Set(outs[0], outItem)
 				return nil
 			}
@@ -438,13 +439,21 @@ func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
 		}
 	}
 	results := make([]workerResult, workers)
+	// the workers' scopes end after the merge below has bound what survives
+	children := make([]*Context, workers)
+	defer func() {
+		for _, child := range children {
+			child.ReleaseVars()
+		}
+	}()
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
+		children[w] = ctx.ChildCopy()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			child := ctx.ChildCopy()
+			child := children[w]
 			last := -1
 			for i := w; i < len(values); i += workers {
 				child.Set(b.Var, NewDouble(values[i]))
@@ -594,9 +603,13 @@ type FunctionParam struct {
 // a fresh child context and returns the values of the declared return
 // variables. Lineage items of the arguments are carried into the child
 // context so intermediates inside the function can be reused across calls.
+// The function's scope ends before Call returns, so the results come with a
+// holder each (Retain) that carries them across; the caller Releases them
+// once it has bound them.
 func (f *FunctionBlock) Call(ctx *Context, positional []Data, named map[string]Data,
 	positionalLineage []*lineage.Item, namedLineage map[string]*lineage.Item) ([]Data, []*lineage.Item, error) {
 	child := ctx.ChildEmpty()
+	defer child.ReleaseVars()
 	// bind defaults first
 	for _, p := range f.Params {
 		if p.Default != nil {
@@ -659,6 +672,9 @@ func (f *FunctionBlock) Call(ctx *Context, positional []Data, named map[string]D
 		}
 		outs[i] = d
 		lins[i] = child.Lineage.Get(r)
+	}
+	for _, d := range outs {
+		Retain(d)
 	}
 	return outs, lins, nil
 }

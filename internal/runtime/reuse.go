@@ -27,6 +27,25 @@ func tryPartialReuse(ctx *Context, inst Instruction, inputItems []*lineage.Item,
 	}
 }
 
+// cachedBlock probes the reuse cache for a matrix intermediate and returns its
+// local block. The hit's reference goes back as soon as the block is in hand:
+// the block, not the cached object, is what a compensation plan keeps.
+func cachedBlock(ctx *Context, item *lineage.Item) (*matrix.MatrixBlock, bool) {
+	v, ok := ctx.Cache.Get(item)
+	if !ok {
+		return nil, false
+	}
+	if d, isData := v.(Data); isData {
+		defer Release(d)
+	}
+	mo, ok := v.(*MatrixObject)
+	if !ok {
+		return nil, false
+	}
+	blk, err := mo.Acquire()
+	return blk, err == nil
+}
+
 // tryPartialTSMM handles tsmm(X) where X was produced by cbind(A, B) and
 // tsmm(A) is cached.
 func tryPartialTSMM(ctx *Context, inst Instruction, inputItems []*lineage.Item) (Data, bool) {
@@ -37,16 +56,8 @@ func tryPartialTSMM(ctx *Context, inst Instruction, inputItems []*lineage.Item) 
 	if cbindItem.Opcode != "cbind" || len(cbindItem.Inputs) != 2 {
 		return nil, false
 	}
-	cachedAny, ok := ctx.Cache.Get(lineage.NewInstruction("tsmm", "", cbindItem.Inputs[0]))
+	gramA, ok := cachedBlock(ctx, lineage.NewInstruction("tsmm", "", cbindItem.Inputs[0]))
 	if !ok {
-		return nil, false
-	}
-	cachedMO, ok := cachedAny.(*MatrixObject)
-	if !ok {
-		return nil, false
-	}
-	gramA, err := cachedMO.Acquire()
-	if err != nil {
 		return nil, false
 	}
 	// the full input X = cbind(A, B) is available as the instruction input
@@ -112,16 +123,8 @@ func tryPartialXtYOverCBind(ctx *Context, inst Instruction, inputItems []*lineag
 	if cbindItem.Opcode != "cbind" || len(cbindItem.Inputs) != 2 {
 		return nil, false
 	}
-	cachedAny, ok := ctx.Cache.Get(lineage.NewInstruction("mmchain", hops.OpXtY, cbindItem.Inputs[0], yItem))
+	aty, ok := cachedBlock(ctx, lineage.NewInstruction("mmchain", hops.OpXtY, cbindItem.Inputs[0], yItem))
 	if !ok {
-		return nil, false
-	}
-	cachedMO, ok := cachedAny.(*MatrixObject)
-	if !ok {
-		return nil, false
-	}
-	aty, err := cachedMO.Acquire()
-	if err != nil {
 		return nil, false
 	}
 	// inputs: cbind(A,B) and y are instruction input variables

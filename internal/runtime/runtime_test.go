@@ -47,7 +47,7 @@ func TestMatrixObjectAcquireAndEvict(t *testing.T) {
 	}
 	// evict to a temp file and restore
 	spill := t.TempDir() + "/spill.bin"
-	if err := mo.Evict(spill); err != nil {
+	if _, _, err := mo.Evict(spill, false); err != nil {
 		t.Fatal(err)
 	}
 	if mo.IsInMemory() || mo.MemorySize() != 0 {
