@@ -29,14 +29,15 @@ test:
 # buffer-pool liveness and budget-differential tests repeated (reference
 # counts across contexts, parfor workers and the reuse cache; outputs
 # bitwise-equal from 1/4 of the working set to no limit), and a bench smoke that drives the tiled GEMM engine's multi-threaded row-panel
-# workers plus the deep compressed kernels (TSMM, matrix right-hand side,
-# partitioned dist MV) under the race detector.
+# workers (the kernel-naming benchmarks live in internal/matrix) plus the deep
+# compressed kernels (TSMM, matrix right-hand side, partitioned dist MV) under
+# the race detector.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
 	$(GO) test -race -run 'TestReuseLoopCostsLikeReuseOff|TestCacheSharedByWorkers' -count=3 . ./internal/lineage/
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
-	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' .
+	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' . ./internal/matrix/
 
 # Ten seconds of coverage-guided fuzzing of the SDSB decoder from its
 # checked-in seed corpus: spill files, persistent-store payloads and `read`
@@ -83,7 +84,7 @@ bench-compare:
 # gflops.
 BENCH_KERNELS_OUT ?= bench_kernels.json
 bench-kernels:
-	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|LineageProbe|CalibrationDelta|SDSB' -benchmem -timeout 30m -run '^$$' . ./internal/io/ | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
+	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|LineageProbe|CalibrationDelta|SDSB' -benchmem -timeout 30m -run '^$$' . ./internal/io/ ./internal/matrix/ | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
 
 # Full benchmark sweep (single iteration per benchmark).
 bench-all:

@@ -85,15 +85,7 @@ func BenchmarkFig5aBaselinesDenseJulia(b *testing.B) {
 func BenchmarkFig5aBaselinesDenseSysDS(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 1.0, 103)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, false)
-		return err
-	})
-}
-
-func BenchmarkFig5aBaselinesDenseSysDSBLAS(b *testing.B) {
-	dir, xPath, yPath := figureFiles(b, 1.0, 104)
-	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, true)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false)
 		return err
 	})
 }
@@ -139,7 +131,7 @@ func BenchmarkFig5bBaselinesSparseJulia(b *testing.B) {
 func BenchmarkFig5bBaselinesSparseSysDS(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 0.1, 105)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, false)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false)
 		return err
 	})
 }
@@ -149,7 +141,7 @@ func BenchmarkFig5bBaselinesSparseSysDS(b *testing.B) {
 func BenchmarkFig5cReuseDenseOff(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 1.0, 106)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, false)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false)
 		return err
 	})
 }
@@ -157,7 +149,7 @@ func BenchmarkFig5cReuseDenseOff(b *testing.B) {
 func BenchmarkFig5cReuseDenseOn(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 1.0, 107)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, true, false)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, true)
 		return err
 	})
 }
@@ -176,7 +168,7 @@ func BenchmarkFig5dReuseSparse(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, benchScale.KFixed, reuse, false); err != nil {
+					if _, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, benchScale.KFixed, reuse); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -235,105 +227,6 @@ func BenchmarkAblationParamServ(b *testing.B) {
 }
 
 // --- Kernel micro-benchmarks (supporting data for Figure 5(a)) -------------
-
-// benchGEMMKernel times m x k %*% k x n with the given kernel forced and
-// reports arithmetic throughput (gflops) alongside ns/op.
-func benchGEMMKernel(b *testing.B, m, k, n int, kern matrix.GEMMKernel) {
-	prev := matrix.SetGEMMKernel(kern)
-	defer matrix.SetGEMMKernel(prev)
-	x := matrix.RandUniform(m, k, -1, 1, 1.0, 5)
-	y := matrix.RandUniform(k, n, -1, 1, 1.0, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matrix.Multiply(x, y, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	flops := 2 * float64(m) * float64(k) * float64(n)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-}
-
-// BenchmarkKernelGEMMStandard pins the simple blocked i-k-j kernel (the
-// pre-tiled baseline); without the forced mode its shape now auto-selects the
-// tiled engine and the benchmark would stop measuring the baseline.
-func BenchmarkKernelGEMMStandard(b *testing.B) {
-	benchGEMMKernel(b, 512, 256, 128, matrix.GEMMSimple)
-}
-
-func BenchmarkKernelGEMMStandard1024(b *testing.B) {
-	benchGEMMKernel(b, 1024, 1024, 1024, matrix.GEMMSimple)
-}
-
-func BenchmarkKernelGEMMTiled512(b *testing.B) {
-	benchGEMMKernel(b, 512, 512, 512, matrix.GEMMTiled)
-}
-
-func BenchmarkKernelGEMMTiled1024(b *testing.B) {
-	benchGEMMKernel(b, 1024, 1024, 1024, matrix.GEMMTiled)
-}
-
-func BenchmarkKernelGEMMTiled2048(b *testing.B) {
-	benchGEMMKernel(b, 2048, 2048, 2048, matrix.GEMMTiled)
-}
-
-func BenchmarkKernelGEMMBLASLike(b *testing.B) {
-	x := matrix.RandUniform(512, 256, -1, 1, 1.0, 5)
-	y := matrix.RandUniform(256, 128, -1, 1, 1.0, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matrix.MultiplyBLAS(x, y, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchMultiplyAccKernel times the accumulate form the blocked dist executors
-// run stage-by-stage (acc += a %*% b into a preallocated accumulator).
-func benchMultiplyAccKernel(b *testing.B, dim int, kern matrix.GEMMKernel) {
-	prev := matrix.SetGEMMKernel(kern)
-	defer matrix.SetGEMMKernel(prev)
-	x := matrix.RandUniform(dim, dim, -1, 1, 1.0, 5)
-	y := matrix.RandUniform(dim, dim, -1, 1, 1.0, 6)
-	acc := matrix.NewDense(dim, dim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := matrix.MultiplyAcc(acc, x, y, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	flops := 2 * float64(dim) * float64(dim) * float64(dim)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-}
-
-func BenchmarkKernelMultiplyAccStandard1024(b *testing.B) {
-	benchMultiplyAccKernel(b, 1024, matrix.GEMMSimple)
-}
-
-func BenchmarkKernelMultiplyAccTiled1024(b *testing.B) {
-	benchMultiplyAccKernel(b, 1024, matrix.GEMMTiled)
-}
-
-// benchTSMMKernel times t(X) %*% X; flops counts the upper triangle both
-// kernels compute (the lower half is mirrored, not recomputed).
-func benchTSMMKernel(b *testing.B, rows, cols int, kern matrix.GEMMKernel) {
-	prev := matrix.SetGEMMKernel(kern)
-	defer matrix.SetGEMMKernel(prev)
-	x := matrix.RandUniform(rows, cols, -1, 1, 1.0, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matrix.TSMM(x, 0)
-	}
-	flops := float64(rows) * float64(cols+1) * float64(cols)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-}
-
-func BenchmarkKernelTSMMStandard4096x512(b *testing.B) {
-	benchTSMMKernel(b, 4096, 512, matrix.GEMMSimple)
-}
-
-func BenchmarkKernelTSMMTiled4096x512(b *testing.B) {
-	benchTSMMKernel(b, 4096, 512, matrix.GEMMTiled)
-}
 
 func BenchmarkKernelTSMMDense(b *testing.B) {
 	x := matrix.RandUniform(benchScale.Rows, benchScale.Cols, -1, 1, 1.0, 7)

@@ -44,7 +44,6 @@ func main() {
 		lineageOff  = flag.Bool("no-lineage", false, "disable lineage tracing")
 		parallelism = flag.Int("parallelism", 0, "number of threads (0 = all cores)")
 		interOp     = flag.Int("inter-op", 1, "inter-operator scheduler workers (<=1 = sequential execution)")
-		useBLAS     = flag.Bool("blas", false, "use the BLAS-like dense multiply kernel")
 		distributed = flag.Bool("distributed", false, "enable the blocked distributed backend for large operations")
 		compression = flag.Bool("compress", false, "enable compressed linear algebra for loop-reused operands")
 		memBudget   = flag.Int64("mem-budget", 0, "per-operator memory budget in bytes for CP-vs-distributed selection (0 = default)")
@@ -67,7 +66,6 @@ func main() {
 		systemds.WithParallelism(*parallelism),
 		systemds.WithInterOpParallelism(*interOp),
 		systemds.WithReuse(*reuse),
-		systemds.WithBLAS(*useBLAS),
 		systemds.WithDistributedBackend(*distributed),
 		systemds.WithCompression(*compression),
 		// the heavy-hitter table and the trace export both come from the span

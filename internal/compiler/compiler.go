@@ -106,11 +106,13 @@ func (c *Compiler) ExplainPlan(src string, knownInputs map[string]types.DataChar
 func (c *Compiler) ExplainPlanAnnotated(src string, knownInputs map[string]types.DataCharacteristics,
 	measured map[string]obs.OpMetric) (string, error) {
 	c.annotate = func(h *hops.Hop) string {
-		op := measuredOpcode(h)
-		if op == "" {
+		// instruction spans are recorded under the opcode of the instruction
+		// lowering emits for the HOP (none for reads and literals)
+		inst, err := lowerHop(h)
+		if err != nil || inst == nil {
 			return ""
 		}
-		m, ok := measured[op]
+		m, ok := measured[inst.Opcode()]
 		if !ok {
 			return ""
 		}
@@ -119,55 +121,6 @@ func (c *Compiler) ExplainPlanAnnotated(src string, knownInputs map[string]types
 	}
 	defer func() { c.annotate = nil }()
 	return c.ExplainPlan(src, knownInputs)
-}
-
-// measuredOpcode maps a HOP to the opcode of the instruction lowerHop emits
-// for it, which is the key instruction spans are recorded under. Returns ""
-// for HOPs that lower to no instruction.
-func measuredOpcode(h *hops.Hop) string {
-	switch h.Kind {
-	case hops.KindRead, hops.KindLiteral:
-		return ""
-	case hops.KindWrite:
-		return "assignvar"
-	case hops.KindMatMult:
-		return "ba+*"
-	case hops.KindTSMM:
-		return "tsmm"
-	case hops.KindCompress:
-		if !h.CompressFire {
-			return "assignvar" // declined site lowers to a no-op alias
-		}
-		return "compress"
-	case hops.KindMMChain:
-		return "mmchain"
-	case hops.KindFusedAgg:
-		if h.FusedAgg == nil {
-			return ""
-		}
-		return "fagg_" + h.FusedAgg.Kind.String()
-	case hops.KindReorg:
-		switch h.Op {
-		case "t":
-			return "r'"
-		case "diag":
-			return "rdiag"
-		}
-		return h.Op
-	case hops.KindIndexing:
-		return "rightIndex"
-	case hops.KindLeftIndex:
-		return "leftIndex"
-	case hops.KindAggUnary:
-		if h.Op == "nnz" {
-			return "sum"
-		}
-		return h.Op
-	default:
-		// binary, unary, nary, ternary, cast, datagen, and parameterized
-		// builtins all carry the HOP op name through as the opcode
-		return h.Op
-	}
 }
 
 // IsCallable returns a predicate that reports whether a function name can be

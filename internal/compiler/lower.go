@@ -228,8 +228,21 @@ func estBytesOf(h *hops.Hop) int64 {
 	return -1
 }
 
-// lowerHop lowers one HOP into an instruction (or nil for reads/literals).
+// lowerHop lowers one HOP into an instruction (or nil for reads/literals) and
+// hands the instructions that take one the planner's annotations: execution
+// type, blocked output, estimated output bytes. It has no side effects.
 func lowerHop(h *hops.Hop) (runtime.Instruction, error) {
+	inst, err := lowerOp(h)
+	if p, ok := inst.(interface {
+		SetPlan(et types.ExecType, blockedOut bool, estBytes int64)
+	}); ok {
+		p.SetPlan(h.ExecType, h.BlockedOutput, estBytesOf(h))
+	}
+	return inst, err
+}
+
+// lowerOp builds the instruction of one HOP from its operands.
+func lowerOp(h *hops.Hop) (runtime.Instruction, error) {
 	out := tempNameOf(h)
 	in := func(i int) instructions.Operand { return operandOf(h.Inputs[i]) }
 	switch h.Kind {
@@ -239,53 +252,31 @@ func lowerHop(h *hops.Hop) (runtime.Instruction, error) {
 		src := operandOf(h.Inputs[0])
 		return instructions.NewAssign(h.Name, src), nil
 	case hops.KindBinary:
-		inst := instructions.NewBinary(h.Op, out, in(0), in(1))
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+		return instructions.NewBinary(h.Op, out, in(0), in(1)), nil
 	case hops.KindUnary:
-		inst := instructions.NewUnary(h.Op, out, in(0))
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+		return instructions.NewUnary(h.Op, out, in(0)), nil
 	case hops.KindAggUnary:
 		op := h.Op
 		if op == "nnz" {
 			op = "sum" // nnz lowered as sum over (X != 0) is handled upstream; direct fallback
 		}
-		inst := instructions.NewAgg(op, out, in(0))
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+		return instructions.NewAgg(op, out, in(0)), nil
 	case hops.KindMatMult:
 		inst := instructions.NewMatMult(out, in(0), in(1))
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
 		inst.Method = h.MMPlan
-		inst.EstBytes = estBytesOf(h)
 		return inst, nil
 	case hops.KindCompress:
 		if !h.CompressFire {
 			// the planner declined the site: lower to a no-op alias so the
 			// variable flow stays intact at zero runtime cost
-			return instructions.NewAssign(out, operandOf(h.Inputs[0])), nil
+			return instructions.NewAssign(out, in(0)), nil
 		}
-		inst := instructions.NewCompress(out, operandOf(h.Inputs[0]))
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+		return instructions.NewCompress(out, in(0)), nil
 	case hops.KindTSMM:
-		inst := instructions.NewTSMM(out, in(0))
-		inst.ExecType = h.ExecType
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+		return instructions.NewTSMM(out, in(0)), nil
 	case hops.KindMMChain:
 		if h.Op == hops.OpXtY {
-			inst := instructions.NewXtY(out, in(0), in(1))
-			inst.EstBytes = estBytesOf(h)
-			return inst, nil
+			return instructions.NewXtY(out, in(0), in(1)), nil
 		}
 		if len(h.Inputs) == 3 {
 			return instructions.NewMMChain(out, in(0), in(1), in(2), true), nil
@@ -312,11 +303,7 @@ func lowerHop(h *hops.Hop) (runtime.Instruction, error) {
 		default:
 			return nil, fmt.Errorf("compiler: unknown reorg op %q", h.Op)
 		}
-		inst := instructions.NewReorg(opcode, out, in(0))
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+		return instructions.NewReorg(opcode, out, in(0)), nil
 	case hops.KindIndexing:
 		return instructions.NewRightIndex(out, in(0), in(1), in(2), in(3), in(4)), nil
 	case hops.KindLeftIndex:
@@ -326,11 +313,7 @@ func lowerHop(h *hops.Hop) (runtime.Instruction, error) {
 		for i := range h.Inputs {
 			ops[i] = operandOf(h.Inputs[i])
 		}
-		inst := instructions.NewNary(h.Op, out, ops...)
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+		return instructions.NewNary(h.Op, out, ops...), nil
 	case hops.KindTernary:
 		return instructions.NewTernary(out, in(0), in(1), in(2)), nil
 	case hops.KindCast:
@@ -353,23 +336,15 @@ func lowerDataGen(h *hops.Hop, out string) (runtime.Instruction, error) {
 	}
 	switch h.Op {
 	case "rand":
-		inst := instructions.NewRand(out,
+		return instructions.NewRand(out,
 			p("rows", instructions.LitInt(1)), p("cols", instructions.LitInt(1)),
 			p("min", instructions.LitDouble(0)), p("max", instructions.LitDouble(1)),
 			p("sparsity", instructions.LitDouble(1)), p("pdf", instructions.LitString("uniform")),
-			p("seed", instructions.LitInt(42)))
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+			p("seed", instructions.LitInt(42))), nil
 	case "seq":
-		inst := instructions.NewSeq(out,
+		return instructions.NewSeq(out,
 			p("from", instructions.LitDouble(1)), p("to", instructions.LitDouble(1)),
-			p("incr", instructions.LitDouble(1)))
-		inst.ExecType = h.ExecType
-		inst.BlockedOut = h.BlockedOutput
-		inst.EstBytes = estBytesOf(h)
-		return inst, nil
+			p("incr", instructions.LitDouble(1))), nil
 	case "fill":
 		return instructions.NewFill(out,
 			p("value", instructions.LitDouble(0)),

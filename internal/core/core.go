@@ -379,20 +379,14 @@ func fromRuntimeData(d runtime.Data) (any, error) {
 		default:
 			return x.Float64(), nil
 		}
-	case *runtime.MatrixObject:
-		return x.Acquire()
-	case *runtime.BlockedMatrixObject:
-		// API outputs are sinks: collect the blocked matrix lazily here
-		return x.Collect()
-	case *runtime.CompressedMatrixObject:
-		// API outputs are sinks: decompress transparently (counted)
-		return x.DecompressFor("output")
-	case *runtime.TransposedCompressedObject:
-		return x.MaterializeFor("output")
 	case *runtime.FrameObject:
 		return x.Frame, nil
 	case *runtime.FederatedObject:
 		return x.Fed, nil
+	case runtime.MatrixData:
+		// API outputs are sinks: blocked matrices collect here, compressed
+		// ones decompress (counted)
+		return x.LocalFor("output")
 	case *runtime.ListObject:
 		return x, nil
 	default:

@@ -173,12 +173,12 @@ func TestXtYOnCompressedLoop(t *testing.T) {
 	}
 }
 
-// TestXtYOnFederatedX: t(X) %*% y over a federated X pushes the product to
-// the sites (local y shipped in slices, federated y multiplied in place);
-// no worker is ever asked for its data.
-func TestXtYOnFederatedX(t *testing.T) {
-	x := matrix.RandUniform(200, 6, -1, 1, 1.0, 61)
-	y := matrix.RandUniform(200, 1, -1, 1, 1.0, 62)
+// federatedXY serves a 200x6 X and a 200x1 y from two in-process workers, 100
+// rows each, and returns the local matrices next to their federated handles.
+func federatedXY(t *testing.T) (x, y *matrix.MatrixBlock, fx, fy *fed.FederatedMatrix) {
+	t.Helper()
+	x = matrix.RandUniform(200, 6, -1, 1, 1.0, 61)
+	y = matrix.RandUniform(200, 1, -1, 1, 1.0, 62)
 	half := 100
 	ranges := func(cols int64, name string, addrs [2]string) []fed.Range {
 		return []fed.Range{
@@ -197,46 +197,163 @@ func TestXtYOnFederatedX(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w.Shutdown()
+		t.Cleanup(w.Shutdown)
 		addrs[s] = addr
 	}
-	fx, err := fed.NewFederatedMatrix(200, 6, ranges(6, "X", addrs))
-	if err != nil {
+	var err error
+	if fx, err = fed.NewFederatedMatrix(200, 6, ranges(6, "X", addrs)); err != nil {
 		t.Fatal(err)
 	}
-	defer fx.Close()
-	fy, err := fed.NewFederatedMatrix(200, 1, ranges(1, "y", addrs))
-	if err != nil {
+	t.Cleanup(fx.Close)
+	if fy, err = fed.NewFederatedMatrix(200, 1, ranges(1, "y", addrs)); err != nil {
 		t.Fatal(err)
 	}
-	defer fy.Close()
-	want, err := matrix.Multiply(matrix.Transpose(x), y, 1)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(fy.Close)
+	return x, y, fx, fy
+}
+
+// requirePushedDown checks the traced run of eng talked to the workers and
+// never asked one for its data.
+func requirePushedDown(t *testing.T, name string, eng *Engine) {
+	t.Helper()
+	workerCalls := 0
+	for _, r := range eng.TraceRecords() {
+		if r.Cat != obs.CatFed || !strings.HasPrefix(r.Name, "worker:") {
+			continue
+		}
+		workerCalls++
+		if strings.HasPrefix(r.Name, "worker:get") {
+			t.Errorf("%s: worker data was collected (%s)", name, r.Name)
+		}
 	}
-	for name, yIn := range map[string]any{"local y": y, "federated y": fy} {
-		eng := tracedFusionEngine(true, nil)
-		res, stats, err := eng.Execute("g = t(X) %*% y", map[string]any{"X": fx, "y": yIn}, []string{"g"})
+	if workerCalls == 0 {
+		t.Errorf("%s: no worker-side span recorded; the push-down did not run", name)
+	}
+}
+
+// TestXtYOnFederatedX: t(X) %*% y over a federated X pushes the product to
+// the sites (local y shipped in slices, federated y multiplied in place), and
+// the fused chains t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) — the
+// federated gradient step — run as two push-downs inside one mmchain
+// instruction; no worker is ever asked for its data, and fusion on agrees with
+// fusion off and with the local result.
+func TestXtYOnFederatedX(t *testing.T) {
+	x, y, fx, fy := federatedXY(t)
+	v := matrix.RandUniform(6, 1, -1, 1, 1.0, 63)
+	w := matrix.RandUniform(200, 1, 0, 1, 1.0, 64)
+	cases := []struct {
+		name, script string
+		yIn          any
+	}{
+		{"local y", "g = t(X) %*% y", y},
+		{"federated y", "g = t(X) %*% y", fy},
+		{"chain", "g = t(X) %*% (X %*% v)", y},
+		{"weighted chain", "g = t(X) %*% (w * (X %*% v))", y},
+	}
+	for _, tc := range cases {
+		local, _, err := tracedFusionEngine(false, nil).Execute(tc.script,
+			map[string]any{"X": x, "y": y, "v": v, "w": w}, []string{"g"})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: local: %v", tc.name, err)
 		}
-		requireMatricesClose(t, name, res["g"].(*matrix.MatrixBlock), want)
+		want := local["g"].(*matrix.MatrixBlock)
+		inputs := map[string]any{"X": fx, "y": tc.yIn, "v": v, "w": w}
+		unfused, _, err := tracedFusionEngine(false, nil).Execute(tc.script, inputs, []string{"g"})
+		if err != nil {
+			t.Fatalf("%s: fusion off: %v", tc.name, err)
+		}
+		requireMatricesClose(t, tc.name+" (fusion off)", unfused["g"].(*matrix.MatrixBlock), want)
+		eng := tracedFusionEngine(true, nil)
+		res, stats, err := eng.Execute(tc.script, inputs, []string{"g"})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		requireMatricesClose(t, tc.name, res["g"].(*matrix.MatrixBlock), want)
 		counts := instrCounts(stats)
-		if counts["r'"] != 0 || counts["mmchain"] != 1 {
-			t.Errorf("%s: executed r'=%d mmchain=%d, want 0 and 1", name, counts["r'"], counts["mmchain"])
+		if counts["r'"] != 0 || counts["mmchain"] != 1 || counts["ba+*"] != 0 {
+			t.Errorf("%s: executed r'=%d mmchain=%d ba+*=%d, want 0, 1 and 0",
+				tc.name, counts["r'"], counts["mmchain"], counts["ba+*"])
 		}
-		workerCalls := 0
-		for _, r := range eng.TraceRecords() {
-			if r.Cat != obs.CatFed || !strings.HasPrefix(r.Name, "worker:") {
-				continue
-			}
-			workerCalls++
-			if strings.HasPrefix(r.Name, "worker:get") {
-				t.Errorf("%s: worker data was collected (%s)", name, r.Name)
-			}
+		requirePushedDown(t, tc.name, eng)
+	}
+}
+
+// TestNamedTransposeAcrossDAGs: the transpose of a matrix whose transpose stays
+// a view — federated or compressed — bound to a variable is a matrix like any
+// other: it answers nrow/ncol, t() of it folds back to the source, and the
+// multiplies that consume it in a later DAG (an if body inside a loop) run the
+// transpose-free kernels on the source. One view type serves both sources, so
+// one table checks both.
+func TestNamedTransposeAcrossDAGs(t *testing.T) {
+	fxLocal, y, fx, _ := federatedXY(t)
+	cx := lowCardFeatures(2000, 40, 65)
+	cy := matrix.RandUniform(2000, 1, -1, 1, 1.0, 66)
+	const script = `n = 0
+m = 0
+for (i in 1:3) {
+  Xt = t(X)
+  if (i > 0) {
+    n = nrow(Xt)
+    m = ncol(Xt)
+    g = Xt %*% y
+    G = Xt %*% X
+    q = t(Xt) %*% v
+  }
+}`
+	outputs := []string{"n", "m", "g", "G", "q"}
+	for _, tc := range []struct {
+		name     string
+		x        *matrix.MatrixBlock
+		xIn, y   any
+		tune     func(*runtime.Config)
+		pushdown bool
+		// compressed operators per trip besides the fold-back t(Xt)
+		compOps int64
+	}{
+		// federated: every r' is a metadata operation, every product a push-down
+		{name: "federated", x: fxLocal, xIn: fx, y: y, pushdown: true},
+		// compressed: per trip the view, cvm, ctsmm and cmv
+		{name: "compressed", x: cx, xIn: cx, y: cy, compOps: 4,
+			tune: func(c *runtime.Config) { c.CompressionEnabled = true }},
+	} {
+		v := matrix.RandUniform(tc.x.Cols(), 1, -1, 1, 1.0, 67)
+		plain, _, err := tracedFusionEngine(false, nil).Execute(script,
+			map[string]any{"X": tc.x, "y": tc.y, "v": v}, outputs)
+		if err != nil {
+			t.Fatalf("%s: local: %v", tc.name, err)
 		}
-		if workerCalls == 0 {
-			t.Errorf("%s: no worker-side span recorded; the push-down did not run", name)
+		for _, fusion := range []bool{true, false} {
+			eng := tracedFusionEngine(fusion, tc.tune)
+			res, stats, err := eng.Execute(script, map[string]any{"X": tc.xIn, "y": tc.y, "v": v}, outputs)
+			if err != nil {
+				t.Fatalf("%s (fusion %v): %v", tc.name, fusion, err)
+			}
+			if res["n"] != float64(tc.x.Cols()) || res["m"] != float64(tc.x.Rows()) {
+				t.Errorf("%s: nrow(Xt), ncol(Xt) = %v, %v, want %d, %d", tc.name, res["n"], res["m"], tc.x.Cols(), tc.x.Rows())
+			}
+			for _, name := range []string{"g", "G", "q"} {
+				requireMatricesClose(t, tc.name+" "+name, res[name].(*matrix.MatrixBlock), plain[name].(*matrix.MatrixBlock))
+			}
+			// fused, t(Xt) %*% v is one transpose-free product over the view;
+			// unfused, t(Xt) is an instruction of its own that folds back to X
+			foldBacks := int64(3)
+			if fusion {
+				foldBacks = 0
+			}
+			if n := instrCounts(stats)["r'"]; n != 3+foldBacks {
+				t.Errorf("%s (fusion %v): %d transposes executed, want %d", tc.name, fusion, n, 3+foldBacks)
+			}
+			wantOps := 3 * tc.compOps
+			if tc.compOps > 0 {
+				wantOps += foldBacks
+			}
+			if cs := stats.CompressStats; cs.CompressedOps != wantOps || cs.Decompressions != 0 {
+				t.Errorf("%s (fusion %v): compressed ops = %d, decompressions = %d, want %d and 0",
+					tc.name, fusion, cs.CompressedOps, cs.Decompressions, wantOps)
+			}
+			if tc.pushdown {
+				requirePushedDown(t, tc.name, eng)
+			}
 		}
 	}
 }

@@ -42,10 +42,10 @@ func TestWorkloadFilesAndRunners(t *testing.T) {
 		t.Errorf("workload X dims %dx%d", x.Rows(), x.Cols())
 	}
 	// SysDS end-to-end workload with and without reuse
-	if _, _, err := RunSysDSWorkload(dir, xPath, yPath, 3, false, false); err != nil {
+	if _, _, err := RunSysDSWorkload(dir, xPath, yPath, 3, false); err != nil {
 		t.Fatalf("sysds workload: %v", err)
 	}
-	elapsed, stats, err := RunSysDSWorkload(dir, xPath, yPath, 3, true, false)
+	elapsed, stats, err := RunSysDSWorkload(dir, xPath, yPath, 3, true)
 	if err != nil {
 		t.Fatalf("sysds reuse workload: %v", err)
 	}

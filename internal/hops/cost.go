@@ -633,8 +633,9 @@ func blockedProducer(h *Hop) bool {
 // Plan runs the physical planner over a rewritten, size-annotated DAG: it
 // attaches cost estimates, selects execution types by comparing the modeled
 // costs of the feasible placements, and chooses the physical matmult strategy
-// for distributed multiplications. It replaces the former threshold-only
-// SelectExecTypes as the single decision site.
+// for distributed multiplications: the single decision site. Operators with
+// unknown sizes conservatively run in CP and are subject to dynamic
+// recompilation once sizes are known.
 func Plan(d *DAG, p PlannerParams) {
 	for _, h := range d.Nodes() {
 		h.ExecType = types.ExecCP

@@ -189,6 +189,12 @@ func TestPropagateSizesSpecificOps(t *testing.T) {
 	}
 }
 
+// planWithBudget runs the planner the way the tests below need it: default
+// block size, the given operator budget, blocked backend on or off.
+func planWithBudget(d *DAG, memBudget int64, distEnabled bool) {
+	Plan(d, PlannerParams{MemBudget: memBudget, DistEnabled: distEnabled, Blocksize: types.DefaultBlocksize})
+}
+
 func TestSelectExecTypes(t *testing.T) {
 	x := NewRead("X", types.Matrix)
 	z := NewRead("z", types.Matrix)
@@ -202,7 +208,7 @@ func TestSelectExecTypes(t *testing.T) {
 		"z": types.NewDataCharacteristics(10, 10, 1024, 100),
 	}
 	PropagateSizes(dag, known)
-	SelectExecTypes(dag, 1<<20, true) // 1 MB budget forces DIST for the multiply
+	planWithBudget(dag, 1<<20, true) // 1 MB budget forces DIST for the multiply
 	if big.ExecType != types.ExecDist {
 		t.Errorf("large matmult exec type = %s, want DIST", big.ExecType)
 	}
@@ -210,7 +216,7 @@ func TestSelectExecTypes(t *testing.T) {
 		t.Errorf("small aggregate exec type = %s, want CP", small.ExecType)
 	}
 	// with the distributed backend disabled everything stays in CP
-	SelectExecTypes(dag, 1<<20, false)
+	planWithBudget(dag, 1<<20, false)
 	if big.ExecType != types.ExecCP {
 		t.Error("disabled backend must keep operators in CP")
 	}
@@ -232,7 +238,7 @@ func TestPropagateBlockedOutputs(t *testing.T) {
 		"W": types.NewDataCharacteristics(5000, 100, 1024, -1),
 	}
 	PropagateSizes(dag, known)
-	SelectExecTypes(dag, 1<<20, true)
+	planWithBudget(dag, 1<<20, true)
 	PropagateBlockedOutputs(dag)
 	if !add.BlockedOutput {
 		t.Error("add feeding a Dist matmult must stay blocked")
@@ -254,7 +260,7 @@ func TestPropagateBlockedOutputs(t *testing.T) {
 	PropagateSizes(dag2, map[string]types.DataCharacteristics{
 		"Y": types.NewDataCharacteristics(5000, 5000, 1024, -1),
 	})
-	SelectExecTypes(dag2, 1<<20, true)
+	planWithBudget(dag2, 1<<20, true)
 	// force the consumer to CP to model a mixed chain
 	cpDiag.ExecType = types.ExecCP
 	PropagateBlockedOutputs(dag2)
@@ -274,7 +280,7 @@ func TestSelectExecTypesNaryConcat(t *testing.T) {
 		"B": types.NewDataCharacteristics(5000, 5000, 1024, -1),
 	}
 	PropagateSizes(dag, known)
-	SelectExecTypes(dag, 1<<20, true)
+	planWithBudget(dag, 1<<20, true)
 	if rb.ExecType != types.ExecDist {
 		t.Errorf("large rbind exec type = %s, want DIST", rb.ExecType)
 	}

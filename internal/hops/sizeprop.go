@@ -293,16 +293,6 @@ func estimateMemory(h *Hop) int64 {
 	return out + maxIn
 }
 
-// SelectExecTypes assigns an execution type to every operator by running the
-// cost-based physical planner (cost.go) with the default block size:
-// operators whose estimate fits in the budget run in the local control
-// program (CP), larger ones are compiled to the blocked distributed backend
-// (the Spark substitute). Operators with unknown sizes conservatively run in
-// CP and are subject to dynamic recompilation once sizes are known.
-func SelectExecTypes(d *DAG, memBudget int64, distEnabled bool) {
-	Plan(d, PlannerParams{MemBudget: memBudget, DistEnabled: distEnabled, Blocksize: types.DefaultBlocksize})
-}
-
 // rowColAggs are the aggregations with matrix (vector) outputs that the
 // blocked backend can keep blocked; full aggregates produce scalars.
 var rowColAggs = map[string]bool{
@@ -318,7 +308,7 @@ func keepsBlockedOutput(h *Hop) bool {
 	return !(h.Kind == KindTSMM || (h.Kind == KindAggUnary && !rowColAggs[h.Op]))
 }
 
-// PropagateBlockedOutputs runs after SelectExecTypes and decides, per Dist
+// PropagateBlockedOutputs runs after Plan and decides, per Dist
 // operator, whether its result stays in the blocked representation. A result
 // stays blocked unless every consumer is a CP compute operator (in which case
 // the instruction collects eagerly and the blocked wrap would only add

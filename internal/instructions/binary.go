@@ -29,20 +29,13 @@ func IsBinaryOp(op string) bool {
 // scalars, including string concatenation with "+".
 type BinaryInst struct {
 	base
+	plan
 	Left, Right Operand
-	// ExecType selects the distributed backend for large operands.
-	ExecType types.ExecType
-	// BlockedOut keeps the result in blocked representation (set by the
-	// compiler when a downstream consumer is also a Dist operator).
-	BlockedOut bool
-	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
-	// recorded next to the actual bytes when the operator runs blocked.
-	EstBytes int64
 }
 
 // NewBinary creates a binary instruction.
 func NewBinary(op string, out string, left, right Operand) *BinaryInst {
-	inst := &BinaryInst{Left: left, Right: right, EstBytes: -1}
+	inst := &BinaryInst{plan: unplanned, Left: left, Right: right}
 	inst.base = newBase(op, []string{out}, "", left, right)
 	return inst
 }

@@ -113,8 +113,7 @@ func (i *CastInst) Execute(ctx *runtime.Context) error {
 		switch v := d.(type) {
 		case *runtime.Scalar:
 			ctx.Set(i.outs[0], v)
-		case *runtime.MatrixObject, *runtime.BlockedMatrixObject,
-			*runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
+		case runtime.MatrixData:
 			blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
 			if err != nil {
 				return err
@@ -128,13 +127,9 @@ func (i *CastInst) Execute(ctx *runtime.Context) error {
 		}
 	case "castsdm": // as.matrix
 		switch v := d.(type) {
-		case *runtime.MatrixObject:
-			ctx.Set(i.outs[0], v)
-		case *runtime.BlockedMatrixObject:
-			ctx.Set(i.outs[0], v)
-		case *runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
-			// as.matrix of a compressed value is the value itself: keep the
-			// compressed representation, consumers dispatch as usual
+		case runtime.MatrixData:
+			// as.matrix of a matrix is the value itself, in whatever
+			// representation it has: consumers dispatch as usual
 			ctx.Set(i.outs[0], v)
 		case *runtime.Scalar:
 			m := matrix.NewDense(1, 1)
@@ -442,26 +437,8 @@ func resolveFrame(ctx *runtime.Context, op Operand) (*frame.FrameBlock, error) {
 	switch v := d.(type) {
 	case *runtime.FrameObject:
 		return v.Frame, nil
-	case *runtime.MatrixObject:
-		blk, err := v.Acquire()
-		if err != nil {
-			return nil, err
-		}
-		return frame.FromMatrix(blk), nil
-	case *runtime.BlockedMatrixObject:
-		blk, err := v.Collect()
-		if err != nil {
-			return nil, err
-		}
-		return frame.FromMatrix(blk), nil
-	case *runtime.CompressedMatrixObject:
-		blk, err := v.DecompressFor("frame")
-		if err != nil {
-			return nil, err
-		}
-		return frame.FromMatrix(blk), nil
-	case *runtime.TransposedCompressedObject:
-		blk, err := v.MaterializeFor("frame")
+	case runtime.MatrixData:
+		blk, err := v.LocalFor("frame")
 		if err != nil {
 			return nil, err
 		}

@@ -13,16 +13,13 @@ import (
 // the site is always safe to execute.
 type CompressInst struct {
 	base
-	In Operand
-	// EstBytes is the planner's estimated uncompressed operand size (-1
-	// unknown), surfaced next to the achieved compressed size in the plan
-	// statistics.
-	EstBytes int64
+	plan // EstBytes is the estimated uncompressed size of the operand here
+	In   Operand
 }
 
 // NewCompress creates a compress instruction.
 func NewCompress(out string, in Operand) *CompressInst {
-	inst := &CompressInst{In: in, EstBytes: -1}
+	inst := &CompressInst{plan: unplanned, In: in}
 	inst.base = newBase("compress", []string{out}, "", in)
 	return inst
 }
@@ -55,11 +52,4 @@ func (i *CompressInst) Execute(ctx *runtime.Context) error {
 	ctx.RecordPlan(i.opcode, cm.EncodingSummary(), i.EstBytes, cm.InMemorySize())
 	ctx.SetCompressed(i.outs[0], cm)
 	return nil
-}
-
-// resolveCompressed returns the compressed matrix behind a data object when
-// the operand is a first-class compressed value.
-func resolveCompressed(d runtime.Data) (*runtime.CompressedMatrixObject, bool) {
-	co, ok := d.(*runtime.CompressedMatrixObject)
-	return co, ok
 }

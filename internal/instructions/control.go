@@ -1,6 +1,7 @@
 package instructions
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -54,21 +55,20 @@ func (i *PrintInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return err
 	}
-	switch v := d.(type) {
-	case *runtime.Scalar:
-		fmt.Fprintln(ctx.Out, v.StringValue())
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject,
-		*runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
+	if _, ok := d.(runtime.MatrixData); ok {
 		// sinks acquire local matrices, lazily collect blocked ones and
-		// transparently decompress compressed ones
+		// transparently decompress compressed ones; federated data stays at
+		// its sites and prints as its description
 		blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
-		if err != nil {
+		if err == nil {
+			fmt.Fprintln(ctx.Out, blk.String())
+			return nil
+		}
+		if !errors.Is(err, runtime.ErrFederated) {
 			return err
 		}
-		fmt.Fprintln(ctx.Out, blk.String())
-	default:
-		fmt.Fprintln(ctx.Out, d.String())
 	}
+	fmt.Fprintln(ctx.Out, d.String())
 	return nil
 }
 
@@ -227,8 +227,7 @@ func (i *WriteInst) Execute(ctx *runtime.Context) error {
 		return err
 	}
 	switch v := d.(type) {
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject,
-		*runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
+	case runtime.MatrixData:
 		// sinks acquire local matrices, lazily collect blocked ones and
 		// transparently decompress compressed ones
 		blk, err := i.In.MatrixBlockFor(ctx, i.opcode)

@@ -16,14 +16,8 @@ import (
 // one local allocation just to be cut apart again.
 type DataGenInst struct {
 	base
+	plan        // rand/seq planned Dist generate blocked
 	Kind string // "rand", "seq", "fill", "sample"
-	// ExecType selects blocked generation for outputs above the dist budget.
-	ExecType types.ExecType
-	// BlockedOut keeps the generated result in blocked representation.
-	BlockedOut bool
-	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
-	// recorded next to the actual bytes when the operator runs blocked.
-	EstBytes int64
 	// rand parameters
 	Rows, Cols         Operand
 	Min, Max, Sparsity Operand
@@ -40,14 +34,14 @@ type DataGenInst struct {
 
 // NewRand creates a rand data generation instruction.
 func NewRand(out string, rows, cols, minV, maxV, sparsity, pdf, seed Operand) *DataGenInst {
-	inst := &DataGenInst{Kind: "rand", Rows: rows, Cols: cols, Min: minV, Max: maxV, Sparsity: sparsity, PDF: pdf, Seed: seed, EstBytes: -1}
+	inst := &DataGenInst{Kind: "rand", Rows: rows, Cols: cols, Min: minV, Max: maxV, Sparsity: sparsity, PDF: pdf, Seed: seed, plan: unplanned}
 	inst.base = newBase("rand", []string{out}, "", rows, cols, minV, maxV, sparsity, pdf, seed)
 	return inst
 }
 
 // NewSeq creates a seq data generation instruction.
 func NewSeq(out string, from, to, incr Operand) *DataGenInst {
-	inst := &DataGenInst{Kind: "seq", From: from, To: to, Incr: incr, EstBytes: -1}
+	inst := &DataGenInst{Kind: "seq", From: from, To: to, Incr: incr, plan: unplanned}
 	inst.base = newBase("seq", []string{out}, "", from, to, incr)
 	return inst
 }

@@ -57,15 +57,6 @@ func resolveBlockedData(ctx *runtime.Context, d runtime.Data, o Operand) (*dist.
 	return bm, nil
 }
 
-// resolveBlocked resolves an operand into blocked form.
-func resolveBlocked(ctx *runtime.Context, o Operand) (*dist.BlockedMatrix, error) {
-	d, err := o.Resolve(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return resolveBlockedData(ctx, d, o)
-}
-
 // resolveBlockedPair resolves two operands into blocked form, partitioning at
 // most once when both reference the same data object (e.g. X + X).
 func resolveBlockedPair(ctx *runtime.Context, a, b Operand) (*dist.BlockedMatrix, *dist.BlockedMatrix, error) {
@@ -117,19 +108,10 @@ func bindBlockedResult(ctx *runtime.Context, name string, bm *dist.BlockedMatrix
 // matrixDims returns the dimensions of a matrix-typed data object without
 // touching (or collecting) the data.
 func matrixDims(d runtime.Data) (rows, cols int64, ok bool) {
-	switch v := d.(type) {
-	case *runtime.MatrixObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
-	case *runtime.BlockedMatrixObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
-	case *runtime.CompressedMatrixObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
-	case *runtime.TransposedCompressedObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
+	md, ok := d.(runtime.MatrixData)
+	if !ok {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	dc := md.DataCharacteristics()
+	return dc.Rows, dc.Cols, true
 }

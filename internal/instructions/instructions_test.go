@@ -261,15 +261,6 @@ func TestMatMultAndTSMMInstructions(t *testing.T) {
 	if !getMat(t, ctx, "G").Equals(matrix.TSMM(x, 1), 1e-9) {
 		t.Error("tsmm wrong")
 	}
-	// BLAS kernel path
-	ctx.Config.UseBLAS = true
-	if err := NewMatMult("PB", Var("X"), Var("Y")).Execute(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if !getMat(t, ctx, "PB").Equals(want, 1e-9) {
-		t.Error("BLAS matmult wrong")
-	}
-	ctx.Config.UseBLAS = false
 	// distributed path
 	ctx.Config.DistEnabled = true
 	mm := NewMatMult("PD", Var("X"), Var("Y"))

@@ -1,7 +1,7 @@
 // Package instructions implements the runtime instruction set of SystemDS-Go
 // (the physical operators produced by lowering HOP DAGs, Section 2.3): data
 // generation, unary/binary/ternary operations, aggregations, matrix
-// multiplication with local, BLAS-like, distributed and federated variants,
+// multiplication with local, compressed, distributed and federated variants,
 // reorganizations, indexing, linear system solvers, parameterized builtins,
 // frame transformations, I/O, control instructions and function calls.
 package instructions
@@ -12,6 +12,7 @@ import (
 
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
+	"github.com/systemds/systemds-go/internal/types"
 )
 
 // Operand is an instruction operand: either a variable reference or a scalar
@@ -56,15 +57,12 @@ func (o Operand) Scalar(ctx *runtime.Context) (*runtime.Scalar, error) {
 	}
 	s, ok := d.(*runtime.Scalar)
 	if !ok {
-		if mo, isMat := d.(*runtime.MatrixObject); isMat {
-			dc := mo.DataCharacteristics()
-			if dc.Rows == 1 && dc.Cols == 1 {
-				blk, err := mo.Acquire()
-				if err != nil {
-					return nil, err
-				}
-				return runtime.NewDouble(blk.Get(0, 0)), nil
+		if rows, cols, isMat := matrixDims(d); isMat && rows == 1 && cols == 1 {
+			blk, err := o.MatrixBlock(ctx)
+			if err != nil {
+				return nil, err
 			}
+			return runtime.NewDouble(blk.Get(0, 0)), nil
 		}
 		return nil, fmt.Errorf("instructions: operand %s is not a scalar", o.Desc())
 	}
@@ -81,9 +79,7 @@ func (o Operand) MatrixBlock(ctx *runtime.Context) (*matrix.MatrixBlock, error) 
 // read forces a fallback decompression of a compressed variable.
 func (o Operand) MatrixBlockFor(ctx *runtime.Context, op string) (*matrix.MatrixBlock, error) {
 	if o.IsLit {
-		m := matrix.NewDense(1, 1)
-		m.Set(0, 0, o.Lit.Float64())
-		return m, nil
+		return runtime.LocalBlockOf("", o.Lit, op)
 	}
 	return ctx.GetMatrixBlockFor(o.Name, op)
 }
@@ -141,6 +137,28 @@ func litDescs(ops ...Operand) string {
 		}
 	}
 	return strings.Join(parts, ",")
+}
+
+// plan is what the compiler's planner decided for an operator; the
+// instructions that can run blocked or that record a plan embed it, and
+// lowering fills it in through SetPlan.
+type plan struct {
+	// ExecType selects the distributed backend for large operands.
+	ExecType types.ExecType
+	// BlockedOut keeps the result in blocked representation (set when a
+	// downstream consumer is also a Dist operator).
+	BlockedOut bool
+	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
+	// recorded next to the actual bytes in the plan statistics.
+	EstBytes int64
+}
+
+// unplanned is the plan of an instruction built outside the compiler.
+var unplanned = plan{EstBytes: -1}
+
+// SetPlan hands the instruction the planner's annotations.
+func (p *plan) SetPlan(et types.ExecType, blockedOut bool, estBytes int64) {
+	*p = plan{ExecType: et, BlockedOut: blockedOut, EstBytes: estBytes}
 }
 
 // base provides the common operand bookkeeping embedded by all instructions.

@@ -6,26 +6,19 @@ import (
 	"github.com/systemds/systemds-go/internal/dist"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
-	"github.com/systemds/systemds-go/internal/types"
 )
 
 // ReorgInst implements reorganization operations: transpose (opcode "r'"),
 // diag ("rdiag") and row reversal ("rev").
 type ReorgInst struct {
 	base
+	plan
 	In Operand
-	// ExecType selects the distributed backend for large operands.
-	ExecType types.ExecType
-	// BlockedOut keeps the result in blocked representation.
-	BlockedOut bool
-	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
-	// recorded next to the actual bytes when the operator runs blocked.
-	EstBytes int64
 }
 
 // NewReorg creates a reorg instruction with the given opcode.
 func NewReorg(opcode, out string, in Operand) *ReorgInst {
-	inst := &ReorgInst{In: in, EstBytes: -1}
+	inst := &ReorgInst{plan: unplanned, In: in}
 	inst.base = newBase(opcode, []string{out}, "", in)
 	return inst
 }
@@ -36,23 +29,12 @@ func (i *ReorgInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return err
 	}
-	// transpose of a federated matrix stays a metadata operation
-	if fo, ok := d.(*runtime.FederatedObject); ok && i.opcode == "r'" {
-		ctx.Set(i.outs[0], &TransposedFederated{Source: fo})
-		return nil
-	}
-	// transpose of a compressed matrix stays a zero-cost view: t(X) %*% v
-	// consumers run the vector-matrix kernel over the groups, and t(t(X))
-	// folds back to the source
+	// the transpose of a compressed or federated matrix stays a zero-cost view
+	// (t(X) %*% Y consumers run the transpose-free kernels on X), and the
+	// transpose of a view folds back to its source
 	if i.opcode == "r'" {
-		if co, ok := resolveCompressed(d); ok {
-			ctx.CountCompressedOp()
-			ctx.Set(i.outs[0], &runtime.TransposedCompressedObject{Source: co})
-			return nil
-		}
-		if tc, ok := d.(*runtime.TransposedCompressedObject); ok {
-			ctx.CountCompressedOp()
-			ctx.Set(i.outs[0], tc.Source)
+		if view, ok := transposeView(ctx, d); ok {
+			ctx.Set(i.outs[0], view)
 			return nil
 		}
 	}
@@ -95,19 +77,13 @@ func (i *ReorgInst) Execute(ctx *runtime.Context) error {
 // NaryInst implements n-ary operations over matrices: cbind and rbind.
 type NaryInst struct {
 	base
+	plan
 	Ins []Operand
-	// ExecType selects the distributed backend for large operands.
-	ExecType types.ExecType
-	// BlockedOut keeps the result in blocked representation.
-	BlockedOut bool
-	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
-	// recorded next to the actual bytes when the operator runs blocked.
-	EstBytes int64
 }
 
 // NewNary creates a cbind/rbind instruction.
 func NewNary(opcode, out string, ins ...Operand) *NaryInst {
-	inst := &NaryInst{Ins: ins, EstBytes: -1}
+	inst := &NaryInst{plan: unplanned, Ins: ins}
 	inst.base = newBase(opcode, []string{out}, "", ins...)
 	return inst
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/systemds/systemds-go/internal/dist"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
-	"github.com/systemds/systemds-go/internal/types"
 )
 
 // unaryOps maps DML unary function names to matrix kernel operations.
@@ -29,19 +28,13 @@ func IsUnaryOp(op string) bool {
 // UnaryInst applies an element-wise unary operation to a matrix or scalar.
 type UnaryInst struct {
 	base
+	plan
 	In Operand
-	// ExecType selects the distributed backend for large operands.
-	ExecType types.ExecType
-	// BlockedOut keeps the result in blocked representation.
-	BlockedOut bool
-	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
-	// recorded next to the actual bytes when the operator runs blocked.
-	EstBytes int64
 }
 
 // NewUnary creates a unary instruction.
 func NewUnary(op string, out string, in Operand) *UnaryInst {
-	inst := &UnaryInst{In: in, EstBytes: -1}
+	inst := &UnaryInst{plan: unplanned, In: in}
 	inst.base = newBase(op, []string{out}, "", in)
 	return inst
 }
@@ -75,7 +68,7 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 		ctx.CountCompressedOp()
 		ctx.SetCompressed(i.outs[0], cm.MapValues(op.Apply, ctx.Config.Threads()))
 		return nil
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject, *runtime.TransposedCompressedObject:
+	case runtime.MatrixData:
 		if useDist(ctx, i.ExecType, d) {
 			bm, err := resolveBlockedData(ctx, d, i.In)
 			if err != nil {
@@ -117,19 +110,13 @@ func IsAggOp(op string) bool { return scalarAggs[op] || vectorAggs[op] }
 // AggInst computes full, row-wise or column-wise aggregates.
 type AggInst struct {
 	base
+	plan
 	In Operand
-	// ExecType selects the distributed backend for large operands.
-	ExecType types.ExecType
-	// BlockedOut keeps row/column aggregate results in blocked representation.
-	BlockedOut bool
-	// EstBytes is the planner's estimated output size in bytes (-1 unknown),
-	// recorded next to the actual bytes when the operator runs blocked.
-	EstBytes int64
 }
 
 // NewAgg creates an aggregation instruction.
 func NewAgg(op string, out string, in Operand) *AggInst {
-	inst := &AggInst{In: in, EstBytes: -1}
+	inst := &AggInst{plan: unplanned, In: in}
 	inst.base = newBase(op, []string{out}, "", in)
 	return inst
 }
@@ -342,12 +329,6 @@ func (i *AggInst) tryDistributed(ctx *runtime.Context, d runtime.Data) error {
 // executeFederated pushes supported aggregates to federated workers.
 func (i *AggInst) executeFederated(ctx *runtime.Context, fo *runtime.FederatedObject) error {
 	switch i.opcode {
-	case "nrow":
-		ctx.Set(i.outs[0], runtime.NewInt(fo.Fed.Rows))
-	case "ncol":
-		ctx.Set(i.outs[0], runtime.NewInt(fo.Fed.Cols))
-	case "length":
-		ctx.Set(i.outs[0], runtime.NewInt(fo.Fed.Rows*fo.Fed.Cols))
 	case "sum":
 		s, err := fo.Fed.Sum()
 		if err != nil {

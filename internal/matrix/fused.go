@@ -887,7 +887,7 @@ func TransposeMultiply(x, y *MatrixBlock, threads int) (*MatrixBlock, error) {
 		return out, nil
 	}
 	yd := asDense(y)
-	if !x.IsSparse() && gemmUseTiled(n, m, k) {
+	if !x.IsSparse() && gemmUseTiled(gemmAuto, n, m, k) {
 		out.nnz = accDenseDenseTiled(out, x, yd, resolveThreads(threads), true)
 		return out, nil
 	}

@@ -56,37 +56,24 @@ const gemmPackARows = (gemmMC + gemmMR - 1) / gemmMR * gemmMR
 // will pick from one shared number.
 const TiledGEMMCrossoverFLOPs = 2 * 128 * 128 * 128
 
-// GEMMKernel selects the dense GEMM kernel implementation.
-type GEMMKernel int32
+// gemmKernel names a dense GEMM kernel. Every exported entry point passes
+// gemmAuto — the tiled engine above TiledGEMMCrossoverFLOPs, the simple blocked
+// loop below it; the two are bitwise-interchangeable for finite inputs
+// (identical per-cell accumulation order), and the in-package tests pin them
+// against each other at any size by naming gemmSimple or gemmTiled.
+type gemmKernel int
 
-// Dense kernel selection modes: GEMMAuto picks the tiled engine above
-// TiledGEMMCrossoverFLOPs and the simple blocked loop below it; GEMMSimple and
-// GEMMTiled force one implementation (tests and benchmarks).
 const (
-	GEMMAuto GEMMKernel = iota
-	GEMMSimple
-	GEMMTiled
+	gemmAuto gemmKernel = iota
+	gemmSimple
+	gemmTiled
 )
-
-var gemmKernelMode atomic.Int32
-
-// SetGEMMKernel overrides the dense kernel selection and returns the previous
-// mode. The forced kernels are bitwise-interchangeable for finite inputs
-// (identical per-cell accumulation order); the knob exists so tests can pin
-// both paths against each other and benchmarks can time each kernel at any
-// size.
-func SetGEMMKernel(k GEMMKernel) GEMMKernel {
-	return GEMMKernel(gemmKernelMode.Swap(int32(k)))
-}
 
 // gemmUseTiled decides whether an m x k %*% k x n dense multiply runs on the
 // tiled engine.
-func gemmUseTiled(m, k, n int) bool {
-	switch GEMMKernel(gemmKernelMode.Load()) {
-	case GEMMSimple:
-		return false
-	case GEMMTiled:
-		return true
+func gemmUseTiled(kern gemmKernel, m, k, n int) bool {
+	if kern != gemmAuto {
+		return kern == gemmTiled
 	}
 	if m < gemmMR || n < gemmNR {
 		// degenerate shapes (vectors, outer products) waste most of every
@@ -98,12 +85,9 @@ func gemmUseTiled(m, k, n int) bool {
 
 // tsmmUseTiled decides whether a TSMM chunk of `rows` rows over n columns
 // runs on the tiled engine (flops ~ 2*rows*n*n over the full square).
-func tsmmUseTiled(rows, n int) bool {
-	switch GEMMKernel(gemmKernelMode.Load()) {
-	case GEMMSimple:
-		return false
-	case GEMMTiled:
-		return true
+func tsmmUseTiled(kern gemmKernel, rows, n int) bool {
+	if kern != gemmAuto {
+		return kern == gemmTiled
 	}
 	if n < gemmNR {
 		return false

@@ -36,27 +36,9 @@ func Multiply(a, b *MatrixBlock, threads int) (*MatrixBlock, error) {
 	case b.IsSparse():
 		out = multDenseSparse(a, b, threads)
 	default:
-		out = multDenseDense(a, b, threads, false)
+		out = multDenseDense(a, b, threads, gemmAuto)
 	}
 	return out, nil
-}
-
-// MultiplyBLAS computes a %*% b with the register-blocked dense engine that
-// stands in for a native BLAS library (SysDS-B in Figure 5(a)): the tiled
-// micro-kernel above the size crossover, the unrolled blocked loop below it.
-// Sparse inputs are densified first.
-func MultiplyBLAS(a, b *MatrixBlock, threads int) (*MatrixBlock, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("matrix: multiply dimension mismatch %dx%d %%*%% %dx%d", a.rows, a.cols, b.rows, b.cols)
-	}
-	threads = resolveThreads(threads)
-	ad, bd := asDense(a), asDense(b)
-	if gemmUseTiled(ad.rows, ad.cols, bd.cols) {
-		out := NewDense(ad.rows, bd.cols)
-		out.nnz = accDenseDenseTiled(out, ad, bd, threads, false)
-		return out, nil
-	}
-	return multDenseDense(ad, bd, threads, true), nil
 }
 
 // asDense returns m itself when already dense, or a fresh dense block
@@ -123,54 +105,13 @@ func countRowRangeNNZ(cv []float64, n, r0, r1 int) int64 {
 	return cnt
 }
 
-// multDenseDense is the dense GEMM kernel. The standard kernel uses an
-// i-k-j loop order with cache blocking over k and j; the "blas" variant adds
-// 4-way unrolling over j to approximate a vectorized library kernel.
-func multDenseDense(a, b *MatrixBlock, threads int, blas bool) *MatrixBlock {
-	m, k, n := a.rows, a.cols, b.cols
-	out := NewDense(m, n)
-	if !blas {
-		// the standard kernel IS one accumulate pass into a zeroed output;
-		// sharing gemmAcc keeps its per-cell accumulation order structurally
-		// identical to MultiplyAcc (the bitwise-equality contract of the
-		// blocked shuffle/broadcast-left executors)
-		out.nnz = gemmAcc(out, a, b, threads)
-		return out
-	}
-	av, bv, cv := a.dense, b.dense, out.dense
-	var nnz atomic.Int64
-	const blkK, blkJ = 64, 512
-	parallelRows(m, threads, func(r0, r1 int) {
-		for kk := 0; kk < k; kk += blkK {
-			kmax := min(kk+blkK, k)
-			for jj := 0; jj < n; jj += blkJ {
-				jmax := min(jj+blkJ, n)
-				for i := r0; i < r1; i++ {
-					ci := cv[i*n : (i+1)*n]
-					ai := av[i*k : (i+1)*k]
-					for kp := kk; kp < kmax; kp++ {
-						aval := ai[kp]
-						if aval == 0 {
-							continue
-						}
-						brow := bv[kp*n : (kp+1)*n]
-						j := jj
-						for ; j+4 <= jmax; j += 4 {
-							ci[j] += float64(aval * brow[j])
-							ci[j+1] += float64(aval * brow[j+1])
-							ci[j+2] += float64(aval * brow[j+2])
-							ci[j+3] += float64(aval * brow[j+3])
-						}
-						for ; j < jmax; j++ {
-							ci[j] += float64(aval * brow[j])
-						}
-					}
-				}
-			}
-		}
-		nnz.Add(countRowRangeNNZ(cv, n, r0, r1))
-	})
-	out.nnz = nnz.Load()
+// multDenseDense is the dense GEMM kernel: one accumulate pass into a zeroed
+// output. Sharing gemmAcc keeps its per-cell accumulation order structurally
+// identical to MultiplyAcc (the bitwise-equality contract of the blocked
+// shuffle/broadcast-left executors).
+func multDenseDense(a, b *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
+	out := NewDense(a.rows, b.cols)
+	out.nnz = gemmAcc(out, a, b, threads, kern)
 	return out
 }
 
@@ -183,8 +124,8 @@ func multDenseDense(a, b *MatrixBlock, threads int, blas bool) *MatrixBlock {
 // interchangeable for finite inputs and the stripe-accumulation contract
 // holds across the crossover (a stripe small enough for the simple loop
 // accumulates onto a tiled full product without any drift).
-func gemmAcc(acc, a, b *MatrixBlock, threads int) int64 {
-	if gemmUseTiled(a.rows, a.cols, b.cols) {
+func gemmAcc(acc, a, b *MatrixBlock, threads int, kern gemmKernel) int64 {
+	if gemmUseTiled(kern, a.rows, a.cols, b.cols) {
 		return accDenseDenseTiled(acc, a, b, threads, false)
 	}
 	return accDenseDense(acc, a, b, threads)
@@ -355,6 +296,12 @@ func multSparseSparse(a, b *MatrixBlock, threads int) *MatrixBlock {
 // The accumulator is densified in place; sparse inputs are multiplied through
 // densified copies so the accumulation order stays the same.
 func MultiplyAcc(acc, a, b *MatrixBlock, threads int) error {
+	return multiplyAcc(acc, a, b, threads, gemmAuto)
+}
+
+// multiplyAcc is MultiplyAcc on an explicit dense kernel; only the in-package
+// simple-versus-tiled tests pass anything but gemmAuto.
+func multiplyAcc(acc, a, b *MatrixBlock, threads int, kern gemmKernel) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("matrix: multiply-acc dimension mismatch %dx%d %%*%% %dx%d", a.rows, a.cols, b.rows, b.cols)
 	}
@@ -363,21 +310,24 @@ func MultiplyAcc(acc, a, b *MatrixBlock, threads int) error {
 	}
 	acc.ToDense()
 	ad, bd := asDense(a), asDense(b)
-	acc.nnz = gemmAcc(acc, ad, bd, resolveThreads(threads))
+	acc.nnz = gemmAcc(acc, ad, bd, resolveThreads(threads), kern)
 	return nil
 }
 
 // TSMM computes t(X) %*% X directly without materializing the transpose.
 // This is the fused operator the HOP rewrite t(X)%*%X -> tsmm maps to, and
 // the operation at the heart of the paper's lmDS workload.
-func TSMM(x *MatrixBlock, threads int) *MatrixBlock {
+func TSMM(x *MatrixBlock, threads int) *MatrixBlock { return tsmm(x, threads, gemmAuto) }
+
+// tsmm is TSMM on an explicit dense kernel (see multiplyAcc).
+func tsmm(x *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
 	threads = resolveThreads(threads)
 	n := x.cols
 	out := NewDense(n, n)
 	if x.IsSparse() {
 		tsmmSparse(x, out, threads)
 	} else {
-		tsmmDense(x, out, threads)
+		tsmmDense(x, out, threads, kern)
 	}
 	// mirror the upper triangle into the lower triangle, counting non-zeros
 	// in the same pass (each off-diagonal non-zero appears twice)
@@ -398,7 +348,7 @@ func TSMM(x *MatrixBlock, threads int) *MatrixBlock {
 	return out
 }
 
-func tsmmDense(x, out *MatrixBlock, threads int) {
+func tsmmDense(x, out *MatrixBlock, threads int, kern gemmKernel) {
 	m, n := x.rows, x.cols
 	xv := x.dense
 	// Each worker accumulates a private upper-triangular result over a chunk
@@ -423,7 +373,7 @@ func tsmmDense(x, out *MatrixBlock, threads int) {
 		go func(t, r0, r1 int) {
 			defer wg.Done()
 			buf := gemmZeroBuf(n * n)
-			if tsmmUseTiled(r1-r0, n) {
+			if tsmmUseTiled(kern, r1-r0, n) {
 				tsmmTiledChunk(buf.f, xv, n, r0, r1)
 			} else {
 				tsmmSimpleChunk(buf.f, xv, n, r0, r1)

@@ -6,14 +6,6 @@ import (
 	"testing"
 )
 
-// forceKernel pins the dense GEMM kernel selection for the duration of a
-// test and restores the previous mode on cleanup.
-func forceKernel(t *testing.T, k GEMMKernel) {
-	t.Helper()
-	prev := SetGEMMKernel(k)
-	t.Cleanup(func() { SetGEMMKernel(prev) })
-}
-
 // tileDims exercises every micro-tile edge class: 1, tile-1, tile, tile+1,
 // and sizes that leave ragged tails against the MR/NR (4) and MC/KC panel
 // parameters.
@@ -40,14 +32,8 @@ func TestTiledMultiplyBitwiseEqualsSimple(t *testing.T) {
 				a := RandUniform(m, k, -1, 1, 1.0, int64(m*100+k*10+n))
 				b := RandUniform(k, n, -1, 1, 1.0, int64(m+k*10+n*100))
 				for _, threads := range []int{1, 4} {
-					SetGEMMKernel(GEMMSimple)
-					want, err := Multiply(a, b, threads)
-					SetGEMMKernel(GEMMTiled)
-					got, err2 := Multiply(a, b, threads)
-					SetGEMMKernel(GEMMAuto)
-					if err != nil || err2 != nil {
-						t.Fatalf("%dx%dx%d: %v %v", m, k, n, err, err2)
-					}
+					want := multDenseDense(a, b, threads, gemmSimple)
+					got := multDenseDense(a, b, threads, gemmTiled)
 					bitwiseEqual(t, want, got, "multiply")
 				}
 			}
@@ -61,12 +47,7 @@ func TestTiledMultiplyBitwiseEqualsSimple(t *testing.T) {
 func TestTiledMultiplyLarge(t *testing.T) {
 	a := RandUniform(150, 140, -1, 1, 1.0, 71)
 	b := RandUniform(140, 130, -1, 1, 1.0, 72)
-	forceKernel(t, GEMMSimple)
-	want, err := Multiply(a, b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetGEMMKernel(GEMMAuto)
+	want := multDenseDense(a, b, 1, gemmSimple)
 	for _, threads := range []int{1, 4} {
 		got, err := Multiply(a, b, threads)
 		if err != nil {
@@ -88,11 +69,8 @@ func TestTiledMultiplyAccBitwiseEqualsSimple(t *testing.T) {
 				for _, threads := range []int{1, 4} {
 					accS := seed.Copy()
 					accT := seed.Copy()
-					SetGEMMKernel(GEMMSimple)
-					err := MultiplyAcc(accS, a, b, threads)
-					SetGEMMKernel(GEMMTiled)
-					err2 := MultiplyAcc(accT, a, b, threads)
-					SetGEMMKernel(GEMMAuto)
+					err := multiplyAcc(accS, a, b, threads, gemmSimple)
+					err2 := multiplyAcc(accT, a, b, threads, gemmTiled)
 					if err != nil || err2 != nil {
 						t.Fatalf("%dx%dx%d: %v %v", m, k, n, err, err2)
 					}
@@ -112,13 +90,8 @@ func TestTiledMultiplyAccStripesBitwise(t *testing.T) {
 	const m, k, n, stripe = 37, 200, 23, 48
 	a := RandUniform(m, k, -1, 1, 1.0, 61)
 	b := RandUniform(k, n, -1, 1, 1.0, 62)
-	for _, mode := range []GEMMKernel{GEMMTiled, GEMMAuto} {
-		forceKernel(t, mode)
-		want, err := Multiply(a, b, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		SetGEMMKernel(GEMMAuto)
+	for _, mode := range []gemmKernel{gemmTiled, gemmAuto} {
+		want := multDenseDense(a, b, 1, mode)
 		acc := NewDense(m, n)
 		for k0 := 0; k0 < k; k0 += stripe {
 			k1 := min(k0+stripe, k)
@@ -146,11 +119,8 @@ func TestTiledTSMMBitwiseEqualsSimple(t *testing.T) {
 		for _, n := range tileDims {
 			x := RandUniform(m, n, -1, 1, 1.0, int64(m*31+n))
 			for _, threads := range []int{1, 4} {
-				SetGEMMKernel(GEMMSimple)
-				want := TSMM(x, threads)
-				SetGEMMKernel(GEMMTiled)
-				got := TSMM(x, threads)
-				SetGEMMKernel(GEMMAuto)
+				want := tsmm(x, threads, gemmSimple)
+				got := tsmm(x, threads, gemmTiled)
 				bitwiseEqual(t, want, got, "tsmm")
 				for i := 0; i < got.Rows(); i++ {
 					for j := i + 1; j < got.Cols(); j++ {
@@ -169,7 +139,6 @@ func TestTiledTSMMBitwiseEqualsSimple(t *testing.T) {
 // disabling the assembly kernel must not change a single bit, which is what
 // makes results architecture-independent.
 func TestTiledScalarFallbackBitwise(t *testing.T) {
-	forceKernel(t, GEMMTiled)
 	prev := gemmAsmAvailable
 	t.Cleanup(func() { gemmAsmAvailable = prev })
 	for _, dims := range [][3]int{{129, 67, 129}, {4, 256, 4}, {5, 300, 3}} {
@@ -177,13 +146,10 @@ func TestTiledScalarFallbackBitwise(t *testing.T) {
 		a := RandUniform(m, k, -1, 1, 1.0, int64(m+k+n))
 		b := RandUniform(k, n, -1, 1, 1.0, int64(m*k+n))
 		gemmAsmAvailable = prev
-		want, err := Multiply(a, b, 2)
+		want := multDenseDense(a, b, 2, gemmTiled)
 		gemmAsmAvailable = false
-		got, err2 := Multiply(a, b, 2)
+		got := multDenseDense(a, b, 2, gemmTiled)
 		gemmAsmAvailable = prev
-		if err != nil || err2 != nil {
-			t.Fatalf("%v %v", err, err2)
-		}
 		bitwiseEqual(t, want, got, "scalar-fallback multiply")
 	}
 }
@@ -195,12 +161,10 @@ func TestTiledMultiplyAccSparseDensify(t *testing.T) {
 	a := RandUniform(70, 90, -1, 1, 0.1, 63).ToSparse()
 	b := RandUniform(90, 40, -1, 1, 0.1, 64).ToSparse()
 	accS, accT := NewDense(70, 40), NewDense(70, 40)
-	forceKernel(t, GEMMSimple)
-	if err := MultiplyAcc(accS, a, b, 2); err != nil {
+	if err := multiplyAcc(accS, a, b, 2, gemmSimple); err != nil {
 		t.Fatal(err)
 	}
-	SetGEMMKernel(GEMMTiled)
-	if err := MultiplyAcc(accT, a, b, 2); err != nil {
+	if err := multiplyAcc(accT, a, b, 2, gemmTiled); err != nil {
 		t.Fatal(err)
 	}
 	bitwiseEqual(t, accS, accT, "sparse-densified multiply-acc")

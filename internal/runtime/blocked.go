@@ -242,6 +242,9 @@ func (b *BlockedMatrixObject) Collect() (*matrix.MatrixBlock, error) {
 	return blk, nil
 }
 
+// LocalFor implements MatrixData.
+func (b *BlockedMatrixObject) LocalFor(string) (*matrix.MatrixBlock, error) { return b.Collect() }
+
 // collectBlocks assembles the local block from the blocked form (the
 // non-memoized part of Collect, spanned as a dist "collect" sub-phase).
 func (b *BlockedMatrixObject) collectBlocks() (*matrix.MatrixBlock, error) {

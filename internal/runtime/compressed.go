@@ -175,18 +175,13 @@ func (c *CompressedMatrixObject) Compressed() (*compress.CompressedMatrix, error
 	return cm, nil
 }
 
-// Decompress materializes the local block — the transparent fallback for
-// consumers without a compressed kernel. The block is memoized so only the
-// first consumer pays (and counts) the decompression.
-func (c *CompressedMatrixObject) Decompress() (*matrix.MatrixBlock, error) {
-	return c.DecompressFor("other")
-}
-
-// DecompressFor is Decompress with the triggering opcode (or site label)
-// recorded in the per-opcode decompression counters. Only the consumer that
-// wins the memoization race is charged — repeated fallback reads of the same
-// variable count once, against the first opcode that needed the block.
-func (c *CompressedMatrixObject) DecompressFor(op string) (*matrix.MatrixBlock, error) {
+// LocalFor implements MatrixData with the transparent fallback for consumers
+// without a compressed kernel: the decompressed block, memoized, and counted
+// against the triggering opcode (or site label) in the per-opcode
+// decompression counters. Only the consumer that wins the memoization race is
+// charged — repeated fallback reads of the same variable count once, against
+// the first opcode that needed the block.
+func (c *CompressedMatrixObject) LocalFor(op string) (*matrix.MatrixBlock, error) {
 	c.mu.Lock()
 	if c.local != nil {
 		blk := c.local
@@ -306,71 +301,4 @@ func (c *CompressedMatrixObject) IsInMemory() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cm != nil
-}
-
-// TransposedCompressedObject marks the transpose of a compressed matrix in
-// the symbol table without materializing it: t(X) %*% v on compressed X is
-// the vector-matrix kernel over X itself (the hot gradient step of iterative
-// algorithms), so the transpose stays a zero-cost view on the compressed
-// groups. Consumers without a compressed kernel decompress the source and
-// transpose, via GetMatrixBlock's fallback.
-type TransposedCompressedObject struct {
-	Source *CompressedMatrixObject
-
-	mu sync.Mutex
-	// local memoizes the materialized transpose so repeated fallback
-	// consumers of the same view pay the O(m*n) transpose once (the
-	// decompression of the source is memoized there separately).
-	local *matrix.MatrixBlock
-}
-
-// Materialize returns the transposed local block — the fallback for
-// consumers without a compressed kernel — memoized on the view.
-func (t *TransposedCompressedObject) Materialize() (*matrix.MatrixBlock, error) {
-	return t.MaterializeFor("other")
-}
-
-// MaterializeFor is Materialize with the triggering opcode recorded in the
-// per-opcode decompression counters (attribution happens on the source's
-// memoized decompression).
-func (t *TransposedCompressedObject) MaterializeFor(op string) (*matrix.MatrixBlock, error) {
-	t.mu.Lock()
-	if t.local != nil {
-		blk := t.local
-		t.mu.Unlock()
-		return blk, nil
-	}
-	t.mu.Unlock()
-	blk, err := t.Source.DecompressFor(op)
-	if err != nil {
-		return nil, err
-	}
-	tr := matrix.Transpose(blk)
-	t.mu.Lock()
-	if t.local == nil {
-		t.local = tr
-	}
-	tr = t.local
-	t.mu.Unlock()
-	return tr, nil
-}
-
-// Retain makes the view's holder a holder of its source.
-func (t *TransposedCompressedObject) Retain() { t.Source.Retain() }
-
-// Release drops what Retain added.
-func (t *TransposedCompressedObject) Release() { t.Source.Release() }
-
-// DataType implements Data.
-func (t *TransposedCompressedObject) DataType() types.DataType { return types.Matrix }
-
-// DataCharacteristics returns the transposed metadata.
-func (t *TransposedCompressedObject) DataCharacteristics() types.DataCharacteristics {
-	dc := t.Source.DataCharacteristics()
-	return types.DataCharacteristics{Rows: dc.Cols, Cols: dc.Rows, Blocksize: dc.Blocksize, NNZ: dc.NNZ}
-}
-
-// String implements Data.
-func (t *TransposedCompressedObject) String() string {
-	return fmt.Sprintf("t(%s)", t.Source.String())
 }

@@ -82,11 +82,11 @@ func TestCompressedObjectDecompressMemoizedAndCounted(t *testing.T) {
 	_, cm := compressedFixture(t)
 	ctr := &compressCounters{}
 	co := NewCompressedMatrixObject(cm, nil, ctr)
-	b1, err := co.Decompress()
+	b1, err := co.LocalFor("other")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := co.Decompress()
+	b2, err := co.LocalFor("other")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,6 @@ type Config struct {
 	CompressionEnabled bool
 	// DistBlocksize is the block size of the distributed backend.
 	DistBlocksize int
-	// UseBLAS selects the register-blocked "native BLAS" dense kernel for
-	// matrix multiplications (SysDS-B in Figure 5(a)).
-	UseBLAS bool
 	// TempDir is the spill directory of the buffer pool.
 	TempDir string
 	// PersistentLineageDir, when non-empty, roots the cross-run persistent
@@ -97,7 +94,6 @@ func DefaultConfig() *Config {
 		CacheBudget:        1 << 30,
 		DistEnabled:        false,
 		DistBlocksize:      types.DefaultBlocksize,
-		UseBLAS:            false,
 		TempDir:            os.TempDir(),
 	}
 }
@@ -436,28 +432,7 @@ func (ctx *Context) GetMatrixBlockFor(name, op string) (*matrix.MatrixBlock, err
 	if err != nil {
 		return nil, err
 	}
-	switch v := d.(type) {
-	case *MatrixObject:
-		return v.Acquire()
-	case *BlockedMatrixObject:
-		// lazy collect: a CP consumer or sink actually needs the local block
-		return v.Collect()
-	case *CompressedMatrixObject:
-		// transparent decompress fallback: a consumer without a compressed
-		// kernel gets the local block; the (memoized) decompression is counted
-		// per-opcode so the fallback is observable, and nothing breaks
-		return v.DecompressFor(op)
-	case *TransposedCompressedObject:
-		return v.MaterializeFor(op)
-	case *Scalar:
-		m := matrix.NewDense(1, 1)
-		m.Set(0, 0, v.Float64())
-		return m, nil
-	case *FederatedObject:
-		return nil, fmt.Errorf("runtime: variable %q is federated; operation requires a local matrix", name)
-	default:
-		return nil, fmt.Errorf("runtime: variable %q is a %s, expected a matrix", name, d.DataType())
-	}
+	return LocalBlockOf(name, d, op)
 }
 
 // GetFrame returns a variable as a frame.

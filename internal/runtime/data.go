@@ -8,6 +8,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -164,6 +165,94 @@ func Release(d Data) {
 	}
 }
 
+// MatrixData is the one handle of every matrix-typed runtime value, whatever
+// its physical representation — local (MatrixObject), blocked
+// (BlockedMatrixObject), column-group compressed (CompressedMatrixObject),
+// federated (FederatedObject) or a Transposed view of any of them. A consumer
+// that has no kernel for a representation asks for the local block and never
+// needs to know which representation it was handed.
+type MatrixData interface {
+	Data
+	// DataCharacteristics returns the matrix metadata without touching data.
+	DataCharacteristics() types.DataCharacteristics
+	// LocalFor returns the value as one local block for the consumer op: a
+	// local matrix is acquired through the buffer pool, a blocked one collected
+	// and a compressed one decompressed (each memoized, the latter two counted,
+	// the decompression against op); a federated matrix answers
+	// ErrFederated — its data stays at the sites.
+	LocalFor(op string) (*matrix.MatrixBlock, error)
+}
+
+// ErrFederated is what LocalFor answers for federated data.
+var ErrFederated = errors.New("federated; operation requires a local matrix")
+
+// LocalBlockOf returns the value bound to name as one local block for the
+// consumer op (see MatrixData.LocalFor); scalars are promoted to 1x1 matrices,
+// mirroring DML's implicit casting in matrix contexts.
+func LocalBlockOf(name string, d Data, op string) (*matrix.MatrixBlock, error) {
+	switch v := d.(type) {
+	case MatrixData:
+		blk, err := v.LocalFor(op)
+		if errors.Is(err, ErrFederated) {
+			return nil, fmt.Errorf("runtime: variable %q is %w", name, err)
+		}
+		return blk, err
+	case *Scalar:
+		m := matrix.NewDense(1, 1)
+		m.Set(0, 0, v.Float64())
+		return m, nil
+	}
+	return nil, fmt.Errorf("runtime: variable %q is a %s, expected a matrix", name, d.DataType())
+}
+
+// Transposed is the transpose of a matrix whose representation has no cheap
+// materialized transpose (compressed, federated), kept as a zero-cost view:
+// t(X) %*% Y over the view runs the transpose-free kernels on X itself (the hot
+// gradient step of iterative algorithms), t(t(X)) folds back to X, and a
+// consumer without such a kernel gets the transposed local block.
+type Transposed struct {
+	Source MatrixData
+
+	mu sync.Mutex
+	// local memoizes the materialized transpose so repeated fallback consumers
+	// of the same view pay the O(m*n) transpose once (the source memoizes its
+	// own decompression or collect).
+	local *matrix.MatrixBlock
+}
+
+// DataType implements Data.
+func (t *Transposed) DataType() types.DataType { return types.Matrix }
+
+// String implements Data.
+func (t *Transposed) String() string { return fmt.Sprintf("t(%s)", t.Source.String()) }
+
+// DataCharacteristics returns the transposed metadata.
+func (t *Transposed) DataCharacteristics() types.DataCharacteristics {
+	dc := t.Source.DataCharacteristics()
+	dc.Rows, dc.Cols = dc.Cols, dc.Rows
+	return dc
+}
+
+// LocalFor implements MatrixData: the transpose of the source's local block.
+func (t *Transposed) LocalFor(op string) (*matrix.MatrixBlock, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.local == nil {
+		blk, err := t.Source.LocalFor(op)
+		if err != nil {
+			return nil, err
+		}
+		t.local = matrix.Transpose(blk)
+	}
+	return t.local, nil
+}
+
+// Retain makes the view's holder a holder of its source.
+func (t *Transposed) Retain() { Retain(t.Source) }
+
+// Release drops what Retain added.
+func (t *Transposed) Release() { Release(t.Source) }
+
 // MatrixObject is the buffer-pool-backed handle of a matrix: it carries the
 // data characteristics and either holds the block in memory or a reference to
 // its spill file.
@@ -237,6 +326,9 @@ func (m *MatrixObject) Acquire() (*matrix.MatrixBlock, error) {
 	m.pool.NotifyAccess(m, restored)
 	return blk, nil
 }
+
+// LocalFor implements MatrixData.
+func (m *MatrixObject) LocalFor(string) (*matrix.MatrixBlock, error) { return m.Acquire() }
 
 // restoreBlock reads one spill file, written with the given blocksize, back
 // under a pool "restore" span carrying the bytes read.
@@ -426,6 +518,9 @@ func (f *FederatedObject) DataCharacteristics() types.DataCharacteristics {
 	return f.Fed.DataCharacteristics()
 }
 
+// LocalFor implements MatrixData: there is no local block to hand out.
+func (f *FederatedObject) LocalFor(string) (*matrix.MatrixBlock, error) { return nil, ErrFederated }
+
 // String implements Data.
 func (f *FederatedObject) String() string {
 	return fmt.Sprintf("FederatedMatrix[%dx%d, %d ranges]", f.Fed.Rows, f.Fed.Cols, len(f.Fed.Ranges))
@@ -443,7 +538,7 @@ func SizeOf(d Data) int64 {
 		return types.EstimateSize(v.DataCharacteristics())
 	case *CompressedMatrixObject:
 		return v.MemorySize()
-	case *TransposedCompressedObject:
+	case *Transposed:
 		return 64
 	case *FrameObject:
 		return int64(v.Frame.NumRows()*v.Frame.NumCols()) * 16

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -504,21 +505,15 @@ var parforMergeCounter int64
 // acquiring through the buffer pool or collecting a blocked matrix; the bool
 // reports whether the value was matrix-backed at all.
 func localMatrixOf(d Data) (*matrix.MatrixBlock, bool, error) {
-	switch v := d.(type) {
-	case *MatrixObject:
-		blk, err := v.Acquire()
-		return blk, true, err
-	case *BlockedMatrixObject:
-		blk, err := v.Collect()
-		return blk, true, err
-	case *CompressedMatrixObject:
-		blk, err := v.DecompressFor("parfor-merge")
-		return blk, true, err
-	case *TransposedCompressedObject:
-		blk, err := v.MaterializeFor("parfor-merge")
-		return blk, true, err
+	md, ok := d.(MatrixData)
+	if !ok {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	blk, err := md.LocalFor("parfor-merge")
+	if errors.Is(err, ErrFederated) {
+		return nil, false, nil
+	}
+	return blk, true, err
 }
 
 // workerResult holds the result-variable bindings produced by one parfor

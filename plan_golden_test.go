@@ -1,0 +1,219 @@
+package systemds_test
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"reflect"
+	"sort"
+	"testing"
+
+	systemds "github.com/systemds/systemds-go"
+)
+
+// planGoldenFile was captured at commit 591a7f6, before matrix multiplication
+// moved onto one dispatcher. A change that means to alter a plan, a counter or
+// an output bit deletes the file and runs the test once: a missing file is
+// written from the tree under test (and the test fails, so it cannot pass
+// unnoticed).
+const planGoldenFile = "testdata/plan_golden.json"
+
+// goldenRun is what one (script, configuration) run must reproduce exactly.
+type goldenRun struct {
+	// Outputs maps each requested output to the fingerprint of its bits.
+	Outputs map[string]string
+	// Plans is the executed physical-plan sequence, "opcode|plan string".
+	Plans          []string
+	CompressedOps  int64
+	Decompressions int64
+	Partitions     int64
+	Collects       int64
+	BlockedOps     int64
+}
+
+// goldenScripts exercise every row of the matmult family on the shapes the
+// representation dispatch distinguishes: matrix-vector, vector-matrix, matrix
+// right-hand side, the fused chain, the Gram matrix, and a transpose bound to
+// a name and consumed in a later DAG.
+var goldenScripts = []struct {
+	name, script string
+	outputs      []string
+}{
+	{"gd chain", `
+w = matrix(0, rows=ncol(X), cols=1)
+b = t(X) %*% y
+for (i in 1:10) {
+  g = t(X) %*% (X %*% w) - b
+  w = w - lr * g
+}
+`, []string{"w"}},
+	{"lmDS", `
+w = lmDS(X, y, 0.001)
+`, []string{"w"}},
+	{"normal equations loop", `
+for (i in 1:10) {
+  G = t(X) %*% X
+  b = t(X) %*% y
+  w = solve(G + diag(matrix(0.001 * i, rows=ncol(X), cols=1)), b)
+}
+`, []string{"w"}},
+	{"l2svm step", `
+w = matrix(0, rows=ncol(X), cols=1)
+for (i in 1:10) {
+  margin = 1 - ys * (X %*% w)
+  hinge = ys * margin * (margin > 0)
+  w = w - 0.1 * (0.001 * w - (t(X) %*% hinge) / nrow(X))
+}
+`, []string{"w"}},
+	{"u %*% X", `
+acc = matrix(0, rows=1, cols=ncol(X))
+for (i in 1:10) {
+  acc = acc + (u * i) %*% X
+}
+`, []string{"acc"}},
+	{"X %*% B", `
+for (i in 1:10) {
+  P = X %*% B
+  B = B + lr * (t(X) %*% P)
+}
+s = sum(P)
+`, []string{"B", "s"}},
+	{"named transpose across DAGs", `
+w = matrix(0.5, rows=ncol(X), cols=1)
+for (i in 1:10) {
+  Xt = t(X)
+  if (i > 0) {
+    q = X %*% w
+    w = w - lr * (Xt %*% q)
+    n = nrow(Xt)
+  }
+}
+G = Xt %*% X
+`, []string{"w", "n", "G"}},
+}
+
+var goldenConfigs = []struct {
+	name string
+	opts []systemds.Option
+}{
+	{"local", nil},
+	{"compressed", []systemds.Option{systemds.WithCompression(true)}},
+	{"dist", []systemds.Option{systemds.WithDistributedBackend(true),
+		systemds.WithOperatorMemBudget(64 << 10), systemds.WithDistBlocksize(500)}},
+	{"compressed+dist", []systemds.Option{systemds.WithCompression(true), systemds.WithDistributedBackend(true),
+		systemds.WithOperatorMemBudget(64 << 10), systemds.WithDistBlocksize(500)}},
+}
+
+func fingerprint(v any) string {
+	h := fnv.New64a()
+	word := func(x uint64) {
+		var b [8]byte
+		for i := range b {
+			b[i] = byte(x >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	switch x := v.(type) {
+	case *systemds.Matrix:
+		word(uint64(x.Rows()))
+		word(uint64(x.Cols()))
+		for r := 0; r < x.Rows(); r++ {
+			for c := 0; c < x.Cols(); c++ {
+				word(math.Float64bits(x.Get(r, c)))
+			}
+		}
+	case float64:
+		word(math.Float64bits(x))
+	default:
+		fmt.Fprintf(h, "%T:%v", v, v)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestPlansAndOutputsMatchGolden runs the fixed scripts under {local,
+// compressed, blocked, compressed + blocked} x fusion {on, off} and holds every
+// run to the recorded output bits, plan sequence and representation counters:
+// a change to how an operator is dispatched must not change what is computed,
+// which kernel computes it, or how often data changes representation.
+func TestPlansAndOutputsMatchGolden(t *testing.T) {
+	const rows, cols = 2000, 60
+	noise := systemds.RandMatrix(rows, cols, 1.0, 91)
+	X := systemds.NewMatrix(rows, cols, nil)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			X.Set(r, c, math.Floor(noise.Get(r, c)*5))
+		}
+	}
+	X.RecomputeNNZ()
+	y := systemds.RandMatrix(rows, 1, 1.0, 92)
+	ys := systemds.NewMatrix(rows, 1, nil)
+	for r := 0; r < rows; r++ {
+		ys.Set(r, 0, 2*math.Round(y.Get(r, 0))-1)
+	}
+	inputs := map[string]any{
+		"X": X, "y": y, "ys": ys, "lr": 1e-7,
+		"u": systemds.RandMatrix(1, rows, 1.0, 93),
+		"B": systemds.RandMatrix(cols, 3, 1.0, 94),
+	}
+	got := map[string]goldenRun{}
+	for _, sc := range goldenScripts {
+		for _, cfg := range goldenConfigs {
+			for _, fusion := range []bool{true, false} {
+				key := fmt.Sprintf("%s/%s/fusion=%v", sc.name, cfg.name, fusion)
+				opts := append([]systemds.Option{systemds.WithParallelism(2), systemds.WithFusion(fusion)}, cfg.opts...)
+				ctx := systemds.NewContext(opts...)
+				res, err := ctx.Execute(sc.script, inputs, sc.outputs...)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				stats := ctx.LastRunStats()
+				run := goldenRun{
+					Outputs:        map[string]string{},
+					Plans:          []string{},
+					CompressedOps:  stats.CompressStats.CompressedOps,
+					Decompressions: stats.CompressStats.Decompressions,
+					Partitions:     stats.DistStats.Partitions,
+					Collects:       stats.DistStats.Collects,
+					BlockedOps:     stats.DistStats.BlockedOps,
+				}
+				for _, name := range sc.outputs {
+					run.Outputs[name] = fingerprint(res[name])
+				}
+				for _, pr := range stats.PlanStats {
+					run.Plans = append(run.Plans, pr.Op+"|"+pr.Plan)
+				}
+				got[key] = run
+			}
+		}
+	}
+	data, err := os.ReadFile(planGoldenFile)
+	if errors.Is(err, os.ErrNotExist) {
+		if data, err = json.MarshalIndent(got, "", " "); err == nil {
+			err = os.WriteFile(planGoldenFile, append(data, '\n'), 0o644)
+		}
+		t.Fatalf("no golden file; wrote %s from this tree (error: %v)", planGoldenFile, err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]goldenRun{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if len(got) != len(want) {
+		t.Errorf("%d runs, golden file has %d", len(got), len(want))
+	}
+	for _, k := range keys {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Errorf("%s:\n got %+v\nwant %+v", k, got[k], want[k])
+		}
+	}
+}

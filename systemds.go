@@ -140,12 +140,6 @@ func WithDistBlocksize(n int) Option {
 	return func(c *runtime.Config) { c.DistBlocksize = n }
 }
 
-// WithBLAS selects the register-blocked "native BLAS"-style dense kernel for
-// matrix multiplications (SysDS-B in the paper's Figure 5(a)).
-func WithBLAS(enabled bool) Option {
-	return func(c *runtime.Config) { c.UseBLAS = enabled }
-}
-
 // WithFusion toggles the HOP-level operator fusion pass (fused mmchain,
 // transpose-free t(X) %*% Y and cellwise-aggregate pipelines). Fusion is enabled by default; disabling it
 // is mainly useful for fused-vs-unfused comparisons.
