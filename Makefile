@@ -72,7 +72,10 @@ bench-compare:
 
 # The go-test kernel sweep: compressed-vs-dense MV/TSMM/matrix-RHS kernels
 # (plus the partitioned dist executor), planner-vs-forced matmult strategies,
-# fused-vs-unfused, kernel-parallelism and tiled-vs-simple GEMM/TSMM/
+# the cellwise row-kernel drivers and the fused-vs-unfused two-operator chain
+# (GB/s and the fraction of the measured copy bandwidth, on the scoring-batch
+# and the design-matrix shape), fused-vs-unfused, kernel-parallelism and
+# tiled-vs-simple GEMM/TSMM/
 # MultiplyAcc benchmarks with allocation stats, plus the adaptive-runtime
 # pairs (cold-vs-warm cross-run lineage reuse, uncalibrated-vs-calibrated
 # planning), the lineage probe at chain depth 10/100/1000 (ns/op and
@@ -84,7 +87,7 @@ bench-compare:
 # gflops.
 BENCH_KERNELS_OUT ?= bench_kernels.json
 bench-kernels:
-	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|LineageProbe|CalibrationDelta|SDSB' -benchmem -timeout 30m -run '^$$' . ./internal/io/ ./internal/matrix/ | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
+	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Cellwise|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|LineageProbe|CalibrationDelta|SDSB' -benchmem -timeout 30m -run '^$$' . ./internal/io/ ./internal/matrix/ | $(GO) run ./cmd/benchjson -out $(BENCH_KERNELS_OUT)
 
 # Full benchmark sweep (single iteration per benchmark).
 bench-all:

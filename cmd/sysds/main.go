@@ -177,8 +177,8 @@ func printExecStats(ctx *systemds.Context, persist bool) {
 			stats.PoolStats.BlocksRestored, stats.PoolStats.BlocksSkipped)
 		fmt.Printf("distributed: partitions=%d collects=%d blockedOps=%d\n",
 			stats.DistStats.Partitions, stats.DistStats.Collects, stats.DistStats.BlockedOps)
-		fmt.Printf("fused ops: mmchain=%d cellwiseAgg=%d\n",
-			stats.FusedStats.MMChainOps, stats.FusedStats.FusedAggOps)
+		fmt.Printf("fused ops: mmchain=%d cellwiseAgg=%d cellwise=%d\n",
+			stats.FusedStats.MMChainOps, stats.FusedStats.FusedAggOps, stats.FusedStats.FusedCellOps)
 		co := stats.CompressStats
 		fmt.Printf("compression: compressed=%d rejected=%d compressedOps=%d decompressions=%d bytes=%d->%d\n",
 			co.Compressions, co.Rejected, co.CompressedOps, co.Decompressions,

@@ -443,3 +443,120 @@ s = sum(A) + sum(B) + sum(E)
 		t.Error("matrix result differs between sequential and scheduled execution")
 	}
 }
+
+// countRecompiles wraps the recompilation callback of every basic block
+// under blocks: calls counts the executions that asked for a plan, plans the
+// distinct instruction lists handed back (a memo hit returns the list of the
+// call before), static the answers "keep the compiled instructions".
+func countRecompiles(blocks []runtime.ProgramBlock, calls, plans, static *int) {
+	wrap := func(b *runtime.BasicBlock) {
+		if b == nil || b.Recompile == nil {
+			return
+		}
+		inner := b.Recompile
+		var last []runtime.Instruction
+		b.Recompile = func(ctx *runtime.Context) ([]runtime.Instruction, error) {
+			instrs, err := inner(ctx)
+			*calls++
+			switch {
+			case len(instrs) == 0:
+				*static++
+			case len(last) == 0 || &instrs[0] != &last[0]:
+				*plans++
+			}
+			last = instrs
+			return instrs, err
+		}
+	}
+	for _, pb := range blocks {
+		switch b := pb.(type) {
+		case *runtime.BasicBlock:
+			wrap(b)
+		case *runtime.IfBlock:
+			wrap(b.Predicate)
+			countRecompiles(b.Then, calls, plans, static)
+			countRecompiles(b.Else, calls, plans, static)
+		case *runtime.WhileBlock:
+			wrap(b.Predicate)
+			countRecompiles(b.Body, calls, plans, static)
+		case *runtime.ForBlock:
+			wrap(b.Iterable)
+			countRecompiles(b.Body, calls, plans, static)
+		}
+	}
+}
+
+// TestRecompileMemoHitsOnStableSizes: the 20 executions of the L2SVM loop
+// body re-plan twice — the first trip, and the second, when w has stopped
+// being all zeros — and answer "same sizes as last time" 18 times.
+func TestRecompileMemoHitsOnStableSizes(t *testing.T) {
+	c := newCompiler(nil)
+	prog, err := c.Compile("w = l2svm(X, y, 0.001, 0.1, 20)", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, plans, static int
+	countRecompiles(prog.Blocks, &calls, &plans, &static)
+	for _, fn := range prog.Functions {
+		countRecompiles(fn.Body, &calls, &plans, &static)
+	}
+	x := matrix.RandUniform(2000, 20, -1, 1, 1.0, 71)
+	y := matrix.RandUniform(2000, 1, 0, 1, 1.0, 72)
+	y = matrix.ScalarOp(matrix.ScalarOp(matrix.UnaryApply(y, matrix.OpRound, 1), 2, matrix.OpMul, false, 1), 1, matrix.OpSub, false, 1)
+	ctx := runtime.NewContext(runtime.DefaultConfig())
+	ctx.Prog = prog
+	ctx.SetMatrix("X", x)
+	ctx.SetMatrix("y", y)
+	if err := prog.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 20 || plans != 2 || static != 0 {
+		t.Errorf("recompile memo: %d plans and %d static answers in %d calls, want 2 and 0 in 20", plans, static, calls)
+	}
+}
+
+// TestUntypedScalarChainSettlesOnTheStaticPlan: a loop body of scalar
+// arithmetic over untyped reads asks once whether its chain is a matrix chain,
+// learns it is not, and never recompiles (or takes the recompile lock) again;
+// a prepared-style block over the same kind of chain, bound to matrices,
+// re-plans once and then hits its memo.
+func TestUntypedScalarChainSettlesOnTheStaticPlan(t *testing.T) {
+	c := newCompiler(nil)
+	prog, err := c.Compile("s = 1\nfor (i in 1:10) {\n  s = (s + i) * 2\n}", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, plans, static int
+	countRecompiles(prog.Blocks, &calls, &plans, &static)
+	ctx := runtime.NewContext(runtime.DefaultConfig())
+	ctx.Prog = prog
+	if err := prog.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := ctx.GetScalar("s"); err != nil || s.Float64() != 5096 {
+		t.Fatalf("s = %v (%v), want 5096", s, err)
+	}
+	if calls != 10 || plans != 0 || static != 10 {
+		t.Errorf("scalar loop body: %d plans and %d static answers in %d calls, want 0 and 10 in 10", plans, static, calls)
+	}
+
+	prog, err = c.Compile("Xs = (X - mu) / sd", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, plans, static = 0, 0, 0
+	countRecompiles(prog.Blocks, &calls, &plans, &static)
+	ctx = runtime.NewContext(runtime.DefaultConfig())
+	ctx.Prog = prog
+	ctx.SetMatrix("X", matrix.RandUniform(64, 100, -3, 3, 1.0, 73))
+	ctx.SetMatrix("mu", matrix.RandUniform(1, 100, -1, 1, 1.0, 74))
+	ctx.SetMatrix("sd", matrix.RandUniform(1, 100, 0.5, 2, 1.0, 75))
+	for call := 0; call < 3; call++ {
+		if err := prog.Execute(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 3 || plans != 1 || static != 0 {
+		t.Errorf("matrix chain: %d plans and %d static answers in %d calls, want 1 and 0 in 3", plans, static, calls)
+	}
+}

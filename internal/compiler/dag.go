@@ -3,7 +3,7 @@ package compiler
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/instructions"
@@ -24,11 +24,18 @@ type blockBuilder struct {
 	// inter-operator scheduler.
 	tracker *runtime.DepTracker
 	known   map[string]types.DataCharacteristics
+	// reads collects the variables read from the block's entry state: the
+	// names whose characteristics can reach the block's plan.
+	reads map[string]bool
 	// unknownSizes records whether any lowered operator had an unknown memory
 	// estimate (triggers dynamic recompilation when the distributed backend
 	// is enabled).
 	unknownSizes bool
-	seedSeq      int64
+	// untypedChains records whether a cellwise chain of the block reads a
+	// variable of unknown type (hops.UntypedCellChain): with fusion enabled the
+	// block recompiles until the live types have been seen once.
+	untypedChains bool
+	seedSeq       int64
 }
 
 // compileBasicBlock compiles straight-line statements into a basic block and
@@ -43,56 +50,96 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 	// selection (distributed backend) and operator fusion: loop and function
 	// bodies compile with unknown sizes, so without recompilation the fusion
 	// matcher could never prove shapes inside the hottest blocks
-	if (c.cfg.DistEnabled || !c.cfg.FusionDisabled || c.cfg.CompressionEnabled) && bb.unknownSizes {
+	sizes := (c.cfg.DistEnabled || !c.cfg.FusionDisabled || c.cfg.CompressionEnabled) && bb.unknownSizes
+	if sizes || (!c.cfg.FusionDisabled && bb.untypedChains) {
 		stmtsCopy := stmts
 		block.RequiresRecompile = true
 		// loop bodies recompile on every execution; memoize the lowered
-		// instructions by the live size signature so stable-size iterations
-		// (the common case) pay the HOP pipeline once, not per iteration.
+		// instructions by the live sizes of the variables the block reads —
+		// nothing else reaches its plan — so stable-size iterations (the
+		// common case) pay the HOP pipeline once, not per iteration, and
+		// answer "same as last time" by comparing a few tuples in place.
 		// Parfor workers recompile concurrently — the same block, and
 		// different blocks of one body — so the memo and buildBlock both run
 		// under the compiler-wide recompile lock; the cached instruction
 		// objects are immutable during execution, exactly like a block's
 		// statically compiled instruction list.
-		var memoKey string
+		reads := make([]string, 0, len(bb.reads))
+		for name := range bb.reads {
+			reads = append(reads, name)
+		}
+		sort.Strings(reads)
+		memoSig := make([]liveSize, len(reads))
 		var memoInstrs []runtime.Instruction
+		// settled: the block recompiled only to learn the types of its reads
+		// and none of them was a matrix (scalar arithmetic in a loop body) —
+		// there is no chain to fuse and no size to plan against, so the static
+		// plan stands and later executions skip the lock. Should a read become
+		// a matrix afterwards, the static plan is still correct, just unfused.
+		var settled atomic.Bool
 		block.Recompile = func(ctx *runtime.Context) ([]runtime.Instruction, error) {
-			liveKnown := map[string]types.DataCharacteristics{}
-			names := ctx.Variables()
-			sort.Strings(names)
-			var key strings.Builder
-			for _, name := range names {
-				d, err := ctx.Get(name)
-				if err != nil {
-					continue
-				}
-				// local, blocked and federated matrix objects all expose
-				// their characteristics without touching the data; blocked
-				// variables in particular must keep known sizes here, or the
-				// recompiled block falls back to eager per-op collects
-				if mc, ok := d.(interface {
-					DataCharacteristics() types.DataCharacteristics
-				}); ok {
-					dc := mc.DataCharacteristics()
-					liveKnown[name] = dc
-					fmt.Fprintf(&key, "%s=%s;", name, dc)
-				}
+			if settled.Load() {
+				return nil, nil
 			}
 			c.recompileMu.Lock()
 			defer c.recompileMu.Unlock()
-			if memoInstrs != nil && memoKey == key.String() {
+			same := memoInstrs != nil
+			for i := 0; same && i < len(reads); i++ {
+				sz, _ := liveSizeOf(ctx, reads[i])
+				same = memoSig[i] == sz
+			}
+			if same {
 				return memoInstrs, nil
+			}
+			liveKnown := make(map[string]types.DataCharacteristics, len(reads))
+			for i, name := range reads {
+				sz, dc := liveSizeOf(ctx, name)
+				if memoSig[i] = sz; sz.known {
+					liveKnown[name] = dc
+				}
+			}
+			if !sizes && len(liveKnown) == 0 {
+				settled.Store(true)
+				return nil, nil
 			}
 			rebuilt, err := c.buildBlock(stmtsCopy, liveKnown)
 			if err != nil {
 				return nil, err
 			}
-			memoKey = key.String()
 			memoInstrs = rebuilt.instrs
 			return memoInstrs, nil
 		}
 	}
 	return block, nil
+}
+
+// liveSize is one entry of a recompilation memo's size signature: what the
+// planner can know about a variable the block reads (known is false for a
+// scalar, a list, or an unbound name).
+type liveSize struct {
+	known      bool
+	rows, cols int64
+	blocksize  int
+	nnz        int64
+}
+
+// liveSizeOf reads the characteristics of a bound variable, if it has any.
+// Local, blocked and federated matrix objects all expose them without
+// touching the data; blocked variables in particular must keep known sizes
+// here, or the recompiled block falls back to eager per-op collects.
+func liveSizeOf(ctx *runtime.Context, name string) (liveSize, types.DataCharacteristics) {
+	d, err := ctx.Get(name)
+	if err != nil {
+		return liveSize{}, types.DataCharacteristics{}
+	}
+	mc, ok := d.(interface {
+		DataCharacteristics() types.DataCharacteristics
+	})
+	if !ok {
+		return liveSize{}, types.DataCharacteristics{}
+	}
+	dc := mc.DataCharacteristics()
+	return liveSize{true, dc.Rows, dc.Cols, dc.Blocksize, dc.NNZ}, dc
 }
 
 // buildBlock runs the statement-to-DAG-to-instruction pipeline.
@@ -103,6 +150,7 @@ func (c *Compiler) buildBlock(stmts []lang.Statement, known map[string]types.Dat
 		varMap:  map[string]*hops.Hop{},
 		tracker: runtime.NewDepTracker(),
 		known:   known,
+		reads:   map[string]bool{},
 	}
 	for _, s := range stmts {
 		if err := bb.processStatement(s); err != nil {
@@ -267,6 +315,7 @@ func (bb *blockBuilder) readVar(name string) *hops.Hop {
 	if h, ok := bb.varMap[name]; ok {
 		return h
 	}
+	bb.reads[name] = true
 	h := hops.NewRead(name, types.UnknownData)
 	if dc, ok := bb.known[name]; ok {
 		h.DC = dc

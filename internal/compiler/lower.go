@@ -56,10 +56,15 @@ func (bb *blockBuilder) flush() error {
 		hops.PropagateSizes(bb.dag, bb.known)
 	}
 	// mark transient reads of variables compressed by an earlier DAG, so the
-	// planner prices their compressed bytes and EXPLAIN tags the CLA kernels
+	// planner prices their compressed bytes and EXPLAIN tags the CLA kernels;
+	// note a cellwise chain over reads of unknown type (the matcher left it
+	// alone, so it looks the same after fusion as before)
 	for _, h := range bb.dag.Nodes() {
 		if h.Kind == hops.KindRead && bb.c.compressedVars[h.Name] {
 			h.CompressedRead = true
+		}
+		if hops.UntypedCellChain(h) {
+			bb.untypedChains = true
 		}
 	}
 	// the physical planner: one cost-based pass assigns execution types and
@@ -282,15 +287,18 @@ func lowerOp(h *hops.Hop) (runtime.Instruction, error) {
 			return instructions.NewMMChain(out, in(0), in(1), in(2), true), nil
 		}
 		return instructions.NewMMChain(out, in(0), in(1), instructions.Operand{}, false), nil
-	case hops.KindFusedAgg:
-		if h.FusedAgg == nil {
-			return nil, fmt.Errorf("compiler: fused aggregate %s without a plan", h.Op)
+	case hops.KindFusedAgg, hops.KindFusedCell:
+		if h.Fused == nil {
+			return nil, fmt.Errorf("compiler: fused operator %s without a plan", h.Op)
 		}
 		args := make([]instructions.Operand, len(h.Inputs))
 		for i := range h.Inputs {
 			args[i] = operandOf(h.Inputs[i])
 		}
-		return instructions.NewFusedAgg(h.FusedAgg.Kind, out, h.FusedAgg.Prog, args), nil
+		if h.Kind == hops.KindFusedCell {
+			return instructions.NewFusedCell(h.Op, out, h.Fused.Prog, args), nil
+		}
+		return instructions.NewFusedAgg(h.Fused.Kind, out, h.Fused.Prog, args), nil
 	case hops.KindReorg:
 		var opcode string
 		switch h.Op {

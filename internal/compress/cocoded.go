@@ -136,11 +136,9 @@ func (g *CoCodedGroup) VecMatAccum(out, v []float64) {
 
 // MapValues implements ColGroup: codes and counts are shared, only the tuple
 // dictionary is rewritten.
-func (g *CoCodedGroup) MapValues(fn func(float64) float64) ColGroup {
+func (g *CoCodedGroup) MapValues(fn func(dst, src []float64)) ColGroup {
 	dict := make([]float64, len(g.Dict))
-	for k, d := range g.Dict {
-		dict[k] = fn(d)
-	}
+	fn(dict, g.Dict)
 	return &CoCodedGroup{Cols: g.Cols, Dict: dict, Counts: g.Counts, Codes8: g.Codes8, Codes16: g.Codes16}
 }
 

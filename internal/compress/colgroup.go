@@ -77,10 +77,12 @@ type ColGroup interface {
 	// VecMatAccum accumulates out[c] += sum_r v[r]*group(r,c) over all rows;
 	// out is indexed by global column.
 	VecMatAccum(out, v []float64)
-	// MapValues returns a new group with fn applied to every cell value. The
-	// encoding structure (codes, run positions) is shared, only the value
-	// dictionary is rewritten — the dictionary-only update of CLA.
-	MapValues(fn func(float64) float64) ColGroup
+	// MapValues returns a new group with fn applied to every cell value: fn
+	// maps a row of values src into dst (equal lengths; it is called with
+	// dst == src when the values are rewritten in place). The encoding
+	// structure (codes, run positions) is shared, only the value dictionary
+	// is rewritten — the dictionary-only update of CLA.
+	MapValues(fn func(dst, src []float64)) ColGroup
 	// Sum returns the sum of all cells, SumSq the sum of squares.
 	Sum() float64
 	SumSq() float64
@@ -204,11 +206,9 @@ func (g *DDCGroup) VecMatAccum(out, v []float64) {
 
 // MapValues implements ColGroup: codes and counts are shared, only the
 // dictionary is rewritten.
-func (g *DDCGroup) MapValues(fn func(float64) float64) ColGroup {
+func (g *DDCGroup) MapValues(fn func(dst, src []float64)) ColGroup {
 	dict := make([]float64, len(g.Dict))
-	for k, d := range g.Dict {
-		dict[k] = fn(d)
-	}
+	fn(dict, g.Dict)
 	return &DDCGroup{Col: g.Col, Dict: dict, Counts: g.Counts, Codes8: g.Codes8, Codes16: g.Codes16}
 }
 
@@ -359,11 +359,9 @@ func (g *RLEGroup) VecMatAccum(out, v []float64) {
 }
 
 // MapValues implements ColGroup: run positions are shared, values rewritten.
-func (g *RLEGroup) MapValues(fn func(float64) float64) ColGroup {
+func (g *RLEGroup) MapValues(fn func(dst, src []float64)) ColGroup {
 	vals := make([]float64, len(g.Values))
-	for i, v := range g.Values {
-		vals[i] = fn(v)
-	}
+	fn(vals, g.Values)
 	return &RLEGroup{Col: g.Col, Values: vals, Starts: g.Starts, Lens: g.Lens}
 }
 
@@ -466,14 +464,13 @@ func (g *UncompressedGroup) VecMatAccum(out, v []float64) {
 }
 
 // MapValues implements ColGroup.
-func (g *UncompressedGroup) MapValues(fn func(float64) float64) ColGroup {
+func (g *UncompressedGroup) MapValues(fn func(dst, src []float64)) ColGroup {
 	out := matrix.NewDense(g.Data.Rows(), g.Data.Cols())
 	dst := out.DenseValues()
 	for r := 0; r < g.Data.Rows(); r++ {
-		for j := 0; j < g.Data.Cols(); j++ {
-			dst[r*g.Data.Cols()+j] = fn(g.Data.Get(r, j))
-		}
+		g.Data.CopyRow(dst[r*g.Data.Cols():(r+1)*g.Data.Cols()], r, 0)
 	}
+	fn(dst, dst)
 	out.RecomputeNNZ()
 	return &UncompressedGroup{ColIdx: g.ColIdx, Data: out.ExamineAndApplySparsity()}
 }

@@ -153,7 +153,11 @@ func TestCompressedKernelsMatchUncompressed(t *testing.T) {
 				assertMatClose(t, got, want, "mmchain-weighted")
 
 				fn := func(x float64) float64 { return 2*x + 1 }
-				mapped := cm.MapValues(fn, threads)
+				mapped := cm.MapValues(func(dst, src []float64) {
+					for i, v := range src {
+						dst[i] = fn(v)
+					}
+				}, threads)
 				wantMap := matrix.NewDense(rows, cols)
 				for r := 0; r < rows; r++ {
 					for c := 0; c < cols; c++ {

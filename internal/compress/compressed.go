@@ -261,11 +261,13 @@ func (c *CompressedMatrix) MMChain(v, w *matrix.MatrixBlock, threads int) (*matr
 	return res.Reshape(c.NumCols, 1, true)
 }
 
-// MapValues applies fn to every cell and returns a new compressed matrix.
+// MapValues applies fn to every cell and returns a new compressed matrix: fn
+// maps a row of values src into dst and must be safe for concurrent calls.
 // Encoding structure (codes, run positions) is shared with the receiver; only
-// the value dictionaries are rewritten — scalar operations and cellwise
-// unaries on compressed data are dictionary-only updates.
-func (c *CompressedMatrix) MapValues(fn func(float64) float64, threads int) *CompressedMatrix {
+// the value dictionaries are rewritten — scalar operations, cellwise unaries
+// and fused cellwise chains over compressed data and scalars are
+// dictionary-only updates (matrix.CellMap builds fn from a cell program).
+func (c *CompressedMatrix) MapValues(fn func(dst, src []float64), threads int) *CompressedMatrix {
 	out := &CompressedMatrix{NumRows: c.NumRows, NumCols: c.NumCols, Groups: make([]ColGroup, len(c.Groups))}
 	forEachGroup(c.Groups, threads, func(i int, g ColGroup) {
 		out.Groups[i] = g.MapValues(fn)

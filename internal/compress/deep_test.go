@@ -258,7 +258,11 @@ func TestNewGroupKernelsMatch(t *testing.T) {
 			}
 			assertMatClose(t, cm.ColSums(), matrix.ColSums(m, 1), "colsums")
 			assertMatClose(t, cm.RowSums(1), matrix.RowSums(m, 1), "rowsums")
-			sc := cm.MapValues(func(x float64) float64 { return 2*x + 1 }, 1)
+			sc := cm.MapValues(func(dst, src []float64) {
+				for i, x := range src {
+					dst[i] = 2*x + 1
+				}
+			}, 1)
 			want2 := matrix.NewDense(rows, cols)
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {

@@ -114,12 +114,12 @@ func (g *SDCGroup) VecMatAccum(out, v []float64) {
 
 // MapValues implements ColGroup: positions, codes and counts are shared, only
 // the default and the dictionary are rewritten.
-func (g *SDCGroup) MapValues(fn func(float64) float64) ColGroup {
+func (g *SDCGroup) MapValues(fn func(dst, src []float64)) ColGroup {
 	dict := make([]float64, len(g.Dict))
-	for k, d := range g.Dict {
-		dict[k] = fn(d)
-	}
-	return &SDCGroup{Col: g.Col, N: g.N, Default: fn(g.Default),
+	fn(dict, g.Dict)
+	def := []float64{g.Default}
+	fn(def, def)
+	return &SDCGroup{Col: g.Col, N: g.N, Default: def[0],
 		Dict: dict, Counts: g.Counts, Pos: g.Pos, Codes: g.Codes}
 }
 

@@ -153,21 +153,15 @@ func estimateFLOPs(h *Hop) float64 {
 			f += n
 		}
 		return f
-	case KindFusedAgg:
-		if h.FusedAgg == nil {
+	case KindFusedAgg, KindFusedCell:
+		if h.Fused == nil {
 			return -1
 		}
-		n := cells(h.DC)
-		for _, in := range h.Inputs {
-			if in.IsMatrix() {
-				n = cells(in.DC)
-				break
-			}
-		}
+		n := cells(fusedShape(h))
 		if n < 0 {
 			return -1
 		}
-		return n * float64(len(h.FusedAgg.Prog.Instrs))
+		return n * float64(len(h.Fused.Prog.Instrs))
 	case KindBinary, KindUnary, KindAggUnary, KindTernary, KindReorg, KindDataGen:
 		// one pass over the larger of the output and the inputs
 		n := cells(h.DC)
@@ -329,7 +323,30 @@ func WouldRunDist(h *Hop, p PlannerParams) bool {
 func PlanRelevantUnknown(h *Hop) bool {
 	return h.MemEstimate < 0 &&
 		(distEligible(h) || h.Kind == KindMMChain || h.Kind == KindFusedAgg ||
-			h.Kind == KindCompress)
+			h.Kind == KindFusedCell || h.Kind == KindCompress)
+}
+
+// UntypedCellChain reports the smallest shape a fused cellwise pipeline can
+// have — an operator or aggregate over a cellwise operator — whose interior
+// reads a variable of still unknown type (the inputs of a prepared script,
+// before the first call). Such an operator carries a scalar's size estimate,
+// so no unknown size flags it; whether it is a matrix chain worth fusing can
+// only be read off the live symbol table.
+func UntypedCellChain(h *Hop) bool {
+	if h.Kind != KindBinary && h.Kind != KindUnary && h.Kind != KindAggUnary {
+		return false
+	}
+	for _, in := range h.Inputs {
+		if in.Kind != KindBinary && in.Kind != KindUnary {
+			continue
+		}
+		for _, leaf := range in.Inputs {
+			if leaf.Kind == KindRead && leaf.DataType == types.UnknownData {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // --- cellwise nnz upper bounds ----------------------------------------------
@@ -771,6 +788,9 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 		case (h.Kind == KindMatMult || h.Kind == KindTSMM) && h.CostEst.Known &&
 			h.CostEst.Compute >= matrix.TiledGEMMCrossoverFLOPs:
 			sb.WriteString(" kernel=tiled")
+		}
+		if h.Fused != nil {
+			sb.WriteString(" fused=" + h.Fused.Prog.Signature())
 		}
 		if annotate != nil {
 			if a := annotate(h); a != "" {

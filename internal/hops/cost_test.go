@@ -186,6 +186,25 @@ func TestPlanRelevantUnknown(t *testing.T) {
 	}
 }
 
+// TestUntypedCellChain: an operator over a cellwise operator that reads a
+// variable of unknown type may be a matrix chain; typed reads and single
+// operators are not flagged.
+func TestUntypedCellChain(t *testing.T) {
+	x, mu := NewRead("X", types.UnknownData), NewRead("mu", types.UnknownData)
+	sub := NewHop(KindBinary, "-", x, mu)
+	root := NewHop(KindBinary, "/", sub, NewLiteralNumber(2))
+	if !UntypedCellChain(root) {
+		t.Error("(X - mu) / 2 over untyped reads must be flagged")
+	}
+	if UntypedCellChain(sub) {
+		t.Error("a single operator is no chain")
+	}
+	typed := NewHop(KindBinary, "/", NewHop(KindBinary, "-", matRead("X", 4, 4), matRead("mu", 1, 4)), NewLiteralNumber(2))
+	if UntypedCellChain(typed) {
+		t.Error("a chain over typed reads needs no second look")
+	}
+}
+
 // --- cellwise nnz bounds -----------------------------------------------------
 
 func TestCellwiseNNZBounds(t *testing.T) {

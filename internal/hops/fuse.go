@@ -1,7 +1,7 @@
 // HOP-level operator fusion (the fusion subsystem of DESIGN.md): a pattern
 // matcher that runs after the static rewrites/CSE and before execution-type
 // selection, replacing matched subgraphs with fused HOP kinds that lower to
-// single-pass multi-threaded kernels. Two pattern families are recognized:
+// single-pass multi-threaded kernels. Three pattern families are recognized:
 //
 //   - mmchain: t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) — the
 //     linear-regression / logistic-regression inner loop — become KindMMChain,
@@ -11,7 +11,15 @@
 //   - cellwise-aggregate pipelines: sum/min/max/colSums/rowSums over a tree
 //     of cellwise binary/unary/scalar operations with single-consumer
 //     intermediates (e.g. sum(X*Y), sum((X-P)^2)) become KindFusedAgg with a
-//     matrix.CellProgram evaluated per cell directly into the aggregate.
+//     matrix.CellProgram evaluated row by row directly into the aggregate.
+//   - cellwise chains: a matrix-valued cellwise binary/unary operator over at
+//     least one single-consumer cellwise interior (e.g. (X - mu) / sd) becomes
+//     KindFusedCell — the same kind of program, written into one output
+//     block. The hop keeps the root operator's Op, and so does the
+//     instruction's opcode.
+//
+// The leaves of a cell program are scalars, matrices of the root's shape, and
+// row (1 x n) or column (m x 1) vectors broadcast along it.
 //
 // Legality: fusion never fires across multi-consumer intermediates (a shared
 // intermediate is materialized anyway, so fusing would trade reuse for
@@ -22,17 +30,23 @@
 package hops
 
 import (
+	"math"
+	"slices"
+
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/types"
 )
 
-// FusedAggPlan describes a fused cellwise-aggregate pipeline: the aggregate
-// name and the cell program over the Hop's inputs (the pipeline's leaves, in
-// first-use order).
-type FusedAggPlan struct {
-	Agg  string // "sum", "min", "max", "colSums", "rowSums"
+// FusedPlan describes a fused cellwise pipeline: the cell program over the
+// Hop's inputs (the pipeline's leaves, in first-use order) and, for
+// KindFusedAgg, the aggregate on top of it.
+type FusedPlan struct {
+	Agg  string // "sum", "min", "max", "colSums", "rowSums"; "" for KindFusedCell
 	Kind matrix.AggKind
 	Prog *matrix.CellProgram
+	// OutNNZ is the non-zero bound size propagation derived for the root
+	// operator of a KindFusedCell before it was rewritten (-1 when unknown).
+	OutNNZ int64
 }
 
 // fusableAggs maps aggregation HOP ops to fused aggregate kinds.
@@ -50,6 +64,7 @@ var fusableAggs = map[string]matrix.AggKind{
 func FuseOperators(d *DAG, p PlannerParams) {
 	fuseMMChains(d, p)
 	fuseAggPipelines(d, p)
+	fuseCellChains(d, p)
 }
 
 // consumerCounts returns, per HOP id, the number of consuming edges in the
@@ -152,41 +167,47 @@ func fuseAggPipelines(d *DAG, p PlannerParams) {
 		if h.Kind != KindAggUnary || !ok || len(h.Inputs) != 1 {
 			continue
 		}
-		root := h.Inputs[0]
 		// the root must itself be a fusable cellwise operator: aggregating a
 		// plain read or other materialized value is already a single pass
-		if root.Kind != KindBinary && root.Kind != KindUnary {
+		root := h.Inputs[0]
+		if WouldRunDist(h, p) || consumers[root.ID] != 1 {
 			continue
 		}
-		if WouldRunDist(h, p) || WouldRunDist(root, p) {
+		b := buildCellProgram(root, consumers, p)
+		if b == nil || b.ops < 1 {
 			continue
 		}
-		b := &cellBuilder{consumers: consumers, dims: root.DC, argIdx: map[int64]int{}, firstMat: -1}
-		if root.DC.Rows < 0 || root.DC.Cols < 0 {
-			continue
-		}
-		if !b.build(root) || b.firstMat < 0 {
-			continue
-		}
-		// a program that is a bare argument load means the root was not
-		// eligible (multi-consumer or broadcast operands): nothing was fused,
-		// keep the plain aggregate over the materialized value
-		fusedOps := 0
-		for _, ins := range b.instrs {
-			if ins.Code != matrix.CellLoad {
-				fusedOps++
-			}
-		}
-		if fusedOps == 0 {
-			continue
-		}
-		prog := &matrix.CellProgram{Instrs: b.instrs, NumArgs: len(b.args)}
-		if prog.Validate() != nil {
-			continue
-		}
-		prog.Annihilating = b.annihilates(root)
 		h.Kind = KindFusedAgg
-		h.FusedAgg = &FusedAggPlan{Agg: h.Op, Kind: aggKind, Prog: prog}
+		h.Fused = &FusedPlan{Agg: h.Op, Kind: aggKind, Prog: b.program(root)}
+		h.Inputs = b.args
+		consumers = consumerCounts(d)
+	}
+}
+
+// fuseCellChains rewrites matrix-valued cellwise operators over at least one
+// single-consumer cellwise interior into KindFusedCell hops. Consumers are
+// visited before their inputs, so a chain fuses at its outermost operator and
+// swallows everything eligible below it.
+func fuseCellChains(d *DAG, p PlannerParams) {
+	consumers := consumerCounts(d)
+	nodes := d.Nodes()
+	fused := map[int64]bool{} // interiors of an already-rewritten chain
+	for i := len(nodes) - 1; i >= 0; i-- {
+		h := nodes[i]
+		if fused[h.ID] || (h.Kind != KindBinary && h.Kind != KindUnary) {
+			continue
+		}
+		b := buildCellProgram(h, consumers, p)
+		if b == nil || b.ops < 2 {
+			continue
+		}
+		for _, id := range b.interior {
+			fused[id] = true
+		}
+		// the program is assembled (and the root's nnz bound read) while h is
+		// still the plain operator the analyses below understand
+		h.Fused = &FusedPlan{Prog: b.program(h), OutNNZ: h.DC.NNZ}
+		h.Kind = KindFusedCell
 		h.Inputs = b.args
 		consumers = consumerCounts(d)
 	}
@@ -195,23 +216,45 @@ func fuseAggPipelines(d *DAG, p PlannerParams) {
 // cellBuilder linearizes a cellwise HOP tree into a stack program.
 type cellBuilder struct {
 	consumers map[int64]int
+	params    PlannerParams
 	dims      types.DataCharacteristics
 	instrs    []matrix.CellInstr
 	args      []*Hop
-	argIdx    map[int64]int
-	firstMat  int // index of the first matrix argument (the driver), -1 if none
+	interior  []int64 // operators folded into the program below the root
+	driver    *Hop    // first leaf of the root's shape
+	ops       int     // operator instructions, root included
 	depth     int
-	maxDepth  int
 }
 
-// eligible reports whether a hop may be fused as an interior node: a
-// single-consumer cellwise binary/unary matrix operator of the root's shape
-// whose operands are scalars or matrices of the same shape.
-func (b *cellBuilder) eligible(h *Hop) bool {
-	if !h.IsMatrix() || b.consumers[h.ID] != 1 {
-		return false
+// buildCellProgram linearizes the cellwise tree under root — root itself plus
+// every eligible interior — or returns nil when root is no fusable cellwise
+// operator of known shape or the tree does not fit a cell program.
+func buildCellProgram(root *Hop, consumers map[int64]int, p PlannerParams) *cellBuilder {
+	b := &cellBuilder{consumers: consumers, params: p, dims: root.DC}
+	if root.DC.Rows < 0 || root.DC.Cols < 0 || !b.fusable(root) {
+		return nil
 	}
-	if h.DC.Rows != b.dims.Rows || h.DC.Cols != b.dims.Cols {
+	if !b.build(root, true) || b.driver == nil {
+		return nil
+	}
+	return b
+}
+
+// program assembles the built instructions; root is the tree's top operator.
+func (b *cellBuilder) program(root *Hop) *matrix.CellProgram {
+	return &matrix.CellProgram{Instrs: b.instrs, NumArgs: len(b.args), Annihilating: b.annihilates(root)}
+}
+
+// fullShape reports whether a hop is a matrix of the root's shape.
+func (b *cellBuilder) fullShape(h *Hop) bool {
+	return h.IsMatrix() && h.DC.Rows == b.dims.Rows && h.DC.Cols == b.dims.Cols
+}
+
+// fusable reports whether a hop can be an operator of the cell program: a
+// cellwise binary/unary matrix operator of the root's shape that the planner
+// keeps in CP, whose operands are all possible leaves.
+func (b *cellBuilder) fusable(h *Hop) bool {
+	if !b.fullShape(h) || WouldRunDist(h, b.params) {
 		return false
 	}
 	switch h.Kind {
@@ -222,12 +265,13 @@ func (b *cellBuilder) eligible(h *Hop) bool {
 		if _, ok := matrix.BinaryOpFromString(h.Op); !ok {
 			return false
 		}
-		for _, in := range h.Inputs {
-			if !b.operandOK(in) {
-				return false
-			}
+		// two vectors never combine into the root's shape (the kernels have
+		// no outer broadcast): one operand carries it
+		l, r := h.Inputs[0], h.Inputs[1]
+		if l.IsMatrix() && r.IsMatrix() && !b.fullShape(l) && !b.fullShape(r) {
+			return false
 		}
-		return true
+		return b.operandOK(l) && b.operandOK(r)
 	case KindUnary:
 		if len(h.Inputs) != 1 {
 			return false
@@ -240,34 +284,44 @@ func (b *cellBuilder) eligible(h *Hop) bool {
 	return false
 }
 
-// operandOK reports whether an operand can participate in the cell program:
-// a scalar, or a matrix of the root's shape (broadcast vectors make the
-// consuming operator a materialization boundary instead).
+// operandOK reports whether an operand can be a leaf of the cell program: a
+// numeric scalar, a matrix of the root's shape, or a row or column vector
+// broadcast along it.
 func (b *cellBuilder) operandOK(h *Hop) bool {
 	if h.IsScalar() {
 		return h.ValueType != types.String
 	}
-	return h.IsMatrix() && h.DC.Rows == b.dims.Rows && h.DC.Cols == b.dims.Cols
+	// a leaf the blocked backend produces arrives blocked: operators over it
+	// run blocked too, and a fused instruction would collect it instead
+	if !h.IsMatrix() || (WouldRunDist(h, b.params) && keepsBlockedOutput(h)) {
+		return false
+	}
+	return b.fullShape(h) ||
+		(h.DC.Rows == 1 && h.DC.Cols == b.dims.Cols) ||
+		(h.DC.Cols == 1 && h.DC.Rows == b.dims.Rows)
 }
 
-// build emits the post-order program for the subtree rooted at h; interior
-// nodes recurse, everything else becomes an argument load.
-func (b *cellBuilder) build(h *Hop) bool {
-	if b.eligible(h) {
-		switch h.Kind {
-		case KindBinary:
-			if !b.build(h.Inputs[0]) || !b.build(h.Inputs[1]) {
+// build emits the post-order program for the subtree rooted at h: the root
+// and every single-consumer fusable operator below it recurse, everything
+// else becomes an argument load.
+func (b *cellBuilder) build(h *Hop, root bool) bool {
+	if root || (b.consumers[h.ID] == 1 && b.fusable(h)) {
+		for _, in := range h.Inputs {
+			if !b.build(in, false) {
 				return false
 			}
+		}
+		if h.Kind == KindBinary {
 			op, _ := matrix.BinaryOpFromString(h.Op)
 			b.instrs = append(b.instrs, matrix.CellInstr{Code: matrix.CellBinary, Bin: op})
 			b.depth--
-		case KindUnary:
-			if !b.build(h.Inputs[0]) {
-				return false
-			}
+		} else {
 			op, _ := matrix.UnaryOpFromString(h.Op)
 			b.instrs = append(b.instrs, matrix.CellInstr{Code: matrix.CellUnary, Un: op})
+		}
+		b.ops++
+		if !root {
+			b.interior = append(b.interior, h.ID)
 		}
 		return len(b.instrs) <= matrix.CellMaxInstrs
 	}
@@ -275,48 +329,33 @@ func (b *cellBuilder) build(h *Hop) bool {
 	if !b.operandOK(h) {
 		return false
 	}
-	idx, seen := b.argIdx[h.ID]
-	if !seen {
+	idx := slices.Index(b.args, h)
+	if idx < 0 {
 		idx = len(b.args)
-		b.argIdx[h.ID] = idx
 		b.args = append(b.args, h)
-		if h.IsMatrix() && b.firstMat < 0 {
-			b.firstMat = idx
+		if b.driver == nil && b.fullShape(h) {
+			b.driver = h
 		}
 	}
 	b.instrs = append(b.instrs, matrix.CellInstr{Code: matrix.CellLoad, Arg: idx})
 	b.depth++
-	if b.depth > b.maxDepth {
-		b.maxDepth = b.depth
-	}
 	return b.depth <= matrix.CellMaxStack && len(b.instrs) <= matrix.CellMaxInstrs
 }
 
 // annihilates reports the structural guarantee that the subtree evaluates to
-// exactly 0 whenever the driver argument (first matrix argument) is 0,
-// regardless of the other operands — the legality condition of the
-// sparse-driver iteration. Division is excluded (0/0 would be NaN in the
-// dense evaluation).
+// exactly 0 whenever the driver argument (the first leaf of the root's shape)
+// is 0, for finite leaf values — the legality condition of the sparse-driver
+// iteration. A product annihilates only when its other factor stays finite
+// (0 * Inf is NaN), and division is excluded (0/0 is NaN).
 func (b *cellBuilder) annihilates(h *Hop) bool {
-	if b.firstMat < 0 {
-		return false
-	}
-	driver := b.args[b.firstMat]
 	var ann func(h *Hop) bool
 	ann = func(h *Hop) bool {
-		if h == driver {
+		if h == b.driver {
 			return true
 		}
 		switch h.Kind {
 		case KindUnary:
-			if len(h.Inputs) != 1 || !ann(h.Inputs[0]) {
-				return false
-			}
-			switch h.Op {
-			case "uminus", "abs", "sqrt", "round", "floor", "ceil", "sign", "sin", "tan":
-				return true
-			}
-			return false
+			return len(h.Inputs) == 1 && zeroPreservingUnary[h.Op] && ann(h.Inputs[0])
 		case KindBinary:
 			if len(h.Inputs) != 2 {
 				return false
@@ -324,17 +363,38 @@ func (b *cellBuilder) annihilates(h *Hop) bool {
 			a, c := h.Inputs[0], h.Inputs[1]
 			switch h.Op {
 			case "*":
-				return ann(a) || ann(c)
-			case "+", "-":
-				return ann(a) && ann(c)
-			case "min", "max":
+				return (ann(a) && staysFinite(c)) || (ann(c) && staysFinite(a))
+			case "+", "-", "min", "max":
 				return ann(a) && ann(c)
 			case "^":
 				return ann(a) && c.IsLiteralNumber() && c.LitValue > 0
 			}
-			return false
 		}
 		return false
 	}
 	return ann(h)
+}
+
+// finiteUnary and finiteBinary list the cellwise operators that map finite
+// operands to a finite result (overflow aside).
+var (
+	finiteUnary = map[string]bool{"uminus": true, "abs": true, "round": true, "floor": true,
+		"ceil": true, "sign": true, "!": true, "sin": true, "cos": true, "sigmoid": true, "is.nan": true}
+	finiteBinary = map[string]bool{"+": true, "-": true, "*": true, "min": true, "max": true,
+		"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true, "&": true, "|": true}
+)
+
+// staysFinite reports whether a subtree is finite wherever its data is:
+// anything that is not a cellwise operator counts as data, which the kernel
+// checks for Inf and NaN at run time before it skips a cell.
+func staysFinite(h *Hop) bool {
+	switch h.Kind {
+	case KindUnary:
+		return len(h.Inputs) == 1 && finiteUnary[h.Op] && staysFinite(h.Inputs[0])
+	case KindBinary:
+		return len(h.Inputs) == 2 && finiteBinary[h.Op] && staysFinite(h.Inputs[0]) && staysFinite(h.Inputs[1])
+	case KindLiteral:
+		return !h.LitIsStr && !math.IsNaN(h.LitValue) && !math.IsInf(h.LitValue, 0)
+	}
+	return true
 }

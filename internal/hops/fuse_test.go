@@ -170,13 +170,13 @@ func TestFuseAggPipeline(t *testing.T) {
 	root := agg("sum", mul)
 	d := &DAG{Roots: []*Hop{NewWrite("s", root)}}
 	prepare(d)
-	if root.Kind != KindFusedAgg || root.FusedAgg == nil {
+	if root.Kind != KindFusedAgg || root.Fused == nil {
 		t.Fatalf("expected fused aggregate, got %s", root.Kind)
 	}
-	if got := root.FusedAgg.Prog.Signature(); got != "L0;L1;B*" {
+	if got := root.Fused.Prog.Signature(); got != "L0;L1;B*" {
 		t.Errorf("program signature = %q, want L0;L1;B*", got)
 	}
-	if !root.FusedAgg.Prog.Annihilating {
+	if !root.Fused.Prog.Annihilating {
 		t.Error("X*Y should annihilate on the driver")
 	}
 	if len(root.Inputs) != 2 || root.Inputs[0] != x || root.Inputs[1] != y {
@@ -201,7 +201,7 @@ func TestFuseAggSharedLeaf(t *testing.T) {
 	if len(root.Inputs) != 1 {
 		t.Fatalf("shared leaf should deduplicate to one argument, got %d", len(root.Inputs))
 	}
-	if got := root.FusedAgg.Prog.Signature(); got != "L0;L0;B*" {
+	if got := root.Fused.Prog.Signature(); got != "L0;L0;B*" {
 		t.Errorf("program signature = %q, want L0;L0;B*", got)
 	}
 }
@@ -224,17 +224,155 @@ func TestNoFuseAggMultiConsumer(t *testing.T) {
 	}
 }
 
-// TestNoFuseAggBroadcast: a column-vector broadcast operand makes the binary
-// a materialization boundary.
-func TestNoFuseAggBroadcast(t *testing.T) {
+// TestFuseAggBroadcastLeaves: row- and column-vector operands are leaves of
+// the cell program, the driver is the first leaf of the root's shape, and the
+// aggregate keeps the pipeline's shape however the leaves are ordered.
+func TestFuseAggBroadcastLeaves(t *testing.T) {
+	row := matRead("mu", 1, 30)
 	x := matRead("X", 50, 30)
 	col := matRead("c", 50, 1)
-	sub := binary("-", x, col)
-	root := agg("sum", sub)
+	root := agg("rowSums", binary("*", binary("-", row, x), col))
+	d := &DAG{Roots: []*Hop{NewWrite("s", root)}}
+	prepare(d)
+	if root.Kind != KindFusedAgg {
+		t.Fatalf("broadcast leaves must fuse, got %s", root.Kind)
+	}
+	if got := root.Fused.Prog.Signature(); got != "L0;L1;B-;L2;B*" {
+		t.Errorf("program signature = %q, want L0;L1;B-;L2;B*", got)
+	}
+	if len(root.Inputs) != 3 || root.Inputs[0] != row || root.Inputs[1] != x || root.Inputs[2] != col {
+		t.Error("fused inputs should be [mu, X, c]")
+	}
+	if root.DC.Rows != 50 || root.DC.Cols != 1 {
+		t.Errorf("rowSums characteristics = %v, want 50x1", root.DC)
+	}
+	if root.Fused.Prog.Annihilating {
+		t.Error("(mu - X) * c is mu*c where X is 0: must not annihilate")
+	}
+}
+
+// TestNoFuseTwoVectors: a row vector against a column vector has no operand
+// of the root's shape — the kernels have no outer broadcast — so the binary
+// stays a materialization boundary (and fails at runtime as before).
+func TestNoFuseTwoVectors(t *testing.T) {
+	row := matRead("r", 1, 30)
+	col := matRead("c", 50, 1)
+	root := agg("sum", binary("+", row, col))
 	d := &DAG{Roots: []*Hop{NewWrite("s", root)}}
 	prepare(d)
 	if root.Kind != KindAggUnary {
-		t.Fatalf("broadcast operand must not fuse, got %s", root.Kind)
+		t.Fatalf("vector-vector operator must not fuse, got %s", root.Kind)
+	}
+}
+
+// TestFuseCellChain: Xs = (X - mu) / sd becomes one FusedCell hop under the
+// root operator's Op, with the row vectors as leaves.
+func TestFuseCellChain(t *testing.T) {
+	x := matRead("X", 64, 100)
+	mu := matRead("mu", 1, 100)
+	sd := matRead("sd", 1, 100)
+	sub := binary("-", x, mu)
+	root := binary("/", sub, sd)
+	d := &DAG{Roots: []*Hop{NewWrite("Xs", root)}}
+	prepare(d)
+	if root.Kind != KindFusedCell || root.Op != "/" {
+		t.Fatalf("chain root = %s %s, want FusedCell /", root.Kind, root.Op)
+	}
+	if got := root.Fused.Prog.Signature(); got != "L0;L1;B-;L2;B/" {
+		t.Errorf("program signature = %q, want L0;L1;B-;L2;B/", got)
+	}
+	if len(root.Inputs) != 3 || root.Inputs[0] != x || root.Inputs[1] != mu || root.Inputs[2] != sd {
+		t.Error("fused inputs should be [X, mu, sd]")
+	}
+	if d.CountKind(KindBinary) != 0 {
+		t.Error("the interior subtraction should be gone from the DAG")
+	}
+	if root.DC.Rows != 64 || root.DC.Cols != 100 {
+		t.Errorf("output characteristics = %v, want 64x100", root.DC)
+	}
+}
+
+// TestFuseCellChainOutermostRoot: a chain fuses once, at its outermost
+// operator, and a single operator is left alone.
+func TestFuseCellChainOutermostRoot(t *testing.T) {
+	x := matRead("X", 64, 100)
+	y := matRead("Y", 64, 100)
+	inner := binary("*", binary("-", x, y), NewLiteralNumber(2))
+	abs := NewHop(KindUnary, "abs", inner)
+	abs.DataType = types.Matrix
+	single := binary("+", x, y)
+	d := &DAG{Roots: []*Hop{NewWrite("A", abs), NewWrite("S", single)}}
+	prepare(d)
+	if abs.Kind != KindFusedCell || d.CountKind(KindFusedCell) != 1 {
+		t.Fatalf("want exactly one FusedCell at abs, got %s and %d", abs.Kind, d.CountKind(KindFusedCell))
+	}
+	if got := abs.Fused.Prog.Signature(); got != "L0;L1;B-;L2;B*;Uabs" {
+		t.Errorf("program signature = %q, want L0;L1;B-;L2;B*;Uabs", got)
+	}
+	if single.Kind != KindBinary {
+		t.Errorf("a single operator must stay %s, got %s", KindBinary, single.Kind)
+	}
+}
+
+// TestFuseCellChainKeepsRootAnalyses: the rewritten root carries what the
+// plain operator had — the program annihilates on a sparse driver (abs(S*2)
+// runs over stored cells only), and the output keeps the root's nnz bound.
+func TestFuseCellChainKeepsRootAnalyses(t *testing.T) {
+	s := matRead("S", 6000, 6000)
+	s.DC.NNZ = 18000
+	root := NewHop(KindUnary, "abs", binary("*", s, NewLiteralNumber(2)))
+	root.DataType = types.Matrix
+	shifted := binary("/", binary("+", s, NewLiteralNumber(1)), NewLiteralNumber(2))
+	d := &DAG{Roots: []*Hop{NewWrite("R", root), NewWrite("T", shifted)}}
+	prepare(d)
+	if root.Kind != KindFusedCell || shifted.Kind != KindFusedCell {
+		t.Fatalf("chains did not fuse: %s, %s", root.Kind, shifted.Kind)
+	}
+	if !root.Fused.Prog.Annihilating {
+		t.Error("abs(S*2) must annihilate on its driver")
+	}
+	if root.DC.NNZ != 18000 {
+		t.Errorf("abs(S*2) nnz bound = %d, want the driver's 18000", root.DC.NNZ)
+	}
+	if shifted.Fused.Prog.Annihilating {
+		t.Error("(S+1)/2 must not annihilate")
+	}
+}
+
+// TestNoFuseCellChainMultiConsumer: an interior with a second consumer is
+// materialized anyway and stays a leaf.
+func TestNoFuseCellChainMultiConsumer(t *testing.T) {
+	x := matRead("X", 64, 100)
+	mu := matRead("mu", 1, 100)
+	sub := binary("-", x, mu)
+	root := binary("/", sub, NewLiteralNumber(3))
+	d := &DAG{Roots: []*Hop{NewWrite("Xs", root), NewWrite("D", sub)}}
+	prepare(d)
+	if root.Kind != KindBinary || sub.Kind != KindBinary || d.CountKind(KindFusedCell) != 0 {
+		t.Fatalf("two-consumer interior must not fuse, got %s over %s", root.Kind, sub.Kind)
+	}
+}
+
+// TestNoFuseCellChainOverBlockedLeaf: with the distributed backend on, a leaf
+// the blocked backend produces keeps its consumers unfused (they run blocked).
+func TestNoFuseCellChainOverBlockedLeaf(t *testing.T) {
+	x := matRead("X", 4000, 200)
+	v := matRead("v", 4000, 1)
+	w := matRead("w", 200, 1)
+	tx := NewHop(KindReorg, "t", x)
+	tx.DataType = types.Matrix
+	g := NewHop(KindMatMult, "ba+*", tx, v) // 6.4 MB operand: over the budget
+	g.DataType = types.Matrix
+	root := binary("-", w, binary("*", NewLiteralNumber(0.1), g))
+	d := &DAG{Roots: []*Hop{NewWrite("w", root)}}
+	PropagateSizes(d, nil)
+	FuseOperators(d, PlannerParams{DistEnabled: true, MemBudget: 2 << 20})
+	if d.CountKind(KindFusedCell) != 0 {
+		t.Fatal("operators over a blocked leaf must not fuse")
+	}
+	FuseOperators(d, PlannerParams{})
+	if root.Kind != KindFusedCell {
+		t.Fatalf("the same chain fuses without the backend, got %s", root.Kind)
 	}
 }
 
@@ -309,7 +447,7 @@ func TestAnnihilationRules(t *testing.T) {
 	}
 	for _, tc := range cases {
 		root := build(tc.mk)
-		if got := root.FusedAgg.Prog.Annihilating; got != tc.want {
+		if got := root.Fused.Prog.Annihilating; got != tc.want {
 			t.Errorf("%s: annihilating = %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -39,6 +39,7 @@ const (
 	KindWrite                    // transient write of a variable (DAG output)
 	KindMMChain                  // fused t(X)%*%(X%*%v) / t(X)%*%(w*(X%*%v)) / t(X)%*%Y (Op xty)
 	KindFusedAgg                 // fused cellwise pipeline under an aggregate
+	KindFusedCell                // fused cellwise chain into one output block (Op: the root operator)
 	KindCompress                 // compression decision site before a reuse scope
 )
 
@@ -48,7 +49,8 @@ var kindNames = map[Kind]string{
 	KindIndexing: "RightIndex", KindLeftIndex: "LeftIndex", KindDataGen: "DataGen",
 	KindNary: "Nary", KindTernary: "Ternary", KindParamBuiltin: "ParamBuiltin",
 	KindFunctionCall: "FCall", KindCast: "Cast", KindWrite: "TWrite",
-	KindMMChain: "MMChain", KindFusedAgg: "FusedAgg", KindCompress: "Compress",
+	KindMMChain: "MMChain", KindFusedAgg: "FusedAgg", KindFusedCell: "FusedCell",
+	KindCompress: "Compress",
 }
 
 // String returns the kind name.
@@ -94,9 +96,9 @@ type Hop struct {
 	// Outputs for multi-return function calls
 	OutputNames []string
 
-	// FusedAgg carries the cell program of a fused cellwise-aggregate
-	// pipeline (valid when Kind == KindFusedAgg); set by FuseOperators.
-	FusedAgg *FusedAggPlan
+	// Fused carries the cell program of a fused cellwise pipeline (valid when
+	// Kind is KindFusedAgg or KindFusedCell); set by FuseOperators.
+	Fused *FusedPlan
 
 	// CompressReuse estimates how often the reuse scope behind a compression
 	// decision site (Kind == KindCompress) re-reads the operand; set by the
@@ -205,8 +207,8 @@ func (h *Hop) signature() string {
 			fmt.Fprintf(&sb, ":%s=%d", k, h.Params[k].ID)
 		}
 	}
-	if h.FusedAgg != nil {
-		fmt.Fprintf(&sb, ":%s:%s", h.FusedAgg.Agg, h.FusedAgg.Prog.Signature())
+	if h.Fused != nil {
+		fmt.Fprintf(&sb, ":%s:%s", h.Fused.Agg, h.Fused.Prog.Signature())
 	}
 	return sb.String()
 }

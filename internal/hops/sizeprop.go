@@ -103,16 +103,13 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 				h.DC = types.NewDataCharacteristics(in.Cols, 1, in.Blocksize, -1)
 			}
 		}
-	case KindFusedAgg:
-		if h.FusedAgg != nil {
-			var in types.DataCharacteristics
-			for _, arg := range h.Inputs {
-				if arg.IsMatrix() {
-					in = arg.DC
-					break
-				}
-			}
-			switch h.FusedAgg.Agg {
+	case KindFusedAgg, KindFusedCell:
+		if h.Fused != nil {
+			in := fusedShape(h)
+			switch h.Fused.Agg {
+			case "": // KindFusedCell: the pipeline's own shape, the root's nnz bound
+				h.DC = in
+				h.DC.NNZ = h.Fused.OutNNZ
 			case "colSums":
 				h.DC = types.NewDataCharacteristics(1, in.Cols, in.Blocksize, -1)
 			case "rowSums":
@@ -239,6 +236,22 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 	case KindParamBuiltin, KindFunctionCall:
 		h.DC = types.UnknownCharacteristics()
 	}
+}
+
+// fusedShape returns the shape of a fused cellwise pipeline: its matrix leaves
+// are of that shape or vectors broadcast along it, so each dimension is the
+// largest among them (the matcher only fuses over leaves of known shape).
+func fusedShape(h *Hop) types.DataCharacteristics {
+	dc := types.NewDataCharacteristics(0, 0, 0, -1)
+	for _, in := range h.Inputs {
+		if in.IsMatrix() {
+			if dc.Blocksize == 0 {
+				dc.Blocksize = in.DC.Blocksize
+			}
+			dc.Rows, dc.Cols = max(dc.Rows, in.DC.Rows), max(dc.Cols, in.DC.Cols)
+		}
+	}
+	return dc
 }
 
 // scalarOperandNNZBound derives the matrix-scalar nnz bound when the scalar

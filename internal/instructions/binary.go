@@ -156,17 +156,11 @@ func (i *BinaryInst) Execute(ctx *runtime.Context) error {
 // the per-row encoding is untouched. swap marks a scalar left operand.
 func (i *BinaryInst) executeCompressedScalar(ctx *runtime.Context, co *runtime.CompressedMatrixObject,
 	op matrix.BinaryOp, scalar float64, swap bool) error {
-	cm, err := co.Compressed()
-	if err != nil {
-		return err
-	}
-	fn := func(x float64) float64 { return op.Apply(x, scalar) }
+	args, driver := []matrix.CellArg{{}, {Scalar: scalar}}, 0
 	if swap {
-		fn = func(x float64) float64 { return op.Apply(scalar, x) }
+		args[0], args[1], driver = args[1], args[0], 1
 	}
-	ctx.CountCompressedOp()
-	ctx.SetCompressed(i.outs[0], cm.MapValues(fn, ctx.Config.Threads()))
-	return nil
+	return mapCompressed(ctx, co, i.outs[0], matrix.BinaryProgram(op), args, driver)
 }
 
 func (i *BinaryInst) executeStringScalar(ctx *runtime.Context, l, r *runtime.Scalar) error {

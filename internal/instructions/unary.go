@@ -61,13 +61,7 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 	case *runtime.CompressedMatrixObject:
 		// cellwise unary on compressed data is a dictionary-only update: the
 		// encoding structure is shared, only the distinct values are rewritten
-		cm, err := v.Compressed()
-		if err != nil {
-			return err
-		}
-		ctx.CountCompressedOp()
-		ctx.SetCompressed(i.outs[0], cm.MapValues(op.Apply, ctx.Config.Threads()))
-		return nil
+		return mapCompressed(ctx, v, i.outs[0], matrix.UnaryProgram(op), make([]matrix.CellArg, 1), 0)
 	case runtime.MatrixData:
 		if useDist(ctx, i.ExecType, d) {
 			bm, err := resolveBlockedData(ctx, d, i.In)

@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // BinaryOp identifies an element-wise binary operation.
@@ -72,46 +71,34 @@ func (op BinaryOp) String() string {
 	}
 }
 
+// binaryFns holds the scalar definition of every binary operation, indexed by
+// BinaryOp: Apply and the row kernels both resolve an operator here, once.
+var binaryFns = [...]func(a, b float64) float64{
+	OpAdd:          func(a, b float64) float64 { return a + b },
+	OpSub:          func(a, b float64) float64 { return a - b },
+	OpMul:          func(a, b float64) float64 { return a * b },
+	OpDiv:          func(a, b float64) float64 { return a / b },
+	OpPow:          math.Pow,
+	OpMin:          math.Min,
+	OpMax:          math.Max,
+	OpEqual:        func(a, b float64) float64 { return boolToF(a == b) },
+	OpNotEqual:     func(a, b float64) float64 { return boolToF(a != b) },
+	OpLess:         func(a, b float64) float64 { return boolToF(a < b) },
+	OpLessEqual:    func(a, b float64) float64 { return boolToF(a <= b) },
+	OpGreater:      func(a, b float64) float64 { return boolToF(a > b) },
+	OpGreaterEqual: func(a, b float64) float64 { return boolToF(a >= b) },
+	OpAnd:          func(a, b float64) float64 { return boolToF(a != 0 && b != 0) },
+	OpOr:           func(a, b float64) float64 { return boolToF(a != 0 || b != 0) },
+	OpModulus:      math.Mod,
+	OpIntDiv:       func(a, b float64) float64 { return math.Floor(a / b) },
+}
+
 // Apply evaluates the binary operation on two scalars.
 func (op BinaryOp) Apply(a, b float64) float64 {
-	switch op {
-	case OpAdd:
-		return a + b
-	case OpSub:
-		return a - b
-	case OpMul:
-		return a * b
-	case OpDiv:
-		return a / b
-	case OpPow:
-		return math.Pow(a, b)
-	case OpMin:
-		return math.Min(a, b)
-	case OpMax:
-		return math.Max(a, b)
-	case OpEqual:
-		return boolToF(a == b)
-	case OpNotEqual:
-		return boolToF(a != b)
-	case OpLess:
-		return boolToF(a < b)
-	case OpLessEqual:
-		return boolToF(a <= b)
-	case OpGreater:
-		return boolToF(a > b)
-	case OpGreaterEqual:
-		return boolToF(a >= b)
-	case OpAnd:
-		return boolToF(a != 0 && b != 0)
-	case OpOr:
-		return boolToF(a != 0 || b != 0)
-	case OpModulus:
-		return math.Mod(a, b)
-	case OpIntDiv:
-		return math.Floor(a / b)
-	default:
+	if op < 0 || int(op) >= len(binaryFns) {
 		return math.NaN()
 	}
+	return binaryFns[op](a, b)
 }
 
 func boolToF(b bool) float64 {
@@ -212,47 +199,39 @@ func (op UnaryOp) String() string {
 	}
 }
 
-// Apply evaluates the unary operation on a scalar.
-func (op UnaryOp) Apply(a float64) float64 {
-	switch op {
-	case OpNeg:
-		return -a
-	case OpAbs:
-		return math.Abs(a)
-	case OpExp:
-		return math.Exp(a)
-	case OpLog:
-		return math.Log(a)
-	case OpSqrt:
-		return math.Sqrt(a)
-	case OpRound:
-		return math.Round(a)
-	case OpFloor:
-		return math.Floor(a)
-	case OpCeil:
-		return math.Ceil(a)
-	case OpSign:
+// unaryFns holds the scalar definition of every unary operation, indexed by
+// UnaryOp (see binaryFns).
+var unaryFns = [...]func(a float64) float64{
+	OpNeg:   func(a float64) float64 { return -a },
+	OpAbs:   math.Abs,
+	OpExp:   math.Exp,
+	OpLog:   math.Log,
+	OpSqrt:  math.Sqrt,
+	OpRound: math.Round,
+	OpFloor: math.Floor,
+	OpCeil:  math.Ceil,
+	OpSign: func(a float64) float64 {
 		if a > 0 {
 			return 1
 		} else if a < 0 {
 			return -1
 		}
 		return 0
-	case OpNot:
-		return boolToF(a == 0)
-	case OpSin:
-		return math.Sin(a)
-	case OpCos:
-		return math.Cos(a)
-	case OpTan:
-		return math.Tan(a)
-	case OpSigmoid:
-		return 1 / (1 + math.Exp(-a))
-	case OpIsNaN:
-		return boolToF(math.IsNaN(a))
-	default:
+	},
+	OpNot:     func(a float64) float64 { return boolToF(a == 0) },
+	OpSin:     math.Sin,
+	OpCos:     math.Cos,
+	OpTan:     math.Tan,
+	OpSigmoid: func(a float64) float64 { return 1 / (1 + math.Exp(-a)) },
+	OpIsNaN:   func(a float64) float64 { return boolToF(math.IsNaN(a)) },
+}
+
+// Apply evaluates the unary operation on a scalar.
+func (op UnaryOp) Apply(a float64) float64 {
+	if op < 0 || int(op) >= len(unaryFns) {
 		return math.NaN()
 	}
+	return unaryFns[op](a)
 }
 
 // elemThreads resolves the worker count of an element-wise kernel: small
@@ -264,94 +243,230 @@ func elemThreads(threads, cells int) int {
 	return resolveThreads(threads)
 }
 
-// ScalarOp applies `m op s` cell-wise (or `s op m` when swap is true) and
-// returns a new matrix. The dense path is row-partitioned across threads and
-// counts non-zeros during the write loop.
-func ScalarOp(m *MatrixBlock, s float64, op BinaryOp, swap bool, threads int) *MatrixBlock {
-	// Sparse-safe ops (f(0, s) == 0) can stay sparse when applied to a
-	// sparse block; everything else densifies.
-	sparseSafe := false
-	if !swap && (op == OpMul || op == OpDiv || op == OpIntDiv) {
-		sparseSafe = true
-	}
-	if op == OpMul && swap {
-		sparseSafe = true
-	}
-	if m.IsSparse() && sparseSafe {
-		out := m.Copy()
-		vals := out.csr().Values
-		parallelRows(len(vals), elemThreads(threads, len(vals)), func(i0, i1 int) {
-			for i := i0; i < i1; i++ {
-				if swap {
-					vals[i] = op.Apply(s, vals[i])
-				} else {
-					vals[i] = op.Apply(vals[i], s)
-				}
-			}
-		})
-		out.RecomputeNNZ()
-		return out
-	}
-	src := m
-	if src.IsSparse() {
-		src = m.Copy().ToDense()
-	}
-	out := NewDense(m.rows, m.cols)
-	var nnz atomic.Int64
-	parallelRows(m.rows, elemThreads(threads, m.rows*m.cols), func(r0, r1 int) {
-		var n int64
-		for i := r0 * m.cols; i < r1*m.cols; i++ {
-			v := src.dense[i]
-			if swap {
-				out.dense[i] = op.Apply(s, v)
-			} else {
-				out.dense[i] = op.Apply(v, s)
-			}
-			if out.dense[i] != 0 {
-				n++
+// --- row kernels --------------------------------------------------------------
+//
+// The row kernels are the one place a cell-wise operator meets data:
+// dst[c] = a[c] ∘ b[c], a[c] ∘ s, s ∘ b[c] and f(a[c]) over slices of equal
+// length. The operator and the operand order are resolved before the loop
+// (the four arithmetic operators run inline, everything else through the
+// function looked up once in binaryFns/unaryFns), and the non-zero count of
+// dst is taken in the same pass. Zeros are written unsigned (pz). dst may
+// alias an operand: every cell is read before it is written.
+
+// pz returns v with a negative zero turned into +0: a sparse block cannot hold
+// the sign of a zero, so no cell-wise kernel writes one, and a result does not
+// depend on which intermediate happened to be stored sparse. IEEE -0 + +0 is
+// +0, and x + 0 is x for every other x (NaN included). The conversion keeps
+// the addition from fusing with the multiplication that produced v (an FMA
+// would keep the sign of an underflowed product).
+func pz(v float64) float64 { return float64(v) + 0 }
+
+func binaryRowVV(op BinaryOp, dst, a, b []float64) (nnz int) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	switch op {
+	case OpAdd:
+		for c := range dst {
+			v := pz(a[c] + b[c])
+			dst[c] = v
+			if v != 0 {
+				nnz++
 			}
 		}
-		nnz.Add(n)
-	})
-	out.nnz = nnz.Load()
+	case OpSub:
+		for c := range dst {
+			v := pz(a[c] - b[c])
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case OpMul:
+		for c := range dst {
+			v := pz(a[c] * b[c])
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case OpDiv:
+		for c := range dst {
+			v := pz(a[c] / b[c])
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	default:
+		f := binaryFns[op]
+		for c := range dst {
+			v := pz(f(a[c], b[c]))
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	return nnz
+}
+
+func binaryRowVS(op BinaryOp, dst, a []float64, s float64) (nnz int) {
+	a = a[:len(dst)]
+	switch op {
+	case OpAdd:
+		for c := range dst {
+			v := pz(a[c] + s)
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case OpSub:
+		for c := range dst {
+			v := pz(a[c] - s)
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case OpMul:
+		for c := range dst {
+			v := pz(a[c] * s)
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case OpDiv:
+		for c := range dst {
+			v := pz(a[c] / s)
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	default:
+		f := binaryFns[op]
+		for c := range dst {
+			v := pz(f(a[c], s))
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	return nnz
+}
+
+func binaryRowSV(op BinaryOp, dst []float64, s float64, b []float64) (nnz int) {
+	b = b[:len(dst)]
+	switch op {
+	case OpAdd, OpMul:
+		// IEEE addition and multiplication commute, NaN payloads aside
+		return binaryRowVS(op, dst, b, s)
+	case OpSub:
+		for c := range dst {
+			v := pz(s - b[c])
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case OpDiv:
+		for c := range dst {
+			v := pz(s / b[c])
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	default:
+		f := binaryFns[op]
+		for c := range dst {
+			v := pz(f(s, b[c]))
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	return nnz
+}
+
+func unaryRow(op UnaryOp, dst, a []float64) (nnz int) {
+	a = a[:len(dst)]
+	if op == OpNeg {
+		for c := range dst {
+			v := pz(-a[c])
+			dst[c] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+		return nnz
+	}
+	f := unaryFns[op]
+	for c := range dst {
+		v := pz(f(a[c]))
+		dst[c] = v
+		if v != 0 {
+			nnz++
+		}
+	}
+	return nnz
+}
+
+// --- single-operator drivers ------------------------------------------------------
+//
+// ScalarOp, UnaryApply and CellwiseOp are one-operator cell programs handed to
+// FusedCell (fused.go): they share its loaders, its row kernels, its exact
+// non-zero count and its output representation with every fused chain.
+
+// BinaryProgram returns the cell program of `arg0 op arg1`.
+func BinaryProgram(op BinaryOp) *CellProgram {
+	return &CellProgram{
+		Instrs:  []CellInstr{{Code: CellLoad, Arg: 0}, {Code: CellLoad, Arg: 1}, {Code: CellBinary, Bin: op}},
+		NumArgs: 2,
+	}
+}
+
+// UnaryProgram returns the cell program of `op(arg0)`.
+func UnaryProgram(op UnaryOp) *CellProgram {
+	return &CellProgram{
+		Instrs:       []CellInstr{{Code: CellLoad, Arg: 0}, {Code: CellUnary, Un: op}},
+		NumArgs:      1,
+		Annihilating: op.Apply(0) == 0,
+	}
+}
+
+// mustCell runs a program whose arguments are well-shaped by construction.
+func mustCell(prog *CellProgram, args []CellArg, threads int) *MatrixBlock {
+	out, err := FusedCell(prog, args, threads)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
-// UnaryApply applies the unary operation cell-wise and returns a new matrix.
-// The dense path is row-partitioned across threads and counts non-zeros
-// during the write loop.
+// ScalarOp applies `m op s` cell-wise (or `s op m` when swap is true) and
+// returns a new matrix. A sparse block is rewritten in place of its stored
+// cells only when the operator maps zero to zero for this scalar (X * 2, but
+// not X / 0 or X * NaN); everything else evaluates every cell.
+func ScalarOp(m *MatrixBlock, s float64, op BinaryOp, swap bool, threads int) *MatrixBlock {
+	prog := BinaryProgram(op)
+	args := []CellArg{{Mat: m}, {Scalar: s}}
+	zero := op.Apply(0, s)
+	if swap {
+		args[0], args[1] = args[1], args[0]
+		zero = op.Apply(s, 0)
+	}
+	prog.Annihilating = zero == 0
+	return mustCell(prog, args, threads)
+}
+
+// UnaryApply applies the unary operation cell-wise and returns a new matrix;
+// a sparse block keeps its pattern when the operation maps zero to zero.
 func UnaryApply(m *MatrixBlock, op UnaryOp, threads int) *MatrixBlock {
-	sparseSafe := op == OpNeg || op == OpAbs || op == OpSqrt || op == OpRound ||
-		op == OpFloor || op == OpCeil || op == OpSign || op == OpSin || op == OpTan
-	if m.IsSparse() && sparseSafe {
-		out := m.Copy()
-		vals := out.csr().Values
-		parallelRows(len(vals), elemThreads(threads, len(vals)), func(i0, i1 int) {
-			for i := i0; i < i1; i++ {
-				vals[i] = op.Apply(vals[i])
-			}
-		})
-		out.RecomputeNNZ()
-		return out
-	}
-	src := m
-	if src.IsSparse() {
-		src = m.Copy().ToDense()
-	}
-	out := NewDense(m.rows, m.cols)
-	var nnz atomic.Int64
-	parallelRows(m.rows, elemThreads(threads, m.rows*m.cols), func(r0, r1 int) {
-		var n int64
-		for i := r0 * m.cols; i < r1*m.cols; i++ {
-			out.dense[i] = op.Apply(src.dense[i])
-			if out.dense[i] != 0 {
-				n++
-			}
-		}
-		nnz.Add(n)
-	})
-	out.nnz = nnz.Load()
-	return out
+	return mustCell(UnaryProgram(op), []CellArg{{Mat: m}}, threads)
 }
 
 // CellwiseOp applies the binary operation cell-wise between two matrices of
@@ -359,121 +474,12 @@ func UnaryApply(m *MatrixBlock, op UnaryOp, threads int) *MatrixBlock {
 // is a 1xN row vector or Nx1 column vector matching the other's dimensions
 // (mirroring R/DML broadcasting semantics for matrix-vector operations).
 func CellwiseOp(a, b *MatrixBlock, op BinaryOp, threads int) (*MatrixBlock, error) {
-	// exact shape match
-	if a.rows == b.rows && a.cols == b.cols {
-		return cellwiseSameDim(a, b, op, threads), nil
+	out, err := FusedCell(BinaryProgram(op), []CellArg{{Mat: a}, {Mat: b}}, threads)
+	if err != nil {
+		return nil, fmt.Errorf("matrix: cellwise op %s dimension mismatch %dx%d vs %dx%d",
+			op, a.rows, a.cols, b.rows, b.cols)
 	}
-	// column vector broadcast: b is a.rows x 1
-	if b.rows == a.rows && b.cols == 1 {
-		return cellwiseBroadcastCol(a, b, op, false, threads), nil
-	}
-	// row vector broadcast: b is 1 x a.cols
-	if b.cols == a.cols && b.rows == 1 {
-		return cellwiseBroadcastRow(a, b, op, false, threads), nil
-	}
-	// reversed broadcast (vector op matrix)
-	if a.rows == b.rows && a.cols == 1 {
-		return cellwiseBroadcastCol(b, a, op, true, threads), nil
-	}
-	if a.cols == b.cols && a.rows == 1 {
-		return cellwiseBroadcastRow(b, a, op, true, threads), nil
-	}
-	return nil, fmt.Errorf("matrix: cellwise op %s dimension mismatch %dx%d vs %dx%d",
-		op, a.rows, a.cols, b.rows, b.cols)
-}
-
-func cellwiseSameDim(a, b *MatrixBlock, op BinaryOp, threads int) *MatrixBlock {
-	ad := a
-	if ad.IsSparse() {
-		ad = a.Copy().ToDense()
-	}
-	bd := b
-	if bd.IsSparse() {
-		bd = b.Copy().ToDense()
-	}
-	out := NewDense(a.rows, a.cols)
-	var nnz atomic.Int64
-	parallelRows(a.rows, elemThreads(threads, a.rows*a.cols), func(r0, r1 int) {
-		var n int64
-		for i := r0 * a.cols; i < r1*a.cols; i++ {
-			out.dense[i] = op.Apply(ad.dense[i], bd.dense[i])
-			if out.dense[i] != 0 {
-				n++
-			}
-		}
-		nnz.Add(n)
-	})
-	out.nnz = nnz.Load()
-	out.ExamineAndApplySparsity()
-	return out
-}
-
-func cellwiseBroadcastCol(m, v *MatrixBlock, op BinaryOp, swap bool, threads int) *MatrixBlock {
-	md := m
-	if md.IsSparse() {
-		md = m.Copy().ToDense()
-	}
-	vd := v
-	if vd.IsSparse() {
-		vd = v.Copy().ToDense()
-	}
-	out := NewDense(m.rows, m.cols)
-	var nnz atomic.Int64
-	parallelRows(m.rows, elemThreads(threads, m.rows*m.cols), func(r0, r1 int) {
-		var n int64
-		for r := r0; r < r1; r++ {
-			vv := vd.dense[r]
-			base := r * m.cols
-			for c := 0; c < m.cols; c++ {
-				if swap {
-					out.dense[base+c] = op.Apply(vv, md.dense[base+c])
-				} else {
-					out.dense[base+c] = op.Apply(md.dense[base+c], vv)
-				}
-				if out.dense[base+c] != 0 {
-					n++
-				}
-			}
-		}
-		nnz.Add(n)
-	})
-	out.nnz = nnz.Load()
-	out.ExamineAndApplySparsity()
-	return out
-}
-
-func cellwiseBroadcastRow(m, v *MatrixBlock, op BinaryOp, swap bool, threads int) *MatrixBlock {
-	md := m
-	if md.IsSparse() {
-		md = m.Copy().ToDense()
-	}
-	vd := v
-	if vd.IsSparse() {
-		vd = v.Copy().ToDense()
-	}
-	out := NewDense(m.rows, m.cols)
-	var nnz atomic.Int64
-	parallelRows(m.rows, elemThreads(threads, m.rows*m.cols), func(r0, r1 int) {
-		var n int64
-		for r := r0; r < r1; r++ {
-			base := r * m.cols
-			for c := 0; c < m.cols; c++ {
-				vv := vd.dense[c]
-				if swap {
-					out.dense[base+c] = op.Apply(vv, md.dense[base+c])
-				} else {
-					out.dense[base+c] = op.Apply(md.dense[base+c], vv)
-				}
-				if out.dense[base+c] != 0 {
-					n++
-				}
-			}
-		}
-		nnz.Add(n)
-	})
-	out.nnz = nnz.Load()
-	out.ExamineAndApplySparsity()
-	return out
+	return out, nil
 }
 
 // Ternary computes ifelse(cond, a, b) cell-wise where cond, a, b may be

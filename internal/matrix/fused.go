@@ -9,8 +9,9 @@ import (
 )
 
 // This file implements the single-pass fused operator kernels of the fusion
-// subsystem (DESIGN.md, "Fused operator pipelines"): cellwise-aggregate
-// pipelines described by a CellProgram and evaluated by FusedAgg without
+// subsystem (DESIGN.md, "Fused operator pipelines"): cellwise pipelines
+// described by a CellProgram and evaluated a row at a time — by FusedCell
+// into one output block, by FusedAgg straight into an aggregate — without
 // materializing any full-size intermediate, and the mmchain kernel computing
 // t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) in one pass over X.
 //
@@ -78,19 +79,23 @@ const CellMaxStack = 8
 // CellMaxInstrs bounds the length of a cell program.
 const CellMaxInstrs = 64
 
-// CellProgram is a stack program evaluated once per cell of the fused
-// pipeline: arguments are the leaf operands (matrices of identical shape, or
-// scalars), interior instructions are the fused cellwise operations. Programs
-// are produced by the HOP-level pattern matcher (hops.FuseOperators).
+// CellProgram is a stack program over the cells of a fused pipeline:
+// arguments are the leaf operands (matrices of the output's shape, row or
+// column vectors broadcast along it, or scalars), interior instructions are
+// the fused cellwise operations. It is evaluated a row at a time: every
+// instruction runs one row kernel (elementwise.go) over per-worker scratch
+// rows. Programs are produced by the HOP-level pattern matcher
+// (hops.FuseOperators) and by the single-operator drivers.
 type CellProgram struct {
 	Instrs  []CellInstr
 	NumArgs int
 	// Annihilating reports the structural guarantee that the program
 	// evaluates to exactly 0 whenever the driver argument (the first matrix
-	// argument) is 0, regardless of the other arguments. It enables the
-	// sparse-driver iteration that skips non-stored cells (sparse-safe
-	// semantics: non-stored cells are treated as exact zeros, so Inf/NaN
-	// values of other operands at those cells are ignored).
+	// argument of the output's shape) is 0, for finite values of the other
+	// arguments. It enables the sparse-driver iteration that skips non-stored
+	// cells; an Inf or NaN anywhere in another argument — scalar or matrix —
+	// switches the iteration off for that run (0 * Inf is NaN), so a result
+	// never depends on how the driver happens to be stored.
 	Annihilating bool
 }
 
@@ -106,37 +111,44 @@ func IdentityProgram() *CellProgram {
 
 // Validate checks stack discipline and argument bounds.
 func (p *CellProgram) Validate() error {
+	_, err := p.stackDepth()
+	return err
+}
+
+// stackDepth validates the program and returns the evaluation stack depth it
+// needs.
+func (p *CellProgram) stackDepth() (maxDepth int, err error) {
 	if len(p.Instrs) == 0 || len(p.Instrs) > CellMaxInstrs {
-		return fmt.Errorf("matrix: cell program has %d instructions (want 1..%d)", len(p.Instrs), CellMaxInstrs)
+		return 0, fmt.Errorf("matrix: cell program has %d instructions (want 1..%d)", len(p.Instrs), CellMaxInstrs)
 	}
 	depth := 0
 	for i, ins := range p.Instrs {
 		switch ins.Code {
 		case CellLoad:
 			if ins.Arg < 0 || ins.Arg >= p.NumArgs {
-				return fmt.Errorf("matrix: cell instr %d loads argument %d of %d", i, ins.Arg, p.NumArgs)
+				return 0, fmt.Errorf("matrix: cell instr %d loads argument %d of %d", i, ins.Arg, p.NumArgs)
 			}
 			depth++
-			if depth > CellMaxStack {
-				return fmt.Errorf("matrix: cell program exceeds max stack depth %d", CellMaxStack)
+			if maxDepth = max(maxDepth, depth); depth > CellMaxStack {
+				return 0, fmt.Errorf("matrix: cell program exceeds max stack depth %d", CellMaxStack)
 			}
 		case CellUnary:
 			if depth < 1 {
-				return fmt.Errorf("matrix: cell instr %d underflows the stack", i)
+				return 0, fmt.Errorf("matrix: cell instr %d underflows the stack", i)
 			}
 		case CellBinary:
 			if depth < 2 {
-				return fmt.Errorf("matrix: cell instr %d underflows the stack", i)
+				return 0, fmt.Errorf("matrix: cell instr %d underflows the stack", i)
 			}
 			depth--
 		default:
-			return fmt.Errorf("matrix: cell instr %d has unknown code %d", i, ins.Code)
+			return 0, fmt.Errorf("matrix: cell instr %d has unknown code %d", i, ins.Code)
 		}
 	}
 	if depth != 1 {
-		return fmt.Errorf("matrix: cell program leaves %d values on the stack", depth)
+		return 0, fmt.Errorf("matrix: cell program leaves %d values on the stack", depth)
 	}
-	return nil
+	return maxDepth, nil
 }
 
 // Signature renders a canonical description of the program, used as lineage
@@ -160,8 +172,9 @@ func (p *CellProgram) Signature() string {
 	return sb.String()
 }
 
-// CellArg is one operand of a fused pipeline: a matrix block, or a scalar
-// (Mat == nil).
+// CellArg is one operand of a fused pipeline: a matrix block — of the
+// output's shape, or a 1 x cols / rows x 1 vector broadcast along it — or a
+// scalar (Mat == nil).
 type CellArg struct {
 	Mat    *MatrixBlock
 	Scalar float64
@@ -248,360 +261,493 @@ func runChunks(rows, num, size, nw int, fn func(worker, chunk, r0, r1 int)) {
 	wg.Wait()
 }
 
-// --- fused cellwise-aggregate kernel ---------------------------------------
+// --- the row-at-a-time evaluator ------------------------------------------------
 
-// evalKind classifies a program for the specialized row loops.
-type evalKind uint8
+// spanCells is the target number of cells one evaluation step covers when no
+// leaf needs row structure: scratch rows of this length stay L1-resident.
+const spanCells = 1024
+
+// leafKind says how a fused argument is read.
+type leafKind uint8
 
 const (
-	evalIdentity evalKind = iota // [Load a]
-	evalUnary                    // [Load a, Unary]
-	evalBinary                   // [Load a, Load b, Binary]
-	evalGeneral                  // anything else (stack interpreter)
+	leafScalar leafKind = iota
+	leafDense           // output-shaped, dense: a slice of the backing array
+	leafSparse          // output-shaped, CSR: expanded into a scratch row
+	leafRowVec          // 1 x cols: the same slice for every row
+	leafColVec          // rows x 1: a per-row constant
 )
 
-func classify(p *CellProgram) (kind evalKind, a, b int, un UnaryOp, bin BinaryOp) {
-	ins := p.Instrs
-	switch {
-	case len(ins) == 1 && ins[0].Code == CellLoad:
-		return evalIdentity, ins[0].Arg, 0, 0, 0
-	case len(ins) == 2 && ins[0].Code == CellLoad && ins[1].Code == CellUnary:
-		return evalUnary, ins[0].Arg, 0, ins[1].Un, 0
-	case len(ins) == 3 && ins[0].Code == CellLoad && ins[1].Code == CellLoad && ins[2].Code == CellBinary:
-		return evalBinary, ins[0].Arg, ins[1].Arg, 0, ins[2].Bin
-	default:
-		return evalGeneral, 0, 0, 0, 0
+// cellLeaf is one resolved argument of a fused run.
+type cellLeaf struct {
+	kind   leafKind
+	scalar float64
+	dense  []float64 // leafDense: all cells; leafRowVec, leafColVec: the vector
+	csr    *CSR      // leafSparse
+}
+
+// finite reports whether the leaf holds no Inf and no NaN.
+func (l *cellLeaf) finite() bool {
+	vals := l.dense
+	switch l.kind {
+	case leafScalar:
+		return l.scalar-l.scalar == 0
+	case leafSparse:
+		vals = l.csr.Values
 	}
-}
-
-// aggWorker holds the per-worker scratch state of one FusedAgg execution.
-type aggWorker struct {
-	rowBuf  []float64   // cell values of the current row (dense driver)
-	scratch [][]float64 // expanded rows of sparse non-driver arguments
-	rows    [][]float64 // per-arg current row slice (nil -> scalar)
-	consts  []float64   // per-arg scalar value (driver slot reused sparsely)
-	stack   []float64   // evaluation stack for general programs
-}
-
-// fusedRun is the shared immutable state of one FusedAgg execution.
-type fusedRun struct {
-	prog   *CellProgram
-	args   []CellArg
-	csrs   []*CSR // pre-compacted CSR of sparse matrix args (nil otherwise)
-	rows   int
-	cols   int
-	driver int  // index of the first matrix argument
-	sparse bool // iterate the driver's stored cells only
-	kind   evalKind
-	a, b   int
-	un     UnaryOp
-	bin    BinaryOp
-}
-
-func (fr *fusedRun) newWorker() *aggWorker {
-	w := &aggWorker{
-		rows:   make([][]float64, len(fr.args)),
-		consts: make([]float64, len(fr.args)),
-	}
-	// identity programs over a matrix argument reuse the argument's own row;
-	// everything else (including identity over a scalar) needs the row buffer
-	needBuf := !(fr.kind == evalIdentity && fr.args[fr.a].Mat != nil)
-	for i, a := range fr.args {
-		if a.Mat == nil {
-			w.consts[i] = a.Scalar
+	for _, v := range vals {
+		if v-v != 0 { // Inf - Inf and NaN - NaN are NaN
+			return false
 		}
 	}
-	if !fr.sparse && needBuf {
-		w.rowBuf = make([]float64, fr.cols)
+	return true
+}
+
+// cellVal is one evaluation-stack value over the current span: a row of
+// values, or (row == nil) a scalar.
+type cellVal struct {
+	row []float64
+	s   float64
+}
+
+// fusedRun is the shared immutable state of one FusedCell/FusedAgg execution.
+type fusedRun struct {
+	prog   *CellProgram
+	leaves []cellLeaf
+	depth  int // evaluation stack depth of prog
+	rows   int
+	cols   int
+	driver int // index of the first output-shaped matrix argument
+	// sparse selects the stored-cells iteration: the driver is CSR and the
+	// program annihilates on it, so only its stored cells are evaluated.
+	sparse bool
+	// flat reports that no leaf needs row structure (scalars and dense
+	// output-shaped matrices only): spans may cover any run of cells.
+	flat bool
+	// spanLen is the usual number of cells per evaluation step (the length
+	// scratch rows are allocated with).
+	spanLen int
+}
+
+// newFusedRun validates a program against its arguments and resolves how each
+// argument is read.
+func newFusedRun(prog *CellProgram, args []CellArg) (*fusedRun, error) {
+	depth, err := prog.stackDepth()
+	if err != nil {
+		return nil, err
 	}
-	if fr.kind == evalGeneral {
-		w.stack = make([]float64, CellMaxStack)
+	if len(args) != prog.NumArgs {
+		return nil, fmt.Errorf("matrix: fused pipeline got %d arguments, program wants %d", len(args), prog.NumArgs)
 	}
-	w.scratch = make([][]float64, len(fr.args))
+	fr := &fusedRun{prog: prog, leaves: make([]cellLeaf, len(args)), depth: depth, driver: -1, flat: true}
+	for _, a := range args {
+		if a.Mat != nil {
+			fr.rows, fr.cols = max(fr.rows, a.Mat.rows), max(fr.cols, a.Mat.cols)
+		}
+	}
+	for i, a := range args {
+		l := &fr.leaves[i]
+		switch m := a.Mat; {
+		case m == nil:
+			l.scalar = a.Scalar
+		case m.rows == fr.rows && m.cols == fr.cols:
+			if fr.driver < 0 {
+				fr.driver = i
+			}
+			// sparse structures are compacted here, single-threaded, so
+			// workers only perform lock-free reads
+			if l.csr = m.csr(); l.csr != nil {
+				l.kind, fr.flat = leafSparse, false
+			} else {
+				l.kind, l.dense = leafDense, m.dense
+			}
+		case m.rows == 1 && m.cols == fr.cols:
+			l.kind, l.dense, fr.flat = leafRowVec, asDense(m).dense, false
+		case m.cols == 1 && m.rows == fr.rows:
+			l.kind, l.dense, fr.flat = leafColVec, asDense(m).dense, false
+		default:
+			return nil, fmt.Errorf("matrix: fused pipeline argument %d is %dx%d, want %dx%d or a vector along it",
+				i, m.rows, m.cols, fr.rows, fr.cols)
+		}
+	}
+	if fr.driver < 0 {
+		return nil, fmt.Errorf("matrix: fused pipeline requires a matrix argument of the output's shape")
+	}
+	fr.sparse = fr.leaves[fr.driver].kind == leafSparse && prog.Annihilating
+	for i := 0; fr.sparse && i < len(fr.leaves); i++ {
+		fr.sparse = i == fr.driver || fr.leaves[i].finite()
+	}
+	fr.spanLen = fr.cols
+	if fr.flat {
+		fr.spanLen = min(fr.rows*fr.cols, fr.spanRows()*fr.cols)
+	}
+	return fr, nil
+}
+
+// spanRows is the number of whole rows one evaluation step of the aggregates
+// covers.
+func (fr *fusedRun) spanRows() int {
+	if fr.flat && fr.cols > 0 {
+		return max(1, spanCells/fr.cols)
+	}
+	return 1
+}
+
+// cellWorker holds the per-worker scratch state of one fused execution.
+type cellWorker struct {
+	cur    []cellVal   // per-argument value over the current span
+	stack  []cellVal   // evaluation stack
+	gather [][]float64 // per-argument scratch: expanded sparse rows, gathered cells
+	bufs   [][]float64 // result row of the operator at each stack slot
+}
+
+func (fr *fusedRun) newWorker() *cellWorker {
+	vals := make([]cellVal, len(fr.leaves)+fr.depth)
+	w := &cellWorker{cur: vals[:len(fr.leaves)], stack: vals[len(fr.leaves):]}
+	for i, l := range fr.leaves {
+		switch l.kind {
+		case leafScalar:
+			w.cur[i].s = l.scalar
+		case leafRowVec:
+			w.cur[i].row = l.dense
+		}
+	}
 	return w
 }
 
-// loadRow points the per-arg row slices at row r. Sparse non-driver arguments
-// are expanded into per-worker scratch rows; in sparse-driver mode the driver
-// slot stays nil and its value is fed per stored cell.
-func (fr *fusedRun) loadRow(w *aggWorker, r int) {
-	for i, a := range fr.args {
-		if a.Mat == nil {
-			w.rows[i] = nil
-			continue
-		}
-		if fr.sparse && i == fr.driver {
-			w.rows[i] = nil
-			continue
-		}
-		if s := fr.csrs[i]; s != nil {
-			if w.scratch[i] == nil {
-				w.scratch[i] = make([]float64, fr.cols)
-			}
-			buf := w.scratch[i]
-			for c := range buf {
-				buf[c] = 0
-			}
-			for p := s.RowPtr[r]; p < s.RowPtr[r+1]; p++ {
-				buf[s.ColIdx[p]] = s.Values[p]
-			}
-			w.rows[i] = buf
-		} else {
-			w.rows[i] = a.Mat.dense[r*fr.cols : (r+1)*fr.cols]
+// scratch returns the per-argument scratch row, n cells long.
+func (w *cellWorker) scratch(arg, n, capacity int) []float64 {
+	if w.gather == nil {
+		w.gather = make([][]float64, len(w.cur))
+	}
+	if cap(w.gather[arg]) < n {
+		w.gather[arg] = make([]float64, max(n, capacity))
+	}
+	return w.gather[arg][:n]
+}
+
+// buf returns the result row of the operator at a stack slot, n cells long.
+func (w *cellWorker) buf(slot, n, capacity int) []float64 {
+	if w.bufs == nil {
+		w.bufs = make([][]float64, len(w.stack))
+	}
+	if cap(w.bufs[slot]) < n {
+		w.bufs[slot] = make([]float64, max(n, capacity))
+	}
+	return w.bufs[slot][:n]
+}
+
+// loadFlat points the arguments of a flat run at cells [i0, i0+n).
+func (fr *fusedRun) loadFlat(w *cellWorker, i0, n int) {
+	for i, l := range fr.leaves {
+		if l.kind == leafDense {
+			w.cur[i].row = l.dense[i0 : i0+n]
 		}
 	}
 }
 
-// evalDenseRow computes the cell values of the loaded row into a slice of
-// length cols. For identity programs over a dense argument the argument's own
-// row is returned without copying.
-func (fr *fusedRun) evalDenseRow(w *aggWorker) []float64 {
-	switch fr.kind {
-	case evalIdentity:
-		if rs := w.rows[fr.a]; rs != nil {
-			return rs
+// loadRow points the arguments at row r: a sparse leaf is expanded into a
+// per-worker scratch row, a column vector contributes its r-th value as the
+// row's constant.
+func (fr *fusedRun) loadRow(w *cellWorker, r int) {
+	for i, l := range fr.leaves {
+		switch l.kind {
+		case leafDense:
+			w.cur[i].row = l.dense[r*fr.cols : (r+1)*fr.cols]
+		case leafSparse:
+			buf := w.scratch(i, fr.cols, fr.cols)
+			clear(buf)
+			for p := l.csr.RowPtr[r]; p < l.csr.RowPtr[r+1]; p++ {
+				buf[l.csr.ColIdx[p]] = l.csr.Values[p]
+			}
+			w.cur[i].row = buf
+		case leafColVec:
+			w.cur[i].s = l.dense[r]
 		}
-		dst := w.rowBuf
-		v := w.consts[fr.a]
-		for c := range dst {
-			dst[c] = v
-		}
-		return dst
-	case evalUnary:
-		dst := w.rowBuf
-		if rs := w.rows[fr.a]; rs != nil {
-			for c := range dst {
-				dst[c] = fr.un.Apply(rs[c])
-			}
-		} else {
-			v := fr.un.Apply(w.consts[fr.a])
-			for c := range dst {
-				dst[c] = v
-			}
-		}
-		return dst
-	case evalBinary:
-		dst := w.rowBuf
-		ra, rb := w.rows[fr.a], w.rows[fr.b]
-		switch {
-		case ra != nil && rb != nil:
-			switch fr.bin {
-			case OpMul:
-				for c := range dst {
-					dst[c] = ra[c] * rb[c]
-				}
-			case OpAdd:
-				for c := range dst {
-					dst[c] = ra[c] + rb[c]
-				}
-			case OpSub:
-				for c := range dst {
-					dst[c] = ra[c] - rb[c]
-				}
-			default:
-				for c := range dst {
-					dst[c] = fr.bin.Apply(ra[c], rb[c])
-				}
-			}
-		case ra != nil:
-			cb := w.consts[fr.b]
-			for c := range dst {
-				dst[c] = fr.bin.Apply(ra[c], cb)
-			}
-		case rb != nil:
-			ca := w.consts[fr.a]
-			for c := range dst {
-				dst[c] = fr.bin.Apply(ca, rb[c])
-			}
-		default:
-			v := fr.bin.Apply(w.consts[fr.a], w.consts[fr.b])
-			for c := range dst {
-				dst[c] = v
-			}
-		}
-		return dst
-	default:
-		dst := w.rowBuf
-		for c := range dst {
-			dst[c] = fr.evalCell(w, c, 0)
-		}
-		return dst
 	}
 }
 
-// evalCell interprets the program at one cell; in sparse-driver mode dv is
-// the driver's stored value at that cell.
-func (fr *fusedRun) evalCell(w *aggWorker, c int, dv float64) float64 {
+// loadStored points the arguments at the driver's stored cells of row r
+// (column indices cidx, values dvals): the other matrix arguments are
+// gathered at those columns.
+func (fr *fusedRun) loadStored(w *cellWorker, r int, cidx []int, dvals []float64) {
+	for i, l := range fr.leaves {
+		if i == fr.driver {
+			w.cur[i].row = dvals
+			continue
+		}
+		switch l.kind {
+		case leafDense, leafRowVec:
+			row := l.dense
+			if l.kind == leafDense {
+				row = row[r*fr.cols : (r+1)*fr.cols]
+			}
+			buf := w.scratch(i, len(cidx), fr.cols)
+			for k, c := range cidx {
+				buf[k] = row[c]
+			}
+			w.cur[i].row = buf
+		case leafSparse:
+			buf := w.scratch(i, len(cidx), fr.cols)
+			for k, c := range cidx {
+				buf[k] = l.csr.flatGet(r, c)
+			}
+			w.cur[i].row = buf
+		case leafColVec:
+			w.cur[i].s = l.dense[r]
+		}
+	}
+}
+
+// eval runs the program over the n cells loaded into w.cur and returns the
+// result row. Each operator instruction is one row-kernel call writing the
+// scratch row of its stack slot (in place when its left operand already lives
+// there); the last one writes dst when dst is non-nil, and nnz is then the
+// non-zero count of dst. With dst == nil the result may alias an argument or a
+// scratch row, valid until the worker's next load, and nnz means nothing.
+func (fr *fusedRun) eval(w *cellWorker, n int, dst []float64) (res []float64, nnz int) {
+	instrs := fr.prog.Instrs
 	sp := 0
-	for _, ins := range fr.prog.Instrs {
-		switch ins.Code {
-		case CellLoad:
-			v := w.consts[ins.Arg]
-			if rs := w.rows[ins.Arg]; rs != nil {
-				v = rs[c]
-			} else if fr.sparse && ins.Arg == fr.driver {
-				v = dv
-			}
-			w.stack[sp] = v
+	counted := false // the last instruction ran a kernel: nnz counts its result
+	for k, ins := range instrs {
+		counted = false
+		if ins.Code == CellLoad {
+			w.stack[sp] = w.cur[ins.Arg]
 			sp++
-		case CellUnary:
-			w.stack[sp-1] = ins.Un.Apply(w.stack[sp-1])
-		case CellBinary:
+			continue
+		}
+		var b cellVal
+		if ins.Code == CellBinary {
 			sp--
-			w.stack[sp-1] = ins.Bin.Apply(w.stack[sp-1], w.stack[sp])
+			b = w.stack[sp]
 		}
-	}
-	return w.stack[0]
-}
-
-// evalSparseRow computes the cell values at the stored positions of the
-// driver's row (given by cidx/dvals) into a slice of len(dvals). For identity
-// programs the stored values are returned without copying.
-func (fr *fusedRun) evalSparseRow(w *aggWorker, r int, cidx []int, dvals []float64) []float64 {
-	if fr.kind == evalIdentity && fr.a == fr.driver {
-		return dvals
-	}
-	if cap(w.rowBuf) < len(dvals) {
-		w.rowBuf = make([]float64, len(dvals), max(len(dvals), fr.cols))
-	}
-	dst := w.rowBuf[:len(dvals)]
-	switch fr.kind {
-	case evalUnary:
-		// fr.a == fr.driver (annihilation guarantees the driver is reached)
-		for i, v := range dvals {
-			dst[i] = fr.un.Apply(v)
-		}
-	case evalBinary:
-		for i, v := range dvals {
-			c := cidx[i]
-			va, vb := v, v
-			if fr.a != fr.driver {
-				va = fr.argAt(w, fr.a, r, c)
-			}
-			if fr.b != fr.driver {
-				vb = fr.argAt(w, fr.b, r, c)
-			}
-			dst[i] = fr.bin.Apply(va, vb)
-		}
-	default:
-		if w.stack == nil {
-			w.stack = make([]float64, CellMaxStack)
-		}
-		for i, v := range dvals {
-			dst[i] = fr.evalCellSparse(w, r, cidx[i], v)
-		}
-	}
-	return dst
-}
-
-// argAt reads argument arg at (r, c) in sparse-driver mode: scalars from the
-// const table, dense matrices from their backing array, sparse matrices by
-// CSR lookup.
-func (fr *fusedRun) argAt(w *aggWorker, arg, r, c int) float64 {
-	a := fr.args[arg]
-	if a.Mat == nil {
-		return w.consts[arg]
-	}
-	if s := fr.csrs[arg]; s != nil {
-		return s.flatGet(r, c)
-	}
-	return a.Mat.dense[r*fr.cols+c]
-}
-
-// evalCellSparse interprets a general program at one stored driver cell.
-func (fr *fusedRun) evalCellSparse(w *aggWorker, r, c int, dv float64) float64 {
-	sp := 0
-	for _, ins := range fr.prog.Instrs {
-		switch ins.Code {
-		case CellLoad:
-			var v float64
-			if ins.Arg == fr.driver {
-				v = dv
+		a := &w.stack[sp-1]
+		// operators over scalars alone fold once per span
+		if a.row == nil && b.row == nil {
+			if ins.Code == CellUnary {
+				a.s = pz(ins.Un.Apply(a.s))
 			} else {
-				v = fr.argAt(w, ins.Arg, r, c)
+				a.s = pz(ins.Bin.Apply(a.s, b.s))
 			}
-			w.stack[sp] = v
-			sp++
-		case CellUnary:
-			w.stack[sp-1] = ins.Un.Apply(w.stack[sp-1])
-		case CellBinary:
-			sp--
-			w.stack[sp-1] = ins.Bin.Apply(w.stack[sp-1], w.stack[sp])
+			continue
+		}
+		out := dst
+		if out == nil || k != len(instrs)-1 {
+			out = w.buf(sp-1, n, fr.spanLen)
+		}
+		switch {
+		case ins.Code == CellUnary:
+			nnz = unaryRow(ins.Un, out, a.row)
+		case a.row == nil:
+			nnz = binaryRowSV(ins.Bin, out, a.s, b.row)
+		case b.row == nil:
+			nnz = binaryRowVS(ins.Bin, out, a.row, b.s)
+		default:
+			nnz = binaryRowVV(ins.Bin, out, a.row, b.row)
+		}
+		a.row, counted = out, true
+	}
+	top := w.stack[0]
+	if counted || (dst == nil && top.row != nil) {
+		return top.row, nnz
+	}
+	// the program ends in a bare load or folds to a scalar: materialize it
+	if dst == nil {
+		dst = w.buf(0, n, fr.spanLen)
+	}
+	if top.row != nil {
+		copy(dst, top.row)
+	} else {
+		for c := range dst {
+			dst[c] = top.s
 		}
 	}
-	return w.stack[0]
+	return dst, int(countRowRangeNNZ(dst, n, 0, 1))
 }
+
+// --- fused cellwise kernel ----------------------------------------------------
+
+// FusedCell evaluates a cell program into one output block: every interior
+// result lives in a per-worker scratch row, only the root operator's values
+// are written. The output carries its exact non-zero count and the
+// representation ExamineAndApplySparsity picks for it, whatever the
+// representation of the inputs.
+//
+// When the driver argument is sparse and the program annihilates on it, only
+// the driver's stored cells are evaluated and the output keeps (at most) the
+// driver's pattern. Cells are independent, so results do not depend on the
+// thread count.
+func FusedCell(prog *CellProgram, args []CellArg, threads int) (*MatrixBlock, error) {
+	fr, err := newFusedRun(prog, args)
+	if err != nil {
+		return nil, err
+	}
+	if fr.sparse {
+		return fr.cellStored(threads), nil
+	}
+	out := NewDense(fr.rows, fr.cols)
+	if fr.flat {
+		out.nnz = fr.runFlat(out.dense, threads)
+	} else {
+		out.nnz = fr.countOver(fr.rows, elemThreads(threads, fr.rows*fr.cols), func(w *cellWorker, r0, r1 int) (nnz int) {
+			for r := r0; r < r1; r++ {
+				fr.loadRow(w, r)
+				_, k := fr.eval(w, fr.cols, out.dense[r*fr.cols:(r+1)*fr.cols])
+				nnz += k
+			}
+			return nnz
+		})
+	}
+	return out.ExamineAndApplySparsity(), nil
+}
+
+// countOver splits [0, n) over up to threads workers — fn evaluates its part
+// with a worker of its own and returns the non-zeros it wrote — and returns
+// the total.
+func (fr *fusedRun) countOver(n, threads int, fn func(w *cellWorker, i0, i1 int) int) int64 {
+	var nnz atomic.Int64
+	parallelRows(n, threads, func(i0, i1 int) { nnz.Add(int64(fn(fr.newWorker(), i0, i1))) })
+	return nnz.Load()
+}
+
+// runFlat evaluates a flat run into dst, span by span, and returns the
+// non-zero count of dst.
+func (fr *fusedRun) runFlat(dst []float64, threads int) int64 {
+	return fr.countOver(len(dst), elemThreads(threads, len(dst)), func(w *cellWorker, i0, i1 int) (nnz int) {
+		for i := i0; i < i1; i += spanCells {
+			m := min(spanCells, i1-i)
+			fr.loadFlat(w, i, m)
+			_, k := fr.eval(w, m, dst[i:i+m])
+			nnz += k
+		}
+		return nnz
+	})
+}
+
+// cellStored is FusedCell over the stored cells of a sparse driver: the output
+// is CSR with the driver's pattern less the cells that evaluated to zero.
+func (fr *fusedRun) cellStored(threads int) *MatrixBlock {
+	ds := fr.leaves[fr.driver].csr
+	vals := make([]float64, len(ds.Values))
+	var nnz int64
+	otherMats := false
+	for i, l := range fr.leaves {
+		otherMats = otherMats || (i != fr.driver && l.kind != leafScalar)
+	}
+	if !otherMats {
+		// nothing to gather: the stored values are one flat run
+		flat := *fr
+		flat.leaves = append([]cellLeaf(nil), fr.leaves...)
+		flat.leaves[fr.driver] = cellLeaf{kind: leafDense, dense: ds.Values}
+		flat.rows, flat.cols, flat.flat, flat.spanLen = 1, len(vals), true, min(len(vals), spanCells)
+		nnz = flat.runFlat(vals, threads)
+	} else {
+		nnz = fr.countOver(fr.rows, elemThreads(threads, len(vals)), func(w *cellWorker, r0, r1 int) (nnz int) {
+			for r := r0; r < r1; r++ {
+				lo, hi := ds.RowPtr[r], ds.RowPtr[r+1]
+				fr.loadStored(w, r, ds.ColIdx[lo:hi], ds.Values[lo:hi])
+				_, k := fr.eval(w, hi-lo, vals[lo:hi])
+				nnz += k
+			}
+			return nnz
+		})
+	}
+	out := &MatrixBlock{rows: fr.rows, cols: fr.cols, sparse: ds.withValues(vals, int(nnz)), nnz: nnz}
+	return out.ExamineAndApplySparsity()
+}
+
+// CellMap returns the program as a function over rows of values of its one
+// matrix argument, args[driver] (every other argument is a scalar): it maps
+// src into dst, which may be the same slice. This is how a value-mapped
+// representation — the dictionaries of a compressed matrix — runs a cellwise
+// chain without ever materializing cells. The function is safe for concurrent
+// calls.
+func CellMap(prog *CellProgram, args []CellArg, driver int) (func(dst, src []float64), error) {
+	depth, err := prog.stackDepth()
+	if err != nil {
+		return nil, err
+	}
+	if len(args) != prog.NumArgs || driver < 0 || driver >= len(args) {
+		return nil, fmt.Errorf("matrix: cell map got %d arguments and driver %d, program wants %d", len(args), driver, prog.NumArgs)
+	}
+	// spanLen stays 0: scratch rows are sized by the first (longest) span
+	fr := &fusedRun{prog: prog, leaves: make([]cellLeaf, len(args)), depth: depth, rows: 1, driver: driver, flat: true}
+	for i, a := range args {
+		if i != driver && a.Mat != nil {
+			return nil, fmt.Errorf("matrix: cell map argument %d is a matrix, want a scalar", i)
+		}
+		fr.leaves[i].scalar = a.Scalar
+	}
+	fr.leaves[driver].kind = leafDense
+	return func(dst, src []float64) {
+		w := fr.newWorker()
+		for i := 0; i < len(src); i += spanCells {
+			m := min(spanCells, len(src)-i)
+			w.cur[driver].row = src[i : i+m]
+			fr.eval(w, m, dst[i:i+m])
+		}
+	}, nil
+}
+
+// --- fused cellwise-aggregate kernel ---------------------------------------
 
 // FusedAgg evaluates a fused cellwise-aggregate pipeline in a single pass
-// over the inputs: the cell program is evaluated per cell and the results
+// over the inputs: the cell program is evaluated row by row and the results
 // flow directly into the aggregate, with no full-size intermediate. Full
 // aggregates (sum, min, max) return a 1x1 block; colSums returns 1 x cols and
 // rowSums returns rows x 1.
 //
-// When the driver argument (the first matrix argument) is sparse and the
-// program annihilates on it, only the driver's stored cells are visited
-// (sparse-safe semantics). Results are reproducible across thread counts:
-// partial aggregates are formed over fixed row chunks and combined in chunk
-// order.
+// When the driver argument (the first output-shaped matrix argument) is
+// sparse and the program annihilates on it, only the driver's stored cells
+// are visited (see CellProgram.Annihilating). Results are reproducible across
+// thread counts: partial aggregates are formed over fixed row chunks and
+// combined in chunk order.
 func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*MatrixBlock, error) {
-	if err := prog.Validate(); err != nil {
+	fr, err := newFusedRun(prog, args)
+	if err != nil {
 		return nil, err
 	}
-	if len(args) != prog.NumArgs {
-		return nil, fmt.Errorf("matrix: fused agg got %d arguments, program wants %d", len(args), prog.NumArgs)
-	}
-	fr := &fusedRun{prog: prog, args: args, driver: -1, csrs: make([]*CSR, len(args))}
-	for i, a := range args {
-		if a.Mat == nil {
-			continue
-		}
-		if fr.driver < 0 {
-			fr.driver = i
-			fr.rows, fr.cols = a.Mat.rows, a.Mat.cols
-		} else if a.Mat.rows != fr.rows || a.Mat.cols != fr.cols {
-			return nil, fmt.Errorf("matrix: fused agg argument %d is %dx%d, want %dx%d",
-				i, a.Mat.rows, a.Mat.cols, fr.rows, fr.cols)
-		}
-	}
-	if fr.driver < 0 {
-		return nil, fmt.Errorf("matrix: fused agg requires at least one matrix argument")
-	}
-	// pre-compact sparse structures once, single-threaded, so workers only
-	// perform lock-free reads
-	for i, a := range args {
-		if a.Mat != nil && a.Mat.IsSparse() {
-			fr.csrs[i] = a.Mat.csr()
-		}
-	}
-	fr.sparse = fr.csrs[fr.driver] != nil && prog.Annihilating
-	fr.kind, fr.a, fr.b, fr.un, fr.bin = classify(prog)
-
 	num, size := fusedChunks(fr.rows)
 	nw := chunkWorkers(num, threads, fr.rows*fr.cols)
-	workers := make([]*aggWorker, nw)
-	worker := func(wi int) *aggWorker {
+	workers := make([]*cellWorker, nw)
+	ds := fr.leaves[fr.driver].csr // read in sparse mode only
+	// eachRow evaluates rows [r0, r1) and hands fn every row's values — in
+	// sparse mode the values at the driver's stored columns cidx.
+	eachRow := func(wi, r0, r1 int, fn func(r int, cidx []int, vals []float64)) {
 		if workers[wi] == nil {
 			workers[wi] = fr.newWorker()
 		}
-		return workers[wi]
+		w := workers[wi]
+		if fr.sparse {
+			for r := r0; r < r1; r++ {
+				lo, hi := ds.RowPtr[r], ds.RowPtr[r+1]
+				fr.loadStored(w, r, ds.ColIdx[lo:hi], ds.Values[lo:hi])
+				vals, _ := fr.eval(w, hi-lo, nil)
+				fn(r, ds.ColIdx[lo:hi], vals)
+			}
+			return
+		}
+		step := fr.spanRows()
+		for r := r0; r < r1; r += step {
+			m := min(step, r1-r)
+			if fr.flat {
+				fr.loadFlat(w, r*fr.cols, m*fr.cols)
+			} else {
+				fr.loadRow(w, r)
+			}
+			vals, _ := fr.eval(w, m*fr.cols, nil)
+			for j := 0; j < m; j++ {
+				fn(r+j, nil, vals[j*fr.cols:(j+1)*fr.cols])
+			}
+		}
 	}
-	ds := fr.csrs[fr.driver] // nil unless the driver is sparse
 
 	switch agg {
 	case AggSum, AggMin, AggMax:
 		partials := make([]float64, num)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
-			w := worker(wi)
 			acc := aggInit(agg)
-			for r := r0; r < r1; r++ {
-				var vals []float64
-				if fr.sparse {
-					lo, hi := ds.RowPtr[r], ds.RowPtr[r+1]
-					vals = fr.evalSparseRow(w, r, ds.ColIdx[lo:hi], ds.Values[lo:hi])
-				} else {
-					fr.loadRow(w, r)
-					vals = fr.evalDenseRow(w)
-				}
+			eachRow(wi, r0, r1, func(_ int, _ []int, vals []float64) {
 				switch agg {
 				case AggSum:
 					var rowAcc float64
@@ -622,13 +768,12 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 						}
 					}
 				}
-			}
+			})
 			partials[ci] = acc
 		})
 		acc := aggInit(agg)
 		switch agg {
 		case AggSum:
-			acc = 0
 			for _, p := range partials {
 				acc += p
 			}
@@ -663,22 +808,13 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 	case AggRowSums:
 		out := NewDense(fr.rows, 1)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
-			w := worker(wi)
-			for r := r0; r < r1; r++ {
-				var vals []float64
-				if fr.sparse {
-					lo, hi := ds.RowPtr[r], ds.RowPtr[r+1]
-					vals = fr.evalSparseRow(w, r, ds.ColIdx[lo:hi], ds.Values[lo:hi])
-				} else {
-					fr.loadRow(w, r)
-					vals = fr.evalDenseRow(w)
-				}
+			eachRow(wi, r0, r1, func(r int, _ []int, vals []float64) {
 				var rowAcc float64
 				for _, v := range vals {
 					rowAcc += v
 				}
 				out.dense[r] = rowAcc
-			}
+			})
 		})
 		out.RecomputeNNZ()
 		return out, nil
@@ -687,24 +823,18 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 		out := NewDense(1, fr.cols)
 		parts := make([][]float64, num)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
-			w := worker(wi)
 			buf := make([]float64, fr.cols)
-			for r := r0; r < r1; r++ {
-				if fr.sparse {
-					lo, hi := ds.RowPtr[r], ds.RowPtr[r+1]
-					cidx := ds.ColIdx[lo:hi]
-					vals := fr.evalSparseRow(w, r, cidx, ds.Values[lo:hi])
+			eachRow(wi, r0, r1, func(_ int, cidx []int, vals []float64) {
+				if cidx != nil {
 					for i, v := range vals {
 						buf[cidx[i]] += v
 					}
-				} else {
-					fr.loadRow(w, r)
-					vals := fr.evalDenseRow(w)
-					for c, v := range vals {
-						buf[c] += v
-					}
+					return
 				}
-			}
+				for c, v := range vals {
+					buf[c] += v
+				}
+			})
 			parts[ci] = buf
 		})
 		for _, buf := range parts {

@@ -211,6 +211,31 @@ func (s *CSR) Copy() *CSR {
 	return cp
 }
 
+// withValues returns a copy of the (compacted) structure holding vals in place
+// of Values, less the entries whose new value is zero; nnz is the number of
+// non-zeros in vals.
+func (s *CSR) withValues(vals []float64, nnz int) *CSR {
+	cp := &CSR{RowsN: s.RowsN, ColsN: s.ColsN, RowPtr: make([]int, len(s.RowPtr))}
+	if nnz == len(vals) {
+		copy(cp.RowPtr, s.RowPtr)
+		cp.ColIdx = append([]int(nil), s.ColIdx...)
+		cp.Values = vals
+		return cp
+	}
+	cp.ColIdx = make([]int, 0, nnz)
+	cp.Values = make([]float64, 0, nnz)
+	for r := 0; r+1 < len(s.RowPtr); r++ {
+		for p := s.RowPtr[r]; p < s.RowPtr[r+1]; p++ {
+			if vals[p] != 0 {
+				cp.ColIdx = append(cp.ColIdx, s.ColIdx[p])
+				cp.Values = append(cp.Values, vals[p])
+			}
+		}
+		cp.RowPtr[r+1] = len(cp.Values)
+	}
+	return cp
+}
+
 // RowNNZ returns the number of non-zero values in row r.
 func (s *CSR) RowNNZ(r int) int {
 	s.Compact()

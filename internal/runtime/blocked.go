@@ -45,18 +45,20 @@ func (c *distCounters) snapshot() DistStats {
 
 // FusedStats is a snapshot of the fused-operator hit counters of one context
 // tree: how many fused mmchain (both chain shapes and the transpose-free
-// t(X) %*% Y) and fused cellwise-aggregate instructions executed (the fusion
-// analogue of DistStats, surfaced through core.Stats).
+// t(X) %*% Y), fused cellwise-aggregate and fused cellwise-chain instructions
+// executed (the fusion analogue of DistStats, surfaced through core.Stats).
 type FusedStats struct {
-	MMChainOps  int64
-	FusedAggOps int64
+	MMChainOps   int64
+	FusedAggOps  int64
+	FusedCellOps int64
 }
 
 // fusedCounters is the shared mutable counter state behind FusedStats; child
 // contexts share their parent's counters.
 type fusedCounters struct {
-	mmchain  atomic.Int64
-	fusedAgg atomic.Int64
+	mmchain   atomic.Int64
+	fusedAgg  atomic.Int64
+	fusedCell atomic.Int64
 }
 
 func (c *fusedCounters) snapshot() FusedStats {
@@ -64,8 +66,9 @@ func (c *fusedCounters) snapshot() FusedStats {
 		return FusedStats{}
 	}
 	return FusedStats{
-		MMChainOps:  c.mmchain.Load(),
-		FusedAggOps: c.fusedAgg.Load(),
+		MMChainOps:   c.mmchain.Load(),
+		FusedAggOps:  c.fusedAgg.Load(),
+		FusedCellOps: c.fusedCell.Load(),
 	}
 }
 

@@ -295,6 +295,13 @@ func (ctx *Context) CountFusedAgg() {
 	}
 }
 
+// CountFusedCell records one executed fused cellwise-chain instruction.
+func (ctx *Context) CountFusedCell() {
+	if ctx.fused != nil {
+		ctx.fused.fusedCell.Add(1)
+	}
+}
+
 // Set binds a variable to a value. The binding holds the value (see poolRef);
 // a value it replaces loses that holder, and with its last one its place in
 // the buffer pool.

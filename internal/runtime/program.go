@@ -83,7 +83,8 @@ type BasicBlock struct {
 	Sequential bool
 	// RequiresRecompile marks blocks compiled with unknown sizes; when set and
 	// a Recompile callback is present, the block is re-lowered against the
-	// current symbol table before execution (dynamic recompilation).
+	// current symbol table before execution (dynamic recompilation). A nil
+	// result keeps the compiled Instructions.
 	RequiresRecompile bool
 	Recompile         func(ctx *Context) ([]Instruction, error)
 	// CleanupTemps removes DAG temporaries after the block (disabled inside
@@ -109,8 +110,10 @@ func (b *BasicBlock) execute(ctx *Context, blockSp obs.Span) error {
 		if err != nil {
 			return fmt.Errorf("runtime: dynamic recompilation failed: %w", err)
 		}
-		instrs = recompiled
-		deps = nil // compiler edges no longer match the recompiled list
+		if recompiled != nil {
+			instrs = recompiled
+			deps = nil // compiler edges no longer match the recompiled list
+		}
 	}
 	workers := ctx.Config.InterOpWorkers()
 	if b.Sequential || workers <= 1 || len(instrs) < 2 {
