@@ -1,28 +1,62 @@
-// Command sysdsbench regenerates the tables and figures of the paper's
-// evaluation (Figure 5(a)-(d)) and the ablation experiments listed in
-// DESIGN.md. Results are printed as aligned text tables (the series the paper
-// plots); EXPERIMENTS.md records representative runs.
+// Command sysdsbench regenerates the paper's evaluation, Figure 5(a)-(d).
+// Results are printed as aligned text tables (the series the paper plots);
+// EXPERIMENTS.md records a representative run.
 //
 // Usage:
 //
 //	sysdsbench -figure 5a            # one figure at the default (small) scale
 //	sysdsbench -figure all -scale tiny
 //	sysdsbench -figure 5c -scale paper
-//	sysdsbench -figure ablations
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"github.com/systemds/systemds-go/internal/experiments"
 )
 
+// figure is one row of the -figure table.
+type figure struct {
+	name string
+	run  func(experiments.Scale, string) (*experiments.Figure, error)
+}
+
+// figures is the -figure table, in the paper's order; "all" runs every row.
+var figures = []figure{
+	{"5a", experiments.Figure5a},
+	{"5b", experiments.Figure5b},
+	{"5c", experiments.Figure5c},
+	{"5d", experiments.Figure5d},
+}
+
+// figureNames lists the valid -figure values.
+func figureNames() string {
+	var names []string
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
+// selectFigures returns the rows of the table that name selects, or nil when
+// name is not a valid -figure value.
+func selectFigures(name string) []figure {
+	var sel []figure
+	for _, f := range figures {
+		if name == "all" || name == f.name {
+			sel = append(sel, f)
+		}
+	}
+	return sel
+}
+
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "which experiment to run: 5a, 5b, 5c, 5d, steplm, dist, distchain, fusion, mmplan, fed, paramserv, ablations, all")
-		scaleArg = flag.String("scale", "small", "data scale: tiny, small, paper")
+		figureArg = flag.String("figure", "all", "which figure to run: "+figureNames())
+		scaleArg  = flag.String("scale", "small", "data scale: tiny, small, paper")
 	)
 	flag.Parse()
 
@@ -38,57 +72,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sysdsbench: unknown scale %q\n", *scaleArg)
 		os.Exit(2)
 	}
+	sel := selectFigures(*figureArg)
+	if sel == nil {
+		fmt.Fprintf(os.Stderr, "sysdsbench: unknown figure %q (valid: %s)\n", *figureArg, figureNames())
+		os.Exit(2)
+	}
 	dir, err := os.MkdirTemp("", "sysdsbench")
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(os.Stderr, "sysdsbench: %v\n", err)
+		os.Exit(1)
 	}
-	defer os.RemoveAll(dir)
 
 	fmt.Printf("SystemDS-Go benchmark harness — scale %s (%dx%d)\n\n", scale.Name, scale.Rows, scale.Cols)
-
-	run := func(name string, fn func() (*experiments.Figure, error)) {
-		if *figure != "all" && *figure != "ablations" && *figure != name {
-			return
-		}
-		if *figure == "ablations" && (name == "5a" || name == "5b" || name == "5c" || name == "5d") {
-			return
-		}
-		fig, err := fn()
+	failed := false
+	for _, f := range sel {
+		fig, err := f.run(scale, dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sysdsbench: experiment %s failed: %v\n", name, err)
-			return
+			fmt.Fprintf(os.Stderr, "sysdsbench: figure %s failed: %v\n", f.name, err)
+			failed = true
+			continue
 		}
 		fmt.Println(fig.Render())
 	}
-
-	run("5a", func() (*experiments.Figure, error) { return experiments.Figure5a(scale, dir) })
-	run("5b", func() (*experiments.Figure, error) { return experiments.Figure5b(scale, dir) })
-	run("5c", func() (*experiments.Figure, error) { return experiments.Figure5c(scale, dir) })
-	run("5d", func() (*experiments.Figure, error) { return experiments.Figure5d(scale, dir) })
-	run("steplm", func() (*experiments.Figure, error) {
-		return experiments.AblationSteplmPartialReuse(scale.Rows/2, min(scale.Cols, 60))
-	})
-	run("dist", func() (*experiments.Figure, error) {
-		return experiments.AblationDistVsLocal(scale.RowsSweep, scale.Cols, 1024)
-	})
-	run("distchain", func() (*experiments.Figure, error) {
-		return experiments.AblationBlockedChain(scale.RowsSweep, scale.Cols, 1024)
-	})
-	run("fed", func() (*experiments.Figure, error) {
-		return experiments.AblationFederatedTSMM(scale.Rows, scale.Cols)
-	})
-	run("fusion", func() (*experiments.Figure, error) {
-		return experiments.AblationFusedPipelines(scale.Rows, scale.Cols)
-	})
-	run("mmplan", func() (*experiments.Figure, error) {
-		return experiments.AblationMatMultStrategies(scale.Rows, 64)
-	})
-	run("paramserv", func() (*experiments.Figure, error) {
-		return experiments.AblationParamServ(scale.Rows, min(scale.Cols, 50))
-	})
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "sysdsbench: %v\n", err)
-	os.Exit(1)
+	os.RemoveAll(dir)
+	if failed {
+		os.Exit(1)
+	}
 }

@@ -48,21 +48,19 @@ var kernelPkgs = map[string]bool{
 // threadPlumbPkgs are the packages on the configuration path from the
 // planner to the kernels: call sites here must pass the context's resolved
 // thread count to kernel entry points, never a hard-coded literal.
-// dist and paramserv may pass the literal 1 — their operators already run
-// inside their own worker pools, and nested kernel parallelism would
-// oversubscribe cores (the documented inner-pool contract).
+// dist may pass the literal 1 — its operators already run inside its own
+// worker pool, and nested kernel parallelism would oversubscribe cores (the
+// documented inner-pool contract).
 var threadPlumbPkgs = map[string]bool{
 	"instructions": true,
 	"runtime":      true,
 	"compress":     true,
 	"dist":         true,
-	"paramserv":    true,
 }
 
 // innerPoolPkgs may pass threads=1 to kernels without annotation.
 var innerPoolPkgs = map[string]bool{
-	"dist":      true,
-	"paramserv": true,
+	"dist": true,
 }
 
 // layerRank encodes the import DAG of DESIGN.md:
@@ -82,10 +80,8 @@ var layerRank = map[string]int{
 	"lineage":      0,
 	"builtins":     0,
 	"matrix":       1,
-	"tensor":       1,
 	"compress":     2,
 	"frame":        2,
-	"paramserv":    2,
 	"io":           3,
 	"hops":         3,
 	"dist":         3,

@@ -7,17 +7,16 @@ import (
 
 // ThreadPlumbAnalyzer checks that kernel entry points taking a `threads`
 // parameter receive the context's resolved thread count at call sites on the
-// configuration path (instructions, runtime, compress, dist, paramserv), not
-// a hard-coded integer literal: a literal silently pins the kernel to a
-// fixed parallelism no matter what the user configured. Two packages are
-// allowlisted for the literal 1 — dist and paramserv run kernels inside
-// their own worker pools, where nested parallelism would oversubscribe cores
-// (the documented inner-pool contract). Any other literal needs a
-// //sysds:ok(threadplumb) justification.
+// configuration path (instructions, runtime, compress, dist), not a
+// hard-coded integer literal: a literal silently pins the kernel to a fixed
+// parallelism no matter what the user configured. dist is allowlisted for the
+// literal 1 — it runs kernels inside its own worker pool, where nested
+// parallelism would oversubscribe cores (the documented inner-pool contract).
+// Any other literal needs a //sysds:ok(threadplumb) justification.
 var ThreadPlumbAnalyzer = &Analyzer{
 	Name: "threadplumb",
 	Doc: "kernel calls must plumb the context's thread count into `threads` " +
-		"parameters instead of hard-coding a literal (literal 1 allowed in the dist/paramserv inner pools)",
+		"parameters instead of hard-coding a literal (literal 1 allowed in the dist inner pool)",
 	Run: runThreadPlumb,
 }
 

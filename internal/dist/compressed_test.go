@@ -29,11 +29,11 @@ func lowCardTestMatrix(rows, cols int, seed int64) *matrix.MatrixBlock {
 	return out
 }
 
-func compressForDist(t *testing.T, m *matrix.MatrixBlock) *compress.CompressedMatrix {
-	t.Helper()
+func compressForDist(tb testing.TB, m *matrix.MatrixBlock) *compress.CompressedMatrix {
+	tb.Helper()
 	cm, plan, ok := compress.Compress(m, compress.PlannerConfig{}, 1)
 	if !ok {
-		t.Fatalf("compression rejected: %+v", plan)
+		tb.Fatalf("compression rejected: %+v", plan)
 	}
 	return cm
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/baselines"
+	sdsio "github.com/systemds/systemds-go/internal/io"
 )
 
 // microScale keeps the experiment harness tests fast.
@@ -34,7 +35,7 @@ func TestWorkloadFilesAndRunners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ReadWorkloadCSV(xPath)
+	x, err := sdsio.ReadMatrixCSV(xPath, sdsio.DefaultCSVOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,89 +95,38 @@ func TestFigure5cShowsReuseBenefit(t *testing.T) {
 	}
 }
 
-func TestAblationSteplmPartialReuse(t *testing.T) {
-	fig, err := AblationSteplmPartialReuse(300, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 2 {
-		t.Fatalf("series = %d", len(fig.Series))
-	}
-	foundStats := false
-	for _, n := range fig.Notes {
-		if strings.Contains(n, "partial=") {
-			foundStats = true
-			if !strings.Contains(n, "partial=0") {
-				// partial hits present: good
-				foundStats = true
+// TestFigureSeriesLabels pins what each panel plots: its name, its series in
+// order and one point per x value of the scale.
+func TestFigureSeriesLabels(t *testing.T) {
+	scale := microScale()
+	for _, tc := range []struct {
+		run    func(Scale, string) (*Figure, error)
+		name   string
+		labels []string
+		points int
+	}{
+		{Figure5a, "Figure 5(a)", []string{"TF", "TF-G", "Julia", "SysDS"}, len(scale.Ks)},
+		{Figure5b, "Figure 5(b)", []string{"TF", "TF-G", "Julia", "SysDS"}, len(scale.Ks)},
+		{Figure5c, "Figure 5(c)", []string{"SysDS", "SysDS+Reuse"}, len(scale.Ks)},
+		{Figure5d, "Figure 5(d)", []string{"SysDS", "SysDS+Reuse"}, len(scale.RowsSweep)},
+	} {
+		fig, err := tc.run(scale, t.TempDir())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fig.Name != tc.name || len(fig.Notes) == 0 {
+			t.Errorf("%s: name %q, notes %v", tc.name, fig.Name, fig.Notes)
+		}
+		var labels []string
+		for _, s := range fig.Series {
+			labels = append(labels, s.Label)
+			if len(s.Points) != tc.points {
+				t.Errorf("%s %s: %d points, want %d", tc.name, s.Label, len(s.Points), tc.points)
 			}
 		}
-	}
-	if !foundStats {
-		t.Errorf("expected reuse statistics note, got %v", fig.Notes)
-	}
-}
-
-func TestAblationDistVsLocalAndFederated(t *testing.T) {
-	fig, err := AblationDistVsLocal([]int{200, 400}, 16, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 2 || len(fig.Series[0].Points) != 2 {
-		t.Errorf("dist ablation malformed: %+v", fig)
-	}
-	chainFig, err := AblationBlockedChain([]int{200, 400}, 16, 64)
-	if err != nil {
-		t.Fatalf("AblationBlockedChain: %v", err)
-	}
-	if len(chainFig.Series) != 2 || len(chainFig.Series[0].Points) != 2 {
-		t.Errorf("unexpected chained ablation shape: %+v", chainFig.Series)
-	}
-
-	fedFig, err := AblationFederatedTSMM(300, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fedFig.Series) != 2 {
-		t.Errorf("federated ablation malformed: %+v", fedFig)
-	}
-}
-
-func TestAblationParamServ(t *testing.T) {
-	fig, err := AblationParamServ(400, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 2 {
-		t.Fatalf("series = %d", len(fig.Series))
-	}
-	if len(fig.Notes) < 2 || !strings.Contains(fig.Notes[0], "loss=") {
-		t.Errorf("notes = %v", fig.Notes)
-	}
-}
-
-func TestAblationFusedPipelines(t *testing.T) {
-	fig, err := AblationFusedPipelines(300, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 2 {
-		t.Fatalf("series = %d, want unfused and fused", len(fig.Series))
-	}
-}
-
-func TestAblationMatMultStrategies(t *testing.T) {
-	fig, err := AblationMatMultStrategies(512, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 4 {
-		t.Fatalf("series = %d, want planner + 3 forced strategies", len(fig.Series))
-	}
-	// k=512 with a 128x512 left and 512x64 right operand sits past the
-	// gj<->sh crossover, so the planner must have picked the shuffle split
-	if fig.Series[0].Label != "planner (sh)" {
-		t.Errorf("planner series label = %q, want planner (sh)", fig.Series[0].Label)
+		if strings.Join(labels, ",") != strings.Join(tc.labels, ",") {
+			t.Errorf("%s: series %v, want %v", tc.name, labels, tc.labels)
+		}
 	}
 }
 

@@ -63,3 +63,13 @@ func benchTSMMKernel(b *testing.B, rows, cols int, kern gemmKernel) {
 
 func BenchmarkKernelTSMMStandard4096x512(b *testing.B) { benchTSMMKernel(b, 4096, 512, gemmSimple) }
 func BenchmarkKernelTSMMTiled4096x512(b *testing.B)    { benchTSMMKernel(b, 4096, 512, gemmTiled) }
+
+// BenchmarkKernelTSMMSparse times the sparse TSMM on a 2000 x 40 CSR block
+// at density 0.1.
+func BenchmarkKernelTSMMSparse(b *testing.B) {
+	x := RandUniform(2000, 40, 0, 1, 0.1, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TSMM(x, 0)
+	}
+}
