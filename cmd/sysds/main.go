@@ -1,7 +1,7 @@
 // Command sysds executes a DML script from the command line (the equivalent
 // of SystemDS' command-line invocation in Figure 3). Script inputs can be
-// bound to CSV files or scalar values with -input flags, and outputs are
-// printed or written to CSV files.
+// bound to CSV or SDSB binary files or scalar values with -input flags, and
+// outputs are printed or written to CSV files in the order given.
 //
 // Usage:
 //
@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	systemds "github.com/systemds/systemds-go"
+	sdsio "github.com/systemds/systemds-go/internal/io"
 )
 
 type multiFlag []string
@@ -43,7 +44,6 @@ func main() {
 		persistDir  = flag.String("persist-lineage", "", "directory for cross-run lineage reuse and cost-model calibration (implies -reuse)")
 		lineageOff  = flag.Bool("no-lineage", false, "disable lineage tracing")
 		parallelism = flag.Int("parallelism", 0, "number of threads (0 = all cores)")
-		interOp     = flag.Int("inter-op", 1, "inter-operator scheduler workers (<=1 = sequential execution)")
 		distributed = flag.Bool("distributed", false, "enable the blocked distributed backend for large operations")
 		compression = flag.Bool("compress", false, "enable compressed linear algebra for loop-reused operands")
 		memBudget   = flag.Int64("mem-budget", 0, "per-operator memory budget in bytes for CP-vs-distributed selection (0 = default)")
@@ -52,7 +52,7 @@ func main() {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	flag.Var(&inputs, "input", "bind a script input: name=file.csv or name=scalar (repeatable)")
+	flag.Var(&inputs, "input", "bind a script input: name=file.csv, name=file.bin or name=scalar (repeatable)")
 	flag.Var(&outputs, "output", "write a script output to CSV: name=file.csv (repeatable)")
 	flag.Var(&prints, "print", "print a script output variable (repeatable)")
 	flag.Parse()
@@ -64,7 +64,6 @@ func main() {
 	}
 	opts := []systemds.Option{
 		systemds.WithParallelism(*parallelism),
-		systemds.WithInterOpParallelism(*interOp),
 		systemds.WithReuse(*reuse),
 		systemds.WithDistributedBackend(*distributed),
 		systemds.WithCompression(*compression),
@@ -113,18 +112,22 @@ func main() {
 		if !ok {
 			fatalf("invalid -input %q, expected name=value", in)
 		}
-		boundInputs[name] = parseInputValue(value)
+		v, err := parseInputValue(value)
+		if err != nil {
+			fatalf("read input %s: %v", value, err)
+		}
+		boundInputs[name] = v
 	}
 
-	outNames := map[string]string{}
-	var requested []string
+	// requested[i] is written to outFiles[i], in flag order
+	var requested, outFiles []string
 	for _, out := range outputs {
 		name, file, ok := strings.Cut(out, "=")
 		if !ok {
 			fatalf("invalid -output %q, expected name=file.csv", out)
 		}
-		outNames[name] = file
 		requested = append(requested, name)
+		outFiles = append(outFiles, file)
 	}
 	requested = append(requested, prints...)
 
@@ -132,7 +135,8 @@ func main() {
 	if err != nil {
 		fatalf("execution failed: %v", err)
 	}
-	for name, file := range outNames {
+	for i, file := range outFiles {
+		name := requested[i]
 		m, err := results.Matrix(name)
 		if err != nil {
 			fatalf("output %s: %v", name, err)
@@ -210,25 +214,29 @@ func printExecStats(ctx *systemds.Context, persist bool) {
 	}
 }
 
-// parseInputValue binds CSV files as matrices and everything else as scalars.
-func parseInputValue(value string) any {
-	if strings.HasSuffix(value, ".csv") || strings.HasSuffix(value, ".bin") {
-		m, err := systemds.ReadMatrixCSV(value)
-		if err != nil {
-			fatalf("read input %s: %v", value, err)
-		}
-		return m
+// parseInputValue binds CSV and SDSB binary files as matrices, numbers and
+// TRUE/FALSE as scalars, and everything else as a string.
+func parseInputValue(value string) (any, error) {
+	switch {
+	case strings.HasSuffix(value, ".csv"):
+		return systemds.ReadMatrixCSV(value)
+	case strings.HasSuffix(value, ".bin"):
+		return sdsio.ReadMatrixBinary(value)
 	}
 	if v, err := strconv.ParseFloat(value, 64); err == nil {
-		return v
+		return v, nil
 	}
 	if value == "TRUE" || value == "FALSE" {
-		return value == "TRUE"
+		return value == "TRUE", nil
 	}
-	return value
+	return value, nil
 }
 
+// fatalf reports the error and exits 1. os.Exit skips deferred calls, so the
+// CPU profile (a no-op when none runs) is stopped here to leave a complete
+// file behind.
 func fatalf(format string, args ...any) {
+	pprof.StopCPUProfile()
 	fmt.Fprintf(os.Stderr, "sysds: "+format+"\n", args...)
 	os.Exit(1)
 }

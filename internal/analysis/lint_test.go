@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,6 +66,11 @@ func TestLayerMapCoversRepo(t *testing.T) {
 	} {
 		for name := range set {
 			stale(table, name)
+		}
+	}
+	for _, c := range deterministicCmds {
+		if _, err := os.Stat(filepath.Join("../..", c)); err != nil {
+			t.Errorf("deterministicCmds in pkgs.go names %q, which is not a directory of the repo", c)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // MapOrderAnalyzer flags `for … range` over a map in the deterministic
-// packages whenever the loop body is order-sensitive: it accumulates
+// packages and commands whenever the loop body is order-sensitive: it accumulates
 // floating-point values, produces ordered output (append, channel sends,
 // writes, printing), dispatches goroutines, returns a value selected by
 // iteration order, or assigns an iteration-dependent value to a variable
@@ -19,12 +19,12 @@ import (
 var MapOrderAnalyzer = &Analyzer{
 	Name: "maporder",
 	Doc: "flags order-sensitive iteration over maps in deterministic packages " +
-		"(matrix, compress, dist, hops, runtime, lineage); iterate over sorted keys instead",
+		"(matrix, compress, dist, hops, runtime, lineage) and cmd/sysds; iterate over sorted keys instead",
 	Run: runMapOrder,
 }
 
 func runMapOrder(pass *Pass) error {
-	if !deterministicPkgs[internalName(pass.PkgPath)] {
+	if !isDeterministic(pass.PkgPath) {
 		return nil
 	}
 	for _, file := range pass.Files {

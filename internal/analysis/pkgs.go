@@ -34,6 +34,25 @@ var deterministicPkgs = map[string]bool{
 	"lineage":  true,
 }
 
+// deterministicCmds are the commands whose stdout must be reproducible run to
+// run (the verify flows and `make trace-check` diff what sysds prints);
+// maporder polices them like deterministicPkgs. Entries match as import-path
+// suffixes.
+var deterministicCmds = []string{"cmd/sysds"}
+
+// isDeterministic reports whether maporder polices the package at pkgPath.
+func isDeterministic(pkgPath string) bool {
+	if deterministicPkgs[internalName(pkgPath)] {
+		return true
+	}
+	for _, c := range deterministicCmds {
+		if pkgPath == c || strings.HasSuffix(pkgPath, "/"+c) {
+			return true
+		}
+	}
+	return false
+}
+
 // kernelPkgs are the packages holding floating-point kernels bound by the
 // round-product/round-sum bitwise contract (DESIGN.md, dense GEMM engine):
 // every multiply and every add must round separately, so fused multiply-add

@@ -516,8 +516,5 @@ func (c *Compiler) compilePredicate(cond lang.Expr) (*runtime.BasicBlock, string
 	if err != nil {
 		return nil, "", err
 	}
-	// predicate blocks always execute sequentially so control-flow decisions
-	// and print ordering stay deterministic under the inter-operator scheduler
-	bb.Sequential = true
 	return bb, predVar, nil
 }

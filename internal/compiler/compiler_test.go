@@ -327,123 +327,6 @@ func TestEstimateMemoryBudget(t *testing.T) {
 	}
 }
 
-func TestCompilerAttachesSchedulerDeps(t *testing.T) {
-	c := newCompiler(nil)
-	prog, err := c.Compile(`
-A = X + 1
-B = X * 2
-C = A %*% B
-print(sum(C))
-`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, ok := prog.Blocks[0].(*runtime.BasicBlock)
-	if !ok {
-		t.Fatalf("block 0 is %T, want *runtime.BasicBlock", prog.Blocks[0])
-	}
-	if len(bb.Deps) != len(bb.Instructions) {
-		t.Fatalf("Deps length %d != instruction count %d", len(bb.Deps), len(bb.Instructions))
-	}
-	// the compiler's exact edges must be consistent with (at least as strict
-	// as required by) name-based analysis: scheduled execution must equal
-	// sequential execution
-	for i, ds := range bb.Deps {
-		for _, d := range ds {
-			if d < 0 || d >= i {
-				t.Errorf("instruction %d has non-topological dep %d", i, d)
-			}
-		}
-	}
-	// the final print must be a barrier: it depends (transitively) on the
-	// matmult producing C; verify a direct or indirect path exists
-	last := len(bb.Instructions) - 1
-	if bb.Instructions[last].Opcode() != "print" {
-		t.Fatalf("last instruction is %s, want print", bb.Instructions[last].Opcode())
-	}
-	if len(bb.Deps[last]) == 0 {
-		t.Errorf("print barrier has no dependencies")
-	}
-}
-
-func TestCompilerMarksPredicateBlocksSequential(t *testing.T) {
-	c := newCompiler(nil)
-	prog, err := c.Compile(`
-x = 5
-if (x > 2) { y = 1 } else { y = 0 }
-while (x > 10) { x = x - 1 }
-`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var checked int
-	for _, blk := range prog.Blocks {
-		switch v := blk.(type) {
-		case *runtime.IfBlock:
-			if !v.Predicate.Sequential {
-				t.Error("if predicate block must be sequential")
-			}
-			checked++
-		case *runtime.WhileBlock:
-			if !v.Predicate.Sequential {
-				t.Error("while predicate block must be sequential")
-			}
-			checked++
-		case *runtime.BasicBlock:
-			if v.Sequential {
-				t.Error("straight-line block must not be forced sequential")
-			}
-		}
-	}
-	if checked != 2 {
-		t.Fatalf("checked %d control blocks, want 2", checked)
-	}
-}
-
-func TestScheduledExecutionMatchesSequentialOnCompiledScript(t *testing.T) {
-	script := `
-A = X %*% t(X)
-B = t(X) %*% X
-C = X * 2
-D = X + 1
-E = C + D
-s = sum(A) + sum(B) + sum(E)
-`
-	x := matrix.RandUniform(40, 8, -1, 1, 1.0, 11)
-	run := func(interOp int) (*matrix.MatrixBlock, float64) {
-		cfg := runtime.DefaultConfig()
-		cfg.InterOpParallelism = interOp
-		c := newCompiler(cfg)
-		prog, err := c.Compile(script, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := runtime.NewContext(cfg)
-		ctx.Prog = prog
-		ctx.SetMatrix("X", x)
-		if err := prog.Execute(ctx); err != nil {
-			t.Fatal(err)
-		}
-		e, err := ctx.GetMatrixBlock("E")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := ctx.GetScalar("s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, s.Float64()
-	}
-	eSeq, sSeq := run(1)
-	ePar, sPar := run(4)
-	if sSeq != sPar {
-		t.Errorf("scalar result differs: sequential %v, scheduled %v", sSeq, sPar)
-	}
-	if !eSeq.Equals(ePar, 0) {
-		t.Error("matrix result differs between sequential and scheduled execution")
-	}
-}
-
 // countRecompiles wraps the recompilation callback of every basic block
 // under blocks: calls counts the executions that asked for a plan, plans the
 // distinct instruction lists handed back (a memo hit returns the list of the

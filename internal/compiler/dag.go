@@ -19,11 +19,7 @@ type blockBuilder struct {
 	dag    *hops.DAG
 	varMap map[string]*hops.Hop
 	instrs []runtime.Instruction
-	// tracker accumulates per-instruction dependency lists (exact HOP
-	// producer/consumer edges plus variable-level hazards) for the
-	// inter-operator scheduler.
-	tracker *runtime.DepTracker
-	known   map[string]types.DataCharacteristics
+	known  map[string]types.DataCharacteristics
 	// reads collects the variables read from the block's entry state: the
 	// names whose characteristics can reach the block's plan.
 	reads map[string]bool
@@ -45,7 +41,7 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 	if err != nil {
 		return nil, err
 	}
-	block := &runtime.BasicBlock{Instructions: bb.instrs, Deps: bb.tracker.Deps(), CleanupTemps: true}
+	block := &runtime.BasicBlock{Instructions: bb.instrs, CleanupTemps: true}
 	// dynamic recompilation against live sizes drives both exec-type
 	// selection (distributed backend) and operator fusion: loop and function
 	// bodies compile with unknown sizes, so without recompilation the fusion
@@ -145,12 +141,11 @@ func liveSizeOf(ctx *runtime.Context, name string) (liveSize, types.DataCharacte
 // buildBlock runs the statement-to-DAG-to-instruction pipeline.
 func (c *Compiler) buildBlock(stmts []lang.Statement, known map[string]types.DataCharacteristics) (*blockBuilder, error) {
 	bb := &blockBuilder{
-		c:       c,
-		dag:     &hops.DAG{},
-		varMap:  map[string]*hops.Hop{},
-		tracker: runtime.NewDepTracker(),
-		known:   known,
-		reads:   map[string]bool{},
+		c:      c,
+		dag:    &hops.DAG{},
+		varMap: map[string]*hops.Hop{},
+		known:  known,
+		reads:  map[string]bool{},
 	}
 	for _, s := range stmts {
 		if err := bb.processStatement(s); err != nil {

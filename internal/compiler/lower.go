@@ -87,23 +87,12 @@ func (bb *blockBuilder) flush() error {
 		bb.c.explain.WriteString(bb.dag.ExplainPlanWith(bb.c.annotate))
 		bb.c.explain.WriteByte('\n')
 	}
-	instrs, hopDeps, unknown, err := lowerDAG(bb.dag)
+	instrs, unknown, err := lowerDAG(bb.dag)
 	if err != nil {
 		return err
 	}
 	if unknown {
 		bb.unknownSizes = true
-	}
-	// record each instruction with its exact producer/consumer edges from the
-	// HOP DAG (shifted to block-global indices); the tracker adds the
-	// variable-level hazards crossing DAG boundaries
-	base := len(bb.instrs)
-	for k, inst := range instrs {
-		exact := make([]int, len(hopDeps[k]))
-		for j, d := range hopDeps[k] {
-			exact[j] = base + d
-		}
-		bb.tracker.Add(inst, exact, false)
 	}
 	bb.instrs = append(bb.instrs, instrs...)
 	bb.varMap = map[string]*hops.Hop{}
@@ -111,16 +100,8 @@ func (bb *blockBuilder) flush() error {
 	return nil
 }
 
-// emit appends a directly-emitted (non-DAG) instruction, recording it in the
-// dependency tracker. Whether the instruction is an ordering barrier comes
-// from the shared runtime.SchedulerBarrierOpcodes set, so compiler-built
-// blocks and the name-based recompile fallback order side effects
-// identically — with one deliberate exception: `read` is pure from the
-// block's perspective (its ordering against file `write`s is preserved by
-// write being a barrier), so it is ordered by variable dependencies alone.
+// emit appends a directly-emitted (non-DAG) instruction.
 func (bb *blockBuilder) emit(inst runtime.Instruction) {
-	op := inst.Opcode()
-	bb.tracker.Add(inst, nil, runtime.SchedulerBarrierOpcodes[op] && op != "read")
 	bb.instrs = append(bb.instrs, inst)
 }
 
@@ -151,23 +132,16 @@ func operandOf(h *hops.Hop) instructions.Operand {
 }
 
 // lowerDAG lowers a rewritten, size-annotated DAG into instructions in
-// topological order. It returns, per instruction, the indices of the
-// instructions producing its HOP inputs (the DAG's producer/consumer edges,
-// preserved for the inter-operator scheduler) and reports whether any
-// operator had an unknown memory estimate (input for the
-// dynamic-recompilation decision).
+// topological order and reports whether any operator had an unknown memory
+// estimate (input for the dynamic-recompilation decision).
 //
 // Instruction order: all compute instructions first (they read the values the
 // variables had at block entry), then the transient writes. Writes whose
 // source is a plain variable reference (alias assignments) are emitted before
 // writes of computed values, so an assignment like "y = x" observes the old
 // value of x even when x is redefined in the same DAG.
-func lowerDAG(dag *hops.DAG) ([]runtime.Instruction, [][]int, bool, error) {
-	type emitted struct {
-		inst runtime.Instruction
-		hop  *hops.Hop
-	}
-	var computes, aliasWrites, valueWrites []emitted
+func lowerDAG(dag *hops.DAG) ([]runtime.Instruction, bool, error) {
+	var computes, aliasWrites, valueWrites []runtime.Instruction
 	unknown := false
 	for _, h := range dag.Nodes() {
 		// recompile exactly when a size the planner's decisions depend on is
@@ -177,50 +151,22 @@ func lowerDAG(dag *hops.DAG) ([]runtime.Instruction, [][]int, bool, error) {
 		}
 		inst, err := lowerHop(h)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if inst == nil {
 			continue
 		}
 		switch {
 		case h.Kind != hops.KindWrite:
-			computes = append(computes, emitted{inst, h})
+			computes = append(computes, inst)
 		case len(h.Inputs) == 1 && h.Inputs[0].Kind == hops.KindRead:
-			aliasWrites = append(aliasWrites, emitted{inst, h})
+			aliasWrites = append(aliasWrites, inst)
 		default:
-			valueWrites = append(valueWrites, emitted{inst, h})
+			valueWrites = append(valueWrites, inst)
 		}
 	}
-	all := append(computes, aliasWrites...)
-	all = append(all, valueWrites...)
-	// producer index per hop id (only non-write hops produce values consumed
-	// by other instructions; named-variable flow across writes is tracked by
-	// the dependency tracker)
-	producer := map[int64]int{}
-	for i, e := range all {
-		if e.hop.Kind != hops.KindWrite {
-			producer[e.hop.ID] = i
-		}
-	}
-	instrs := make([]runtime.Instruction, len(all))
-	deps := make([][]int, len(all))
-	for i, e := range all {
-		instrs[i] = e.inst
-		var ds []int
-		for _, in := range e.hop.Inputs {
-			if j, ok := producer[in.ID]; ok && j != i {
-				ds = append(ds, j)
-			}
-		}
-		for _, p := range e.hop.Params {
-			if j, ok := producer[p.ID]; ok && j != i {
-				ds = append(ds, j)
-			}
-		}
-		sort.Ints(ds)
-		deps[i] = ds
-	}
-	return instrs, deps, unknown, nil
+	instrs := append(computes, aliasWrites...)
+	return append(instrs, valueWrites...), unknown, nil
 }
 
 // estBytesOf returns the planner's estimated output bytes of a HOP, or -1

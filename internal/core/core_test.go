@@ -502,6 +502,10 @@ func TestStopAndErrors(t *testing.T) {
 	}
 }
 
+// TestParforMatchesSequential also runs the parfor twice on one engine with
+// reuse on: its workers probe and fill one lineage cache concurrently (every
+// iteration computes the same t(X) %*% X), and the second run answers the
+// column slices from that cache with the same bits.
 func TestParforMatchesSequential(t *testing.T) {
 	e := newTestEngine()
 	x := matrix.RandUniform(50, 8, -1, 1, 1.0, 61)
@@ -509,13 +513,28 @@ func TestParforMatchesSequential(t *testing.T) {
 R = matrix(0, 1, ncol(X))
 %s (j in 1:ncol(X)) {
   col = X[, j]
-  R[1, j] = sum(col * col)
+  R[1, j] = sum(col * col) + sum(t(X) %*% X)
 }
 `
+	parScript := strings.Replace(script, "%s", "parfor", 1)
 	seq := execScript(t, e, strings.Replace(script, "%s", "for", 1), map[string]any{"X": x}, []string{"R"})
-	par := execScript(t, e, strings.Replace(script, "%s", "parfor", 1), map[string]any{"X": x}, []string{"R"})
+	par := execScript(t, e, parScript, map[string]any{"X": x}, []string{"R"})
 	if !asMatrix(t, seq["R"]).Equals(asMatrix(t, par["R"]), 1e-12) {
 		t.Error("parfor result differs from sequential for")
+	}
+
+	cfg := runtime.DefaultConfig()
+	cfg.Parallelism = 4
+	cfg.ReuseEnabled = true
+	re := NewEngine(cfg)
+	first := asMatrix(t, execScript(t, re, parScript, map[string]any{"X": x}, []string{"R"})["R"])
+	hits := re.CacheStats().Hits
+	second := asMatrix(t, execScript(t, re, parScript, map[string]any{"X": x}, []string{"R"})["R"])
+	if got := re.CacheStats().Hits - hits; got < int64(x.Cols()) {
+		t.Errorf("second parfor run: %d cache hits, want at least %d", got, x.Cols())
+	}
+	if !first.Equals(second, 0) || !first.Equals(asMatrix(t, par["R"]), 0) {
+		t.Error("parfor with reuse differs between runs or from parfor without reuse")
 	}
 }
 

@@ -64,8 +64,7 @@ func TestTracedCompressedLmRun(t *testing.T) {
 	if run.Dur <= 0 {
 		t.Fatalf("run span has non-positive duration %d", run.Dur)
 	}
-	// instruction spans must cover >= 90% of the run wall time (they can sum
-	// past 100% when the inter-op scheduler overlaps instructions)
+	// instruction spans must cover >= 90% of the run wall time
 	if coverage := float64(instrNs) / float64(run.Dur); coverage < 0.9 {
 		t.Errorf("instruction spans cover %.1f%% of the run, want >= 90%%", coverage*100)
 	}
@@ -126,28 +125,32 @@ func TestTracedCompressedLmRun(t *testing.T) {
 	}
 }
 
-// TestTracedSchedulerConcurrent runs a traced script under the inter-operator
-// scheduler and the distributed backend so spans are emitted concurrently
-// from the scheduler's worker pool and the dist task pool (the -race build of
-// this test is the tracer's concurrency gate).
+// TestTracedSchedulerConcurrent runs a traced parfor whose body uses the
+// distributed backend, so spans are emitted concurrently from the parfor
+// workers and the dist task pool (the -race build of this test is the
+// tracer's concurrency gate).
 func TestTracedSchedulerConcurrent(t *testing.T) {
 	cfg := runtime.DefaultConfig()
+	cfg.Parallelism = 4
 	cfg.TraceEnabled = true
 	cfg.DistEnabled = true
 	cfg.OperatorMemBudget = 8 * 1024
-	cfg.InterOpParallelism = 4
 	eng := NewEngine(cfg)
 
 	x := matrix.RandUniform(400, 60, 0, 1, 1.0, 11)
-	script := `A = X %*% t(X)
-B = t(X) %*% X
-s = sum(A) + sum(B)`
+	script := `R = matrix(0, 1, 4)
+parfor (j in 1:4) {
+  A = X %*% t(X)
+  B = t(X) %*% X
+  R[1, j] = sum(A) + j * sum(B)
+}
+s = sum(R)`
 	_, stats, err := eng.Execute(script, map[string]any{"X": x}, []string{"s"})
 	if err != nil {
-		t.Fatalf("traced scheduled run failed: %v", err)
+		t.Fatalf("traced parfor run failed: %v", err)
 	}
 	if len(stats.OpMetrics) == 0 {
-		t.Fatal("no op metrics from scheduled traced run")
+		t.Fatal("no op metrics from the traced parfor run")
 	}
 	recs := eng.TraceRecords()
 	var distSpans int

@@ -143,8 +143,8 @@ func (c *Cache) Get(item *Item) (any, bool) {
 		return nil, false
 	}
 	c.mu.Unlock()
-	// disk probe outside the lock: concurrent operators of the inter-op
-	// scheduler must not serialize on file reads
+	// disk probe outside the lock: parfor workers must not serialize on
+	// file reads
 	if v, sizeBytes, computeNs, ok := store.Lookup(item.hash.Lo, item.hash.String()); ok {
 		retain(v)
 		c.insert(item, v, sizeBytes, computeNs, false)

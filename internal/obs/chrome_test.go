@@ -34,7 +34,7 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	recs := []Record{
 		{ID: 1, Parent: 0, Cat: CatRun, Name: "run", Start: 0, Dur: 100_000},
 		{ID: 2, Parent: 1, Cat: CatBlock, Name: "block", Start: 1_000, Dur: 98_000},
-		// Two overlapping instruction spans (concurrent scheduler workers):
+		// Two overlapping instruction spans (concurrent parfor workers):
 		// they cannot share a lane.
 		{ID: 3, Parent: 2, Cat: CatInstr, Name: "ba+*", Start: 2_000, Dur: 50_000},
 		{ID: 4, Parent: 2, Cat: CatInstr, Name: "uak+", Start: 30_000, Dur: 60_000},

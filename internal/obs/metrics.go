@@ -90,7 +90,7 @@ func Aggregate(recs []Record) []OpMetric {
 		m.WallNs += r.Dur
 		self := r.Dur - childNs[r.ID]
 		if self < 0 {
-			// Concurrent children (scheduler workers under one block span)
+			// Concurrent children (parfor workers, dist tasks of one operator)
 			// can sum past the parent's wall time; clamp instead of going
 			// negative.
 			self = 0

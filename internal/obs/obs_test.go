@@ -32,7 +32,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 }
 
 // TestConcurrentEmission hammers one tracer from many goroutines (the
-// scheduler/dist worker shape); run under -race this validates the
+// parfor/dist worker shape); run under -race this validates the
 // per-worker buffer scheme.
 func TestConcurrentEmission(t *testing.T) {
 	tr := New()

@@ -22,12 +22,6 @@ type Config struct {
 	// Parallelism is the number of threads used by multi-threaded kernels and
 	// parfor workers (0 = number of CPUs).
 	Parallelism int
-	// InterOpParallelism is the worker-pool size of the inter-operator DAG
-	// scheduler: with a value > 1, independent instructions of a basic block
-	// execute concurrently; values <= 1 keep the strictly sequential
-	// instruction-list execution (the default). Predicate blocks always
-	// execute sequentially regardless of this setting.
-	InterOpParallelism int
 	// OperatorMemBudget is the per-operator memory budget in bytes used for
 	// CP-vs-distributed execution-type selection.
 	OperatorMemBudget int64
@@ -85,16 +79,15 @@ type Config struct {
 // enabled and reuse disabled.
 func DefaultConfig() *Config {
 	return &Config{
-		Parallelism:        0,
-		InterOpParallelism: 1,
-		OperatorMemBudget:  2 << 30, // 2 GB
-		BufferPoolBudget:   0,
-		LineageEnabled:     true,
-		ReuseEnabled:       false,
-		CacheBudget:        1 << 30,
-		DistEnabled:        false,
-		DistBlocksize:      types.DefaultBlocksize,
-		TempDir:            os.TempDir(),
+		Parallelism:       0,
+		OperatorMemBudget: 2 << 30, // 2 GB
+		BufferPoolBudget:  0,
+		LineageEnabled:    true,
+		ReuseEnabled:      false,
+		CacheBudget:       1 << 30,
+		DistEnabled:       false,
+		DistBlocksize:     types.DefaultBlocksize,
+		TempDir:           os.TempDir(),
 	}
 }
 
@@ -104,15 +97,6 @@ func (c *Config) Threads() int {
 		return matrix.DefaultParallelism()
 	}
 	return c.Parallelism
-}
-
-// InterOpWorkers resolves the inter-operator scheduler pool size; any value
-// <= 1 means sequential execution.
-func (c *Config) InterOpWorkers() int {
-	if c.InterOpParallelism <= 1 {
-		return 1
-	}
-	return c.InterOpParallelism
 }
 
 // Context is the execution context of a control program: the symbol table of

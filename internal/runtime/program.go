@@ -71,16 +71,6 @@ func (p *Program) Function(name string) (*FunctionBlock, bool) {
 // side-effect instructions).
 type BasicBlock struct {
 	Instructions []Instruction
-	// Deps holds the exact per-instruction dependency lists preserved from
-	// the HOP DAG's producer/consumer edges by the compiler (one list of
-	// earlier-instruction indices per instruction). When nil or out of sync
-	// with Instructions (e.g. after dynamic recompilation), the scheduler
-	// falls back to name-based dependency analysis.
-	Deps [][]int
-	// Sequential forces strictly ordered execution even when the
-	// inter-operator scheduler is enabled (predicate blocks, whose results
-	// feed control-flow decisions, always run sequentially).
-	Sequential bool
 	// RequiresRecompile marks blocks compiled with unknown sizes; when set and
 	// a Recompile callback is present, the block is re-lowered against the
 	// current symbol table before execution (dynamic recompilation). A nil
@@ -92,9 +82,8 @@ type BasicBlock struct {
 	CleanupTemps bool
 }
 
-// Execute runs the block's instructions with lineage tracing and reuse:
-// sequentially by default, or dependency-scheduled on a worker pool when
-// Config.InterOpParallelism > 1 (see scheduler.go).
+// Execute runs the block's instructions in order with lineage tracing and
+// reuse.
 func (b *BasicBlock) Execute(ctx *Context) error {
 	sp := obs.Begin(obs.CatBlock, "block")
 	err := b.execute(ctx, sp)
@@ -104,7 +93,6 @@ func (b *BasicBlock) Execute(ctx *Context) error {
 
 func (b *BasicBlock) execute(ctx *Context, blockSp obs.Span) error {
 	instrs := b.Instructions
-	deps := b.Deps
 	if b.RequiresRecompile && b.Recompile != nil {
 		recompiled, err := b.Recompile(ctx)
 		if err != nil {
@@ -112,21 +100,10 @@ func (b *BasicBlock) execute(ctx *Context, blockSp obs.Span) error {
 		}
 		if recompiled != nil {
 			instrs = recompiled
-			deps = nil // compiler edges no longer match the recompiled list
 		}
 	}
-	workers := ctx.Config.InterOpWorkers()
-	if b.Sequential || workers <= 1 || len(instrs) < 2 {
-		for _, inst := range instrs {
-			if err := executeInstructionSpanned(ctx, inst, blockSp); err != nil {
-				return err
-			}
-		}
-	} else {
-		if len(deps) != len(instrs) {
-			deps = BuildDependencies(instrs)
-		}
-		if err := ExecuteScheduled(ctx, instrs, deps, workers, blockSp); err != nil {
+	for _, inst := range instrs {
+		if err := executeInstructionSpanned(ctx, inst, blockSp); err != nil {
 			return err
 		}
 	}

@@ -85,14 +85,6 @@ func WithParallelism(n int) Option {
 	return func(c *runtime.Config) { c.Parallelism = n }
 }
 
-// WithInterOpParallelism sets the worker-pool size of the inter-operator DAG
-// scheduler: with n > 1, independent instructions of a basic block execute
-// concurrently (results stay identical to sequential execution); n <= 1 keeps
-// strictly sequential instruction execution (the default).
-func WithInterOpParallelism(n int) Option {
-	return func(c *runtime.Config) { c.InterOpParallelism = n }
-}
-
 // WithLineage enables or disables lineage tracing.
 func WithLineage(enabled bool) Option {
 	return func(c *runtime.Config) { c.LineageEnabled = enabled }

@@ -395,72 +395,6 @@ func TestPublicAPIErrorsSurface(t *testing.T) {
 	}
 }
 
-// TestPublicAPIInterOpScheduler runs a lifecycle-style script with several
-// independent branches, control flow and prints under the inter-operator
-// scheduler and requires bitwise-identical results and identical print output
-// compared to sequential execution.
-func TestPublicAPIInterOpScheduler(t *testing.T) {
-	script := `
-G1 = t(X) %*% X
-G2 = X %*% t(X)
-C = X * 2
-D = X + 1
-E = C + D
-B = lm(X, y, reg=0.0001)
-yhat = lmPredict(X, B)
-err = sum((yhat - y)^2)
-total = sum(G1) + sum(G2) + sum(E)
-print("branches done")
-if (total > 0) { flag = 1 } else { flag = 0 }
-acc = 0
-for (i in 1:4) { acc = acc + total + i }
-print("script done")
-`
-	X, y := systemds.SyntheticRegression(200, 6, 1.0, 5)
-	run := func(interOp int) (systemds.Results, string) {
-		ctx := systemds.NewContext(systemds.WithParallelism(2), systemds.WithInterOpParallelism(interOp))
-		var out strings.Builder
-		ctx.SetOutput(&out)
-		res, err := ctx.Execute(script, map[string]any{"X": X, "y": y},
-			"E", "B", "err", "total", "flag", "acc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, out.String()
-	}
-	seqRes, seqOut := run(1)
-	parRes, parOut := run(4)
-	if seqOut != parOut {
-		t.Errorf("print output differs:\nsequential: %q\nscheduled:  %q", seqOut, parOut)
-	}
-	for _, name := range []string{"err", "total", "flag", "acc"} {
-		a, err := seqRes.Float(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parRes.Float(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("%s: sequential %v != scheduled %v", name, a, b)
-		}
-	}
-	for _, name := range []string{"E", "B"} {
-		a, err := seqRes.Matrix(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parRes.Matrix(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equals(b, 0) {
-			t.Errorf("matrix %s differs between sequential and scheduled execution", name)
-		}
-	}
-}
-
 func TestPublicAPIExplainPlan(t *testing.T) {
 	ctx := systemds.NewContext(
 		systemds.WithDistributedBackend(true),
