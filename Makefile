@@ -13,8 +13,9 @@ vet:
 
 # Static contract checks: go vet plus sysdslint, the in-repo analyzer suite
 # enforcing the determinism, layering, and concurrency contracts (maporder,
-# nofma, threadplumb, layering, goroutineerr; see DESIGN.md "Enforced
-# invariants"). Suppressions require a written //sysds:ok(<analyzer>): reason.
+# nofma, threadplumb, layering, goroutineerr, spanend; `sysdslint -list`; see
+# DESIGN.md "Enforced invariants"). Suppressions require a written
+# //sysds:ok(<analyzer>): reason, checked by the sysdsok pseudo-analyzer.
 lint: vet
 	$(GO) run ./cmd/sysdslint ./...
 

@@ -41,7 +41,7 @@ func main() {
 		outputs     multiFlag
 		prints      multiFlag
 		reuse       = flag.Bool("reuse", false, "enable lineage-based reuse of intermediates")
-		persistDir  = flag.String("persist-lineage", "", "directory for cross-run lineage reuse and cost-model calibration (implies -reuse)")
+		persistDir  = flag.String("persist-lineage", "", "directory for cross-run lineage reuse (implies -reuse)")
 		lineageOff  = flag.Bool("no-lineage", false, "disable lineage tracing")
 		parallelism = flag.Int("parallelism", 0, "number of threads (0 = all cores)")
 		distributed = flag.Bool("distributed", false, "enable the blocked distributed backend for large operations")

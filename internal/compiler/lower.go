@@ -42,8 +42,6 @@ func (bb *blockBuilder) flush() error {
 		DistEnabled:        bb.c.cfg.DistEnabled,
 		Blocksize:          bb.c.cfg.DistBlocksize,
 		CompressionEnabled: bb.c.cfg.CompressionEnabled,
-		Calib:              bb.c.cfg.Calib,
-		Profile:            bb.c.cfg.Profile,
 	}
 	// the fusion pattern matcher runs after rewrites/CSE (so shared
 	// subexpressions are single hops and consumer counts are exact) and

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -18,7 +17,6 @@ import (
 	"github.com/systemds/systemds-go/internal/compiler"
 	"github.com/systemds/systemds-go/internal/fed"
 	"github.com/systemds/systemds-go/internal/frame"
-	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
@@ -30,29 +28,21 @@ import (
 // session-wide reuse cache shared by all executions (so intermediates can be
 // reused across scripts in exploratory workflows). With a persistent lineage
 // directory configured, the cache additionally spans processes: entries are
-// written through to spill files and the cost-model calibration learned from
-// each run's plan records is saved alongside them.
+// written through to spill files there.
 type Engine struct {
 	cfg      *runtime.Config
 	registry *builtins.Registry
 	cache    *lineage.Cache
 	out      io.Writer
 	store    *runtime.PersistentLineageStore
-	calib    *hops.Calibration
-	calibPth string
 
 	statsMu   sync.Mutex
 	lastStats *Stats
 }
 
-// adaptivity state filenames inside the persistent lineage directory.
-const (
-	calibrationFile = "calibration.json"
-	profileFile     = "machine_profile.json"
-	// defaultPersistentBudget bounds the spill directory when the caller does
-	// not set one.
-	defaultPersistentBudget = int64(4) << 30
-)
+// defaultPersistentBudget bounds the spill directory when the caller does not
+// set one.
+const defaultPersistentBudget = int64(4) << 30
 
 // runNonce distinguishes lineage leaves of non-fingerprintable inputs across
 // runs and processes, so they can never falsely match a persisted entry.
@@ -60,6 +50,8 @@ var runNonce atomic.Int64
 
 // Stats reports execution statistics of one script run.
 type Stats struct {
+	// CacheStats are the engine's cumulative reuse-cache counters (the cache
+	// is shared by every run on the engine), not this run's alone.
 	CacheStats lineage.CacheStats
 	PoolStats  bufferpool.Stats
 	DistStats  runtime.DistStats
@@ -73,8 +65,9 @@ type Stats struct {
 	// planner rejections, operators executed directly on compressed data, and
 	// transparent decompress fallbacks.
 	CompressStats runtime.CompressStats
-	// LineageStore reports persistent lineage-store activity (zero value when
-	// persistence is off).
+	// LineageStore reports the engine's cumulative persistent lineage-store
+	// counters since it opened the store, not this run's alone (zero value
+	// when persistence is off).
 	LineageStore bufferpool.FileStoreStats
 	// OpMetrics is the per-opcode heavy-hitter table (count, wall ns, self ns,
 	// bytes moved) aggregated from the run's trace spans, sorted by self time.
@@ -86,9 +79,7 @@ type Stats struct {
 
 // NewEngine creates an engine with the given configuration (nil uses the
 // default configuration). A configured persistent lineage directory implies
-// lineage tracing and reuse; opening it also loads the saved cost-model
-// calibration and the cached (or freshly measured) machine profile, so the
-// planner of this session prices operators with the learned corrections.
+// lineage tracing and reuse.
 func NewEngine(cfg *runtime.Config) *Engine {
 	if cfg == nil {
 		cfg = runtime.DefaultConfig()
@@ -112,16 +103,12 @@ func NewEngine(cfg *runtime.Config) *Engine {
 		if budget <= 0 {
 			budget = defaultPersistentBudget
 		}
-		// adaptivity state is a cache: if the directory is unusable the
-		// session simply runs without persistence rather than failing
+		// the store is a cache: if the directory is unusable the session
+		// simply runs without persistence rather than failing
 		if store, err := runtime.OpenPersistentLineage(dir, budget); err == nil {
 			e.store = store
 			e.cache.SetStore(store)
 		}
-		e.calibPth = filepath.Join(dir, calibrationFile)
-		e.calib = hops.LoadCalibration(e.calibPth)
-		cfg.Calib = e.calib
-		cfg.Profile = hops.LoadOrMeasureProfile(filepath.Join(dir, profileFile))
 	}
 	return e
 }
@@ -129,10 +116,6 @@ func NewEngine(cfg *runtime.Config) *Engine {
 // LineageStoreStats returns the persistent lineage-store statistics (zero
 // value when persistence is off).
 func (e *Engine) LineageStoreStats() bufferpool.FileStoreStats { return e.store.Stats() }
-
-// Calibration returns the engine's cost-model calibration, or nil when no
-// persistent lineage directory is configured.
-func (e *Engine) Calibration() *hops.Calibration { return e.calib }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() *runtime.Config { return e.cfg }
@@ -223,7 +206,6 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 	if execErr != nil {
 		return nil, nil, execErr
 	}
-	e.observePlans(ctx)
 	results := map[string]any{}
 	for _, name := range outputs {
 		d, err := ctx.Get(name)
@@ -290,24 +272,6 @@ func (e *Engine) inputLeaf(name string, d runtime.Data) *lineage.Item {
 		return lineage.NewCreation("input", fmt.Sprintf("%s#%016x", name, fp))
 	}
 	return lineage.NewCreation("input", fmt.Sprintf("%s!%d.%d", name, os.Getpid(), runNonce.Add(1)))
-}
-
-// observePlans folds the run's estimated-vs-actual plan records into the
-// calibration and persists the updated state, closing the adaptivity loop:
-// the next compile (in this or any later process) plans with the corrected
-// estimates.
-func (e *Engine) observePlans(ctx *runtime.Context) {
-	if e.calib == nil {
-		return
-	}
-	plans, _ := ctx.PlanStats()
-	for _, r := range plans {
-		e.calib.Observe(r.Op, r.EstBytes, r.ActualBytes)
-	}
-	if e.calibPth != "" {
-		// best-effort: a failed save just loses this run's observations
-		_ = e.calib.Save(e.calibPth)
-	}
 }
 
 // ExplainPlan compiles a script (with size information from the given inputs)

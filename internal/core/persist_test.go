@@ -3,9 +3,10 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
-	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 )
@@ -166,52 +167,68 @@ s = sum(S)`
 	}
 }
 
-// TestPersistentLineageCalibrationFeedback: plan records of a run are folded
-// into the calibration and persisted, and the next engine over the same
-// directory starts from the saved state (the machine profile is cached too).
-func TestPersistentLineageCalibrationFeedback(t *testing.T) {
-	dir := t.TempDir()
-	// small budget forces distributed matmults, which record plan estimates
-	// vs actuals
-	mk := func() *Engine {
+// TestPersistentLineagePlanUnchangedStoreOnly: the planner is a function of
+// the DAG and the configuration alone, so a persistent directory changes
+// neither the compiled plan nor the executed one, and it holds nothing but
+// lineage-store entries. The shape is a distributed matmult where byte
+// ranking picks the shuffle split (sh) over the grid join by a margin a
+// per-stage latency model could overturn.
+func TestPersistentLineagePlanUnchangedStoreOnly(t *testing.T) {
+	mk := func(dir string) *Engine {
 		cfg := runtime.DefaultConfig()
 		cfg.PersistentLineageDir = dir
 		cfg.DistEnabled = true
-		cfg.OperatorMemBudget = 16_000
-		cfg.DistBlocksize = 32
+		cfg.OperatorMemBudget = 16 << 10
+		cfg.DistBlocksize = 128
 		return NewEngine(cfg)
 	}
-	a := matrix.RandUniform(64, 256, -1, 1, 1.0, 31)
-	b := matrix.RandUniform(256, 32, -1, 1, 1.0, 32)
-	inputs := map[string]any{"A": a, "B": b}
-
-	e := mk()
-	if e.Calibration() == nil {
-		t.Fatal("persistent engine must carry a calibration")
+	// the small CP Gram matrix gives the store an entry to persist
+	script := `C = A %*% B
+S = t(X) %*% X`
+	inputs := map[string]any{
+		"A": matrix.RandUniform(256, 768, -1, 1, 1.0, 31),
+		"B": matrix.RandUniform(768, 128, -1, 1, 1.0, 32),
+		"X": matrix.RandUniform(20, 10, -1, 1, 1.0, 33),
 	}
-	if _, stats, err := e.Execute(`C = A %*% B`, inputs, []string{"C"}); err != nil {
+	run := func(e *Engine) (string, []runtime.PlanRecord) {
+		t.Helper()
+		explain, err := e.ExplainPlan(script, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := e.Execute(script, inputs, []string{"C"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return explain, stats.PlanStats
+	}
+
+	wantExplain, wantPlans := run(mk(""))
+	if !strings.Contains(wantExplain, "plan=DIST:sh") {
+		t.Fatalf("precondition: byte ranking must pick sh:\n%s", wantExplain)
+	}
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		explain, plans := run(mk(dir))
+		if explain != wantExplain {
+			t.Errorf("run %d: plan with persistence differs:\n%s\nwant:\n%s", i, explain, wantExplain)
+		}
+		if !reflect.DeepEqual(plans, wantPlans) {
+			t.Errorf("run %d: executed plans with persistence = %+v, want %+v", i, plans, wantPlans)
+		}
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
-	} else if len(stats.PlanStats) == 0 {
-		t.Fatal("scenario records no plans; calibration has nothing to learn")
 	}
-	if _, err := os.Stat(filepath.Join(dir, calibrationFile)); err != nil {
-		t.Fatalf("calibration not persisted: %v", err)
+	if len(entries) == 0 {
+		t.Fatal("persistent runs stored nothing")
 	}
-	if _, err := os.Stat(filepath.Join(dir, profileFile)); err != nil {
-		t.Fatalf("machine profile not cached: %v", err)
-	}
-
-	loaded := hops.LoadCalibration(filepath.Join(dir, calibrationFile))
-	if loaded.Len() == 0 {
-		t.Fatal("saved calibration is empty")
-	}
-	// the next "process" starts from the saved history
-	e2 := mk()
-	if e2.Calibration().Len() == 0 {
-		t.Error("second engine did not load the saved calibration")
-	}
-	if !e2.Config().Profile.Measured {
-		t.Error("second engine did not load the cached machine profile")
+	for _, de := range entries {
+		if ok, _ := filepath.Match("lin_*.bin", de.Name()); !ok {
+			t.Errorf("persistent directory holds %q besides the lineage store", de.Name())
+		}
 	}
 }
 

@@ -38,15 +38,6 @@ type PlannerParams struct {
 	// CompressionEnabled allows the planner to fire compression decision
 	// sites (KindCompress hops planted by the compiler before reuse scopes).
 	CompressionEnabled bool
-	// Calib supplies per-opcode correction factors learned from the
-	// estimated-vs-actual PlanRecord history of earlier runs; nil plans with
-	// the uncorrected static estimates.
-	Calib *Calibration
-	// Profile is the measured machine profile. When Measured, matmult
-	// strategy selection compares modeled seconds (bytes over measured
-	// bandwidth plus per-stage dispatch latency) instead of raw bytes, making
-	// the br/bl/gj/sh crossovers machine-specific.
-	Profile MachineProfile
 }
 
 // Cost is the estimated execution cost of one HOP under its chosen plan.
@@ -468,23 +459,6 @@ func TSMMNNZBound(in types.DataCharacteristics) int64 {
 	return min(in.Cols*in.Cols, in.NNZ*in.Cols)
 }
 
-// calibKey maps a HOP to the opcode its PlanRecords are recorded under, so
-// the planner looks up corrections with the same key the runtime observed.
-// Kinds that never record actuals return "" and stay uncorrected.
-func calibKey(h *Hop) string {
-	switch h.Kind {
-	case KindMatMult:
-		return "ba+*"
-	case KindTSMM:
-		return "tsmm"
-	case KindCompress:
-		return "compress"
-	case KindBinary, KindUnary, KindAggUnary, KindReorg, KindNary, KindDataGen:
-		return h.Op
-	}
-	return ""
-}
-
 // shuffleStageLatencyBytes is the per-stage charge of the sh strategy's k
 // sequential common-dimension stages, expressed in the byte unit of the
 // strategy costs: one stage's scheduling plus partial-output aggregation
@@ -564,32 +538,16 @@ func matMultStrategyCost(m types.MatMultMethod, sizeL, sizeR, sizeOut, grOut, gc
 // ChooseMatMultStrategy picks the cheapest feasible physical strategy for a
 // blocked matrix multiplication with the given operand characteristics
 // (assuming both operands arrive as local matrices). It returns the strategy
-// and its modeled shuffle bytes.
+// and its modeled shuffle bytes. The runtime's late-bound strategy selection
+// calls it too, so re-decided plans and compile-time plans share one model.
 func ChooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int, memBudget int64) (types.MatMultMethod, int64) {
-	return chooseMatMultStrategy(left, right, blocksize, memBudget, false, false, nil, MachineProfile{})
-}
-
-// ChooseMatMultStrategyCalibrated is ChooseMatMultStrategy with the adaptive
-// inputs: the "ba+*" correction factor scales both operand estimates (the
-// history says how far static sizing runs from reality for this opcode) and a
-// measured machine profile switches the ranking to modeled seconds. The
-// runtime's late-bound strategy selection calls this with the context's
-// calibration so re-decided plans and compile-time plans share one model.
-func ChooseMatMultStrategyCalibrated(left, right types.DataCharacteristics, blocksize int, memBudget int64, calib *Calibration, prof MachineProfile) (types.MatMultMethod, int64) {
-	return chooseMatMultStrategy(left, right, blocksize, memBudget, false, false, calib, prof)
-}
-
-// strategySeconds converts a strategy's byte cost into modeled seconds under
-// a measured machine profile: movement at the measured memory bandwidth plus
-// a dispatch latency per sequential stage.
-func strategySeconds(prof MachineProfile, bytes, stages int64) float64 {
-	return float64(bytes)/prof.MemBWBytes + float64(stages)*prof.DispatchNs*1e-9
+	return chooseMatMultStrategy(left, right, blocksize, memBudget, false, false)
 }
 
 // chooseMatMultStrategy is the blocked-representation-aware core of
 // ChooseMatMultStrategy. Ties break towards the earlier candidate in
 // (br, bl, gj, sh) order, so the decision is deterministic.
-func chooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int, memBudget int64, leftBlocked, rightBlocked bool, calib *Calibration, prof MachineProfile) (types.MatMultMethod, int64) {
+func chooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int, memBudget int64, leftBlocked, rightBlocked bool) (types.MatMultMethod, int64) {
 	sizeL, sizeR := types.EstimateSize(left), types.EstimateSize(right)
 	outDC := types.NewDataCharacteristics(left.Rows, right.Cols, blocksize, -1)
 	sizeOut := types.EstimateSize(outDC)
@@ -599,36 +557,14 @@ func chooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int,
 		// so the strategy is still decided here, just with late-bound sizes
 		return types.MMAuto, -1
 	}
-	if calib != nil {
-		// the per-opcode history scales how far static sizing runs from
-		// reality; applying it to the operand estimates shifts every
-		// strategy's movement charge coherently
-		sizeL = calib.CorrectBytes("ba+*", sizeL)
-		sizeR = calib.CorrectBytes("ba+*", sizeR)
-		sizeOut = calib.CorrectBytes("ba+*", sizeOut)
-	}
 	grOut, gcOut := gridDim(left.Rows, blocksize), gridDim(right.Cols, blocksize)
 	kStages := gridDim(left.Cols, blocksize)
 	best, bestCost := types.MMAuto, int64(-1)
-	var bestSec float64
 	for _, m := range []types.MatMultMethod{
 		types.MMBroadcastRight, types.MMBroadcastLeft, types.MMGridJoin, types.MMShuffle,
 	} {
 		c := matMultStrategyCost(m, sizeL, sizeR, sizeOut, grOut, gcOut, kStages, memBudget, leftBlocked, rightBlocked)
 		if c < 0 {
-			continue
-		}
-		if prof.Measured {
-			// price in seconds: the sh strategy pays its k sequential stage
-			// dispatches, the others a single dispatch
-			stages := int64(1)
-			if m == types.MMShuffle {
-				stages = kStages
-			}
-			sec := strategySeconds(prof, c, stages)
-			if bestCost < 0 || sec < bestSec {
-				best, bestCost, bestSec = m, c, sec
-			}
 			continue
 		}
 		if bestCost < 0 || c < bestCost {
@@ -658,22 +594,6 @@ func Plan(d *DAG, p PlannerParams) {
 		h.ExecType = types.ExecCP
 		h.MMPlan = types.MMAuto
 		h.CostEst = EstimateCost(h)
-		if p.Calib != nil && h.CostEst.Known && h.CostEst.OutputBytes > 0 {
-			// fold the learned actual/estimated ratio into the output estimate
-			// and the memory estimate the CP↔Dist gate reads, so an opcode the
-			// static model chronically mis-prices drifts its crossovers. The
-			// memory estimate is rebuilt from the propagated sizes rather than
-			// adjusted in place, keeping Plan idempotent over the same DAG.
-			if op := calibKey(h); op != "" {
-				corrected := p.Calib.CorrectBytes(op, h.CostEst.OutputBytes)
-				if corrected != h.CostEst.OutputBytes {
-					if base := estimateMemory(h); base > 0 {
-						h.MemEstimate = base + (corrected - h.CostEst.OutputBytes)
-					}
-					h.CostEst.OutputBytes = corrected
-				}
-			}
-		}
 		if h.Kind == KindCompress {
 			// compression sites always execute in CP; the decision is whether
 			// they lower to a compress instruction or to a no-op alias
@@ -701,7 +621,7 @@ func Plan(d *DAG, p PlannerParams) {
 		if h.Kind == KindMatMult && len(h.Inputs) == 2 {
 			l, r := h.Inputs[0], h.Inputs[1]
 			m, shuffle := chooseMatMultStrategy(l.DC, r.DC, p.Blocksize, p.MemBudget,
-				blockedProducer(l), blockedProducer(r), p.Calib, p.Profile)
+				blockedProducer(l), blockedProducer(r))
 			h.MMPlan = m
 			h.CostEst.ShuffleBytes = shuffle
 		} else if h.CostEst.Known {

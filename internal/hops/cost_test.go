@@ -93,6 +93,32 @@ func TestMatMultGridVsShuffleCrossover(t *testing.T) {
 	}
 }
 
+// TestShuffleStageLatencyShiftsCrossover pins the satellite fix: near the
+// gj<->sh break-even point, charging the sh strategy for its k sequential
+// stages flips the decision to gj. At k=516 (blocksize 128) sh wins on pure
+// movement bytes by ~4 KB, but its 5 stages cost 10 KB of latency.
+func TestShuffleStageLatencyShiftsCrossover(t *testing.T) {
+	const bs = 128
+	budget := int64(16 << 10)
+	left, right := dc(256, 516), dc(516, 128)
+	sizeR := types.EstimateSize(right)
+	outSize := types.EstimateSize(types.NewDataCharacteristics(256, 128, bs, -1))
+	// preconditions of the scenario: sh beats gj on movement bytes alone
+	// (sizeR < 2*sizeOut margin) but loses once stages are charged
+	margin := sizeR - 2*outSize
+	stages := gridDim(516, bs)
+	if margin <= 0 || stages*shuffleStageLatencyBytes <= margin {
+		t.Fatalf("scenario invalid: margin=%d stageCharge=%d", margin, stages*shuffleStageLatencyBytes)
+	}
+	if m, _ := ChooseMatMultStrategy(left, right, bs, budget); m != types.MMGridJoin {
+		t.Errorf("strategy at k=516 = %s, want gj once stage latency is priced", m)
+	}
+	// far from the break-even point the latency term must not flip anything
+	if m, _ := ChooseMatMultStrategy(dc(256, 768), dc(768, 128), bs, budget); m != types.MMShuffle {
+		t.Errorf("strategy at k=768 = %s, want sh", m)
+	}
+}
+
 // TestPlanAnnotatesMatMult checks that Plan writes the strategy and cost
 // annotations onto the HOP and that ExplainPlan renders them.
 func TestPlanAnnotatesMatMult(t *testing.T) {

@@ -423,10 +423,10 @@ func lateBoundStrategy(ctx *runtime.Context, l, r runtime.Data) types.MatMultMet
 	rr, rc, rok := matrixDims(r)
 	if lok && rok {
 		bs := ctx.Config.DistBlocksize
-		m, _ := hops.ChooseMatMultStrategyCalibrated(
+		m, _ := hops.ChooseMatMultStrategy(
 			types.NewDataCharacteristics(lr, lc, bs, -1),
 			types.NewDataCharacteristics(rr, rc, bs, -1),
-			bs, ctx.Config.OperatorMemBudget, ctx.Config.Calib, ctx.Config.Profile)
+			bs, ctx.Config.OperatorMemBudget)
 		if m != types.MMAuto {
 			return m
 		}

@@ -10,7 +10,6 @@ import (
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/compress"
 	"github.com/systemds/systemds-go/internal/dist"
-	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/types"
@@ -39,8 +38,8 @@ type Config struct {
 	// backend for large operations.
 	DistEnabled bool
 	// FusionDisabled turns off the HOP-level operator fusion pass (mmchain,
-	// transpose-free t(X) %*% Y and cellwise-aggregate pipelines). Fusion is
-	// on by default.
+	// transpose-free t(X) %*% Y, cellwise-aggregate pipelines and fused
+	// cellwise chains). Fusion is on by default.
 	FusionDisabled bool
 	// CompressionEnabled turns on compressed linear algebra: the compiler
 	// plants compression decision sites before loops that re-read large
@@ -60,13 +59,6 @@ type Config struct {
 	// PersistentLineageBudget is the payload byte budget of the persistent
 	// lineage store (0 = default).
 	PersistentLineageBudget int64
-	// Calib holds the per-opcode cost corrections learned from the
-	// estimated-vs-actual plan history; consulted by the compiler's planner
-	// and the runtime's late-bound strategy selection. Nil = uncalibrated.
-	Calib *hops.Calibration
-	// Profile is the measured machine profile used to price strategies in
-	// seconds; the zero value keeps byte-count scoring.
-	Profile hops.MachineProfile
 	// TraceEnabled turns on the hierarchical span tracer (internal/obs) for
 	// engine runs: instruction and kernel sub-phase spans are recorded and
 	// surfaced as per-opcode heavy-hitter metrics, Chrome-trace export and

@@ -308,13 +308,10 @@ type WhileBlock struct {
 	Predicate *BasicBlock
 	PredVar   string
 	Body      []ProgramBlock
-	// MaxIterations guards against runaway loops; 0 means no limit.
-	MaxIterations int
 }
 
 // Execute runs the while loop.
 func (b *WhileBlock) Execute(ctx *Context) error {
-	iter := 0
 	for {
 		if err := b.Predicate.Execute(ctx); err != nil {
 			return err
@@ -332,10 +329,6 @@ func (b *WhileBlock) Execute(ctx *Context) error {
 			if err := blk.Execute(ctx); err != nil {
 				return err
 			}
-		}
-		iter++
-		if b.MaxIterations > 0 && iter >= b.MaxIterations {
-			return fmt.Errorf("runtime: while loop exceeded %d iterations", b.MaxIterations)
 		}
 	}
 }

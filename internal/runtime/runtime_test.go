@@ -395,20 +395,6 @@ func TestIfWhileForBlocks(t *testing.T) {
 	}
 }
 
-func TestWhileBlockIterationGuard(t *testing.T) {
-	ctx := NewContext(DefaultConfig())
-	pred := &BasicBlock{Instructions: []Instruction{
-		&fakeInst{opcode: "true", outputs: []string{"_w"}, execute: func(c *Context) error {
-			c.Set("_w", NewBool(true))
-			return nil
-		}},
-	}}
-	wb := &WhileBlock{Predicate: pred, PredVar: "_w", MaxIterations: 5}
-	if err := wb.Execute(ctx); err == nil {
-		t.Error("expected iteration guard error")
-	}
-}
-
 func TestParForMergeMatrixResults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4

@@ -90,8 +90,8 @@ func WithLineage(enabled bool) Option {
 	return func(c *runtime.Config) { c.LineageEnabled = enabled }
 }
 
-// WithReuse enables lineage-based reuse of intermediates with the given cache
-// budget in bytes (0 budget uses the default of 1 GB).
+// WithReuse toggles lineage-based reuse of intermediates; enabling it also
+// enables lineage tracing. The cache budget is set with WithCacheBudget.
 func WithReuse(enabled bool) Option {
 	return func(c *runtime.Config) {
 		c.ReuseEnabled = enabled
@@ -133,8 +133,9 @@ func WithDistBlocksize(n int) Option {
 }
 
 // WithFusion toggles the HOP-level operator fusion pass (fused mmchain,
-// transpose-free t(X) %*% Y and cellwise-aggregate pipelines). Fusion is enabled by default; disabling it
-// is mainly useful for fused-vs-unfused comparisons.
+// transpose-free t(X) %*% Y, cellwise-aggregate pipelines and fused cellwise
+// chains). Fusion is enabled by default; disabling it is mainly useful for
+// fused-vs-unfused comparisons.
 func WithFusion(enabled bool) Option {
 	return func(c *runtime.Config) { c.FusionDisabled = !enabled }
 }
@@ -158,11 +159,9 @@ func WithTempDir(dir string) Option {
 }
 
 // WithPersistentLineage enables cross-run lineage reuse rooted at dir:
-// reuse-cache entries are written through to spill files there, later
+// reuse-cache entries are written through to spill files there, and later
 // sessions (including separate processes) pointed at the same directory
-// reload them instead of recomputing, and the cost-model calibration learned
-// from each run's estimated-vs-actual plan records is persisted alongside.
-// Implies lineage tracing and reuse.
+// reload them instead of recomputing. Implies lineage tracing and reuse.
 func WithPersistentLineage(dir string) Option {
 	return func(c *runtime.Config) {
 		c.PersistentLineageDir = dir
