@@ -172,8 +172,8 @@ func main() {
 // heavy-hitter table from the span tracer.
 func printExecStats(ctx *systemds.Context, persist bool) {
 	cs := ctx.CacheStats()
-	fmt.Printf("reuse cache: hits=%d misses=%d partial=%d puts=%d evictions=%d\n",
-		cs.Hits, cs.Misses, cs.PartialHits, cs.Puts, cs.Evictions)
+	fmt.Printf("reuse cache: hits=%d misses=%d puts=%d evictions=%d\n",
+		cs.Hits, cs.Misses, cs.Puts, cs.Evictions)
 	stats := ctx.LastRunStats()
 	if stats != nil {
 		fmt.Printf("buffer pool: evictions=%d cleanDrops=%d restores=%d spilt=%dB blocksRestored=%d blocksSkipped=%d\n",

@@ -40,9 +40,8 @@ bestLoss = min(losses)
 		stats := ctx.CacheStats()
 		fmt.Printf("%-16s %d models (%dx%d each), best training loss %.4f, %v\n",
 			label, B.Cols(), B.Rows(), 1, best, elapsed.Round(time.Millisecond))
-		if stats.Hits > 0 || stats.PartialHits > 0 {
-			fmt.Printf("%-16s reuse cache: %d full hits, %d partial hits, %d puts\n",
-				"", stats.Hits, stats.PartialHits, stats.Puts)
+		if stats.Hits > 0 {
+			fmt.Printf("%-16s reuse cache: %d hits, %d puts\n", "", stats.Hits, stats.Puts)
 		}
 		return elapsed
 	}

@@ -72,7 +72,7 @@ testRMSE = rmse(yhat, yte)
 	fmt.Printf("holdout R2:                          %.4f\n", testR2)
 	fmt.Printf("holdout RMSE:                        %.4f\n", testRMSE)
 	stats := ctx.CacheStats()
-	fmt.Printf("reuse across lifecycle tasks: %d full + %d partial cache hits\n", stats.Hits, stats.PartialHits)
+	fmt.Printf("reuse across lifecycle tasks: %d cache hits\n", stats.Hits)
 }
 
 // writeRawDataset produces a messy raw CSV: a categorical site column,

@@ -65,10 +65,11 @@ const (
 	// fileStoreMagic identifies lineage store files ("SDSL").
 	fileStoreMagic uint32 = 0x5344534C
 	// fileStoreVersion changes whenever the file layout or the meaning of
-	// hash and key does (2: 128-bit lineage hash, key = its hex rendering).
-	// Files of any other version are dropped at open like corrupt ones: a
-	// store is a cache, so an old one costs a cold start, never a wrong hit.
-	fileStoreVersion uint32 = 2
+	// hash and key does (2: 128-bit lineage hash, key = its hex rendering;
+	// 3: every scalar operand traced by its typed value). Files of any other
+	// version are dropped at open like corrupt ones: a store is a cache, so an
+	// old one costs a cold start, never a wrong hit.
+	fileStoreVersion uint32 = 3
 	// fileStoreHeaderLen is the fixed-length prefix before key and payload:
 	// magic(4) version(4) hash(8) computeNs(8) keyLen(4) payloadLen(8)
 	// checksum(8).

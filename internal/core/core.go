@@ -45,7 +45,8 @@ type Engine struct {
 const defaultPersistentBudget = int64(4) << 30
 
 // runNonce distinguishes lineage leaves of non-fingerprintable inputs across
-// runs and processes, so they can never falsely match a persisted entry.
+// runs and processes, so they can never falsely match a cached or persisted
+// entry.
 var runNonce atomic.Int64
 
 // Stats reports execution statistics of one script run.
@@ -254,18 +255,19 @@ func (e *Engine) WriteTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, e.TraceRecords())
 }
 
-// inputLeaf builds the lineage leaf of a named input. Without persistence,
-// leaves are keyed by name — sound within one process, where a rebound name
-// changes the traced DAG anyway because the old entries age out against new
-// hashes only if the data changed. Across processes a name tells us nothing,
-// so with persistence on the leaf carries a content fingerprint: rebinding
-// the name to different data changes every downstream lineage hash (the
-// invalidation policy), while identical data keeps the hashes stable and the
-// warm run hits the store. Inputs without a cheap stable fingerprint are
-// keyed by a per-process nonce, which makes them never match across runs —
-// correct, just without cross-run reuse for their derivations.
+// inputLeaf builds the lineage leaf of a named input (a bound scalar is
+// traced by its value instead, see runtime.Context.LineageOf). A leaf keyed
+// by name is used only with reuse off, where no entry is ever looked up: a
+// name says nothing about the data bound to it, so a session that rebinds X
+// between two runs would be answered from the first run's entries. With the
+// cache on — in memory or persistent — the leaf carries a content
+// fingerprint: rebinding the name to different data changes every
+// downstream lineage hash, while identical data keeps the hashes stable and
+// the next run hits. Inputs without a cheap stable fingerprint are keyed by a
+// per-process nonce, which makes them never match — correct, just without
+// reuse of their derivations.
 func (e *Engine) inputLeaf(name string, d runtime.Data) *lineage.Item {
-	if e.store == nil {
+	if !e.cache.Enabled() {
 		return lineage.NewCreation("input", name)
 	}
 	if fp, ok := runtime.Fingerprint(d); ok {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -396,44 +395,5 @@ func TestXtYGatedOffUnderDist(t *testing.T) {
 	}
 	if !fres["w"].(*matrix.MatrixBlock).Equals(ures["w"].(*matrix.MatrixBlock), 0) {
 		t.Error("identical plans must produce bitwise-identical results")
-	}
-}
-
-// TestPartialReuseOverXtY: the two compensation plans of lineage partial
-// reuse keep firing now that t(cbind(A, B)) %*% y is the fused xty item —
-// t(A) %*% y and tsmm(A) are cached by the first statements, so the cbind
-// forms compute only the rows and blocks of the added columns.
-func TestPartialReuseOverXtY(t *testing.T) {
-	a := matrix.RandUniform(150, 5, -1, 1, 1.0, 81)
-	b := matrix.RandUniform(150, 2, -1, 1, 1.0, 82)
-	y := matrix.RandUniform(150, 1, -1, 1, 1.0, 83)
-	// print cuts the DAG, so the A-only products are cached before the cbind
-	// forms are probed
-	script := `g1 = t(A) %*% y
-G1 = t(A) %*% A
-print(sum(g1) + sum(G1))
-C = cbind(A, B)
-g2 = t(C) %*% y
-G2 = t(C) %*% C`
-	inputs := map[string]any{"A": a, "B": b, "y": y}
-	cfg := runtime.DefaultConfig()
-	cfg.ReuseEnabled = true
-	eng := NewEngine(cfg)
-	eng.SetOutput(io.Discard)
-	reused, stats, err := eng.Execute(script, inputs, []string{"g2", "G2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.CacheStats.PartialHits != 2 {
-		t.Errorf("partial hits = %d, want 2 (xty over cbind and tsmm over cbind)", stats.CacheStats.PartialHits)
-	}
-	plain := newTestEngine()
-	plain.SetOutput(io.Discard)
-	want, _, err := plain.Execute(script, inputs, []string{"g2", "G2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"g2", "G2"} {
-		requireMatricesClose(t, name, reused[name].(*matrix.MatrixBlock), want[name].(*matrix.MatrixBlock))
 	}
 }

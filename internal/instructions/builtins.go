@@ -3,6 +3,7 @@ package instructions
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/systemds/systemds-go/internal/frame"
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -177,41 +178,21 @@ type ParamBuiltinInst struct {
 
 // NewParamBuiltin creates a parameterized builtin instruction.
 func NewParamBuiltin(opcode, out string, params map[string]Operand) *ParamBuiltinInst {
-	ops := make([]Operand, 0, len(params))
-	for _, k := range sortedParamKeys(params) {
-		ops = append(ops, params[k])
+	keys := sortedKeys(params)
+	ops := make([]Operand, len(keys))
+	for k, key := range keys {
+		ops[k] = params[key]
 	}
 	inst := &ParamBuiltinInst{Params: params}
-	inst.base = newBase(opcode, []string{out}, paramDesc(params), ops...)
+	inst.base = newBase(opcode, []string{out}, paramDesc(keys), ops...)
 	return inst
 }
 
-func sortedParamKeys(params map[string]Operand) []string {
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	return keys
-}
-
-func paramDesc(params map[string]Operand) string {
-	s := ""
-	for _, k := range sortedParamKeys(params) {
-		o := params[k]
-		if o.IsLit {
-			s += k + "=" + o.Lit.StringValue() + ";"
-		} else {
-			s += k + "=°" + o.Name + ";"
-		}
-	}
-	return s
+// paramDesc is the lineage data of named operands: their sorted keys alone.
+// The values are the instruction's input items, and a variable's name must
+// not enter lineage.
+func paramDesc(keys []string) string {
+	return strings.Join(keys, ";")
 }
 
 func (i *ParamBuiltinInst) param(name string) (Operand, bool) {

@@ -23,28 +23,14 @@ type FCallInst struct {
 
 // NewFCall creates a function call instruction.
 func NewFCall(funcName string, positional []Operand, named map[string]Operand, targets []string) *FCallInst {
+	keys := sortedKeys(named)
 	all := append([]Operand(nil), positional...)
-	for _, k := range sortedNamedKeys(named) {
+	for _, k := range keys {
 		all = append(all, named[k])
 	}
 	inst := &FCallInst{FuncName: funcName, Positional: positional, Named: named, Targets: targets}
-	inst.base = newBase("fcall", targets, funcName, all...)
+	inst.base = newBase("fcall", targets, funcName+";"+paramDesc(keys), all...)
 	return inst
-}
-
-func sortedNamedKeys(named map[string]Operand) []string {
-	keys := make([]string, 0, len(named))
-	for k := range named {
-		keys = append(keys, k)
-	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	return keys
 }
 
 // Execute implements runtime.Instruction.
@@ -64,7 +50,7 @@ func (i *FCallInst) Execute(ctx *runtime.Context) error {
 			return fmt.Errorf("instructions: fcall %s argument %d: %w", i.FuncName, idx+1, err)
 		}
 		positional[idx] = d
-		posLineage[idx] = operandLineage(ctx, op)
+		posLineage[idx] = op.lineage(ctx)
 	}
 	named := map[string]runtime.Data{}
 	namedLineage := map[string]*lineage.Item{}
@@ -74,7 +60,7 @@ func (i *FCallInst) Execute(ctx *runtime.Context) error {
 			return fmt.Errorf("instructions: fcall %s argument %s: %w", i.FuncName, name, err)
 		}
 		named[name] = d
-		namedLineage[name] = operandLineage(ctx, op)
+		namedLineage[name] = op.lineage(ctx)
 	}
 	outs, lins, err := fb.Call(ctx, positional, named, posLineage, namedLineage)
 	if err != nil {
@@ -96,11 +82,4 @@ func (i *FCallInst) Execute(ctx *runtime.Context) error {
 		}
 	}
 	return nil
-}
-
-func operandLineage(ctx *runtime.Context, op Operand) *lineage.Item {
-	if op.IsLit {
-		return lineage.NewLiteral(op.Lit.StringValue())
-	}
-	return ctx.Lineage.Get(op.Name)
 }

@@ -8,8 +8,9 @@ package instructions
 
 import (
 	"fmt"
-	"strings"
+	"sort"
 
+	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 	"github.com/systemds/systemds-go/internal/types"
@@ -21,22 +22,27 @@ type Operand struct {
 	Name  string
 	IsLit bool
 	Lit   *runtime.Scalar
+	item  *lineage.Item // a literal's lineage, built once by its constructor
 }
 
 // Var creates a variable operand.
 func Var(name string) Operand { return Operand{Name: name} }
 
+func literal(s *runtime.Scalar) Operand {
+	return Operand{IsLit: true, Lit: s, item: runtime.ScalarItem(s)}
+}
+
 // LitDouble creates a numeric literal operand.
-func LitDouble(v float64) Operand { return Operand{IsLit: true, Lit: runtime.NewDouble(v)} }
+func LitDouble(v float64) Operand { return literal(runtime.NewDouble(v)) }
 
 // LitInt creates an integer literal operand.
-func LitInt(v int64) Operand { return Operand{IsLit: true, Lit: runtime.NewInt(v)} }
+func LitInt(v int64) Operand { return literal(runtime.NewInt(v)) }
 
 // LitBool creates a boolean literal operand.
-func LitBool(v bool) Operand { return Operand{IsLit: true, Lit: runtime.NewBool(v)} }
+func LitBool(v bool) Operand { return literal(runtime.NewBool(v)) }
 
 // LitString creates a string literal operand.
-func LitString(s string) Operand { return Operand{IsLit: true, Lit: runtime.NewString(s)} }
+func LitString(s string) Operand { return literal(runtime.NewString(s)) }
 
 // IsVar reports whether the operand references a variable.
 func (o Operand) IsVar() bool { return !o.IsLit }
@@ -108,8 +114,8 @@ func (o Operand) StringValue(ctx *runtime.Context) (string, error) {
 	return s.StringValue(), nil
 }
 
-// Desc renders the operand for lineage data and error messages: literals by
-// value, variables by a placeholder (their lineage is traced separately).
+// Desc renders the operand for error messages: literals by value, variables
+// by a placeholder.
 func (o Operand) Desc() string {
 	if o.IsLit {
 		return o.Lit.StringValue()
@@ -128,15 +134,24 @@ func varNames(ops ...Operand) []string {
 	return names
 }
 
-// litDescs renders the literal operands for lineage data.
-func litDescs(ops ...Operand) string {
-	var parts []string
-	for i, o := range ops {
-		if o.IsLit {
-			parts = append(parts, fmt.Sprintf("%d=%s", i, o.Lit.StringValue()))
-		}
+// lineage is the operand's lineage item: a literal's own, a variable's
+// ctx.LineageOf — the same rule for every scalar, however it is written.
+func (o Operand) lineage(ctx *runtime.Context) *lineage.Item {
+	if o.IsLit {
+		return o.item
 	}
-	return strings.Join(parts, ",")
+	return ctx.LineageOf(o.Name)
+}
+
+// sortedKeys returns the keys of a named-operand map in ascending order, the
+// order named operands are stored and traced in.
+func sortedKeys(named map[string]Operand) []string {
+	keys := make([]string, 0, len(named))
+	for k := range named {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // plan is what the compiler's planner decided for an operator; the
@@ -166,7 +181,7 @@ type base struct {
 	opcode string
 	ins    []Operand
 	outs   []string
-	extra  string // additional lineage data (e.g. seeds, file names)
+	extra  string // opcode-level lineage data (fused signature, variant, callee, keys)
 }
 
 func newBase(opcode string, outs []string, extra string, ins ...Operand) base {
@@ -182,14 +197,11 @@ func (b *base) Inputs() []string { return varNames(b.ins...) }
 // Outputs implements runtime.Instruction.
 func (b *base) Outputs() []string { return b.outs }
 
-// LineageData implements runtime.Instruction.
-func (b *base) LineageData() string {
-	lit := litDescs(b.ins...)
-	if b.extra == "" {
-		return lit
+// Lineage implements runtime.Instruction.
+func (b *base) Lineage(ctx *runtime.Context) (string, []*lineage.Item) {
+	items := make([]*lineage.Item, len(b.ins))
+	for i, o := range b.ins {
+		items[i] = o.lineage(ctx)
 	}
-	if lit == "" {
-		return b.extra
-	}
-	return b.extra + ";" + lit
+	return b.extra, items
 }

@@ -17,12 +17,15 @@ type CacheEntry struct {
 
 // CacheStats reports reuse-cache effectiveness. StoreHits and StorePuts
 // count traffic with the attached persistent backing store: a StoreHit is a
-// full or partial reuse served from a previous run's spill files.
+// hit served from a previous run's spill files.
 type CacheStats struct {
-	Hits        int64
-	Misses      int64
-	Puts        int64
-	Evictions   int64
+	Hits      int64
+	Misses    int64
+	Puts      int64
+	Evictions int64
+	// PartialHits is always 0: partial reuse (compensation plans over cached
+	// sub-results) was removed. The field stays only because the benchmark
+	// module reports it.
 	PartialHits int64
 	BytesCached int64
 	StoreHits   int64
@@ -248,17 +251,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.dropped = append(c.dropped, entry.Value)
 	c.used -= entry.SizeBytes
 	c.stats.Evictions++
-}
-
-// RecordPartialHit increments the partial-reuse counter (compensation plans
-// assembled from cached sub-results).
-func (c *Cache) RecordPartialHit() {
-	if !c.Enabled() {
-		return
-	}
-	c.mu.Lock()
-	c.stats.PartialHits++
-	c.mu.Unlock()
 }
 
 // Stats returns a snapshot of the cache statistics.

@@ -2,8 +2,8 @@
 // lineage-based reuse cache of SystemDS (Section 3.1 of the paper). Every
 // executed logical operation is recorded as a lineage item referencing the
 // lineage of its inputs; the resulting DAGs identify intermediates, enable
-// reproducibility, and serve as cache keys for full and partial reuse of
-// redundantly computed intermediates.
+// reproducibility, and serve as cache keys for reuse of redundantly computed
+// intermediates.
 package lineage
 
 import (
@@ -45,13 +45,13 @@ func (h Hash) String() string {
 type Item struct {
 	Kind   ItemKind
 	Opcode string
-	Data   string // literal value, variable/file name, or extra operands (e.g. seeds)
+	Data   string // a literal's typed value, an input's key, or opcode-level text
 	Inputs []*Item
 
 	hash Hash
 }
 
-// NewLiteral creates a literal leaf item (constants, generated seeds).
+// NewLiteral creates a literal leaf item: data is the encoded value.
 func NewLiteral(data string) *Item {
 	return newItem(KindLiteral, "lit", data, nil)
 }
@@ -201,8 +201,8 @@ func NewTracer() *Tracer {
 }
 
 // Get returns the lineage item of a variable, creating a leaf item lazily for
-// variables whose creation was not traced (e.g. external inputs bound via the
-// API).
+// a variable whose creation was not traced (one bound directly on a context,
+// not by an instruction or the engine).
 func (t *Tracer) Get(name string) *Item {
 	t.mu.Lock()
 	defer t.mu.Unlock()

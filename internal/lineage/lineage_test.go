@@ -325,16 +325,6 @@ func TestCacheDisabled(t *testing.T) {
 	_ = nilCache.Stats()
 	_ = nilCache.Len()
 	nilCache.Clear()
-	nilCache.RecordPartialHit()
-}
-
-func TestCachePartialHitCounter(t *testing.T) {
-	c := NewCache(1 << 10)
-	c.RecordPartialHit()
-	c.RecordPartialHit()
-	if c.Stats().PartialHits != 2 {
-		t.Errorf("partial hits = %d", c.Stats().PartialHits)
-	}
 }
 
 func TestPropertyHashStability(t *testing.T) {

@@ -355,24 +355,17 @@ func (ctx *Context) Variables() []string {
 	return names
 }
 
-// VariableByValue returns the name of a variable bound to exactly this data
-// object (used by partial-reuse compensation plans), or "" if none. When
-// several variables alias the same object, the lexicographically smallest
-// name wins, keeping compensation plans stable across runs.
-func (ctx *Context) VariableByValue(d Data) string {
+// LineageOf returns a variable's lineage item. A bound scalar is traced by
+// its typed value (ScalarItem), however it was computed; anything else by the
+// item its producer traced.
+func (ctx *Context) LineageOf(name string) *lineage.Item {
 	ctx.mu.RLock()
-	defer ctx.mu.RUnlock()
-	names := make([]string, 0, len(ctx.vars))
-	for k := range ctx.vars {
-		names = append(names, k)
+	s, isScalar := ctx.vars[name].(*Scalar)
+	ctx.mu.RUnlock()
+	if isScalar {
+		return ScalarItem(s)
 	}
-	sort.Strings(names)
-	for _, k := range names {
-		if ctx.vars[k] == d {
-			return k
-		}
-	}
-	return ""
+	return ctx.Lineage.Get(name)
 }
 
 // GetScalar returns a variable as a scalar.

@@ -8,8 +8,10 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 	"github.com/systemds/systemds-go/internal/fed"
 	"github.com/systemds/systemds-go/internal/frame"
 	sdsio "github.com/systemds/systemds-go/internal/io"
+	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
 	"github.com/systemds/systemds-go/internal/types"
@@ -108,6 +111,20 @@ func (s *Scalar) StringValue() string {
 
 // String implements Data.
 func (s *Scalar) String() string { return s.StringValue() }
+
+// ScalarItem is the lineage of a scalar: a literal leaf of its typed value,
+// the value-type tag followed by the eight float bits or by the string. A
+// literal, a loop variable, a computed value, a parameter default and an API
+// input that are equal therefore trace to one item.
+func ScalarItem(s *Scalar) *lineage.Item {
+	var b [9]byte
+	b[0] = byte(s.VT)
+	if s.VT == types.String {
+		return lineage.NewLiteral(string(b[:1]) + s.S)
+	}
+	binary.LittleEndian.PutUint64(b[1:], math.Float64bits(s.F))
+	return lineage.NewLiteral(string(b[:]))
+}
 
 // poolRef is what the buffer-pool-backed handles share: their identity in the
 // pool and the count of their holders. A holder is a symbol-table binding in

@@ -149,9 +149,9 @@ func decodeLineagePayload(payload []byte) (any, bool) {
 }
 
 // Fingerprint returns a content hash of a runtime input value, used to key
-// lineage leaves when persistence is on: a leaf named by content instead of
-// by variable name cannot falsely match across processes when the caller
-// rebinds the name to different data. Values without a cheap stable
+// lineage leaves when reuse is on: a leaf named by content instead of by
+// variable name cannot falsely match, within a session or across processes,
+// when the caller rebinds the name to different data. Values without a cheap stable
 // fingerprint report ok=false and must be keyed by a per-run nonce instead.
 func Fingerprint(d Data) (uint64, bool) {
 	switch v := d.(type) {

@@ -27,10 +27,11 @@ type Instruction interface {
 	Inputs() []string
 	// Outputs returns the output variable names.
 	Outputs() []string
-	// LineageData returns extra data included in the lineage item (literal
-	// operands, seeds, file names) so the lineage fully determines the
-	// result.
-	LineageData() string
+	// Lineage returns what the output item is built from: opcode-level data
+	// (fused signature, mmchain variant, callee, parameter keys) and one item
+	// per operand in order — a literal's value item, a variable's
+	// ctx.LineageOf — so the lineage fully determines the result.
+	Lineage(ctx *Context) (data string, inputs []*lineage.Item)
 	// Execute runs the instruction against the execution context.
 	Execute(ctx *Context) error
 }
@@ -160,8 +161,8 @@ func reuseCandidate(ctx *Context, inst Instruction, inputs, outs []string) bool 
 
 // ExecuteInstruction executes one instruction with lineage tracing and
 // lineage-based reuse (Section 3.1): the output lineage is computed before
-// execution, the reuse cache is probed for full or partial reuse, and
-// qualifying results are cached afterwards.
+// execution, the reuse cache is probed, and qualifying results are cached
+// afterwards.
 func ExecuteInstruction(ctx *Context, inst Instruction) error {
 	return executeInstructionSpanned(ctx, inst, obs.Span{})
 }
@@ -196,12 +197,7 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 	if !ctx.Config.LineageEnabled {
 		return inst.Execute(ctx)
 	}
-	inputs := inst.Inputs()
-	items := make([]*lineage.Item, len(inputs))
-	for i, in := range inputs {
-		items[i] = ctx.Lineage.Get(in)
-	}
-	data := inst.LineageData()
+	data, items := inst.Lineage(ctx)
 	var outItem *lineage.Item
 	if inst.Opcode() == "assignvar" && len(items) == 1 && data == "" {
 		// plain variable copies are lineage-transparent: the output IS the
@@ -212,7 +208,7 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 		outItem = lineage.NewInstruction(inst.Opcode(), data, items...)
 	}
 	outs := inst.Outputs()
-	cacheable := ctx.Config.ReuseEnabled && ctx.Cache.Enabled() && reuseCandidate(ctx, inst, inputs, outs)
+	cacheable := ctx.Config.ReuseEnabled && ctx.Cache.Enabled() && reuseCandidate(ctx, inst, inst.Inputs(), outs)
 	var start time.Time
 	if cacheable {
 		if v, ok := ctx.Cache.Get(outItem); ok {
@@ -222,14 +218,6 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 				ctx.Lineage.Set(outs[0], outItem)
 				return nil
 			}
-		}
-		if d, ok := tryPartialReuse(ctx, inst, items, outItem); ok {
-			ctx.Set(outs[0], d)
-			ctx.Lineage.Set(outs[0], outItem)
-			ctx.Cache.RecordPartialHit()
-			// cache the assembled result so later iterations can build on it
-			ctx.Cache.Put(outItem, d, SizeOf(d), 0)
-			return nil
 		}
 		start = time.Now() // compute time is the benefit side of cache eviction
 	}
@@ -360,7 +348,6 @@ func (b *ForBlock) Execute(ctx *Context) error {
 	if !b.Parallel || len(values) <= 1 {
 		for _, v := range values {
 			ctx.Set(b.Var, NewDouble(v))
-			ctx.Lineage.Set(b.Var, lineage.NewLiteral(fmt.Sprintf("%g", v)))
 			for _, blk := range b.Body {
 				if err := blk.Execute(ctx); err != nil {
 					return err
@@ -431,7 +418,6 @@ func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
 			last := -1
 			for i := w; i < len(values); i += workers {
 				child.Set(b.Var, NewDouble(values[i]))
-				child.Lineage.Set(b.Var, lineage.NewLiteral(fmt.Sprintf("%g", values[i])))
 				for _, blk := range b.Body {
 					if err := blk.Execute(child); err != nil {
 						errCh <- fmt.Errorf("parfor worker %d (iteration %v): %w", w, values[i], err)
@@ -578,7 +564,8 @@ func (f *FunctionBlock) Call(ctx *Context, positional []Data, named map[string]D
 	positionalLineage []*lineage.Item, namedLineage map[string]*lineage.Item) ([]Data, []*lineage.Item, error) {
 	child := ctx.ChildEmpty()
 	defer child.ReleaseVars()
-	// bind defaults first
+	// bind defaults first; a default is a scalar literal, traced by its
+	// value like every scalar (LineageOf)
 	for _, p := range f.Params {
 		if p.Default != nil {
 			child.Set(p.Name, p.Default)
@@ -639,7 +626,7 @@ func (f *FunctionBlock) Call(ctx *Context, positional []Data, named map[string]D
 			return nil, nil, fmt.Errorf("runtime: function %s did not assign return variable %q", f.Name, r)
 		}
 		outs[i] = d
-		lins[i] = child.Lineage.Get(r)
+		lins[i] = child.LineageOf(r)
 	}
 	for _, d := range outs {
 		Retain(d)

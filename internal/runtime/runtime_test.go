@@ -94,13 +94,6 @@ func TestContextSymbolTable(t *testing.T) {
 	if ctx.Has("a") {
 		t.Error("Remove failed")
 	}
-	if name := ctx.VariableByValue(NewDouble(99)); name != "" {
-		t.Error("VariableByValue should miss")
-	}
-	d, _ := ctx.Get("M")
-	if name := ctx.VariableByValue(d); name != "M" {
-		t.Errorf("VariableByValue = %q", name)
-	}
 }
 
 func TestContextChildSemantics(t *testing.T) {
@@ -140,10 +133,16 @@ type fakeInst struct {
 	runs    atomic.Int64
 }
 
-func (f *fakeInst) Opcode() string      { return f.opcode }
-func (f *fakeInst) Inputs() []string    { return f.inputs }
-func (f *fakeInst) Outputs() []string   { return f.outputs }
-func (f *fakeInst) LineageData() string { return f.data }
+func (f *fakeInst) Opcode() string    { return f.opcode }
+func (f *fakeInst) Inputs() []string  { return f.inputs }
+func (f *fakeInst) Outputs() []string { return f.outputs }
+func (f *fakeInst) Lineage(ctx *Context) (string, []*lineage.Item) {
+	items := make([]*lineage.Item, len(f.inputs))
+	for i, in := range f.inputs {
+		items[i] = ctx.LineageOf(in)
+	}
+	return f.data, items
+}
 func (f *fakeInst) Execute(ctx *Context) error {
 	f.runs.Add(1)
 	return f.execute(ctx)

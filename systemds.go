@@ -52,7 +52,9 @@ type FederatedMatrix = fed.FederatedMatrix
 // address and worker-local variable.
 type FederatedRange = fed.Range
 
-// CacheStats reports reuse-cache effectiveness (hits, misses, partial reuse).
+// CacheStats reports reuse-cache effectiveness (hits, misses, puts,
+// evictions, persistent-store traffic). PartialHits is always 0: partial
+// reuse was removed.
 type CacheStats = lineage.CacheStats
 
 // LineageStoreStats reports persistent lineage-store activity (files, bytes,

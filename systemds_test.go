@@ -164,6 +164,53 @@ lambdas = seq(1, 8, 1) / 100
 	}
 }
 
+// TestReuseSessionSeesReboundInputs: a reuse session keys a matrix input by
+// its content and a scalar input by its value, so rebinding X or a between
+// two calls — Execute or a prepared script — computes fresh results, and
+// binding identical data again is answered from the cache.
+func TestReuseSessionSeesReboundInputs(t *testing.T) {
+	x1 := systemds.MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	x2 := systemds.MatrixFromRows([][]float64{{10, 20}, {30, 40}})
+	x1Copy := systemds.MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	calls := []struct {
+		name string
+		x    *systemds.Matrix
+		a    float64
+		want float64
+		hits bool
+	}{
+		{"first call", x1, 1, 10, false},
+		{"X rebound", x2, 1, 100, false},
+		{"a rebound", x2, 2, 200, false},
+		{"identical data", x1Copy, 1, 10, true},
+	}
+	const script = "s = sum(X * a)"
+	for _, prepared := range []bool{false, true} {
+		ctx := systemds.NewContext(systemds.WithReuse(true), systemds.WithParallelism(1))
+		run := func(inputs map[string]any) (systemds.Results, error) { return ctx.Execute(script, inputs, "s") }
+		if prepared {
+			ps, err := ctx.Prepare(script, "s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run = ps.Execute
+		}
+		for _, c := range calls {
+			before := ctx.CacheStats().Hits
+			res, err := run(map[string]any{"X": c.x, "a": c.a})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, _ := res.Float("s"); s != c.want {
+				t.Errorf("prepared=%v, %s: s = %v, want %v", prepared, c.name, s, c.want)
+			}
+			if hit := ctx.CacheStats().Hits > before; hit != c.hits {
+				t.Errorf("prepared=%v, %s: cache hit = %v, want %v", prepared, c.name, hit, c.hits)
+			}
+		}
+	}
+}
+
 // TestReuseLoopCostsLikeReuseOff is the acceptance test for O(1) lineage
 // probes: a gradient-descent loop whose carried variable is consumed twice per
 // trip (plus a metadata read), 200 trips on 500x8. Every trip adds a level to
