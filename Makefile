@@ -41,12 +41,14 @@ race:
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
-# Ten seconds of coverage-guided fuzzing of the SDSB decoder from its
-# checked-in seed corpus: spill files, persistent-store payloads and `read`
-# inputs all come in through it, and it must answer any bytes with a block or
-# an error.
+# Ten seconds each of coverage-guided fuzzing from the checked-in seed
+# corpora: the SDSB decoder (spill files, persistent-store payloads and `read`
+# inputs all come in through it; any bytes give a block or an error) and the
+# persistent lineage store file (open + Get on any bytes serve the entry or
+# drop and count it, never panic, never allocate from an unchecked length).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
+	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
 
 # Observability acceptance gate: run the traced lm-loop scenario end to end
 # (distributed backend forced by a small memory budget, compression site

@@ -3,12 +3,14 @@ package bufferpool
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/systemds/systemds-go/internal/lineage"
 )
 
 // FileStore is a budgeted directory of spill files keyed by a 64-bit hash,
@@ -16,9 +18,9 @@ import (
 // across processes (the cross-run half of Section 3.1's lineage-based reuse).
 // Each entry is one self-describing file carrying a verification key (the
 // fixed-width rendering of the full lineage hash), the compute time the
-// payload saved, and a payload checksum. The store tolerates corruption: a
-// file that fails any structural check is deleted and reported as a miss,
-// never an error — the caller simply recomputes.
+// payload saved, and a payload checksum (lineage.ContentHash). The store
+// tolerates corruption: a file that fails any structural check is deleted and
+// reported as a miss, never an error — the caller simply recomputes.
 //
 // Eviction under the byte budget is cost-benefit, not LRU: the entry with the
 // lowest computeNs-saved-per-byte-retained score is dropped first, so a large
@@ -33,7 +35,8 @@ type FileStore struct {
 	stats   FileStoreStats
 }
 
-// fileEntry is the in-memory index record of one store file.
+// fileEntry is the in-memory index record of one store file. It is never
+// modified, so Get may read it after releasing the lock.
 type fileEntry struct {
 	key       string
 	size      int64 // payload bytes (the budget-relevant quantity)
@@ -53,7 +56,7 @@ type FileStoreStats struct {
 	Skipped int64
 	// Evictions counts budget evictions, CorruptDropped files deleted because
 	// a structural check failed (bad magic, another format version,
-	// truncation, checksum mismatch).
+	// truncation, checksum mismatch, a payload the decoder rejected).
 	Evictions      int64
 	CorruptDropped int64
 	// BytesWritten and BytesRead count payload traffic.
@@ -66,10 +69,11 @@ const (
 	fileStoreMagic uint32 = 0x5344534C
 	// fileStoreVersion changes whenever the file layout or the meaning of
 	// hash and key does (2: 128-bit lineage hash, key = its hex rendering;
-	// 3: every scalar operand traced by its typed value). Files of any other
-	// version are dropped at open like corrupt ones: a store is a cache, so an
-	// old one costs a cold start, never a wrong hit.
-	fileStoreVersion uint32 = 3
+	// 3: every scalar operand traced by its typed value; 4: checksum and input
+	// fingerprints are lineage.ContentHash). Files of any other version are
+	// dropped at open like corrupt ones: a store is a cache, so an old one
+	// costs a cold start, never a wrong hit.
+	fileStoreVersion uint32 = 4
 	// fileStoreHeaderLen is the fixed-length prefix before key and payload:
 	// magic(4) version(4) hash(8) computeNs(8) keyLen(4) payloadLen(8)
 	// checksum(8).
@@ -116,58 +120,65 @@ func OpenFileStore(dir string, budgetBytes int64) (*FileStore, error) {
 	return s, nil
 }
 
-// readIndexEntry validates a store file's header and returns its index
-// record without reading the payload.
+// fileHeader is the fixed-length prefix of a store file.
+type fileHeader struct {
+	hash, checksum     uint64
+	computeNs          int64
+	keyLen, payloadLen int64
+}
+
+// readHeader reads and validates the header of an open store file: magic,
+// version, and lengths that add up to the file's size. Nothing is allocated
+// from the length fields.
+func readHeader(f *os.File) (fileHeader, bool) {
+	var raw [fileStoreHeaderLen]byte
+	if _, err := io.ReadFull(f, raw[:]); err != nil {
+		return fileHeader{}, false
+	}
+	h := fileHeader{
+		hash:       binary.LittleEndian.Uint64(raw[8:]),
+		computeNs:  int64(binary.LittleEndian.Uint64(raw[16:])),
+		keyLen:     int64(binary.LittleEndian.Uint32(raw[24:])),
+		payloadLen: int64(binary.LittleEndian.Uint64(raw[28:])),
+		checksum:   binary.LittleEndian.Uint64(raw[36:]),
+	}
+	if binary.LittleEndian.Uint32(raw[0:]) != fileStoreMagic || binary.LittleEndian.Uint32(raw[4:]) != fileStoreVersion || h.payloadLen < 0 {
+		return fileHeader{}, false
+	}
+	// keyLen < 2^32 and payloadLen < 2^63, so an overflowing sum is negative
+	// and never equals a size
+	info, err := f.Stat()
+	if err != nil || info.Size() != fileStoreHeaderLen+h.keyLen+h.payloadLen {
+		return fileHeader{}, false
+	}
+	return h, true
+}
+
+// readIndexEntry validates a store file's header and name and returns its
+// index record without reading the payload.
 func readIndexEntry(path string) (uint64, *fileEntry, bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, false
 	}
 	defer f.Close()
-	var header [fileStoreHeaderLen]byte
-	if _, err := f.Read(header[:]); err != nil {
+	h, ok := readHeader(f)
+	if !ok || filepath.Base(path) != fileName(h.hash) {
 		return 0, nil, false
 	}
-	magic := binary.LittleEndian.Uint32(header[0:])
-	version := binary.LittleEndian.Uint32(header[4:])
-	hash := binary.LittleEndian.Uint64(header[8:])
-	computeNs := int64(binary.LittleEndian.Uint64(header[16:]))
-	keyLen := int64(binary.LittleEndian.Uint32(header[24:]))
-	payloadLen := int64(binary.LittleEndian.Uint64(header[28:]))
-	if magic != fileStoreMagic || version != fileStoreVersion || keyLen < 0 || payloadLen < 0 {
+	keyBytes := make([]byte, h.keyLen)
+	if _, err := io.ReadFull(f, keyBytes); err != nil {
 		return 0, nil, false
 	}
-	info, err := f.Stat()
-	if err != nil || info.Size() != fileStoreHeaderLen+keyLen+payloadLen {
-		return 0, nil, false
-	}
-	keyBytes := make([]byte, keyLen)
-	if _, err := readFull(f, keyBytes); err != nil {
-		return 0, nil, false
-	}
-	return hash, &fileEntry{key: string(keyBytes), size: payloadLen, computeNs: computeNs}, true
+	return h.hash, &fileEntry{key: string(keyBytes), size: h.payloadLen, computeNs: h.computeNs}, true
 }
 
-func readFull(f *os.File, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := f.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+func fileName(hash uint64) string {
+	return fmt.Sprintf("%s%016x%s", filePrefix, hash, fileSuffix)
 }
 
 func (s *FileStore) path(hash uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%016x%s", filePrefix, hash, fileSuffix))
-}
-
-func payloadChecksum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
+	return filepath.Join(s.dir, fileName(hash))
 }
 
 // Put stores a payload under (hash, key). A Put whose hash is already present
@@ -216,7 +227,7 @@ func (s *FileStore) writeFile(path string, hash uint64, key string, payload []by
 	binary.LittleEndian.PutUint64(header[16:], uint64(computeNs))
 	binary.LittleEndian.PutUint32(header[24:], uint32(len(key)))
 	binary.LittleEndian.PutUint64(header[28:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(header[36:], payloadChecksum(payload))
+	binary.LittleEndian.PutUint64(header[36:], lineage.HashBytes(payload))
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("bufferpool: filestore create: %w", err)
@@ -230,38 +241,92 @@ func (s *FileStore) writeFile(path string, hash uint64, key string, payload []by
 	return f.Close()
 }
 
-// Get returns the payload stored under (hash, key). A mismatched key, a
-// failed checksum or any truncation drops the file and reports a miss.
-func (s *FileStore) Get(hash uint64, key string) (payload []byte, computeNs int64, ok bool) {
+// payloadReader hands a decoder the payload of one store file. It stops at
+// the payload length, reports what is left through Len (so a decoder that
+// checks a length field against its source streams instead of buffering the
+// whole payload first), and hashes every byte it passes on.
+type payloadReader struct {
+	f    *os.File
+	left int64
+	sum  lineage.ContentHash
+}
+
+func (r *payloadReader) Read(p []byte) (int, error) {
+	if r.left == 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.left {
+		p = p[:r.left]
+	}
+	n, err := r.f.Read(p)
+	r.sum.Write(p[:n])
+	r.left -= int64(n)
+	if err == io.EOF && r.left > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+func (r *payloadReader) Len() int { return int(r.left) }
+
+// Get decodes the payload stored under (hash, key) straight from its file:
+// decode reads the payload from r, and the store then drains what decode left
+// unread through the checksum before comparing it. decode must keep what it
+// built to itself until Get reports ok — only then was every payload byte
+// verified. The file is read outside the store lock. A mismatched key, a
+// truncated or rotted file, a decode error or a checksum mismatch drops the
+// file and reports a miss, never an error. size is the payload length.
+func (s *FileStore) Get(hash uint64, key string, decode func(r io.Reader) error) (size, computeNs int64, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, present := s.entries[hash]
 	if !present || e.key != key {
 		s.stats.Misses++
-		return nil, 0, false
+		s.mu.Unlock()
+		return 0, 0, false
 	}
-	data, err := os.ReadFile(s.path(hash))
-	if err == nil && int64(len(data)) == fileStoreHeaderLen+int64(len(e.key))+e.size {
-		stored := binary.LittleEndian.Uint64(data[36:])
-		payload = data[fileStoreHeaderLen+len(e.key):]
-		if payloadChecksum(payload) == stored {
-			s.stats.Hits++
-			s.stats.BytesRead += int64(len(payload))
-			return payload, e.computeNs, true
-		}
-	}
-	// the file changed or rotted underneath the index: drop it and recompute
-	s.removeLocked(hash)
-	s.stats.CorruptDropped++
-	s.stats.Misses++
-	return nil, 0, false
-}
-
-// Remove deletes the entry stored under hash, if any.
-func (s *FileStore) Remove(hash uint64) {
+	s.mu.Unlock()
+	ok = s.read(hash, e, decode)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.removeLocked(hash)
+	if ok {
+		s.stats.Hits++
+		s.stats.BytesRead += e.size
+		return e.size, e.computeNs, true
+	}
+	// the file changed or rotted underneath the index: drop it and recompute,
+	// unless a Put or an eviction has replaced or removed the entry meanwhile
+	if s.entries[hash] == e {
+		s.removeLocked(hash)
+		s.stats.CorruptDropped++
+	}
+	s.stats.Misses++
+	return 0, 0, false
+}
+
+// read checks the file of an indexed entry against its index record, streams
+// its payload through decode and verifies the checksum.
+func (s *FileStore) read(hash uint64, e *fileEntry, decode func(r io.Reader) error) bool {
+	f, err := os.Open(s.path(hash))
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	h, ok := readHeader(f)
+	if !ok || h.hash != hash || h.keyLen != int64(len(e.key)) || h.payloadLen != e.size {
+		return false
+	}
+	keyBytes := make([]byte, len(e.key))
+	if _, err := io.ReadFull(f, keyBytes); err != nil || string(keyBytes) != e.key {
+		return false
+	}
+	r := &payloadReader{f: f, left: e.size, sum: lineage.NewContentHash()}
+	if err := decode(r); err != nil {
+		return false
+	}
+	if _, err := io.Copy(io.Discard, r); err != nil {
+		return false
+	}
+	return r.sum.Sum64() == h.checksum
 }
 
 func (s *FileStore) removeLocked(hash uint64) {

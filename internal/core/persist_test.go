@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	sdsio "github.com/systemds/systemds-go/internal/io"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 )
@@ -164,6 +168,68 @@ s = sum(S)`
 	}
 	if stats.LineageStore.CorruptDropped == 0 {
 		t.Errorf("corruption not detected/cleaned: %+v", stats.LineageStore)
+	}
+}
+
+// TestPersistentLineageFlippedCellMisses: one flipped bit inside a cell of
+// every stored matrix is a payload the SDSB decoder accepts — any float bits
+// are a valid cell — so only the checksum, verified on the stream before the
+// value is returned, can catch it. The warm run must miss those entries, drop
+// and count each file, and return the cold run's bits.
+func TestPersistentLineageFlippedCellMisses(t *testing.T) {
+	dir := t.TempDir()
+	script := `S = t(X) %*% X
+s = sum(S)`
+	inputs := map[string]any{"X": matrix.RandUniform(300, 12, -1, 1, 1.0, 29)}
+	outs := []string{"S", "s"}
+
+	coldRes, _, err := persistEngine(dir).Execute(script, inputs, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "lin_*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		storeHeader = 44          // bufferpool's fixed header before the key
+		firstCell   = 1 + 40 + 24 // payload kind, SDSB header, first block header
+	)
+	flipped := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := data[storeHeader+int(binary.LittleEndian.Uint32(data[24:])):]
+		if payload[0] != 'M' || len(payload) < firstCell+8 {
+			continue
+		}
+		payload[firstCell] ^= 0x01 // lowest mantissa bit of cell (0, 0)
+		if _, err := sdsio.ReadMatrixBinaryFrom(bytes.NewReader(payload[1:]), "flipped"); err != nil {
+			t.Fatalf("precondition: the decoder must accept a flipped cell: %v", err)
+		}
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipped++
+	}
+	if flipped == 0 {
+		t.Fatalf("no matrix entry among %d store files", len(files))
+	}
+
+	warmRes, stats, err := persistEngine(dir).Execute(script, inputs, outs)
+	if err != nil {
+		t.Fatalf("a corrupt store must not fail execution: %v", err)
+	}
+	if got := stats.LineageStore.CorruptDropped; got != int64(flipped) {
+		t.Errorf("corrupt-dropped = %d, want %d (one per flipped file)", got, flipped)
+	}
+	if !asMatrix(t, warmRes["S"]).Equals(asMatrix(t, coldRes["S"]), 0) {
+		t.Error("warm S not bitwise-equal to the cold run")
+	}
+	if math.Float64bits(warmRes["s"].(float64)) != math.Float64bits(coldRes["s"].(float64)) {
+		t.Errorf("warm s = %v, cold s = %v", warmRes["s"], coldRes["s"])
 	}
 }
 

@@ -189,12 +189,14 @@ func ReadMatrixBinary(path string) (*matrix.MatrixBlock, error) {
 // wordReader stages the byte stream of one encoding in a chunk buffer and
 // hands it out as little-endian words. left is what the encoding still has
 // to deliver beyond the buffer: reads never ask src for more, so a stream
-// holding several encodings is consumed exactly.
+// holding several encodings is consumed exactly. nnz counts the non-zero
+// cells floats has delivered.
 type wordReader struct {
 	src      io.Reader
 	buf      []byte
 	pos, end int
 	left     int64
+	nnz      int64
 }
 
 // fill makes at least one word available, or fails: io.ErrUnexpectedEOF when
@@ -237,9 +239,15 @@ func (r *wordReader) floats(dst []float64) error {
 		}
 		in := r.buf[r.pos:r.end]
 		k := min(len(dst), len(in)/8)
+		var nnz int64
 		for i := range dst[:k] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[i*8:]))
+			v := math.Float64frombits(binary.LittleEndian.Uint64(in[i*8:]))
+			dst[i] = v
+			if v != 0 {
+				nnz++
+			}
 		}
+		r.nnz += nnz
 		r.pos += k * 8
 		dst = dst[k:]
 	}
@@ -271,7 +279,7 @@ func sourceLen(src io.Reader) (int64, bool) {
 // before anything is allocated for it, against the length of the source — a
 // source that does not know its length is read to its end first so that it
 // does. The per-block nnz word is advisory, as it always was: the count is
-// taken from the cells.
+// taken from the cells as they are copied.
 func ReadMatrixBinaryFrom(src io.Reader, label string) (*matrix.MatrixBlock, error) {
 	avail, known := sourceLen(src)
 	if !known {
@@ -302,8 +310,7 @@ func ReadMatrixBinaryFrom(src io.Reader, label string) (*matrix.MatrixBlock, err
 	r.left = size - headerBytes
 	rows, cols := int(urows), int(ucols)
 	blocksize := int(min(ubs, uint64(max(rows, cols, 1)))) // larger is one block either way
-	out := matrix.NewDense(rows, cols)
-	dense := out.DenseValues()
+	dense := make([]float64, rows*cols)
 	for r0 := 0; r0 < rows && cols > 0; r0 += blocksize {
 		r1 := min(r0+blocksize, rows)
 		for c0 := 0; c0 < cols; c0 += blocksize {
@@ -328,7 +335,7 @@ func ReadMatrixBinaryFrom(src io.Reader, label string) (*matrix.MatrixBlock, err
 			}
 		}
 	}
-	out.RecomputeNNZ()
+	out := matrix.NewDenseCounted(rows, cols, dense, r.nnz)
 	out.ExamineAndApplySparsity()
 	return out, nil
 }

@@ -44,6 +44,16 @@ func NewDenseFromSlice(rows, cols int, data []float64) *MatrixBlock {
 	return m
 }
 
+// NewDenseCounted wraps an existing row-major slice of length rows*cols whose
+// non-zero count the caller has already taken, e.g. a decoder that counts
+// while it copies. The slice is not copied and not recounted.
+func NewDenseCounted(rows, cols int, data []float64, nnz int64) *MatrixBlock {
+	if len(data) != rows*cols {
+		panic(fmt.Sprintf("matrix: slice length %d does not match %dx%d", len(data), rows, cols))
+	}
+	return &MatrixBlock{rows: rows, cols: cols, dense: data, nnz: nnz}
+}
+
 // NewSparse allocates an empty sparse rows x cols matrix.
 func NewSparse(rows, cols int) *MatrixBlock {
 	return &MatrixBlock{rows: rows, cols: cols, sparse: NewCSR(rows, cols)}

@@ -3,11 +3,13 @@ package runtime
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
-	"github.com/systemds/systemds-go/internal/io"
+	sdsio "github.com/systemds/systemds-go/internal/io"
 	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
@@ -49,26 +51,22 @@ func (s *PersistentLineageStore) Stats() bufferpool.FileStoreStats {
 }
 
 // Lookup implements lineage.BackingStore: it decodes the persisted payload
-// into a runtime data object. Undecodable payloads are dropped and reported
-// as misses, mirroring the file store's corruption policy.
+// straight from the store file into a runtime data object. The file store
+// verifies the checksum over the bytes the decoder read before the value is
+// returned; an undecodable or mismatching payload is dropped there and
+// reported as a miss.
 func (s *PersistentLineageStore) Lookup(hash uint64, key string) (any, int64, int64, bool) {
 	sp := obs.Begin(obs.CatLineage, "get")
-	value, size, computeNs, ok := s.lookup(hash, key)
+	var value any
+	size, computeNs, ok := s.files.Get(hash, key, func(r io.Reader) (err error) {
+		value, err = decodeLineagePayload(r)
+		return err
+	})
 	sp.EndBytes(size)
-	return value, size, computeNs, ok
-}
-
-func (s *PersistentLineageStore) lookup(hash uint64, key string) (any, int64, int64, bool) {
-	payload, computeNs, ok := s.files.Get(hash, key)
 	if !ok {
 		return nil, 0, 0, false
 	}
-	value, ok := decodeLineagePayload(payload)
-	if !ok {
-		s.files.Remove(hash)
-		return nil, 0, 0, false
-	}
-	return value, int64(len(payload)), computeNs, true
+	return value, size, computeNs, true
 }
 
 // Persist implements lineage.BackingStore: encodable values are written
@@ -97,9 +95,9 @@ func encodeLineagePayload(value any) ([]byte, bool) {
 			return nil, false
 		}
 		var buf bytes.Buffer
-		buf.Grow(1 + int(io.EncodedSize(blk.Rows(), blk.Cols(), 1024)))
+		buf.Grow(1 + int(sdsio.EncodedSize(blk.Rows(), blk.Cols(), 1024)))
 		buf.WriteByte(payloadKindMatrix)
-		if err := io.WriteMatrixBinaryTo(&buf, blk, 1024); err != nil {
+		if err := sdsio.WriteMatrixBinaryTo(&buf, blk, 1024); err != nil {
 			return nil, false
 		}
 		return buf.Bytes(), true
@@ -121,30 +119,36 @@ func encodeLineagePayload(value any) ([]byte, bool) {
 	}
 }
 
-// decodeLineagePayload is the inverse of encodeLineagePayload.
-func decodeLineagePayload(payload []byte) (any, bool) {
-	if len(payload) == 0 {
-		return nil, false
+// decodeLineagePayload is the inverse of encodeLineagePayload, reading the
+// payload from r.
+func decodeLineagePayload(r io.Reader) (any, error) {
+	var kind [1]byte
+	if _, err := io.ReadFull(r, kind[:]); err != nil {
+		return nil, err
 	}
-	switch payload[0] {
+	switch kind[0] {
 	case payloadKindMatrix:
-		blk, err := io.ReadMatrixBinaryFrom(bytes.NewReader(payload[1:]), "lineage-store")
+		blk, err := sdsio.ReadMatrixBinaryFrom(r, "lineage-store")
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
-		return NewMatrixObject(blk, nil), true
+		return NewMatrixObject(blk, nil), nil
 	case payloadKindScalar:
-		if len(payload) < 11 {
-			return nil, false
+		rest, err := io.ReadAll(r)
+		if err != nil {
+			return nil, err
+		}
+		if len(rest) < 10 {
+			return nil, errors.New("runtime: truncated scalar payload")
 		}
 		return &Scalar{
-			VT: types.ValueType(payload[1]),
-			F:  math.Float64frombits(binary.LittleEndian.Uint64(payload[2:10])),
-			B:  payload[10] == 1,
-			S:  string(payload[11:]),
-		}, true
+			VT: types.ValueType(rest[0]),
+			F:  math.Float64frombits(binary.LittleEndian.Uint64(rest[1:9])),
+			B:  rest[9] == 1,
+			S:  string(rest[10:]),
+		}, nil
 	default:
-		return nil, false
+		return nil, fmt.Errorf("runtime: unknown lineage payload kind %#x", kind[0])
 	}
 }
 
@@ -162,45 +166,32 @@ func Fingerprint(d Data) (uint64, bool) {
 		}
 		return fingerprintBlock(blk), true
 	case *Scalar:
-		h := fnv.New64a()
-		var bits [8]byte
-		binary.LittleEndian.PutUint64(bits[:], math.Float64bits(v.F))
-		h.Write([]byte{byte(v.VT)})
-		h.Write(bits[:])
-		if v.B {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-		h.Write([]byte(v.S))
-		return h.Sum64(), true
+		payload, _ := encodeLineagePayload(v)
+		return lineage.HashBytes(payload), true
 	default:
 		return 0, false
 	}
 }
 
-// fingerprintBlock hashes dimensions plus every cell's float bits in
-// row-major order. Sparse blocks are read through Get so the block is not
-// densified as a side effect (DenseValues converts in place).
+// fingerprintBlock hashes the dimensions and then every cell's float bits in
+// row-major order with lineage.ContentHash. A sparse block is fed row by row
+// through CopyRow into one reused row buffer, so it is not densified
+// (DenseValues converts in place) and hashes like a dense block of equal
+// content.
 func fingerprintBlock(blk *matrix.MatrixBlock) uint64 {
-	h := fnv.New64a()
-	var bits [8]byte
-	binary.LittleEndian.PutUint64(bits[:], uint64(blk.Rows()))
-	h.Write(bits[:])
-	binary.LittleEndian.PutUint64(bits[:], uint64(blk.Cols()))
-	h.Write(bits[:])
-	if blk.IsSparse() {
-		for r := 0; r < blk.Rows(); r++ {
-			for c := 0; c < blk.Cols(); c++ {
-				binary.LittleEndian.PutUint64(bits[:], math.Float64bits(blk.Get(r, c)))
-				h.Write(bits[:])
-			}
-		}
+	h := lineage.NewContentHash()
+	var shape [16]byte
+	binary.LittleEndian.PutUint64(shape[0:], uint64(blk.Rows()))
+	binary.LittleEndian.PutUint64(shape[8:], uint64(blk.Cols()))
+	h.Write(shape[:])
+	if !blk.IsSparse() {
+		h.WriteFloats(blk.DenseValues())
 		return h.Sum64()
 	}
-	for _, v := range blk.DenseValues() {
-		binary.LittleEndian.PutUint64(bits[:], math.Float64bits(v))
-		h.Write(bits[:])
+	row := make([]float64, blk.Cols())
+	for r := range blk.Rows() {
+		blk.CopyRow(row, r, 0)
+		h.WriteFloats(row)
 	}
 	return h.Sum64()
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -19,9 +20,9 @@ func TestLineagePayloadMatrixRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatal("matrix object must encode")
 		}
-		v, ok := decodeLineagePayload(payload)
-		if !ok {
-			t.Fatal("payload must decode")
+		v, err := decodeLineagePayload(bytes.NewReader(payload))
+		if err != nil {
+			t.Fatalf("payload must decode: %v", err)
 		}
 		got, err := v.(*MatrixObject).Acquire()
 		if err != nil {
@@ -42,9 +43,9 @@ func TestLineagePayloadScalarRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("scalar %v must encode", s)
 		}
-		v, ok := decodeLineagePayload(payload)
-		if !ok {
-			t.Fatal("payload must decode")
+		v, err := decodeLineagePayload(bytes.NewReader(payload))
+		if err != nil {
+			t.Fatalf("payload must decode: %v", err)
 		}
 		got := v.(*Scalar)
 		if got.VT != s.VT || got.F != s.F || got.B != s.B || got.S != s.S {
@@ -57,17 +58,18 @@ func TestLineagePayloadUnsupportedKinds(t *testing.T) {
 	if _, ok := encodeLineagePayload("a plain string"); ok {
 		t.Error("unsupported values must not encode")
 	}
-	if _, ok := decodeLineagePayload(nil); ok {
-		t.Error("empty payload must not decode")
-	}
-	if _, ok := decodeLineagePayload([]byte{'?', 1, 2}); ok {
-		t.Error("unknown kind tag must not decode")
-	}
-	if _, ok := decodeLineagePayload([]byte{'S', 1}); ok {
-		t.Error("truncated scalar must not decode")
-	}
-	if _, ok := decodeLineagePayload([]byte{'M', 0, 1, 2}); ok {
-		t.Error("corrupt matrix payload must not decode")
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"empty payload", nil},
+		{"unknown kind tag", []byte{'?', 1, 2}},
+		{"truncated scalar", []byte{'S', 1}},
+		{"corrupt matrix payload", []byte{'M', 0, 1, 2}},
+	} {
+		if _, err := decodeLineagePayload(bytes.NewReader(tc.payload)); err == nil {
+			t.Errorf("%s must not decode", tc.name)
+		}
 	}
 }
 
