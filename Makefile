@@ -43,11 +43,15 @@ race:
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed
 # corpora: the SDSB decoder (spill files, persistent-store payloads and `read`
-# inputs all come in through it; any bytes give a block or an error) and the
+# inputs all come in through it; any bytes give a block or an error), the CSV
+# frame and matrix readers (same schema, names, cell bits and error-or-not as
+# the naive line-splitting oracle in the test file, at 1 and 3 threads) and the
 # persistent lineage store file (open + Get on any bytes serve the entry or
 # drop and count it, never panic, never allocate from an unchecked length).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
+	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
+	$(GO) test -run '^$$' -fuzz FuzzParseMatrixCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
 
 # Observability acceptance gate: run the traced lm-loop scenario end to end

@@ -10,40 +10,65 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/types"
 )
 
 // FrameBlock is a column-oriented 2D table with a schema: each column has a
-// value type and an optional name. String columns hold raw strings; numeric
-// columns hold float64 values.
+// value type and an optional name. Every column is one typed slice: a String
+// column holds its raw strings, any other column its float64 values, with NaN
+// marking a missing cell.
 type FrameBlock struct {
 	schema   types.Schema
 	colNames []string
 	numRows  int
-	strCols  map[int][]string
-	numCols  map[int][]float64
+	num      [][]float64 // per column: the values of a non-String column, nil for a String one
+	str      [][]string  // per column: the cells of a String column, nil otherwise
 }
 
 // NewFrame creates an empty frame with the given schema and number of rows.
 func NewFrame(schema types.Schema, rows int) *FrameBlock {
+	num := make([][]float64, len(schema))
+	str := make([][]string, len(schema))
+	for i, vt := range schema {
+		if vt == types.String {
+			str[i] = make([]string, rows)
+		} else {
+			num[i] = make([]float64, rows)
+		}
+	}
+	f, _ := FromColumns(schema, rows, num, str) // cannot fail: the columns follow the schema
+	return f
+}
+
+// FromColumns builds a frame over typed columns without copying them: for
+// column c, str[c] holds the cells of a String column and num[c] the values of
+// any other (NaN marks a missing cell); the other slice is nil. Every column
+// has rows entries. The frame owns the slices afterwards.
+func FromColumns(schema types.Schema, rows int, num [][]float64, str [][]string) (*FrameBlock, error) {
+	if len(num) != len(schema) || len(str) != len(schema) {
+		return nil, fmt.Errorf("frame: %d/%d columns for a schema of %d", len(num), len(str), len(schema))
+	}
 	f := &FrameBlock{
 		schema:   append(types.Schema(nil), schema...),
 		colNames: make([]string, len(schema)),
 		numRows:  rows,
-		strCols:  map[int][]string{},
-		numCols:  map[int][]float64{},
+		num:      num,
+		str:      str,
 	}
 	for i, vt := range schema {
 		f.colNames[i] = fmt.Sprintf("C%d", i+1)
+		n, other := len(num[i]), str[i] != nil
 		if vt == types.String {
-			f.strCols[i] = make([]string, rows)
-		} else {
-			f.numCols[i] = make([]float64, rows)
+			n, other = len(str[i]), num[i] != nil
+		}
+		if n != rows || other {
+			return nil, fmt.Errorf("frame: %s column %d needs %d values of its type only", vt, i+1, rows)
 		}
 	}
-	return f
+	return f, nil
 }
 
 // NumRows returns the number of rows.
@@ -84,19 +109,35 @@ func (f *FrameBlock) check(r, c int) error {
 	return nil
 }
 
-// GetString returns the cell at (r, c) rendered as a string.
+// NumericColumn returns the values of non-String column c, NaN marking a
+// missing cell, or nil for a String column. The slice is the frame's storage.
+func (f *FrameBlock) NumericColumn(c int) []float64 { return f.num[c] }
+
+// StringColumn returns the cells of String column c, or nil for any other
+// column. The slice is the frame's storage.
+func (f *FrameBlock) StringColumn(c int) []string { return f.str[c] }
+
+// GetString returns the cell at (r, c) rendered as a string. A missing cell of
+// an integer or boolean column renders as "" (only the FP types have a NaN
+// literal), so that writing and recoding a frame never invent a value.
 func (f *FrameBlock) GetString(r, c int) (string, error) {
 	if err := f.check(r, c); err != nil {
 		return "", err
 	}
 	if f.schema[c] == types.String {
-		return f.strCols[c][r], nil
+		return f.str[c][r], nil
 	}
-	v := f.numCols[c][r]
+	v := f.num[c][r]
 	switch f.schema[c] {
 	case types.INT64, types.INT32:
+		if math.IsNaN(v) {
+			return "", nil
+		}
 		return strconv.FormatInt(int64(v), 10), nil
 	case types.Boolean:
+		if math.IsNaN(v) {
+			return "", nil
+		}
 		if v != 0 {
 			return "true", nil
 		}
@@ -113,17 +154,21 @@ func (f *FrameBlock) GetNumeric(r, c int) (float64, error) {
 		return 0, err
 	}
 	if f.schema[c] == types.String {
-		s := f.strCols[c][r]
-		if s == "" {
-			return 0, nil
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("frame: cell (%d,%d) %q is not numeric", r, c, s)
-		}
-		return v, nil
+		return parseNumeric(f.str[c][r], r, c)
 	}
-	return f.numCols[c][r], nil
+	return f.num[c][r], nil
+}
+
+// parseNumeric reads String cell (r, c) as a number; "" is 0.
+func parseNumeric(s string, r, c int) (float64, error) {
+	if s == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("frame: cell (%d,%d) %q is not numeric", r, c, s)
+	}
+	return v, nil
 }
 
 // SetString assigns a string to the cell at (r, c); numeric columns parse it.
@@ -132,38 +177,44 @@ func (f *FrameBlock) SetString(r, c int, s string) error {
 		return err
 	}
 	if f.schema[c] == types.String {
-		f.strCols[c][r] = s
+		f.str[c][r] = s
 		return nil
 	}
+	v, err := ParseCell(s, f.schema[c])
+	if err != nil {
+		return err
+	}
+	f.num[c][r] = v
+	return nil
+}
+
+// ParseCell converts the text of a cell to the value a non-String column of
+// type vt stores. "", "NA" and "NaN" are a missing value, NaN, so that
+// downstream imputation (imputeByMean, transformencode impute) can recognize
+// and repair it; integer types truncate toward zero.
+func ParseCell(s string, vt types.ValueType) (float64, error) {
 	if s == "" || s == "NA" || s == "NaN" {
-		// missing values in numeric columns are represented as NaN so that
-		// downstream imputation (imputeByMean, transformencode impute) can
-		// recognize and repair them
-		f.numCols[c][r] = math.NaN()
-		return nil
+		return math.NaN(), nil
 	}
-	switch f.schema[c] {
-	case types.Boolean:
+	if vt == types.Boolean {
 		switch s {
 		case "true", "TRUE", "True", "1":
-			f.numCols[c][r] = 1
+			return 1, nil
 		case "false", "FALSE", "False", "0":
-			f.numCols[c][r] = 0
-		default:
-			return fmt.Errorf("frame: cannot parse %q as boolean", s)
+			return 0, nil
 		}
-		return nil
-	default:
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("frame: cannot parse %q as %s: %w", s, f.schema[c], err)
-		}
-		if f.schema[c] == types.INT64 || f.schema[c] == types.INT32 {
-			v = float64(int64(v))
-		}
-		f.numCols[c][r] = v
-		return nil
+		// the errors quote a clone so that s does not escape: a caller can
+		// pass string(b) of a byte slice without a heap copy per cell
+		return 0, fmt.Errorf("frame: cannot parse %q as boolean", strings.Clone(s))
 	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("frame: cannot parse %q as %s: %w", strings.Clone(s), vt, err)
+	}
+	if vt == types.INT64 || vt == types.INT32 {
+		v = float64(int64(v))
+	}
+	return v, nil
 }
 
 // SetNumeric assigns a numeric value to the cell at (r, c).
@@ -172,7 +223,7 @@ func (f *FrameBlock) SetNumeric(r, c int, v float64) error {
 		return err
 	}
 	if f.schema[c] == types.String {
-		f.strCols[c][r] = strconv.FormatFloat(v, 'g', -1, 64)
+		f.str[c][r] = strconv.FormatFloat(v, 'g', -1, 64)
 		return nil
 	}
 	if f.schema[c] == types.INT64 || f.schema[c] == types.INT32 {
@@ -181,7 +232,7 @@ func (f *FrameBlock) SetNumeric(r, c int, v float64) error {
 	if f.schema[c] == types.Boolean && v != 0 {
 		v = 1
 	}
-	f.numCols[c][r] = v
+	f.num[c][r] = v
 	return nil
 }
 
@@ -189,79 +240,45 @@ func (f *FrameBlock) SetNumeric(r, c int, v float64) error {
 func (f *FrameBlock) Copy() *FrameBlock {
 	cp := NewFrame(f.schema, f.numRows)
 	copy(cp.colNames, f.colNames)
-	for c, col := range f.strCols {
-		copy(cp.strCols[c], col)
-	}
-	for c, col := range f.numCols {
-		copy(cp.numCols[c], col)
+	for c := range f.schema {
+		copy(cp.num[c], f.num[c])
+		copy(cp.str[c], f.str[c])
 	}
 	return cp
-}
-
-// SliceRows returns the frame restricted to rows [rl, ru).
-func (f *FrameBlock) SliceRows(rl, ru int) (*FrameBlock, error) {
-	if rl < 0 || ru > f.numRows || rl > ru {
-		return nil, fmt.Errorf("frame: row slice [%d,%d) out of bounds for %d rows", rl, ru, f.numRows)
-	}
-	out := NewFrame(f.schema, ru-rl)
-	copy(out.colNames, f.colNames)
-	for c := range f.schema {
-		for r := rl; r < ru; r++ {
-			s, _ := f.GetString(r, c)
-			if err := out.SetString(r-rl, c, s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// SelectColumns returns a new frame containing only the given column indexes.
-func (f *FrameBlock) SelectColumns(cols []int) (*FrameBlock, error) {
-	schema := make(types.Schema, len(cols))
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		if c < 0 || c >= len(f.schema) {
-			return nil, fmt.Errorf("frame: column %d out of bounds", c)
-		}
-		schema[i] = f.schema[c]
-		names[i] = f.colNames[c]
-	}
-	out := NewFrame(schema, f.numRows)
-	_ = out.SetColumnNames(names)
-	for i, c := range cols {
-		for r := 0; r < f.numRows; r++ {
-			s, _ := f.GetString(r, c)
-			if err := out.SetString(r, i, s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
 // ToMatrix converts the frame to a numeric matrix. All columns must be
 // numeric or hold parseable numeric strings.
 func (f *FrameBlock) ToMatrix() (*matrix.MatrixBlock, error) {
-	out := matrix.NewDense(f.numRows, len(f.schema))
-	for r := 0; r < f.numRows; r++ {
-		for c := 0; c < len(f.schema); c++ {
-			v, err := f.GetNumeric(r, c)
-			if err != nil {
-				return nil, err
+	cols := len(f.schema)
+	out := make([]float64, f.numRows*cols)
+	var nnz int64
+	for c := range f.schema {
+		for r := 0; r < f.numRows; r++ {
+			var v float64
+			if f.schema[c] == types.String {
+				var err error
+				if v, err = parseNumeric(f.str[c][r], r, c); err != nil {
+					return nil, err
+				}
+			} else {
+				v = f.num[c][r]
 			}
-			out.Set(r, c, v)
+			out[r*cols+c] = v
+			if v != 0 {
+				nnz++
+			}
 		}
 	}
-	return out, nil
+	return matrix.NewDenseCounted(f.numRows, cols, out, nnz), nil
 }
 
 // FromMatrix builds an all-FP64 frame from a matrix.
 func FromMatrix(m *matrix.MatrixBlock) *FrameBlock {
 	f := NewFrame(types.UniformSchema(types.FP64, m.Cols()), m.Rows())
-	for r := 0; r < m.Rows(); r++ {
-		for c := 0; c < m.Cols(); c++ {
-			_ = f.SetNumeric(r, c, m.Get(r, c))
+	for c, col := range f.num {
+		for r := range col {
+			col[r] = m.Get(r, c)
 		}
 	}
 	return f

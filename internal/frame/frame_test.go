@@ -93,35 +93,61 @@ func TestFrameSetNumericCoercion(t *testing.T) {
 	}
 }
 
-func TestFrameCopySliceSelect(t *testing.T) {
+func TestFrameCopy(t *testing.T) {
 	f := sampleFrame(t)
 	cp := f.Copy()
 	_ = cp.SetString(0, 0, "salzburg")
+	_ = cp.SetNumeric(0, 1, 99)
 	if s, _ := f.GetString(0, 0); s != "graz" {
 		t.Error("copy not independent")
 	}
-	sl, err := f.SliceRows(1, 3)
+	if v, _ := f.GetNumeric(0, 1); v != 12.5 {
+		t.Error("copy of a numeric column not independent")
+	}
+}
+
+// A missing cell is NaN in every non-String column. Only the FP types render
+// it as a literal; an integer or boolean column renders "" and never a value.
+func TestMissingCellsRenderEmpty(t *testing.T) {
+	f := NewFrame(types.Schema{types.INT64, types.INT32, types.Boolean, types.FP64}, 1)
+	for c := 0; c < 4; c++ {
+		if err := f.SetString(0, c, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c, want := range []string{"", "", "", "NaN"} {
+		if got, _ := f.GetString(0, c); got != want {
+			t.Errorf("column %d: missing cell renders %q, want %q", c, got, want)
+		}
+	}
+}
+
+func TestRecodeIntColumnSkipsMissing(t *testing.T) {
+	f := NewFrame(types.Schema{types.INT64}, 4)
+	_ = f.SetColumnNames([]string{"n"})
+	for r, s := range []string{"7", "", "3", "7"} {
+		if err := f.SetString(r, 0, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x, _, err := Encode(f, TransformSpec{Recode: []string{"n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sl.NumRows() != 2 {
-		t.Errorf("slice rows = %d", sl.NumRows())
+	for r, want := range []float64{2, 0, 1, 2} {
+		if got := x.Get(r, 0); got != want {
+			t.Errorf("row %d: code %v, want %v", r, got, want)
+		}
 	}
-	if s, _ := sl.GetString(0, 0); s != "vienna" {
-		t.Errorf("slice content = %q", s)
+	if x.NNZ() != 3 {
+		t.Errorf("nnz = %d, want 3", x.NNZ())
 	}
-	if _, err := f.SliceRows(0, 9); err == nil {
-		t.Error("expected out of bounds error")
-	}
-	sel, err := f.SelectColumns([]int{1, 2})
+	_, enc, err := Encode(f, TransformSpec{DummyCode: []string{"n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.NumCols() != 2 || sel.ColumnNames()[0] != "temp" {
-		t.Errorf("select cols = %v", sel.ColumnNames())
-	}
-	if _, err := f.SelectColumns([]int{9}); err == nil {
-		t.Error("expected out of bounds error")
+	if enc.OutputColumns() != 2 || enc.MetaFrame().NumRows() != 2 {
+		t.Errorf("dummycode learned %d categories, want 2", enc.OutputColumns())
 	}
 }
 

@@ -80,11 +80,7 @@ func (e *Encoder) fit(f *FrameBlock) error {
 		}
 		distinct := map[string]bool{}
 		for r := 0; r < f.NumRows(); r++ {
-			s, err := f.GetString(r, ci)
-			if err != nil {
-				return err
-			}
-			if s != "" {
+			if s := recodeKey(f, r, ci); s != "" {
 				distinct[s] = true
 			}
 		}
@@ -106,17 +102,13 @@ func (e *Encoder) fit(f *FrameBlock) error {
 		if ci < 0 {
 			return fmt.Errorf("frame: impute column %q not found", name)
 		}
-		vals := make([]float64, 0, f.NumRows())
-		for r := 0; r < f.NumRows(); r++ {
-			s, _ := f.GetString(r, ci)
-			if s == "" || s == "NA" || s == "NaN" {
-				continue
+		// a String cell that is not a number is skipped like a missing one
+		col, _ := numbers(f, ci)
+		vals := make([]float64, 0, len(col))
+		for _, v := range col {
+			if !math.IsNaN(v) {
+				vals = append(vals, v)
 			}
-			v, err := f.GetNumeric(r, ci)
-			if err != nil || math.IsNaN(v) {
-				continue
-			}
-			vals = append(vals, v)
 		}
 		if len(vals) == 0 {
 			e.imputeVal[name] = 0
@@ -155,11 +147,15 @@ func (e *Encoder) fit(f *FrameBlock) error {
 		if nbins < 1 {
 			return fmt.Errorf("frame: bin column %q needs at least 1 bin", name)
 		}
+		col, err := numericColumn(f, ci, name)
+		if err != nil {
+			return err
+		}
+		missing := e.imputeVal[name]
 		minV, maxV := math.Inf(1), math.Inf(-1)
-		for r := 0; r < f.NumRows(); r++ {
-			v, err := e.cellValue(f, r, ci, name)
-			if err != nil {
-				return err
+		for _, v := range col {
+			if math.IsNaN(v) {
+				v = missing
 			}
 			if v < minV {
 				minV = v
@@ -182,12 +178,16 @@ func (e *Encoder) fit(f *FrameBlock) error {
 		if ci < 0 {
 			return fmt.Errorf("frame: scale column %q not found", name)
 		}
+		col, err := numericColumn(f, ci, name)
+		if err != nil {
+			return err
+		}
+		missing := e.imputeVal[name]
 		var sum, sumsq float64
 		n := float64(f.NumRows())
-		for r := 0; r < f.NumRows(); r++ {
-			v, err := e.cellValue(f, r, ci, name)
-			if err != nil {
-				return err
+		for _, v := range col {
+			if math.IsNaN(v) {
+				v = missing
 			}
 			sum += v
 			sumsq += v * v
@@ -207,29 +207,47 @@ func (e *Encoder) fit(f *FrameBlock) error {
 	return nil
 }
 
-// cellValue reads a cell applying imputation for missing values.
-func (e *Encoder) cellValue(f *FrameBlock, r, ci int, name string) (float64, error) {
-	s, err := f.GetString(r, ci)
-	if err != nil {
-		return 0, err
+// numbers returns column ci as float64 values with NaN marking a missing
+// cell: a numeric column's own storage, or a String column parsed cell by cell
+// as an FP64 column would store it. bad is the first String cell that is not
+// a number, -1 if there is none; its value is NaN.
+func numbers(f *FrameBlock, ci int) (vals []float64, bad int) {
+	if f.schema[ci] != types.String {
+		return f.num[ci], -1
 	}
-	if s == "" || s == "NA" || s == "NaN" {
-		if v, ok := e.imputeVal[name]; ok {
-			return v, nil
+	vals, bad = make([]float64, f.numRows), -1
+	for r, s := range f.str[ci] {
+		v, err := ParseCell(s, types.FP64)
+		if err != nil {
+			v = math.NaN()
+			if bad < 0 {
+				bad = r
+			}
 		}
-		return 0, nil
+		vals[r] = v
 	}
-	v, err := f.GetNumeric(r, ci)
-	if err != nil {
-		return 0, err
+	return vals, bad
+}
+
+// numericColumn is numbers for a column the encoder reads as numbers: a String
+// cell that is not a number is an error.
+func numericColumn(f *FrameBlock, ci int, name string) ([]float64, error) {
+	vals, bad := numbers(f, ci)
+	if bad >= 0 {
+		return nil, fmt.Errorf("frame: column %q: cell (%d,%d) %q is not numeric", name, bad, ci, f.str[ci][bad])
 	}
-	if math.IsNaN(v) {
-		if iv, ok := e.imputeVal[name]; ok {
-			return iv, nil
-		}
-		return 0, nil
+	return vals, nil
+}
+
+// recodeKey is the recode key of cell (r, ci): a String cell as is, any other
+// cell rendered by GetString (recode keys are strings under the meta-frame
+// contract), "" for a missing one.
+func recodeKey(f *FrameBlock, r, ci int) string {
+	if f.schema[ci] == types.String {
+		return f.str[ci][r]
 	}
-	return v, nil
+	s, _ := f.GetString(r, ci)
+	return s
 }
 
 // OutputColumns returns the number of matrix columns the encoder produces.
@@ -249,7 +267,9 @@ func (e *Encoder) OutputColumns() int {
 	return total
 }
 
-// Apply encodes a frame with the trained encoder (DML transformapply).
+// Apply encodes a frame with the trained encoder (DML transformapply). It
+// plans every output column once and writes the dense row-major result
+// column by column, counting non-zeros on the way.
 func (e *Encoder) Apply(f *FrameBlock) (*matrix.MatrixBlock, error) {
 	if f.NumCols() != len(e.colNames) {
 		return nil, fmt.Errorf("frame: encoder trained on %d columns, frame has %d", len(e.colNames), f.NumCols())
@@ -266,64 +286,69 @@ func (e *Encoder) Apply(f *FrameBlock) (*matrix.MatrixBlock, error) {
 	for _, c := range e.spec.Scale {
 		scale[c] = true
 	}
-	out := matrix.NewDense(f.NumRows(), e.OutputColumns())
-	for r := 0; r < f.NumRows(); r++ {
-		colOut := 0
-		for ci, name := range e.colNames {
-			switch {
-			case dummy[name]:
-				code, err := e.recodeCell(f, r, ci, name)
-				if err != nil {
-					return nil, err
+	rows, width := f.NumRows(), e.OutputColumns()
+	out := make([]float64, rows*width)
+	var nnz int64
+	colOut := 0
+	for ci, name := range e.colNames {
+		switch {
+		case dummy[name] || recode[name]:
+			codes, nd, isDummy := e.recodeMap[name], e.numDistinct[name], dummy[name]
+			for r := 0; r < rows; r++ {
+				code := codes[recodeKey(f, r, ci)] // unseen or missing: 0
+				switch {
+				case !isDummy:
+					out[r*width+colOut] = float64(code)
+				case code >= 1 && code <= nd:
+					out[r*width+colOut+code-1] = 1 // unseen: an all-zero one-hot row
+				default:
+					continue
 				}
-				if code >= 1 && code <= e.numDistinct[name] {
-					out.Set(r, colOut+code-1, 1)
+				if code != 0 {
+					nnz++
 				}
-				colOut += e.numDistinct[name]
-			case recode[name]:
-				code, err := e.recodeCell(f, r, ci, name)
-				if err != nil {
-					return nil, err
-				}
-				out.Set(r, colOut, float64(code))
-				colOut++
-			default:
-				v, err := e.cellValue(f, r, ci, name)
-				if err != nil {
-					return nil, err
-				}
-				if nb, ok := e.binCount[name]; ok {
-					bin := int((v-e.binMins[name])/e.binWidths[name]) + 1
-					if bin < 1 {
-						bin = 1
-					}
-					if bin > nb {
-						bin = nb
-					}
-					v = float64(bin)
-				}
-				if scale[name] {
-					v = (v - e.scaleMu[name]) / e.scaleSd[name]
-				}
-				out.Set(r, colOut, v)
+			}
+			if isDummy {
+				colOut += nd
+			} else {
 				colOut++
 			}
+		default:
+			col, err := numericColumn(f, ci, name)
+			if err != nil {
+				return nil, err
+			}
+			missing := e.imputeVal[name]
+			nb, bin := e.binCount[name]
+			binMin, binWidth := e.binMins[name], e.binWidths[name]
+			scaled := scale[name]
+			mu, sd := e.scaleMu[name], e.scaleSd[name]
+			for r, v := range col {
+				if math.IsNaN(v) {
+					v = missing
+				}
+				if bin {
+					b := int((v-binMin)/binWidth) + 1
+					if b < 1 {
+						b = 1
+					}
+					if b > nb {
+						b = nb
+					}
+					v = float64(b)
+				}
+				if scaled {
+					v = (v - mu) / sd
+				}
+				out[r*width+colOut] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+			colOut++
 		}
 	}
-	return out, nil
-}
-
-func (e *Encoder) recodeCell(f *FrameBlock, r, ci int, name string) (int, error) {
-	s, err := f.GetString(r, ci)
-	if err != nil {
-		return 0, err
-	}
-	codes := e.recodeMap[name]
-	code, ok := codes[s]
-	if !ok {
-		return 0, nil // unseen category encodes to 0 (all-zero dummy row)
-	}
-	return code, nil
+	return matrix.NewDenseCounted(rows, width, out, nnz), nil
 }
 
 // MetaFrame renders the encoder's recode maps as a frame of

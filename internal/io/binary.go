@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 	"sync"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -353,7 +354,7 @@ func ReadMatrixLibSVM(path string, numFeatures int) (x, y *matrix.MatrixBlock, e
 // ParseLibSVM parses libsvm bytes into a feature matrix and label vector.
 // When numFeatures <= 0 the number of features is determined from the data.
 func ParseLibSVM(data []byte, numFeatures int) (x, y *matrix.MatrixBlock, err error) {
-	lines := splitLines(data)
+	lines := strings.Split(string(data), "\n")
 	type entry struct {
 		col int
 		val float64

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -126,6 +127,88 @@ func TestParseFrameCSVSchemaMismatch(t *testing.T) {
 	}
 	if _, err := ParseFrameCSV([]byte("1,2\n1\n"), nil, DefaultCSVOptions()); err == nil {
 		t.Error("expected ragged row error")
+	}
+}
+
+// Errors name the 1-based line in the file, header included; with several
+// chunks the lowest failing line wins, whichever goroutine fails first.
+func TestCSVErrorLineNumbers(t *testing.T) {
+	opts := CSVOptions{Delimiter: ',', Header: true, Threads: 1}
+	fp := types.Schema{types.FP64, types.FP64}
+	check := func(what string, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want it to name %q", what, err, want)
+		}
+	}
+	_, err := ParseMatrixCSV([]byte("a,b\n1,2\n3,x\n"), opts)
+	check("matrix", err, "line 3:")
+	_, err = ParseFrameCSV([]byte("a,b\n1,2\n3\n"), nil, opts)
+	check("ragged frame", err, "line 3 ")
+	_, err = ParseFrameCSV([]byte("a,b\n1,2\n3,x\n"), fp, opts)
+	check("frame with a schema", err, "line 3:")
+
+	var good, ragged, bad strings.Builder
+	for _, b := range []*strings.Builder{&good, &ragged, &bad} {
+		b.WriteString("a,b\n")
+	}
+	for line := 2; line <= 2000; line++ {
+		row, short := "1,2\n", "1,2\n"
+		if line == 5 || line == 1900 {
+			row, short = "x,2\n", "1\n"
+		}
+		good.WriteString("1,2\n")
+		bad.WriteString(row)
+		ragged.WriteString(short)
+	}
+	for threads := 1; threads <= 4; threads++ {
+		opts.Threads = threads
+		for rep := 0; rep < 10; rep++ {
+			_, err = ParseMatrixCSV([]byte(bad.String()), opts)
+			check("matrix in chunks", err, "line 5:")
+			_, err = ParseFrameCSV([]byte(bad.String()), fp, opts)
+			check("frame in chunks", err, "line 5:")
+			_, err = ParseFrameCSV([]byte(ragged.String()), nil, opts)
+			check("ragged frame in chunks", err, "line 5 ")
+		}
+		if m, err := ParseMatrixCSV([]byte(good.String()), opts); err != nil || m.Rows() != 1999 || m.NNZ() != 2*1999 {
+			t.Errorf("threads %d: clean input gave %v, %v", threads, m, err)
+		}
+	}
+}
+
+// A missing cell survives read, write and read again in every column type.
+func TestFrameCSVMissingCellsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	opts := CSVOptions{Delimiter: ',', Header: true}
+	f, err := ParseFrameCSV([]byte("n,b,x\n1,true,2.5\n,,\n"), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := f.Schema()
+	if schema.String() != (types.Schema{types.INT64, types.Boolean, types.FP64}).String() {
+		t.Fatalf("inferred schema %v", schema)
+	}
+	path := filepath.Join(dir, "f.csv")
+	if err := WriteFrameCSV(path, f, opts); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "n,b,x\n1,true,2.5\n,,NaN\n"; string(written) != want {
+		t.Errorf("written %q, want %q", written, want)
+	}
+	back, err := ReadFrameCSV(path, schema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, want := range []float64{1, 1, 2.5} {
+		col := back.NumericColumn(c)
+		if col[0] != want || !math.IsNaN(col[1]) {
+			t.Errorf("column %d after the round trip: %v", c, col)
+		}
 	}
 }
 
