@@ -27,7 +27,10 @@ test:
 # compares fingerprints across invocations via package state), the
 # O(1)-lineage-probe gates repeated (the 200-trip reuse-on loop; workers
 # sharing one cache; steplm bitwise-equal with reuse on and off, its hit and
-# miss counts pinned), the buffer-pool liveness and budget-differential tests
+# miss counts pinned), the worker pool repeated (every task once, no more
+# goroutines than tasks, the lowest failed task's error, a panic recovered by
+# the caller with no goroutine left behind; parfor reporting the lowest
+# failing worker's error), the buffer-pool liveness and budget-differential tests
 # repeated (reference counts across contexts, parfor workers and the reuse
 # cache; outputs bitwise-equal from 1/4 of the working set to no limit), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
@@ -38,6 +41,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
 	$(GO) test -race -run 'TestReuseLoopCostsLikeReuseOff|TestCacheSharedByWorkers|TestSteplmReuseIsBitwiseEqual' -count=3 . ./internal/lineage/ ./internal/core/
+	$(GO) test -race -run 'TestParallelFor|TestParforErrorIsTheLowestWorkers' -count=3 ./internal/matrix/ ./internal/core/
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 

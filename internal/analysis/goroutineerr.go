@@ -5,10 +5,11 @@ import (
 	"go/types"
 )
 
-// GoroutineErrAnalyzer flags goroutines in non-test code that drop errors.
-// A goroutine has no caller to return to, so an error result silently
-// discarded inside one vanishes without trace — the spawning code keeps
-// going as if the work succeeded. Two shapes are flagged:
+// GoroutineErrAnalyzer flags goroutines in non-test code that drop errors,
+// and goroutines started outside the one worker pool. A goroutine has no
+// caller to return to, so an error result silently discarded inside one
+// vanishes without trace — the spawning code keeps going as if the work
+// succeeded. Two shapes are flagged everywhere:
 //
 //   - `go f(…)` where f returns an error: the go statement discards every
 //     result by construction;
@@ -19,19 +20,30 @@ import (
 // channel, store it in a captured variable, or use an errgroup-style pool.
 // An explicit blank assignment (`_ = f()`) is treated as a deliberate,
 // visible discard and is not flagged.
+//
+// In the deterministic packages and in poolPkgs every go statement is
+// flagged: their concurrency runs through matrix.ParallelFor, which hands
+// errors and panics back to the caller. Its own go statement carries the one
+// suppression.
 var GoroutineErrAnalyzer = &Analyzer{
 	Name: "goroutineerr",
 	Doc: "flags goroutines that drop errors: `go f()` where f returns error, or " +
-		"implicitly discarded error-returning calls inside goroutine bodies",
+		"implicitly discarded error-returning calls inside goroutine bodies; and any " +
+		"go statement in a package whose concurrency must go through matrix.ParallelFor",
 	Run: runGoroutineErr,
 }
 
 func runGoroutineErr(pass *Pass) error {
+	pkg := internalName(pass.PkgPath)
+	poolOnly := deterministicPkgs[pkg] || poolPkgs[pkg]
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
+			}
+			if poolOnly {
+				pass.Reportf(g.Pos(), "go statement in %s: run the work through matrix.ParallelFor, the one worker pool", pkg)
 			}
 			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 				checkGoroutineBody(pass, lit.Body)

@@ -63,6 +63,7 @@ func TestLayerMapCoversRepo(t *testing.T) {
 		"innerPoolPkgs":     innerPoolPkgs,
 		"deterministicPkgs": deterministicPkgs,
 		"kernelPkgs":        kernelPkgs,
+		"poolPkgs":          poolPkgs,
 	} {
 		for name := range set {
 			stale(table, name)

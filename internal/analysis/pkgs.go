@@ -77,6 +77,13 @@ var threadPlumbPkgs = map[string]bool{
 	"dist":         true,
 }
 
+// poolPkgs start no goroutines of their own, like the deterministic
+// packages: their concurrency runs through matrix.ParallelFor, and
+// goroutineerr reports any go statement in them.
+var poolPkgs = map[string]bool{
+	"io": true,
+}
+
 // innerPoolPkgs may pass threads=1 to kernels without annotation.
 var innerPoolPkgs = map[string]bool{
 	"dist": true,

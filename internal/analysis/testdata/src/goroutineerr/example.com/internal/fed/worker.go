@@ -1,6 +1,7 @@
-// Package dist exercises goroutineerr: goroutines that drop errors fire,
-// every sanctioned error-capture pattern stays quiet.
-package dist
+// Package fed exercises goroutineerr outside the worker-pool packages:
+// goroutines that drop errors fire, every sanctioned error-capture pattern
+// stays quiet.
+package fed
 
 import "errors"
 

@@ -11,3 +11,10 @@ func Worker(a, b []float64) []float64 {
 func Oversubscribed(a, b []float64) []float64 {
 	return matrix.Multiply(a, b, 4) // want "hard-coded threads=4 passed to matrix.Multiply"
 }
+
+// Cellwise is a blocked operator: its pool width is the caller's configured
+// thread count.
+func Cellwise(a, b []float64, threads int) []float64 {
+	_ = threads
+	return a
+}

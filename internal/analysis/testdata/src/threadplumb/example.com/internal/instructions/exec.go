@@ -2,7 +2,10 @@
 // the context's resolved thread count, never a literal.
 package instructions
 
-import "example.com/internal/matrix"
+import (
+	"example.com/internal/dist"
+	"example.com/internal/matrix"
+)
 
 type config struct{ threads int }
 
@@ -17,6 +20,13 @@ func Run(a, b []float64, cfg config) []float64 {
 func RunBlock(bl *matrix.Block, cfg config) float64 {
 	_ = bl.Sum(8) // want "hard-coded threads=8 passed to bl.Sum"
 	return bl.Sum(cfg.Threads())
+}
+
+// A blocked operator's pool width is a thread count like any other: 0 (one
+// worker per CPU) ignores the configured parallelism.
+func RunBlocked(a, b []float64, cfg config) []float64 {
+	dist.Cellwise(a, b, 0) // want "hard-coded threads=0 passed to dist.Cellwise"
+	return dist.Cellwise(a, b, cfg.Threads())
 }
 
 // no fire: variadic callees are exempt.

@@ -3,7 +3,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 )
@@ -106,74 +105,20 @@ func rowChunks(rows int) (nChunks, chunkSize int) {
 // output is needed.
 func forEachRowChunk(rows, threads int, fn func(r0, r1 int)) {
 	nChunks, chunkSize := rowChunks(rows)
-	if threads <= 1 || nChunks == 1 {
-		for ci := 0; ci < nChunks; ci++ {
-			r0 := ci * chunkSize
-			r1 := min(r0+chunkSize, rows)
-			fn(r0, r1)
-		}
-		return
-	}
-	if threads > nChunks {
-		threads = nChunks
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				ci := next
-				next++
-				mu.Unlock()
-				if ci >= nChunks {
-					return
-				}
-				r0 := ci * chunkSize
-				r1 := min(r0+chunkSize, rows)
-				fn(r0, r1)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = matrix.ParallelFor(nChunks, threads, func(_, ci int) error {
+		fn(ci*chunkSize, min(ci*chunkSize+chunkSize, rows))
+		return nil
+	})
 }
 
 // forEachIndex runs fn over indexes [0, n) on up to `threads` workers. Work
 // items must write disjoint outputs; the index set (and therefore the work
 // decomposition) depends only on n, never on the thread count.
 func forEachIndex(n, threads int, fn func(i int)) {
-	if threads <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if threads > n {
-		threads = n
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = matrix.ParallelFor(n, threads, func(_, i int) error {
+		fn(i)
+		return nil
+	})
 }
 
 // forEachGroup runs fn over the column groups on up to `threads` workers.

@@ -538,6 +538,35 @@ R = matrix(0, 1, ncol(X))
 	}
 }
 
+// TestParforErrorIsTheLowestWorkers: at P=2 iteration 1 belongs to worker 0
+// and iteration 2 to worker 1. Both stop, worker 0 after a multiply, so worker
+// 1 usually fails first in time; the loop reports worker 0's error every run.
+func TestParforErrorIsTheLowestWorkers(t *testing.T) {
+	cfg := runtime.DefaultConfig()
+	cfg.Parallelism = 2
+	e := NewEngine(cfg)
+	script := `
+R = matrix(0, 1, 4)
+parfor (i in 1:4) {
+  if (i == 1) {
+    Z = rand(rows=150, cols=150, seed=1) %*% rand(rows=150, cols=150, seed=2)
+    stop("iteration 1: " + nrow(Z))
+  }
+  if (i == 2) {
+    stop("iteration 2")
+  }
+  R[1, i] = i
+}
+`
+	for run := 0; run < 30; run++ {
+		_, _, err := e.Execute(script, nil, []string{"R"})
+		if err == nil || !strings.Contains(err.Error(), "parfor worker 0 (iteration 1)") ||
+			!strings.Contains(err.Error(), "iteration 1: 150") {
+			t.Fatalf("run %d: error %v, want worker 0's stop in iteration 1", run, err)
+		}
+	}
+}
+
 func TestPreparedScriptRepeatedExecution(t *testing.T) {
 	e := newTestEngine()
 	prepared, err := e.Prepare(`

@@ -8,7 +8,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
@@ -121,10 +120,10 @@ func (b *BlockedMatrix) Region(rl, ru, cl, cu int) (*matrix.MatrixBlock, error) 
 	return out, nil
 }
 
-// forEachBlock runs fn for every grid coordinate on a bounded worker pool,
-// recording each block task as a "dist" span named by op. After the first
-// error, the feed loop stops and workers drain the remaining queued
-// coordinates without executing them. workers is the pool width —
+// forEachBlock runs fn for every grid coordinate, row-major, through
+// matrix.ParallelFor, recording each block task as a "dist" span named by op:
+// no block is started after one has failed, and the error is that of the
+// first failed block in row-major order. workers is the pool width —
 // deliberately not a kernel thread count: the blocked backend parallelizes
 // across blocks (workers <= 0 means one worker per CPU) while the kernels it
 // invokes run single-threaded under the inner-pool contract.
@@ -132,52 +131,16 @@ func forEachBlock(op string, gridRows, gridCols, workers int, fn func(bi, bj int
 	if workers <= 0 {
 		workers = matrix.DefaultParallelism()
 	}
-	type coord struct{ bi, bj int }
-	work := make(chan coord)
-	done := make(chan struct{})
-	errOnce := sync.Once{}
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				select {
-				case <-done:
-					continue
-				default:
-				}
-				sp := obs.Begin(obs.CatDist, op)
-				err := fn(c.bi, c.bj)
-				sp.End()
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						close(done)
-					})
-				}
-			}
-		}()
-	}
-feed:
-	for bi := 0; bi < gridRows; bi++ {
-		for bj := 0; bj < gridCols; bj++ {
-			select {
-			case work <- coord{bi, bj}:
-			case <-done:
-				break feed
-			}
-		}
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
+	return matrix.ParallelFor(gridRows*gridCols, workers, func(_, t int) error {
+		sp := obs.Begin(obs.CatDist, op)
+		defer sp.End()
+		return fn(t/gridCols, t%gridCols)
+	})
 }
 
 // Cellwise applies an element-wise binary operation over two aligned blocked
-// matrices block by block.
-func Cellwise(a, b *BlockedMatrix, op matrix.BinaryOp) (*BlockedMatrix, error) {
+// matrices block by block on `threads` workers.
+func Cellwise(a, b *BlockedMatrix, op matrix.BinaryOp, threads int) (*BlockedMatrix, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols || a.Blocksize != b.Blocksize {
 		return nil, fmt.Errorf("dist: cellwise dimension mismatch %dx%d/%d vs %dx%d/%d",
 			a.Rows, a.Cols, a.Blocksize, b.Rows, b.Cols, b.Blocksize)
@@ -185,7 +148,7 @@ func Cellwise(a, b *BlockedMatrix, op matrix.BinaryOp) (*BlockedMatrix, error) {
 	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols, Blocksize: a.Blocksize,
 		Blocks: make([]*matrix.MatrixBlock, len(a.Blocks))}
 	gc := a.GridCols()
-	err := forEachBlock("cellwise", a.GridRows(), gc, 0, func(bi, bj int) error {
+	err := forEachBlock("cellwise", a.GridRows(), gc, threads, func(bi, bj int) error {
 		res, err := matrix.CellwiseOp(a.Blocks[bi*gc+bj], b.Blocks[bi*gc+bj], op, 1)
 		if err != nil {
 			return err
@@ -204,7 +167,7 @@ func Cellwise(a, b *BlockedMatrix, op matrix.BinaryOp) (*BlockedMatrix, error) {
 // matching slice of the vector, so cellwise pipelines with vector leaves stay
 // blocked instead of collecting the blocked operand. swap places the vector
 // on the left-hand side of the operator.
-func CellwiseVector(a *BlockedMatrix, v *matrix.MatrixBlock, op matrix.BinaryOp, swap bool) (*BlockedMatrix, error) {
+func CellwiseVector(a *BlockedMatrix, v *matrix.MatrixBlock, op matrix.BinaryOp, swap bool, threads int) (*BlockedMatrix, error) {
 	colVec := v.Cols() == 1 && v.Rows() == a.Rows
 	rowVec := v.Rows() == 1 && v.Cols() == a.Cols
 	if !colVec && !rowVec {
@@ -233,7 +196,7 @@ func CellwiseVector(a *BlockedMatrix, v *matrix.MatrixBlock, op matrix.BinaryOp,
 			return nil, err
 		}
 	}
-	err := forEachBlock("cellwise-vector", gr, gc, 0, func(bi, bj int) error {
+	err := forEachBlock("cellwise-vector", gr, gc, threads, func(bi, bj int) error {
 		blk := a.Blocks[bi*gc+bj]
 		var seg *matrix.MatrixBlock
 		if rowVec {
@@ -313,9 +276,6 @@ func MatMult(a *BlockedMatrix, b *matrix.MatrixBlock, threads int) (*BlockedMatr
 // aggregation tree of the distributed backend), returning a local result
 // because the output is only cols x cols.
 func TSMM(x *BlockedMatrix, threads int) (*matrix.MatrixBlock, error) {
-	if threads <= 0 {
-		threads = matrix.DefaultParallelism()
-	}
 	gr, gc := x.GridRows(), x.GridCols()
 	partials := make([]*matrix.MatrixBlock, gr)
 	err := forEachBlock("tsmm", gr, 1, threads, func(bi, _ int) error {

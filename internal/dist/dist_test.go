@@ -77,7 +77,7 @@ func TestCellwiseMatchesLocal(t *testing.T) {
 		a, b := testMatrix(s.rows, s.cols), testMatrix(s.rows, s.cols)
 		ba, _ := FromMatrixBlock(a, s.bs)
 		bb, _ := FromMatrixBlock(b, s.bs)
-		res, err := Cellwise(ba, bb, matrix.OpMul)
+		res, err := Cellwise(ba, bb, matrix.OpMul, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestScalarAndUnaryMatchLocal(t *testing.T) {
 	for _, s := range shapes {
 		a := testMatrix(s.rows, s.cols)
 		ba, _ := FromMatrixBlock(a, s.bs)
-		sres, err := Scalar(ba, 2.5, matrix.OpMul, false)
+		sres, err := Scalar(ba, 2.5, matrix.OpMul, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestScalarAndUnaryMatchLocal(t *testing.T) {
 		if !matrix.ScalarOp(a, 2.5, matrix.OpMul, false, 1).Equals(got, 0) {
 			t.Errorf("%dx%d/%d: scalar op differs", s.rows, s.cols, s.bs)
 		}
-		ures, err := Unary(ba, matrix.OpAbs)
+		ures, err := Unary(ba, matrix.OpAbs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestTransposeMatchesLocal(t *testing.T) {
 	for _, s := range shapes {
 		a := testMatrix(s.rows, s.cols)
 		ba, _ := FromMatrixBlock(a, s.bs)
-		res, err := Transpose(ba)
+		res, err := Transpose(ba, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		a, b := testMatrix(s.r1, s.c), testMatrix(s.r2, s.c)
 		ba, _ := FromMatrixBlock(a, s.bs)
 		bb, _ := FromMatrixBlock(b, s.bs)
-		res, err := RBind(ba, bb)
+		res, err := RBind(ba, bb, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		a, b := testMatrix(s.r, s.c1), testMatrix(s.r, s.c2)
 		ba, _ := FromMatrixBlock(a, s.bs)
 		bb, _ := FromMatrixBlock(b, s.bs)
-		res, err := CBind(ba, bb)
+		res, err := CBind(ba, bb, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 			t.Errorf("%v: cbind differs", s)
 		}
 	}
-	if _, err := RBind(&BlockedMatrix{Cols: 3, Blocksize: 32}, &BlockedMatrix{Cols: 4, Blocksize: 32}); err == nil {
+	if _, err := RBind(&BlockedMatrix{Cols: 3, Blocksize: 32}, &BlockedMatrix{Cols: 4, Blocksize: 32}, 0); err == nil {
 		t.Error("rbind column mismatch should error")
 	}
 }
@@ -234,7 +234,7 @@ func TestAggregationsMatchLocal(t *testing.T) {
 			"min": matrix.Min(a, 1), "max": matrix.Max(a, 1),
 		}
 		for op, want := range fulls {
-			got, err := FullAgg(ba, op)
+			got, err := FullAgg(ba, op, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func TestAggregationsMatchLocal(t *testing.T) {
 			"rowMaxs": matrix.RowMaxs(a), "rowMins": matrix.RowMins(a),
 		}
 		for op, want := range rows {
-			res, err := RowAgg(ba, op)
+			res, err := RowAgg(ba, op, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestAggregationsMatchLocal(t *testing.T) {
 			"colMaxs": matrix.ColMaxs(a), "colMins": matrix.ColMins(a),
 		}
 		for op, want := range cols {
-			res, err := ColAgg(ba, op)
+			res, err := ColAgg(ba, op, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +272,7 @@ func TestAggregationsMatchLocal(t *testing.T) {
 		}
 	}
 	ba, _ := FromMatrixBlock(testMatrix(10, 10), 4)
-	if _, err := FullAgg(ba, "median"); err == nil {
+	if _, err := FullAgg(ba, "median", 0); err == nil {
 		t.Error("unsupported full aggregate should error")
 	}
 }
@@ -309,8 +309,9 @@ func TestForEachBlockStopsAfterError(t *testing.T) {
 		executed.Add(1)
 		return fmt.Errorf("fail (%d,%d)", bi, bj)
 	})
-	if err == nil {
-		t.Fatal("expected error")
+	// every block fails; the first in row-major order is always the one reported
+	if err == nil || err.Error() != "fail (0,0)" {
+		t.Fatalf("err = %v, want fail (0,0)", err)
 	}
 	if n := executed.Load(); n > 8 {
 		t.Errorf("executed %d blocks after first error, want a small bound (<= 8)", n)
@@ -320,7 +321,7 @@ func TestForEachBlockStopsAfterError(t *testing.T) {
 func TestCellwiseErrorPropagates(t *testing.T) {
 	a, _ := FromMatrixBlock(testMatrix(10, 10), 4)
 	b, _ := FromMatrixBlock(testMatrix(10, 11), 4)
-	if _, err := Cellwise(a, b, matrix.OpAdd); err == nil {
+	if _, err := Cellwise(a, b, matrix.OpAdd, 0); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 }

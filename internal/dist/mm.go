@@ -35,13 +35,7 @@ func MatMultBL(a *matrix.MatrixBlock, b *BlockedMatrix, threads int) (*BlockedMa
 	// one dense strip per output block-column, accumulated in place across
 	// the k-stripes; narrow outputs (few block columns) hand the spare
 	// parallelism to the accumulate kernel instead
-	if threads <= 0 {
-		threads = matrix.DefaultParallelism()
-	}
-	inner := threads / gcOut
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(1, threads/gcOut)
 	err := forEachBlock("mm-broadcast-left", 1, gcOut, threads, func(_, bj int) error {
 		width := min(out.Blocksize, out.Cols-bj*out.Blocksize)
 		strip := matrix.NewDense(a.Rows(), width)

@@ -153,7 +153,7 @@ func TestCellwiseVector(t *testing.T) {
 		{"col-sub-swapped", col, matrix.OpSub, true},
 		{"row-div-swapped", row, matrix.OpDiv, true},
 	} {
-		got, err := CellwiseVector(bx, tc.v, tc.op, tc.swap)
+		got, err := CellwiseVector(bx, tc.v, tc.op, tc.swap, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -174,7 +174,7 @@ func TestCellwiseVector(t *testing.T) {
 			t.Errorf("%s: blocked broadcast differs from local kernel", tc.name)
 		}
 	}
-	if _, err := CellwiseVector(bx, seqMatrix(7, 1, 9), matrix.OpAdd, false); err == nil {
+	if _, err := CellwiseVector(bx, seqMatrix(7, 1, 9), matrix.OpAdd, false, 0); err == nil {
 		t.Error("non-broadcastable vector not rejected")
 	}
 }

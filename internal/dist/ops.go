@@ -8,11 +8,11 @@ import (
 )
 
 // Unary applies an element-wise unary operation block by block.
-func Unary(a *BlockedMatrix, op matrix.UnaryOp) (*BlockedMatrix, error) {
+func Unary(a *BlockedMatrix, op matrix.UnaryOp, threads int) (*BlockedMatrix, error) {
 	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols, Blocksize: a.Blocksize,
 		Blocks: make([]*matrix.MatrixBlock, len(a.Blocks))}
 	gc := a.GridCols()
-	err := forEachBlock("unary", a.GridRows(), gc, 0, func(bi, bj int) error {
+	err := forEachBlock("unary", a.GridRows(), gc, threads, func(bi, bj int) error {
 		out.Blocks[bi*gc+bj] = matrix.UnaryApply(a.Blocks[bi*gc+bj], op, 1)
 		return nil
 	})
@@ -24,11 +24,11 @@ func Unary(a *BlockedMatrix, op matrix.UnaryOp) (*BlockedMatrix, error) {
 
 // Scalar applies a matrix-scalar binary operation block by block; swap places
 // the scalar on the left-hand side.
-func Scalar(a *BlockedMatrix, s float64, op matrix.BinaryOp, swap bool) (*BlockedMatrix, error) {
+func Scalar(a *BlockedMatrix, s float64, op matrix.BinaryOp, swap bool, threads int) (*BlockedMatrix, error) {
 	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols, Blocksize: a.Blocksize,
 		Blocks: make([]*matrix.MatrixBlock, len(a.Blocks))}
 	gc := a.GridCols()
-	err := forEachBlock("scalar", a.GridRows(), gc, 0, func(bi, bj int) error {
+	err := forEachBlock("scalar", a.GridRows(), gc, threads, func(bi, bj int) error {
 		out.Blocks[bi*gc+bj] = matrix.ScalarOp(a.Blocks[bi*gc+bj], s, op, swap, 1)
 		return nil
 	})
@@ -78,11 +78,11 @@ func MatMultBB(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 
 // Transpose transposes a blocked matrix: each block is transposed locally and
 // moved to the mirrored grid coordinate.
-func Transpose(a *BlockedMatrix) (*BlockedMatrix, error) {
+func Transpose(a *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	out := &BlockedMatrix{Rows: a.Cols, Cols: a.Rows, Blocksize: a.Blocksize}
 	gr, gc := a.GridRows(), a.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gr*gc)
-	err := forEachBlock("transpose", gr, gc, 0, func(bi, bj int) error {
+	err := forEachBlock("transpose", gr, gc, threads, func(bi, bj int) error {
 		out.Blocks[bj*gr+bi] = matrix.Transpose(a.Blocks[bi*gc+bj])
 		return nil
 	})
@@ -95,7 +95,7 @@ func Transpose(a *BlockedMatrix) (*BlockedMatrix, error) {
 // RBind stacks two blocked matrices vertically. When the first operand's rows
 // are block-aligned the grids are concatenated by reference; otherwise the
 // output blocks are re-assembled from the covering regions of both inputs.
-func RBind(a, b *BlockedMatrix) (*BlockedMatrix, error) {
+func RBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	if a.Cols != b.Cols || a.Blocksize != b.Blocksize {
 		return nil, fmt.Errorf("dist: rbind mismatch %dx%d/%d vs %dx%d/%d",
 			a.Rows, a.Cols, a.Blocksize, b.Rows, b.Cols, b.Blocksize)
@@ -109,7 +109,7 @@ func RBind(a, b *BlockedMatrix) (*BlockedMatrix, error) {
 	}
 	gr, gc := out.GridRows(), out.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gr*gc)
-	err := forEachBlock("rbind", gr, gc, 0, func(bi, bj int) error {
+	err := forEachBlock("rbind", gr, gc, threads, func(bi, bj int) error {
 		rl, ru := bi*out.Blocksize, min(bi*out.Blocksize+out.Blocksize, out.Rows)
 		cl, cu := bj*out.Blocksize, min(bj*out.Blocksize+out.Blocksize, out.Cols)
 		var parts []*matrix.MatrixBlock
@@ -142,7 +142,7 @@ func RBind(a, b *BlockedMatrix) (*BlockedMatrix, error) {
 
 // CBind concatenates two blocked matrices horizontally, re-assembling
 // boundary-spanning output blocks from the covering regions of both inputs.
-func CBind(a, b *BlockedMatrix) (*BlockedMatrix, error) {
+func CBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	if a.Rows != b.Rows || a.Blocksize != b.Blocksize {
 		return nil, fmt.Errorf("dist: cbind mismatch %dx%d/%d vs %dx%d/%d",
 			a.Rows, a.Cols, a.Blocksize, b.Rows, b.Cols, b.Blocksize)
@@ -158,7 +158,7 @@ func CBind(a, b *BlockedMatrix) (*BlockedMatrix, error) {
 		}
 		return out, nil
 	}
-	err := forEachBlock("cbind", gr, gc, 0, func(bi, bj int) error {
+	err := forEachBlock("cbind", gr, gc, threads, func(bi, bj int) error {
 		rl, ru := bi*out.Blocksize, min(bi*out.Blocksize+out.Blocksize, out.Rows)
 		cl, cu := bj*out.Blocksize, min(bj*out.Blocksize+out.Blocksize, out.Cols)
 		var parts []*matrix.MatrixBlock
@@ -192,7 +192,7 @@ func CBind(a, b *BlockedMatrix) (*BlockedMatrix, error) {
 // FullAgg computes a full aggregate (sum, sumsq, mean, min, max) over a
 // blocked matrix: per-block partials computed in parallel, combined locally
 // (the aggregation tree of the distributed backend).
-func FullAgg(a *BlockedMatrix, op string) (float64, error) {
+func FullAgg(a *BlockedMatrix, op string, threads int) (float64, error) {
 	partials := make([]float64, len(a.Blocks))
 	gc := a.GridCols()
 	var perBlock func(b *matrix.MatrixBlock) float64
@@ -211,7 +211,7 @@ func FullAgg(a *BlockedMatrix, op string) (float64, error) {
 	default:
 		return 0, fmt.Errorf("dist: unsupported full aggregate %q", op)
 	}
-	err := forEachBlock("full-agg", a.GridRows(), gc, 0, func(bi, bj int) error {
+	err := forEachBlock("full-agg", a.GridRows(), gc, threads, func(bi, bj int) error {
 		partials[bi*gc+bj] = perBlock(a.Blocks[bi*gc+bj])
 		return nil
 	})
@@ -231,7 +231,7 @@ func FullAgg(a *BlockedMatrix, op string) (float64, error) {
 // RowAgg computes a row-wise aggregate (rowSums, rowMeans, rowMaxs, rowMins)
 // returning a blocked Rows x 1 column vector: each block-row strip combines
 // its per-block row aggregates without leaving the blocked representation.
-func RowAgg(a *BlockedMatrix, op string) (*BlockedMatrix, error) {
+func RowAgg(a *BlockedMatrix, op string, threads int) (*BlockedMatrix, error) {
 	var perBlock func(b *matrix.MatrixBlock) *matrix.MatrixBlock
 	combine := matrix.OpAdd
 	switch op {
@@ -249,7 +249,7 @@ func RowAgg(a *BlockedMatrix, op string) (*BlockedMatrix, error) {
 	out := &BlockedMatrix{Rows: a.Rows, Cols: 1, Blocksize: a.Blocksize}
 	gr, gc := a.GridRows(), a.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gr)
-	err := forEachBlock("row-agg", gr, 1, 0, func(bi, _ int) error {
+	err := forEachBlock("row-agg", gr, 1, threads, func(bi, _ int) error {
 		acc := perBlock(a.Blocks[bi*gc])
 		var err error
 		for bj := 1; bj < gc; bj++ {
@@ -271,7 +271,7 @@ func RowAgg(a *BlockedMatrix, op string) (*BlockedMatrix, error) {
 
 // ColAgg computes a column-wise aggregate (colSums, colMeans, colMaxs,
 // colMins) returning a blocked 1 x Cols row vector.
-func ColAgg(a *BlockedMatrix, op string) (*BlockedMatrix, error) {
+func ColAgg(a *BlockedMatrix, op string, threads int) (*BlockedMatrix, error) {
 	var perBlock func(b *matrix.MatrixBlock) *matrix.MatrixBlock
 	combine := matrix.OpAdd
 	switch op {
@@ -289,7 +289,7 @@ func ColAgg(a *BlockedMatrix, op string) (*BlockedMatrix, error) {
 	out := &BlockedMatrix{Rows: 1, Cols: a.Cols, Blocksize: a.Blocksize}
 	gr, gc := a.GridRows(), a.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gc)
-	err := forEachBlock("col-agg", 1, gc, 0, func(_, bj int) error {
+	err := forEachBlock("col-agg", 1, gc, threads, func(_, bj int) error {
 		acc := perBlock(a.Blocks[bj])
 		var err error
 		for bi := 1; bi < gr; bi++ {

@@ -74,7 +74,7 @@ func (i *BinaryInst) Execute(ctx *runtime.Context) error {
 			if err != nil {
 				return err
 			}
-			res, err := dist.Scalar(bm, ls.Float64(), op, true)
+			res, err := dist.Scalar(bm, ls.Float64(), op, true, ctx.Config.Threads())
 			if err != nil {
 				return err
 			}
@@ -95,7 +95,7 @@ func (i *BinaryInst) Execute(ctx *runtime.Context) error {
 			if err != nil {
 				return err
 			}
-			res, err := dist.Scalar(bm, rs.Float64(), op, false)
+			res, err := dist.Scalar(bm, rs.Float64(), op, false, ctx.Config.Threads())
 			if err != nil {
 				return err
 			}
@@ -184,7 +184,7 @@ func (i *BinaryInst) executeDistributed(ctx *runtime.Context, op matrix.BinaryOp
 	if err != nil {
 		return err
 	}
-	res, err := dist.Cellwise(bl, br, op)
+	res, err := dist.Cellwise(bl, br, op, ctx.Config.Threads())
 	if err != nil {
 		return err
 	}
@@ -204,7 +204,7 @@ func (i *BinaryInst) executeDistributedVector(ctx *runtime.Context, op matrix.Bi
 	if err != nil {
 		return err
 	}
-	res, err := dist.CellwiseVector(bm, vb, op, swap)
+	res, err := dist.CellwiseVector(bm, vb, op, swap, ctx.Config.Threads())
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func (i *ReorgInst) Execute(ctx *runtime.Context) error {
 			if err != nil {
 				return err
 			}
-			res, err := dist.Transpose(bm)
+			res, err := dist.Transpose(bm, ctx.Config.Threads())
 			if err != nil {
 				return err
 			}
@@ -151,9 +151,9 @@ func (i *NaryInst) tryDistributed(ctx *runtime.Context) error {
 			return err
 		}
 		if i.opcode == "cbind" {
-			acc, err = dist.CBind(acc, next)
+			acc, err = dist.CBind(acc, next, ctx.Config.Threads())
 		} else {
-			acc, err = dist.RBind(acc, next)
+			acc, err = dist.RBind(acc, next, ctx.Config.Threads())
 		}
 		if err != nil {
 			return err

@@ -68,7 +68,7 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 			if err != nil {
 				return err
 			}
-			res, err := dist.Unary(bm, op)
+			res, err := dist.Unary(bm, op, ctx.Config.Threads())
 			if err != nil {
 				return err
 			}
@@ -288,7 +288,7 @@ func (i *AggInst) tryDistributed(ctx *runtime.Context, d runtime.Data) error {
 		if err != nil {
 			return err
 		}
-		v, err := dist.FullAgg(bm, i.opcode)
+		v, err := dist.FullAgg(bm, i.opcode, ctx.Config.Threads())
 		if err != nil {
 			return err
 		}
@@ -301,7 +301,7 @@ func (i *AggInst) tryDistributed(ctx *runtime.Context, d runtime.Data) error {
 		if err != nil {
 			return err
 		}
-		res, err := dist.RowAgg(bm, i.opcode)
+		res, err := dist.RowAgg(bm, i.opcode, ctx.Config.Threads())
 		if err != nil {
 			return err
 		}
@@ -311,7 +311,7 @@ func (i *AggInst) tryDistributed(ctx *runtime.Context, d runtime.Data) error {
 		if err != nil {
 			return err
 		}
-		res, err := dist.ColAgg(bm, i.opcode)
+		res, err := dist.ColAgg(bm, i.opcode, ctx.Config.Threads())
 		if err != nil {
 			return err
 		}

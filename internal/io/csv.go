@@ -1,8 +1,6 @@
 // Package io implements the data ingestion and persistence layer of
 // SystemDS-Go: multi-threaded CSV readers and writers for matrices and
-// frames, a binary blocked format, libsvm support, and a format-descriptor
-// driven reader that stands in for the paper's generated I/O primitives
-// (Section 3.2).
+// frames, a binary blocked format and libsvm support.
 package io
 
 import (
@@ -13,7 +11,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"github.com/systemds/systemds-go/internal/frame"
@@ -204,29 +201,13 @@ func scanCSV(data []byte, opts CSVOptions) csvScan {
 	}
 }
 
-// parseChunks runs parse on every chunk, each on its own goroutine when there
-// are several, and returns the error of the first chunk that failed: the one
-// with the lowest line number, whichever goroutine failed first.
+// parseChunks runs parse on every chunk through matrix.ParallelFor, one
+// worker per chunk, and returns the error of the first chunk that failed: the
+// one with the lowest line number, whichever worker failed first.
 func parseChunks(chunks []csvChunk, parse func(i int, ch csvChunk) error) error {
-	if len(chunks) == 1 {
-		return parse(0, chunks[0])
-	}
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for i, ch := range chunks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = parse(i, ch)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return matrix.ParallelFor(len(chunks), len(chunks), func(_, i int) error {
+		return parse(i, chunks[i])
+	})
 }
 
 // nextLine splits the first line off rest, without its newline and one

@@ -295,98 +295,6 @@ func TestLibSVMParse(t *testing.T) {
 	}
 }
 
-func TestGeneratedReaderDelimited(t *testing.T) {
-	desc := FormatDescriptor{
-		Kind:          "delimited",
-		Delimiter:     "|",
-		CommentPrefix: "#",
-		HasHeader:     true,
-		Quote:         `"`,
-		MissingValues: []string{"?"},
-		Columns: []FormatColumn{
-			{Name: "id", Field: "0", Type: types.INT64},
-			{Name: "value", Field: "2", Type: types.FP64},
-			{Name: "label", Field: "1", Type: types.String},
-		},
-	}
-	r, err := GenerateReader(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("# sensor export v2\nid|label|value\n1|\"a|b\"|2.5\n2|c|?\n3|d|7.25\n")
-	f, err := r.ReadFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumRows() != 3 || f.NumCols() != 3 {
-		t.Fatalf("dims %dx%d", f.NumRows(), f.NumCols())
-	}
-	if v, _ := f.GetNumeric(0, 0); v != 1 {
-		t.Errorf("id = %v", v)
-	}
-	if s, _ := f.GetString(0, 2); s != "a|b" {
-		t.Errorf("quoted field = %q", s)
-	}
-	if v, _ := f.GetNumeric(2, 1); v != 7.25 {
-		t.Errorf("value = %v", v)
-	}
-	if v, _ := f.GetNumeric(1, 1); !math.IsNaN(v) { // missing value becomes NaN
-		t.Errorf("missing value = %v, want NaN", v)
-	}
-}
-
-func TestGeneratedReaderKeyValue(t *testing.T) {
-	desc := FormatDescriptor{
-		Kind:      "keyvalue",
-		Delimiter: ";",
-		Columns: []FormatColumn{
-			{Name: "temp", Field: "temp", Type: types.FP64},
-			{Name: "rpm", Field: "rpm", Type: types.FP64},
-		},
-	}
-	r, err := GenerateReader(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("temp:20.5;rpm:900\ntemp:21.0;rpm:950;extra:x\n")
-	m, err := r.ReadMatrix(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 2 || m.Cols() != 2 {
-		t.Fatalf("dims %dx%d", m.Rows(), m.Cols())
-	}
-	if m.Get(1, 1) != 950 {
-		t.Errorf("rpm = %v", m.Get(1, 1))
-	}
-}
-
-func TestGenerateReaderErrors(t *testing.T) {
-	if _, err := GenerateReader(FormatDescriptor{}); err == nil {
-		t.Error("expected error for no columns")
-	}
-	if _, err := GenerateReader(FormatDescriptor{Columns: []FormatColumn{{Name: "a", Field: "x"}}}); err == nil {
-		t.Error("expected error for bad field index")
-	}
-	if _, err := GenerateReader(FormatDescriptor{Kind: "xml", Columns: []FormatColumn{{Name: "a", Field: "0"}}}); err == nil {
-		t.Error("expected error for unknown kind")
-	}
-	if _, err := GenerateReader(FormatDescriptor{Kind: "keyvalue", Columns: []FormatColumn{{Name: "a", Field: ""}}}); err == nil {
-		t.Error("expected error for missing key")
-	}
-}
-
-func TestGeneratedReaderNonNumericToMatrix(t *testing.T) {
-	desc := FormatDescriptor{Columns: []FormatColumn{{Name: "s", Field: "0", Type: types.String}}}
-	r, err := GenerateReader(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadMatrix([]byte("hello\n")); err == nil {
-		t.Error("expected conversion error")
-	}
-}
-
 // --- SDSB codec: the implementation it replaced, kept as the test oracle ---
 
 // oracleWriteMatrixBinaryTo is the previous encoder: one Slice copy and one

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -224,41 +223,13 @@ func chunkWorkers(num, threads, cells int) int {
 }
 
 // runChunks executes fn(worker, chunk, r0, r1) for every fixed chunk of
-// [0, rows), on nw workers. Chunks are claimed dynamically but identified by
-// index, so chunk-order combination stays deterministic.
+// [0, rows), on nw workers of ParallelFor. Chunks are claimed dynamically but
+// identified by index, so chunk-order combination stays deterministic.
 func runChunks(rows, num, size, nw int, fn func(worker, chunk, r0, r1 int)) {
-	if num == 0 {
-		return
-	}
-	bounds := func(ci int) (int, int) {
-		r0 := ci * size
-		r1 := min(r0+size, rows)
-		return r0, r1
-	}
-	if nw <= 1 {
-		for ci := 0; ci < num; ci++ {
-			r0, r1 := bounds(ci)
-			fn(0, ci, r0, r1)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= num {
-					return
-				}
-				r0, r1 := bounds(ci)
-				fn(w, ci, r0, r1)
-			}
-		}(w)
-	}
-	wg.Wait()
+	_ = ParallelFor(num, nw, func(w, ci int) error {
+		fn(w, ci, ci*size, min(ci*size+size, rows))
+		return nil
+	})
 }
 
 // --- the row-at-a-time evaluator ------------------------------------------------

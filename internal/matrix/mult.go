@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -59,37 +58,24 @@ func asDense(m *MatrixBlock) *MatrixBlock {
 	return out
 }
 
-// parallelRows partitions [0, rows) into contiguous chunks and runs fn on
-// each chunk in its own goroutine. Rows are distributed evenly: chunk sizes
-// differ by at most one row and exactly min(threads, rows) workers launch, so
-// no worker receives a short or empty chunk. Chunk boundaries depend only on
-// (rows, threads); every kernel built on parallelRows writes disjoint output
-// cells with a fixed per-cell order, so results do not depend on the
+// parallelRows partitions [0, rows) into min(threads, rows) contiguous chunks
+// and runs fn on each through ParallelFor. Chunk sizes differ by at most one
+// row, so no worker receives a short or empty chunk. Chunk boundaries depend
+// only on (rows, threads); every kernel built on parallelRows writes disjoint
+// output cells with a fixed per-cell order, so results do not depend on the
 // partition at all.
 func parallelRows(rows, threads int, fn func(r0, r1 int)) {
-	if threads <= 1 || rows <= 1 {
-		fn(0, rows)
-		return
-	}
-	if threads > rows {
-		threads = rows
-	}
-	base, rem := rows/threads, rows%threads
-	var wg sync.WaitGroup
-	r0 := 0
-	for t := 0; t < threads; t++ {
+	n := max(1, min(threads, rows))
+	base, rem := rows/n, rows%n
+	_ = ParallelFor(n, n, func(_, t int) error {
+		r0 := t*base + min(t, rem)
 		r1 := r0 + base
 		if t < rem {
 			r1++
 		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			fn(r0, r1)
-		}(r0, r1)
-		r0 = r1
-	}
-	wg.Wait()
+		fn(r0, r1)
+		return nil
+	})
 }
 
 // countRowRangeNNZ counts the non-zeros of rows [r0, r1) of a dense n-column
@@ -348,45 +334,40 @@ func tsmm(x *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
 	return out
 }
 
+// tsmmChunks returns the row chunking of a TSMM over m rows: chunks of
+// ceil(m / min(threads, m)) rows, the last one possibly short. Each chunk
+// accumulates a private upper triangle and the partials are summed in chunk
+// order, so unlike GEMM the result bits depend on the thread count.
+func tsmmChunks(m, threads int) (size, num int) {
+	if m == 0 {
+		return 0, 0
+	}
+	size = (m + min(threads, m) - 1) / min(threads, m)
+	return size, (m + size - 1) / size
+}
+
 func tsmmDense(x, out *MatrixBlock, threads int, kern gemmKernel) {
 	m, n := x.rows, x.cols
 	xv := x.dense
-	// Each worker accumulates a private upper-triangular result over a chunk
-	// of rows (through the tiled engine for chunks above the crossover, the
-	// simple triangular loop below it — identical per-cell ascending-row
-	// accumulation order either way); partial results are summed in chunk
-	// order at the end.
-	numChunks := threads
-	if numChunks > m {
-		numChunks = max(1, m)
-	}
-	partials := make([]*gemmBuf, numChunks)
-	chunk := (m + numChunks - 1) / numChunks
-	var wg sync.WaitGroup
-	for t := 0; t < numChunks; t++ {
-		r0 := t * chunk
-		if r0 >= m {
-			break
+	// per chunk through the tiled engine above the crossover, the simple
+	// triangular loop below it — identical per-cell ascending-row
+	// accumulation order either way
+	size, num := tsmmChunks(m, threads)
+	partials := make([]*gemmBuf, num)
+	_ = ParallelFor(num, threads, func(_, t int) error {
+		r0 := t * size
+		r1 := min(r0+size, m)
+		buf := gemmZeroBuf(n * n)
+		if tsmmUseTiled(kern, r1-r0, n) {
+			tsmmTiledChunk(buf.f, xv, n, r0, r1)
+		} else {
+			tsmmSimpleChunk(buf.f, xv, n, r0, r1)
 		}
-		r1 := min(r0+chunk, m)
-		wg.Add(1)
-		go func(t, r0, r1 int) {
-			defer wg.Done()
-			buf := gemmZeroBuf(n * n)
-			if tsmmUseTiled(kern, r1-r0, n) {
-				tsmmTiledChunk(buf.f, xv, n, r0, r1)
-			} else {
-				tsmmSimpleChunk(buf.f, xv, n, r0, r1)
-			}
-			partials[t] = buf
-		}(t, r0, r1)
-	}
-	wg.Wait()
+		partials[t] = buf
+		return nil
+	})
 	cv := out.dense
 	for _, p := range partials {
-		if p == nil {
-			continue
-		}
 		for i := range cv {
 			cv[i] += p.f[i]
 		}
@@ -417,42 +398,25 @@ func tsmmSimpleChunk(buf, xv []float64, n, r0, r1 int) {
 func tsmmSparse(x, out *MatrixBlock, threads int) {
 	m, n := x.rows, x.cols
 	s := x.csr()
-	numChunks := threads
-	if numChunks > m {
-		numChunks = max(1, m)
-	}
-	partials := make([][]float64, numChunks)
-	chunk := (m + numChunks - 1) / numChunks
-	var wg sync.WaitGroup
-	for t := 0; t < numChunks; t++ {
-		r0 := t * chunk
-		if r0 >= m {
-			break
-		}
-		r1 := min(r0+chunk, m)
-		wg.Add(1)
-		go func(t, r0, r1 int) {
-			defer wg.Done()
-			buf := make([]float64, n*n)
-			for r := r0; r < r1; r++ {
-				lo, hi := s.RowPtr[r], s.RowPtr[r+1]
-				for p := lo; p < hi; p++ {
-					ci, vi := s.ColIdx[p], s.Values[p]
-					bi := buf[ci*n:]
-					for q := p; q < hi; q++ {
-						bi[s.ColIdx[q]] += float64(vi * s.Values[q])
-					}
+	size, num := tsmmChunks(m, threads)
+	partials := make([][]float64, num)
+	_ = ParallelFor(num, threads, func(_, t int) error {
+		buf := make([]float64, n*n)
+		for r := t * size; r < min((t+1)*size, m); r++ {
+			lo, hi := s.RowPtr[r], s.RowPtr[r+1]
+			for p := lo; p < hi; p++ {
+				ci, vi := s.ColIdx[p], s.Values[p]
+				bi := buf[ci*n:]
+				for q := p; q < hi; q++ {
+					bi[s.ColIdx[q]] += float64(vi * s.Values[q])
 				}
 			}
-			partials[t] = buf
-		}(t, r0, r1)
-	}
-	wg.Wait()
+		}
+		partials[t] = buf
+		return nil
+	})
 	cv := out.dense
 	for _, p := range partials {
-		if p == nil {
-			continue
-		}
 		for i := range cv {
 			cv[i] += p[i]
 		}

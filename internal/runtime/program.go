@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -387,6 +386,9 @@ func (b *ForBlock) iterationValues(ctx *Context) ([]float64, error) {
 // executeParallel is the local parfor backend: iterations are assigned to
 // workers round-robin, every worker runs on a copy-on-write child context,
 // and results are merged with compare-and-set against the pre-loop state.
+// Worker w is task w of matrix.ParallelFor and owns iterations w, w+k, …
+// (mergeResults depends on that assignment), so a failing loop reports the
+// error of the lowest-numbered failing worker.
 func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
 	workers := ctx.Config.Threads()
 	if workers > len(values) {
@@ -407,39 +409,32 @@ func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
 			child.ReleaseVars()
 		}
 	}()
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
+	for w := range children {
 		children[w] = ctx.ChildCopy()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			child := children[w]
-			last := -1
-			for i := w; i < len(values); i += workers {
-				child.Set(b.Var, NewDouble(values[i]))
-				for _, blk := range b.Body {
-					if err := blk.Execute(child); err != nil {
-						errCh <- fmt.Errorf("parfor worker %d (iteration %v): %w", w, values[i], err)
-						return
-					}
-				}
-				last = i
-			}
-			vars := map[string]Data{}
-			for _, rv := range b.ResultVars {
-				if d, err := child.Get(rv); err == nil {
-					vars[rv] = d
-				}
-			}
-			results[w] = workerResult{lastIter: last, vars: vars}
-		}(w)
 	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	err := matrix.ParallelFor(workers, workers, func(_, w int) error {
+		child := children[w]
+		last := -1
+		for i := w; i < len(values); i += workers {
+			child.Set(b.Var, NewDouble(values[i]))
+			for _, blk := range b.Body {
+				if err := blk.Execute(child); err != nil {
+					return fmt.Errorf("parfor worker %d (iteration %v): %w", w, values[i], err)
+				}
+			}
+			last = i
+		}
+		vars := map[string]Data{}
+		for _, rv := range b.ResultVars {
+			if d, err := child.Get(rv); err == nil {
+				vars[rv] = d
+			}
+		}
+		results[w] = workerResult{lastIter: last, vars: vars}
+		return nil
+	})
+	if err != nil {
 		return err
-	default:
 	}
 	// result merge; merged variables get a fresh lineage leaf (unique per
 	// merge) so downstream consumers are never answered from stale cache
