@@ -1,7 +1,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: all build vet lint test race fuzz-smoke bench bench-compare bench-kernels trace-check
+.PHONY: all build vet lint test race fuzz-smoke bench bench-compare bench-kernels
 
 all: lint build test
 
@@ -30,9 +30,11 @@ test:
 # miss counts pinned), the worker pool repeated (every task once, no more
 # goroutines than tasks, the lowest failed task's error, a panic recovered by
 # the caller with no goroutine left behind; parfor reporting the lowest
-# failing worker's error), the buffer-pool liveness and budget-differential tests
-# repeated (reference counts across contexts, parfor workers and the reuse
-# cache; outputs bitwise-equal from 1/4 of the working set to no limit), and a
+# failing worker's error), the run statistics repeated (parfor workers and
+# function scopes counting into their run's one RunStats), the buffer-pool
+# liveness and budget-differential tests repeated (reference counts across
+# contexts, parfor workers and the reuse cache; outputs bitwise-equal from 1/4
+# of the working set to no limit), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers (internal/matrix), the deep compressed kernels — TSMM and
 # matrix right-hand side (internal/compress) — and the partitioned dist MV
@@ -42,6 +44,7 @@ race:
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
 	$(GO) test -race -run 'TestReuseLoopCostsLikeReuseOff|TestCacheSharedByWorkers|TestSteplmReuseIsBitwiseEqual' -count=3 . ./internal/lineage/ ./internal/core/
 	$(GO) test -race -run 'TestParallelFor|TestParforErrorIsTheLowestWorkers' -count=3 ./internal/matrix/ ./internal/core/
+	$(GO) test -race -run 'TestChildContextsCountIntoTheRun' -count=3 ./internal/core/
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
@@ -57,17 +60,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
-
-# Observability acceptance gate: run the traced lm-loop scenario end to end
-# (distributed backend forced by a small memory budget, compression site
-# planted) with -trace and -stats, then validate the exported Chrome trace —
-# well-formed JSON, resolvable parents, strict per-lane nesting, instruction
-# spans covering >= 90% of the run span — and reconcile the heavy-hitter
-# footer against the trace within 20%.
-trace-check:
-	$(GO) run ./cmd/sysds -f scripts/lm_trace.dml -compress -distributed -mem-budget 65536 \
-		-trace /tmp/sysds-trace.json -stats -print s > /tmp/sysds-stats.txt
-	$(GO) run ./cmd/tracecheck -trace /tmp/sysds-trace.json -stats /tmp/sysds-stats.txt
 
 # The repo's benchmark (bench/, a module of its own; see bench/README.md):
 # all eight script-level workloads, every end-to-end and per-layer metric by

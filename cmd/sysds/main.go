@@ -166,49 +166,48 @@ func main() {
 	}
 }
 
-// printExecStats renders the full execution-statistics picture of the run:
-// reuse cache, buffer pool, distributed backend, fused operators, compression
-// and persistent lineage store counters, followed by the per-opcode
-// heavy-hitter table from the span tracer.
+// printExecStats renders the full execution-statistics picture of the run
+// from its one statistics value: reuse cache, buffer pool, distributed
+// backend, fused operators, compression and persistent lineage store
+// counters, followed by the per-opcode heavy-hitter table from the span
+// tracer.
 func printExecStats(ctx *systemds.Context, persist bool) {
-	cs := ctx.CacheStats()
+	stats := ctx.LastRunStats()
+	cs := stats.CacheStats
 	fmt.Printf("reuse cache: hits=%d misses=%d puts=%d evictions=%d\n",
 		cs.Hits, cs.Misses, cs.Puts, cs.Evictions)
-	stats := ctx.LastRunStats()
-	if stats != nil {
-		fmt.Printf("buffer pool: evictions=%d cleanDrops=%d restores=%d spilt=%dB blocksRestored=%d blocksSkipped=%d\n",
-			stats.PoolStats.Evictions, stats.PoolStats.CleanDrops, stats.PoolStats.Restores, stats.PoolStats.BytesSpilt,
-			stats.PoolStats.BlocksRestored, stats.PoolStats.BlocksSkipped)
-		fmt.Printf("distributed: partitions=%d collects=%d blockedOps=%d\n",
-			stats.DistStats.Partitions, stats.DistStats.Collects, stats.DistStats.BlockedOps)
-		fmt.Printf("fused ops: mmchain=%d cellwiseAgg=%d cellwise=%d\n",
-			stats.FusedStats.MMChainOps, stats.FusedStats.FusedAggOps, stats.FusedStats.FusedCellOps)
-		co := stats.CompressStats
-		fmt.Printf("compression: compressed=%d rejected=%d compressedOps=%d decompressions=%d bytes=%d->%d\n",
-			co.Compressions, co.Rejected, co.CompressedOps, co.Decompressions,
-			co.BytesUncompressed, co.BytesCompressed)
-		if len(co.DecompressionsByOp) > 0 {
-			ops := make([]string, 0, len(co.DecompressionsByOp))
-			for op := range co.DecompressionsByOp {
-				ops = append(ops, op)
-			}
-			sort.Strings(ops)
-			parts := make([]string, len(ops))
-			for i, op := range ops {
-				parts[i] = fmt.Sprintf("%s=%d", op, co.DecompressionsByOp[op])
-			}
-			fmt.Printf("decompressions by op: %s\n", strings.Join(parts, " "))
+	fmt.Printf("buffer pool: evictions=%d cleanDrops=%d restores=%d spilt=%dB blocksRestored=%d blocksSkipped=%d\n",
+		stats.PoolStats.Evictions, stats.PoolStats.CleanDrops, stats.PoolStats.Restores, stats.PoolStats.BytesSpilt,
+		stats.PoolStats.BlocksRestored, stats.PoolStats.BlocksSkipped)
+	fmt.Printf("distributed: partitions=%d collects=%d blockedOps=%d\n",
+		stats.DistStats.Partitions, stats.DistStats.Collects, stats.DistStats.BlockedOps)
+	fmt.Printf("fused ops: mmchain=%d cellwiseAgg=%d cellwise=%d\n",
+		stats.FusedStats.MMChainOps, stats.FusedStats.FusedAggOps, stats.FusedStats.FusedCellOps)
+	co := stats.CompressStats
+	fmt.Printf("compression: compressed=%d rejected=%d compressedOps=%d decompressions=%d bytes=%d->%d\n",
+		co.Compressions, co.Rejected, co.CompressedOps, co.Decompressions,
+		co.BytesUncompressed, co.BytesCompressed)
+	if len(co.DecompressionsByOp) > 0 {
+		ops := make([]string, 0, len(co.DecompressionsByOp))
+		for op := range co.DecompressionsByOp {
+			ops = append(ops, op)
 		}
-		fmt.Printf("plan records: %d (dropped=%d)\n", len(stats.PlanStats), stats.PlanRecordsDropped)
+		sort.Strings(ops)
+		parts := make([]string, len(ops))
+		for i, op := range ops {
+			parts[i] = fmt.Sprintf("%s=%d", op, co.DecompressionsByOp[op])
+		}
+		fmt.Printf("decompressions by op: %s\n", strings.Join(parts, " "))
 	}
+	fmt.Printf("plan records: %d (dropped=%d)\n", len(stats.PlanStats), stats.PlanRecordsDropped)
 	if persist {
-		ls := ctx.LineageStoreStats()
+		ls := stats.LineageStore
 		fmt.Printf("lineage store: files=%d bytes=%d hits=%d misses=%d puts=%d evictions=%d corrupt=%d\n",
 			ls.Files, ls.Bytes, ls.Hits, ls.Misses, ls.Puts, ls.Evictions, ls.CorruptDropped)
 	}
 	if recs := ctx.Trace(); len(recs) > 0 {
 		fmt.Print(systemds.FormatHeavyHitters(recs, 15))
-		if stats != nil && stats.TraceDropped > 0 {
+		if stats.TraceDropped > 0 {
 			fmt.Printf("trace spans dropped after record cap: %d\n", stats.TraceDropped)
 		}
 	}

@@ -35,7 +35,7 @@ var deterministicPkgs = map[string]bool{
 }
 
 // deterministicCmds are the commands whose stdout must be reproducible run to
-// run (the verify flows and `make trace-check` diff what sysds prints);
+// run (the verify flows diff what sysds prints);
 // maporder polices them like deterministicPkgs. Entries match as import-path
 // suffixes.
 var deterministicCmds = []string{"cmd/sysds"}

@@ -49,23 +49,16 @@ const defaultPersistentBudget = int64(4) << 30
 // entry.
 var runNonce atomic.Int64
 
-// Stats reports execution statistics of one script run.
+// Stats reports execution statistics of one script run: the run's own
+// counters (RunStats, promoted: DistStats, FusedStats, CompressStats,
+// PlanStats, PlanRecordsDropped) beside the counters of the components the
+// engine shares across runs.
 type Stats struct {
+	runtime.RunStats
 	// CacheStats are the engine's cumulative reuse-cache counters (the cache
 	// is shared by every run on the engine), not this run's alone.
 	CacheStats lineage.CacheStats
 	PoolStats  bufferpool.Stats
-	DistStats  runtime.DistStats
-	FusedStats runtime.FusedStats
-	// PlanStats records, per executed distributed operator, the physical plan
-	// the compiler chose and its estimated vs actual output bytes. The
-	// recorder is capped; PlanRecordsDropped counts records past the cap.
-	PlanStats          []runtime.PlanRecord
-	PlanRecordsDropped int64
-	// CompressStats reports compressed-linear-algebra activity: compressions,
-	// planner rejections, operators executed directly on compressed data, and
-	// transparent decompress fallbacks.
-	CompressStats runtime.CompressStats
 	// LineageStore reports the engine's cumulative persistent lineage-store
 	// counters since it opened the store, not this run's alone (zero value
 	// when persistence is off).
@@ -172,7 +165,8 @@ func (e *Engine) Compile(script string, inputs map[string]any) (*runtime.Program
 }
 
 // Run executes a compiled program with the given inputs and returns the
-// requested outputs.
+// requested outputs. A failed run still records its statistics, up to the
+// failure, for LastRunStats.
 func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []string) (map[string]any, *Stats, error) {
 	ctx := runtime.NewContext(e.cfg)
 	ctx.Cache = e.cache
@@ -183,6 +177,7 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 	for name, v := range inputs {
 		d, err := toRuntimeData(v, ctx)
 		if err != nil {
+			e.recordStats(ctx, false)
 			return nil, nil, fmt.Errorf("core: input %q: %w", name, err)
 		}
 		ctx.Set(name, d)
@@ -196,7 +191,7 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 		obs.Enable()
 	}
 	runSp := obs.Begin(obs.CatRun, "run")
-	execErr := prog.Execute(ctx)
+	err := prog.Execute(ctx)
 	runSp.End()
 	if e.cfg.TraceEnabled {
 		// stop emission but keep the records: TraceRecords/WriteTrace read
@@ -204,38 +199,53 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 		// extraction below won't smear extra spans past the run span
 		obs.Disable()
 	}
-	if execErr != nil {
-		return nil, nil, execErr
+	var results map[string]any
+	if err == nil {
+		results, err = outputsOf(ctx, outputs)
 	}
+	stats := e.recordStats(ctx, e.cfg.TraceEnabled)
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, stats, nil
+}
+
+// outputsOf extracts the named outputs from the final symbol table.
+func outputsOf(ctx *runtime.Context, outputs []string) (map[string]any, error) {
 	results := map[string]any{}
 	for _, name := range outputs {
 		d, err := ctx.Get(name)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: output %q was not produced by the script", name)
+			return nil, fmt.Errorf("core: output %q was not produced by the script", name)
 		}
-		v, err := fromRuntimeData(d)
+		v, err := fromRuntimeData(ctx, d)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: output %q: %w", name, err)
+			return nil, fmt.Errorf("core: output %q: %w", name, err)
 		}
 		results[name] = v
 	}
-	plans, plansDropped := ctx.PlanStats()
-	stats := &Stats{CacheStats: ctx.Cache.Stats(), PoolStats: ctx.Pool.Stats(), DistStats: ctx.DistStats(),
-		FusedStats: ctx.FusedStats(), PlanStats: plans, PlanRecordsDropped: plansDropped,
-		CompressStats: ctx.CompressStats(), LineageStore: e.store.Stats()}
-	if e.cfg.TraceEnabled {
+	return results, nil
+}
+
+// recordStats makes the run's statistics the engine's last; traced says
+// whether this run's spans are in the tracer.
+func (e *Engine) recordStats(ctx *runtime.Context, traced bool) *Stats {
+	stats := &Stats{RunStats: ctx.Stats(), CacheStats: ctx.Cache.Stats(), PoolStats: ctx.Pool.Stats(),
+		LineageStore: e.store.Stats()}
+	if traced {
 		stats.OpMetrics = obs.Aggregate(obs.Resolve(obs.Snapshot()))
 		stats.TraceDropped = obs.Dropped()
 	}
 	e.statsMu.Lock()
 	e.lastStats = stats
 	e.statsMu.Unlock()
-	return results, stats, nil
+	return stats
 }
 
-// LastRunStats returns the statistics of the most recent Run on this engine
-// (nil before the first run). The public API's Execute discards the per-call
-// stats value; this accessor is how the CLI and embedders get at it.
+// LastRunStats returns the statistics of the most recent Run on this engine,
+// failed or not (nil before the first run). The public API's Execute discards
+// the per-call stats value; this accessor is how the CLI and embedders get at
+// it.
 func (e *Engine) LastRunStats() *Stats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
@@ -334,7 +344,7 @@ func toRuntimeData(v any, ctx *runtime.Context) (runtime.Data, error) {
 }
 
 // fromRuntimeData converts a runtime data object to an API value.
-func fromRuntimeData(d runtime.Data) (any, error) {
+func fromRuntimeData(ctx *runtime.Context, d runtime.Data) (any, error) {
 	switch x := d.(type) {
 	case *runtime.Scalar:
 		switch x.VT {
@@ -351,8 +361,8 @@ func fromRuntimeData(d runtime.Data) (any, error) {
 		return x.Fed, nil
 	case runtime.MatrixData:
 		// API outputs are sinks: blocked matrices collect here, compressed
-		// ones decompress (counted)
-		return x.LocalFor("output")
+		// ones decompress (counted by this run)
+		return x.LocalFor(ctx, "output")
 	case *runtime.ListObject:
 		return x, nil
 	default:

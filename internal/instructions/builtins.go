@@ -419,7 +419,7 @@ func resolveFrame(ctx *runtime.Context, op Operand) (*frame.FrameBlock, error) {
 	case *runtime.FrameObject:
 		return v.Frame, nil
 	case runtime.MatrixData:
-		blk, err := v.LocalFor("frame")
+		blk, err := v.LocalFor(ctx, "frame")
 		if err != nil {
 			return nil, err
 		}

@@ -43,12 +43,17 @@ func (i *CompressInst) Execute(ctx *runtime.Context) error {
 	}
 	cm, _, accepted := compress.Compress(blk, compress.PlannerConfig{}, ctx.Config.Threads())
 	if !accepted {
-		ctx.CountCompressionRejected()
+		ctx.Count(func(s *runtime.RunStats) { s.CompressStats.Rejected++ })
 		ctx.RecordPlan(i.opcode, "reject", i.EstBytes, blk.InMemorySize())
 		ctx.Set(i.outs[0], d)
 		return nil
 	}
-	ctx.CountCompression(blk.InMemorySize(), cm.InMemorySize())
+	uncompressed, compressed := blk.InMemorySize(), cm.InMemorySize()
+	ctx.Count(func(s *runtime.RunStats) {
+		s.CompressStats.Compressions++
+		s.CompressStats.BytesUncompressed += uncompressed
+		s.CompressStats.BytesCompressed += compressed
+	})
 	ctx.RecordPlan(i.opcode, cm.EncodingSummary(), i.EstBytes, cm.InMemorySize())
 	ctx.SetCompressed(i.outs[0], cm)
 	return nil

@@ -46,7 +46,7 @@ func resolveBlockedData(ctx *runtime.Context, d runtime.Data, o Operand) (*dist.
 	if err != nil {
 		return nil, err
 	}
-	ctx.CountDistPartition()
+	ctx.Count(func(s *runtime.RunStats) { s.DistStats.Partitions++ })
 	bm, err := dist.FromMatrixBlock(blk, bs)
 	if err != nil {
 		return nil, err
@@ -90,13 +90,13 @@ func resolveBlockedPair(ctx *runtime.Context, a, b Operand) (*dist.BlockedMatrix
 // blocked instruction set, not just matmults.
 func bindBlockedResult(ctx *runtime.Context, name string, bm *dist.BlockedMatrix, keepBlocked bool,
 	op, plan string, estBytes int64) error {
-	ctx.CountBlockedOp()
+	ctx.Count(func(s *runtime.RunStats) { s.DistStats.BlockedOps++ })
 	ctx.RecordPlan(op, plan, estBytes, bm.InMemorySize())
 	if keepBlocked {
 		ctx.SetBlocked(name, bm)
 		return nil
 	}
-	ctx.CountDistCollect()
+	ctx.Count(func(s *runtime.RunStats) { s.DistStats.Collects++ })
 	local, err := bm.ToMatrixBlock()
 	if err != nil {
 		return err

@@ -54,7 +54,7 @@ func mapCompressed(ctx *runtime.Context, co *runtime.CompressedMatrixObject, out
 	if err != nil {
 		return err
 	}
-	ctx.CountCompressedOp()
+	ctx.Count(func(s *runtime.RunStats) { s.CompressStats.CompressedOps++ })
 	ctx.SetCompressed(out, cm.MapValues(fn, ctx.Config.Threads()))
 	return nil
 }
@@ -88,7 +88,7 @@ func (i *FusedAggInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return fmt.Errorf("instructions: %s: %w", i.opcode, err)
 	}
-	ctx.CountFusedAgg()
+	ctx.Count(func(s *runtime.RunStats) { s.FusedStats.FusedAggOps++ })
 	switch i.Agg {
 	case matrix.AggSum, matrix.AggMin, matrix.AggMax:
 		ctx.Set(i.outs[0], runtime.NewDouble(res.Get(0, 0)))
@@ -122,7 +122,7 @@ func (i *FusedCellInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return err
 	}
-	ctx.CountFusedCell()
+	ctx.Count(func(s *runtime.RunStats) { s.FusedStats.FusedCellOps++ })
 	if co != nil {
 		return mapCompressed(ctx, co, i.outs[0], i.Prog, cargs, driver)
 	}

@@ -76,7 +76,7 @@ func transposeView(ctx *runtime.Context, d runtime.Data) (runtime.Data, bool) {
 	}
 	switch repOf(d) {
 	case repCompressed:
-		ctx.CountCompressedOp()
+		ctx.Count(func(s *runtime.RunStats) { s.CompressStats.CompressedOps++ })
 	case repFederated:
 	default:
 		return nil, false
@@ -268,12 +268,12 @@ func (c *mmCall) run(row *mmRow) error {
 		}
 	}
 	if row.locals&xLocal != 0 {
-		if c.xb, err = runtime.LocalBlockOf(c.x.Name, c.xd, c.opcode); err != nil {
+		if c.xb, err = runtime.LocalBlockOf(c.ctx, c.x.Name, c.xd, c.opcode); err != nil {
 			return err
 		}
 	}
 	if row.locals&yLocal != 0 {
-		if c.yb, err = runtime.LocalBlockOf(c.y.Name, c.yd, c.opcode); err != nil {
+		if c.yb, err = runtime.LocalBlockOf(c.ctx, c.y.Name, c.yd, c.opcode); err != nil {
 			return err
 		}
 	}
@@ -295,10 +295,10 @@ func (c *mmCall) run(row *mmRow) error {
 		return err
 	}
 	if c.cm != nil {
-		c.ctx.CountCompressedOp()
+		c.ctx.Count(func(s *runtime.RunStats) { s.CompressStats.CompressedOps++ })
 	}
 	if c.fused {
-		c.ctx.CountMMChain()
+		c.ctx.Count(func(s *runtime.RunStats) { s.FusedStats.MMChainOps++ })
 	}
 	tag := row.tag
 	if c.tag != "" {
@@ -311,7 +311,7 @@ func (c *mmCall) run(row *mmRow) error {
 		return bindBlockedResult(c.ctx, c.out, c.blocked, c.BlockedOut, c.opcode, tag, c.EstBytes)
 	}
 	if row.where == inDist {
-		c.ctx.CountBlockedOp()
+		c.ctx.Count(func(s *runtime.RunStats) { s.DistStats.BlockedOps++ })
 	}
 	if tag != "" {
 		c.ctx.RecordPlan(c.opcode, tag, c.EstBytes, res.InMemorySize())
@@ -374,7 +374,7 @@ func distMatMult(c *mmCall) (*matrix.MatrixBlock, error) {
 		if err != nil {
 			return nil, err
 		}
-		yb, err := runtime.LocalBlockOf(c.y.Name, c.yd, c.opcode)
+		yb, err := runtime.LocalBlockOf(c.ctx, c.y.Name, c.yd, c.opcode)
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +382,7 @@ func distMatMult(c *mmCall) (*matrix.MatrixBlock, error) {
 			return nil, err
 		}
 	case types.MMBroadcastLeft:
-		xb, err := runtime.LocalBlockOf(c.x.Name, c.xd, c.opcode)
+		xb, err := runtime.LocalBlockOf(c.ctx, c.x.Name, c.xd, c.opcode)
 		if err != nil {
 			return nil, err
 		}

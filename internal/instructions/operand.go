@@ -85,7 +85,7 @@ func (o Operand) MatrixBlock(ctx *runtime.Context) (*matrix.MatrixBlock, error) 
 // read forces a fallback decompression of a compressed variable.
 func (o Operand) MatrixBlockFor(ctx *runtime.Context, op string) (*matrix.MatrixBlock, error) {
 	if o.IsLit {
-		return runtime.LocalBlockOf("", o.Lit, op)
+		return runtime.LocalBlockOf(ctx, "", o.Lit, op)
 	}
 	return ctx.GetMatrixBlockFor(o.Name, op)
 }

@@ -261,7 +261,7 @@ func (i *AggInst) tryCompressed(ctx *runtime.Context, co *runtime.CompressedMatr
 	default:
 		return false, nil
 	}
-	ctx.CountCompressedOp()
+	ctx.Count(func(s *runtime.RunStats) { s.CompressStats.CompressedOps++ })
 	return true, nil
 }
 
@@ -292,7 +292,7 @@ func (i *AggInst) tryDistributed(ctx *runtime.Context, d runtime.Data) error {
 		if err != nil {
 			return err
 		}
-		ctx.CountBlockedOp()
+		ctx.Count(func(s *runtime.RunStats) { s.DistStats.BlockedOps++ })
 		ctx.RecordPlan(i.opcode, "dist", i.EstBytes, 64)
 		ctx.Set(i.outs[0], runtime.NewDouble(v))
 		return nil

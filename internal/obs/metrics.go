@@ -124,9 +124,9 @@ func TopK(ms []OpMetric, k int) []OpMetric {
 
 // FormatHeavyHitters renders a SystemDS-style top-K heavy-hitter report from
 // raw records: resolves parents, aggregates per opcode, and appends run
-// wall-time and instruction-coverage footer lines (parsed by
-// cmd/tracecheck's reconciliation check — keep the "run wall time" and
-// "total instruction time" labels stable).
+// wall-time and instruction-coverage footer lines (the same sums that
+// core's TestTracedCompressedLmRun reconciles against the run span — keep the
+// "run wall time" and "total instruction time" labels stable).
 func FormatHeavyHitters(recs []Record, k int) string {
 	resolved := Resolve(recs)
 	ms := Aggregate(resolved)

@@ -181,8 +181,8 @@ func TestGraft(t *testing.T) {
 	}
 }
 
-// TestFormatHeavyHitters checks the report shape and footer labels that
-// cmd/tracecheck parses.
+// TestFormatHeavyHitters checks the report shape and the footer labels that
+// -stats prints.
 func TestFormatHeavyHitters(t *testing.T) {
 	recs := []Record{
 		{ID: 1, Parent: 0, Cat: CatRun, Name: "run", Start: 0, Dur: 1_000_000},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/dist"
@@ -12,65 +11,6 @@ import (
 	"github.com/systemds/systemds-go/internal/obs"
 	"github.com/systemds/systemds-go/internal/types"
 )
-
-// DistStats is a snapshot of the distributed-backend counters of one context
-// tree: how often a local matrix was partitioned into blocked form, how often
-// a blocked matrix was collected back into a local block, and how many
-// operators executed on the blocked backend. A chain of N blocked operators
-// should cost one partition and at most one collect, not N of each.
-type DistStats struct {
-	Partitions int64
-	Collects   int64
-	BlockedOps int64
-}
-
-// distCounters is the shared mutable counter state behind DistStats; child
-// contexts share their parent's counters.
-type distCounters struct {
-	partitions atomic.Int64
-	collects   atomic.Int64
-	blockedOps atomic.Int64
-}
-
-func (c *distCounters) snapshot() DistStats {
-	if c == nil {
-		return DistStats{}
-	}
-	return DistStats{
-		Partitions: c.partitions.Load(),
-		Collects:   c.collects.Load(),
-		BlockedOps: c.blockedOps.Load(),
-	}
-}
-
-// FusedStats is a snapshot of the fused-operator hit counters of one context
-// tree: how many fused mmchain (both chain shapes and the transpose-free
-// t(X) %*% Y), fused cellwise-aggregate and fused cellwise-chain instructions
-// executed (the fusion analogue of DistStats, surfaced through core.Stats).
-type FusedStats struct {
-	MMChainOps   int64
-	FusedAggOps  int64
-	FusedCellOps int64
-}
-
-// fusedCounters is the shared mutable counter state behind FusedStats; child
-// contexts share their parent's counters.
-type fusedCounters struct {
-	mmchain   atomic.Int64
-	fusedAgg  atomic.Int64
-	fusedCell atomic.Int64
-}
-
-func (c *fusedCounters) snapshot() FusedStats {
-	if c == nil {
-		return FusedStats{}
-	}
-	return FusedStats{
-		MMChainOps:   c.mmchain.Load(),
-		FusedAggOps:  c.fusedAgg.Load(),
-		FusedCellOps: c.fusedCell.Load(),
-	}
-}
 
 // BlockedMatrixObject is the first-class runtime handle of a blocked
 // ("distributed") matrix: it flows through the symbol table like any other
@@ -94,17 +34,15 @@ type BlockedMatrixObject struct {
 	// reader-held view (like a block handed out by MatrixObject.Acquire) and
 	// deliberately not part of MemorySize; eviction drops it.
 	local *matrix.MatrixBlock
-	ctr   *distCounters
 }
 
 // NewBlockedMatrixObject wraps a blocked matrix into a managed object and
-// registers it with the buffer pool. The counters may be nil.
-func NewBlockedMatrixObject(bm *dist.BlockedMatrix, pool *bufferpool.Pool, ctr *distCounters) *BlockedMatrixObject {
+// registers it with the buffer pool.
+func NewBlockedMatrixObject(bm *dist.BlockedMatrix, pool *bufferpool.Pool) *BlockedMatrixObject {
 	bo := &BlockedMatrixObject{
 		dc:   types.DataCharacteristics{Rows: int64(bm.Rows), Cols: int64(bm.Cols), Blocksize: bm.Blocksize, NNZ: -1},
 		bm:   bm,
 		meta: dist.BlockedMatrix{Rows: bm.Rows, Cols: bm.Cols, Blocksize: bm.Blocksize},
-		ctr:  ctr,
 	}
 	if pool != nil {
 		bo.id, bo.pool = pool.NextID(), pool
@@ -212,11 +150,10 @@ func (b *BlockedMatrixObject) Region(rl, ru, cl, cu int) (*matrix.MatrixBlock, e
 	return res.ExamineAndApplySparsity(), nil
 }
 
-// Collect assembles the blocked matrix into one local matrix block — the
-// lazy collect performed only when a CP consumer or sink needs local data.
-// The assembled block is memoized, so only the first consumer pays (and
-// counts) the collect.
-func (b *BlockedMatrixObject) Collect() (*matrix.MatrixBlock, error) {
+// LocalFor implements MatrixData: the lazy collect performed only when a CP
+// consumer or sink needs local data. The assembled block is memoized, so only
+// the first consumer pays the collect, and ctx counts it.
+func (b *BlockedMatrixObject) LocalFor(ctx *Context, _ string) (*matrix.MatrixBlock, error) {
 	b.mu.Lock()
 	if b.local != nil {
 		blk := b.local
@@ -239,17 +176,14 @@ func (b *BlockedMatrixObject) Collect() (*matrix.MatrixBlock, error) {
 	}
 	blk = b.local
 	b.mu.Unlock()
-	if won && b.ctr != nil {
-		b.ctr.collects.Add(1)
+	if won {
+		ctx.Count(func(s *RunStats) { s.DistStats.Collects++ })
 	}
 	return blk, nil
 }
 
-// LocalFor implements MatrixData.
-func (b *BlockedMatrixObject) LocalFor(string) (*matrix.MatrixBlock, error) { return b.Collect() }
-
 // collectBlocks assembles the local block from the blocked form (the
-// non-memoized part of Collect, spanned as a dist "collect" sub-phase).
+// non-memoized part of LocalFor, spanned as a dist "collect" sub-phase).
 func (b *BlockedMatrixObject) collectBlocks() (*matrix.MatrixBlock, error) {
 	bm, err := b.Blocked()
 	if err != nil {

@@ -55,8 +55,8 @@ func TestBlockedObjectSpillAndRestore(t *testing.T) {
 	if !m.Equals(got, 0) {
 		t.Error("restored blocked matrix differs from original")
 	}
-	if ctx.DistStats().Collects != 1 {
-		t.Errorf("collects = %d, want 1", ctx.DistStats().Collects)
+	if got := ctx.Stats().DistStats.Collects; got != 1 {
+		t.Errorf("collects = %d, want 1", got)
 	}
 	if ctx.Pool.Stats().Restores == 0 {
 		t.Error("expected a recorded restore")
@@ -94,12 +94,12 @@ func TestMergeResultsHandlesBlockedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origData := NewBlockedMatrixObject(obm, ctx.Pool, nil)
+	origData := NewBlockedMatrixObject(obm, ctx.Pool)
 
 	m1 := orig.Copy()
 	m1.Set(0, 0, 999)
 	bm1, _ := dist.FromMatrixBlock(m1, 4)
-	w1 := workerResult{lastIter: 1, vars: map[string]Data{"R": NewBlockedMatrixObject(bm1, ctx.Pool, nil)}}
+	w1 := workerResult{lastIter: 1, vars: map[string]Data{"R": NewBlockedMatrixObject(bm1, ctx.Pool)}}
 	m2 := orig.Copy()
 	m2.Set(5, 5, -7)
 	w2 := workerResult{lastIter: 2, vars: map[string]Data{"R": NewMatrixObject(m2, ctx.Pool)}}
@@ -142,7 +142,7 @@ func TestCollectMemoizesAndCountsOnce(t *testing.T) {
 	if a != b {
 		t.Error("repeated collects should return the memoized block")
 	}
-	if got := ctx.DistStats().Collects; got != 1 {
+	if got := ctx.Stats().DistStats.Collects; got != 1 {
 		t.Errorf("collects = %d, want 1 (memoized)", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/compress"
@@ -13,80 +12,6 @@ import (
 	"github.com/systemds/systemds-go/internal/obs"
 	"github.com/systemds/systemds-go/internal/types"
 )
-
-// CompressStats is a snapshot of the compressed-linear-algebra counters of
-// one context tree: how many matrices were compressed (and how many the
-// sample-based planner rejected), how many operators executed directly on the
-// compressed representation, and how often an unsupported operator fell back
-// to transparent decompression. An iterative workload on the compressed hot
-// path should show compressions and compressed ops but zero decompressions.
-type CompressStats struct {
-	Compressions      int64
-	Rejected          int64
-	CompressedOps     int64
-	Decompressions    int64
-	BytesUncompressed int64
-	BytesCompressed   int64
-	// DecompressionsByOp attributes each fallback decompression to the opcode
-	// (or runtime site label, e.g. "output") that triggered it, so a workload
-	// that is NOT fully on the compressed path shows exactly which operators
-	// forced materialization.
-	DecompressionsByOp map[string]int64
-}
-
-// compressCounters is the shared mutable counter state behind CompressStats;
-// child contexts share their parent's counters.
-type compressCounters struct {
-	compressions   atomic.Int64
-	rejected       atomic.Int64
-	compressedOps  atomic.Int64
-	decompressions atomic.Int64
-	bytesUncomp    atomic.Int64
-	bytesComp      atomic.Int64
-
-	mu         sync.Mutex
-	decompByOp map[string]int64
-}
-
-// countDecompression records one fallback decompression attributed to op.
-func (c *compressCounters) countDecompression(op string) {
-	if c == nil {
-		return
-	}
-	if op == "" {
-		op = "other"
-	}
-	c.decompressions.Add(1)
-	c.mu.Lock()
-	if c.decompByOp == nil {
-		c.decompByOp = map[string]int64{}
-	}
-	c.decompByOp[op]++
-	c.mu.Unlock()
-}
-
-func (c *compressCounters) snapshot() CompressStats {
-	if c == nil {
-		return CompressStats{}
-	}
-	s := CompressStats{
-		Compressions:      c.compressions.Load(),
-		Rejected:          c.rejected.Load(),
-		CompressedOps:     c.compressedOps.Load(),
-		Decompressions:    c.decompressions.Load(),
-		BytesUncompressed: c.bytesUncomp.Load(),
-		BytesCompressed:   c.bytesComp.Load(),
-	}
-	c.mu.Lock()
-	if len(c.decompByOp) > 0 {
-		s.DecompressionsByOp = make(map[string]int64, len(c.decompByOp))
-		for op, n := range c.decompByOp {
-			s.DecompressionsByOp[op] = n
-		}
-	}
-	c.mu.Unlock()
-	return s
-}
 
 // CompressedMatrixObject is the first-class runtime handle of a column-group
 // compressed matrix: it flows through the symbol table like any other matrix
@@ -110,19 +35,17 @@ type CompressedMatrixObject struct {
 	// dropped on eviction together with cm.
 	part     *dist.CompressedBlocked
 	partSize int
-	ctr      *compressCounters
 }
 
 // NewCompressedMatrixObject wraps a compressed matrix into a managed object
-// and registers it with the buffer pool. The counters may be nil.
-func NewCompressedMatrixObject(cm *compress.CompressedMatrix, pool *bufferpool.Pool, ctr *compressCounters) *CompressedMatrixObject {
+// and registers it with the buffer pool.
+func NewCompressedMatrixObject(cm *compress.CompressedMatrix, pool *bufferpool.Pool) *CompressedMatrixObject {
 	co := &CompressedMatrixObject{
 		dc: types.DataCharacteristics{
 			Rows: int64(cm.Rows()), Cols: int64(cm.Cols()),
 			Blocksize: types.DefaultBlocksize, NNZ: cm.NNZ(),
 		},
-		cm:  cm,
-		ctr: ctr,
+		cm: cm,
 	}
 	if pool != nil {
 		co.id, co.pool = pool.NextID(), pool
@@ -176,12 +99,12 @@ func (c *CompressedMatrixObject) Compressed() (*compress.CompressedMatrix, error
 }
 
 // LocalFor implements MatrixData with the transparent fallback for consumers
-// without a compressed kernel: the decompressed block, memoized, and counted
-// against the triggering opcode (or site label) in the per-opcode
+// without a compressed kernel: the decompressed block, memoized, and counted by
+// ctx against the triggering opcode (or site label) in the per-opcode
 // decompression counters. Only the consumer that wins the memoization race is
 // charged — repeated fallback reads of the same variable count once, against
 // the first opcode that needed the block.
-func (c *CompressedMatrixObject) LocalFor(op string) (*matrix.MatrixBlock, error) {
+func (c *CompressedMatrixObject) LocalFor(ctx *Context, op string) (*matrix.MatrixBlock, error) {
 	c.mu.Lock()
 	if c.local != nil {
 		blk := c.local
@@ -205,7 +128,17 @@ func (c *CompressedMatrixObject) LocalFor(op string) (*matrix.MatrixBlock, error
 	blk = c.local
 	c.mu.Unlock()
 	if won {
-		c.ctr.countDecompression(op)
+		if op == "" {
+			op = "other"
+		}
+		ctx.Count(func(s *RunStats) {
+			cs := &s.CompressStats
+			cs.Decompressions++
+			if cs.DecompressionsByOp == nil {
+				cs.DecompressionsByOp = map[string]int64{}
+			}
+			cs.DecompressionsByOp[op]++
+		})
 	}
 	return blk, nil
 }
@@ -237,14 +170,6 @@ func (c *CompressedMatrixObject) Partitioned(rowsPerPart int) (*dist.CompressedB
 	p = c.part
 	c.mu.Unlock()
 	return p, nil
-}
-
-// CountCompressedOp records one operator executed directly on the compressed
-// representation of this object.
-func (c *CompressedMatrixObject) CountCompressedOp() {
-	if c.ctr != nil {
-		c.ctr.compressedOps.Add(1)
-	}
 }
 
 // MemorySize implements bufferpool.Entry.

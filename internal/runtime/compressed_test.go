@@ -37,7 +37,7 @@ func TestCompressedObjectSpillsCompressedBytes(t *testing.T) {
 	dir := t.TempDir()
 	pool := bufferpool.New(0, dir) // no auto-eviction; we drive Evict directly
 	m, cm := compressedFixture(t)
-	co := NewCompressedMatrixObject(cm, pool, nil)
+	co := NewCompressedMatrixObject(cm, pool)
 
 	path := filepath.Join(dir, "spill.sdsc")
 	freed, written, err := co.Evict(path, false)
@@ -80,20 +80,20 @@ func TestCompressedObjectSpillsCompressedBytes(t *testing.T) {
 // consumer.
 func TestCompressedObjectDecompressMemoizedAndCounted(t *testing.T) {
 	_, cm := compressedFixture(t)
-	ctr := &compressCounters{}
-	co := NewCompressedMatrixObject(cm, nil, ctr)
-	b1, err := co.LocalFor("other")
+	ctx := NewContext(DefaultConfig())
+	co := NewCompressedMatrixObject(cm, nil)
+	b1, err := co.LocalFor(ctx, "other")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := co.LocalFor("other")
+	b2, err := co.LocalFor(ctx, "other")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b1 != b2 {
 		t.Errorf("repeated decompression did not reuse the memo")
 	}
-	if got := ctr.decompressions.Load(); got != 1 {
-		t.Errorf("decompressions = %d, want 1", got)
+	if got := ctx.Stats().CompressStats; got.Decompressions != 1 || got.DecompressionsByOp["other"] != 1 {
+		t.Errorf("decompressions = %d (by op %v), want 1 against \"other\"", got.Decompressions, got.DecompressionsByOp)
 	}
 }

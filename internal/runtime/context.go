@@ -105,18 +105,8 @@ type Context struct {
 	mu   sync.RWMutex
 	vars map[string]Data
 
-	// dist holds the distributed-backend counters, shared across child
-	// contexts (partition/collect/blocked-op accounting for one execution).
-	dist *distCounters
-	// fused holds the fused-operator hit counters, shared across child
-	// contexts.
-	fused *fusedCounters
-	// plans records the executed physical-plan decisions, shared across child
-	// contexts.
-	plans *planRecorder
-	// compressed holds the compressed-linear-algebra counters, shared across
-	// child contexts.
-	compressed *compressCounters
+	// stats is the run's statistics, shared across child contexts.
+	stats *runStats
 }
 
 // NewContext creates a root execution context.
@@ -125,15 +115,12 @@ func NewContext(cfg *Config) *Context {
 		cfg = DefaultConfig()
 	}
 	ctx := &Context{
-		Config:     cfg,
-		Lineage:    lineage.NewTracer(),
-		Pool:       bufferpool.New(cfg.BufferPoolBudget, cfg.TempDir),
-		Out:        os.Stdout,
-		vars:       map[string]Data{},
-		dist:       &distCounters{},
-		fused:      &fusedCounters{},
-		plans:      &planRecorder{},
-		compressed: &compressCounters{},
+		Config:  cfg,
+		Lineage: lineage.NewTracer(),
+		Pool:    bufferpool.New(cfg.BufferPoolBudget, cfg.TempDir),
+		Out:     os.Stdout,
+		vars:    map[string]Data{},
+		stats:   &runStats{},
 	}
 	if cfg.ReuseEnabled || cfg.PersistentLineageDir != "" {
 		ctx.Cache = lineage.NewCache(cfg.CacheBudget)
@@ -144,26 +131,24 @@ func NewContext(cfg *Config) *Context {
 }
 
 // ChildEmpty creates a child context with an empty symbol table (function
-// scopes); configuration, cache, pool, program and output are shared. The
-// scope ends with ReleaseVars.
+// scopes); configuration, cache, pool, program, output and run statistics are
+// shared. The scope ends with ReleaseVars.
 func (ctx *Context) ChildEmpty() *Context {
 	return &Context{
-		Config:     ctx.Config,
-		Lineage:    lineage.NewTracer(),
-		Cache:      ctx.Cache,
-		Pool:       ctx.Pool,
-		Prog:       ctx.Prog,
-		Out:        ctx.Out,
-		vars:       map[string]Data{},
-		dist:       ctx.dist,
-		fused:      ctx.fused,
-		plans:      ctx.plans,
-		compressed: ctx.compressed,
+		Config:  ctx.Config,
+		Lineage: lineage.NewTracer(),
+		Cache:   ctx.Cache,
+		Pool:    ctx.Pool,
+		Prog:    ctx.Prog,
+		Out:     ctx.Out,
+		vars:    map[string]Data{},
+		stats:   ctx.stats,
 	}
 }
 
 // ChildCopy creates a child context with a copied symbol table (parfor
-// workers); values are shared because they are immutable. The child holds
+// workers) that counts into the parent's run statistics; values are shared
+// because they are immutable. The child holds
 // every value it copied until its ReleaseVars.
 func (ctx *Context) ChildCopy() *Context {
 	ctx.mu.RLock()
@@ -174,107 +159,14 @@ func (ctx *Context) ChildCopy() *Context {
 	}
 	ctx.mu.RUnlock()
 	return &Context{
-		Config:     ctx.Config,
-		Lineage:    ctx.Lineage.Copy(),
-		Cache:      ctx.Cache,
-		Pool:       ctx.Pool,
-		Prog:       ctx.Prog,
-		Out:        ctx.Out,
-		vars:       vars,
-		dist:       ctx.dist,
-		fused:      ctx.fused,
-		plans:      ctx.plans,
-		compressed: ctx.compressed,
-	}
-}
-
-// DistStats returns a snapshot of the distributed-backend counters.
-func (ctx *Context) DistStats() DistStats { return ctx.dist.snapshot() }
-
-// CountDistPartition records a local-to-blocked repartition.
-func (ctx *Context) CountDistPartition() {
-	if ctx.dist != nil {
-		ctx.dist.partitions.Add(1)
-	}
-}
-
-// CountDistCollect records an eager blocked-to-local collect performed
-// outside a BlockedMatrixObject (lazy collects count themselves).
-func (ctx *Context) CountDistCollect() {
-	if ctx.dist != nil {
-		ctx.dist.collects.Add(1)
-	}
-}
-
-// CountBlockedOp records one operator executed on the blocked backend.
-func (ctx *Context) CountBlockedOp() {
-	if ctx.dist != nil {
-		ctx.dist.blockedOps.Add(1)
-	}
-}
-
-// PlanStats returns the executed physical-plan records of this context tree,
-// plus how many records were dropped once the recorder's cap was reached (so
-// a missing record is distinguishable from an operator that never ran).
-func (ctx *Context) PlanStats() ([]PlanRecord, int64) { return ctx.plans.snapshot() }
-
-// RecordPlan records one executed physical-plan decision (opcode, plan
-// string, compiler-estimated vs actual output bytes).
-func (ctx *Context) RecordPlan(op, plan string, estBytes, actualBytes int64) {
-	ctx.plans.add(PlanRecord{Op: op, Plan: plan, EstBytes: estBytes, ActualBytes: actualBytes})
-}
-
-// CompressStats returns a snapshot of the compressed-linear-algebra counters.
-func (ctx *Context) CompressStats() CompressStats { return ctx.compressed.snapshot() }
-
-// CountCompression records one accepted compression with its before/after
-// byte sizes.
-func (ctx *Context) CountCompression(uncompressedBytes, compressedBytes int64) {
-	if ctx.compressed != nil {
-		ctx.compressed.compressions.Add(1)
-		ctx.compressed.bytesUncomp.Add(uncompressedBytes)
-		ctx.compressed.bytesComp.Add(compressedBytes)
-	}
-}
-
-// CountCompressionRejected records a compression attempt the sample-based
-// planner rejected (estimated ratio below threshold).
-func (ctx *Context) CountCompressionRejected() {
-	if ctx.compressed != nil {
-		ctx.compressed.rejected.Add(1)
-	}
-}
-
-// CountCompressedOp records one operator executed directly on a compressed
-// representation.
-func (ctx *Context) CountCompressedOp() {
-	if ctx.compressed != nil {
-		ctx.compressed.compressedOps.Add(1)
-	}
-}
-
-// FusedStats returns a snapshot of the fused-operator hit counters.
-func (ctx *Context) FusedStats() FusedStats { return ctx.fused.snapshot() }
-
-// CountMMChain records one executed fused mmchain instruction (either chain
-// shape, or the xty variant).
-func (ctx *Context) CountMMChain() {
-	if ctx.fused != nil {
-		ctx.fused.mmchain.Add(1)
-	}
-}
-
-// CountFusedAgg records one executed fused cellwise-aggregate instruction.
-func (ctx *Context) CountFusedAgg() {
-	if ctx.fused != nil {
-		ctx.fused.fusedAgg.Add(1)
-	}
-}
-
-// CountFusedCell records one executed fused cellwise-chain instruction.
-func (ctx *Context) CountFusedCell() {
-	if ctx.fused != nil {
-		ctx.fused.fusedCell.Add(1)
+		Config:  ctx.Config,
+		Lineage: ctx.Lineage.Copy(),
+		Cache:   ctx.Cache,
+		Pool:    ctx.Pool,
+		Prog:    ctx.Prog,
+		Out:     ctx.Out,
+		vars:    vars,
+		stats:   ctx.stats,
 	}
 }
 
@@ -408,7 +300,7 @@ func (ctx *Context) GetMatrixBlockFor(name, op string) (*matrix.MatrixBlock, err
 	if err != nil {
 		return nil, err
 	}
-	return LocalBlockOf(name, d, op)
+	return LocalBlockOf(ctx, name, d, op)
 }
 
 // GetFrame returns a variable as a frame.
@@ -432,13 +324,13 @@ func (ctx *Context) SetMatrix(name string, block *matrix.MatrixBlock) {
 // SetBlocked wraps a blocked matrix into a first-class blocked object and
 // binds it; downstream blocked operators consume it without re-partitioning.
 func (ctx *Context) SetBlocked(name string, bm *dist.BlockedMatrix) {
-	ctx.Set(name, NewBlockedMatrixObject(bm, ctx.Pool, ctx.dist))
+	ctx.Set(name, NewBlockedMatrixObject(bm, ctx.Pool))
 }
 
 // SetCompressed wraps a compressed matrix into a first-class compressed
 // object and binds it; downstream compressed kernels consume it directly.
 func (ctx *Context) SetCompressed(name string, cm *compress.CompressedMatrix) {
-	ctx.Set(name, NewCompressedMatrixObject(cm, ctx.Pool, ctx.compressed))
+	ctx.Set(name, NewCompressedMatrixObject(cm, ctx.Pool))
 }
 
 // CleanupTemporaries removes temporary variables created by DAG lowering

@@ -194,10 +194,10 @@ type MatrixData interface {
 	DataCharacteristics() types.DataCharacteristics
 	// LocalFor returns the value as one local block for the consumer op: a
 	// local matrix is acquired through the buffer pool, a blocked one collected
-	// and a compressed one decompressed (each memoized, the latter two counted,
-	// the decompression against op); a federated matrix answers
+	// and a compressed one decompressed (each memoized, the latter two counted
+	// by ctx, the decompression against op); a federated matrix answers
 	// ErrFederated — its data stays at the sites.
-	LocalFor(op string) (*matrix.MatrixBlock, error)
+	LocalFor(ctx *Context, op string) (*matrix.MatrixBlock, error)
 }
 
 // ErrFederated is what LocalFor answers for federated data.
@@ -206,10 +206,10 @@ var ErrFederated = errors.New("federated; operation requires a local matrix")
 // LocalBlockOf returns the value bound to name as one local block for the
 // consumer op (see MatrixData.LocalFor); scalars are promoted to 1x1 matrices,
 // mirroring DML's implicit casting in matrix contexts.
-func LocalBlockOf(name string, d Data, op string) (*matrix.MatrixBlock, error) {
+func LocalBlockOf(ctx *Context, name string, d Data, op string) (*matrix.MatrixBlock, error) {
 	switch v := d.(type) {
 	case MatrixData:
-		blk, err := v.LocalFor(op)
+		blk, err := v.LocalFor(ctx, op)
 		if errors.Is(err, ErrFederated) {
 			return nil, fmt.Errorf("runtime: variable %q is %w", name, err)
 		}
@@ -251,11 +251,11 @@ func (t *Transposed) DataCharacteristics() types.DataCharacteristics {
 }
 
 // LocalFor implements MatrixData: the transpose of the source's local block.
-func (t *Transposed) LocalFor(op string) (*matrix.MatrixBlock, error) {
+func (t *Transposed) LocalFor(ctx *Context, op string) (*matrix.MatrixBlock, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.local == nil {
-		blk, err := t.Source.LocalFor(op)
+		blk, err := t.Source.LocalFor(ctx, op)
 		if err != nil {
 			return nil, err
 		}
@@ -345,7 +345,7 @@ func (m *MatrixObject) Acquire() (*matrix.MatrixBlock, error) {
 }
 
 // LocalFor implements MatrixData.
-func (m *MatrixObject) LocalFor(string) (*matrix.MatrixBlock, error) { return m.Acquire() }
+func (m *MatrixObject) LocalFor(*Context, string) (*matrix.MatrixBlock, error) { return m.Acquire() }
 
 // restoreBlock reads one spill file, written with the given blocksize, back
 // under a pool "restore" span carrying the bytes read.
@@ -536,7 +536,9 @@ func (f *FederatedObject) DataCharacteristics() types.DataCharacteristics {
 }
 
 // LocalFor implements MatrixData: there is no local block to hand out.
-func (f *FederatedObject) LocalFor(string) (*matrix.MatrixBlock, error) { return nil, ErrFederated }
+func (f *FederatedObject) LocalFor(*Context, string) (*matrix.MatrixBlock, error) {
+	return nil, ErrFederated
+}
 
 // String implements Data.
 func (f *FederatedObject) String() string {

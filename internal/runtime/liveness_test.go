@@ -409,14 +409,14 @@ func TestBlockedObjectCleanReEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bo := NewBlockedMatrixObject(bm, pool, nil)
+	bo := NewBlockedMatrixObject(bm, pool)
 	bo.Retain()
 	for round := 1; round <= 2; round++ {
 		squeeze(pool)
 		if bo.IsInMemory() {
 			t.Fatalf("round %d: blocked object still in memory", round)
 		}
-		back, err := bo.Collect()
+		back, err := bo.LocalFor(NewContext(DefaultConfig()), "other")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -458,12 +458,12 @@ var parforMergeCounter int64
 // localMatrixOf returns the local block behind a matrix-typed runtime value,
 // acquiring through the buffer pool or collecting a blocked matrix; the bool
 // reports whether the value was matrix-backed at all.
-func localMatrixOf(d Data) (*matrix.MatrixBlock, bool, error) {
+func localMatrixOf(ctx *Context, d Data) (*matrix.MatrixBlock, bool, error) {
 	md, ok := d.(MatrixData)
 	if !ok {
 		return nil, false, nil
 	}
-	blk, err := md.LocalFor("parfor-merge")
+	blk, err := md.LocalFor(ctx, "parfor-merge")
 	if errors.Is(err, ErrFederated) {
 		return nil, false, nil
 	}
@@ -483,7 +483,7 @@ type workerResult struct {
 // for everything else the value of the worker that ran the highest iteration
 // wins (last-iteration semantics).
 func mergeResults(ctx *Context, name string, original Data, sources []workerResult) (Data, error) {
-	origBlock, isMat, err := localMatrixOf(original)
+	origBlock, isMat, err := localMatrixOf(ctx, original)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +495,7 @@ func mergeResults(ctx *Context, name string, original Data, sources []workerResu
 			if !ok || d == original {
 				continue
 			}
-			blk, isM, err := localMatrixOf(d)
+			blk, isM, err := localMatrixOf(ctx, d)
 			if err != nil {
 				return nil, err
 			}

@@ -70,9 +70,14 @@ type TraceSpan = obs.Record
 // traced run: execution count, cumulative wall and self time, bytes produced.
 type OpMetric = obs.OpMetric
 
-// ExecStats is the per-run execution statistics bundle: reuse cache, buffer
-// pool, distributed backend, fused operators, compression, per-instruction
-// plan records, lineage store, and (when tracing is on) per-opcode metrics.
+// ExecStats is the per-run execution statistics bundle. The run's own
+// counters — distributed backend, fused operators, compression and the
+// per-instruction plan records — are one embedded RunStats: a collect or
+// decompression is counted by the run that asked for it, also when the value
+// came from the reuse cache. Beside them sit the cumulative counters of what
+// the session shares across runs (reuse cache, buffer pool, lineage store)
+// and, when tracing is on, the per-opcode metrics. A failed run records its
+// statistics up to the failure.
 type ExecStats = core.Stats
 
 // FormatHeavyHitters renders trace spans as a SystemDS-style top-k
@@ -269,8 +274,9 @@ func (c *Context) Trace() []TraceSpan { return c.engine.TraceRecords() }
 func (c *Context) WriteTrace(w io.Writer) error { return c.engine.WriteTrace(w) }
 
 // LastRunStats returns the execution statistics of the most recent Execute on
-// this context, or nil before the first run. With tracing enabled the bundle
-// includes the per-opcode heavy-hitter metrics.
+// this context that got to run, failed or not, or nil before the first run.
+// With tracing enabled the bundle includes the per-opcode heavy-hitter
+// metrics.
 func (c *Context) LastRunStats() *ExecStats { return c.engine.LastRunStats() }
 
 // ExecuteFile reads a DML script from a file and executes it.
