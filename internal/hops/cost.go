@@ -242,6 +242,27 @@ func CompressedOutput(h *Hop) bool {
 	return false
 }
 
+// tiledKernel reports whether the runtime runs h on the tiled GEMM engine:
+// a dense-dense matmult or the TSMM of a dense X whose shape
+// matrix.UseTiledGEMM accepts, asked with the shape the kernel sees. An
+// operand counts as dense unless its known sparsity is below the threshold
+// at which blocks turn sparse.
+func tiledKernel(h *Hop) bool {
+	dense := func(in *Hop) bool {
+		dc := in.DC
+		return dc.DimsKnown() && !(dc.NNZKnown() && dc.Sparsity() < types.SparseThreshold)
+	}
+	switch {
+	case h.Kind == KindTSMM && len(h.Inputs) == 1 && dense(h.Inputs[0]):
+		x := h.Inputs[0].DC
+		return matrix.UseTiledGEMM(int(x.Cols), int(x.Rows), int(x.Cols))
+	case h.Kind == KindMatMult && len(h.Inputs) == 2 && dense(h.Inputs[0]) && dense(h.Inputs[1]):
+		a, b := h.Inputs[0].DC, h.Inputs[1].DC
+		return matrix.UseTiledGEMM(int(a.Rows), int(a.Cols), int(b.Cols))
+	}
+	return false
+}
+
 // hasCompressedInput reports whether any input of a HOP arrives compressed.
 func hasCompressedInput(h *Hop) bool {
 	for _, in := range h.Inputs {
@@ -686,8 +707,8 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 		// path: operators over compressed operands run the CLA kernels (Gram
 		// matrices and matrix right-hand sides straight off the dictionaries)
 		// — chosen by representation, so the tag prints even when sizes are
-		// unknown; dense matmult-family operators above the runtime's shared
-		// crossover run the tiled register-blocked kernel
+		// unknown; dense matmult and TSMM operators whose shape the runtime's
+		// own predicate sends to the tiled engine run the tiled kernel
 		switch {
 		case h.Kind == KindTSMM && hasCompressedInput(h):
 			sb.WriteString(" kernel=ctsmm")
@@ -705,8 +726,7 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 				kernel = "cvm" // t(X) %*% y runs the vector-matrix kernel over X
 			}
 			sb.WriteString(" kernel=" + kernel)
-		case (h.Kind == KindMatMult || h.Kind == KindTSMM) && h.CostEst.Known &&
-			h.CostEst.Compute >= matrix.TiledGEMMCrossoverFLOPs:
+		case tiledKernel(h):
 			sb.WriteString(" kernel=tiled")
 		}
 		if h.Fused != nil {

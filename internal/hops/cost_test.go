@@ -145,6 +145,35 @@ func TestPlanAnnotatesMatMult(t *testing.T) {
 	}
 }
 
+// TestExplainKernelTagMatchesRuntime holds EXPLAIN's kernel=tiled tag to the
+// runtime's own choice, matrix.UseTiledGEMM on the shape the kernel sees: a
+// matrix-vector product never runs tiled however many FLOPs it has, a TSMM is
+// judged on its full 2*m*n^2 FLOPs, and a sparse X never reaches the tiled
+// engine.
+func TestExplainKernelTagMatchesRuntime(t *testing.T) {
+	params := PlannerParams{MemBudget: 1 << 40, Blocksize: types.DefaultBlocksize}
+	d, _ := matmultDAG(dc(100000, 100), dc(100, 1))
+	Plan(d, params)
+	if explain := d.ExplainPlan(); strings.Contains(explain, "kernel=tiled") {
+		t.Errorf("X %%*%% v is tagged tiled, but the runtime runs the MV kernel:\n%s", explain)
+	}
+	tsmm := func(z types.DataCharacteristics) string {
+		g := NewHop(KindTSMM, "tsmm", NewRead("Z", types.Matrix))
+		g.DataType = types.Matrix
+		d := &DAG{Roots: []*Hop{NewWrite("G", g)}}
+		PropagateSizes(d, map[string]types.DataCharacteristics{"Z": z})
+		Plan(d, params)
+		return d.ExplainPlan()
+	}
+	if explain := tsmm(dc(6000, 20)); !strings.Contains(explain, "kernel=tiled") {
+		t.Errorf("t(Z) %%*%% Z on a dense 6000x20 Z is not tagged tiled, but the runtime runs the tiled engine:\n%s", explain)
+	}
+	sparse := types.NewDataCharacteristics(6000, 20, types.DefaultBlocksize, 6000)
+	if explain := tsmm(sparse); strings.Contains(explain, "kernel=tiled") {
+		t.Errorf("t(Z) %%*%% Z on a 5%%-dense Z is tagged tiled, but the runtime runs the sparse kernel:\n%s", explain)
+	}
+}
+
 // TestFusionGateMatchesPlanner asserts the fuse<->no-fuse decision flips at
 // the same budget the execution-type selection uses: an aggregate just inside
 // the budget fuses, one step below the estimate sends the pipeline to the

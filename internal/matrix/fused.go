@@ -988,7 +988,7 @@ func TransposeMultiply(x, y *MatrixBlock, threads int) (*MatrixBlock, error) {
 		return out, nil
 	}
 	yd := asDense(y)
-	if !x.IsSparse() && gemmUseTiled(gemmAuto, n, m, k) {
+	if !x.IsSparse() && UseTiledGEMM(n, m, k) {
 		out.nnz = accDenseDenseTiled(out, x, yd, resolveThreads(threads), true)
 		return out, nil
 	}

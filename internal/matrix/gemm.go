@@ -27,9 +27,10 @@ import (
 //     L2-resident while each kc x gemmNR B micro-panel stays L1-resident
 //     across the ir sweep.
 //
-// Multi-threading partitions rows across workers (parallelRows); output cells
-// are disjoint per worker and each cell's accumulation order is fixed, so
-// results are identical for every thread count. All pack buffers come from a
+// Multi-threading partitions output rows across workers (parallelRows for
+// GEMM, area-balanced triangle panels for TSMM); output cells are disjoint per
+// worker and each cell's accumulation order is fixed, so results are
+// identical for every thread count. All pack buffers come from a
 // sync.Pool — steady-state operation allocates nothing beyond the output
 // block.
 
@@ -51,16 +52,14 @@ const gemmPackARows = (gemmMC + gemmMR - 1) / gemmMR * gemmMR
 
 // TiledGEMMCrossoverFLOPs is the matmult size (in FLOPs, 2*m*k*n) above which
 // the dense kernels switch from the simple blocked loop to the tiled engine;
-// below it the packing overhead dominates. internal/hops/cost.go references
-// the same constant so EXPLAIN output labels the kernel class the runtime
-// will pick from one shared number.
+// below it the packing overhead dominates.
 const TiledGEMMCrossoverFLOPs = 2 * 128 * 128 * 128
 
 // gemmKernel names a dense GEMM kernel. Every exported entry point passes
-// gemmAuto — the tiled engine above TiledGEMMCrossoverFLOPs, the simple blocked
-// loop below it; the two are bitwise-interchangeable for finite inputs
-// (identical per-cell accumulation order), and the in-package tests pin them
-// against each other at any size by naming gemmSimple or gemmTiled.
+// gemmAuto — the kernel UseTiledGEMM picks from the shape; the two are
+// bitwise-interchangeable for finite inputs (identical per-cell accumulation
+// order), and the in-package tests pin them against each other at any size by
+// naming gemmSimple or gemmTiled.
 type gemmKernel int
 
 const (
@@ -69,12 +68,13 @@ const (
 	gemmTiled
 )
 
-// gemmUseTiled decides whether an m x k %*% k x n dense multiply runs on the
-// tiled engine.
-func gemmUseTiled(kern gemmKernel, m, k, n int) bool {
-	if kern != gemmAuto {
-		return kern == gemmTiled
-	}
+// UseTiledGEMM reports whether a dense m x k %*% k x n multiply runs on the
+// tiled engine rather than the simple blocked loop. It is the one kernel
+// choice of the dense matmult family and a function of the shape alone: a
+// dense-dense Multiply asks it with (m, k, n); for an m x n X, t(X) %*% Y asks
+// with (n, m, ncol(Y)) and a dense TSMM with (n, m, n). hops.ExplainPlan asks
+// the same question for its kernel=tiled tag.
+func UseTiledGEMM(m, k, n int) bool {
 	if m < gemmMR || n < gemmNR {
 		// degenerate shapes (vectors, outer products) waste most of every
 		// padded tile; the simple loop streams them better
@@ -83,22 +83,17 @@ func gemmUseTiled(kern gemmKernel, m, k, n int) bool {
 	return 2*float64(m)*float64(k)*float64(n) >= TiledGEMMCrossoverFLOPs
 }
 
-// tsmmUseTiled decides whether a TSMM chunk of `rows` rows over n columns
-// runs on the tiled engine (flops ~ 2*rows*n*n over the full square).
-func tsmmUseTiled(kern gemmKernel, rows, n int) bool {
+// gemmUseTiled is UseTiledGEMM unless a test names the kernel.
+func gemmUseTiled(kern gemmKernel, m, k, n int) bool {
 	if kern != gemmAuto {
 		return kern == gemmTiled
 	}
-	if n < gemmNR {
-		return false
-	}
-	return 2*float64(rows)*float64(n)*float64(n) >= TiledGEMMCrossoverFLOPs
+	return UseTiledGEMM(m, k, n)
 }
 
 // --- pooled pack buffers ----------------------------------------------------
 
-// gemmBuf is a pooled float64 scratch buffer for packed panels and TSMM
-// partials.
+// gemmBuf is a pooled float64 scratch buffer for packed panels.
 type gemmBuf struct{ f []float64 }
 
 var gemmPool sync.Pool
@@ -149,11 +144,12 @@ func PutScratch(s Scratch) {
 
 // --- panel packing ----------------------------------------------------------
 
-// packBPanels packs a rows x cols row-major matrix into gemmNR-wide column
-// panels: dst[jp*rows*gemmNR + p*gemmNR + jj] = b[p*cols + jp*gemmNR + jj],
-// with the ragged last panel zero-padded to gemmNR. dst must hold
+// packBPanels packs a rows x cols row-major matrix with leading dimension ldb
+// into gemmNR-wide column panels:
+// dst[jp*rows*gemmNR + p*gemmNR + jj] = b[p*ldb + jp*gemmNR + jj], with the
+// ragged last panel zero-padded to gemmNR. dst must hold
 // ceil(cols/gemmNR)*gemmNR*rows elements.
-func packBPanels(dst, b []float64, rows, cols int) {
+func packBPanels(dst, b []float64, ldb, rows, cols int) {
 	np := (cols + gemmNR - 1) / gemmNR
 	for jp := 0; jp < np; jp++ {
 		j0 := jp * gemmNR
@@ -161,7 +157,7 @@ func packBPanels(dst, b []float64, rows, cols int) {
 		panel := dst[jp*rows*gemmNR : (jp+1)*rows*gemmNR]
 		if w == gemmNR {
 			for p := 0; p < rows; p++ {
-				src := b[p*cols+j0 : p*cols+j0+gemmNR]
+				src := b[p*ldb+j0 : p*ldb+j0+gemmNR]
 				d := panel[p*gemmNR : p*gemmNR+gemmNR]
 				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
 			}
@@ -170,7 +166,7 @@ func packBPanels(dst, b []float64, rows, cols int) {
 		for p := 0; p < rows; p++ {
 			d := panel[p*gemmNR : p*gemmNR+gemmNR]
 			for jj := 0; jj < w; jj++ {
-				d[jj] = b[p*cols+j0+jj]
+				d[jj] = b[p*ldb+j0+jj]
 			}
 			for jj := w; jj < gemmNR; jj++ {
 				d[jj] = 0
@@ -203,8 +199,8 @@ func packAPanels(dst, a []float64, lda, r0, mc, p0, kc int) {
 
 // packATPanels packs the transpose of rows [p0, p0+kc) x cols [c0, c0+mc) of
 // the row-major matrix x (leading dimension n) into gemmMR-high row panels of
-// X^T, k-major — the A-side packing of the TSMM kernel, reading X column
-// panels without materializing the transpose.
+// X^T, k-major — the A-side packing of t(X) %*% Y (gemmTiledRows with
+// transA), reading X column panels without materializing the transpose.
 func packATPanels(dst, x []float64, n, p0, kc, c0, mc int) {
 	for ir := 0; ir < mc; ir += gemmMR {
 		h := min(gemmMR, mc-ir)
@@ -356,7 +352,7 @@ func accDenseDenseTiled(acc, a, b *MatrixBlock, threads int, transA bool) int64 
 	}
 	np := (n + gemmNR - 1) / gemmNR
 	bbuf := gemmGetBuf(np * gemmNR * k)
-	packBPanels(bbuf.f, bv, k, n)
+	packBPanels(bbuf.f, bv, n, k, n)
 	var nnz atomic.Int64
 	parallelRows(m, threads, func(r0, r1 int) {
 		abuf := gemmGetBuf(gemmPackARows * gemmKC)
@@ -368,49 +364,42 @@ func accDenseDenseTiled(acc, a, b *MatrixBlock, threads int, transA bool) int64 
 	return nnz.Load()
 }
 
-// tsmmTiledChunk accumulates the upper triangle of t(Xc) %*% Xc into buf,
-// where Xc is rows [r0, r1) of the row-major m x n matrix x — the tiled
-// counterpart of tsmmSimpleChunk with the identical per-cell ascending-row
-// accumulation order. Tiles straddling the diagonal are computed in full;
-// their below-diagonal cells hold partial garbage that the caller's mirror
-// pass overwrites. B panels are packed per gemmKC row block (bounding the
-// pack buffer at ceil(n/gemmNR)*gemmNR*gemmKC) and the A side packs X column
-// panels transposed in place.
-func tsmmTiledChunk(buf, x []float64, n, r0, r1 int) {
-	abuf := gemmGetBuf(gemmPackARows * gemmKC)
-	np := (n + gemmNR - 1) / gemmNR
-	bbuf := gemmGetBuf(np * gemmNR * gemmKC)
-	for pc := r0; pc < r1; pc += gemmKC {
-		kc := min(gemmKC, r1-pc)
-		packBPanels(bbuf.f, x[pc*n:], kc, n)
-		for ic := 0; ic < n; ic += gemmMC {
-			mc := min(gemmMC, n-ic)
-			packATPanels(abuf.f, x, n, pc, kc, ic, mc)
-			for jr := 0; jr < n; jr += gemmNR {
+// tsmmTiledRows adds rows [i0, i1) of the upper triangle of t(X) %*% X into
+// cv, for the row-major m x n matrix x — the tiled counterpart of
+// tsmmSimpleRows, with the same per-cell ascending-row accumulation order
+// (tsmmDense rounds i0 to a multiple of gemmMR, so tiles meet the diagonal
+// at their corners). Per gemmKC block of X's rows it packs the B panels of
+// columns [i0, n) only. Because gemmMR == gemmNR, the A micro-panel of output
+// rows [i, i+gemmMR) — X^T's rows, k-major — is exactly the packed B panel of
+// columns [i, i+gemmNR), so the A side reads the B pack and packs nothing.
+// Tiles entirely below the diagonal are skipped; tiles straddling it are
+// computed in full, and their below-diagonal cells hold garbage that the
+// caller's mirror pass overwrites. Every cell written lies in rows [i0, i1).
+func tsmmTiledRows(cv, x []float64, m, n, i0, i1 int) {
+	nb := n - i0
+	buf := gemmGetBuf((nb + gemmNR - 1) / gemmNR * gemmNR * gemmKC)
+	for pc := 0; pc < m; pc += gemmKC {
+		kc := min(gemmKC, m-pc)
+		packBPanels(buf.f, x[pc*n+i0:], n, kc, nb)
+		for ic := i0; ic < i1; ic += gemmMC {
+			mc := min(gemmMC, i1-ic)
+			// columns left of ic are below the diagonal for every row here
+			for jr := ic; jr < n; jr += gemmNR {
 				w := min(gemmNR, n-jr)
-				// tiles entirely below the diagonal (j_max < i_min) are
-				// mirrored later, never computed
-				irLim := jr + w - ic
-				if irLim > mc {
-					irLim = mc
-				}
-				if irLim <= 0 {
-					continue
-				}
-				bpanel := bbuf.f[(jr/gemmNR)*kc*gemmNR:]
+				irLim := min(mc, jr+w-ic)
+				bpanel := buf.f[(jr-i0)/gemmNR*kc*gemmNR:]
 				for ir := 0; ir < irLim; ir += gemmMR {
 					h := min(gemmMR, mc-ir)
-					apanel := abuf.f[(ir/gemmMR)*kc*gemmMR:]
+					apanel := buf.f[(ic+ir-i0)/gemmNR*kc*gemmNR:]
 					ci := (ic+ir)*n + jr
 					if h == gemmMR && w == gemmNR {
-						gemmMicroTile(apanel, bpanel, kc, buf, ci, n)
+						gemmMicroTile(apanel, bpanel, kc, cv, ci, n)
 					} else {
-						gemmMicroEdge(apanel, bpanel, kc, buf, ci, n, h, w)
+						gemmMicroEdge(apanel, bpanel, kc, cv, ci, n, h, w)
 					}
 				}
 			}
 		}
 	}
-	gemmPutBuf(bbuf)
-	gemmPutBuf(abuf)
+	gemmPutBuf(buf)
 }

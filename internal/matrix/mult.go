@@ -302,7 +302,9 @@ func multiplyAcc(acc, a, b *MatrixBlock, threads int, kern gemmKernel) error {
 
 // TSMM computes t(X) %*% X directly without materializing the transpose.
 // This is the fused operator the HOP rewrite t(X)%*%X -> tsmm maps to, and
-// the operation at the heart of the paper's lmDS workload.
+// the operation at the heart of the paper's lmDS workload. Workers own
+// disjoint row panels of the output and every cell adds X's rows in ascending
+// order, so the result is the same for every thread count.
 func TSMM(x *MatrixBlock, threads int) *MatrixBlock { return tsmm(x, threads, gemmAuto) }
 
 // tsmm is TSMM on an explicit dense kernel (see multiplyAcc).
@@ -334,93 +336,96 @@ func tsmm(x *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
 	return out
 }
 
-// tsmmChunks returns the row chunking of a TSMM over m rows: chunks of
-// ceil(m / min(threads, m)) rows, the last one possibly short. Each chunk
-// accumulates a private upper triangle and the partials are summed in chunk
-// order, so unlike GEMM the result bits depend on the thread count.
-func tsmmChunks(m, threads int) (size, num int) {
-	if m == 0 {
-		return 0, 0
+// tsmmPanels splits the n rows of a TSMM's upper triangle into at most parts
+// panels of about equal area (row i holds n-i cells) and returns the
+// boundaries 0 = b[0] < b[1] < ... < b[len(b)-1] = n. With align > 1 every
+// inner boundary is rounded to a multiple of align. The boundaries depend on
+// parts, but no bit of the result does: each worker writes its own rows.
+func tsmmPanels(n, parts, align int) []int {
+	bounds := []int{0}
+	total := n * (n + 1) / 2
+	area := 0 // cells in rows [0, i+1)
+	for i := 0; i < n && len(bounds) < parts; i++ {
+		area += n - i
+		if area*parts < len(bounds)*total {
+			continue
+		}
+		if b := (i + 1 + align/2) / align * align; b > bounds[len(bounds)-1] && b < n {
+			bounds = append(bounds, b)
+		}
 	}
-	size = (m + min(threads, m) - 1) / min(threads, m)
-	return size, (m + size - 1) / size
+	return append(bounds, n)
 }
 
 func tsmmDense(x, out *MatrixBlock, threads int, kern gemmKernel) {
 	m, n := x.rows, x.cols
-	xv := x.dense
-	// per chunk through the tiled engine above the crossover, the simple
-	// triangular loop below it — identical per-cell ascending-row
-	// accumulation order either way
-	size, num := tsmmChunks(m, threads)
-	partials := make([]*gemmBuf, num)
-	_ = ParallelFor(num, threads, func(_, t int) error {
-		r0 := t * size
-		r1 := min(r0+size, m)
-		buf := gemmZeroBuf(n * n)
-		if tsmmUseTiled(kern, r1-r0, n) {
-			tsmmTiledChunk(buf.f, xv, n, r0, r1)
+	xv, cv := x.dense, out.dense
+	// one kernel for the whole shape: the tiled engine above the crossover,
+	// the simple triangular loop below it, with the same per-cell order
+	tiled := gemmUseTiled(kern, n, m, n)
+	align := 1
+	if tiled {
+		align = gemmMR
+	}
+	b := tsmmPanels(n, threads, align)
+	_ = ParallelFor(len(b)-1, threads, func(_, t int) error {
+		if tiled {
+			tsmmTiledRows(cv, xv, m, n, b[t], b[t+1])
 		} else {
-			tsmmSimpleChunk(buf.f, xv, n, r0, r1)
+			tsmmSimpleRows(cv, xv, m, n, b[t], b[t+1])
 		}
-		partials[t] = buf
 		return nil
 	})
-	cv := out.dense
-	for _, p := range partials {
-		for i := range cv {
-			cv[i] += p.f[i]
-		}
-		gemmPutBuf(p)
-	}
 }
 
-// tsmmSimpleChunk accumulates the upper triangle of t(Xc) %*% Xc for the row
-// chunk [r0, r1) of x into buf: per row, every pairwise column product with
-// j >= i, rows ascending — the per-cell order the tiled chunk kernel
-// reproduces exactly.
-func tsmmSimpleChunk(buf, xv []float64, n, r0, r1 int) {
-	for r := r0; r < r1; r++ {
+// tsmmSimpleRows adds rows [i0, i1) of the upper triangle of t(X) %*% X into
+// cv: per row of X, every pairwise column product with i in [i0, i1) and
+// j >= i, X's rows ascending — the per-cell order the tiled kernel reproduces
+// exactly.
+func tsmmSimpleRows(cv, xv []float64, m, n, i0, i1 int) {
+	for r := 0; r < m; r++ {
 		row := xv[r*n : (r+1)*n]
-		for i := 0; i < n; i++ {
+		for i := i0; i < i1; i++ {
 			vi := row[i]
 			if vi == 0 {
 				continue
 			}
-			bi := buf[i*n:]
+			ci := cv[i*n:]
 			for j := i; j < n; j++ {
-				bi[j] += float64(vi * row[j])
+				ci[j] += float64(vi * row[j])
 			}
 		}
 	}
 }
 
+// tsmmSparse is TSMM of a CSR X over the same panels: each worker walks every
+// row of X and takes only the entries whose column lies in its panel (ColIdx
+// is sorted, so a row stops at the first column past the panel).
 func tsmmSparse(x, out *MatrixBlock, threads int) {
 	m, n := x.rows, x.cols
 	s := x.csr()
-	size, num := tsmmChunks(m, threads)
-	partials := make([][]float64, num)
-	_ = ParallelFor(num, threads, func(_, t int) error {
-		buf := make([]float64, n*n)
-		for r := t * size; r < min((t+1)*size, m); r++ {
-			lo, hi := s.RowPtr[r], s.RowPtr[r+1]
-			for p := lo; p < hi; p++ {
-				ci, vi := s.ColIdx[p], s.Values[p]
-				bi := buf[ci*n:]
+	cv := out.dense
+	b := tsmmPanels(n, threads, 1)
+	_ = ParallelFor(len(b)-1, threads, func(_, t int) error {
+		i0, i1 := b[t], b[t+1]
+		for r := 0; r < m; r++ {
+			hi := s.RowPtr[r+1]
+			for p := s.RowPtr[r]; p < hi; p++ {
+				ci := s.ColIdx[p]
+				if ci < i0 {
+					continue
+				}
+				if ci >= i1 {
+					break
+				}
+				vi, bi := s.Values[p], cv[ci*n:]
 				for q := p; q < hi; q++ {
 					bi[s.ColIdx[q]] += float64(vi * s.Values[q])
 				}
 			}
 		}
-		partials[t] = buf
 		return nil
 	})
-	cv := out.dense
-	for _, p := range partials {
-		for i := range cv {
-			cv[i] += p[i]
-		}
-	}
 }
 
 // MatVec computes the matrix-vector product a %*% v where v is a column

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -111,24 +112,33 @@ func TestTiledMultiplyAccStripesBitwise(t *testing.T) {
 	}
 }
 
-// TestTiledTSMMBitwiseEqualsSimple pins the tiled upper-triangle TSMM chunk
-// kernel against the simple triangular loop across ragged shapes and thread
-// counts, and re-checks symmetry of the mirrored output.
+// TestTiledTSMMBitwiseEqualsSimple pins every TSMM kernel at every thread
+// count against the one-thread simple triangular loop, bitwise: a dense X on
+// the auto, simple and tiled kernels, and a ~5%-dense CSR X on the sparse
+// kernel against the simple loop over its dense copy. The shapes cover ragged
+// tiles, more than one gemmKC block of rows and gemmMC block of columns,
+// n < threads, n not a multiple of 4 and m < threads; the mirrored output
+// must stay symmetric.
 func TestTiledTSMMBitwiseEqualsSimple(t *testing.T) {
 	for _, m := range []int{1, 3, 4, 5, 129, 300} {
-		for _, n := range tileDims {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 9, 17, 67, 129} {
 			x := RandUniform(m, n, -1, 1, 1.0, int64(m*31+n))
-			for _, threads := range []int{1, 4} {
-				want := tsmm(x, threads, gemmSimple)
-				got := tsmm(x, threads, gemmTiled)
-				bitwiseEqual(t, want, got, "tsmm")
-				for i := 0; i < got.Rows(); i++ {
-					for j := i + 1; j < got.Cols(); j++ {
-						if got.Get(i, j) != got.Get(j, i) {
-							t.Fatalf("tiled TSMM not symmetric at (%d,%d)", i, j)
+			want := tsmm(x, 1, gemmSimple)
+			sx := RandUniform(m, n, -1, 1, 0.05, int64(m*37+n)).ToSparse()
+			swant := tsmm(asDense(sx), 1, gemmSimple)
+			for _, threads := range []int{1, 2, 3, 4, 7} {
+				for _, kern := range []gemmKernel{gemmAuto, gemmSimple, gemmTiled} {
+					got := tsmm(x, threads, kern)
+					bitwiseEqual(t, want, got, fmt.Sprintf("tsmm %dx%d kernel %d threads %d", m, n, kern, threads))
+					for i := 0; i < n; i++ {
+						for j := i + 1; j < n; j++ {
+							if got.Get(i, j) != got.Get(j, i) {
+								t.Fatalf("TSMM %dx%d kernel %d threads %d not symmetric at (%d,%d)", m, n, kern, threads, i, j)
+							}
 						}
 					}
 				}
+				bitwiseEqual(t, swant, tsmm(sx, threads, gemmAuto), fmt.Sprintf("sparse tsmm %dx%d threads %d", m, n, threads))
 			}
 		}
 	}

@@ -37,7 +37,9 @@ type goldenRun struct {
 // goldenScripts exercise every row of the matmult family on the shapes the
 // representation dispatch distinguishes: matrix-vector, vector-matrix, matrix
 // right-hand side, the fused chain, the Gram matrix, and a transpose bound to
-// a name and consumed in a later DAG.
+// a name and consumed in a later DAG. X holds small integers, so its sums are
+// exact in any order; the real-valued Gram script (dense Xr, 5%-dense Xs and
+// a parfor over ridge values) is the one whose bits see summation order.
 var goldenScripts = []struct {
 	name, script string
 	outputs      []string
@@ -93,6 +95,16 @@ for (i in 1:10) {
 }
 G = Xt %*% X
 `, []string{"w", "n", "G"}},
+	{"real-valued Gram", `
+Gr = t(Xr) %*% Xr
+Gs = t(Xs) %*% Xs
+b = t(Xr) %*% y
+w = solve(Gr + diag(matrix(0.001, rows=ncol(Xr), cols=1)), b)
+R = matrix(0, rows=ncol(Xr), cols=4)
+parfor (i in 1:4) {
+  R[, i] = solve(Gr + Gs + diag(matrix(0.001 * i, rows=ncol(Xr), cols=1)), b)
+}
+`, []string{"Gr", "Gs", "w", "R"}},
 }
 
 var goldenConfigs = []struct {
@@ -134,10 +146,12 @@ func fingerprint(v any) string {
 }
 
 // TestPlansAndOutputsMatchGolden runs the fixed scripts under {local,
-// compressed, blocked, compressed + blocked} x fusion {on, off} and holds every
-// run to the recorded output bits, plan sequence and representation counters:
-// a change to how an operator is dispatched must not change what is computed,
-// which kernel computes it, or how often data changes representation.
+// compressed, blocked, compressed + blocked} x fusion {on, off} at 1, 2 and 3
+// threads and holds every run to the one recorded entry of its (script,
+// configuration, fusion) key: output bits, plan sequence and representation
+// counters. A change to how an operator is dispatched must not change what is
+// computed, which kernel computes it, or how often data changes
+// representation, and the thread count must change none of them.
 func TestPlansAndOutputsMatchGolden(t *testing.T) {
 	const rows, cols = 2000, 60
 	noise := systemds.RandMatrix(rows, cols, 1.0, 91)
@@ -155,46 +169,52 @@ func TestPlansAndOutputsMatchGolden(t *testing.T) {
 	}
 	inputs := map[string]any{
 		"X": X, "y": y, "ys": ys, "lr": 1e-7,
-		"u": systemds.RandMatrix(1, rows, 1.0, 93),
-		"B": systemds.RandMatrix(cols, 3, 1.0, 94),
+		"u":  systemds.RandMatrix(1, rows, 1.0, 93),
+		"B":  systemds.RandMatrix(cols, 3, 1.0, 94),
+		"Xr": systemds.RandMatrix(rows, cols, 1.0, 95),
+		"Xs": systemds.RandMatrix(rows, cols, 0.05, 96),
 	}
-	got := map[string]goldenRun{}
-	for _, sc := range goldenScripts {
-		for _, cfg := range goldenConfigs {
-			for _, fusion := range []bool{true, false} {
-				key := fmt.Sprintf("%s/%s/fusion=%v", sc.name, cfg.name, fusion)
-				opts := append([]systemds.Option{systemds.WithParallelism(2), systemds.WithFusion(fusion)}, cfg.opts...)
-				ctx := systemds.NewContext(opts...)
-				res, err := ctx.Execute(sc.script, inputs, sc.outputs...)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
+	threads := []int{1, 2, 3}
+	got := map[int]map[string]goldenRun{}
+	for _, th := range threads {
+		got[th] = map[string]goldenRun{}
+		for _, sc := range goldenScripts {
+			for _, cfg := range goldenConfigs {
+				for _, fusion := range []bool{true, false} {
+					key := fmt.Sprintf("%s/%s/fusion=%v", sc.name, cfg.name, fusion)
+					opts := append([]systemds.Option{systemds.WithParallelism(th), systemds.WithFusion(fusion)}, cfg.opts...)
+					ctx := systemds.NewContext(opts...)
+					res, err := ctx.Execute(sc.script, inputs, sc.outputs...)
+					if err != nil {
+						t.Fatalf("%s threads=%d: %v", key, th, err)
+					}
+					stats := ctx.LastRunStats()
+					run := goldenRun{
+						Outputs:        map[string]string{},
+						Plans:          []string{},
+						CompressedOps:  stats.CompressStats.CompressedOps,
+						Decompressions: stats.CompressStats.Decompressions,
+						Partitions:     stats.DistStats.Partitions,
+						Collects:       stats.DistStats.Collects,
+						BlockedOps:     stats.DistStats.BlockedOps,
+					}
+					for _, name := range sc.outputs {
+						run.Outputs[name] = fingerprint(res[name])
+					}
+					for _, pr := range stats.PlanStats {
+						run.Plans = append(run.Plans, pr.Op+"|"+pr.Plan)
+					}
+					got[th][key] = run
 				}
-				stats := ctx.LastRunStats()
-				run := goldenRun{
-					Outputs:        map[string]string{},
-					Plans:          []string{},
-					CompressedOps:  stats.CompressStats.CompressedOps,
-					Decompressions: stats.CompressStats.Decompressions,
-					Partitions:     stats.DistStats.Partitions,
-					Collects:       stats.DistStats.Collects,
-					BlockedOps:     stats.DistStats.BlockedOps,
-				}
-				for _, name := range sc.outputs {
-					run.Outputs[name] = fingerprint(res[name])
-				}
-				for _, pr := range stats.PlanStats {
-					run.Plans = append(run.Plans, pr.Op+"|"+pr.Plan)
-				}
-				got[key] = run
 			}
 		}
 	}
 	data, err := os.ReadFile(planGoldenFile)
 	if errors.Is(err, os.ErrNotExist) {
-		if data, err = json.MarshalIndent(got, "", " "); err == nil {
+		if data, err = json.MarshalIndent(got[threads[0]], "", " "); err == nil {
 			err = os.WriteFile(planGoldenFile, append(data, '\n'), 0o644)
 		}
-		t.Fatalf("no golden file; wrote %s from this tree (error: %v)", planGoldenFile, err)
+		t.Fatalf("no golden file; wrote %s from this tree at threads=%d (error: %v)", planGoldenFile, threads[0], err)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -208,12 +228,14 @@ func TestPlansAndOutputsMatchGolden(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	if len(got) != len(want) {
-		t.Errorf("%d runs, golden file has %d", len(got), len(want))
-	}
-	for _, k := range keys {
-		if !reflect.DeepEqual(got[k], want[k]) {
-			t.Errorf("%s:\n got %+v\nwant %+v", k, got[k], want[k])
+	for _, th := range threads {
+		if len(got[th]) != len(want) {
+			t.Errorf("threads=%d: %d runs, golden file has %d", th, len(got[th]), len(want))
+		}
+		for _, k := range keys {
+			if !reflect.DeepEqual(got[th][k], want[k]) {
+				t.Errorf("%s threads=%d:\n got %+v\nwant %+v", k, th, got[th][k], want[k])
+			}
 		}
 	}
 }
