@@ -36,8 +36,9 @@ test:
 # contexts, parfor workers and the reuse cache; outputs bitwise-equal from 1/4
 # of the working set to no limit), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
-# row-panel workers and the tiled TSMM's triangle-panel workers writing one
-# shared output (internal/matrix), the deep compressed kernels — TSMM and
+# row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
+# Cholesky's row-panel workers, each set writing one shared output
+# (internal/matrix), the deep compressed kernels — TSMM and
 # matrix right-hand side (internal/compress) — and the partitioned dist MV
 # (internal/dist).
 race:
@@ -47,7 +48,7 @@ race:
 	$(GO) test -race -run 'TestParallelFor|TestParforErrorIsTheLowestWorkers' -count=3 ./internal/matrix/ ./internal/core/
 	$(GO) test -race -run 'TestChildContextsCountIntoTheRun' -count=3 ./internal/core/
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
-	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
+	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed
 # corpora: the SDSB decoder (spill files, persistent-store payloads and `read`

@@ -17,6 +17,12 @@ func Run(a, b []float64, cfg config) []float64 {
 	return matrix.Multiply(a, b, cfg.Threads())
 }
 
+// A solve's factorisation is a threaded kernel too.
+func RunSolve(a, b []float64, cfg config) ([]float64, error) {
+	matrix.Solve(a, b, 2) // want "hard-coded threads=2 passed to matrix.Solve"
+	return matrix.Solve(a, b, cfg.Threads())
+}
+
 func RunBlock(bl *matrix.Block, cfg config) float64 {
 	_ = bl.Sum(8) // want "hard-coded threads=8 passed to bl.Sum"
 	return bl.Sum(cfg.Threads())

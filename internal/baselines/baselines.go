@@ -86,7 +86,7 @@ func runNaive(x, y *matrix.MatrixBlock, lambdas []float64, threads int) (*Result
 		if err != nil {
 			return nil, err
 		}
-		beta, err := solveRidge(gram, xty, lam)
+		beta, err := solveRidge(gram, xty, lam, threads)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +118,7 @@ func runGraphCSE(x, y *matrix.MatrixBlock, lambdas []float64, threads int) (*Res
 		if err != nil {
 			return nil, err
 		}
-		beta, err := solveRidge(gram, xty, lam)
+		beta, err := solveRidge(gram, xty, lam, threads)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +144,7 @@ func runEager(x, y *matrix.MatrixBlock, lambdas []float64, threads int) (*Result
 		if err != nil {
 			return nil, err
 		}
-		beta, err := solveRidge(gram, xty, lam)
+		beta, err := solveRidge(gram, xty, lam, threads)
 		if err != nil {
 			return nil, err
 		}
@@ -160,12 +160,12 @@ func runEager(x, y *matrix.MatrixBlock, lambdas []float64, threads int) (*Result
 }
 
 // solveRidge solves (gram + lambda*I) beta = xty.
-func solveRidge(gram, xty *matrix.MatrixBlock, lambda float64) (*matrix.MatrixBlock, error) {
+func solveRidge(gram, xty *matrix.MatrixBlock, lambda float64, threads int) (*matrix.MatrixBlock, error) {
 	a := gram.Copy()
 	for i := 0; i < a.Rows(); i++ {
 		a.Set(i, i, a.Get(i, i)+lambda)
 	}
-	return matrix.Solve(a, xty)
+	return matrix.Solve(a, xty, threads)
 }
 
 func storeModel(models, beta *matrix.MatrixBlock, col int) error {

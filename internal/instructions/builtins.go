@@ -58,19 +58,19 @@ func (i *SolveInst) Execute(ctx *runtime.Context) error {
 		if err != nil {
 			return err
 		}
-		res, err := matrix.Solve(a, b)
+		res, err := matrix.Solve(a, b, ctx.Config.Threads())
 		if err != nil {
 			return err
 		}
 		ctx.SetMatrix(i.outs[0], res)
 	case "inv":
-		res, err := matrix.Inverse(a)
+		res, err := matrix.Inverse(a, ctx.Config.Threads())
 		if err != nil {
 			return err
 		}
 		ctx.SetMatrix(i.outs[0], res)
 	case "cholesky":
-		res, err := matrix.Cholesky(a)
+		res, err := matrix.Cholesky(a, ctx.Config.Threads())
 		if err != nil {
 			return err
 		}

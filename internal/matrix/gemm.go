@@ -112,7 +112,12 @@ func gemmGetBuf(size int) *gemmBuf {
 	return b
 }
 
-func gemmPutBuf(b *gemmBuf) { gemmPool.Put(b) }
+// gemmPutBuf returns b to the pool; a nil b is ignored.
+func gemmPutBuf(b *gemmBuf) {
+	if b != nil {
+		gemmPool.Put(b)
+	}
+}
 
 // gemmZeroBuf returns a pooled buffer of size elements, zeroed.
 func gemmZeroBuf(size int) *gemmBuf {
@@ -136,11 +141,7 @@ func (s Scratch) Values() []float64 { return s.b.f }
 func GetScratch(n int) Scratch { return Scratch{b: gemmZeroBuf(n)} }
 
 // PutScratch returns the buffer to the pool.
-func PutScratch(s Scratch) {
-	if s.b != nil {
-		gemmPutBuf(s.b)
-	}
-}
+func PutScratch(s Scratch) { gemmPutBuf(s.b) }
 
 // --- panel packing ----------------------------------------------------------
 
@@ -183,6 +184,19 @@ func packAPanels(dst, a []float64, lda, r0, mc, p0, kc int) {
 	for ir := 0; ir < mc; ir += gemmMR {
 		h := min(gemmMR, mc-ir)
 		panel := dst[(ir/gemmMR)*kc*gemmMR:]
+		if h == gemmMR {
+			// a full panel: four row streams in, one sequential stream out
+			base := (r0+ir)*lda + p0
+			s0 := a[base : base+kc]
+			s1 := a[base+lda : base+lda+kc]
+			s2 := a[base+2*lda : base+2*lda+kc]
+			s3 := a[base+3*lda : base+3*lda+kc]
+			for p := range s0 {
+				d := panel[p*gemmMR : p*gemmMR+gemmMR]
+				d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
+			}
+			continue
+		}
 		for rr := 0; rr < h; rr++ {
 			src := a[(r0+ir+rr)*lda+p0 : (r0+ir+rr)*lda+p0+kc]
 			for p := 0; p < kc; p++ {

@@ -73,3 +73,19 @@ func BenchmarkKernelTSMMSparse(b *testing.B) {
 		TSMM(x, 0)
 	}
 }
+
+// BenchmarkKernelCholesky512 times the blocked Cholesky factor of a 512 x 512
+// normal-equations matrix (the lmDS solve); gflops counts n³/3 per factor.
+func BenchmarkKernelCholesky512(b *testing.B) {
+	const n = 512
+	a := normalEquations(n, 9)
+	threads := DefaultParallelism()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Cholesky(a, threads); err != nil {
+			b.Fatal(err)
+		}
+	}
+	flops := float64(n) * float64(n) * float64(n) / 3
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+}

@@ -160,7 +160,7 @@ func TestPropertySolveRecoversSolution(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x, err := Solve(a, b)
+		x, err := Solve(a, b, 1)
 		if err != nil {
 			return false
 		}
