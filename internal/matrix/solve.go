@@ -92,7 +92,7 @@ func solveDense(av, bv []float64, n, k, threads int) (*MatrixBlock, error) {
 		// the backward pass reads t(L)'s rows contiguously
 		mirrorLower(f, n)
 		loadRHS(x.dense, bv, nil, n, k)
-		forwardSubst(x.dense, f, n, k, false, threads)
+		forwardSubst(x.dense, f, n, k, false)
 	} else {
 		copy(f, av)
 		perm, err := luFactor(f, n)
@@ -100,9 +100,9 @@ func solveDense(av, bv []float64, n, k, threads int) (*MatrixBlock, error) {
 			return nil, err
 		}
 		loadRHS(x.dense, bv, perm, n, k)
-		forwardSubst(x.dense, f, n, k, true, threads)
+		forwardSubst(x.dense, f, n, k, true)
 	}
-	backSubst(x.dense, f, n, k, threads)
+	backSubst(x.dense, f, n, k)
 	x.RecomputeNNZ()
 	return x, nil
 }
@@ -328,79 +328,44 @@ func loadRHS(x, bv []float64, perm []int, n, k int) {
 	}
 }
 
-// rhsWorkers is the number of right-hand-side column panels a substitution
-// splits into: one per 64 columns, at most threads.
-func rhsWorkers(k, threads int) int { return min(threads, k/64) }
-
 // forwardSubst solves L y = x in place for the lower triangle of the n x n
 // row-major f (unit diagonal when unit), over all k right-hand-side columns
 // row by row: row i subtracts l[i][j]·y[j][:] for j ascending, then divides
-// by l[i][i], so every cell sees the column-at-a-time sequence. A single
-// column (the lmDS solve) runs as one dot product per row: the column loop's
-// per-term overhead would take four times as long.
-func forwardSubst(x, f []float64, n, k int, unit bool, threads int) {
-	if k == 1 {
-		for i := 0; i < n; i++ {
-			acc := x[i]
-			for j, v := range f[i*n : i*n+i] {
-				acc -= float64(v * x[j])
-			}
-			if !unit {
-				acc /= f[i*n+i]
-			}
-			x[i] = acc
-		}
-		return
-	}
-	parallelRows(k, rhsWorkers(k, threads), func(c0, c1 int) {
-		for i := 0; i < n; i++ {
-			xi := x[i*k+c0 : i*k+c1]
-			for j, v := range f[i*n : i*n+i] {
-				xj := x[j*k+c0 : j*k+c1]
-				for c, y := range xj {
-					xi[c] -= float64(v * y)
-				}
-			}
-			if !unit {
-				d := f[i*n+i]
-				for c := range xi {
-					xi[c] /= d
-				}
+// by l[i][i], so every cell sees the column-at-a-time sequence.
+func forwardSubst(x, f []float64, n, k int, unit bool) {
+	for i := 0; i < n; i++ {
+		xi := x[i*k : (i+1)*k]
+		for j, v := range f[i*n : i*n+i] {
+			for c, y := range x[j*k : (j+1)*k] {
+				xi[c] -= float64(v * y)
 			}
 		}
-	})
-}
-
-// backSubst solves U x = y in place for the upper triangle and diagonal of
-// the n x n row-major f, rows descending: row i subtracts u[i][j]·x[j][:] for
-// j ascending from i+1, then divides by u[i][i]; a single column runs as one
-// dot product per row, as in forwardSubst.
-func backSubst(x, f []float64, n, k, threads int) {
-	if k == 1 {
-		for i := n - 1; i >= 0; i-- {
-			acc := x[i]
-			for j, v := range f[i*n+i+1 : (i+1)*n] {
-				acc -= float64(v * x[i+1+j])
-			}
-			x[i] = acc / f[i*n+i]
-		}
-		return
-	}
-	parallelRows(k, rhsWorkers(k, threads), func(c0, c1 int) {
-		for i := n - 1; i >= 0; i-- {
-			xi := x[i*k+c0 : i*k+c1]
-			for j := i + 1; j < n; j++ {
-				v := f[i*n+j]
-				for c, y := range x[j*k+c0 : j*k+c1] {
-					xi[c] -= float64(v * y)
-				}
-			}
+		if !unit {
 			d := f[i*n+i]
 			for c := range xi {
 				xi[c] /= d
 			}
 		}
-	})
+	}
+}
+
+// backSubst solves U x = y in place for the upper triangle and diagonal of
+// the n x n row-major f, rows descending: row i subtracts u[i][j]·x[j][:] for
+// j ascending from i+1, then divides by u[i][i].
+func backSubst(x, f []float64, n, k int) {
+	for i := n - 1; i >= 0; i-- {
+		xi := x[i*k : (i+1)*k]
+		for j := i + 1; j < n; j++ {
+			v := f[i*n+j]
+			for c, y := range x[j*k : (j+1)*k] {
+				xi[c] -= float64(v * y)
+			}
+		}
+		d := f[i*n+i]
+		for c := range xi {
+			xi[c] /= d
+		}
+	}
 }
 
 // EigenSym computes the eigenvalues and eigenvectors of a symmetric matrix
