@@ -54,14 +54,17 @@ race:
 # corpora: the SDSB decoder (spill files, persistent-store payloads and `read`
 # inputs all come in through it; any bytes give a block or an error), the CSV
 # frame and matrix readers (same schema, names, cell bits and error-or-not as
-# the naive line-splitting oracle in the test file, at 1 and 3 threads) and the
+# the naive line-splitting oracle in the test file, at 1 and 3 threads), the
 # persistent lineage store file (open + Get on any bytes serve the entry or
-# drop and count it, never panic, never allocate from an unchecked length).
+# drop and count it, never panic, never allocate from an unchecked length) and
+# the compressed-matrix spill file (any bytes give a matrix or an error, never
+# a panic; a matrix writes back the bytes it came from and its kernels run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
+	$(GO) test -run '^$$' -fuzz FuzzCompressedRead -fuzztime 10s ./internal/compress/
 
 # The repo's benchmark (bench/, a module of its own; see bench/README.md):
 # all eight script-level workloads, every end-to-end and per-layer metric by

@@ -1,13 +1,15 @@
 // Package compress implements compressed linear algebra (CLA) for
 // SystemDS-Go: matrices are compressed column-wise into encoded column
-// groups — DDC (dense dictionary coding) for low-cardinality columns, RLE
-// (run-length encoding) for run-heavy columns, and an uncompressed-column
-// fallback — and linear-algebra kernels execute directly on the compressed
-// representation without decompressing (Elgohary et al., "Compressed Linear
-// Algebra for Large-Scale Machine Learning", PVLDB 2016). A sample-based
-// planner estimates per-column cardinality and run structure, picks the
-// cheapest encoding per column, and rejects compression outright when the
-// estimated ratio is too small to pay for itself.
+// groups — DDC (dense dictionary coding) for low-cardinality columns and
+// co-coded sets of correlated columns, SDC (sparse dictionary coding) for
+// mostly-constant columns, RLE (run-length encoding) for run-heavy columns,
+// and an uncompressed-column fallback — and linear-algebra kernels execute
+// directly on the compressed representation without decompressing (Elgohary
+// et al., "Compressed Linear Algebra for Large-Scale Machine Learning", PVLDB
+// 2016). A sample-based planner estimates per-column cardinality and run
+// structure, picks the cheapest encoding per column, merges adjacent
+// correlated columns into shared DDC groups, and rejects compression outright
+// when the estimated ratio is too small to pay for itself.
 package compress
 
 import (
@@ -21,16 +23,17 @@ type Encoding int
 
 // Column-group encodings.
 const (
-	// EncDDC is dense dictionary coding: every row stores a small code
-	// indexing a dictionary of the column's distinct values.
+	// EncDDC is dense dictionary coding of one column: every row stores a
+	// small code indexing a dictionary of the column's distinct values.
 	EncDDC Encoding = iota
 	// EncRLE is run-length encoding: the column is a sequence of
 	// (value, start, length) runs covering every row, zeros included.
 	EncRLE
 	// EncUncompressed keeps the columns as a plain matrix block.
 	EncUncompressed
-	// EncCoCoded is joint dictionary coding of several correlated columns:
-	// one code per row indexes a dictionary of value tuples.
+	// EncCoCoded is dense dictionary coding of several correlated columns
+	// (co-coding): one code per row indexes a dictionary of value tuples.
+	// Both are DDCGroup; the tag tells the widths apart in plans.
 	EncCoCoded
 	// EncSDC is sparse dictionary coding: a default value covers most rows
 	// and only the exception positions store dictionary codes.
@@ -96,35 +99,67 @@ type ColGroup interface {
 
 // --- DDC: dense dictionary coding -----------------------------------------
 
-// DDCGroup encodes one column as per-row codes into a dictionary of distinct
-// values. Codes are stored in one byte when the dictionary has at most 256
-// entries (DDC1) and two bytes otherwise (DDC2, up to 65536 entries).
+// DDCGroup encodes an ascending set of columns as one code per row indexing a
+// dictionary of value tuples (one value per member column). Codes are stored
+// in one byte when the dictionary has at most 256 tuples (DDC1) and two bytes
+// otherwise (DDC2, up to 65536 tuples). A single column is the width-one
+// case; which adjacent correlated columns share one group is the planner's
+// co-coding decision (Elgohary et al., PVLDB 2016, §4.2; see cocodePlan):
+// when columns are correlated, the joint cardinality is far below the product
+// of the per-column cardinalities, so one code per row replaces len(Cols).
 type DDCGroup struct {
-	Col    int
-	Dict   []float64
-	Counts []int32 // occurrences per dictionary entry (len == len(Dict))
+	Cols   []int     // ascending global column indexes
+	Dict   []float64 // tuple-major: tuple k occupies Dict[k*len(Cols) : (k+1)*len(Cols)]
+	Counts []int32   // occurrences per tuple (len == len(Dict)/len(Cols))
 	// exactly one of Codes8/Codes16 is non-nil, with one code per row
 	Codes8  []uint8
 	Codes16 []uint16
 }
 
 // Columns implements ColGroup.
-func (g *DDCGroup) Columns() []int { return []int{g.Col} }
+func (g *DDCGroup) Columns() []int { return g.Cols }
 
-// Encoding implements ColGroup.
-func (g *DDCGroup) Encoding() Encoding { return EncDDC }
-
-// NumRows returns the number of encoded rows.
-func (g *DDCGroup) NumRows() int {
-	if g.Codes8 != nil {
-		return len(g.Codes8)
+// Encoding implements ColGroup: EncDDC for one column, EncCoCoded for a
+// co-coded column set.
+func (g *DDCGroup) Encoding() Encoding {
+	if len(g.Cols) == 1 {
+		return EncDDC
 	}
-	return len(g.Codes16)
+	return EncCoCoded
+}
+
+// numVals returns the number of dictionary tuples.
+func (g *DDCGroup) numVals() int { return len(g.Counts) }
+
+// code returns the dictionary code of row r.
+func (g *DDCGroup) code(r int) int {
+	if g.Codes8 != nil {
+		return int(g.Codes8[r])
+	}
+	return int(g.Codes16[r])
+}
+
+// gather adds pre[code(r)] to out[r-r0] for rows [r0, r1).
+func (g *DDCGroup) gather(out, pre []float64, r0, r1 int) {
+	if g.Codes8 != nil {
+		gatherCodes(out, pre, g.Codes8[r0:r1])
+	} else {
+		gatherCodes(out, pre, g.Codes16[r0:r1])
+	}
+}
+
+// gatherCodes adds pre[codes[r]] to out[r]; the codes sit in a local slice
+// so the loop does not reload them from the group after every store.
+func gatherCodes[T uint8 | uint16](out, pre []float64, codes []T) {
+	out = out[:len(codes)]
+	for r, k := range codes {
+		out[r] += pre[k]
+	}
 }
 
 // InMemorySize implements ColGroup.
 func (g *DDCGroup) InMemorySize() int64 {
-	s := int64(len(g.Dict))*8 + int64(len(g.Counts))*4 + 64
+	s := int64(len(g.Dict))*8 + int64(len(g.Counts))*4 + int64(len(g.Cols))*8 + 64
 	if g.Codes8 != nil {
 		s += int64(len(g.Codes8))
 	} else {
@@ -135,10 +170,13 @@ func (g *DDCGroup) InMemorySize() int64 {
 
 // NNZ implements ColGroup.
 func (g *DDCGroup) NNZ() int64 {
+	w := len(g.Cols)
 	var nnz int64
-	for k, v := range g.Dict {
-		if v != 0 {
-			nnz += int64(g.Counts[k])
+	for k, cnt := range g.Counts {
+		for j := 0; j < w; j++ {
+			if g.Dict[k*w+j] != 0 {
+				nnz += int64(cnt)
+			}
 		}
 	}
 	return nnz
@@ -146,91 +184,114 @@ func (g *DDCGroup) NNZ() int64 {
 
 // DecompressInto implements ColGroup.
 func (g *DDCGroup) DecompressInto(out []float64, nCols, r0, r1 int) {
-	if g.Codes8 != nil {
-		for r := r0; r < r1; r++ {
-			out[(r-r0)*nCols+g.Col] = g.Dict[g.Codes8[r]]
-		}
-		return
-	}
+	w := len(g.Cols)
 	for r := r0; r < r1; r++ {
-		out[(r-r0)*nCols+g.Col] = g.Dict[g.Codes16[r]]
+		k := g.code(r)
+		for j, c := range g.Cols {
+			out[(r-r0)*nCols+c] = g.Dict[k*w+j]
+		}
 	}
 }
 
-// MatVecAccum implements ColGroup: the dictionary is pre-scaled by the vector
-// entry once (the CLA pre-aggregation), then rows gather by code.
+// MatVecAccum implements ColGroup: each dictionary tuple is reduced against
+// the vector entries of the member columns once (the CLA pre-scaling, a tuple
+// dot product accumulated column by column), then rows gather by code. Zero
+// vector entries are skipped, and a group whose entries are all zero
+// contributes nothing.
 func (g *DDCGroup) MatVecAccum(out, v []float64, r0, r1 int, scratch []float64) {
-	x := v[g.Col]
-	if x == 0 {
-		return
-	}
-	pre := scratch
-	if len(pre) < len(g.Dict) {
-		pre = make([]float64, len(g.Dict))
-	} else {
-		pre = pre[:len(g.Dict)]
-	}
-	for k, d := range g.Dict {
-		pre[k] = d * x
-	}
-	if g.Codes8 != nil {
-		for r := r0; r < r1; r++ {
-			out[r-r0] += pre[g.Codes8[r]]
+	live := false
+	for _, c := range g.Cols {
+		if v[c] != 0 {
+			live = true
+			break
 		}
+	}
+	if !live {
 		return
 	}
-	for r := r0; r < r1; r++ {
-		out[r-r0] += pre[g.Codes16[r]]
+	w := len(g.Cols)
+	nv := g.numVals()
+	pre := scratch
+	if len(pre) < nv {
+		pre = make([]float64, nv)
+	} else {
+		pre = pre[:nv]
 	}
+	clear(pre)
+	for j, c := range g.Cols {
+		x := v[c]
+		if x == 0 {
+			continue
+		}
+		for k, d := 0, g.Dict[j:]; k < nv; k++ {
+			pre[k] += float64(d[k*w] * x)
+		}
+	}
+	g.gather(out, pre, r0, r1)
 }
 
-// VecMatAccum implements ColGroup: vector entries are aggregated per
-// dictionary code first, then combined with the dictionary once.
+// VecMatAccum implements ColGroup: vector entries are aggregated per tuple
+// code first, then combined with each member column's dictionary values once.
 func (g *DDCGroup) VecMatAccum(out, v []float64) {
-	w := make([]float64, len(g.Dict))
+	w := len(g.Cols)
+	nv := g.numVals()
+	agg := make([]float64, nv)
 	if g.Codes8 != nil {
 		for r, c := range g.Codes8 {
-			w[c] += v[r]
+			agg[c] += v[r]
 		}
 	} else {
 		for r, c := range g.Codes16 {
-			w[c] += v[r]
+			agg[c] += v[r]
 		}
 	}
-	var s float64
-	for k, d := range g.Dict {
-		s += float64(w[k] * d)
+	for j, col := range g.Cols {
+		var s float64
+		for k := 0; k < nv; k++ {
+			s += float64(agg[k] * g.Dict[k*w+j])
+		}
+		out[col] += s
 	}
-	out[g.Col] += s
 }
 
-// MapValues implements ColGroup: codes and counts are shared, only the
+// MapValues implements ColGroup: codes and counts are shared, only the tuple
 // dictionary is rewritten.
 func (g *DDCGroup) MapValues(fn func(dst, src []float64)) ColGroup {
 	dict := make([]float64, len(g.Dict))
 	fn(dict, g.Dict)
-	return &DDCGroup{Col: g.Col, Dict: dict, Counts: g.Counts, Codes8: g.Codes8, Codes16: g.Codes16}
+	return &DDCGroup{Cols: g.Cols, Dict: dict, Counts: g.Counts, Codes8: g.Codes8, Codes16: g.Codes16}
 }
 
 // Sum implements ColGroup.
 func (g *DDCGroup) Sum() float64 {
+	w := len(g.Cols)
 	var s float64
-	for k, d := range g.Dict {
-		s += float64(float64(g.Counts[k]) * d)
+	for k, cnt := range g.Counts {
+		var ts float64
+		for j := 0; j < w; j++ {
+			ts += g.Dict[k*w+j]
+		}
+		s += float64(float64(cnt) * ts)
 	}
 	return s
 }
 
 // SumSq implements ColGroup.
 func (g *DDCGroup) SumSq() float64 {
+	w := len(g.Cols)
 	var s float64
-	for k, d := range g.Dict {
-		s += float64(float64(g.Counts[k]) * d * d)
+	for k, cnt := range g.Counts {
+		var ts float64
+		for j := 0; j < w; j++ {
+			d := g.Dict[k*w+j]
+			ts += float64(d * d)
+		}
+		s += float64(float64(cnt) * ts)
 	}
 	return s
 }
 
-// MinMax implements ColGroup. Every dictionary entry occurs at least once, so
+// MinMax implements ColGroup. Every dictionary tuple occurs at least once, so
 // scanning the dictionary is exact.
 func (g *DDCGroup) MinMax() (float64, float64) {
 	mn, mx := math.Inf(1), math.Inf(-1)
@@ -242,19 +303,31 @@ func (g *DDCGroup) MinMax() (float64, float64) {
 }
 
 // ColSumsInto implements ColGroup.
-func (g *DDCGroup) ColSumsInto(out []float64) { out[g.Col] += g.Sum() }
-
-// RowSumsAccum implements ColGroup.
-func (g *DDCGroup) RowSumsAccum(out []float64, r0, r1 int) {
-	if g.Codes8 != nil {
-		for r := r0; r < r1; r++ {
-			out[r-r0] += g.Dict[g.Codes8[r]]
+func (g *DDCGroup) ColSumsInto(out []float64) {
+	w := len(g.Cols)
+	for j, col := range g.Cols {
+		var s float64
+		for k, cnt := range g.Counts {
+			s += float64(float64(cnt) * g.Dict[k*w+j])
 		}
-		return
+		out[col] += s
 	}
-	for r := r0; r < r1; r++ {
-		out[r-r0] += g.Dict[g.Codes16[r]]
+}
+
+// RowSumsAccum implements ColGroup: tuple row-sums are precomputed once, then
+// rows gather by code.
+func (g *DDCGroup) RowSumsAccum(out []float64, r0, r1 int) {
+	w := len(g.Cols)
+	nv := g.numVals()
+	pre := make([]float64, nv)
+	for k := 0; k < nv; k++ {
+		var s float64
+		for j := 0; j < w; j++ {
+			s += g.Dict[k*w+j]
+		}
+		pre[k] = s
 	}
+	g.gather(out, pre, r0, r1)
 }
 
 // --- RLE: run-length encoding ----------------------------------------------
@@ -274,15 +347,6 @@ func (g *RLEGroup) Columns() []int { return []int{g.Col} }
 
 // Encoding implements ColGroup.
 func (g *RLEGroup) Encoding() Encoding { return EncRLE }
-
-// NumRows returns the number of encoded rows.
-func (g *RLEGroup) NumRows() int {
-	n := len(g.Starts)
-	if n == 0 {
-		return 0
-	}
-	return int(g.Starts[n-1] + g.Lens[n-1])
-}
 
 // InMemorySize implements ColGroup.
 func (g *RLEGroup) InMemorySize() int64 {

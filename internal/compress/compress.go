@@ -237,7 +237,7 @@ func (e *ddcEncoder) finish() ColGroup {
 	if e.overflow {
 		return nil
 	}
-	g := &DDCGroup{Col: e.col, Dict: e.dict, Counts: e.counts}
+	g := &DDCGroup{Cols: []int{e.col}, Dict: e.dict, Counts: e.counts}
 	g.Codes8, g.Codes16 = narrowCodes(e.codes, len(e.dict))
 	if g.InMemorySize() >= int64(len(e.codes))*8 {
 		return nil
@@ -361,7 +361,7 @@ func (e *coCodedEncoder) finish() ColGroup {
 	if e.overflow {
 		return nil
 	}
-	g := &CoCodedGroup{Cols: append([]int(nil), e.cols...), Dict: e.dict, Counts: e.counts}
+	g := &DDCGroup{Cols: append([]int(nil), e.cols...), Dict: e.dict, Counts: e.counts}
 	g.Codes8, g.Codes16 = narrowCodes(e.codes, len(e.counts))
 	if g.InMemorySize() >= int64(len(e.codes))*8*int64(len(e.cols)) {
 		return nil

@@ -297,9 +297,7 @@ func (c *CompressedMatrix) RowSums(threads int) *matrix.MatrixBlock {
 func preScaleSlots(g ColGroup) int {
 	switch t := g.(type) {
 	case *DDCGroup:
-		return len(t.Dict)
-	case *CoCodedGroup:
-		return len(t.Counts)
+		return t.numVals()
 	case *SDCGroup:
 		return len(t.Dict)
 	}

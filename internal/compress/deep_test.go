@@ -196,9 +196,9 @@ func TestPlannerPicksSDC(t *testing.T) {
 func TestPlannerCoCodesCorrelatedColumns(t *testing.T) {
 	m := correlatedMatrix(2000, 6, 17)
 	cm := compressOrFatal(t, m)
-	var cc *CoCodedGroup
+	var cc *DDCGroup
 	for _, g := range cm.Groups {
-		if t, ok := g.(*CoCodedGroup); ok {
+		if t, ok := g.(*DDCGroup); ok && g.Encoding() == EncCoCoded {
 			cc = t
 		}
 	}

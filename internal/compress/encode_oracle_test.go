@@ -114,7 +114,7 @@ func oracleEncodeDDC(m *matrix.MatrixBlock, col, rows int) ColGroup {
 		counts[k]++
 		codes[r] = uint16(k)
 	}
-	g := &DDCGroup{Col: col, Dict: dict, Counts: counts}
+	g := &DDCGroup{Cols: []int{col}, Dict: dict, Counts: counts}
 	if len(dict) <= 256 {
 		c8 := make([]uint8, rows)
 		for r, k := range codes {
@@ -219,7 +219,7 @@ func oracleEncodeCoCoded(m *matrix.MatrixBlock, set []int, rows int) ColGroup {
 		counts[k]++
 		codes[r] = uint16(k)
 	}
-	g := &CoCodedGroup{Cols: append([]int(nil), set...), Dict: dict, Counts: counts}
+	g := &DDCGroup{Cols: append([]int(nil), set...), Dict: dict, Counts: counts}
 	if len(counts) <= 256 {
 		c8 := make([]uint8, rows)
 		for r, k := range codes {

@@ -13,13 +13,29 @@ import (
 // shrinks); gflops is the throughput of the equivalent dense computation.
 
 // ddcBenchMatrix has 8 distinct values per column in random row order: the
-// dense-dictionary-coding regime.
+// dense-dictionary-coding regime at low cardinality, where the planner
+// co-codes adjacent columns in pairs (cc=64).
 func ddcBenchMatrix() *matrix.MatrixBlock {
 	noise := matrix.RandUniform(16384, 128, 0, 1, 1.0, 501)
 	x := matrix.NewDense(16384, 128)
 	for r := 0; r < 16384; r++ {
 		for c := 0; c < 128; c++ {
 			x.Set(r, c, float64(int(noise.Get(r, c)*8)))
+		}
+	}
+	x.RecomputeNNZ()
+	return x
+}
+
+// wideDictBenchMatrix has 512 distinct values per column in random row order:
+// above the co-coding candidate cardinality, so every column stays a
+// single-column DDC group with two-byte codes (ddc=128).
+func wideDictBenchMatrix() *matrix.MatrixBlock {
+	noise := matrix.RandUniform(16384, 128, 0, 1, 1.0, 503)
+	x := matrix.NewDense(16384, 128)
+	for r := 0; r < 16384; r++ {
+		for c := 0; c < 128; c++ {
+			x.Set(r, c, float64(int(noise.Get(r, c)*512)))
 		}
 	}
 	x.RecomputeNNZ()
@@ -85,9 +101,10 @@ func benchKernel(b *testing.B, dataBytes int64, flops float64, op func() error) 
 	}
 }
 
-// BenchmarkCompressedMV{DDC,RLE,Uncompressed} time the matrix-vector product
-// under the two column-group encodings and on the dense block; both paths
-// allocate the same output vector.
+// BenchmarkCompressedMV{DDC,CoCoded,RLE,Uncompressed} time the matrix-vector
+// product on single-column DDC groups, on co-coded pairs, on runs and on the
+// dense block of the co-coded input; every path allocates the same output
+// vector.
 func compressedMVBench(b *testing.B, x *matrix.MatrixBlock) {
 	cm := compressBench(b, x)
 	v := matrix.RandUniform(x.Cols(), 1, -1, 1, 1.0, 77)
@@ -97,7 +114,9 @@ func compressedMVBench(b *testing.B, x *matrix.MatrixBlock) {
 	})
 }
 
-func BenchmarkCompressedMVDDC(b *testing.B) { compressedMVBench(b, ddcBenchMatrix()) }
+func BenchmarkCompressedMVDDC(b *testing.B) { compressedMVBench(b, wideDictBenchMatrix()) }
+
+func BenchmarkCompressedMVCoCoded(b *testing.B) { compressedMVBench(b, ddcBenchMatrix()) }
 
 func BenchmarkCompressedMVRLE(b *testing.B) { compressedMVBench(b, rleBenchMatrix()) }
 

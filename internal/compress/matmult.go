@@ -55,15 +55,6 @@ func accumRHS(g ColGroup, dst, bd []float64, k, r0, r1, j0, j1 int, scratch []fl
 	blk := j1 - j0
 	switch t := g.(type) {
 	case *DDCGroup:
-		pre := scratch[:len(t.Dict)*blk]
-		brow := bd[t.Col*k+j0:]
-		for kk, d := range t.Dict {
-			for jj := 0; jj < blk; jj++ {
-				pre[kk*blk+jj] = float64(d * brow[jj])
-			}
-		}
-		gatherRHS(dst, pre, t.Codes8, t.Codes16, k, r0, r1, j0, blk)
-	case *CoCodedGroup:
 		w := len(t.Cols)
 		nv := t.numVals()
 		pre := scratch[:nv*blk]
@@ -202,15 +193,16 @@ func (c *CompressedMatrix) TransMatMultDense(b *matrix.MatrixBlock, threads int)
 			}
 			return
 		}
-		cv := newCodedView(g, rows)
-		w := len(cv.cols)
+		d := asDDC(g, rows)
+		w := len(d.Cols)
+		nv := d.numVals()
 		for j0 := 0; j0 < k; j0 += rhsColBlock {
 			j1 := min(j0+rhsColBlock, k)
 			blk := j1 - j0
-			agg := make([]float64, cv.nvals*blk)
-			if cv.codes8 != nil {
+			agg := make([]float64, nv*blk)
+			if d.Codes8 != nil {
 				for r := 0; r < rows; r++ {
-					arow := agg[int(cv.codes8[r])*blk:]
+					arow := agg[int(d.Codes8[r])*blk:]
 					brow := bd[r*k+j0:]
 					for jj := 0; jj < blk; jj++ {
 						arow[jj] += brow[jj]
@@ -218,23 +210,23 @@ func (c *CompressedMatrix) TransMatMultDense(b *matrix.MatrixBlock, threads int)
 				}
 			} else {
 				for r := 0; r < rows; r++ {
-					arow := agg[int(cv.codes16[r])*blk:]
+					arow := agg[int(d.Codes16[r])*blk:]
 					brow := bd[r*k+j0:]
 					for jj := 0; jj < blk; jj++ {
 						arow[jj] += brow[jj]
 					}
 				}
 			}
-			for a, gc := range cv.cols {
+			for a, gc := range d.Cols {
 				orow := dst[gc*k+j0:]
-				for kk := 0; kk < cv.nvals; kk++ {
-					d := cv.dict[kk*w+a]
-					if d == 0 {
+				for kk := 0; kk < nv; kk++ {
+					dv := d.Dict[kk*w+a]
+					if dv == 0 {
 						continue
 					}
 					arow := agg[kk*blk:]
 					for jj := 0; jj < blk; jj++ {
-						orow[jj] += float64(d * arow[jj])
+						orow[jj] += float64(dv * arow[jj])
 					}
 				}
 			}

@@ -27,21 +27,7 @@ func (c *CompressedMatrix) SliceRows(r0, r1 int) *CompressedMatrix {
 func sliceRowsGroup(g ColGroup, r0, r1 int) ColGroup {
 	switch t := g.(type) {
 	case *DDCGroup:
-		s := &DDCGroup{Col: t.Col, Dict: t.Dict, Counts: make([]int32, len(t.Dict))}
-		if t.Codes8 != nil {
-			s.Codes8 = t.Codes8[r0:r1]
-			for _, k := range s.Codes8 {
-				s.Counts[k]++
-			}
-		} else {
-			s.Codes16 = t.Codes16[r0:r1]
-			for _, k := range s.Codes16 {
-				s.Counts[k]++
-			}
-		}
-		return s
-	case *CoCodedGroup:
-		s := &CoCodedGroup{Cols: t.Cols, Dict: t.Dict, Counts: make([]int32, len(t.Counts))}
+		s := &DDCGroup{Cols: t.Cols, Dict: t.Dict, Counts: make([]int32, len(t.Counts))}
 		if t.Codes8 != nil {
 			s.Codes8 = t.Codes8[r0:r1]
 			for _, k := range s.Codes8 {

@@ -28,9 +28,6 @@ func (g *SDCGroup) Columns() []int { return []int{g.Col} }
 // Encoding implements ColGroup.
 func (g *SDCGroup) Encoding() Encoding { return EncSDC }
 
-// NumRows returns the number of encoded rows.
-func (g *SDCGroup) NumRows() int { return g.N }
-
 // InMemorySize implements ColGroup.
 func (g *SDCGroup) InMemorySize() int64 {
 	return int64(len(g.Dict))*8 + int64(len(g.Counts))*4 +

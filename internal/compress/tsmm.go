@@ -25,131 +25,92 @@ import (
 // would cost more to fill and scan than the dense product it replaces).
 const maxCoocEntries = 1 << 22
 
-// codedView is the normalized dictionary-coded form of a column group used by
-// the TSMM cross products: a tuple-major dictionary (nvals x len(cols)) plus
-// one code per row. DDC and co-coded groups view their storage directly;
-// SDC and RLE groups expand per-row codes once per TSMM call.
-type codedView struct {
-	cols    []int
-	dict    []float64 // nvals x len(cols), tuple-major
-	counts  []int32   // occurrences per tuple
-	nvals   int
-	codes8  []uint8
-	codes16 []uint16
-}
-
-// newCodedView normalizes a group into dictionary+codes form, or nil for
-// uncompressed groups.
-func newCodedView(g ColGroup, rows int) *codedView {
+// asDDC returns a group in dictionary-coded form for the TSMM and t(X) %*% B
+// kernels: a DDC group as it is, an SDC or RLE group expanded into a
+// temporary DDC group with one code per row, and nil for uncompressed groups.
+func asDDC(g ColGroup, rows int) *DDCGroup {
 	switch t := g.(type) {
 	case *DDCGroup:
-		return &codedView{cols: []int{t.Col}, dict: t.Dict, counts: t.Counts,
-			nvals: len(t.Dict), codes8: t.Codes8, codes16: t.Codes16}
-	case *CoCodedGroup:
-		return &codedView{cols: t.Cols, dict: t.Dict, counts: t.Counts,
-			nvals: t.numVals(), codes8: t.Codes8, codes16: t.Codes16}
+		return t
 	case *SDCGroup:
 		// code 0 is the default value, exception codes shift up by one
 		nv := len(t.Dict) + 1
-		cv := &codedView{cols: []int{t.Col}, nvals: nv,
-			dict: make([]float64, nv), counts: make([]int32, nv)}
-		cv.dict[0] = t.Default
-		copy(cv.dict[1:], t.Dict)
-		cv.counts[0] = int32(t.N - len(t.Pos))
-		copy(cv.counts[1:], t.Counts)
-		if nv <= 256 {
-			codes := make([]uint8, rows)
-			for i, p := range t.Pos {
-				codes[p] = uint8(t.Codes[i] + 1)
-			}
-			cv.codes8 = codes
-		} else {
-			codes := make([]uint16, rows)
-			for i, p := range t.Pos {
-				codes[p] = t.Codes[i] + 1
-			}
-			cv.codes16 = codes
+		d := &DDCGroup{Cols: []int{t.Col}, Dict: make([]float64, nv), Counts: make([]int32, nv)}
+		d.Dict[0] = t.Default
+		copy(d.Dict[1:], t.Dict)
+		d.Counts[0] = int32(t.N - len(t.Pos))
+		copy(d.Counts[1:], t.Counts)
+		codes := make([]uint16, rows)
+		for i, p := range t.Pos {
+			codes[p] = t.Codes[i] + 1
 		}
-		return cv
+		d.Codes8, d.Codes16 = narrowCodes(codes, nv)
+		return d
 	case *RLEGroup:
 		// first-occurrence value dictionary, runs expanded to per-row codes
-		cv := &codedView{cols: []int{t.Col}}
+		d := &DDCGroup{Cols: []int{t.Col}}
 		codes := make([]uint16, rows)
 		idx := map[float64]int{}
 		for i, v := range t.Values {
 			k, ok := idx[v]
 			if !ok {
-				k = cv.nvals
+				k = len(d.Dict)
 				idx[v] = k
-				cv.dict = append(cv.dict, v)
-				cv.counts = append(cv.counts, 0)
-				cv.nvals++
+				d.Dict = append(d.Dict, v)
+				d.Counts = append(d.Counts, 0)
 			}
-			cv.counts[k] += t.Lens[i]
+			d.Counts[k] += t.Lens[i]
 			for r := int(t.Starts[i]); r < int(t.Starts[i]+t.Lens[i]); r++ {
 				codes[r] = uint16(k)
 			}
 		}
-		if cv.nvals <= 256 {
-			c8 := make([]uint8, rows)
-			for r, k := range codes {
-				c8[r] = uint8(k)
-			}
-			cv.codes8 = c8
-		} else {
-			cv.codes16 = codes
-		}
-		return cv
+		d.Codes8, d.Codes16 = narrowCodes(codes, len(d.Dict))
+		return d
 	}
 	return nil
 }
 
 // stripeInto expands rows [r0, r1) into a dense row-major stripe of width
-// len(cv.cols).
-func (cv *codedView) stripeInto(s []float64, r0, r1 int) {
-	w := len(cv.cols)
-	if cv.codes8 != nil {
-		for r := r0; r < r1; r++ {
-			copy(s[(r-r0)*w:(r-r0)*w+w], cv.dict[int(cv.codes8[r])*w:])
-		}
-		return
-	}
+// len(g.Cols).
+func (g *DDCGroup) stripeInto(s []float64, r0, r1 int) {
+	w := len(g.Cols)
 	for r := r0; r < r1; r++ {
-		copy(s[(r-r0)*w:(r-r0)*w+w], cv.dict[int(cv.codes16[r])*w:])
+		copy(s[(r-r0)*w:(r-r0)*w+w], g.Dict[g.code(r)*w:])
 	}
 }
 
-// coocCounts fills the a.nvals x b.nvals co-occurrence table of code pairs by
-// one joint scan over the rows.
-func coocCounts(a, b *codedView, rows int) []int32 {
-	t := make([]int32, a.nvals*b.nvals)
-	bn := b.nvals
+// coocCounts fills the a.numVals() x b.numVals() co-occurrence table of code
+// pairs by one joint scan over the rows.
+func coocCounts(a, b *DDCGroup, rows int) []int32 {
+	bn := b.numVals()
+	t := make([]int32, a.numVals()*bn)
 	switch {
-	case a.codes8 != nil && b.codes8 != nil:
-		for r := 0; r < rows; r++ {
-			t[int(a.codes8[r])*bn+int(b.codes8[r])]++
-		}
-	case a.codes8 != nil:
-		for r := 0; r < rows; r++ {
-			t[int(a.codes8[r])*bn+int(b.codes16[r])]++
-		}
-	case b.codes8 != nil:
-		for r := 0; r < rows; r++ {
-			t[int(a.codes16[r])*bn+int(b.codes8[r])]++
-		}
+	case a.Codes8 != nil && b.Codes8 != nil:
+		countPairs(t, a.Codes8[:rows], b.Codes8[:rows], bn)
+	case a.Codes8 != nil:
+		countPairs(t, a.Codes8[:rows], b.Codes16[:rows], bn)
+	case b.Codes8 != nil:
+		countPairs(t, a.Codes16[:rows], b.Codes8[:rows], bn)
 	default:
-		for r := 0; r < rows; r++ {
-			t[int(a.codes16[r])*bn+int(b.codes16[r])]++
-		}
+		countPairs(t, a.Codes16[:rows], b.Codes16[:rows], bn)
 	}
 	return t
 }
 
-// tsmmSide is one side of a group pair: either a coded view or the dense
-// values of an uncompressed group (row-major rows x len(cols)).
+// countPairs counts the code pair (a[r], b[r]) of every row into t, whose
+// rows are bn wide.
+func countPairs[A, B uint8 | uint16](t []int32, a []A, b []B, bn int) {
+	b = b[:len(a)]
+	for r, ka := range a {
+		t[int(ka)*bn+int(b[r])]++
+	}
+}
+
+// tsmmSide is one side of a group pair: either a dictionary-coded group or
+// the dense values of an uncompressed group (row-major rows x len(cols)).
 type tsmmSide struct {
 	cols  []int
-	view  *codedView
+	ddc   *DDCGroup
 	dense []float64
 }
 
@@ -160,18 +121,18 @@ func (s *tsmmSide) chunkValues(buf []float64, r0, r1 int) []float64 {
 	if s.dense != nil {
 		return s.dense[r0*w : r1*w]
 	}
-	s.view.stripeInto(buf, r0, r1)
+	s.ddc.stripeInto(buf, r0, r1)
 	return buf[:(r1-r0)*w]
 }
 
-// tsmmSides normalizes every group once (coded views for dictionary groups,
-// densified values for uncompressed groups).
+// tsmmSides normalizes every group once (dictionary-coded form for DDC, SDC
+// and RLE groups, densified values for uncompressed groups).
 func (c *CompressedMatrix) tsmmSides(threads int) []*tsmmSide {
 	sides := make([]*tsmmSide, len(c.Groups))
 	forEachGroup(c.Groups, threads, func(i int, g ColGroup) {
 		s := &tsmmSide{cols: g.Columns()}
-		if cv := newCodedView(g, c.NumRows); cv != nil {
-			s.view = cv
+		if d := asDDC(g, c.NumRows); d != nil {
+			s.ddc = d
 		} else {
 			u := g.(*UncompressedGroup)
 			s.dense = denseBlockValues(u.Data)
@@ -212,21 +173,20 @@ func (c *CompressedMatrix) TSMM(threads int) *matrix.MatrixBlock {
 
 // tsmmSelf fills the diagonal block R[Ci, Ci] of one group.
 func tsmmSelf(dst []float64, n int, g ColGroup, s *tsmmSide, rows int) {
-	if cv := s.view; cv != nil {
+	if d := s.ddc; d != nil {
 		// counts-weighted dictionary self product: every (a, b) column pair
 		// accumulates over the tuple dictionary in ascending code order
-		w := len(cv.cols)
+		w := len(d.Cols)
 		for a := 0; a < w; a++ {
 			for b := a; b < w; b++ {
 				var sum float64
-				for k := 0; k < cv.nvals; k++ {
-					cnt := cv.counts[k]
+				for k, cnt := range d.Counts {
 					if cnt == 0 {
 						continue
 					}
-					sum += float64(float64(cnt) * cv.dict[k*w+a] * cv.dict[k*w+b])
+					sum += float64(float64(cnt) * d.Dict[k*w+a] * d.Dict[k*w+b])
 				}
-				ca, cb := cv.cols[a], cv.cols[b]
+				ca, cb := d.Cols[a], d.Cols[b]
 				dst[ca*n+cb] = sum
 				dst[cb*n+ca] = sum
 			}
@@ -249,26 +209,26 @@ func tsmmSelf(dst []float64, n int, g ColGroup, s *tsmmSide, rows int) {
 // pair.
 func tsmmCross(dst []float64, n int, si, sj *tsmmSide, rows int) {
 	wi, wj := len(si.cols), len(sj.cols)
-	if si.view != nil && sj.view != nil &&
-		si.view.nvals*sj.view.nvals <= maxCoocEntries {
+	if di, dj := si.ddc, sj.ddc; di != nil && dj != nil &&
+		di.numVals()*dj.numVals() <= maxCoocEntries {
 		// co-occurrence-weighted dictionary cross product
-		vi, vj := si.view, sj.view
-		cooc := coocCounts(vi, vj, rows)
+		ni, nj := di.numVals(), dj.numVals()
+		cooc := coocCounts(di, dj, rows)
 		for a := 0; a < wi; a++ {
 			for b := 0; b < wj; b++ {
 				var sum float64
-				for ki := 0; ki < vi.nvals; ki++ {
-					da := vi.dict[ki*wi+a]
+				for ki := 0; ki < ni; ki++ {
+					da := di.Dict[ki*wi+a]
 					if da == 0 {
 						continue
 					}
-					row := cooc[ki*vj.nvals:]
-					for kj := 0; kj < vj.nvals; kj++ {
+					row := cooc[ki*nj:]
+					for kj := 0; kj < nj; kj++ {
 						cnt := row[kj]
 						if cnt == 0 {
 							continue
 						}
-						sum += float64(float64(cnt) * da * vj.dict[kj*wj+b])
+						sum += float64(float64(cnt) * da * dj.Dict[kj*wj+b])
 					}
 				}
 				ca, cb := si.cols[a], sj.cols[b]
