@@ -39,8 +39,8 @@ test:
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
 # (internal/matrix), the deep compressed kernels — TSMM and
-# matrix right-hand side (internal/compress) — and the partitioned dist MV
-# (internal/dist).
+# matrix right-hand side (internal/compress) — and the blocked backend's
+# shuffle matmult, its block tasks on the worker pool (internal/dist).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
@@ -48,7 +48,7 @@ race:
 	$(GO) test -race -run 'TestParallelFor|TestParforErrorIsTheLowestWorkers' -count=3 ./internal/matrix/ ./internal/core/
 	$(GO) test -race -run 'TestChildContextsCountIntoTheRun' -count=3 ./internal/core/
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
-	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
+	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed
 # corpora: the SDSB decoder (spill files, persistent-store payloads and `read`
@@ -56,15 +56,18 @@ race:
 # frame and matrix readers (same schema, names, cell bits and error-or-not as
 # the naive line-splitting oracle in the test file, at 1 and 3 threads), the
 # persistent lineage store file (open + Get on any bytes serve the entry or
-# drop and count it, never panic, never allocate from an unchecked length) and
+# drop and count it, never panic, never allocate from an unchecked length),
 # the compressed-matrix spill file (any bytes give a matrix or an error, never
-# a panic; a matrix writes back the bytes it came from and its kernels run).
+# a panic; a matrix writes back the bytes it came from and its kernels run)
+# and the DML parser (any source parses and validates to a program or an
+# error, never a panic; seeded with the builtin and golden-plan scripts).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
 	$(GO) test -run '^$$' -fuzz FuzzCompressedRead -fuzztime 10s ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
 
 # The repo's benchmark (bench/, a module of its own; see bench/README.md):
 # all eight script-level workloads, every end-to-end and per-layer metric by

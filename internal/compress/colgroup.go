@@ -342,6 +342,23 @@ type RLEGroup struct {
 	Lens   []int32
 }
 
+// tooManyRunValues reports whether runs carry more than MaxDictSize distinct
+// values. The dictionary kernels code an RLE group's rows by run value in two
+// bytes (asDDC), so the encoder and Read refuse such a group.
+func tooManyRunValues(values []float64) bool {
+	if len(values) <= MaxDictSize {
+		return false
+	}
+	seen := make(map[float64]struct{}, MaxDictSize+1)
+	for _, v := range values {
+		seen[v] = struct{}{}
+		if len(seen) > MaxDictSize {
+			return true
+		}
+	}
+	return false
+}
+
 // Columns implements ColGroup.
 func (g *RLEGroup) Columns() []int { return []int{g.Col} }
 

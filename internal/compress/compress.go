@@ -168,7 +168,8 @@ func encodeUnits(m *matrix.MatrixBlock, units []encodeUnit, threads int, encoded
 // unitEncoder builds the exact encoding of one unit from its rows, fed in
 // order. row holds the cells of the task's columns, the task's first column
 // at index 0. finish returns nil when the unit falls back: the exact
-// dictionary overflowed the addressable code space, or the encoding is not
+// dictionary (an RLE group's distinct run values) overflowed the addressable
+// code space, or the encoding is not
 // smaller than the plain columns — the exact dictionary can be far larger
 // than the sample suggested.
 type unitEncoder interface {
@@ -277,7 +278,7 @@ func (e *rleEncoder) finish() ColGroup {
 		return e.g
 	}
 	e.run(e.rows)
-	if e.g.InMemorySize() >= int64(e.rows)*8 {
+	if e.g.InMemorySize() >= int64(e.rows)*8 || tooManyRunValues(e.g.Values) {
 		return nil
 	}
 	return e.g

@@ -296,6 +296,23 @@ func TestDictionaryOverflowFallsBack(t *testing.T) {
 	}
 }
 
+// TestRLEPastTheCodeSpaceFallsBack drives the RLE encoder over a column of
+// runs of three rows: MaxDictSize distinct run values still encode, one more
+// falls back to the uncompressed group, as the dictionary encoders do.
+func TestRLEPastTheCodeSpaceFallsBack(t *testing.T) {
+	for _, runs := range []int{MaxDictSize, MaxDictSize + 1, 70000} {
+		m := matrix.NewDense(3*runs, 1)
+		for r := range m.Rows() {
+			m.Set(r, 0, float64(r/3))
+		}
+		encoded := make([]ColGroup, 1)
+		encodeUnits(m, []encodeUnit{{cols: []int{0}, enc: EncRLE}}, 1, encoded)
+		if fits := runs <= MaxDictSize; (encoded[0] != nil) != fits {
+			t.Errorf("%d distinct run values: encoded %v, want an RLE group %v", runs, encoded[0] != nil, fits)
+		}
+	}
+}
+
 // TestSparseInputNotInflated asserts the acceptance baseline is the input's
 // ACTUAL representation: a sparse CSR block whose dense image would make
 // DDC look like an 8x win must be rejected when the encoding is larger than

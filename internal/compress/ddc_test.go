@@ -295,22 +295,6 @@ func TestWidthOneDDCMatchesSingleColumnFormulas(t *testing.T) {
 	assertBits(t, cm.ColSums(), colSums, "colSums")
 	assertBits(t, cm.Decompress(), refCells(ref, n, 0, rows), "decompress")
 
-	for _, rng := range [][2]int{{0, 1000}, {777, 2500}, {1024, 1025}} {
-		r0, r1 := rng[0], rng[1]
-		sl := cm.SliceRows(r0, r1)
-		assertBits(t, sl.Decompress(), refCells(ref, n, r0, r1), "sliced decompress")
-		sliced := make([]refCol, len(ref))
-		for i, c := range ref {
-			sliced[i] = refCol{col: c.col, dict: c.dict, codes: c.codes[r0:r1]}
-		}
-		mv, err := sl.MatVec(vecBlock(v, n, 1), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBits(t, mv, refMV(sliced, v, r1-r0), "sliced matvec")
-		assertBits(t, sl.TSMM(2), refTSMM(sliced, n, r1-r0), "sliced tsmm")
-	}
-
 	var buf bytes.Buffer
 	if err := cm.Write(&buf); err != nil {
 		t.Fatal(err)

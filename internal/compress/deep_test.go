@@ -295,39 +295,6 @@ func TestSerializeRoundTripNewGroups(t *testing.T) {
 	}
 }
 
-func TestSliceRowsMatchesDecompressedSlice(t *testing.T) {
-	for name, m := range deepDrivers(t) {
-		t.Run(name, func(t *testing.T) {
-			cm := compressOrFatal(t, m)
-			rows := m.Rows()
-			for _, rng := range [][2]int{{0, rows / 2}, {rows / 3, rows - 1}, {rows - 5, rows}} {
-				r0, r1 := rng[0], rng[1]
-				sl := cm.SliceRows(r0, r1)
-				want, err := matrix.Slice(m, r0, r1, 0, m.Cols())
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatClose(t, sl.Decompress(), want, "sliced decompress")
-				// count-weighted kernels must stay exact on the slice
-				if !relClose(sl.Sum(), matrix.Sum(want, 1)) {
-					t.Fatalf("slice [%d,%d) sum = %v, want %v", r0, r1, sl.Sum(), matrix.Sum(want, 1))
-				}
-				assertMatClose(t, sl.TSMM(2), matrix.TSMM(want, 1), "sliced tsmm")
-				v := denseRHS(m.Cols(), 1, 33)
-				gotMV, err := sl.MatVec(v, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantMV, err := matrix.Multiply(want, v, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatClose(t, gotMV, wantMV, "sliced matvec")
-			}
-		})
-	}
-}
-
 // TestHaasStokesAccuracy checks the estimator against known distributions: it
 // must stay close on uniform low-cardinality data and must correct the naive
 // scale-up's gross overestimate on skewed data.

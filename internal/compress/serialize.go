@@ -109,7 +109,8 @@ func (c *CompressedMatrix) Write(w io.Writer) error {
 // (codes, runs, positions and cells against the row count, dictionaries
 // against the code space), group columns ascend across the file inside the
 // matrix, codes index inside their dictionary, SDC positions ascend below the
-// row count, and RLE runs tile the rows.
+// row count, and RLE runs tile the rows with at most MaxDictSize distinct
+// values, so every group the kernels expand to dictionary codes fits them.
 func Read(r io.Reader) (*CompressedMatrix, error) {
 	d := &spillDecoder{r: bufio.NewReader(r)}
 	var magic uint32
@@ -275,6 +276,9 @@ func (d *spillDecoder) rle() ColGroup {
 	}
 	if end != d.rows {
 		d.fail("runs end at row %d, want %d", end, d.rows)
+	}
+	if tooManyRunValues(g.Values) {
+		d.fail("runs carry more than %d distinct values", MaxDictSize)
 	}
 	return g
 }

@@ -179,6 +179,42 @@ func TestReadRejectsHostileSpills(t *testing.T) {
 	}
 }
 
+// rlePastCodeSpace is X = [a, 1] over 210 000 rows, where a steps through
+// 70 000 distinct values in runs of three rows: an RLE group with more
+// distinct run values than two-byte codes address, next to a constant DDC
+// column.
+func rlePastCodeSpace() *CompressedMatrix {
+	const runs, runLen = 70000, 3
+	rows := runs * runLen
+	rle := &RLEGroup{Col: 0, Values: make([]float64, runs), Starts: make([]int32, runs), Lens: make([]int32, runs)}
+	for i := range runs {
+		rle.Values[i], rle.Starts[i], rle.Lens[i] = float64(i), int32(i*runLen), runLen
+	}
+	return &CompressedMatrix{NumRows: rows, NumCols: 2,
+		Groups: []ColGroup{rle, ddcGroup([]int{1}, []float64{1}, make([]int, rows), false)}}
+}
+
+// TestReadRejectsRLEPastTheCodeSpace: TSMM and t(X) %*% B expand an RLE group
+// into two-byte codes, which wrap past MaxDictSize distinct run values, so a
+// spill file holding such a group is malformed.
+func TestReadRejectsRLEPastTheCodeSpace(t *testing.T) {
+	cm, err := Read(bytes.NewReader(writeBytes(t, rlePastCodeSpace())))
+	if err == nil {
+		x := cm.Decompress()
+		ones := matrix.Fill(cm.NumRows, 1, 1)
+		xtb, err := cm.TransMatMultDense(ones, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := matrix.TransposeMultiply(x, ones, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("decoded %d distinct run values: t(X) %%*%% X cell (0,1) = %g (dense %g), t(X) %%*%% B cell (0,0) = %g (dense %g)",
+			len(cm.Groups[0].(*RLEGroup).Values), cm.TSMM(1).Get(0, 1), matrix.TSMM(x, 1).Get(0, 1), xtb.Get(0, 0), want.Get(0, 0))
+	}
+}
+
 // TestSpillRoundTripsEveryGroupKind: each group kind decodes and writes the
 // bytes it came from, a negative zero in an uncompressed block included.
 func TestSpillRoundTripsEveryGroupKind(t *testing.T) {
@@ -230,6 +266,6 @@ func FuzzCompressedRead(f *testing.F) {
 		cm.TSMM(2)
 		cm.RowSums(2)
 		cm.Decompress()
-		cm.SliceRows(cm.NumRows/2, cm.NumRows).ColSums()
+		cm.ColSums()
 	})
 }

@@ -28,9 +28,11 @@ func tracedEngine(memBudget int64) *Engine {
 
 // TestTracedCompressedLmRun is the acceptance scenario of the tracing layer:
 // a gradient-descent lm loop with compression and the distributed backend
-// enabled, traced end to end — once over in-memory inputs (the compressed and
-// distributed interplay) and once as scripts/lm_trace.dml (generated X, born
-// blocked). The run span must exist once, instruction spans must cover the
+// enabled, traced end to end — once over in-memory inputs (compressed X: its
+// multiplies run their compressed kernels in-process wherever they are
+// placed, so the run leaves compress spans and no dist spans) and once as
+// scripts/lm_trace.dml (generated X, born blocked: dist spans). The run span
+// must exist once, instruction spans must cover the
 // bulk of it, the per-opcode table must agree with the run span and the plan
 // records, and the Chrome trace export must be well-formed JSON whose parents
 // resolve and whose lanes nest strictly.
@@ -45,11 +47,12 @@ func TestTracedCompressedLmRun(t *testing.T) {
 		inputs   map[string]any
 		outputs  []string
 		wantCats []string
+		noCats   []string
 	}{
 		{"in-memory inputs", lmLoopScript,
 			map[string]any{"X": lowCardFeatures(2000, 200, 21), "y": matrix.RandUniform(2000, 1, -1, 1, 1.0, 22)},
-			[]string{"w", "s"}, []string{obs.CatBlock, obs.CatCompress, obs.CatDist}},
-		{"lm_trace.dml", string(traceScript), nil, []string{"s"}, []string{obs.CatBlock, obs.CatDist}},
+			[]string{"w", "s"}, []string{obs.CatBlock, obs.CatCompress}, []string{obs.CatDist}},
+		{"lm_trace.dml", string(traceScript), nil, []string{"s"}, []string{obs.CatBlock, obs.CatDist}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := tracedEngine(64 * 1024)
@@ -57,7 +60,7 @@ func TestTracedCompressedLmRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("traced run failed: %v", err)
 			}
-			checkTracedRun(t, eng, stats, tc.wantCats)
+			checkTracedRun(t, eng, stats, tc.wantCats, tc.noCats)
 			// annotated EXPLAIN joins the measured metrics onto the plan
 			annotated, err := eng.ExplainPlanAnnotated(tc.script, tc.inputs)
 			if err != nil {
@@ -72,8 +75,8 @@ func TestTracedCompressedLmRun(t *testing.T) {
 
 // checkTracedRun checks the spans, op metrics and Chrome export of the
 // engine's last traced run; wantCats are the kernel span categories the run
-// must leave.
-func checkTracedRun(t *testing.T, eng *Engine, stats *Stats, wantCats []string) {
+// must leave, noCats those it must not.
+func checkTracedRun(t *testing.T, eng *Engine, stats *Stats, wantCats, noCats []string) {
 	t.Helper()
 	recs := eng.TraceRecords()
 	var run *obs.Record
@@ -107,6 +110,11 @@ func checkTracedRun(t *testing.T, eng *Engine, stats *Stats, wantCats []string) 
 	for _, want := range wantCats {
 		if !cats[want] {
 			t.Errorf("no %q spans in the traced run", want)
+		}
+	}
+	for _, not := range noCats {
+		if cats[not] {
+			t.Errorf("%q spans in the traced run", not)
 		}
 	}
 

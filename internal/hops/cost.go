@@ -274,11 +274,11 @@ func hasCompressedInput(h *Hop) bool {
 }
 
 // discountCompressedInputs re-prices the byte charges of an operator whose
-// inputs arrive compressed: the bytes actually read (and, on the blocked
-// backend, partitioned and moved) are the compressed bytes, modeled at the
-// planner's assumed ratio. Pricing the compressed representation is what lets
-// the planner prefer plans that keep data compressed over plans that
-// decompress at an operator boundary.
+// inputs arrive compressed: the bytes actually read are the compressed bytes,
+// modeled at the planner's assumed ratio, wherever the operator is placed —
+// a compressed operand runs its compressed kernel in-process. Pricing the
+// compressed representation is what lets the planner prefer plans that keep
+// data compressed over plans that decompress at an operator boundary.
 func discountCompressedInputs(h *Hop) {
 	if !h.CostEst.Known {
 		return

@@ -18,13 +18,6 @@ var binaryOps = map[string]matrix.BinaryOp{
 	">": matrix.OpGreater, ">=": matrix.OpGreaterEqual, "&": matrix.OpAnd, "|": matrix.OpOr,
 }
 
-// IsBinaryOp reports whether the opcode is a supported element-wise binary
-// operation.
-func IsBinaryOp(op string) bool {
-	_, ok := binaryOps[op]
-	return ok
-}
-
 // BinaryInst applies an element-wise binary operation between matrices and/or
 // scalars, including string concatenation with "+".
 type BinaryInst struct {

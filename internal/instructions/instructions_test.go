@@ -133,8 +133,11 @@ func TestUnaryAndAggInstructions(t *testing.T) {
 	if err := NewUnary("warp", "w", Var("X")).Execute(ctx); err == nil {
 		t.Error("expected unknown op error")
 	}
-	if !IsUnaryOp("exp") || IsUnaryOp("zzz") {
-		t.Error("IsUnaryOp wrong")
+	if _, ok := unaryOps["exp"]; !ok {
+		t.Error("exp missing from the unary op table")
+	}
+	if _, ok := unaryOps["zzz"]; ok {
+		t.Error("zzz in the unary op table")
 	}
 
 	for op, want := range map[string]float64{"sum": 22, "min": -4, "max": 16, "mean": 5.5, "trace": 17} {
@@ -169,8 +172,8 @@ func TestUnaryAndAggInstructions(t *testing.T) {
 	if getScalar(t, ctx, "fc").Float64() != 2 {
 		t.Error("frame ncol wrong")
 	}
-	if !IsAggOp("sum") || IsAggOp("banana") {
-		t.Error("IsAggOp wrong")
+	if !scalarAggs["sum"] || scalarAggs["banana"] || vectorAggs["banana"] {
+		t.Error("aggregate op tables wrong")
 	}
 }
 
@@ -221,8 +224,11 @@ func TestBinaryAndTernaryInstructions(t *testing.T) {
 	if err := NewBinary("zz", "Z", Var("A"), Var("B")).Execute(ctx); err == nil {
 		t.Error("expected unknown op error")
 	}
-	if !IsBinaryOp("+") || IsBinaryOp("@@") {
-		t.Error("IsBinaryOp wrong")
+	if _, ok := binaryOps["+"]; !ok {
+		t.Error("+ missing from the binary op table")
+	}
+	if _, ok := binaryOps["@@"]; ok {
+		t.Error("@@ in the binary op table")
 	}
 	// ternary with matrix condition
 	ctx.SetMatrix("cond", matrix.FromRows([][]float64{{1, 0}, {0, 1}}))

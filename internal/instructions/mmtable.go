@@ -20,7 +20,10 @@ import (
 // row of its own reaches the wildcard row of its operation, which asks for
 // local blocks — so a missing kernel is a counted decompression, a collect, or
 // the "federated; operation requires a local matrix" error, never a silent
-// special case. DESIGN.md ("Kernel table") is rendered from these rows.
+// special case. A compressed operand's rows match any placement: its kernel
+// runs in-process on the column groups wherever the planner put the operator,
+// so its bits do not depend on the placement. DESIGN.md ("Kernel table") is
+// rendered from these rows.
 
 // mmOp is an operation of the matmult family.
 type mmOp string
@@ -114,9 +117,9 @@ const (
 )
 
 // mmRow is one row of the kernel table. Before run is called the dispatcher has
-// put what the row's key promises on the call: the compressed matrix (and, on
-// the blocked backend, its row partitioning) of a compressed operand, and the
-// local blocks named by locals — the counted fallback of MatrixData.LocalFor.
+// put what the row's key promises on the call: the compressed matrix of a
+// compressed operand, and the local blocks named by locals — the counted
+// fallback of MatrixData.LocalFor.
 // tag is the plan-record tag (followed by ":" and the encoding summary when a
 // compressed operand is involved); rows without one record no plan.
 type mmRow struct {
@@ -135,14 +138,10 @@ type mmRow struct {
 var mmTable = []mmRow{
 	{opMatMult, repFederated, repAny, anywhere, 0, "", yLocal, "fed.MatVec",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.fedX().MatVec(c.yb) }},
-	{opMatMult, repCompressed, repAny, inCP, rhsColVector, "cmv", yLocal, "compress.MatVec",
+	{opMatMult, repCompressed, repAny, anywhere, rhsColVector, "cmv", yLocal, "compress.MatVec",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.MatVec(c.yb, c.threads) }},
-	{opMatMult, repCompressed, repAny, inCP, 0, "cmm", yLocal, "compress.MatMultDense",
+	{opMatMult, repCompressed, repAny, anywhere, 0, "cmm", yLocal, "compress.MatMultDense",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.MatMultDense(c.yb, c.threads) }},
-	{opMatMult, repCompressed, repAny, inDist, rhsColVector, "dist-cmv", yLocal, "dist.CompressedMatVec",
-		func(c *mmCall) (*matrix.MatrixBlock, error) { return dist.CompressedMatVec(c.part, c.yb, c.threads) }},
-	{opMatMult, repCompressed, repAny, inDist, 0, "dist-cmm", yLocal, "dist.CompressedMatMult",
-		func(c *mmCall) (*matrix.MatrixBlock, error) { return dist.CompressedMatMult(c.part, c.yb, c.threads) }},
 	{opMatMult, repAny, repCompressed, anywhere, lhsRowVector, "cvm", xLocal, "compress.VecMat",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.VecMat(c.xb, c.threads) }},
 	{opMatMult, repAny, repAny, inDist, 0, "br, bl, gj, sh", 0, "dist.MatMult, MatMultBL, MatMultBB, MatMultShuffle", distMatMult},
@@ -161,9 +160,7 @@ var mmTable = []mmRow{
 
 	{opTSMM, repFederated, repAny, anywhere, 0, "", 0, "fed.TSMM",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.fedX().TSMM() }},
-	{opTSMM, repCompressed, repAny, inDist, 0, "dist-ctsmm", 0, "dist.CompressedTSMM",
-		func(c *mmCall) (*matrix.MatrixBlock, error) { return dist.CompressedTSMM(c.part, c.threads) }},
-	{opTSMM, repCompressed, repAny, inCP, 0, "ctsmm", 0, "compress.TSMM",
+	{opTSMM, repCompressed, repAny, anywhere, 0, "ctsmm", 0, "compress.TSMM",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.TSMM(c.threads), nil }},
 	{opTSMM, repAny, repAny, inDist, 0, "dist", 0, "dist.TSMM", distTSMM},
 	{opTSMM, repAny, repAny, inCP, 0, "", xLocal, "matrix.TSMM",
@@ -193,7 +190,6 @@ type mmCall struct {
 	// what the matched row asked for (see mmRow)
 	xb, yb, wb *matrix.MatrixBlock
 	cm         *compress.CompressedMatrix
-	part       *dist.CompressedBlocked
 	// set by the blocked matmult strategies: their result, bound blocked or
 	// collected, and the strategy that ran as the plan-record tag
 	blocked *dist.BlockedMatrix
@@ -279,14 +275,6 @@ func (c *mmCall) run(row *mmRow) error {
 	}
 	if c.weights {
 		if c.wb, err = c.w.MatrixBlockFor(c.ctx, c.opcode); err != nil {
-			return err
-		}
-	}
-	if row.lhs == repCompressed && row.where == inDist {
-		// the compressed matrix partitions by row ranges of its column groups —
-		// no decompression at the boundary — and a dense right-hand side
-		// broadcasts
-		if c.part, err = c.xd.(*runtime.CompressedMatrixObject).Partitioned(c.ctx.Config.DistBlocksize); err != nil {
 			return err
 		}
 	}

@@ -18,13 +18,6 @@ var unaryOps = map[string]matrix.UnaryOp{
 	"tan": matrix.OpTan, "sigmoid": matrix.OpSigmoid, "is.nan": matrix.OpIsNaN,
 }
 
-// IsUnaryOp reports whether the opcode is a supported element-wise unary
-// operation.
-func IsUnaryOp(op string) bool {
-	_, ok := unaryOps[op]
-	return ok
-}
-
 // UnaryInst applies an element-wise unary operation to a matrix or scalar.
 type UnaryInst struct {
 	base
@@ -97,9 +90,6 @@ var vectorAggs = map[string]bool{
 	"rowSums": true, "rowMeans": true, "rowMaxs": true, "rowMins": true, "rowIndexMax": true,
 	"cumsum": true,
 }
-
-// IsAggOp reports whether the opcode is a supported aggregation.
-func IsAggOp(op string) bool { return scalarAggs[op] || vectorAggs[op] }
 
 // AggInst computes full, row-wise or column-wise aggregates.
 type AggInst struct {

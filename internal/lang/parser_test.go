@@ -368,3 +368,20 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("program rendering missing pieces: %s", s)
 	}
 }
+
+// FuzzParse: whatever the source, Parse and then Validate return a program or
+// an error, never panic. The checked-in corpus (testdata/fuzz/FuzzParse)
+// holds the shipped builtin scripts, the golden-plan scripts and malformed
+// function headers. Every name but "undefined" counts as a builtin, so
+// Validate both accepts calls and reports them.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if (prog == nil) == (err == nil) {
+			t.Fatalf("Parse returned program %v and error %v", prog, err)
+		}
+		if err == nil {
+			_ = Validate(prog, func(name string) bool { return name != "undefined" })
+		}
+	})
+}

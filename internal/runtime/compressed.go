@@ -7,7 +7,6 @@ import (
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/compress"
-	"github.com/systemds/systemds-go/internal/dist"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
 	"github.com/systemds/systemds-go/internal/types"
@@ -30,11 +29,6 @@ type CompressedMatrixObject struct {
 	// is a reader-held view like BlockedMatrixObject's collect memo: not part
 	// of MemorySize, dropped on eviction.
 	local *matrix.MatrixBlock
-	// part memoizes the row-range compressed partitioning used by the dist
-	// executors (dictionaries shared with cm), keyed by partition size;
-	// dropped on eviction together with cm.
-	part     *dist.CompressedBlocked
-	partSize int
 }
 
 // NewCompressedMatrixObject wraps a compressed matrix into a managed object
@@ -143,35 +137,6 @@ func (c *CompressedMatrixObject) LocalFor(ctx *Context, op string) (*matrix.Matr
 	return blk, nil
 }
 
-// Partitioned returns the row-range compressed partitioning of this object
-// for the dist executors, memoized per partition size. The compressed matrix
-// never decompresses: every partition shares the source dictionaries and
-// re-bases only codes, runs and positions.
-func (c *CompressedMatrixObject) Partitioned(rowsPerPart int) (*dist.CompressedBlocked, error) {
-	c.mu.Lock()
-	if c.part != nil && c.partSize == rowsPerPart {
-		p := c.part
-		c.mu.Unlock()
-		return p, nil
-	}
-	c.mu.Unlock()
-	cm, err := c.Compressed()
-	if err != nil {
-		return nil, err
-	}
-	p, err := dist.PartitionCompressed(cm, rowsPerPart)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.part == nil || c.partSize != rowsPerPart {
-		c.part, c.partSize = p, rowsPerPart
-	}
-	p = c.part
-	c.mu.Unlock()
-	return p, nil
-}
-
 // MemorySize implements bufferpool.Entry.
 func (c *CompressedMatrixObject) MemorySize() int64 {
 	c.mu.Lock()
@@ -207,7 +172,6 @@ func (c *CompressedMatrixObject) Evict(path string, clean bool) (freed, written 
 	freed = c.cm.InMemorySize()
 	c.cm = nil
 	c.local = nil
-	c.part = nil
 	return freed, written, nil
 }
 

@@ -158,14 +158,6 @@ func reuseCandidate(ctx *Context, inst Instruction, inputs, outs []string) bool 
 	return false
 }
 
-// ExecuteInstruction executes one instruction with lineage tracing and
-// lineage-based reuse (Section 3.1): the output lineage is computed before
-// execution, the reuse cache is probed, and qualifying results are cached
-// afterwards.
-func ExecuteInstruction(ctx *Context, inst Instruction) error {
-	return executeInstructionSpanned(ctx, inst, obs.Span{})
-}
-
 // executeInstructionSpanned wraps instruction execution in an "instr" span
 // named by the opcode and parented under the enclosing block span. The
 // tracing-off path falls straight through to the untraced body so the
@@ -192,6 +184,10 @@ func outputBytes(ctx *Context, inst Instruction) int64 {
 	return n
 }
 
+// executeInstruction executes one instruction with lineage tracing and
+// lineage-based reuse (Section 3.1): the output lineage is computed before
+// execution, the reuse cache is probed, and qualifying results are cached
+// afterwards.
 func executeInstruction(ctx *Context, inst Instruction) error {
 	if !ctx.Config.LineageEnabled {
 		return inst.Execute(ctx)

@@ -148,6 +148,12 @@ func (f *fakeInst) Execute(ctx *Context) error {
 	return f.execute(ctx)
 }
 
+// runAlone executes inst as a one-instruction basic block, the way the
+// interpreter runs every instruction: lineage tracing and reuse included.
+func runAlone(ctx *Context, inst Instruction) error {
+	return (&BasicBlock{Instructions: []Instruction{inst}}).Execute(ctx)
+}
+
 func TestExecuteInstructionLineageAndReuse(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReuseEnabled = true
@@ -164,14 +170,14 @@ func TestExecuteInstructionLineageAndReuse(t *testing.T) {
 			return nil
 		},
 	}
-	if err := ExecuteInstruction(ctx, inst); err != nil {
+	if err := runAlone(ctx, inst); err != nil {
 		t.Fatal(err)
 	}
 	if !ctx.Lineage.Has("G") {
 		t.Error("output lineage not traced")
 	}
 	// identical re-execution is answered from the cache
-	if err := ExecuteInstruction(ctx, inst); err != nil {
+	if err := runAlone(ctx, inst); err != nil {
 		t.Fatal(err)
 	}
 	if inst.runs.Load() != 1 {
@@ -193,8 +199,8 @@ func TestExecuteInstructionNonCacheableOpcodes(t *testing.T) {
 			return nil
 		},
 	}
-	_ = ExecuteInstruction(ctx, inst)
-	_ = ExecuteInstruction(ctx, inst)
+	_ = runAlone(ctx, inst)
+	_ = runAlone(ctx, inst)
 	if inst.runs.Load() != 2 {
 		t.Errorf("rand should never be reused, ran %d times", inst.runs.Load())
 	}
@@ -239,7 +245,7 @@ func TestReuseAdmissionDependsOnThePlanOnly(t *testing.T) {
 			ctx.Set("s", NewDouble(3))
 			inst := &fakeInst{opcode: tc.opcode, inputs: tc.inputs, outputs: tc.outputs, data: "0=7", execute: tc.execute}
 			for run := 0; run < 2; run++ {
-				if err := ExecuteInstruction(ctx, inst); err != nil {
+				if err := runAlone(ctx, inst); err != nil {
 					t.Fatal(err)
 				}
 			}

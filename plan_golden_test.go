@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	systemds "github.com/systemds/systemds-go"
@@ -235,6 +236,73 @@ func TestPlansAndOutputsMatchGolden(t *testing.T) {
 		for _, k := range keys {
 			if !reflect.DeepEqual(got[th][k], want[k]) {
 				t.Errorf("%s threads=%d:\n got %+v\nwant %+v", k, th, got[th][k], want[k])
+			}
+		}
+	}
+}
+
+// TestCompressedKernelsIgnorePlacement holds one rule across the matmult
+// family: a compressed operand runs its compressed kernel in-process wherever
+// the planner placed the operator, so placing t(X) %*% X, X %*% v and X %*% B
+// on the blocked backend changes neither a bit nor a kernel. X is real-valued
+// with five levels, so it compresses and the Gram matrix's bits see the
+// summation order.
+func TestCompressedKernelsIgnorePlacement(t *testing.T) {
+	const rows, cols = 2000, 60
+	levels := []float64{0.1, 0.37, 1.3, -2.71, 3.14159}
+	noise := systemds.RandMatrix(rows, cols, 1.0, 97)
+	X := systemds.NewMatrix(rows, cols, nil)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			X.Set(r, c, levels[int(noise.Get(r, c)*5)])
+		}
+	}
+	X.RecomputeNNZ()
+	inputs := map[string]any{
+		"X": X,
+		"v": systemds.RandMatrix(cols, 1, 1.0, 98),
+		"B": systemds.RandMatrix(cols, 3, 1.0, 99),
+	}
+	const script = `
+for (i in 1:5) {
+  G = t(X) %*% X
+  q = X %*% v
+  P = X %*% B
+}
+`
+	outputs := []string{"G", "q", "P"}
+	for _, th := range []int{1, 2, 3} {
+		var want map[string]string
+		for _, cfg := range goldenConfigs {
+			if cfg.name != "compressed" && cfg.name != "compressed+dist" {
+				continue
+			}
+			ctx := systemds.NewContext(append([]systemds.Option{systemds.WithParallelism(th)}, cfg.opts...)...)
+			res, err := ctx.Execute(script, inputs, outputs...)
+			if err != nil {
+				t.Fatalf("%s threads=%d: %v", cfg.name, th, err)
+			}
+			stats := ctx.LastRunStats()
+			if n := stats.CompressStats.Decompressions; n != 0 {
+				t.Errorf("%s threads=%d: %d decompressions", cfg.name, th, n)
+			}
+			kernels := map[string]int{}
+			for _, pr := range stats.PlanStats {
+				kernels[pr.Op+"|"+strings.SplitN(pr.Plan, ":", 2)[0]]++
+			}
+			for _, k := range []string{"tsmm|ctsmm", "ba+*|cmv", "ba+*|cmm"} {
+				if kernels[k] == 0 {
+					t.Errorf("%s threads=%d: no %s in the plan records %v", cfg.name, th, k, kernels)
+				}
+			}
+			got := map[string]string{}
+			for _, name := range outputs {
+				got[name] = fingerprint(res[name])
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("threads=%d: compressed+dist outputs %v, compressed %v", th, got, want)
 			}
 		}
 	}
