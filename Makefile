@@ -34,7 +34,9 @@ test:
 # function scopes counting into their run's one RunStats), the buffer-pool
 # liveness and budget-differential tests repeated (reference counts across
 # contexts, parfor workers and the reuse cache; outputs bitwise-equal from 1/4
-# of the working set to no limit), and a
+# of the working set to no limit), the free list of dense arrays repeated
+# (eight goroutines calling one prepared script on one engine, every call
+# checked against a naive reference), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
@@ -48,6 +50,7 @@ race:
 	$(GO) test -race -run 'TestParallelFor|TestParforErrorIsTheLowestWorkers' -count=3 ./internal/matrix/ ./internal/core/
 	$(GO) test -race -run 'TestChildContextsCountIntoTheRun' -count=3 ./internal/core/
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
+	$(GO) test -race -run 'TestConcurrentPreparedCalls' -count=3 .
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed

@@ -61,3 +61,27 @@ func BenchmarkMatMultStrategyPlanner(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPreparedScoring is one call of the prepared scoring script of the
+// bench row score.prepared (64 x 100 batch, lmPredict after standardizing),
+// with its allocations: the call the JMLC-style API exists for.
+func BenchmarkPreparedScoring(b *testing.B) {
+	ctx := systemds.NewContext(systemds.WithParallelism(1))
+	prepared, err := ctx.Prepare("Xs = (X - mu) / sd\nyhat = lmPredict(Xs, B)", "yhat")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := map[string]any{
+		"X":  matrix.RandUniform(64, 100, -3, 3, 1.0, 501),
+		"mu": matrix.RandUniform(1, 100, -1, 1, 1.0, 502),
+		"sd": matrix.RandUniform(1, 100, 0.5, 2, 1.0, 503),
+		"B":  matrix.RandUniform(100, 1, -1, 1, 1.0, 504),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prepared.Execute(inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -349,7 +349,8 @@ func (bb *blockBuilder) splitOperandArgs(call *lang.CallExpr) ([]instructions.Op
 	return positional, named, nil
 }
 
-// emitFCall compiles a call to a user-defined or DML-bodied function into an
+// emitFCall compiles a call to a user-defined or DML-bodied function: inlined
+// into the caller's DAG when the callee qualifies (inline.go), else into an
 // fcall instruction (flushing the current DAG first).
 func (bb *blockBuilder) emitFCall(s *lang.AssignStmt, call *lang.CallExpr) error {
 	if err := bb.c.ensureBuiltinCompiled(call.Name); err != nil {
@@ -359,6 +360,9 @@ func (bb *blockBuilder) emitFCall(s *lang.AssignStmt, call *lang.CallExpr) error
 				return err
 			}
 		}
+	}
+	if inlined, err := bb.inlineCall(s, call); inlined || err != nil {
+		return err
 	}
 	positional, named, err := bb.splitOperandArgs(call)
 	if err != nil {

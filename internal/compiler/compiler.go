@@ -37,6 +37,9 @@ type Compiler struct {
 	registry BuiltinRegistry
 	prog     *runtime.Program
 	source   *lang.Program
+	// defs holds the definitions of the user functions and of the builtins
+	// looked up so far, for inlining at call sites (inline.go).
+	defs map[string]*lang.FunctionDef
 	// compiling guards against recursive builtin compilation cycles
 	compiling map[string]bool
 	tempSeq   int
@@ -149,6 +152,10 @@ func (c *Compiler) IsCallable(prog *lang.Program) func(string) bool {
 func (c *Compiler) CompileProgram(prog *lang.Program, knownInputs map[string]types.DataCharacteristics) (*runtime.Program, error) {
 	c.prog = &runtime.Program{Functions: map[string]*runtime.FunctionBlock{}}
 	c.source = prog
+	c.defs = make(map[string]*lang.FunctionDef, len(prog.Functions))
+	for name, fn := range prog.Functions {
+		c.defs[name] = fn
+	}
 	// compile user-defined functions
 	names := make([]string, 0, len(prog.Functions))
 	for name := range prog.Functions {
@@ -321,7 +328,18 @@ func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[str
 	for _, s := range stmts {
 		switch v := s.(type) {
 		case *lang.AssignStmt, *lang.ExprStmt:
-			straight = append(straight, s)
+			if a, ok := s.(*lang.AssignStmt); ok && c.inlinable(a) != nil {
+				// an inlined call is a block of its own (inline.go)
+				if err := flush(); err != nil {
+					return nil, err
+				}
+				straight = append(straight, s)
+				if err := flush(); err != nil {
+					return nil, err
+				}
+			} else {
+				straight = append(straight, s)
+			}
 			if a, ok := s.(*lang.AssignStmt); ok {
 				for name := range lang.StatementWrites(a) {
 					available[name] = true

@@ -316,17 +316,6 @@ write(X, "out.csv", format="csv")
 	}
 }
 
-func TestEstimateMemoryBudget(t *testing.T) {
-	cfg := runtime.DefaultConfig()
-	if EstimateMemoryBudget(cfg) != cfg.OperatorMemBudget {
-		t.Error("explicit budget should be returned")
-	}
-	cfg.OperatorMemBudget = 0
-	if EstimateMemoryBudget(cfg) <= 0 {
-		t.Error("derived budget should be positive")
-	}
-}
-
 // countRecompiles wraps the recompilation callback of every basic block
 // under blocks: calls counts the executions that asked for a plan, plans the
 // distinct instruction lists handed back (a memo hit returns the list of the

@@ -32,6 +32,9 @@ type blockBuilder struct {
 	// block recompiles until the live types have been seen once.
 	untypedChains bool
 	seedSeq       int64
+	// scope prefixes every variable name while an inlined function body is
+	// built (inline.go); empty in the caller's own code.
+	scope string
 }
 
 // compileBasicBlock compiles straight-line statements into a basic block and
@@ -194,7 +197,7 @@ func (bb *blockBuilder) processAssign(s *lang.AssignStmt) error {
 	}
 	target := s.Targets[0]
 	if !target.Indexed {
-		bb.varMap[target.Name] = valueHop
+		bb.varMap[bb.scope+target.Name] = valueHop
 		return nil
 	}
 	// left indexing: target[rl:ru, cl:cu] = value
@@ -205,7 +208,7 @@ func (bb *blockBuilder) processAssign(s *lang.AssignStmt) error {
 	}
 	li := hops.NewHop(hops.KindLeftIndex, "leftIndex", targetHop, valueHop, rl, ru, cl, cu)
 	li.DataType = types.Matrix
-	bb.varMap[target.Name] = li
+	bb.varMap[bb.scope+target.Name] = li
 	return nil
 }
 
@@ -305,8 +308,9 @@ func (bb *blockBuilder) processExprStmt(s *lang.ExprStmt) error {
 }
 
 // readVar returns the current in-block definition of a variable or a
-// transient read.
+// transient read. Inside an inlined body the name is the callee's.
 func (bb *blockBuilder) readVar(name string) *hops.Hop {
+	name = bb.scope + name
 	if h, ok := bb.varMap[name]; ok {
 		return h
 	}

@@ -119,6 +119,8 @@ func operandOf(h *hops.Hop) instructions.Operand {
 			return instructions.LitString(h.LitString)
 		case h.LitIsBool:
 			return instructions.LitBool(h.LitBool)
+		case h.ValueType == types.INT64:
+			return instructions.LitInt(int64(h.LitValue))
 		default:
 			return instructions.LitDouble(h.LitValue)
 		}
@@ -325,13 +327,4 @@ func lowerParamBuiltin(h *hops.Hop, out string) (runtime.Instruction, error) {
 		}
 		return instructions.NewParamBuiltin(h.Op, out, params), nil
 	}
-}
-
-// EstimateMemoryBudget derives a default per-operator memory budget from the
-// configured buffer pool budget (placeholder for resource-aware compilation).
-func EstimateMemoryBudget(cfg *runtime.Config) int64 {
-	if cfg.OperatorMemBudget > 0 {
-		return cfg.OperatorMemBudget
-	}
-	return int64(types.DefaultBlocksize) * int64(types.DefaultBlocksize) * 8 * 4
 }

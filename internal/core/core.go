@@ -35,6 +35,10 @@ type Engine struct {
 	cache    *lineage.Cache
 	out      io.Writer
 	store    *runtime.PersistentLineageStore
+	// recycler is the session's free list of dense arrays: the fused
+	// kernels of every run take their outputs from it, and the dead
+	// intermediates of every run go back to it (matrix.Recycler).
+	recycler *matrix.Recycler
 
 	statsMu   sync.Mutex
 	lastStats *Stats
@@ -91,6 +95,7 @@ func NewEngine(cfg *runtime.Config) *Engine {
 		registry: builtins.NewRegistry(),
 		cache:    lineage.NewCache(cacheBudget),
 		out:      os.Stdout,
+		recycler: matrix.NewRecycler(),
 	}
 	if dir := cfg.PersistentLineageDir; dir != "" {
 		budget := cfg.PersistentLineageBudget
@@ -172,6 +177,7 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 	ctx.Cache = e.cache
 	ctx.Out = e.out
 	ctx.Prog = prog
+	ctx.Recycler = e.recycler
 	// whatever the run spills is released when it returns, success or error
 	defer ctx.ReleasePool()
 	for name, v := range inputs {
@@ -343,8 +349,10 @@ func toRuntimeData(v any, ctx *runtime.Context) (runtime.Data, error) {
 	}
 }
 
-// fromRuntimeData converts a runtime data object to an API value.
+// fromRuntimeData converts a runtime data object to an API value. The caller
+// keeps what it is handed, so nothing in it is ever recycled.
 func fromRuntimeData(ctx *runtime.Context, d runtime.Data) (any, error) {
+	runtime.Share(d)
 	switch x := d.(type) {
 	case *runtime.Scalar:
 		switch x.VT {

@@ -152,6 +152,15 @@ func NewLiteralNumber(v float64) *Hop {
 	return h
 }
 
+// NewLiteralInt creates an integer scalar literal: a numeric literal that
+// lowers to an INT64 operand, so a value bound from an integer argument keeps
+// the type (and the lineage item) it has when bound at runtime.
+func NewLiteralInt(v int64) *Hop {
+	h := NewLiteralNumber(float64(v))
+	h.ValueType = types.INT64
+	return h
+}
+
 // NewLiteralString creates a string scalar literal.
 func NewLiteralString(s string) *Hop {
 	h := NewHop(KindLiteral, "lit")
@@ -192,7 +201,7 @@ func (h *Hop) signature() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s:%s:%s", h.Kind, h.Op, h.Name)
 	if h.Kind == KindLiteral {
-		fmt.Fprintf(&sb, ":%v:%q:%v", h.LitValue, h.LitString, h.LitBool)
+		fmt.Fprintf(&sb, ":%v:%q:%v:%v", h.LitValue, h.LitString, h.LitBool, h.ValueType)
 	}
 	for _, in := range h.Inputs {
 		fmt.Fprintf(&sb, ":%d", in.ID)

@@ -43,7 +43,7 @@ func FoldConstants(d *DAG) {
 			switch h.Kind {
 			case KindBinary:
 				if len(h.Inputs) == 2 && h.Inputs[0].IsLiteralNumber() && h.Inputs[1].IsLiteralNumber() {
-					v, ok := evalBinary(h.Op, h.Inputs[0].LitValue, h.Inputs[1].LitValue)
+					v, ok := EvalBinary(h.Op, h.Inputs[0].LitValue, h.Inputs[1].LitValue)
 					if ok {
 						var lit *Hop
 						if isBooleanOp(h.Op) {
@@ -57,7 +57,7 @@ func FoldConstants(d *DAG) {
 				}
 			case KindUnary:
 				if len(h.Inputs) == 1 && h.Inputs[0].IsLiteralNumber() && h.DataType == types.Scalar {
-					v, ok := evalUnary(h.Op, h.Inputs[0].LitValue)
+					v, ok := EvalUnary(h.Op, h.Inputs[0].LitValue)
 					if ok {
 						lit := NewLiteralNumber(v)
 						replaceEverywhere(d, h, lit)
@@ -69,7 +69,9 @@ func FoldConstants(d *DAG) {
 	}
 }
 
-func evalBinary(op string, a, b float64) (float64, bool) {
+// EvalBinary evaluates a scalar binary operator over two numbers (a boolean
+// result is 1 or 0); false for an operator it does not fold.
+func EvalBinary(op string, a, b float64) (float64, bool) {
 	switch op {
 	case "+":
 		return a + b, true
@@ -110,7 +112,9 @@ func evalBinary(op string, a, b float64) (float64, bool) {
 	}
 }
 
-func evalUnary(op string, a float64) (float64, bool) {
+// EvalUnary evaluates a scalar unary operator ("-", "!" and the math
+// builtins); false for an operator it does not fold.
+func EvalUnary(op string, a float64) (float64, bool) {
 	switch op {
 	case "-":
 		return -a, true

@@ -126,7 +126,7 @@ func (i *FusedCellInst) Execute(ctx *runtime.Context) error {
 	if co != nil {
 		return mapCompressed(ctx, co, i.outs[0], i.Prog, cargs, driver)
 	}
-	res, err := matrix.FusedCell(i.Prog, cargs, ctx.Config.Threads())
+	res, err := matrix.FusedCell(i.Prog, cargs, ctx.Config.Threads(), ctx.Recycler)
 	if err != nil {
 		return fmt.Errorf("instructions: %s: %w", i.opcode, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // SparseThreshold is the sparsity (nnz/cells) below which blocks prefer the
@@ -23,6 +24,10 @@ type MatrixBlock struct {
 	dense      []float64 // row-major, nil when sparse
 	sparse     *CSR      // nil when dense
 	nnz        int64
+	// claim and from say whether dense came from a Recycler and may go
+	// back to it (recycle.go); both are zero for every other block.
+	claim int32
+	from  *Recycler
 }
 
 // NewDense allocates a dense rows x cols matrix of zeros.
@@ -257,6 +262,7 @@ func (m *MatrixBlock) ToSparse() *MatrixBlock {
 	s.RowPtr[m.rows] = len(s.Values)
 	m.sparse = s
 	m.dense = nil
+	atomic.StoreInt32(&m.claim, claimNone) // the recycled array is gone
 	m.nnz = int64(nnz)
 	return m
 }

@@ -146,7 +146,7 @@ func TestFusedCellBroadcastLeaves(t *testing.T) {
 		d, _ := CellwiseOp(m, mu, OpSub, 1)
 		want, _ := CellwiseOp(d, sd, OpDiv, 1)
 		for _, threads := range []int{1, 2, 4} {
-			got, err := FusedCell(standardizeProgram(), []CellArg{{Mat: m}, {Mat: mu}, {Mat: sd}}, threads)
+			got, err := FusedCell(standardizeProgram(), []CellArg{{Mat: m}, {Mat: mu}, {Mat: sd}}, threads, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,13 +155,13 @@ func TestFusedCellBroadcastLeaves(t *testing.T) {
 	}
 	// the vector first: mu - X
 	want, _ := CellwiseOp(mu, x, OpSub, 1)
-	got, err := FusedCell(BinaryProgram(OpSub), []CellArg{{Mat: mu}, {Mat: x}}, 2)
+	got, err := FusedCell(BinaryProgram(OpSub), []CellArg{{Mat: mu}, {Mat: x}}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameBlock(t, got, want, "mu - X")
 	// a row vector against a column vector has no output-shaped operand
-	if _, err := FusedCell(BinaryProgram(OpAdd), []CellArg{{Mat: mu}, {Mat: sd}}, 1); err == nil {
+	if _, err := FusedCell(BinaryProgram(OpAdd), []CellArg{{Mat: mu}, {Mat: sd}}, 1, nil); err == nil {
 		t.Error("expected an error for a program without an output-shaped argument")
 	}
 }
@@ -189,12 +189,12 @@ func TestFusedCellSparseDriver(t *testing.T) {
 	for name, other := range map[string]*MatrixBlock{"dense": y, "sparse": ys, "rowvec": rv, "colvec": cv} {
 		for _, k := range []float64{0.5, math.Inf(1)} {
 			args := []CellArg{{Mat: s}, {Mat: other}, {Scalar: k}}
-			want, err := FusedCell(&dense, args, 1)
+			want, err := FusedCell(&dense, args, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, threads := range []int{1, 2, 4} {
-				got, err := FusedCell(prog, args, threads)
+				got, err := FusedCell(prog, args, threads, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +216,7 @@ func TestCellMapMatchesFusedCell(t *testing.T) {
 		},
 		NumArgs: 2,
 	}
-	want, err := FusedCell(prog, []CellArg{{Scalar: 3}, {Mat: x}}, 1)
+	want, err := FusedCell(prog, []CellArg{{Scalar: 3}, {Mat: x}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func BenchmarkFusedCell2Op(b *testing.B) {
 		sd := matrix.RandUniform(1, cols, 0.5, 2, 1.0, 7)
 		args := []matrix.CellArg{{Mat: x}, {Mat: mu}, {Mat: sd}}
 		benchCellwise(b, 16*rows*cols, func() *matrix.MatrixBlock {
-			out, err := matrix.FusedCell(standardize, args, 1)
+			out, err := matrix.FusedCell(standardize, args, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -249,9 +249,11 @@ func elemThreads(threads, cells int) int {
 // dst[c] = a[c] ∘ b[c], a[c] ∘ s, s ∘ b[c] and f(a[c]) over slices of equal
 // length. The operator and the operand order are resolved before the loop
 // (the four arithmetic operators run inline, everything else through the
-// function looked up once in binaryFns/unaryFns), and the non-zero count of
-// dst is taken in the same pass. Zeros are written unsigned (pz). dst may
-// alias an operand: every cell is read before it is written.
+// function looked up once in binaryFns/unaryFns). With count set, the
+// non-zero count of dst is taken in the same pass; without it the loop has no
+// data-dependent branch (the evaluator counts only the row it writes into an
+// output block). Zeros are written unsigned (pz). dst may alias an operand:
+// every cell is read before it is written.
 
 // pz returns v with a negative zero turned into +0: a sparse block cannot hold
 // the sign of a zero, so no cell-wise kernel writes one, and a result does not
@@ -261,10 +263,26 @@ func elemThreads(threads, cells int) int {
 // would keep the sign of an underflowed product).
 func pz(v float64) float64 { return float64(v) + 0 }
 
-func binaryRowVV(op BinaryOp, dst, a, b []float64) (nnz int) {
+func binaryRowVV(op BinaryOp, dst, a, b []float64, count bool) (nnz int) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	switch op {
-	case OpAdd:
+	switch {
+	case op == OpAdd && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] + b[c])
+		}
+	case op == OpSub && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] - b[c])
+		}
+	case op == OpMul && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] * b[c])
+		}
+	case op == OpDiv && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] / b[c])
+		}
+	case op == OpAdd:
 		for c := range dst {
 			v := pz(a[c] + b[c])
 			dst[c] = v
@@ -272,7 +290,7 @@ func binaryRowVV(op BinaryOp, dst, a, b []float64) (nnz int) {
 				nnz++
 			}
 		}
-	case OpSub:
+	case op == OpSub:
 		for c := range dst {
 			v := pz(a[c] - b[c])
 			dst[c] = v
@@ -280,7 +298,7 @@ func binaryRowVV(op BinaryOp, dst, a, b []float64) (nnz int) {
 				nnz++
 			}
 		}
-	case OpMul:
+	case op == OpMul:
 		for c := range dst {
 			v := pz(a[c] * b[c])
 			dst[c] = v
@@ -288,7 +306,7 @@ func binaryRowVV(op BinaryOp, dst, a, b []float64) (nnz int) {
 				nnz++
 			}
 		}
-	case OpDiv:
+	case op == OpDiv:
 		for c := range dst {
 			v := pz(a[c] / b[c])
 			dst[c] = v
@@ -301,7 +319,7 @@ func binaryRowVV(op BinaryOp, dst, a, b []float64) (nnz int) {
 		for c := range dst {
 			v := pz(f(a[c], b[c]))
 			dst[c] = v
-			if v != 0 {
+			if count && v != 0 {
 				nnz++
 			}
 		}
@@ -309,10 +327,26 @@ func binaryRowVV(op BinaryOp, dst, a, b []float64) (nnz int) {
 	return nnz
 }
 
-func binaryRowVS(op BinaryOp, dst, a []float64, s float64) (nnz int) {
+func binaryRowVS(op BinaryOp, dst, a []float64, s float64, count bool) (nnz int) {
 	a = a[:len(dst)]
-	switch op {
-	case OpAdd:
+	switch {
+	case op == OpAdd && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] + s)
+		}
+	case op == OpSub && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] - s)
+		}
+	case op == OpMul && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] * s)
+		}
+	case op == OpDiv && !count:
+		for c := range dst {
+			dst[c] = pz(a[c] / s)
+		}
+	case op == OpAdd:
 		for c := range dst {
 			v := pz(a[c] + s)
 			dst[c] = v
@@ -320,7 +354,7 @@ func binaryRowVS(op BinaryOp, dst, a []float64, s float64) (nnz int) {
 				nnz++
 			}
 		}
-	case OpSub:
+	case op == OpSub:
 		for c := range dst {
 			v := pz(a[c] - s)
 			dst[c] = v
@@ -328,7 +362,7 @@ func binaryRowVS(op BinaryOp, dst, a []float64, s float64) (nnz int) {
 				nnz++
 			}
 		}
-	case OpMul:
+	case op == OpMul:
 		for c := range dst {
 			v := pz(a[c] * s)
 			dst[c] = v
@@ -336,7 +370,7 @@ func binaryRowVS(op BinaryOp, dst, a []float64, s float64) (nnz int) {
 				nnz++
 			}
 		}
-	case OpDiv:
+	case op == OpDiv:
 		for c := range dst {
 			v := pz(a[c] / s)
 			dst[c] = v
@@ -349,7 +383,7 @@ func binaryRowVS(op BinaryOp, dst, a []float64, s float64) (nnz int) {
 		for c := range dst {
 			v := pz(f(a[c], s))
 			dst[c] = v
-			if v != 0 {
+			if count && v != 0 {
 				nnz++
 			}
 		}
@@ -357,13 +391,21 @@ func binaryRowVS(op BinaryOp, dst, a []float64, s float64) (nnz int) {
 	return nnz
 }
 
-func binaryRowSV(op BinaryOp, dst []float64, s float64, b []float64) (nnz int) {
+func binaryRowSV(op BinaryOp, dst []float64, s float64, b []float64, count bool) (nnz int) {
 	b = b[:len(dst)]
-	switch op {
-	case OpAdd, OpMul:
+	switch {
+	case op == OpAdd || op == OpMul:
 		// IEEE addition and multiplication commute, NaN payloads aside
-		return binaryRowVS(op, dst, b, s)
-	case OpSub:
+		return binaryRowVS(op, dst, b, s, count)
+	case op == OpSub && !count:
+		for c := range dst {
+			dst[c] = pz(s - b[c])
+		}
+	case op == OpDiv && !count:
+		for c := range dst {
+			dst[c] = pz(s / b[c])
+		}
+	case op == OpSub:
 		for c := range dst {
 			v := pz(s - b[c])
 			dst[c] = v
@@ -371,7 +413,7 @@ func binaryRowSV(op BinaryOp, dst []float64, s float64, b []float64) (nnz int) {
 				nnz++
 			}
 		}
-	case OpDiv:
+	case op == OpDiv:
 		for c := range dst {
 			v := pz(s / b[c])
 			dst[c] = v
@@ -384,7 +426,7 @@ func binaryRowSV(op BinaryOp, dst []float64, s float64, b []float64) (nnz int) {
 		for c := range dst {
 			v := pz(f(s, b[c]))
 			dst[c] = v
-			if v != 0 {
+			if count && v != 0 {
 				nnz++
 			}
 		}
@@ -392,8 +434,14 @@ func binaryRowSV(op BinaryOp, dst []float64, s float64, b []float64) (nnz int) {
 	return nnz
 }
 
-func unaryRow(op UnaryOp, dst, a []float64) (nnz int) {
+func unaryRow(op UnaryOp, dst, a []float64, count bool) (nnz int) {
 	a = a[:len(dst)]
+	if op == OpNeg && !count {
+		for c := range dst {
+			dst[c] = pz(-a[c])
+		}
+		return 0
+	}
 	if op == OpNeg {
 		for c := range dst {
 			v := pz(-a[c])
@@ -408,7 +456,7 @@ func unaryRow(op UnaryOp, dst, a []float64) (nnz int) {
 	for c := range dst {
 		v := pz(f(a[c]))
 		dst[c] = v
-		if v != 0 {
+		if count && v != 0 {
 			nnz++
 		}
 	}
@@ -440,7 +488,7 @@ func UnaryProgram(op UnaryOp) *CellProgram {
 
 // mustCell runs a program whose arguments are well-shaped by construction.
 func mustCell(prog *CellProgram, args []CellArg, threads int) *MatrixBlock {
-	out, err := FusedCell(prog, args, threads)
+	out, err := FusedCell(prog, args, threads, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -474,7 +522,7 @@ func UnaryApply(m *MatrixBlock, op UnaryOp, threads int) *MatrixBlock {
 // is a 1xN row vector or Nx1 column vector matching the other's dimensions
 // (mirroring R/DML broadcasting semantics for matrix-vector operations).
 func CellwiseOp(a, b *MatrixBlock, op BinaryOp, threads int) (*MatrixBlock, error) {
-	out, err := FusedCell(BinaryProgram(op), []CellArg{{Mat: a}, {Mat: b}}, threads)
+	out, err := FusedCell(BinaryProgram(op), []CellArg{{Mat: a}, {Mat: b}}, threads, nil)
 	if err != nil {
 		return nil, fmt.Errorf("matrix: cellwise op %s dimension mismatch %dx%d vs %dx%d",
 			op, a.rows, a.cols, b.rows, b.cols)

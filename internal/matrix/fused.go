@@ -474,14 +474,17 @@ func (fr *fusedRun) loadStored(w *cellWorker, r int, cidx []int, dvals []float64
 // result row. Each operator instruction is one row-kernel call writing the
 // scratch row of its stack slot (in place when its left operand already lives
 // there); the last one writes dst when dst is non-nil, and nnz is then the
-// non-zero count of dst. With dst == nil the result may alias an argument or a
-// scratch row, valid until the worker's next load, and nnz means nothing.
+// non-zero count of dst, taken by that one kernel as it writes. Every other
+// kernel call — the interior instructions, and all of them when dst is nil —
+// runs the kernels that do not count. With dst == nil the result may alias an
+// argument or a scratch row, valid until the worker's next load, and nnz means
+// nothing.
 func (fr *fusedRun) eval(w *cellWorker, n int, dst []float64) (res []float64, nnz int) {
 	instrs := fr.prog.Instrs
 	sp := 0
-	counted := false // the last instruction ran a kernel: nnz counts its result
+	ran := false // the last instruction ran a kernel (into dst, when given)
 	for k, ins := range instrs {
-		counted = false
+		ran = false
 		if ins.Code == CellLoad {
 			w.stack[sp] = w.cur[ins.Arg]
 			sp++
@@ -502,24 +505,24 @@ func (fr *fusedRun) eval(w *cellWorker, n int, dst []float64) (res []float64, nn
 			}
 			continue
 		}
-		out := dst
-		if out == nil || k != len(instrs)-1 {
+		out, final := dst, dst != nil && k == len(instrs)-1
+		if !final {
 			out = w.buf(sp-1, n, fr.spanLen)
 		}
 		switch {
 		case ins.Code == CellUnary:
-			nnz = unaryRow(ins.Un, out, a.row)
+			nnz = unaryRow(ins.Un, out, a.row, final)
 		case a.row == nil:
-			nnz = binaryRowSV(ins.Bin, out, a.s, b.row)
+			nnz = binaryRowSV(ins.Bin, out, a.s, b.row, final)
 		case b.row == nil:
-			nnz = binaryRowVS(ins.Bin, out, a.row, b.s)
+			nnz = binaryRowVS(ins.Bin, out, a.row, b.s, final)
 		default:
-			nnz = binaryRowVV(ins.Bin, out, a.row, b.row)
+			nnz = binaryRowVV(ins.Bin, out, a.row, b.row, final)
 		}
-		a.row, counted = out, true
+		a.row, ran = out, true
 	}
 	top := w.stack[0]
-	if counted || (dst == nil && top.row != nil) {
+	if ran || (dst == nil && top.row != nil) {
 		return top.row, nnz
 	}
 	// the program ends in a bare load or folds to a scalar: materialize it
@@ -548,7 +551,7 @@ func (fr *fusedRun) eval(w *cellWorker, n int, dst []float64) (res []float64, nn
 // the driver's stored cells are evaluated and the output keeps (at most) the
 // driver's pattern. Cells are independent, so results do not depend on the
 // thread count.
-func FusedCell(prog *CellProgram, args []CellArg, threads int) (*MatrixBlock, error) {
+func FusedCell(prog *CellProgram, args []CellArg, threads int, rec *Recycler) (*MatrixBlock, error) {
 	fr, err := newFusedRun(prog, args)
 	if err != nil {
 		return nil, err
@@ -556,7 +559,7 @@ func FusedCell(prog *CellProgram, args []CellArg, threads int) (*MatrixBlock, er
 	if fr.sparse {
 		return fr.cellStored(threads), nil
 	}
-	out := NewDense(fr.rows, fr.cols)
+	out := rec.Dense(fr.rows, fr.cols) // every cell is written below
 	if fr.flat {
 		out.nnz = fr.runFlat(out.dense, threads)
 	} else {

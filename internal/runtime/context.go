@@ -101,6 +101,9 @@ type Context struct {
 	Pool    *bufferpool.Pool
 	Prog    *Program
 	Out     io.Writer
+	// Recycler is the engine's free list of dense arrays (matrix.Recycler),
+	// shared by child contexts; nil allocates every output afresh.
+	Recycler *matrix.Recycler
 
 	mu   sync.RWMutex
 	vars map[string]Data
@@ -135,14 +138,15 @@ func NewContext(cfg *Config) *Context {
 // shared. The scope ends with ReleaseVars.
 func (ctx *Context) ChildEmpty() *Context {
 	return &Context{
-		Config:  ctx.Config,
-		Lineage: lineage.NewTracer(),
-		Cache:   ctx.Cache,
-		Pool:    ctx.Pool,
-		Prog:    ctx.Prog,
-		Out:     ctx.Out,
-		vars:    map[string]Data{},
-		stats:   ctx.stats,
+		Config:   ctx.Config,
+		Lineage:  lineage.NewTracer(),
+		Cache:    ctx.Cache,
+		Pool:     ctx.Pool,
+		Prog:     ctx.Prog,
+		Out:      ctx.Out,
+		Recycler: ctx.Recycler,
+		vars:     map[string]Data{},
+		stats:    ctx.stats,
 	}
 }
 
@@ -159,14 +163,15 @@ func (ctx *Context) ChildCopy() *Context {
 	}
 	ctx.mu.RUnlock()
 	return &Context{
-		Config:  ctx.Config,
-		Lineage: ctx.Lineage.Copy(),
-		Cache:   ctx.Cache,
-		Pool:    ctx.Pool,
-		Prog:    ctx.Prog,
-		Out:     ctx.Out,
-		vars:    vars,
-		stats:   ctx.stats,
+		Config:   ctx.Config,
+		Lineage:  ctx.Lineage.Copy(),
+		Cache:    ctx.Cache,
+		Pool:     ctx.Pool,
+		Prog:     ctx.Prog,
+		Out:      ctx.Out,
+		Recycler: ctx.Recycler,
+		vars:     vars,
+		stats:    ctx.stats,
 	}
 }
 

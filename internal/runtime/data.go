@@ -293,6 +293,10 @@ type MatrixObject struct {
 	blockedBS int
 	// blockedLast records which form the latest consumer asked for.
 	blockedLast bool
+	// owns says the block's array came from the engine's free list and this
+	// object is its only handle (matrix.MatrixBlock.Claim): the last holder's
+	// Release gives the array back, unless Share revoked the right.
+	owns bool
 }
 
 // NewMatrixObject wraps a matrix block into a managed matrix object and
@@ -301,12 +305,52 @@ func NewMatrixObject(block *matrix.MatrixBlock, pool *bufferpool.Pool) *MatrixOb
 	mo := &MatrixObject{
 		dc:    types.DataCharacteristics{Rows: int64(block.Rows()), Cols: int64(block.Cols()), Blocksize: types.DefaultBlocksize, NNZ: block.NNZ()},
 		block: block,
+		owns:  block.Claim(),
 	}
 	if pool != nil {
 		mo.id, mo.pool = pool.NextID(), pool
 		pool.Register(mo)
 	}
 	return mo
+}
+
+// Release drops a holder (see poolRef). When the last one lets go and the
+// object owns its block, the block's array goes back to the engine's free
+// list — nobody can ask for the value any more — and the object drops the
+// block, so a stale reader gets an error, not a recycled array. An evicted
+// block is not given back: its array left with it.
+func (m *MatrixObject) Release() {
+	if m.refs.Add(-1) != 0 {
+		return
+	}
+	m.pool.Unregister(m.id)
+	m.mu.Lock()
+	blk := m.block
+	recycle := m.owns && blk != nil
+	if recycle {
+		m.block, m.owns = nil, false
+	}
+	m.mu.Unlock()
+	if recycle {
+		blk.Recycle()
+	}
+}
+
+// Share revokes d's right to recycle any array it holds, through lists and
+// views: d is being handed to a caller who may keep it.
+func Share(d Data) {
+	switch v := d.(type) {
+	case *MatrixObject:
+		v.mu.Lock()
+		v.owns = false
+		v.mu.Unlock()
+	case *ListObject:
+		for _, e := range v.Values {
+			Share(e)
+		}
+	case *Transposed:
+		Share(v.Source)
+	}
 }
 
 // DataType returns types.Matrix.

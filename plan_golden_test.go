@@ -146,14 +146,8 @@ func fingerprint(v any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestPlansAndOutputsMatchGolden runs the fixed scripts under {local,
-// compressed, blocked, compressed + blocked} x fusion {on, off} at 1, 2 and 3
-// threads and holds every run to the one recorded entry of its (script,
-// configuration, fusion) key: output bits, plan sequence and representation
-// counters. A change to how an operator is dispatched must not change what is
-// computed, which kernel computes it, or how often data changes
-// representation, and the thread count must change none of them.
-func TestPlansAndOutputsMatchGolden(t *testing.T) {
+// goldenInputs are the inputs every golden script runs on.
+func goldenInputs() map[string]any {
 	const rows, cols = 2000, 60
 	noise := systemds.RandMatrix(rows, cols, 1.0, 91)
 	X := systemds.NewMatrix(rows, cols, nil)
@@ -168,13 +162,24 @@ func TestPlansAndOutputsMatchGolden(t *testing.T) {
 	for r := 0; r < rows; r++ {
 		ys.Set(r, 0, 2*math.Round(y.Get(r, 0))-1)
 	}
-	inputs := map[string]any{
+	return map[string]any{
 		"X": X, "y": y, "ys": ys, "lr": 1e-7,
 		"u":  systemds.RandMatrix(1, rows, 1.0, 93),
 		"B":  systemds.RandMatrix(cols, 3, 1.0, 94),
 		"Xr": systemds.RandMatrix(rows, cols, 1.0, 95),
 		"Xs": systemds.RandMatrix(rows, cols, 0.05, 96),
 	}
+}
+
+// TestPlansAndOutputsMatchGolden runs the fixed scripts under {local,
+// compressed, blocked, compressed + blocked} x fusion {on, off} at 1, 2 and 3
+// threads and holds every run to the one recorded entry of its (script,
+// configuration, fusion) key: output bits, plan sequence and representation
+// counters. A change to how an operator is dispatched must not change what is
+// computed, which kernel computes it, or how often data changes
+// representation, and the thread count must change none of them.
+func TestPlansAndOutputsMatchGolden(t *testing.T) {
+	inputs := goldenInputs()
 	threads := []int{1, 2, 3}
 	got := map[int]map[string]goldenRun{}
 	for _, th := range threads {
@@ -304,6 +309,39 @@ for (i in 1:5) {
 			} else if !reflect.DeepEqual(got, want) {
 				t.Errorf("threads=%d: compressed+dist outputs %v, compressed %v", th, got, want)
 			}
+		}
+	}
+}
+
+// TestRecycledArraysAreNeverRead runs every golden script three times on one
+// engine, with every array its free list takes back filled with NaN, and
+// holds each run to the bits of a fresh engine without the poison: no run
+// reads an array after it went back, and no run depends on what the engine
+// ran before.
+func TestRecycledArraysAreNeverRead(t *testing.T) {
+	inputs := goldenInputs()
+	for _, sc := range goldenScripts {
+		for _, cfg := range goldenConfigs {
+			opts := append([]systemds.Option{systemds.WithParallelism(2)}, cfg.opts...)
+			fresh, err := systemds.NewContext(opts...).Execute(sc.script, inputs, sc.outputs...)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", sc.name, cfg.name, err)
+			}
+			systemds.PoisonRecycled(true)
+			shared := systemds.NewContext(opts...)
+			for run := 1; run <= 3; run++ {
+				res, err := shared.Execute(sc.script, inputs, sc.outputs...)
+				if err != nil {
+					systemds.PoisonRecycled(false)
+					t.Fatalf("%s/%s run %d: %v", sc.name, cfg.name, run, err)
+				}
+				for _, name := range sc.outputs {
+					if got, want := fingerprint(res[name]), fingerprint(fresh[name]); got != want {
+						t.Errorf("%s/%s run %d: %s is %s, a fresh engine computes %s", sc.name, cfg.name, run, name, got, want)
+					}
+				}
+			}
+			systemds.PoisonRecycled(false)
 		}
 	}
 }
