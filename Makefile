@@ -61,9 +61,11 @@ race:
 # persistent lineage store file (open + Get on any bytes serve the entry or
 # drop and count it, never panic, never allocate from an unchecked length),
 # the compressed-matrix spill file (any bytes give a matrix or an error, never
-# a panic; a matrix writes back the bytes it came from and its kernels run)
-# and the DML parser (any source parses and validates to a program or an
-# error, never a panic; seeded with the builtin and golden-plan scripts).
+# a panic; a matrix writes back the bytes it came from and its kernels run),
+# the DML parser (any source parses and validates to a program or an
+# error, never a panic; seeded with the builtin and golden-plan scripts) and
+# the HOP rewrite pass (the DAG generated from any seed and size rewrites to
+# the fixpoint of the separate reference passes in rewrite_ref_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
@@ -71,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
 	$(GO) test -run '^$$' -fuzz FuzzCompressedRead -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
+	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime 10s ./internal/hops/
 
 # The repo's benchmark (bench/, a module of its own; see bench/README.md):
 # all eight script-level workloads, every end-to-end and per-layer metric by

@@ -7,6 +7,7 @@ import (
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/instructions"
 	"github.com/systemds/systemds-go/internal/lang"
+	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 	"github.com/systemds/systemds-go/internal/types"
 )
@@ -19,8 +20,6 @@ var nativeBuiltins = map[string]bool{
 	"trace": true, "nrow": true, "ncol": true, "length": true, "median": true,
 	"colSums": true, "colMeans": true, "colMaxs": true, "colMins": true, "colVars": true, "colSds": true,
 	"rowSums": true, "rowMeans": true, "rowMaxs": true, "rowMins": true, "rowIndexMax": true, "cumsum": true,
-	"exp": true, "log": true, "sqrt": true, "abs": true, "round": true, "floor": true, "ceil": true,
-	"sign": true, "sigmoid": true, "sin": true, "cos": true, "tan": true, "is.nan": true,
 	"solve": true, "inv": true, "cholesky": true, "eigen": true,
 	"cbind": true, "rbind": true,
 	"rand": true, "matrix": true, "seq": true, "sample": true,
@@ -33,7 +32,15 @@ var nativeBuiltins = map[string]bool{
 }
 
 // isNativeBuiltin reports whether the function name is a native builtin.
-func isNativeBuiltin(name string) bool { return nativeBuiltins[name] }
+func isNativeBuiltin(name string) bool { return nativeBuiltins[name] || isUnaryMath(name) }
+
+// isUnaryMath reports whether the function name is a cellwise unary operator
+// of the operator table called like a function (abs, exp, is.nan, ...): every
+// unary operator but the prefix - and !.
+func isUnaryMath(name string) bool {
+	op, ok := matrix.UnaryOpFromString(name)
+	return ok && op != matrix.OpNeg && op != matrix.OpNot
+}
 
 var scalarAggBuiltins = map[string]bool{
 	"sum": true, "mean": true, "var": true, "sd": true, "trace": true,
@@ -43,11 +50,6 @@ var scalarAggBuiltins = map[string]bool{
 var vectorAggBuiltins = map[string]bool{
 	"colSums": true, "colMeans": true, "colMaxs": true, "colMins": true, "colVars": true, "colSds": true,
 	"rowSums": true, "rowMeans": true, "rowMaxs": true, "rowMins": true, "rowIndexMax": true, "cumsum": true,
-}
-
-var unaryMathBuiltins = map[string]bool{
-	"exp": true, "log": true, "sqrt": true, "abs": true, "round": true, "floor": true, "ceil": true,
-	"sign": true, "sigmoid": true, "sin": true, "cos": true, "tan": true, "is.nan": true,
 }
 
 var seedCounter int64
@@ -124,7 +126,7 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 			h.DataType = types.Scalar
 		}
 		return h, nil
-	case unaryMathBuiltins[name]:
+	case isUnaryMath(name):
 		in, err := argHop(0)
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/lang"
+	"github.com/systemds/systemds-go/internal/matrix"
 )
 
 // Function inlining, after SystemML's inter-procedural analysis: a call whose
@@ -301,8 +302,9 @@ func definedBeforeUse(def *lang.FunctionDef, body []*lang.AssignStmt) bool {
 }
 
 // constEval evaluates a numeric or boolean expression (TRUE is 1) that
-// depends on literals and constant bindings alone, with constant folding's
-// arithmetic; a predicate's truth is non-zero, as runtime.Scalar.Bool has it.
+// depends on literals and constant bindings alone, through the runtime's own
+// operator table; a predicate's truth is non-zero, as runtime.Scalar.Bool has
+// it.
 func constEval(e lang.Expr, consts map[string]lang.Expr) (float64, bool) {
 	switch v := e.(type) {
 	case *lang.NumLit:
@@ -317,14 +319,16 @@ func constEval(e lang.Expr, consts map[string]lang.Expr) (float64, bool) {
 			return constEval(c, consts)
 		}
 	case *lang.UnaryExpr:
-		if x, ok := constEval(v.Operand, consts); ok {
-			return hops.EvalUnary(v.Op, x)
+		op, ok := matrix.UnaryOpFromString(v.Op)
+		if x, xok := constEval(v.Operand, consts); ok && xok {
+			return op.Apply(x), true
 		}
 	case *lang.BinaryExpr:
+		op, ok := matrix.BinaryOpFromString(v.Op)
 		l, lok := constEval(v.Left, consts)
 		r, rok := constEval(v.Right, consts)
-		if lok && rok {
-			return hops.EvalBinary(v.Op, l, r)
+		if ok && lok && rok {
+			return op.Apply(l, r), true
 		}
 	}
 	return 0, false

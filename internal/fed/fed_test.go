@@ -202,22 +202,6 @@ func TestFederatedOverNetwork(t *testing.T) {
 	if d := s - matrix.Sum(x, 1); d > 1e-9 || d < -1e-9 {
 		t.Error("federated Sum disagrees with local")
 	}
-	grad, err := fx.GradientLinReg(fy, matrix.NewDense(6, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// gradient at w=0 is t(X) %*% (0 - y) = -t(X) y
-	wantGrad := matrix.ScalarOp(want, -1, matrix.OpMul, false, 1)
-	if !grad.Equals(wantGrad, 1e-9) {
-		t.Error("federated gradient disagrees with local")
-	}
-	collected, err := fx.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !collected.Equals(x, 1e-12) {
-		t.Error("Collect did not reassemble the federated matrix")
-	}
 	dc := fx.DataCharacteristics()
 	if dc.Rows != 100 || dc.Cols != 6 {
 		t.Errorf("characteristics = %v", dc)

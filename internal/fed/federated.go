@@ -270,61 +270,3 @@ func (fm *FederatedMatrix) Sum() (float64, error) {
 	}
 	return total, nil
 }
-
-// GradientLinReg computes the global squared-loss gradient
-// t(X) %*% (X %*% w - y) by pushing the local gradient computation to every
-// site and summing the d x 1 results (the federated parameter-server style
-// update of Section 3.3).
-func (fm *FederatedMatrix) GradientLinReg(y *FederatedMatrix, w *matrix.MatrixBlock) (*matrix.MatrixBlock, error) {
-	if len(fm.Ranges) != len(y.Ranges) {
-		return nil, fmt.Errorf("fed: gradient requires aligned federations")
-	}
-	var acc *matrix.MatrixBlock
-	for i, r := range fm.Ranges {
-		ry := y.Ranges[i]
-		c, err := fm.client(r.Address)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.Call(&Request{
-			Command: "exec", Op: "gradient_linreg",
-			Operands: []string{r.VarName, ry.VarName},
-			Matrix:   ToWire(w),
-		})
-		if err != nil {
-			return nil, err
-		}
-		part := FromWire(resp.Matrix)
-		if acc == nil {
-			acc = part
-		} else {
-			acc, err = matrix.CellwiseOp(acc, part, matrix.OpAdd, 1)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc, nil
-}
-
-// Collect retrieves and assembles the full federated matrix at the master.
-// It exists for debugging and tests; real federated workflows avoid it.
-func (fm *FederatedMatrix) Collect() (*matrix.MatrixBlock, error) {
-	out := matrix.NewDense(int(fm.Rows), int(fm.Cols))
-	for _, r := range fm.Ranges {
-		c, err := fm.client(r.Address)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.Call(&Request{Command: "get", Name: r.VarName})
-		if err != nil {
-			return nil, err
-		}
-		part := FromWire(resp.Matrix)
-		out, err = matrix.LeftIndex(out, part, int(r.RowStart), int(r.RowEnd), int(r.ColStart), int(r.ColEnd))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

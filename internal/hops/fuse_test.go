@@ -47,7 +47,7 @@ func TestFuseMMChainXtXv(t *testing.T) {
 	if root.Inputs[0] != x || root.Inputs[1] != v {
 		t.Error("mmchain inputs should be [X, v]")
 	}
-	if d.CountKind(KindReorg) != 0 || d.CountKind(KindMatMult) != 0 {
+	if countKind(d, KindReorg) != 0 || countKind(d, KindMatMult) != 0 {
 		t.Error("interior transpose and matmult should be removed from the DAG")
 	}
 	if root.DC.Rows != 20 || root.DC.Cols != 1 {
@@ -122,7 +122,7 @@ func TestFuseXtY(t *testing.T) {
 		if len(root.Inputs) != 2 || root.Inputs[0] != x || root.Inputs[1] != y {
 			t.Errorf("k=%d: xty inputs should be [X, Y]", k)
 		}
-		if d.CountKind(KindReorg) != 0 {
+		if countKind(d, KindReorg) != 0 {
 			t.Errorf("k=%d: transpose should be removed from the DAG", k)
 		}
 		if root.DC.Rows != 20 || root.DC.Cols != k {
@@ -141,7 +141,7 @@ func TestFuseXtY(t *testing.T) {
 	if root.Kind != KindMMChain || root.Op != OpXtY {
 		t.Fatalf("shared t(X): expected xty fusion, got %s %s", root.Kind, root.Op)
 	}
-	if d.CountKind(KindReorg) != 1 {
+	if countKind(d, KindReorg) != 1 {
 		t.Error("shared t(X) must stay materialized for its other consumer")
 	}
 }
@@ -182,7 +182,7 @@ func TestFuseAggPipeline(t *testing.T) {
 	if len(root.Inputs) != 2 || root.Inputs[0] != x || root.Inputs[1] != y {
 		t.Error("fused agg inputs should be the leaves [X, Y]")
 	}
-	if d.CountKind(KindBinary) != 0 {
+	if countKind(d, KindBinary) != 0 {
 		t.Error("interior cellwise operator should be removed from the DAG")
 	}
 }
@@ -219,7 +219,7 @@ func TestNoFuseAggMultiConsumer(t *testing.T) {
 	if root.Kind != KindAggUnary {
 		t.Fatalf("aggregate over shared intermediate must not fuse, got %s", root.Kind)
 	}
-	if d.CountKind(KindFusedAgg) != 0 {
+	if countKind(d, KindFusedAgg) != 0 {
 		t.Error("no fused aggregate may exist in the DAG")
 	}
 }
@@ -284,7 +284,7 @@ func TestFuseCellChain(t *testing.T) {
 	if len(root.Inputs) != 3 || root.Inputs[0] != x || root.Inputs[1] != mu || root.Inputs[2] != sd {
 		t.Error("fused inputs should be [X, mu, sd]")
 	}
-	if d.CountKind(KindBinary) != 0 {
+	if countKind(d, KindBinary) != 0 {
 		t.Error("the interior subtraction should be gone from the DAG")
 	}
 	if root.DC.Rows != 64 || root.DC.Cols != 100 {
@@ -303,8 +303,8 @@ func TestFuseCellChainOutermostRoot(t *testing.T) {
 	single := binary("+", x, y)
 	d := &DAG{Roots: []*Hop{NewWrite("A", abs), NewWrite("S", single)}}
 	prepare(d)
-	if abs.Kind != KindFusedCell || d.CountKind(KindFusedCell) != 1 {
-		t.Fatalf("want exactly one FusedCell at abs, got %s and %d", abs.Kind, d.CountKind(KindFusedCell))
+	if abs.Kind != KindFusedCell || countKind(d, KindFusedCell) != 1 {
+		t.Fatalf("want exactly one FusedCell at abs, got %s and %d", abs.Kind, countKind(d, KindFusedCell))
 	}
 	if got := abs.Fused.Prog.Signature(); got != "L0;L1;B-;L2;B*;Uabs" {
 		t.Errorf("program signature = %q, want L0;L1;B-;L2;B*;Uabs", got)
@@ -348,7 +348,7 @@ func TestNoFuseCellChainMultiConsumer(t *testing.T) {
 	root := binary("/", sub, NewLiteralNumber(3))
 	d := &DAG{Roots: []*Hop{NewWrite("Xs", root), NewWrite("D", sub)}}
 	prepare(d)
-	if root.Kind != KindBinary || sub.Kind != KindBinary || d.CountKind(KindFusedCell) != 0 {
+	if root.Kind != KindBinary || sub.Kind != KindBinary || countKind(d, KindFusedCell) != 0 {
 		t.Fatalf("two-consumer interior must not fuse, got %s over %s", root.Kind, sub.Kind)
 	}
 }
@@ -367,7 +367,7 @@ func TestNoFuseCellChainOverBlockedLeaf(t *testing.T) {
 	d := &DAG{Roots: []*Hop{NewWrite("w", root)}}
 	PropagateSizes(d, nil)
 	FuseOperators(d, PlannerParams{DistEnabled: true, MemBudget: 2 << 20})
-	if d.CountKind(KindFusedCell) != 0 {
+	if countKind(d, KindFusedCell) != 0 {
 		t.Fatal("operators over a blocked leaf must not fuse")
 	}
 	FuseOperators(d, PlannerParams{})

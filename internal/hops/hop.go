@@ -8,6 +8,7 @@ package hops
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -201,7 +202,9 @@ func (h *Hop) signature() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s:%s:%s", h.Kind, h.Op, h.Name)
 	if h.Kind == KindLiteral {
-		fmt.Fprintf(&sb, ":%v:%q:%v:%v", h.LitValue, h.LitString, h.LitBool, h.ValueType)
+		// the bits, not the printed value: NaNs of another sign or payload
+		// are other literals
+		fmt.Fprintf(&sb, ":%x:%q:%v:%v", math.Float64bits(h.LitValue), h.LitString, h.LitBool, h.ValueType)
 	}
 	for _, in := range h.Inputs {
 		fmt.Fprintf(&sb, ":%d", in.ID)
@@ -272,35 +275,4 @@ func explainIDs(nodes []*Hop) map[int64]int {
 		ids[h.ID] = i + 1
 	}
 	return ids
-}
-
-// Explain renders the DAG as an indented operator listing (EXPLAIN hops).
-func (d *DAG) Explain() string {
-	var sb strings.Builder
-	nodes := d.Nodes()
-	ids := explainIDs(nodes)
-	for _, h := range nodes {
-		ins := make([]string, len(h.Inputs))
-		for i, in := range h.Inputs {
-			ins[i] = fmt.Sprint(ids[in.ID])
-		}
-		fmt.Fprintf(&sb, "(%d) %s %s [%s] %s mem=%d %s\n",
-			ids[h.ID], h.Kind, h.Op, strings.Join(ins, ","), h.DC, h.MemEstimate, h.ExecType)
-	}
-	return sb.String()
-}
-
-// ReplaceInput swaps every occurrence of old with new in h's inputs and
-// parameters.
-func (h *Hop) ReplaceInput(old, new *Hop) {
-	for i, in := range h.Inputs {
-		if in == old {
-			h.Inputs[i] = new
-		}
-	}
-	for k, p := range h.Params {
-		if p == old {
-			h.Params[k] = new
-		}
-	}
 }

@@ -30,12 +30,23 @@ func buildLmDSDag() (*DAG, *Hop, *Hop) {
 	return dag, a, b
 }
 
+// countKind returns the number of DAG nodes of the given kind.
+func countKind(d *DAG, k Kind) int {
+	n := 0
+	for _, h := range d.Nodes() {
+		if h.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRewriteFusesTSMM(t *testing.T) {
 	dag, a, _ := buildLmDSDag()
 	Rewrite(dag)
 	// t(X) %*% X must become a TSMM node
-	if dag.CountKind(KindTSMM) != 1 {
-		t.Fatalf("TSMM nodes = %d, want 1\n%s", dag.CountKind(KindTSMM), dag.Explain())
+	if countKind(dag, KindTSMM) != 1 {
+		t.Fatalf("TSMM nodes = %d, want 1\n%s", countKind(dag, KindTSMM), dag.ExplainPlan())
 	}
 	// the A node's first input is now the tsmm
 	if a.Inputs[0].Kind != KindTSMM {
@@ -43,7 +54,7 @@ func TestRewriteFusesTSMM(t *testing.T) {
 	}
 	// the duplicated transpose reads were merged by CSE: only one reorg (the
 	// diag) plus the transpose feeding b remain
-	if n := dag.CountKind(KindRead); n != 3 {
+	if n := countKind(dag, KindRead); n != 3 {
 		t.Errorf("reads = %d, want 3 (X, y, l deduplicated)", n)
 	}
 }
@@ -58,7 +69,7 @@ func TestFoldConstants(t *testing.T) {
 	cmp := NewHop(KindBinary, ">", neg, NewLiteralNumber(0))
 	cmp.DataType = types.Scalar
 	dag := &DAG{Roots: []*Hop{NewWrite("x", neg), NewWrite("c", cmp)}}
-	FoldConstants(dag)
+	Rewrite(dag)
 	xRoot := dag.Roots[0]
 	if xRoot.Inputs[0].Kind != KindLiteral || xRoot.Inputs[0].LitValue != -5 {
 		t.Errorf("folded value = %+v", xRoot.Inputs[0])
@@ -79,7 +90,7 @@ func TestSimplifyAlgebraic(t *testing.T) {
 	addZero := NewHop(KindBinary, "+", x, NewLiteralNumber(0))
 	addZero.DataType = types.Matrix
 	dag := &DAG{Roots: []*Hop{NewWrite("a", tt), NewWrite("b", mulOne), NewWrite("c", addZero)}}
-	SimplifyAlgebraic(dag)
+	Rewrite(dag)
 	for i, root := range dag.Roots {
 		if root.Inputs[0] != x {
 			t.Errorf("root %d not simplified to X: %+v", i, root.Inputs[0])
@@ -95,7 +106,7 @@ func TestCSEKeepsNonDeterministicNodes(t *testing.T) {
 	r2.DataType = types.Matrix
 	r2.Params = map[string]*Hop{"rows": NewLiteralNumber(2), "cols": NewLiteralNumber(2), "seed": NewLiteralNumber(1)}
 	dag := &DAG{Roots: []*Hop{NewWrite("a", r1), NewWrite("b", r2)}}
-	EliminateCommonSubexpressions(dag)
+	Rewrite(dag)
 	if dag.Roots[0].Inputs[0] == dag.Roots[1].Inputs[0] {
 		t.Error("datagen nodes must not be merged by CSE")
 	}
@@ -111,7 +122,7 @@ func TestCSEMergesIdenticalSubtrees(t *testing.T) {
 	add := NewHop(KindBinary, "+", s1, s2)
 	add.DataType = types.Scalar
 	dag := &DAG{Roots: []*Hop{NewWrite("out", add)}}
-	EliminateCommonSubexpressions(dag)
+	Rewrite(dag)
 	if add.Inputs[0] != add.Inputs[1] {
 		t.Error("identical aggregations should be merged")
 	}
@@ -294,7 +305,7 @@ func TestExplainOutput(t *testing.T) {
 	dag, _, _ := buildLmDSDag()
 	Rewrite(dag)
 	PropagateSizes(dag, nil)
-	out := dag.Explain()
+	out := dag.ExplainPlan()
 	if !strings.Contains(out, "TSMM") || !strings.Contains(out, "TWrite") {
 		t.Errorf("explain output missing operators:\n%s", out)
 	}

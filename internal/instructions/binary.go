@@ -9,15 +9,6 @@ import (
 	"github.com/systemds/systemds-go/internal/types"
 )
 
-// binaryOps maps DML binary operators to matrix kernel operations.
-var binaryOps = map[string]matrix.BinaryOp{
-	"+": matrix.OpAdd, "-": matrix.OpSub, "*": matrix.OpMul, "/": matrix.OpDiv,
-	"^": matrix.OpPow, "%%": matrix.OpModulus, "%/%": matrix.OpIntDiv,
-	"min": matrix.OpMin, "max": matrix.OpMax,
-	"==": matrix.OpEqual, "!=": matrix.OpNotEqual, "<": matrix.OpLess, "<=": matrix.OpLessEqual,
-	">": matrix.OpGreater, ">=": matrix.OpGreaterEqual, "&": matrix.OpAnd, "|": matrix.OpOr,
-}
-
 // BinaryInst applies an element-wise binary operation between matrices and/or
 // scalars, including string concatenation with "+".
 type BinaryInst struct {
@@ -35,7 +26,7 @@ func NewBinary(op string, out string, left, right Operand) *BinaryInst {
 
 // Execute implements runtime.Instruction.
 func (i *BinaryInst) Execute(ctx *runtime.Context) error {
-	op, ok := binaryOps[i.opcode]
+	op, ok := matrix.BinaryOpFromString(i.opcode)
 	if !ok {
 		return fmt.Errorf("instructions: unknown binary op %q", i.opcode)
 	}
@@ -56,7 +47,7 @@ func (i *BinaryInst) Execute(ctx *runtime.Context) error {
 	switch {
 	case lIsScalar && rIsScalar:
 		res := op.Apply(ls.Float64(), rs.Float64())
-		ctx.Set(i.outs[0], scalarResult(i.opcode, res))
+		ctx.Set(i.outs[0], scalarResult(res, op.Boolean()))
 		return nil
 	case lIsScalar && !rIsScalar:
 		if co, ok := resolveCompressed(r); ok {
@@ -204,15 +195,13 @@ func (i *BinaryInst) executeDistributedVector(ctx *runtime.Context, op matrix.Bi
 	return bindBlockedResult(ctx, i.outs[0], res, i.BlockedOut, i.opcode, "dist", i.EstBytes)
 }
 
-// scalarResult wraps a numeric result, using boolean scalars for comparison
-// and logical operators (so if-predicates read naturally).
-func scalarResult(op string, v float64) *runtime.Scalar {
-	switch op {
-	case "==", "!=", "<", "<=", ">", ">=", "&", "|":
+// scalarResult wraps a numeric result, as a boolean scalar for the operators
+// whose result is one (so if-predicates read naturally).
+func scalarResult(v float64, boolean bool) *runtime.Scalar {
+	if boolean {
 		return runtime.NewBool(v != 0)
-	default:
-		return runtime.NewDouble(v)
 	}
+	return runtime.NewDouble(v)
 }
 
 // TernaryInst computes ifelse(cond, a, b) cell-wise.

@@ -133,10 +133,10 @@ func TestUnaryAndAggInstructions(t *testing.T) {
 	if err := NewUnary("warp", "w", Var("X")).Execute(ctx); err == nil {
 		t.Error("expected unknown op error")
 	}
-	if _, ok := unaryOps["exp"]; !ok {
+	if _, ok := matrix.UnaryOpFromString("exp"); !ok {
 		t.Error("exp missing from the unary op table")
 	}
-	if _, ok := unaryOps["zzz"]; ok {
+	if _, ok := matrix.UnaryOpFromString("zzz"); ok {
 		t.Error("zzz in the unary op table")
 	}
 
@@ -224,10 +224,10 @@ func TestBinaryAndTernaryInstructions(t *testing.T) {
 	if err := NewBinary("zz", "Z", Var("A"), Var("B")).Execute(ctx); err == nil {
 		t.Error("expected unknown op error")
 	}
-	if _, ok := binaryOps["+"]; !ok {
+	if _, ok := matrix.BinaryOpFromString("+"); !ok {
 		t.Error("+ missing from the binary op table")
 	}
-	if _, ok := binaryOps["@@"]; ok {
+	if _, ok := matrix.BinaryOpFromString("@@"); ok {
 		t.Error("@@ in the binary op table")
 	}
 	// ternary with matrix condition

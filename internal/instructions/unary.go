@@ -10,14 +10,6 @@ import (
 	"github.com/systemds/systemds-go/internal/runtime"
 )
 
-// unaryOps maps DML unary function names to matrix kernel operations.
-var unaryOps = map[string]matrix.UnaryOp{
-	"uminus": matrix.OpNeg, "abs": matrix.OpAbs, "exp": matrix.OpExp, "log": matrix.OpLog,
-	"sqrt": matrix.OpSqrt, "round": matrix.OpRound, "floor": matrix.OpFloor, "ceil": matrix.OpCeil,
-	"sign": matrix.OpSign, "!": matrix.OpNot, "sin": matrix.OpSin, "cos": matrix.OpCos,
-	"tan": matrix.OpTan, "sigmoid": matrix.OpSigmoid, "is.nan": matrix.OpIsNaN,
-}
-
 // UnaryInst applies an element-wise unary operation to a matrix or scalar.
 type UnaryInst struct {
 	base
@@ -34,7 +26,7 @@ func NewUnary(op string, out string, in Operand) *UnaryInst {
 
 // Execute implements runtime.Instruction.
 func (i *UnaryInst) Execute(ctx *runtime.Context) error {
-	op, ok := unaryOps[i.opcode]
+	op, ok := matrix.UnaryOpFromString(i.opcode)
 	if !ok {
 		return fmt.Errorf("instructions: unknown unary op %q", i.opcode)
 	}
@@ -44,12 +36,7 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 	}
 	switch v := d.(type) {
 	case *runtime.Scalar:
-		res := op.Apply(v.Float64())
-		if i.opcode == "!" {
-			ctx.Set(i.outs[0], runtime.NewBool(res != 0))
-		} else {
-			ctx.Set(i.outs[0], runtime.NewDouble(res))
-		}
+		ctx.Set(i.outs[0], scalarResult(op.Apply(v.Float64()), op.Boolean()))
 		return nil
 	case *runtime.CompressedMatrixObject:
 		// cellwise unary on compressed data is a dictionary-only update: the

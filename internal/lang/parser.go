@@ -44,26 +44,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// ParseExpression parses a single DML expression (used by tests and the
-// compiler for default parameter values).
-func ParseExpression(src string) (Expr, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	toks = normalizeNewlines(toks)
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	p.skipSeparators()
-	if !p.atEOF() {
-		return nil, fmt.Errorf("lang: unexpected trailing token %s", p.peek())
-	}
-	return e, nil
-}
-
 // normalizeNewlines removes newline tokens that appear inside parentheses or
 // brackets (expressions may span lines there) and after commas or binary
 // operators, keeping newlines that terminate statements.

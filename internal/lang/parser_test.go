@@ -336,22 +336,6 @@ func TestParseDuplicateFunction(t *testing.T) {
 	}
 }
 
-func TestParseExpressionHelper(t *testing.T) {
-	e, err := ParseExpression("1 + 2 * x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.(*BinaryExpr); !ok {
-		t.Errorf("type = %T", e)
-	}
-	if _, err := ParseExpression("1 + "); err == nil {
-		t.Error("expected error")
-	}
-	if _, err := ParseExpression("1 2"); err == nil {
-		t.Error("expected trailing token error")
-	}
-}
-
 func TestParseMultilineExpressionsInParens(t *testing.T) {
 	src := "x = sum(\n  A,\n  B\n)\n"
 	prog := mustParse(t, src)

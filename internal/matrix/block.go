@@ -59,11 +59,6 @@ func NewDenseCounted(rows, cols int, data []float64, nnz int64) *MatrixBlock {
 	return &MatrixBlock{rows: rows, cols: cols, dense: data, nnz: nnz}
 }
 
-// NewSparse allocates an empty sparse rows x cols matrix.
-func NewSparse(rows, cols int) *MatrixBlock {
-	return &MatrixBlock{rows: rows, cols: cols, sparse: NewCSR(rows, cols)}
-}
-
 // FromRows builds a dense matrix from a slice of row slices. All rows must
 // have the same length.
 func FromRows(rows [][]float64) *MatrixBlock {

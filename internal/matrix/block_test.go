@@ -66,8 +66,15 @@ func TestSparseDenseConversionRoundTrip(t *testing.T) {
 	}
 }
 
+// emptySparse returns an empty rows x cols block in the sparse
+// representation.
+func emptySparse(rows, cols int) *MatrixBlock { return NewBuilder(rows, cols).Build() }
+
 func TestSparseSetGet(t *testing.T) {
-	m := NewSparse(4, 4)
+	m := emptySparse(4, 4)
+	if !m.IsSparse() {
+		t.Fatal("empty builder block should be sparse")
+	}
 	m.Set(0, 3, 1)
 	m.Set(2, 1, 2)
 	m.Set(2, 3, 3)
@@ -161,7 +168,7 @@ func TestInMemorySize(t *testing.T) {
 	if d.InMemorySize() < 80000 {
 		t.Errorf("dense size = %d, want >= 80000", d.InMemorySize())
 	}
-	s := NewSparse(100, 100)
+	s := emptySparse(100, 100)
 	if s.InMemorySize() >= d.InMemorySize() {
 		t.Errorf("empty sparse size %d should be below dense %d", s.InMemorySize(), d.InMemorySize())
 	}
@@ -179,7 +186,7 @@ func TestSparsity(t *testing.T) {
 // TestCopyRowAndRangeNNZ: both read a block in place — a sparse block stays
 // sparse — and agree with Get on either representation.
 func TestCopyRowAndRangeNNZ(t *testing.T) {
-	for _, m := range []*MatrixBlock{RandUniform(12, 9, -1, 1, 1, 1), RandUniform(12, 9, 0, 1, 0.15, 2), NewSparse(12, 9)} {
+	for _, m := range []*MatrixBlock{RandUniform(12, 9, -1, 1, 1, 1), RandUniform(12, 9, 0, 1, 0.15, 2), emptySparse(12, 9)} {
 		sparse := m.IsSparse()
 		row := make([]float64, 4)
 		for r := 0; r < m.Rows(); r++ {

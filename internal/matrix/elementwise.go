@@ -29,47 +29,25 @@ const (
 	OpIntDiv
 )
 
+// binaryOpSymbols is the DML symbol of every binary operation, indexed by
+// BinaryOp: the one spelling String prints and BinaryOpFromString resolves.
+var binaryOpSymbols = [...]string{
+	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpPow: "^", OpMin: "min", OpMax: "max",
+	OpEqual: "==", OpNotEqual: "!=", OpLess: "<", OpLessEqual: "<=", OpGreater: ">",
+	OpGreaterEqual: ">=", OpAnd: "&", OpOr: "|", OpModulus: "%%", OpIntDiv: "%/%",
+}
+
 // String returns the DML operator symbol for the binary operation.
 func (op BinaryOp) String() string {
-	switch op {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	case OpDiv:
-		return "/"
-	case OpPow:
-		return "^"
-	case OpMin:
-		return "min"
-	case OpMax:
-		return "max"
-	case OpEqual:
-		return "=="
-	case OpNotEqual:
-		return "!="
-	case OpLess:
-		return "<"
-	case OpLessEqual:
-		return "<="
-	case OpGreater:
-		return ">"
-	case OpGreaterEqual:
-		return ">="
-	case OpAnd:
-		return "&"
-	case OpOr:
-		return "|"
-	case OpModulus:
-		return "%%"
-	case OpIntDiv:
-		return "%/%"
-	default:
+	if op < 0 || int(op) >= len(binaryOpSymbols) {
 		return "?"
 	}
+	return binaryOpSymbols[op]
 }
+
+// Boolean reports whether the operation's scalar result is a boolean: the
+// comparisons, & and |.
+func (op BinaryOp) Boolean() bool { return op >= OpEqual && op <= OpOr }
 
 // binaryFns holds the scalar definition of every binary operation, indexed by
 // BinaryOp: Apply and the row kernels both resolve an operator here, once.
@@ -108,15 +86,17 @@ func boolToF(b bool) float64 {
 	return 0
 }
 
-// binaryOpNames maps DML operator symbols back to kernel operations (inverse
-// of BinaryOp.String, shared by the instruction decoder and the HOP-level
-// fusion matcher).
-var binaryOpNames = map[string]BinaryOp{
-	"+": OpAdd, "-": OpSub, "*": OpMul, "/": OpDiv, "^": OpPow,
-	"min": OpMin, "max": OpMax, "==": OpEqual, "!=": OpNotEqual,
-	"<": OpLess, "<=": OpLessEqual, ">": OpGreater, ">=": OpGreaterEqual,
-	"&": OpAnd, "|": OpOr, "%%": OpModulus, "%/%": OpIntDiv,
+// symbolIndex inverts a symbol array: the map the instruction decoder, the
+// constant folder and the fusion matcher resolve an operator symbol through.
+func symbolIndex[Op ~int](symbols []string) map[string]Op {
+	m := make(map[string]Op, len(symbols))
+	for op, s := range symbols {
+		m[s] = Op(op)
+	}
+	return m
 }
+
+var binaryOpNames = symbolIndex[BinaryOp](binaryOpSymbols[:])
 
 // BinaryOpFromString resolves a DML binary operator symbol.
 func BinaryOpFromString(s string) (BinaryOp, bool) {
@@ -124,14 +104,13 @@ func BinaryOpFromString(s string) (BinaryOp, bool) {
 	return op, ok
 }
 
-// unaryOpNames maps DML unary function names back to kernel operations
-// ("uminus" is the HOP/instruction spelling of unary minus).
-var unaryOpNames = map[string]UnaryOp{
-	"uminus": OpNeg, "-": OpNeg, "abs": OpAbs, "exp": OpExp, "log": OpLog,
-	"sqrt": OpSqrt, "round": OpRound, "floor": OpFloor, "ceil": OpCeil,
-	"sign": OpSign, "!": OpNot, "sin": OpSin, "cos": OpCos, "tan": OpTan,
-	"sigmoid": OpSigmoid, "is.nan": OpIsNaN,
-}
+// unaryOpNames also resolves "uminus", the HOP and instruction spelling of
+// unary minus.
+var unaryOpNames = func() map[string]UnaryOp {
+	m := symbolIndex[UnaryOp](unaryOpSymbols[:])
+	m["uminus"] = OpNeg
+	return m
+}()
 
 // UnaryOpFromString resolves a DML unary function name.
 func UnaryOpFromString(s string) (UnaryOp, bool) {
@@ -161,43 +140,24 @@ const (
 	OpIsNaN
 )
 
+// unaryOpSymbols is the DML name of every unary operation, indexed by UnaryOp
+// (see binaryOpSymbols).
+var unaryOpSymbols = [...]string{
+	OpNeg: "-", OpAbs: "abs", OpExp: "exp", OpLog: "log", OpSqrt: "sqrt", OpRound: "round",
+	OpFloor: "floor", OpCeil: "ceil", OpSign: "sign", OpNot: "!", OpSin: "sin", OpCos: "cos",
+	OpTan: "tan", OpSigmoid: "sigmoid", OpIsNaN: "is.nan",
+}
+
 // String returns the DML function name of the unary operation.
 func (op UnaryOp) String() string {
-	switch op {
-	case OpNeg:
-		return "-"
-	case OpAbs:
-		return "abs"
-	case OpExp:
-		return "exp"
-	case OpLog:
-		return "log"
-	case OpSqrt:
-		return "sqrt"
-	case OpRound:
-		return "round"
-	case OpFloor:
-		return "floor"
-	case OpCeil:
-		return "ceil"
-	case OpSign:
-		return "sign"
-	case OpNot:
-		return "!"
-	case OpSin:
-		return "sin"
-	case OpCos:
-		return "cos"
-	case OpTan:
-		return "tan"
-	case OpSigmoid:
-		return "sigmoid"
-	case OpIsNaN:
-		return "is.nan"
-	default:
+	if op < 0 || int(op) >= len(unaryOpSymbols) {
 		return "?"
 	}
+	return unaryOpSymbols[op]
 }
+
+// Boolean reports whether the operation's scalar result is a boolean (!).
+func (op UnaryOp) Boolean() bool { return op == OpNot }
 
 // unaryFns holds the scalar definition of every unary operation, indexed by
 // UnaryOp (see binaryFns).

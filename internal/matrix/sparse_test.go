@@ -66,7 +66,7 @@ func TestCSRIncrementalSetMatchesDense(t *testing.T) {
 // pattern (ascending row-major Set) that was previously O(rows·nnz).
 func TestCSRRowMajorConstruction(t *testing.T) {
 	const rows, cols = 400, 50
-	m := NewSparse(rows, cols)
+	m := emptySparse(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := r % 3; c < cols; c += 3 {
 			m.Set(r, c, float64(r*cols+c+1))
@@ -109,7 +109,7 @@ func BenchmarkCSRIncrementalConstruction(b *testing.B) {
 	const rows, cols = 2000, 100
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := NewSparse(rows, cols)
+		m := emptySparse(rows, cols)
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c += 5 {
 				m.Set(r, c, 1.5)

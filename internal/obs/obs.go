@@ -262,9 +262,6 @@ func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
 // global is the process-wide tracer the engine and all runtime layers share.
 var global = New()
 
-// Default returns the process-global tracer.
-func Default() *Tracer { return global }
-
 // Enable turns on recording on the global tracer.
 func Enable() { global.SetEnabled(true) }
 
