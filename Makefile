@@ -36,7 +36,12 @@ test:
 # contexts, parfor workers and the reuse cache; outputs bitwise-equal from 1/4
 # of the working set to no limit), the free list of dense arrays repeated
 # (eight goroutines calling one prepared script on one engine, every call
-# checked against a naive reference), and a
+# checked against a naive reference), the in-place updates repeated (every
+# other holder of an updated value — second binding, reuse-cache entry,
+# caller, function result, parfor worker, list, view, second handle,
+# partitioned memo, spill file — keeps its bits while the update and the
+# parfor region merge write; parfor leaves what the sequential loop leaves at
+# T = 1, 2, 3), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
@@ -51,6 +56,7 @@ race:
 	$(GO) test -race -run 'TestChildContextsCountIntoTheRun' -count=3 ./internal/core/
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
 	$(GO) test -race -run 'TestConcurrentPreparedCalls' -count=3 .
+	$(GO) test -race -run 'TestInPlaceOnlyWhenNothingElseSees|TestWrittenBlockSpillsItsNewBits|TestUpdatesLeaveOtherHoldersAlone|TestResultsOutputIsNeverWritten|TestParforMatchesFor' -count=3 . ./internal/runtime/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed

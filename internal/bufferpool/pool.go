@@ -15,8 +15,10 @@ import (
 )
 
 // Entry is the interface buffer-pool-managed objects implement. MatrixObject
-// in the runtime package is the primary implementation. Entries are
-// immutable values, so a spill file stays valid for as long as it exists.
+// in the runtime package is the primary implementation. An entry's data
+// never changes once it has been written to a spill file (the one in-place
+// write an entry allows happens only while it has no spill file), so a spill
+// file stays valid for as long as it exists.
 type Entry interface {
 	// PoolID returns a stable unique id for the entry.
 	PoolID() int64

@@ -396,9 +396,13 @@ func (bb *blockBuilder) emitFCall(s *lang.AssignStmt, call *lang.CallExpr) error
 	}
 	bb.emit(instructions.NewFCall(call.Name, positional, named, targets))
 	for _, it := range indexed {
-		bb.emit(instructions.NewLeftIndex(
+		li := instructions.NewLeftIndex(
 			it.target.Name, instructions.Var(it.target.Name), instructions.Var(it.temp),
-			it.rl, it.ru, it.cl, it.cu))
+			it.rl, it.ru, it.cl, it.cu)
+		// the update rebinds its own target right after the call: nothing
+		// reads the old value
+		li.Updates, li.InPlace = it.target.Name, true
+		bb.emit(li)
 	}
 	for _, t := range s.Targets {
 		delete(bb.varMap, t.Name)

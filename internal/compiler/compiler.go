@@ -515,12 +515,13 @@ func (c *Compiler) compileFor(s *lang.ForStmt) (*runtime.ForBlock, error) {
 		}
 	}
 	return &runtime.ForBlock{
-		Var:        s.Var,
-		Iterable:   iterBlock,
-		IterVar:    iterVar,
-		Body:       body,
-		Parallel:   s.Parallel,
-		ResultVars: resultVars,
+		Var:         s.Var,
+		Iterable:    iterBlock,
+		IterVar:     iterVar,
+		Body:        body,
+		Parallel:    s.Parallel,
+		ResultVars:  resultVars,
+		IndexedVars: lang.BlockIndexedWrites(s.Body),
 	}, nil
 }
 

@@ -432,3 +432,45 @@ func TestUntypedScalarChainSettlesOnTheStaticPlan(t *testing.T) {
 		t.Errorf("matrix chain: %d plans and %d static answers in %d calls, want 1 and 0 in 3", plans, static, calls)
 	}
 }
+
+// TestLeftIndexUpdatesInPlace: lowering marks the update of a variable as
+// one that may write in place only when no other reader of the old value is
+// left in its block, and names the updated variable on every update of a
+// chain, for the parfor region log.
+func TestLeftIndexUpdatesInPlace(t *testing.T) {
+	type li struct {
+		updates string
+		inPlace bool
+	}
+	for _, tc := range []struct {
+		script string
+		want   []li
+	}{
+		{"Y[1, 1] = 5", []li{{"Y", true}}},
+		{"Y[1, 1] = sum(Y)", []li{{"Y", true}}},
+		{"Z = Y\nY[1, 1] = 5", []li{{"Y", false}}},
+		{"s = sum(Y)\nY[1, 1] = 5", []li{{"Y", false}}},
+		{"Y[1, 1] = 5\nY[2, 2] = 6", []li{{"Y", true}, {"Y", false}}},
+		{"Z = Y\nZ[1, 1] = 5", []li{{"", false}}},
+	} {
+		prog, err := newCompiler(nil).Compile(tc.script, map[string]types.DataCharacteristics{
+			"Y": {Rows: 4, Cols: 4, Blocksize: types.DefaultBlocksize, NNZ: 16}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []li
+		for _, inst := range prog.Blocks[0].(*runtime.BasicBlock).Instructions {
+			if l, ok := inst.(*instructions.LeftIndexInst); ok {
+				got = append(got, li{l.Updates, l.InPlace})
+			}
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%q: %d left-index instructions, want %d", tc.script, len(got), len(tc.want))
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%q: update %d = %+v, want %+v", tc.script, i, got[i], tc.want[i])
+			}
+		}
+	}
+}

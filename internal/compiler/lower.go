@@ -143,7 +143,9 @@ func operandOf(h *hops.Hop) instructions.Operand {
 func lowerDAG(dag *hops.DAG) ([]runtime.Instruction, bool, error) {
 	var computes, aliasWrites, valueWrites []runtime.Instruction
 	unknown := false
-	for _, h := range dag.Nodes() {
+	nodes := dag.Nodes()
+	updates := leftIndexUpdates(dag, nodes)
+	for _, h := range nodes {
 		// recompile exactly when a size the planner's decisions depend on is
 		// still unknown (cost.go's predicate)
 		if hops.PlanRelevantUnknown(h) {
@@ -156,6 +158,10 @@ func lowerDAG(dag *hops.DAG) ([]runtime.Instruction, bool, error) {
 		if inst == nil {
 			continue
 		}
+		if li, ok := inst.(*instructions.LeftIndexInst); ok {
+			u := updates[h]
+			li.Updates, li.InPlace = u.name, u.inPlace
+		}
 		switch {
 		case h.Kind != hops.KindWrite:
 			computes = append(computes, inst)
@@ -167,6 +173,83 @@ func lowerDAG(dag *hops.DAG) ([]runtime.Instruction, bool, error) {
 	}
 	instrs := append(computes, aliasWrites...)
 	return append(instrs, valueWrites...), unknown, nil
+}
+
+// liUpdate is what lowering tells a left-indexing instruction about the
+// variable it updates (instructions.LeftIndexInst.Updates / InPlace).
+type liUpdate struct {
+	name    string
+	inPlace bool
+}
+
+// leftIndexUpdates finds the left-indexing hops whose result a transient
+// write of the DAG gives to the variable v they index — directly, or through
+// further left-indexing (R[1, 1] = a; R[2, 2] = b) — and returns v for each.
+// The one of them whose target is the read of v itself may also update v's
+// value in place when every reader of v in the DAG is that hop or feeds it:
+// those run before it, and no instruction of the block reads the old value
+// after it.
+func leftIndexUpdates(dag *hops.DAG, nodes []*hops.Hop) map[*hops.Hop]liUpdate {
+	var updates map[*hops.Hop]liUpdate
+	for _, r := range dag.Roots {
+		if r.Kind != hops.KindWrite || len(r.Inputs) != 1 {
+			continue
+		}
+		var chain []*hops.Hop
+		h := r.Inputs[0]
+		for ; h.Kind == hops.KindLeftIndex; h = h.Inputs[0] {
+			chain = append(chain, h)
+		}
+		if len(chain) == 0 || h.Kind != hops.KindRead || h.Name != r.Name {
+			continue
+		}
+		if updates == nil {
+			updates = map[*hops.Hop]liUpdate{}
+		}
+		for _, li := range chain {
+			updates[li] = liUpdate{name: r.Name}
+		}
+		first := chain[len(chain)-1]
+		updates[first] = liUpdate{name: r.Name, inPlace: onlyReadBy(nodes, r.Name, first)}
+	}
+	return updates
+}
+
+// onlyReadBy reports whether every consumer of a read of the variable name
+// among nodes is li or an input of li, transitively.
+func onlyReadBy(nodes []*hops.Hop, name string, li *hops.Hop) bool {
+	cone := map[*hops.Hop]bool{}
+	var visit func(h *hops.Hop)
+	visit = func(h *hops.Hop) {
+		if cone[h] {
+			return
+		}
+		cone[h] = true
+		for _, in := range h.Inputs {
+			visit(in)
+		}
+		for _, p := range h.Params {
+			visit(p)
+		}
+	}
+	visit(li)
+	isRead := func(h *hops.Hop) bool { return h.Kind == hops.KindRead && h.Name == name }
+	for _, h := range nodes {
+		if cone[h] {
+			continue
+		}
+		for _, in := range h.Inputs {
+			if isRead(in) {
+				return false
+			}
+		}
+		for _, p := range h.Params {
+			if isRead(p) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // estBytesOf returns the planner's estimated output bytes of a HOP, or -1

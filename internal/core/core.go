@@ -186,6 +186,7 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 			e.recordStats(ctx, false)
 			return nil, nil, fmt.Errorf("core: input %q: %w", name, err)
 		}
+		runtime.Share(d) // the caller keeps its inputs: never written, never recycled
 		ctx.Set(name, d)
 		ctx.Lineage.Set(name, e.inputLeaf(name, d))
 	}

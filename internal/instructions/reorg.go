@@ -250,12 +250,20 @@ func (i *IndexInst) Execute(ctx *runtime.Context) error {
 	return nil
 }
 
-// LeftIndexInst implements left indexing target[rl:ru, cl:cu] = src, creating
-// a new matrix for the output variable (copy-on-write).
+// LeftIndexInst implements left indexing target[rl:ru, cl:cu] = src. The
+// result is target's object written in place when the compiler marked the
+// update InPlace and the object allows it (runtime.MatrixObject.Update), else
+// a new matrix. Either way the lineage item is the same.
 type LeftIndexInst struct {
 	base
 	Target, Src    Operand
 	RL, RU, CL, CU Operand
+	// Updates is the variable whose new value the result becomes (set by the
+	// compiler, "" when none): inside a parfor worker the written region is
+	// noted under it for the result merge. InPlace says Target is that
+	// variable and no other instruction of the block reads its old value.
+	Updates string
+	InPlace bool
 }
 
 // NewLeftIndex creates a left-indexing instruction.
@@ -283,7 +291,27 @@ func (i *LeftIndexInst) Execute(ctx *runtime.Context) error {
 	if src.Rows() == 1 && src.Cols() == 1 && (r1-r0 != 1 || c1-c0 != 1) {
 		src = matrix.Fill(r1-r0, c1-c0, src.Get(0, 0))
 	}
-	res, err := matrix.LeftIndex(target, src, r0, r1, c0, c1)
+	if src.Rows() != r1-r0 || src.Cols() != c1-c0 {
+		return fmt.Errorf("instructions: left-index source %dx%d does not match range %dx%d", src.Rows(), src.Cols(), r1-r0, c1-c0)
+	}
+	if i.Updates != "" {
+		ctx.NoteRegion(i.Updates, r0, r1, c0, c1)
+	}
+	w := []matrix.RegionWrite{{R0: r0, R1: r1, C0: c0, C1: c1, Src: src}}
+	if i.InPlace {
+		d, _ := i.Target.Resolve(ctx)
+		if mo, ok := d.(*runtime.MatrixObject); ok {
+			done, err := mo.Update(w)
+			if err != nil {
+				return err
+			}
+			if done {
+				ctx.Set(i.outs[0], mo)
+				return nil
+			}
+		}
+	}
+	res, err := matrix.Update(target, w, false)
 	if err != nil {
 		return err
 	}

@@ -95,26 +95,32 @@ func StatementWrites(s Statement) map[string]bool {
 }
 
 func statementWrites(s Statement, writes map[string]bool) {
+	statementTargets(s, func(name string, _ bool) { writes[name] = true })
+}
+
+// statementTargets calls f for every variable a statement assigns, nested
+// blocks included, and says whether the assignment is a left-indexing one.
+func statementTargets(s Statement, f func(name string, indexed bool)) {
 	switch v := s.(type) {
 	case *AssignStmt:
 		for _, t := range v.Targets {
-			writes[t.Name] = true
+			f(t.Name, t.Indexed)
 		}
 	case *IfStmt:
 		for _, st := range v.Then {
-			statementWrites(st, writes)
+			statementTargets(st, f)
 		}
 		for _, st := range v.Else {
-			statementWrites(st, writes)
+			statementTargets(st, f)
 		}
 	case *ForStmt:
-		writes[v.Var] = true
+		f(v.Var, false)
 		for _, st := range v.Body {
-			statementWrites(st, writes)
+			statementTargets(st, f)
 		}
 	case *WhileStmt:
 		for _, st := range v.Body {
-			statementWrites(st, writes)
+			statementTargets(st, f)
 		}
 	}
 }
@@ -135,6 +141,26 @@ func BlockWrites(stmts []Statement) []string {
 		statementWrites(s, writes)
 	}
 	return sortedKeys(writes)
+}
+
+// BlockIndexedWrites returns the sorted variables a block of statements
+// writes only by left indexing: every assignment to them, in nested blocks
+// too, has an indexed target.
+func BlockIndexedWrites(stmts []Statement) []string {
+	indexed, whole := map[string]bool{}, map[string]bool{}
+	for _, s := range stmts {
+		statementTargets(s, func(name string, ix bool) {
+			if ix {
+				indexed[name] = true
+			} else {
+				whole[name] = true
+			}
+		})
+	}
+	for name := range whole {
+		delete(indexed, name)
+	}
+	return sortedKeys(indexed)
 }
 
 func sortedKeys(m map[string]bool) []string {

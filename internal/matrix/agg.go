@@ -2,7 +2,9 @@ package matrix
 
 import (
 	"math"
+	"math/bits"
 	"sort"
+	"sync"
 )
 
 // fullAgg runs the identity fused pipeline for a full aggregate; the identity
@@ -228,31 +230,99 @@ func ColSds(m *MatrixBlock) *MatrixBlock {
 	return out
 }
 
-// Quantile returns the p-quantile (0 <= p <= 1) of a column vector using the
-// nearest-rank method on sorted values.
+// Quantile returns the p-quantile (0 <= p <= 1) of the cells of v by nearest
+// rank: the element at index ceil(p*n)-1 (0 for p <= 0, n-1 for p >= 1) of
+// the cells in the order of sort.Float64s, NaN lowest. It selects that
+// element in O(n) expected time over one copy of the cells instead of sorting
+// them; the copy lives in a pooled scratch buffer.
 func Quantile(v *MatrixBlock, p float64) float64 {
 	n := v.rows * v.cols
 	if n == 0 {
 		return math.NaN()
 	}
-	vals := make([]float64, 0, n)
-	for r := 0; r < v.rows; r++ {
-		for c := 0; c < v.cols; c++ {
-			vals = append(vals, v.Get(r, c))
+	k := n - 1
+	if p < 1 {
+		k = max(int(math.Ceil(p*float64(n)))-1, 0)
+	}
+	bp, _ := quantilePool.Get().(*[]float64)
+	if bp == nil || cap(*bp) < n {
+		bp = new([]float64)
+		*bp = make([]float64, n)
+	}
+	vals := (*bp)[:n]
+	if v.sparse == nil {
+		copy(vals, v.dense)
+	} else {
+		s := v.csr()
+		nz := copy(vals, s.Values[:s.RowPtr[v.rows]])
+		clear(vals[nz:])
+	}
+	q := selectNearestRank(vals, k)
+	quantilePool.Put(bp)
+	return q
+}
+
+// quantilePool recycles Quantile's scratch copies.
+var quantilePool sync.Pool
+
+// selectNearestRank returns the element sort.Float64s would put at index k
+// of a, permuting a: the NaNs first, then a quickselect with three-way
+// partitions (a run of duplicates is one step) around a median-of-three
+// pivot. A range that does not shrink fast enough is sorted instead, which
+// bounds the worst case by O(n log n). Elements equal under == are
+// interchangeable here, as they are to sort.Float64s, which does not order
+// -0 and +0 either.
+func selectNearestRank(a []float64, k int) float64 {
+	nan := 0
+	for i, x := range a {
+		if x != x {
+			a[i], a[nan] = a[nan], x
+			nan++
 		}
 	}
-	sort.Float64s(vals)
-	if p <= 0 {
-		return vals[0]
+	if k < nan {
+		return math.NaN()
 	}
-	if p >= 1 {
-		return vals[len(vals)-1]
+	lo, hi := nan, len(a)
+	for budget := 2 * bits.Len(uint(hi-lo)); hi-lo > 16 && budget > 0; budget-- {
+		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := a[i]; {
+			case x < pivot:
+				a[lt], a[i] = x, a[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				a[i], a[gt] = a[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return a[k]
+		}
 	}
-	idx := int(math.Ceil(p*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
+	sort.Float64s(a[lo:hi])
+	return a[k]
+}
+
+// median3 returns the median of three non-NaN values.
+func median3(x, y, z float64) float64 {
+	if x > y {
+		x, y = y, x
 	}
-	return vals[idx]
+	if y > z {
+		y = z
+	}
+	return max(x, y)
 }
 
 // Median returns the 0.5-quantile of a vector.

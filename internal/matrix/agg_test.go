@@ -2,6 +2,9 @@ package matrix
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -157,5 +160,77 @@ func TestTable(t *testing.T) {
 	want := FromRows([][]float64{{1, 1}, {1, 1}})
 	if !got.Equals(want, 0) {
 		t.Errorf("Table = %v, want %v", got, want)
+	}
+}
+
+// sortedQuantile is Quantile's reference: sort a copy with sort.Float64s and
+// take the nearest rank.
+func sortedQuantile(vals []float64, p float64) float64 {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	switch {
+	case p <= 0:
+		return s[0]
+	case p >= 1:
+		return s[len(s)-1]
+	}
+	return s[max(int(math.Ceil(p*float64(len(s))))-1, 0)]
+}
+
+// TestQuantileSelectsTheSortedElement: selection returns the bits of
+// sort.Float64s + nearest rank for every size and probability, over data with
+// duplicates, infinities and NaN (lowest), dense and sparse. Where -0 and +0
+// are both present the order between them is unspecified for the sort too,
+// so those compare with ==.
+func TestQuantileSelectsTheSortedElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, 1, -1, 2.5}
+	kinds := map[string]func() float64{
+		"uniform":    func() float64 { return rng.NormFloat64() },
+		"duplicates": func() float64 { return float64(rng.Intn(4)) },
+		"special":    func() float64 { return special[rng.Intn(len(special))] },
+		"mostly NaN": func() float64 {
+			if rng.Intn(4) > 0 {
+				return math.NaN()
+			}
+			return rng.NormFloat64()
+		},
+		"signed zeros": func() float64 { return []float64{0, math.Copysign(0, -1), 1}[rng.Intn(3)] },
+		"sparse":       func() float64 { return []float64{0, 0, 0, 0, 0, rng.NormFloat64()}[rng.Intn(6)] },
+	}
+	names := make([]string, 0, len(kinds))
+	for name := range kinds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, n := range []int{1, 2, 3, 17, 6000} {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = kinds[name]()
+			}
+			m := NewDenseFromSlice(n, 1, append([]float64(nil), vals...))
+			if name == "sparse" {
+				m.ToSparse()
+			}
+			for _, p := range []float64{0, 1e-9, 0.02, 0.25, 0.5, 0.98, 1} {
+				got, want := Quantile(m, p), sortedQuantile(vals, p)
+				same := math.Float64bits(got) == math.Float64bits(want)
+				if name == "signed zeros" {
+					same = got == want
+				}
+				if math.IsNaN(want) {
+					same = math.IsNaN(got)
+				}
+				if !same {
+					t.Errorf("%s, n=%d, p=%g: Quantile = %v, sorted = %v", name, n, p, got, want)
+				}
+			}
+			if name != "sparse" && !slices.EqualFunc(m.DenseValues(), vals, func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b)
+			}) {
+				t.Errorf("%s, n=%d: Quantile changed its input", name, n)
+			}
+		}
 	}
 }

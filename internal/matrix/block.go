@@ -24,8 +24,10 @@ type MatrixBlock struct {
 	dense      []float64 // row-major, nil when sparse
 	sparse     *CSR      // nil when dense
 	nnz        int64
-	// claim and from say whether dense came from a Recycler and may go
-	// back to it (recycle.go); both are zero for every other block.
+	// claim says how many handles wrapped the block (recycle.go): a block a
+	// kernel allocated starts fresh, one wrapping memory it did not allocate
+	// (NewDenseFromSlice, NewDenseCounted) is never claimable. from is the
+	// Recycler dense came from, or nil.
 	claim int32
 	from  *Recycler
 }
@@ -35,7 +37,7 @@ func NewDense(rows, cols int) *MatrixBlock {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("matrix: negative dimensions %dx%d", rows, cols))
 	}
-	return &MatrixBlock{rows: rows, cols: cols, dense: make([]float64, rows*cols)}
+	return &MatrixBlock{rows: rows, cols: cols, dense: make([]float64, rows*cols), claim: claimFresh}
 }
 
 // NewDenseFromSlice wraps an existing row-major slice of length rows*cols.
@@ -283,6 +285,7 @@ func (m *MatrixBlock) Copy() *MatrixBlock {
 		cp.dense = make([]float64, len(m.dense))
 		copy(cp.dense, m.dense)
 	}
+	cp.claim = claimFresh
 	return cp
 }
 

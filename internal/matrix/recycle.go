@@ -14,13 +14,15 @@ import (
 // zeroed: the kernel that takes one overwrites every cell.
 //
 // Whether an array may come back is decided by a claim on the block that
-// carries it. The first handle that wraps the block claims it (Claim), a
-// second wrap revokes the claim for good, and only the claiming handle, once
-// its last holder has let go, gives the array back (Recycle) — unless the
-// handle gave up the right, as one handed to a caller does. Nothing else
-// returns an array: not eviction, not a block the list did not hand out. A
-// Recycler is safe for concurrent use, and a nil *Recycler hands out ordinary
-// zeroed blocks that never come back.
+// carries it, the same claim that decides whether the block may be written
+// in place. Every block a kernel allocates starts with a fresh claim; the
+// first handle that wraps the block claims it (Claim), a second wrap revokes
+// the claim for good, and only the claiming handle, once its last holder has
+// let go, gives the array back (Recycle) — unless the handle gave up the
+// right, as one handed to a caller does. Nothing else returns an array: not
+// eviction, not a block the list did not hand out. A Recycler is safe for
+// concurrent use, and a nil *Recycler hands out ordinary zeroed blocks that
+// never come back.
 type Recycler struct {
 	mu    sync.Mutex
 	free  [][]float64 // oldest first
@@ -37,10 +39,10 @@ const (
 
 // The claim states of a block (MatrixBlock.claim).
 const (
-	claimNone   int32 = iota // not from a list, or already given back
-	claimFresh               // from a list, not wrapped yet
+	claimNone   int32 = iota // foreign memory, turned sparse, or given back
+	claimFresh               // allocated by a kernel, not wrapped yet
 	claimOwned               // wrapped by exactly one handle
-	claimShared              // wrapped twice: never given back
+	claimShared              // wrapped twice: never written, never given back
 )
 
 // poisonRecycled makes put fill every array it takes back with NaN.
@@ -101,9 +103,10 @@ func (r *Recycler) put(vals []float64) {
 	}
 }
 
-// Claim is called by every handle that wraps m. It reports whether this
-// handle is the only one and may Recycle m; a second wrap also revokes the
-// first handle's right, since either may outlive the other.
+// Claim is called by every handle that wraps m, and by every memo that keeps
+// it. It reports whether this handle is the only one and may write m in
+// place or Recycle it; a second wrap also revokes the first handle's right,
+// since either may outlive the other.
 func (m *MatrixBlock) Claim() bool {
 	if atomic.CompareAndSwapInt32(&m.claim, claimFresh, claimOwned) {
 		return true
@@ -112,15 +115,20 @@ func (m *MatrixBlock) Claim() bool {
 	return false
 }
 
+// Owned reports whether the one handle whose Claim returned true still holds
+// the claim: no second handle wrapped m, and m was neither given back nor
+// turned sparse.
+func (m *MatrixBlock) Owned() bool { return atomic.LoadInt32(&m.claim) == claimOwned }
+
 // Recycle gives m's array back to the list it came from. Only the handle
 // whose Claim returned true calls it, after its last holder has let go: from
-// then on nobody may read m. A revoked claim, a block turned sparse and a
-// second call do nothing.
+// then on nobody may read m. A revoked claim, a block turned sparse, a block
+// no list handed out and a second call do nothing.
 func (m *MatrixBlock) Recycle() {
 	if !atomic.CompareAndSwapInt32(&m.claim, claimOwned, claimNone) {
 		return
 	}
-	if m.sparse == nil && len(m.dense) == m.rows*m.cols {
+	if m.from != nil && m.sparse == nil && len(m.dense) == m.rows*m.cols {
 		m.from.put(m.dense)
 	}
 }

@@ -113,12 +113,23 @@ func CBind(ms ...*MatrixBlock) (*MatrixBlock, error) {
 	out := NewDense(rows, totalCols)
 	colOff := 0
 	for _, m := range ms {
-		src := m
-		if src.IsSparse() {
-			src = m.Copy().ToDense()
-		}
-		for r := 0; r < rows; r++ {
-			copy(out.dense[r*totalCols+colOff:r*totalCols+colOff+m.cols], src.dense[r*m.cols:(r+1)*m.cols])
+		switch {
+		case m.sparse != nil:
+			s := m.csr()
+			for r := 0; r < rows; r++ {
+				row := out.dense[r*totalCols+colOff:]
+				for p := s.RowPtr[r]; p < s.RowPtr[r+1]; p++ {
+					row[s.ColIdx[p]] = s.Values[p]
+				}
+			}
+		case m.cols == 1:
+			for r, v := range m.dense[:rows] {
+				out.dense[r*totalCols+colOff] = v
+			}
+		default:
+			for r := 0; r < rows; r++ {
+				copy(out.dense[r*totalCols+colOff:r*totalCols+colOff+m.cols], m.dense[r*m.cols:(r+1)*m.cols])
+			}
 		}
 		colOff += m.cols
 	}
@@ -144,11 +155,17 @@ func RBind(ms ...*MatrixBlock) (*MatrixBlock, error) {
 	out := NewDense(totalRows, cols)
 	rowOff := 0
 	for _, m := range ms {
-		src := m
-		if src.IsSparse() {
-			src = m.Copy().ToDense()
+		if m.sparse != nil {
+			s := m.csr()
+			for r := 0; r < m.rows; r++ {
+				row := out.dense[(rowOff+r)*cols:]
+				for p := s.RowPtr[r]; p < s.RowPtr[r+1]; p++ {
+					row[s.ColIdx[p]] = s.Values[p]
+				}
+			}
+		} else {
+			copy(out.dense[rowOff*cols:(rowOff+m.rows)*cols], m.dense)
 		}
-		copy(out.dense[rowOff*cols:(rowOff+m.rows)*cols], src.dense)
 		rowOff += m.rows
 	}
 	out.RecomputeNNZ()
@@ -186,27 +203,68 @@ func Slice(m *MatrixBlock, rl, ru, cl, cu int) (*MatrixBlock, error) {
 // LeftIndex returns a copy of target with the cells in [rl:ru, cl:cu)
 // replaced by src. src must have shape (ru-rl) x (cu-cl).
 func LeftIndex(target, src *MatrixBlock, rl, ru, cl, cu int) (*MatrixBlock, error) {
-	if rl < 0 || ru > target.rows || cl < 0 || cu > target.cols || rl > ru || cl > cu {
-		return nil, fmt.Errorf("matrix: left-index [%d:%d,%d:%d] out of bounds for %dx%d", rl, ru, cl, cu, target.rows, target.cols)
-	}
 	if src.rows != ru-rl || src.cols != cu-cl {
 		return nil, fmt.Errorf("matrix: left-index source %dx%d does not match range %dx%d", src.rows, src.cols, ru-rl, cu-cl)
 	}
-	out := target.Copy().ToDense()
-	if w := cu - cl; src.sparse == nil && len(src.dense) == src.rows*w {
-		for r := rl; r < ru; r++ {
-			copy(out.dense[r*out.cols+cl:r*out.cols+cu], src.dense[(r-rl)*w:(r-rl+1)*w])
+	return Update(target, []RegionWrite{{R0: rl, R1: ru, C0: cl, C1: cu, Src: src}}, false)
+}
+
+// RegionWrite is one write of a left-indexing update: the cells
+// [R0:R1, C0:C1) of the target take the cells of Src that start at row SR,
+// column SC.
+type RegionWrite struct {
+	R0, R1, C0, C1 int
+	Src            *MatrixBlock
+	SR, SC         int
+}
+
+// Update applies the writes in order to target. With inPlace set and a dense
+// target it writes target's own array and returns target; otherwise it
+// writes a dense copy, leaving target as it was. Either way the result is the
+// same: its non-zero count follows from the written regions alone (a copy
+// recounts in the pass that copies), and it is sparse exactly when its
+// sparsity falls below SparseThreshold, like any kernel output.
+func Update(target *MatrixBlock, writes []RegionWrite, inPlace bool) (*MatrixBlock, error) {
+	for _, w := range writes {
+		if w.R0 < 0 || w.R1 > target.rows || w.C0 < 0 || w.C1 > target.cols || w.R0 > w.R1 || w.C0 > w.C1 {
+			return nil, fmt.Errorf("matrix: left-index [%d:%d,%d:%d] out of bounds for %dx%d", w.R0, w.R1, w.C0, w.C1, target.rows, target.cols)
 		}
-	} else {
-		for r := rl; r < ru; r++ {
-			for c := cl; c < cu; c++ {
-				out.dense[r*out.cols+c] = src.Get(r-rl, c-cl)
-			}
+		if w.SR < 0 || w.SC < 0 || w.SR+w.R1-w.R0 > w.Src.rows || w.SC+w.C1-w.C0 > w.Src.cols {
+			return nil, fmt.Errorf("matrix: left-index source %dx%d does not match range %dx%d", w.Src.rows, w.Src.cols, w.R1-w.R0, w.C1-w.C0)
 		}
 	}
-	out.RecomputeNNZ()
-	out.ExamineAndApplySparsity()
-	return out, nil
+	out := target
+	if !inPlace || target.sparse != nil {
+		out = target.Copy().ToDense()
+		out.RecomputeNNZ()
+	}
+	for _, w := range writes {
+		out.nnz -= out.RangeNNZ(w.R0, w.R1, w.C0, w.C1)
+		out.writeRegion(w)
+		out.nnz += out.RangeNNZ(w.R0, w.R1, w.C0, w.C1)
+	}
+	return out.ExamineAndApplySparsity(), nil
+}
+
+// writeRegion copies w's source cells into the dense block m.
+func (m *MatrixBlock) writeRegion(w RegionWrite) {
+	width := w.C1 - w.C0
+	src := w.Src
+	switch {
+	case src.sparse != nil:
+		for r := w.R0; r < w.R1; r++ {
+			src.CopyRow(m.dense[r*m.cols+w.C0:r*m.cols+w.C1], w.SR+r-w.R0, w.SC)
+		}
+	case width == 1:
+		for r := w.R0; r < w.R1; r++ {
+			m.dense[r*m.cols+w.C0] = src.dense[(w.SR+r-w.R0)*src.cols+w.SC]
+		}
+	default:
+		for r := w.R0; r < w.R1; r++ {
+			s := (w.SR+r-w.R0)*src.cols + w.SC
+			copy(m.dense[r*m.cols+w.C0:r*m.cols+w.C1], src.dense[s:s+width])
+		}
+	}
 }
 
 // RemoveEmpty removes empty (all-zero) rows or columns. margin must be

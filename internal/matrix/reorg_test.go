@@ -91,6 +91,46 @@ func TestCBindRBind(t *testing.T) {
 	}
 }
 
+// TestBindReadsSparseInputsInPlace: cbind and rbind of CSR and m x 1 inputs
+// give the bits and non-zero count of binding their dense copies.
+func TestBindReadsSparseInputsInPlace(t *testing.T) {
+	dense := func(ms []*MatrixBlock) []*MatrixBlock {
+		out := make([]*MatrixBlock, len(ms))
+		for i, m := range ms {
+			out[i] = m.Copy().ToDense()
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		bind func(...*MatrixBlock) (*MatrixBlock, error)
+		ins  []*MatrixBlock
+	}{
+		{CBind, []*MatrixBlock{RandUniform(30, 4, -1, 1, 0.1, 1), RandUniform(30, 1, -1, 1, 1, 2), RandUniform(30, 3, -1, 1, 0.2, 3)}},
+		{RBind, []*MatrixBlock{RandUniform(30, 4, -1, 1, 0.1, 4), RandUniform(7, 4, -1, 1, 1, 5), RandUniform(5, 4, -1, 1, 0.2, 6)}},
+	} {
+		if !tc.ins[0].IsSparse() || !tc.ins[2].IsSparse() {
+			t.Fatal("the first and last inputs should be sparse")
+		}
+		got, err := tc.bind(tc.ins...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.bind(dense(tc.ins)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := got.Copy().DenseValues(), want.Copy().DenseValues()
+		for i := range w {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("cell %d: %v, want %v", i, g[i], w[i])
+			}
+		}
+		if got.NNZ() != want.NNZ() || got.IsSparse() != want.IsSparse() {
+			t.Errorf("nnz %d sparse %v, want %d %v", got.NNZ(), got.IsSparse(), want.NNZ(), want.IsSparse())
+		}
+	}
+}
+
 func TestSlice(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	s, err := Slice(m, 1, 3, 0, 2)
@@ -240,6 +280,40 @@ func TestLeftIndexDenseSourceMatchesCellwise(t *testing.T) {
 					t.Errorf("%s: cell (%d,%d) = %#x, want %#x", tc.name, r, c, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestUpdateInPlaceMatchesCopy: writing regions in place gives the bits, the
+// non-zero count and the representation of writing them into a copy, also
+// when the writes overlap, come from a sparse source, or empty the target
+// below the sparse threshold; the copy leaves its target alone.
+func TestUpdateInPlaceMatchesCopy(t *testing.T) {
+	src := RandUniform(20, 10, -1, 1, 0.3, 8)
+	zeros := NewDense(20, 10)
+	for _, writes := range [][]RegionWrite{
+		{{R0: 2, R1: 5, C0: 1, C1: 4, Src: RandUniform(3, 3, -1, 1, 1, 9)}},
+		{{R0: 0, R1: 20, C0: 3, C1: 4, Src: src, SR: 0, SC: 3}, {R0: 4, R1: 9, C0: 2, C1: 8, Src: src, SR: 4, SC: 2}},
+		{{R0: 0, R1: 20, C0: 0, C1: 8, Src: zeros}},
+	} {
+		target := RandUniform(20, 10, -1, 1, 1, 10)
+		before := target.Copy()
+		copied, err := Update(target, writes, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !target.Equals(before, 0) || target.NNZ() != before.NNZ() {
+			t.Fatal("the copying update changed its target")
+		}
+		inPlace, err := Update(target, writes, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inPlace != target {
+			t.Error("the in-place update returned another block")
+		}
+		if !inPlace.Equals(copied, 0) || inPlace.NNZ() != copied.NNZ() || inPlace.IsSparse() != copied.IsSparse() {
+			t.Errorf("in place: nnz %d sparse %v; copy: nnz %d sparse %v", inPlace.NNZ(), inPlace.IsSparse(), copied.NNZ(), copied.IsSparse())
 		}
 	}
 }

@@ -172,6 +172,7 @@ func (b *BlockedMatrixObject) LocalFor(ctx *Context, _ string) (*matrix.MatrixBl
 	b.mu.Lock()
 	if b.local == nil {
 		b.local = blk
+		blk.Claim() // the memo is a handle: no wrap of blk may write it
 		won = true
 	}
 	blk = b.local

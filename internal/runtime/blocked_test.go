@@ -94,17 +94,21 @@ func TestMergeResultsHandlesBlockedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origData := NewBlockedMatrixObject(obm, ctx.Pool)
+	ctx.Set("R", NewBlockedMatrixObject(obm, ctx.Pool))
 
 	m1 := orig.Copy()
 	m1.Set(0, 0, 999)
 	bm1, _ := dist.FromMatrixBlock(m1, 4)
-	w1 := workerResult{lastIter: 1, vars: map[string]Data{"R": NewBlockedMatrixObject(bm1, ctx.Pool)}}
+	l1 := newIterLog([]string{"R"}, []string{"R"})
+	l1.regions["R"] = []region{{iter: 1, r0: 0, r1: 1, c0: 0, c1: 1}}
+	w1 := workerResult{log: l1, vars: map[string]Data{"R": NewBlockedMatrixObject(bm1, ctx.Pool)}}
 	m2 := orig.Copy()
 	m2.Set(5, 5, -7)
-	w2 := workerResult{lastIter: 2, vars: map[string]Data{"R": NewMatrixObject(m2, ctx.Pool)}}
+	l2 := newIterLog([]string{"R"}, []string{"R"})
+	l2.regions["R"] = []region{{iter: 2, r0: 5, r1: 6, c0: 5, c1: 6}}
+	w2 := workerResult{log: l2, vars: map[string]Data{"R": NewMatrixObject(m2, ctx.Pool)}}
 
-	merged, err := mergeResults(ctx, "R", origData, []workerResult{w1, w2})
+	merged, err := mergeResult(ctx, "R", true, []workerResult{w1, w2})
 	if err != nil {
 		t.Fatal(err)
 	}

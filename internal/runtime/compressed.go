@@ -117,6 +117,7 @@ func (c *CompressedMatrixObject) LocalFor(ctx *Context, op string) (*matrix.Matr
 	c.mu.Lock()
 	if c.local == nil {
 		c.local = blk
+		blk.Claim() // the memo is a handle: no wrap of blk may write it
 		won = true
 	}
 	blk = c.local

@@ -110,6 +110,8 @@ type Context struct {
 
 	// stats is the run's statistics, shared across child contexts.
 	stats *runStats
+	// log is a parfor worker's record for the result merge; nil outside one.
+	log *iterLog
 }
 
 // NewContext creates a root execution context.
@@ -151,9 +153,9 @@ func (ctx *Context) ChildEmpty() *Context {
 }
 
 // ChildCopy creates a child context with a copied symbol table (parfor
-// workers) that counts into the parent's run statistics; values are shared
-// because they are immutable. The child holds
-// every value it copied until its ReleaseVars.
+// workers) that counts into the parent's run statistics; values are shared,
+// and the child holds every value it copied until its ReleaseVars, so none
+// of them is written in place meanwhile.
 func (ctx *Context) ChildCopy() *Context {
 	ctx.mu.RLock()
 	vars := make(map[string]Data, len(ctx.vars))
@@ -177,8 +179,14 @@ func (ctx *Context) ChildCopy() *Context {
 
 // Set binds a variable to a value. The binding holds the value (see poolRef);
 // a value it replaces loses that holder, and with its last one its place in
-// the buffer pool.
+// the buffer pool. In a parfor worker it also logs the binding of a result
+// variable for the merge.
 func (ctx *Context) Set(name string, d Data) {
+	if l := ctx.log; l != nil {
+		if _, ok := l.bound[name]; ok {
+			l.bound[name] = l.iter
+		}
+	}
 	Retain(d)
 	ctx.mu.Lock()
 	old := ctx.vars[name]

@@ -28,9 +28,13 @@ import (
 )
 
 // Data is the common interface of all runtime values held in the symbol
-// table. Runtime values are treated as immutable: instructions always create
-// new objects for their outputs, which keeps parfor workers, the lineage
-// cache and the buffer pool safe without fine-grained locking.
+// table. Runtime values are immutable unless exclusively held: an instruction
+// creates a new object for its output, except that a left-indexing update (and
+// the parfor merge of a left-indexed variable) writes a local matrix's block
+// in place when nothing but the binding it replaces can see the block
+// (MatrixObject.exclusive). That keeps parfor workers, the lineage cache and
+// the buffer pool safe without fine-grained locking: each of them holds what
+// it can see, and a held value is never written.
 type Data interface {
 	DataType() types.DataType
 	String() string
@@ -156,9 +160,10 @@ func (r *poolRef) Release() {
 // Held reports whether the value has a holder.
 func (r *poolRef) Held() bool { return r.refs.Load() > 0 }
 
-// IsPinned implements bufferpool.Entry. Runtime values are immutable, so
-// in-flight readers keep their own reference to the data and eviction is
-// always safe.
+// IsPinned implements bufferpool.Entry. In-flight readers keep their own
+// reference to the data, so eviction is safe whenever the pool asks; the one
+// write a value can see, an in-place update, holds the object's lock, which
+// Evict waits for.
 func (r *poolRef) IsPinned() bool { return false }
 
 // refCounted is implemented by the values whose holders are counted: the
@@ -260,6 +265,7 @@ func (t *Transposed) LocalFor(ctx *Context, op string) (*matrix.MatrixBlock, err
 			return nil, err
 		}
 		t.local = matrix.Transpose(blk)
+		t.local.Claim() // the memo is a handle: no wrap of it may write it
 	}
 	return t.local, nil
 }
@@ -281,9 +287,9 @@ type MatrixObject struct {
 	spillPath string // set once the block has been written; valid from then on
 	// blocked memoizes the partitioned form of this object so named inputs
 	// consumed by distributed operators in several DAGs partition once, not
-	// once per DAG. Data objects are immutable — rebinding a variable creates
-	// a new object — so the object identity IS the symbol-table entry's
-	// version and the cache can never serve stale data. The memo is a second
+	// once per DAG. The block is never written in place while the memo
+	// exists (exclusive's callers refuse), so the memo can never serve stale
+	// data. The memo is a second
 	// copy of the data and counts in MemorySize while it is resident. Under
 	// memory pressure the object gives up one of the two forms and keeps the
 	// other (Evict), so that the consumers that come next — dist operators
@@ -293,10 +299,47 @@ type MatrixObject struct {
 	blockedBS int
 	// blockedLast records which form the latest consumer asked for.
 	blockedLast bool
-	// owns says the block's array came from the engine's free list and this
-	// object is its only handle (matrix.MatrixBlock.Claim): the last holder's
-	// Release gives the array back, unless Share revoked the right.
+	// owns says this object won the block's claim (matrix.MatrixBlock.Claim)
+	// and was never handed to a caller (Share): see exclusive.
 	owns bool
+}
+
+// exclusive is the one answer to "who else can see m's block". It holds when
+// the block is resident, m still holds the block's claim — no second handle or
+// memo ever wrapped it, it was not turned sparse, and m was never handed to a
+// caller — and m has exactly holders holders (poolRef: bindings in any
+// context, parfor workers' copies and function parameters included, list
+// elements, views, reuse-cache entries, callers a value is being handed to).
+// A restored block is never claimed, so an exclusive block has no spill file
+// to go stale. The recycler asks with 0: the last holder has let go and
+// nobody can see the array. An in-place writer asks with 1: its own binding,
+// which the write replaces. The caller holds m.mu.
+func (m *MatrixObject) exclusive(holders int32) bool {
+	return m.owns && m.refs.Load() == holders && m.block != nil && m.block.Owned()
+}
+
+// Update writes the regions into m's block in place and reports whether it
+// did: only when m is exclusive with one holder — the binding the caller is
+// replacing by m — and its block is dense with no partitioned memo, which
+// would go stale. Eviction waits for the write. Otherwise nothing is
+// written, and the caller writes a copy (matrix.Update) instead.
+func (m *MatrixObject) Update(writes []matrix.RegionWrite) (bool, error) {
+	m.mu.Lock()
+	if !m.exclusive(1) || m.block.IsSparse() || m.blocked != nil {
+		m.mu.Unlock()
+		return false, nil
+	}
+	before := m.block.InMemorySize()
+	blk, err := matrix.Update(m.block, writes, true)
+	if err != nil {
+		m.mu.Unlock()
+		return false, err
+	}
+	m.dc.NNZ = blk.NNZ()
+	delta := blk.InMemorySize() - before
+	m.mu.Unlock()
+	m.pool.NotifyResize(m, delta)
+	return true, nil
 }
 
 // NewMatrixObject wraps a matrix block into a managed matrix object and
@@ -315,10 +358,10 @@ func NewMatrixObject(block *matrix.MatrixBlock, pool *bufferpool.Pool) *MatrixOb
 }
 
 // Release drops a holder (see poolRef). When the last one lets go and the
-// object owns its block, the block's array goes back to the engine's free
-// list — nobody can ask for the value any more — and the object drops the
-// block, so a stale reader gets an error, not a recycled array. An evicted
-// block is not given back: its array left with it.
+// object is exclusive, the block's array goes back to the engine's free list
+// — nobody can ask for the value any more — and the object drops the block,
+// so a stale reader gets an error, not a recycled array. An evicted block is
+// not given back: its array left with it.
 func (m *MatrixObject) Release() {
 	if m.refs.Add(-1) != 0 {
 		return
@@ -326,7 +369,7 @@ func (m *MatrixObject) Release() {
 	m.pool.Unregister(m.id)
 	m.mu.Lock()
 	blk := m.block
-	recycle := m.owns && blk != nil
+	recycle := m.exclusive(0)
 	if recycle {
 		m.block, m.owns = nil, false
 	}
@@ -336,8 +379,8 @@ func (m *MatrixObject) Release() {
 	}
 }
 
-// Share revokes d's right to recycle any array it holds, through lists and
-// views: d is being handed to a caller who may keep it.
+// Share revokes d's right to write in place or recycle any block it holds,
+// through lists and views: d is being handed to a caller who may keep it.
 func Share(d Data) {
 	switch v := d.(type) {
 	case *MatrixObject:

@@ -290,11 +290,12 @@ func TestParforChildrenReleaseWhatTheyHeld(t *testing.T) {
 			updated := blk.Copy()
 			updated.Set(0, int(i.Float64())-1, x.Get(0, 0)*i.Float64())
 			c.SetMatrix("R", updated)
+			c.NoteRegion("R", 0, 1, int(i.Float64())-1, int(i.Float64()))
 			return nil
 		}},
 	}}
 	pf := &ForBlock{Var: "i", Iterable: iter, IterVar: "_it", Body: []ProgramBlock{body},
-		Parallel: true, ResultVars: []string{"R"}}
+		Parallel: true, ResultVars: []string{"R"}, IndexedVars: []string{"R"}}
 	if err := pf.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}

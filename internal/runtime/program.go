@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -123,9 +124,12 @@ var nonCacheableOpcodes = map[string]bool{
 
 // probeSkipOpcodes read a matrix but can never repay a cache probe: metadata
 // reads answer from the data characteristics and assignvar only binds a name,
-// so executing them is cheaper than looking them up.
+// so executing them is cheaper than looking them up. A hit on leftIndex would
+// save one copy of the target, but admitting its result pins every version of
+// an updated variable in memory, and a cache entry is a holder, so the next
+// update could never write in place.
 var probeSkipOpcodes = map[string]bool{
-	"nrow": true, "ncol": true, "length": true, "assignvar": true,
+	"nrow": true, "ncol": true, "length": true, "assignvar": true, "leftIndex": true,
 }
 
 // matrixGeneratorOpcodes produce a matrix from scalar operands alone; their
@@ -321,12 +325,15 @@ func (b *WhileBlock) Execute(ctx *Context) error {
 // distributed over local workers, each with an isolated context, and written
 // results are merged back into the parent context.
 type ForBlock struct {
-	Var        string
-	Iterable   *BasicBlock
-	IterVar    string
-	Body       []ProgramBlock
-	Parallel   bool
-	ResultVars []string // variables written by the body (computed at compile time)
+	Var      string
+	Iterable *BasicBlock
+	IterVar  string
+	Body     []ProgramBlock
+	Parallel bool
+	// ResultVars are the variables the body writes, IndexedVars those of
+	// them it writes only by left indexing (both computed at compile time).
+	ResultVars  []string
+	IndexedVars []string
 }
 
 // Execute runs the for or parfor loop.
@@ -379,26 +386,18 @@ func (b *ForBlock) iterationValues(ctx *Context) ([]float64, error) {
 	}
 }
 
-// executeParallel is the local parfor backend: iterations are assigned to
-// workers round-robin, every worker runs on a copy-on-write child context,
-// and results are merged with compare-and-set against the pre-loop state.
-// Worker w is task w of matrix.ParallelFor and owns iterations w, w+k, …
-// (mergeResults depends on that assignment), so a failing loop reports the
-// error of the lowest-numbered failing worker.
+// executeParallel is the local parfor backend. Iterations are assigned to
+// workers round-robin — worker w is task w of matrix.ParallelFor and runs
+// iterations w, w+k, …, so a failing loop reports the error of the
+// lowest-numbered failing worker — and every worker runs on a child context
+// that copies the parent's bindings and logs, per result variable, the
+// highest iteration that bound it and the regions its left-indexing updates
+// wrote. The merge then gives each result variable the value a sequential
+// loop would: a variable the body only left-indexes takes every logged region
+// from the worker that wrote it, in iteration order, and any other takes the
+// value of the highest iteration that bound it.
 func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
-	workers := ctx.Config.Threads()
-	if workers > len(values) {
-		workers = len(values)
-	}
-	// snapshot the original values of result variables for the merge
-	originals := map[string]Data{}
-	for _, rv := range b.ResultVars {
-		if d, err := ctx.Get(rv); err == nil {
-			originals[rv] = d
-		}
-	}
-	results := make([]workerResult, workers)
-	// the workers' scopes end after the merge below has bound what survives
+	workers := min(ctx.Config.Threads(), len(values))
 	children := make([]*Context, workers)
 	defer func() {
 		for _, child := range children {
@@ -407,36 +406,56 @@ func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
 	}()
 	for w := range children {
 		children[w] = ctx.ChildCopy()
+		children[w].log = newIterLog(b.ResultVars, b.IndexedVars)
 	}
 	err := matrix.ParallelFor(workers, workers, func(_, w int) error {
 		child := children[w]
-		last := -1
 		for i := w; i < len(values); i += workers {
+			child.log.iter = i
 			child.Set(b.Var, NewDouble(values[i]))
 			for _, blk := range b.Body {
 				if err := blk.Execute(child); err != nil {
 					return fmt.Errorf("parfor worker %d (iteration %v): %w", w, values[i], err)
 				}
 			}
-			last = i
 		}
-		vars := map[string]Data{}
-		for _, rv := range b.ResultVars {
-			if d, err := child.Get(rv); err == nil {
-				vars[rv] = d
-			}
-		}
-		results[w] = workerResult{lastIter: last, vars: vars}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// result merge; merged variables get a fresh lineage leaf (unique per
-	// merge) so downstream consumers are never answered from stale cache
-	// entries of a previous loop execution
+	// The workers' values outlive their scopes, which end before the merge:
+	// their holds on the parent's values would keep the merge from writing
+	// those in place.
+	results := make([]workerResult, workers)
+	defer func() {
+		for _, r := range results {
+			for _, d := range r.vars {
+				Release(d)
+			}
+		}
+	}()
+	for w, child := range children {
+		vars := map[string]Data{}
+		for _, rv := range b.ResultVars {
+			d, err := child.Get(rv)
+			if err != nil {
+				continue
+			}
+			if prev, err := ctx.Get(rv); err == nil && prev == d {
+				continue // the parent's binding holds it
+			}
+			Retain(d)
+			vars[rv] = d
+		}
+		results[w] = workerResult{log: child.log, vars: vars}
+		child.ReleaseVars()
+	}
+	// merged variables get a fresh lineage leaf (unique per merge) so
+	// downstream consumers are never answered from stale cache entries of a
+	// previous loop execution
 	for _, rv := range b.ResultVars {
-		merged, err := mergeResults(ctx, rv, originals[rv], results)
+		merged, err := mergeResult(ctx, rv, slices.Contains(b.IndexedVars, rv), results)
 		if err != nil {
 			return err
 		}
@@ -450,6 +469,42 @@ func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
 }
 
 var parforMergeCounter int64
+
+// iterLog is a parfor worker's record for the merge: the iteration it runs,
+// the highest iteration that bound each result variable (-1: none), and the
+// regions the left-indexing updates of each left-indexed one wrote.
+type iterLog struct {
+	iter    int
+	bound   map[string]int
+	regions map[string][]region
+}
+
+// region is the cells [r0:r1, c0:c1) written by iteration iter.
+type region struct {
+	iter, r0, r1, c0, c1 int
+}
+
+func newIterLog(resultVars, indexedVars []string) *iterLog {
+	l := &iterLog{bound: make(map[string]int, len(resultVars)), regions: make(map[string][]region, len(indexedVars))}
+	for _, rv := range resultVars {
+		l.bound[rv] = -1
+	}
+	for _, iv := range indexedVars {
+		l.regions[iv] = nil
+	}
+	return l
+}
+
+// NoteRegion records that a left-indexing update of the variable name wrote
+// its cells [r0:r1, c0:c1); the parfor merge copies exactly the regions its
+// workers noted. Outside a parfor worker it does nothing.
+func (ctx *Context) NoteRegion(name string, r0, r1, c0, c1 int) {
+	if l := ctx.log; l != nil {
+		if rs, ok := l.regions[name]; ok {
+			l.regions[name] = append(rs, region{l.iter, r0, r1, c0, c1})
+		}
+	}
+}
 
 // localMatrixOf returns the local block behind a matrix-typed runtime value,
 // acquiring through the buffer pool or collecting a blocked matrix; the bool
@@ -466,68 +521,103 @@ func localMatrixOf(ctx *Context, d Data) (*matrix.MatrixBlock, bool, error) {
 	return blk, true, err
 }
 
-// workerResult holds the result-variable bindings produced by one parfor
-// worker together with the highest iteration index it executed.
+// workerResult is one parfor worker's log and its values of the result
+// variables that differ from the parent's.
 type workerResult struct {
-	lastIter int
-	vars     map[string]Data
+	log  *iterLog
+	vars map[string]Data
 }
 
-// mergeResults merges one result variable across workers. Matrix variables
-// that existed before the loop are merged cell-wise by taking cells that
-// changed relative to the original (SystemDS' result merge with compare);
-// for everything else the value of the worker that ran the highest iteration
-// wins (last-iteration semantics).
-func mergeResults(ctx *Context, name string, original Data, sources []workerResult) (Data, error) {
-	origBlock, isMat, err := localMatrixOf(ctx, original)
-	if err != nil {
-		return nil, err
-	}
-	if isMat {
-		merged := origBlock.Copy()
-		changed := false
-		for _, src := range sources {
-			d, ok := src.vars[name]
-			if !ok || d == original {
-				continue
-			}
-			blk, isM, err := localMatrixOf(ctx, d)
-			if err != nil {
-				return nil, err
-			}
-			if !isM {
-				continue
-			}
-			if blk.Rows() != origBlock.Rows() || blk.Cols() != origBlock.Cols() {
-				// dimension change: last iteration wins
-				merged = blk.Copy()
-				changed = true
-				continue
-			}
-			for r := 0; r < blk.Rows(); r++ {
-				for c := 0; c < blk.Cols(); c++ {
-					if v := blk.Get(r, c); v != origBlock.Get(r, c) {
-						merged.Set(r, c, v)
-						changed = true
-					}
-				}
-			}
+// mergeResult returns the value of one result variable after the loop, or
+// nil when no iteration wrote it. A left-indexed variable whose pre-loop
+// value is a local matrix is merged by region (mergeRegions); any other takes
+// the value of the highest iteration that bound it, as a sequential loop
+// would leave it.
+func mergeResult(ctx *Context, name string, indexed bool, results []workerResult) (Data, error) {
+	if indexed {
+		if merged, ok, err := mergeRegions(ctx, name, results); ok || err != nil {
+			return merged, err
 		}
-		if !changed {
-			return nil, nil
-		}
-		return NewMatrixObject(merged, ctx.Pool), nil
 	}
-	// non-matrix or previously undefined: highest iteration wins
 	best := -1
-	var bestVal Data
-	for _, src := range sources {
-		if d, ok := src.vars[name]; ok && src.lastIter > best {
-			best = src.lastIter
-			bestVal = d
+	var val Data
+	for _, r := range results {
+		if it := r.log.bound[name]; it > best {
+			best, val = it, r.vars[name]
 		}
 	}
-	return bestVal, nil
+	return val, nil
+}
+
+// mergeRegions writes every region the workers noted for name, in iteration
+// order, from the worker that wrote it into the parent's value: in place when
+// the parent's binding is its only holder (MatrixObject.Update), else into one
+// copy. The last write of a cell is then the highest iteration's that wrote
+// it, and that worker's value holds exactly that write. ok is false when the
+// parent's value is not a local matrix. In an enclosing parfor worker, the
+// regions count as writes of the worker's iteration.
+func mergeRegions(ctx *Context, name string, results []workerResult) (merged Data, ok bool, err error) {
+	original, err := ctx.Get(name)
+	if err != nil {
+		return nil, false, nil
+	}
+	origBlock, isMat, err := localMatrixOf(ctx, original)
+	if err != nil || !isMat {
+		return nil, false, err
+	}
+	type sourced struct {
+		region
+		src *matrix.MatrixBlock
+	}
+	var all []sourced
+	for w, r := range results {
+		rs := r.log.regions[name]
+		if len(rs) == 0 {
+			continue
+		}
+		d, ok := r.vars[name]
+		if !ok {
+			d = original // the worker's value is the parent's
+		}
+		blk, isMat, err := localMatrixOf(ctx, d)
+		if err != nil {
+			return nil, true, err
+		}
+		if !isMat || blk.Rows() != origBlock.Rows() || blk.Cols() != origBlock.Cols() {
+			return nil, true, fmt.Errorf("runtime: parfor worker %d changed the shape of left-indexed %q", w, name)
+		}
+		for _, rg := range rs {
+			all = append(all, sourced{rg, blk})
+		}
+	}
+	if len(all) == 0 {
+		return nil, true, nil
+	}
+	sort.SliceStable(all, func(a, b int) bool { return all[a].iter < all[b].iter })
+	writes := make([]matrix.RegionWrite, len(all))
+	for i, s := range all {
+		writes[i] = matrix.RegionWrite{R0: s.r0, R1: s.r1, C0: s.c0, C1: s.c1, Src: s.src, SR: s.r0, SC: s.c0}
+	}
+	if mo, isMO := original.(*MatrixObject); isMO {
+		done, err := mo.Update(writes)
+		if err != nil {
+			return nil, true, err
+		}
+		if done {
+			merged = mo
+		}
+	}
+	if merged == nil {
+		blk, err := matrix.Update(origBlock, writes, false)
+		if err != nil {
+			return nil, true, err
+		}
+		merged = NewMatrixObject(blk, ctx.Pool)
+	}
+	for _, s := range all {
+		ctx.NoteRegion(name, s.r0, s.r1, s.c0, s.c1)
+	}
+	return merged, true, nil
 }
 
 // FunctionBlock is a compiled user-defined or DML-bodied builtin function.
