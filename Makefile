@@ -41,7 +41,11 @@ test:
 # caller, function result, parfor worker, list, view, second handle,
 # partitioned memo, spill file — keeps its bits while the update and the
 # parfor region merge write; parfor leaves what the sequential loop leaves at
-# T = 1, 2, 3), and a
+# T = 1, 2, 3), function-level reuse repeated (impure calls run their body;
+# a rebound input, or an output missing from the store, misses; a caller's
+# update and the free list leave a hit output's bits alone; outputs bitwise
+# equal to reuse off at T = 1, 2, 3; parfor workers calling one pure function
+# at once), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
@@ -57,6 +61,7 @@ race:
 	$(GO) test -race -run 'TestSpillDifferential|TestSharedValueSurvivesRebind|TestFunctionResultOutlivesItsScope|TestParforChildrenReleaseWhatTheyHeld|TestSpiltBlockResidentMemo|TestCacheRetainsValues' -count=3 . ./internal/runtime/ ./internal/lineage/
 	$(GO) test -race -run 'TestConcurrentPreparedCalls' -count=3 .
 	$(GO) test -race -run 'TestInPlaceOnlyWhenNothingElseSees|TestWrittenBlockSpillsItsNewBits|TestUpdatesLeaveOtherHoldersAlone|TestResultsOutputIsNeverWritten|TestParforMatchesFor' -count=3 . ./internal/runtime/
+	$(GO) test -race -run 'TestImpureCallsRunTheirBody|TestVerboseGridSearchRunsItsBody|TestReboundInputMisses|TestOneOutputMissingFromTheStoreRerunsTheBody|TestCallerUpdateLeavesTheCachedBitsAlone|TestHitOutputsAreNeverRecycled|TestFunctionReuseIsBitwiseEqual|TestParforWorkersShareOnePureCall' -count=3 .
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed
@@ -69,9 +74,12 @@ race:
 # the compressed-matrix spill file (any bytes give a matrix or an error, never
 # a panic; a matrix writes back the bytes it came from and its kernels run),
 # the DML parser (any source parses and validates to a program or an
-# error, never a panic; seeded with the builtin and golden-plan scripts) and
-# the HOP rewrite pass (the DAG generated from any seed and size rewrites to
-# the fixpoint of the separate reference passes in rewrite_ref_test.go).
+# error, never a panic; seeded with the builtin and golden-plan scripts), the
+# HOP rewrite pass (the DAG generated from any seed and size rewrites to the
+# fixpoint of the separate reference passes in rewrite_ref_test.go) and the
+# federated worker's request handler (any gob-decoded request frame is
+# answered, never a panic — which would end the worker process — and nothing
+# allocated from a length the frame did not pay for).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
@@ -80,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompressedRead -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime 10s ./internal/hops/
+	$(GO) test -run '^$$' -fuzz FuzzWorkerHandle -fuzztime 10s ./internal/fed/
 
 # The repo's benchmark (bench/, a module of its own; see bench/README.md):
 # all eight script-level workloads, every end-to-end and per-layer metric by

@@ -394,7 +394,9 @@ func (bb *blockBuilder) emitFCall(s *lang.AssignStmt, call *lang.CallExpr) error
 	if err := bb.flush(); err != nil {
 		return err
 	}
-	bb.emit(instructions.NewFCall(call.Name, positional, named, targets))
+	fcall := instructions.NewFCall(call.Name, positional, named, targets)
+	fcall.BodyHash, fcall.Pure = bb.c.pureCallHash(call)
+	bb.emit(fcall)
 	for _, it := range indexed {
 		li := instructions.NewLeftIndex(
 			it.target.Name, instructions.Var(it.target.Name), instructions.Var(it.temp),

@@ -40,6 +40,12 @@ type Compiler struct {
 	// defs holds the definitions of the user functions and of the builtins
 	// looked up so far, for inlining at call sites (inline.go).
 	defs map[string]*lang.FunctionDef
+	// facts memoizes function facts by (function, constant signature),
+	// hashes body hashes by function; analyzing holds the functions under
+	// analysis (facts.go).
+	facts     map[string]*funcFacts
+	hashes    map[string]string
+	analyzing map[string]bool
 	// compiling guards against recursive builtin compilation cycles
 	compiling map[string]bool
 	tempSeq   int
@@ -156,6 +162,7 @@ func (c *Compiler) CompileProgram(prog *lang.Program, knownInputs map[string]typ
 	for name, fn := range prog.Functions {
 		c.defs[name] = fn
 	}
+	c.facts, c.hashes, c.analyzing = map[string]*funcFacts{}, map[string]string{}, map[string]bool{}
 	// compile user-defined functions
 	names := make([]string, 0, len(prog.Functions))
 	for name := range prog.Functions {

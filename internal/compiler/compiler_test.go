@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -470,6 +471,51 @@ func TestLeftIndexUpdatesInPlace(t *testing.T) {
 		for i := range got {
 			if got[i] != tc.want[i] {
 				t.Errorf("%q: update %d = %+v, want %+v", tc.script, i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
+// TestDoubleNegationFolds: the compiler spells unary minus uminus, and the
+// -(-X) rewrite matches it through the operator table, so no unary operator
+// is left in the plan or the instructions, and Y has X's exact bits — -0,
+// NaN and ±Inf cells included.
+func TestDoubleNegationFolds(t *testing.T) {
+	c := newCompiler(nil)
+	known := map[string]types.DataCharacteristics{"X": types.NewDataCharacteristics(2, 3, 1024, 6)}
+	plan, err := c.ExplainPlan("Y = -(-X)", known)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plan, "uminus") {
+		t.Errorf("plan keeps a unary minus:\n%s", plan)
+	}
+	prog, err := c.Compile("Y = -(-X)", known)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pb := range prog.Blocks {
+		for _, inst := range pb.(*runtime.BasicBlock).Instructions {
+			if op := inst.Opcode(); op != "assignvar" {
+				t.Errorf("instruction %s left in -(-X)", op)
+			}
+		}
+	}
+	x := matrix.FromRows([][]float64{{math.Copysign(0, -1), math.NaN(), math.Inf(1)}, {math.Inf(-1), -2.5, 0}})
+	ctx := runtime.NewContext(runtime.DefaultConfig())
+	ctx.Prog = prog
+	ctx.SetMatrix("X", x)
+	if err := prog.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	y, err := ctx.GetMatrixBlock("Y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range 2 {
+		for col := range 3 {
+			if got, want := math.Float64bits(y.Get(r, col)), math.Float64bits(x.Get(r, col)); got != want {
+				t.Errorf("Y[%d,%d] bits %#x, want X's %#x", r, col, got, want)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/lang"
-	"github.com/systemds/systemds-go/internal/matrix"
 )
 
 // Function inlining, after SystemML's inter-procedural analysis: a call whose
@@ -17,14 +16,14 @@ import (
 // The rule, applied per call site:
 //   - every parameter is bound: a literal argument or default binds a
 //     constant, anything else binds the caller's HOP for the argument;
-//   - `if` statements whose predicate is constant under those bindings are
-//     replaced by the branch taken (a parameter reassigned before the `if`
-//     is no longer constant);
-//   - what remains must be plain assignments over native builtins: no
-//     print/write/stop/assert, no loops, no calls to functions, and no
-//     rand/sample (an unseeded generator is seeded once per compiled call,
-//     which an inlined copy per call site would change), every name read
-//     assigned first or a parameter, every return assigned or a parameter;
+//   - the callee's function facts under those constants (facts.go) are pure,
+//     and its body folds to plain assignments (`if` statements with a
+//     constant predicate replaced by the branch taken);
+//   - those assignments call native builtins only, and none that is emitted
+//     directly (read, eigen, transformencode, transformapply) or generates
+//     (rand, sample: a generator is seeded once per compiled call, which an
+//     inlined copy per call site would change); every name read is assigned
+//     first or a parameter, every return assigned or a parameter;
 //   - the call assigns plain (not indexed) targets, at most one per return.
 //
 // An inlined call is a basic block of its own (compileStatements): its plan
@@ -42,11 +41,10 @@ import (
 // identifier contains '#', so they can never meet a caller's variable.
 const inlineScope = "inl#"
 
-// nonInlinable lists the native builtins an inlined body may not call: the
-// side effects and the direct-emission calls that flush the DAG, and the
-// unseeded generators.
+// nonInlinable lists the native builtins an inlined body may not call beyond
+// the impure ones: the direct-emission calls that flush the DAG, and the
+// generators.
 var nonInlinable = map[string]bool{
-	"print": true, "write": true, "stop": true, "assert": true,
 	"read": true, "eigen": true, "transformencode": true, "transformapply": true,
 	"rand": true, "sample": true,
 }
@@ -66,8 +64,8 @@ func (c *Compiler) inlinable(s *lang.AssignStmt) *inlined {
 	if !ok || len(s.Targets) == 0 {
 		return nil
 	}
-	def := c.def(call.Name)
-	if def == nil || len(s.Targets) > len(def.Returns) {
+	def, f := c.callFacts(call, nil)
+	if f == nil || !f.pure || f.flat == nil || len(s.Targets) > len(def.Returns) {
 		return nil
 	}
 	for _, t := range s.Targets {
@@ -75,21 +73,17 @@ func (c *Compiler) inlinable(s *lang.AssignStmt) *inlined {
 			return nil
 		}
 	}
-	args, ok := bindArgs(def, call)
-	if !ok {
-		return nil
-	}
-	consts := map[string]lang.Expr{}
-	for name, a := range args {
-		if isLiteral(a) {
-			consts[name] = a
+	for _, st := range f.flat {
+		t := st.Targets[0]
+		if !c.plainExpr(st.Value) || t.Indexed && !(c.plainRange(t.Rows) && c.plainRange(t.Cols)) {
+			return nil
 		}
 	}
-	body, ok := c.foldBody(def.Body, consts, nil)
-	if !ok || !definedBeforeUse(def, body) {
+	if !definedBeforeUse(def, f.flat) {
 		return nil
 	}
-	return &inlined{def: def, args: args, body: body}
+	args, _ := bindArgs(def, call)
+	return &inlined{def: def, args: args, body: f.flat}
 }
 
 // def returns the definition of a user or DML-bodied function, parsing a
@@ -212,42 +206,6 @@ func (bb *blockBuilder) argHop(e lang.Expr) (*hops.Hop, error) {
 	return bb.buildExpr(e)
 }
 
-// foldBody flattens a function body into the assignments that run under the
-// constant bindings consts, replacing each `if` by the branch its constant
-// predicate takes; false when the body is not plain assignments after that.
-// An assignment to a bound name ends its constancy.
-func (c *Compiler) foldBody(stmts []lang.Statement, consts map[string]lang.Expr, out []*lang.AssignStmt) ([]*lang.AssignStmt, bool) {
-	for _, s := range stmts {
-		switch v := s.(type) {
-		case *lang.AssignStmt:
-			if len(v.Targets) != 1 || !c.plainExpr(v.Value) {
-				return nil, false
-			}
-			t := v.Targets[0]
-			if t.Indexed && !(c.plainRange(t.Rows) && c.plainRange(t.Cols)) {
-				return nil, false
-			}
-			delete(consts, t.Name)
-			out = append(out, v)
-		case *lang.IfStmt:
-			cond, ok := constEval(v.Cond, consts)
-			if !ok {
-				return nil, false
-			}
-			branch := v.Else
-			if cond != 0 {
-				branch = v.Then
-			}
-			if out, ok = c.foldBody(branch, consts, out); !ok {
-				return nil, false
-			}
-		default:
-			return nil, false
-		}
-	}
-	return out, true
-}
-
 // plainExpr reports whether every call in e is a native builtin an inlined
 // body may make.
 func (c *Compiler) plainExpr(e lang.Expr) bool {
@@ -299,37 +257,4 @@ func definedBeforeUse(def *lang.FunctionDef, body []*lang.AssignStmt) bool {
 		}
 	}
 	return true
-}
-
-// constEval evaluates a numeric or boolean expression (TRUE is 1) that
-// depends on literals and constant bindings alone, through the runtime's own
-// operator table; a predicate's truth is non-zero, as runtime.Scalar.Bool has
-// it.
-func constEval(e lang.Expr, consts map[string]lang.Expr) (float64, bool) {
-	switch v := e.(type) {
-	case *lang.NumLit:
-		return v.Value, true
-	case *lang.BoolLit:
-		if v.Value {
-			return 1, true
-		}
-		return 0, true
-	case *lang.Ident:
-		if c, ok := consts[v.Name]; ok {
-			return constEval(c, consts)
-		}
-	case *lang.UnaryExpr:
-		op, ok := matrix.UnaryOpFromString(v.Op)
-		if x, xok := constEval(v.Operand, consts); ok && xok {
-			return op.Apply(x), true
-		}
-	case *lang.BinaryExpr:
-		op, ok := matrix.BinaryOpFromString(v.Op)
-		l, lok := constEval(v.Left, consts)
-		r, rok := constEval(v.Right, consts)
-		if ok && lok && rok {
-			return op.Apply(l, r), true
-		}
-	}
-	return 0, false
 }

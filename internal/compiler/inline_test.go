@@ -147,8 +147,9 @@ plain = function(Matrix[Double] X, Double s = 2) return (Matrix[Double] Y) {
 
 // TestInlinedLocalsAndReturns: lmDS's local l does not clobber the caller's l,
 // and its result has the bits and the lineage of the fcall it replaces (the
-// same call with a non-literal icpt stays an fcall); splitTrainTest binds all
-// four targets.
+// same call with a non-literal icpt stays an fcall, and a non-literal verbose
+// keeps it impure, so its output is traced inside the body, not as one
+// function-level item); splitTrainTest binds all four targets.
 func TestInlinedLocalsAndReturns(t *testing.T) {
 	x := matrix.RandUniform(40, 5, -1, 1, 1.0, 61)
 	y := matrix.RandUniform(40, 1, -1, 1, 1.0, 62)
@@ -157,7 +158,8 @@ func TestInlinedLocalsAndReturns(t *testing.T) {
 l = matrix(7, rows=3, cols=1)
 B = lmDS(X, y, 0.001)
 zero = 0
-Bcall = lmDS(X, y, 0.001, icpt=zero)
+quiet = FALSE
+Bcall = lmDS(X, y, 0.001, icpt=zero, verbose=quiet)
 s = sum(l)
 [Xtr, ytr, Xte, yte] = splitTrainTest(X, y, 0.75)
 `, nil)

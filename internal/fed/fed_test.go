@@ -53,14 +53,50 @@ func startTwoSites(t *testing.T, x, y *matrix.MatrixBlock) (*FederatedMatrix, *F
 	return fx, fy, cleanup
 }
 
+// fromWire is FromWire for a payload the test expects to be well-formed.
+func fromWire(t *testing.T, w *WireMatrix) *matrix.MatrixBlock {
+	t.Helper()
+	m, err := FromWire(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	m := matrix.RandUniform(7, 5, -1, 1, 0.4, 1)
-	back := FromWire(ToWire(m))
+	back := fromWire(t, ToWire(m))
 	if !back.Equals(m, 0) {
 		t.Error("wire round trip changed values")
 	}
-	if ToWire(nil) != nil || FromWire(nil) != nil {
-		t.Error("nil handling wrong")
+	if ToWire(nil) != nil {
+		t.Error("ToWire(nil) is not nil")
+	}
+	if _, err := FromWire(nil); err == nil {
+		t.Error("FromWire(nil) gave no error")
+	}
+}
+
+// TestMalformedWireMatrixIsRefused: a wire matrix whose values do not fill
+// Rows×Cols — short, negative, or a product that overflows to the count — is
+// answered OK: false by the worker, where it used to panic the process.
+func TestMalformedWireMatrixIsRefused(t *testing.T) {
+	w := NewWorker(nil)
+	w.PutLocal("X", matrix.RandUniform(4, 3, -1, 1, 1.0, 5))
+	for _, bad := range []*WireMatrix{
+		{Rows: 10, Cols: 10, Values: []float64{1, 2, 3}},
+		{Rows: -1, Cols: -3, Values: []float64{1, 2, 3}},
+		{Rows: 1 << 32, Cols: 1 << 32},
+		{Rows: 3, Cols: 0, Values: []float64{1}},
+	} {
+		for _, req := range []*Request{
+			{Command: "put", Name: "A", Matrix: bad},
+			{Command: "exec", Op: "matvec", Operands: []string{"X"}, Matrix: bad},
+		} {
+			if resp := w.Handle(req); resp.OK || resp.Error == "" {
+				t.Errorf("%s of a %dx%d wire matrix with %d values: OK %v, error %q", req.Command, bad.Rows, bad.Cols, len(bad.Values), resp.OK, resp.Error)
+			}
+		}
 	}
 }
 
@@ -74,7 +110,7 @@ func TestWorkerHandleBasics(t *testing.T) {
 		t.Error("put failed")
 	}
 	resp := w.Handle(&Request{Command: "get", Name: "A"})
-	if !resp.OK || !FromWire(resp.Matrix).Equals(m, 0) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(m, 0) {
 		t.Error("get returned wrong matrix")
 	}
 	if resp := w.Handle(&Request{Command: "get", Name: "missing"}); resp.OK {
@@ -107,22 +143,22 @@ func TestWorkerExecOps(t *testing.T) {
 	w.PutLocal("X", x)
 	w.PutLocal("y", y)
 	resp := w.Handle(&Request{Command: "exec", Op: "tsmm", Operands: []string{"X"}})
-	if !resp.OK || !FromWire(resp.Matrix).Equals(matrix.TSMM(x, 0), 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(matrix.TSMM(x, 0), 1e-9) {
 		t.Error("tsmm wrong")
 	}
 	resp = w.Handle(&Request{Command: "exec", Op: "xty", Operands: []string{"X", "y"}})
 	want, _ := matrix.Multiply(matrix.Transpose(x), y, 0)
-	if !resp.OK || !FromWire(resp.Matrix).Equals(want, 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(want, 1e-9) {
 		t.Error("xty wrong")
 	}
 	v := matrix.RandUniform(4, 1, -1, 1, 1.0, 4)
 	resp = w.Handle(&Request{Command: "exec", Op: "matvec", Operands: []string{"X"}, Matrix: ToWire(v)})
 	wantMV, _ := matrix.Multiply(x, v, 0)
-	if !resp.OK || !FromWire(resp.Matrix).Equals(wantMV, 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(wantMV, 1e-9) {
 		t.Error("matvec wrong")
 	}
 	resp = w.Handle(&Request{Command: "exec", Op: "colSums", Operands: []string{"X"}})
-	if !resp.OK || !FromWire(resp.Matrix).Equals(matrix.ColSums(x, 1), 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(matrix.ColSums(x, 1), 1e-9) {
 		t.Error("colSums wrong")
 	}
 	resp = w.Handle(&Request{Command: "exec", Op: "sum", Operands: []string{"X"}})
@@ -132,12 +168,6 @@ func TestWorkerExecOps(t *testing.T) {
 	resp = w.Handle(&Request{Command: "exec", Op: "rowcount", Operands: []string{"X"}})
 	if !resp.OK || resp.Scalar != 20 {
 		t.Error("rowcount wrong")
-	}
-	// gradient op
-	wts := matrix.NewDense(4, 1)
-	resp = w.Handle(&Request{Command: "exec", Op: "gradient_linreg", Operands: []string{"X", "y"}, Matrix: ToWire(wts)})
-	if !resp.OK || resp.Matrix.Rows != 4 {
-		t.Error("gradient_linreg wrong")
 	}
 	// exec with output variable stores the result
 	resp = w.Handle(&Request{Command: "exec", Op: "tsmm", Operands: []string{"X"}, Output: "G"})

@@ -102,7 +102,10 @@ func (fm *FederatedMatrix) TSMM() (*matrix.MatrixBlock, error) {
 		if err != nil {
 			return nil, err
 		}
-		part := FromWire(resp.Matrix)
+		part, err := FromWire(resp.Matrix)
+		if err != nil {
+			return nil, err
+		}
 		if acc == nil {
 			acc = part
 		} else {
@@ -141,7 +144,10 @@ func (fm *FederatedMatrix) XtY(y *FederatedMatrix) (*matrix.MatrixBlock, error) 
 		if err != nil {
 			return nil, err
 		}
-		part := FromWire(resp.Matrix)
+		part, err := FromWire(resp.Matrix)
+		if err != nil {
+			return nil, err
+		}
 		if acc == nil {
 			acc = part
 		} else {
@@ -184,7 +190,10 @@ func (fm *FederatedMatrix) XtLocalY(y *matrix.MatrixBlock) (*matrix.MatrixBlock,
 			return nil, err
 		}
 		_, _ = c.Call(&Request{Command: "remove", Name: tmpName})
-		part := FromWire(resp.Matrix)
+		part, err := FromWire(resp.Matrix)
+		if err != nil {
+			return nil, err
+		}
 		if acc == nil {
 			acc = part
 		} else {
@@ -217,7 +226,10 @@ func (fm *FederatedMatrix) MatVec(v *matrix.MatrixBlock) (*matrix.MatrixBlock, e
 		if err != nil {
 			return nil, err
 		}
-		part := FromWire(resp.Matrix)
+		part, err := FromWire(resp.Matrix)
+		if err != nil {
+			return nil, err
+		}
 		out, err = matrix.LeftIndex(out, part, int(r.RowStart), int(r.RowEnd), 0, v.Cols())
 		if err != nil {
 			return nil, err
@@ -238,7 +250,10 @@ func (fm *FederatedMatrix) ColSums() (*matrix.MatrixBlock, error) {
 		if err != nil {
 			return nil, err
 		}
-		part := FromWire(resp.Matrix)
+		part, err := FromWire(resp.Matrix)
+		if err != nil {
+			return nil, err
+		}
 		if acc == nil {
 			acc = part
 		} else {

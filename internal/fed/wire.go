@@ -6,6 +6,10 @@
 package fed
 
 import (
+	"errors"
+	"fmt"
+	"math"
+
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
 )
@@ -27,14 +31,19 @@ func ToWire(m *matrix.MatrixBlock) *WireMatrix {
 	return &WireMatrix{Rows: d.Rows(), Cols: d.Cols(), Values: d.DenseValues()}
 }
 
-// FromWire converts a wire matrix back to a matrix block.
-func FromWire(w *WireMatrix) *matrix.MatrixBlock {
+// FromWire converts a wire matrix back to a matrix block. The wire is
+// untrusted: a missing matrix, a negative dimension, or a value count other
+// than Rows×Cols (overflow included) is an error, never a panic.
+func FromWire(w *WireMatrix) (*matrix.MatrixBlock, error) {
 	if w == nil {
-		return nil
+		return nil, errors.New("fed: missing matrix payload")
+	}
+	if w.Rows < 0 || w.Cols < 0 || (w.Cols != 0 && w.Rows > math.MaxInt/w.Cols) || w.Rows*w.Cols != len(w.Values) {
+		return nil, fmt.Errorf("fed: wire matrix %dx%d carries %d values", w.Rows, w.Cols, len(w.Values))
 	}
 	m := matrix.NewDenseFromSlice(w.Rows, w.Cols, append([]float64(nil), w.Values...))
 	m.ExamineAndApplySparsity()
-	return m
+	return m, nil
 }
 
 // Request is a message sent from the master control program to a federated
@@ -48,7 +57,7 @@ type Request struct {
 	// Path is the file to read for "readcsv".
 	Path string
 	// Op is the pushed-down operation for "exec": "tsmm", "xty", "matvec",
-	// "colSums", "sum", "sumsq", "rowcount", "scalar*", "gradient_linreg".
+	// "colSums", "colSq", "sum", "sumsq", "rowcount", "scalarmult".
 	Op string
 	// Operands are worker-local input variable names for "exec".
 	Operands []string

@@ -138,10 +138,11 @@ func (w *Worker) handle(req *Request) *Response {
 	case "ping":
 		return &Response{OK: true}
 	case "put":
-		if req.Matrix == nil {
-			return failf("put %s: missing matrix payload", req.Name)
+		m, err := FromWire(req.Matrix)
+		if err != nil {
+			return failf("put %s: %v", req.Name, err)
 		}
-		w.PutLocal(req.Name, FromWire(req.Matrix))
+		w.PutLocal(req.Name, m)
 		return &Response{OK: true}
 	case "readcsv":
 		m, err := io.ReadMatrixCSV(req.Path, io.DefaultCSVOptions())
@@ -212,10 +213,10 @@ func (w *Worker) exec(req *Request) *Response {
 		}
 		return w.finish(req, res)
 	case "matvec":
-		if req.Matrix == nil {
-			return failf("matvec needs a broadcast vector")
+		v, err := FromWire(req.Matrix)
+		if err != nil {
+			return failf("matvec needs a broadcast vector: %v", err)
 		}
-		v := FromWire(req.Matrix)
 		res, err := matrix.Multiply(x, v, 0)
 		if err != nil {
 			return failf("matvec: %v", err)
@@ -235,29 +236,6 @@ func (w *Worker) exec(req *Request) *Response {
 	case "scalarmult":
 		res := matrix.ScalarOp(x, req.Scalar, matrix.OpMul, false, 0)
 		return w.finish(req, res)
-	case "gradient_linreg":
-		// local gradient of squared loss: t(X) %*% (X %*% w - y)
-		if len(req.Operands) < 2 || req.Matrix == nil {
-			return failf("gradient_linreg needs X, y operands and broadcast weights")
-		}
-		y, err := w.get(req.Operands[1])
-		if err != nil {
-			return failf("%v", err)
-		}
-		wts := FromWire(req.Matrix)
-		pred, err := matrix.Multiply(x, wts, 0)
-		if err != nil {
-			return failf("gradient: %v", err)
-		}
-		diff, err := matrix.CellwiseOp(pred, y, matrix.OpSub, 0)
-		if err != nil {
-			return failf("gradient: %v", err)
-		}
-		grad, err := matrix.Multiply(matrix.Transpose(x), diff, 0)
-		if err != nil {
-			return failf("gradient: %v", err)
-		}
-		return w.finish(req, grad)
 	default:
 		return failf("unknown federated op %q", req.Op)
 	}

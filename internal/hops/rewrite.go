@@ -83,6 +83,13 @@ func literalOf(v float64, boolean bool) *Hop {
 	return NewLiteralNumber(v)
 }
 
+// isNeg reports whether h is a unary minus, however it is spelled (the
+// compiler's uminus, the operator table's -).
+func isNeg(h *Hop) bool {
+	op, ok := matrix.UnaryOpFromString(h.Op)
+	return h.Kind == KindUnary && len(h.Inputs) == 1 && ok && op == matrix.OpNeg
+}
+
 // simplify removes an operator that does not change its operand:
 // t(t(X)) -> X, -(-X) -> X, and X*1, 1*X, X+0, 0+X, X-0, X/1, X^1 -> X for a
 // non-scalar X; nil when no rule applies.
@@ -91,8 +98,7 @@ func simplify(h *Hop) *Hop {
 	case h.Kind == KindReorg && h.Op == "t" &&
 		len(h.Inputs) == 1 && h.Inputs[0].Kind == KindReorg && h.Inputs[0].Op == "t":
 		return h.Inputs[0].Inputs[0]
-	case h.Kind == KindUnary && h.Op == "-" &&
-		len(h.Inputs) == 1 && h.Inputs[0].Kind == KindUnary && h.Inputs[0].Op == "-":
+	case isNeg(h) && isNeg(h.Inputs[0]):
 		return h.Inputs[0].Inputs[0]
 	case h.Kind == KindBinary && len(h.Inputs) == 2:
 		a, b := h.Inputs[0], h.Inputs[1]

@@ -99,8 +99,7 @@ func refSimplifyAlgebraic(d *DAG) {
 				refReplaceEverywhere(d, h, h.Inputs[0].Inputs[0])
 				changed = true
 			// -(-X) -> X
-			case h.Kind == KindUnary && h.Op == "-" &&
-				len(h.Inputs) == 1 && h.Inputs[0].Kind == KindUnary && h.Inputs[0].Op == "-":
+			case refIsNeg(h) && refIsNeg(h.Inputs[0]):
 				refReplaceEverywhere(d, h, h.Inputs[0].Inputs[0])
 				changed = true
 			// X*1, 1*X, X+0, 0+X, X-0, X/1, X^1
@@ -425,4 +424,9 @@ func FuzzRewrite(f *testing.F) {
 		}
 		checkRewriteSeed(t, seed, 1+int(buf[8])%48)
 	})
+}
+
+// refIsNeg is the reference's unary minus: either spelling of the operator.
+func refIsNeg(h *Hop) bool {
+	return h.Kind == KindUnary && len(h.Inputs) == 1 && (h.Op == "-" || h.Op == "uminus")
 }

@@ -2,6 +2,7 @@ package instructions
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/runtime"
@@ -11,14 +12,25 @@ import (
 // (opcode "fcall"): arguments are evaluated in the caller, bound to the
 // function's parameters in a fresh child context, the function body executes,
 // and the declared return values are assigned to the caller's target
-// variables. Lineage items flow through the call so intermediates computed
-// inside the function are reusable across calls (the lmDS case of Figure 5).
+// variables.
+//
+// A call the compiler found pure (its function facts) is one lineage item per
+// output, fcall(name;BodyHash#i) over its argument items (OutputItems), on
+// every path: with reuse on, the call probes all its outputs before binding
+// anything and, when every one is found, binds them and skips the body; else
+// the body runs and each output is put under its item. An impure call's
+// outputs keep the lineage traced inside the body, whose instructions are
+// reused one by one.
 type FCallInst struct {
 	base
 	FuncName   string
 	Positional []Operand
 	Named      map[string]Operand
 	Targets    []string
+	// Pure marks a call that is reused as a whole; BodyHash is its callee's
+	// body hash.
+	Pure     bool
+	BodyHash string
 }
 
 // NewFCall creates a function call instruction.
@@ -62,9 +74,39 @@ func (i *FCallInst) Execute(ctx *runtime.Context) error {
 		named[name] = d
 		namedLineage[name] = op.lineage(ctx)
 	}
-	outs, lins, err := fb.Call(ctx, positional, named, posLineage, namedLineage)
-	if err != nil {
-		return err
+	var items []*lineage.Item
+	if i.Pure && ctx.Config.LineageEnabled {
+		items = fb.OutputItems(i.BodyHash, posLineage, namedLineage)
+	}
+	if len(i.Targets) > len(fb.Returns) {
+		return fmt.Errorf("instructions: function %s returns %d values, %d requested", i.FuncName, len(fb.Returns), len(i.Targets))
+	}
+	reuse := items != nil && ctx.Config.ReuseEnabled && ctx.Cache.Enabled()
+	var outs []runtime.Data
+	if reuse {
+		if hit, ok := ctx.Cache.GetAll(items); ok {
+			outs = make([]runtime.Data, len(hit))
+			for idx, v := range hit {
+				outs[idx] = v.(runtime.Data)
+			}
+		}
+	}
+	if outs == nil {
+		start := time.Now()
+		var lins []*lineage.Item
+		var err error
+		outs, lins, err = fb.Call(ctx, positional, named, posLineage, namedLineage)
+		if err != nil {
+			return err
+		}
+		if items == nil {
+			items = lins
+		} else if reuse {
+			computeNs := time.Since(start).Nanoseconds()
+			for idx, d := range outs {
+				ctx.Cache.Put(items[idx], d, runtime.SizeOf(d), computeNs)
+			}
+		}
 	}
 	// the results were handed over held; the bindings below take over
 	defer func() {
@@ -72,14 +114,9 @@ func (i *FCallInst) Execute(ctx *runtime.Context) error {
 			runtime.Release(d)
 		}
 	}()
-	if len(i.Targets) > len(outs) {
-		return fmt.Errorf("instructions: function %s returns %d values, %d requested", i.FuncName, len(outs), len(i.Targets))
-	}
 	for idx, target := range i.Targets {
 		ctx.Set(target, outs[idx])
-		if idx < len(lins) && lins[idx] != nil {
-			ctx.Lineage.Set(target, lins[idx])
-		}
+		ctx.Lineage.Set(target, items[idx])
 	}
 	return nil
 }

@@ -128,39 +128,82 @@ func (c *Cache) Get(item *Item) (any, bool) {
 	if !c.Enabled() {
 		return nil, false
 	}
+	v, fromStore, ok := c.lookup(item)
+	c.count(ok, fromStore, 1)
+	return v, ok
+}
+
+// GetAll probes the items of a multi-output result all or none: the values
+// when every item is found, in memory or in the store, else nothing. The
+// probe stops at the first item not found and lets go of the values found
+// before it. Each item counts as a hit when all are found and as a miss
+// otherwise.
+func (c *Cache) GetAll(items []*Item) ([]any, bool) {
+	if !c.Enabled() {
+		return nil, false
+	}
+	values := make([]any, len(items))
+	stored := 0
+	for i, item := range items {
+		v, fromStore, ok := c.lookup(item)
+		if !ok {
+			releaseAll(values[:i])
+			c.count(false, false, len(items))
+			return nil, false
+		}
+		values[i] = v
+		if fromStore {
+			stored++
+		}
+	}
+	c.mu.Lock()
+	c.stats.Hits += int64(len(items))
+	c.stats.StoreHits += int64(stored)
+	c.mu.Unlock()
+	return values, true
+}
+
+// lookup finds item in memory or, failing that, in the backing store, and
+// counts nothing.
+func (c *Cache) lookup(item *Item) (value any, fromStore, ok bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[item.hash]; ok {
 		entry := el.Value.(*CacheEntry)
 		if entry.Item.Equals(item) {
 			c.lru.MoveToFront(el)
-			c.stats.Hits++
 			retain(entry.Value)
 			c.mu.Unlock()
-			return entry.Value, true
+			return entry.Value, false, true
 		}
 	}
 	store := c.store
-	if store == nil {
-		c.stats.Misses++
-		c.mu.Unlock()
-		return nil, false
-	}
 	c.mu.Unlock()
+	if store == nil {
+		return nil, false, false
+	}
 	// disk probe outside the lock: parfor workers must not serialize on
 	// file reads
-	if v, sizeBytes, computeNs, ok := store.Lookup(item.hash.Lo, item.hash.String()); ok {
-		retain(v)
-		c.insert(item, v, sizeBytes, computeNs, false)
-		c.mu.Lock()
-		c.stats.Hits++
-		c.stats.StoreHits++
-		c.mu.Unlock()
-		return v, true
+	v, sizeBytes, computeNs, ok := store.Lookup(item.hash.Lo, item.hash.String())
+	if !ok {
+		return nil, false, false
 	}
+	retain(v)
+	c.insert(item, v, sizeBytes, computeNs, false)
+	return v, true, true
+}
+
+// count adds n hits (StoreHits too when fromStore) or n misses.
+func (c *Cache) count(hit, fromStore bool, n int) {
 	c.mu.Lock()
-	c.stats.Misses++
+	if hit {
+		c.stats.Hits += int64(n)
+		if fromStore {
+			c.stats.StoreHits += int64(n)
+		}
+	} else {
+		c.stats.Misses += int64(n)
+	}
 	c.mu.Unlock()
-	return nil, false
 }
 
 // Put inserts an intermediate, evicting the lowest-benefit entries if the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -114,9 +115,11 @@ func (b *BasicBlock) execute(ctx *Context, blockSp obs.Span) error {
 	return nil
 }
 
-// nonCacheableOpcodes are never reused from the cache: side effects,
-// non-determinism that must re-execute, and function calls (their inner
-// instructions are cached instead).
+// nonCacheableOpcodes are never probed here: side effects, non-determinism
+// that must re-execute, and function calls, whose reuse is the call's own: a
+// pure call probes and puts one entry per output under its function-level
+// items (instructions.FCallInst), an impure one leaves it to the
+// instructions of its body.
 var nonCacheableOpcodes = map[string]bool{
 	"print": true, "write": true, "read": true, "stop": true, "assert": true,
 	"fcall": true, "rand": true, "sample": true, "rmvar": true,
@@ -713,4 +716,41 @@ func (f *FunctionBlock) Call(ctx *Context, positional []Data, named map[string]D
 		Retain(d)
 	}
 	return outs, lins, nil
+}
+
+// OutputItems returns the function-level lineage items of a pure call, one
+// per return: output i is fcall(name;bodyHash#i) over the argument items in
+// parameter order, a parameter left unbound traced by its default's value.
+// The items depend on what the call binds, never on whether its body runs,
+// so a hit and a miss trace alike. nil when the arguments do not bind every
+// parameter exactly (Call then reports why).
+func (f *FunctionBlock) OutputItems(bodyHash string, positional []*lineage.Item, named map[string]*lineage.Item) []*lineage.Item {
+	if len(positional) > len(f.Params) {
+		return nil
+	}
+	inputs := make([]*lineage.Item, len(f.Params))
+	copy(inputs, positional)
+	bound := len(positional)
+	for i, p := range f.Params {
+		it, ok := named[p.Name]
+		switch {
+		case ok && i < len(positional):
+			return nil // bound twice
+		case ok:
+			inputs[i] = it
+			bound++
+		case i >= len(positional) && p.Default != nil:
+			inputs[i] = ScalarItem(p.Default.(*Scalar))
+		case i >= len(positional):
+			return nil
+		}
+	}
+	if bound != len(positional)+len(named) {
+		return nil // a name that is no parameter
+	}
+	items := make([]*lineage.Item, len(f.Returns))
+	for i := range items {
+		items[i] = lineage.NewInstruction("fcall", f.Name+";"+bodyHash+"#"+strconv.Itoa(i), inputs...)
+	}
+	return items
 }
