@@ -73,6 +73,8 @@ race:
 # drop and count it, never panic, never allocate from an unchecked length),
 # the compressed-matrix spill file (any bytes give a matrix or an error, never
 # a panic; a matrix writes back the bytes it came from and its kernels run),
+# the lineage-store entry payload (any bytes decode to a matrix or scalar
+# or an error, never a panic, and a decoded value re-encodes to the same bits),
 # the DML parser (any source parses and validates to a program or an
 # error, never a panic; seeded with the builtin and golden-plan scripts), the
 # HOP rewrite pass (the DAG generated from any seed and size rewrites to the
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
 	$(GO) test -run '^$$' -fuzz FuzzCompressedRead -fuzztime 10s ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeLineagePayload -fuzztime 10s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime 10s ./internal/hops/
 	$(GO) test -run '^$$' -fuzz FuzzWorkerHandle -fuzztime 10s ./internal/fed/

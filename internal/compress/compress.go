@@ -1,8 +1,8 @@
 package compress
 
 import (
-	"encoding/binary"
 	"math"
+	"slices"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
@@ -14,9 +14,10 @@ import (
 // matrix, the plan, and whether compression was accepted; a rejected plan
 // returns (nil, plan, false) and the caller keeps the uncompressed block.
 //
-// Encoding is exact and deterministic: dictionaries are built in
-// first-occurrence order, every column seeing its rows in order, so the same
-// input always yields the same compressed bytes (bitwise-reproducible runs).
+// Encoding is exact and deterministic: dictionaries are numbered in the
+// first-occurrence order of their column (see encodeGroups) at any thread
+// count, so the same input always yields the same compressed bytes
+// (bitwise-reproducible runs).
 // Columns whose exact dictionary overflows MaxDictSize, or whose exact
 // encoding is larger than the plain column, fall back — co-coded sets to
 // per-column DDC, everything else to the uncompressed group; adjacent
@@ -40,43 +41,25 @@ type encodeUnit struct {
 }
 
 func compressBlock(m *matrix.MatrixBlock, cfg PlannerConfig, threads int) (*CompressedMatrix, *Plan, bool) {
-	plan := EstimatePlan(m, cfg)
+	plan := EstimatePlan(m, cfg, threads)
 	if !plan.Accepted {
 		return nil, plan, false
 	}
 	rows, cols := m.Rows(), m.Cols()
-	skip := make([]bool, cols)
-	ccAt := make(map[int][]int, len(plan.CoCoded))
-	for _, cc := range plan.CoCoded {
-		ccAt[cc.Cols[0]] = cc.Cols
-		for _, c := range cc.Cols[1:] {
-			skip[c] = true
-		}
-	}
 	units := make([]encodeUnit, 0, cols)
+	cc := plan.CoCoded
 	for c := 0; c < cols; c++ {
-		if skip[c] {
+		if len(cc) > 0 && cc[0].Cols[0] == c {
+			units = append(units, encodeUnit{cols: cc[0].Cols, enc: EncCoCoded})
+			c += len(cc[0].Cols) - 1
+			cc = cc[1:]
 			continue
 		}
-		if set, ok := ccAt[c]; ok {
-			units = append(units, encodeUnit{cols: set, enc: EncCoCoded})
-			continue
-		}
-		units = append(units, encodeUnit{cols: []int{c}, enc: plan.Cols[c].Enc, def: plan.Cols[c].Default})
-	}
-	encoded := make([]ColGroup, cols) // indexed by first column; nil = fallback
-	encodeUnits(m, units, threads, encoded)
-	// a co-coded set whose exact joint dictionary overflowed or did not pay
-	// off has its members encoded separately
-	var separate []encodeUnit
-	for _, u := range units {
-		if u.enc == EncCoCoded && encoded[u.cols[0]] == nil {
-			for _, c := range u.cols {
-				separate = append(separate, encodeUnit{cols: []int{c}, enc: EncDDC})
-			}
+		if cp := plan.Cols[c]; cp.Enc != EncUncompressed {
+			units = append(units, encodeUnit{cols: []int{c}, enc: cp.Enc, def: cp.Default})
 		}
 	}
-	encodeUnits(m, separate, threads, encoded)
+	encoded := encodeGroups(m, units, threads)
 	// assemble groups in column order (a group's columns are contiguous),
 	// coalescing adjacent uncompressed columns into one plain block group
 	out := &CompressedMatrix{NumRows: rows, NumCols: cols}
@@ -103,93 +86,340 @@ func compressBlock(m *matrix.MatrixBlock, cfg PlannerConfig, threads int) (*Comp
 	return out, plan, true
 }
 
-// encodeSpan is the number of columns one encode task aims to cover: wide
-// enough that a task reads whole cache lines of every row, narrow enough that
-// a matrix of a few dozen columns still splits across the workers.
-const encodeSpan = 16
+// encodeBlockRows is the number of rows one coding task reads. It does not
+// depend on the thread count, so neither do the tasks nor anything they
+// leave; it bounds a block's distinct values, so block-local codes fit two
+// bytes.
+const encodeBlockRows = 2048
 
-// encodeUnits encodes the units, which are in column order, into
-// encoded[first column]; nil means the unit falls back. The input is
-// row-major, so a unit that scanned its own column top to bottom would touch
-// one cache line per row for eight bytes of it, and the time of an encode
-// would be the time of those misses — which depends on what else the machine
-// is doing far more than the arithmetic does. Instead the units are cut into
-// tasks of adjacent columns, and a task makes one pass over the rows feeding
-// each row to all of its encoders: memory is read front to back, once. Every
-// encoder still sees its column's rows in order, so dictionaries keep their
-// first-occurrence order.
-func encodeUnits(m *matrix.MatrixBlock, units []encodeUnit, threads int, encoded []ColGroup) {
+// mergeLimit is the largest bit-code dictionary a single column may reach
+// and still have at most MaxDictSize classes of ==, or exceptions besides an
+// SDC default: the zeros merge one code away, an SDC default at most two.
+const mergeLimit = MaxDictSize + 2
+
+// encodeGroups builds the exact encoding of the units, which are in column
+// order, and returns it indexed by first column; nil means the columns fall
+// back to the uncompressed group: an exact dictionary (an RLE group's
+// distinct run values, an SDC group's exceptions) overflowed the addressable
+// code space, or the encoding is not smaller than the plain columns — the
+// exact dictionary can be far larger than the sample suggested. A co-coded
+// set that falls back has its members encoded as single-column DDC.
+//
+// One pass reads X. Row blocks of encodeBlockRows are coded one task each:
+// every column of a unit is numbered by its values' bits in the block's
+// first-occurrence order, and a co-coded set's tuples by their members'
+// codes. Then one task per unit merges the block dictionaries in block
+// order. A value new to the merge is new to every row before its block, and
+// its block lists it where it first occurs, so merged codes are numbered in
+// the first-occurrence order of the whole column — the order of an encoder
+// that reads the column top to bottom. The groups are built from those codes.
+func encodeGroups(m *matrix.MatrixBlock, units []encodeUnit, threads int) []ColGroup {
+	encoded := make([]ColGroup, m.Cols())
 	if len(units) == 0 {
-		return
+		return encoded
 	}
+	coded := codeBlocks(m, units, threads)
+	scratch := make([]mergeScratch, max(1, min(threads, len(units))))
+	_ = matrix.ParallelFor(len(units), threads, func(w, i int) error {
+		u, cu := &units[i], &coded[i]
+		if len(u.cols) > 1 {
+			cu.buildCoCoded(u.cols, &scratch[w], encoded)
+			return nil
+		}
+		dict, maps, ok := cu.merge(0, &scratch[w].table)
+		if !ok {
+			return nil
+		}
+		var g ColGroup
+		switch u.enc {
+		case EncRLE:
+			g = cu.buildRLE(u.cols[0], dict, maps)
+		case EncSDC:
+			g = cu.buildSDC(u.cols[0], u.def, dict, maps)
+		default:
+			g = cu.buildDDC(u.cols, dict, maps, bitsAreEq(dict), true)
+		}
+		if g != nil {
+			encoded[u.cols[0]] = g
+		}
+		return nil
+	})
+	return encoded
+}
+
+// codedUnit is what the coding pass leaves for one unit.
+type codedUnit struct {
+	rows int
+	// local holds each row's block-local code (its value's for a single
+	// column, its tuple's for a co-coded set), unless the row's block has
+	// more than 256 of them; then wide[block] holds them.
+	local []uint8
+	wide  [][]uint16
+	// dicts[block][member] lists the block's distinct values of the member
+	// in first-occurrence order; tuples[block][k*w+j] is member j's code in
+	// the block's k-th tuple.
+	dicts  [][][]float64
+	tuples [][]uint16
+}
+
+// mergeScratch is one merging worker's tables.
+type mergeScratch struct {
+	table  codeTable
+	levels [cocodeMaxWidth]pairCoder
+}
+
+// codeScratch is one coding worker's buffers.
+type codeScratch struct {
+	table  codeTable
+	pairs  pairCoder
+	member [cocodeMaxWidth][]int32
+	fold   [2][]int32
+	vals   []float64
+	sparse []float64
+}
+
+// codeBlocks runs the coding pass over the row blocks of m.
+func codeBlocks(m *matrix.MatrixBlock, units []encodeUnit, threads int) []codedUnit {
 	rows, cols := m.Rows(), m.Cols()
+	nb := (rows + encodeBlockRows - 1) / encodeBlockRows
+	coded := make([]codedUnit, len(units))
+	for i := range coded {
+		coded[i] = codedUnit{rows: rows, local: make([]uint8, rows), wide: make([][]uint16, nb),
+			dicts: make([][][]float64, nb)}
+		if len(units[i].cols) > 1 {
+			coded[i].tuples = make([][]uint16, nb)
+		}
+	}
 	var dense []float64
 	if !m.IsSparse() {
 		dense = m.DenseValues()
 	}
-	// task t covers units[starts[t]:starts[t+1]]
-	starts := []int{0}
-	for i, c0 := 1, units[0].cols[0]; i < len(units); i++ {
-		if units[i].cols[0]-c0 >= encodeSpan {
-			starts = append(starts, i)
-			c0 = units[i].cols[0]
+	scratch := make([]*codeScratch, max(1, min(threads, nb)))
+	_ = matrix.ParallelFor(nb, threads, func(w, b int) error {
+		s := scratch[w]
+		if s == nil {
+			s = &codeScratch{}
+			for j := range s.member {
+				s.member[j] = make([]int32, encodeBlockRows)
+			}
+			s.fold[0], s.fold[1] = make([]int32, encodeBlockRows), make([]int32, encodeBlockRows)
+			scratch[w] = s
 		}
-	}
-	starts = append(starts, len(units))
-	forEachIndex(len(starts)-1, threads, func(t int) {
-		mine := units[starts[t]:starts[t+1]]
-		last := mine[len(mine)-1].cols
-		c0, c1 := mine[0].cols[0], last[len(last)-1]+1
-		encs := make([]unitEncoder, len(mine))
-		for i, u := range mine {
-			encs[i] = newUnitEncoder(u, c0, rows)
-		}
-		var scratch []float64
-		if dense == nil {
-			scratch = make([]float64, c1-c0)
-		}
-		for r := 0; r < rows; r++ {
-			row := scratch
+		r0 := b * encodeBlockRows
+		n := min(rows, r0+encodeBlockRows) - r0
+		for i := range units {
+			c0, width := units[i].cols[0], len(units[i].cols)
+			// member j's values are x[j], x[j+stride], …
+			var x []float64
+			stride := cols
 			if dense != nil {
-				row = dense[r*cols+c0 : r*cols+c1]
+				x = dense[r0*cols+c0:]
 			} else {
-				m.CopyRow(scratch, r, c0)
+				if s.sparse == nil {
+					s.sparse = make([]float64, encodeBlockRows*cocodeMaxWidth)
+				}
+				stride = width
+				for r := 0; r < n; r++ {
+					m.CopyRow(s.sparse[r*width:(r+1)*width], r0+r, c0)
+				}
+				x = s.sparse
 			}
-			for _, e := range encs {
-				e.add(r, row)
-			}
+			coded[i].codeBlock(s, b, r0, n, x, stride, width)
 		}
-		for i, e := range encs {
-			encoded[mine[i].cols[0]] = e.finish()
-		}
+		return nil
 	})
+	return coded
 }
 
-// unitEncoder builds the exact encoding of one unit from its rows, fed in
-// order. row holds the cells of the task's columns, the task's first column
-// at index 0. finish returns nil when the unit falls back: the exact
-// dictionary (an RLE group's distinct run values) overflowed the addressable
-// code space, or the encoding is not
-// smaller than the plain columns — the exact dictionary can be far larger
-// than the sample suggested.
-type unitEncoder interface {
-	add(r int, row []float64)
-	finish() ColGroup
-}
-
-func newUnitEncoder(u encodeUnit, c0, rows int) unitEncoder {
-	col, off := u.cols[0], u.cols[0]-c0
-	switch u.enc {
-	case EncCoCoded:
-		return &coCodedEncoder{cols: u.cols, off: off, key: make([]byte, 8*len(u.cols)),
-			dictIdx: map[string]int{}, codes: make([]uint16, rows)}
-	case EncRLE:
-		return &rleEncoder{off: off, rows: rows, g: &RLEGroup{Col: col}}
-	case EncSDC:
-		return &sdcEncoder{off: off, dictIdx: map[float64]int{}, g: &SDCGroup{Col: col, N: rows, Default: u.def}}
-	default:
-		return &ddcEncoder{col: col, off: off, dictIdx: map[float64]int{}, codes: make([]uint16, rows)}
+// codeBlock codes the unit's n rows of block b, starting at row r0.
+func (cu *codedUnit) codeBlock(s *codeScratch, b, r0, n int, x []float64, stride, width int) {
+	// the members' dictionaries share one allocation
+	var ends [cocodeMaxWidth]int
+	vals := s.vals[:0]
+	for j := 0; j < width; j++ {
+		vals = s.table.codeColumn(s.member[j][:n], x[j:], stride, vals)
+		ends[j] = len(vals)
 	}
+	s.vals = vals
+	vals = slices.Clone(vals)
+	dicts := make([][]float64, width)
+	start := 0
+	for j := range dicts {
+		dicts[j] = vals[start:ends[j]:ends[j]]
+		start = ends[j]
+	}
+	cu.dicts[b] = dicts
+	codes, card := s.member[0][:n], len(dicts[0])
+	if width > 1 {
+		space := 1
+		for _, d := range dicts {
+			space = min(space*len(d), pairDirectMax+1)
+		}
+		if space <= pairDirectMax {
+			// a tuple's mixed-radix index over the members' codes addresses
+			// one direct table
+			out := s.fold[0][:n]
+			copy(out, codes)
+			for j := 1; j < width; j++ {
+				k := int32(len(dicts[j]))
+				for r, c := range s.member[j][:n] {
+					out[r] = out[r]*k + c
+				}
+			}
+			s.pairs.init(1, space)
+			s.pairs.numberDirect(out)
+			codes, card = out, int(s.pairs.n)
+		} else {
+			// number the tuples one member at a time: (tuple of the members
+			// so far, next member's code) pairs
+			for j := 1; j < width; j++ {
+				out := s.fold[j%2][:n]
+				s.pairs.init(card, len(dicts[j]))
+				s.pairs.number(out, codes, s.member[j][:n])
+				codes, card = out, int(s.pairs.n)
+			}
+		}
+		tuples := make([]uint16, 0, card*width)
+		for _, r := range s.pairs.first {
+			for j := 0; j < width; j++ {
+				tuples = append(tuples, uint16(s.member[j][r]))
+			}
+		}
+		cu.tuples[b] = tuples
+	}
+	if card > 256 {
+		wide := make([]uint16, n)
+		for r, k := range codes {
+			wide[r] = uint16(k)
+		}
+		cu.wide[b] = wide
+		return
+	}
+	local := cu.local[r0 : r0+n]
+	for r, k := range codes {
+		local[r] = uint8(k)
+	}
+}
+
+// merge numbers member j's block dictionaries in block order by their bits:
+// it returns the merged dictionary and, per block, each local code's merged
+// code; ok is false when the dictionary outgrows mergeLimit.
+func (cu *codedUnit) merge(j int, t *codeTable) (dict []float64, maps [][]int32, ok bool) {
+	t.reset(16)
+	total := 0
+	for _, d := range cu.dicts {
+		total += len(d[j])
+	}
+	flat := make([]int32, total)
+	maps = make([][]int32, len(cu.dicts))
+	for b, d := range cu.dicts {
+		maps[b], flat = flat[:len(d[j])], flat[len(d[j]):]
+		for l, v := range d[j] {
+			k, isNew := t.code(math.Float64bits(v))
+			if isNew {
+				if len(dict) == mergeLimit {
+					return nil, nil, false
+				}
+				dict = append(dict, v)
+			}
+			maps[b][l] = k
+		}
+	}
+	return dict, maps, true
+}
+
+// forEachCode calls fn with every row's merged code, in row order, where
+// maps[block] takes a block's local codes to merged ones.
+func (cu *codedUnit) forEachCode(maps [][]int32, fn func(r int, k int32)) {
+	for b, mp := range maps {
+		r0 := b * encodeBlockRows
+		if wide := cu.wide[b]; wide != nil {
+			for r, l := range wide {
+				fn(r0+r, mp[l])
+			}
+			continue
+		}
+		for r, l := range cu.local[r0:min(cu.rows, r0+encodeBlockRows)] {
+			fn(r0+r, mp[l])
+		}
+	}
+}
+
+// remap writes every row's merged code to dst and counts the codes.
+func remap[D uint8 | uint16](cu *codedUnit, dst []D, maps [][]int32, counts []int32) {
+	for b, mp := range maps {
+		r0 := b * encodeBlockRows
+		if wide := cu.wide[b]; wide != nil {
+			remapBlock(dst[r0:r0+len(wide)], wide, mp, counts)
+			continue
+		}
+		r1 := min(cu.rows, r0+encodeBlockRows)
+		remapBlock(dst[r0:r1], cu.local[r0:r1], mp, counts)
+	}
+}
+
+func remapBlock[D, S uint8 | uint16](dst []D, src []S, mp []int32, counts []int32) {
+	dst = dst[:len(src)]
+	for r, l := range src {
+		k := mp[l]
+		dst[r] = D(k)
+		counts[k]++
+	}
+}
+
+// buildDDC builds the DDC group of cols from merged codes. dict is
+// tuple-major; its codes are the group's when isEq, else (one column) they
+// are renumbered into the classes of ==. inPlace lets the one-byte codes
+// overwrite the local ones, which are then gone. nil when the encoding
+// overflows or does not shrink the plain columns.
+func (cu *codedUnit) buildDDC(cols []int, dict []float64, maps [][]int32, isEq, inPlace bool) ColGroup {
+	rows := cu.rows
+	if !isEq {
+		eq := newEqClasses(dict)
+		codes := make([]uint16, rows)
+		overflow := false
+		cu.forEachCode(maps, func(r int, k int32) {
+			if !overflow {
+				k = eq.code(k)
+				overflow = k >= MaxDictSize
+				codes[r] = uint16(k)
+			}
+		})
+		if overflow {
+			return nil
+		}
+		g := &DDCGroup{Cols: cols, Dict: eq.dict, Counts: make([]int32, len(eq.dict))}
+		for _, k := range codes {
+			g.Counts[k]++
+		}
+		g.Codes8, g.Codes16 = narrowCodes(codes, len(eq.dict))
+		return shrinks(g, rows*len(cols))
+	}
+	card := len(dict) / len(cols)
+	if card > MaxDictSize {
+		return nil
+	}
+	g := &DDCGroup{Cols: cols, Dict: dict, Counts: make([]int32, card)}
+	// the size is known before the codes are written, and local codes are
+	// overwritten only for a group that is kept
+	codeBytes := 1
+	if card > 256 {
+		codeBytes = 2
+	}
+	if g.InMemorySize()+int64(rows*codeBytes) >= int64(rows*len(cols))*8 {
+		return nil
+	}
+	if card > 256 {
+		g.Codes16 = make([]uint16, rows)
+		remap(cu, g.Codes16, maps, g.Counts)
+		return g
+	}
+	g.Codes8 = cu.local
+	if !inPlace {
+		g.Codes8 = make([]uint8, rows)
+	}
+	remap(cu, g.Codes8, maps, g.Counts)
+	return g
 }
 
 // narrowCodes returns one-byte codes when the dictionary allows them.
@@ -204,170 +434,181 @@ func narrowCodes(codes []uint16, dictSize int) ([]uint8, []uint16) {
 	return c8, nil
 }
 
-// ddcEncoder builds the dense-dictionary encoding of one column.
-type ddcEncoder struct {
-	col, off int
-	dictIdx  map[float64]int
-	dict     []float64
-	counts   []int32
-	codes    []uint16
-	overflow bool
-}
-
-func (e *ddcEncoder) add(r int, row []float64) {
-	if e.overflow {
-		return
-	}
-	v := row[e.off]
-	k, ok := e.dictIdx[v]
-	if !ok {
-		if len(e.dict) >= MaxDictSize {
-			e.overflow = true
-			return
-		}
-		k = len(e.dict)
-		e.dictIdx[v] = k
-		e.dict = append(e.dict, v)
-		e.counts = append(e.counts, 0)
-	}
-	e.counts[k]++
-	e.codes[r] = uint16(k)
-}
-
-func (e *ddcEncoder) finish() ColGroup {
-	if e.overflow {
-		return nil
-	}
-	g := &DDCGroup{Cols: []int{e.col}, Dict: e.dict, Counts: e.counts}
-	g.Codes8, g.Codes16 = narrowCodes(e.codes, len(e.dict))
-	if g.InMemorySize() >= int64(len(e.codes))*8 {
+// shrinks returns g when it is smaller than cells plain cells, else nil.
+func shrinks(g ColGroup, cells int) ColGroup {
+	if g.InMemorySize() >= int64(cells)*8 {
 		return nil
 	}
 	return g
 }
 
-// rleEncoder builds the run-length encoding of one column.
-type rleEncoder struct {
-	off, rows int
-	cur       float64
-	start     int
-	g         *RLEGroup
-}
-
-func (e *rleEncoder) add(r int, row []float64) {
-	v := row[e.off]
-	if r == 0 {
-		e.cur = v
-		return
+// buildCoCoded builds the joint DDC group of a co-coded set into
+// encoded[cols[0]], or, when the joint dictionary overflows or does not
+// shrink the columns, each member's own DDC group. Tuples are told apart by
+// their bits: a member's bit codes are its codes.
+func (cu *codedUnit) buildCoCoded(cols []int, s *mergeScratch, encoded []ColGroup) {
+	w := len(cols)
+	dicts := make([][]float64, w)
+	maps := make([][][]int32, w)
+	merged := make([]bool, w)
+	fits := true
+	for j := range cols {
+		dicts[j], maps[j], merged[j] = cu.merge(j, &s.table)
+		fits = fits && merged[j] && len(dicts[j]) <= MaxDictSize
 	}
-	if v != e.cur {
-		e.run(r)
-		e.cur, e.start = v, r
-	}
-}
-
-// run closes the current run at row end.
-func (e *rleEncoder) run(end int) {
-	e.g.Values = append(e.g.Values, e.cur)
-	e.g.Starts = append(e.g.Starts, int32(e.start))
-	e.g.Lens = append(e.g.Lens, int32(end-e.start))
-}
-
-func (e *rleEncoder) finish() ColGroup {
-	if e.rows == 0 {
-		return e.g
-	}
-	e.run(e.rows)
-	if e.g.InMemorySize() >= int64(e.rows)*8 || tooManyRunValues(e.g.Values) {
-		return nil
-	}
-	return e.g
-}
-
-// sdcEncoder builds the sparse-dictionary encoding of one column around the
-// planned default value.
-type sdcEncoder struct {
-	off      int
-	dictIdx  map[float64]int
-	g        *SDCGroup
-	overflow bool
-}
-
-func (e *sdcEncoder) add(r int, row []float64) {
-	v := row[e.off]
-	if e.overflow || v == e.g.Default {
-		return
-	}
-	g := e.g
-	k, ok := e.dictIdx[v]
-	if !ok {
-		if len(g.Dict) >= MaxDictSize {
-			e.overflow = true
+	if fits {
+		if g := cu.jointDDC(cols, dicts, maps, s.levels[:w]); g != nil {
+			encoded[cols[0]] = g
 			return
 		}
-		k = len(g.Dict)
-		e.dictIdx[v] = k
-		g.Dict = append(g.Dict, v)
-		g.Counts = append(g.Counts, 0)
 	}
-	g.Counts[k]++
-	g.Pos = append(g.Pos, int32(r))
-	g.Codes = append(g.Codes, uint16(k))
+	for j, c := range cols {
+		if !merged[j] {
+			continue
+		}
+		// member j's merged code per local tuple
+		member := make([][]int32, len(cu.tuples))
+		for b, tuples := range cu.tuples {
+			member[b] = make([]int32, len(tuples)/w)
+			for k := range member[b] {
+				member[b][k] = maps[j][b][tuples[k*w+j]]
+			}
+		}
+		if g := cu.buildDDC([]int{c}, dicts[j], member, bitsAreEq(dicts[j]), false); g != nil {
+			encoded[c] = g
+		}
+	}
 }
 
-func (e *sdcEncoder) finish() ColGroup {
-	if e.overflow || e.g.InMemorySize() >= int64(e.g.N)*8 {
-		return nil
+// jointDDC merges the blocks' tuples in block order into the joint
+// dictionary and builds the group, or returns nil. A tuple of merged member
+// codes is numbered one member at a time, like a block's; each level's pair
+// space is the product of the exact member cardinalities so far, indexed
+// directly while it is small.
+func (cu *codedUnit) jointDDC(cols []int, dicts [][]float64, maps [][][]int32, levels []pairCoder) ColGroup {
+	w := len(cols)
+	space := len(dicts[0])
+	for j := 1; j < w; j++ {
+		levels[j].init(space, len(dicts[j]))
+		space = min(space*len(dicts[j]), MaxDictSize+1)
 	}
-	return e.g
+	var dict []float64
+	jmaps := make([][]int32, len(cu.tuples))
+	var member []int32
+	for b, tuples := range cu.tuples {
+		nt := len(tuples) / w
+		codes := make([]int32, nt)
+		member = slices.Grow(member[:0], nt)[:nt]
+		for k := range codes {
+			codes[k] = maps[0][b][tuples[k*w]]
+		}
+		for j := 1; j < w; j++ {
+			for k := range member {
+				member[k] = maps[j][b][tuples[k*w+j]]
+			}
+			levels[j].number(codes, codes, member)
+		}
+		for k, id := range codes {
+			if int(id) < len(dict)/w {
+				continue
+			}
+			if len(dict)/w == MaxDictSize {
+				return nil
+			}
+			for j := 0; j < w; j++ {
+				dict = append(dict, dicts[j][maps[j][b][tuples[k*w+j]]])
+			}
+		}
+		jmaps[b] = codes
+	}
+	return cu.buildDDC(append([]int(nil), cols...), dict, jmaps, true, true)
 }
 
-// coCodedEncoder builds the joint dictionary encoding of a contiguous column
-// set; tuples are told apart by the bits of their values.
-type coCodedEncoder struct {
-	cols     []int
-	off      int
-	key      []byte
-	dictIdx  map[string]int
-	dict     []float64
-	counts   []int32
-	codes    []uint16
-	overflow bool
-}
-
-func (e *coCodedEncoder) add(r int, row []float64) {
-	if e.overflow {
-		return
+// buildRLE builds the run-length encoding of a column from its bit codes. A
+// run continues while the value == the run's first, which is the run's
+// value: +0 and -0 continue each other, and a NaN is a run of its own.
+func (cu *codedUnit) buildRLE(col int, dict []float64, maps [][]int32) ColGroup {
+	zero := make([]bool, len(dict))
+	nan := make([]bool, len(dict))
+	classes := len(dict)
+	zeros := 0
+	for k, v := range dict {
+		zero[k], nan[k] = v == 0, v != v
+		if zero[k] {
+			zeros++
+		}
+		if nan[k] {
+			classes--
+		}
 	}
-	tuple := row[e.off : e.off+len(e.cols)]
-	for j, v := range tuple {
-		binary.LittleEndian.PutUint64(e.key[j*8:], math.Float64bits(v))
+	if zeros == 2 {
+		classes--
 	}
-	k, ok := e.dictIdx[string(e.key)]
-	if !ok {
-		if len(e.counts) >= MaxDictSize {
-			e.overflow = true
+	g := &RLEGroup{Col: col}
+	var cur int32
+	start := 0
+	run := func(end int) {
+		g.Values = append(g.Values, dict[cur])
+		g.Starts = append(g.Starts, int32(start))
+		g.Lens = append(g.Lens, int32(end-start))
+	}
+	nanRuns := 0
+	cu.forEachCode(maps, func(r int, k int32) {
+		if nan[k] {
+			nanRuns++
+		}
+		if r == 0 {
+			cur = k
 			return
 		}
-		k = len(e.counts)
-		e.dictIdx[string(e.key)] = k
-		e.dict = append(e.dict, tuple...)
-		e.counts = append(e.counts, 0)
+		if nan[k] || k != cur && !(zero[k] && zero[cur]) {
+			run(r)
+			cur, start = k, r
+		}
+	})
+	if cu.rows == 0 {
+		return g
 	}
-	e.counts[k]++
-	e.codes[r] = uint16(k)
+	run(cu.rows)
+	// every class of == starts a run, and every NaN is one: a run value code
+	// space past MaxDictSize cannot be addressed (see tooManyRunValues)
+	if classes+nanRuns > MaxDictSize {
+		return nil
+	}
+	return shrinks(g, cu.rows)
 }
 
-func (e *coCodedEncoder) finish() ColGroup {
-	if e.overflow {
+// buildSDC builds the sparse-dictionary encoding of a column around def
+// from its bit codes: the rows == def are the default's, the others are
+// exceptions coded by their classes of ==.
+func (cu *codedUnit) buildSDC(col int, def float64, dict []float64, maps [][]int32) ColGroup {
+	isDef := make([]bool, len(dict))
+	for k, v := range dict {
+		isDef[k] = v == def
+	}
+	g := &SDCGroup{Col: col, N: cu.rows, Default: def}
+	eq := newEqClasses(dict)
+	overflow := false
+	cu.forEachCode(maps, func(r int, k int32) {
+		if overflow || isDef[k] {
+			return
+		}
+		e := eq.code(k)
+		if overflow = e >= MaxDictSize; overflow {
+			return
+		}
+		if int(e) == len(g.Counts) {
+			g.Counts = append(g.Counts, 0)
+		}
+		g.Counts[e]++
+		g.Pos = append(g.Pos, int32(r))
+		g.Codes = append(g.Codes, uint16(e))
+	})
+	if overflow {
 		return nil
 	}
-	g := &DDCGroup{Cols: append([]int(nil), e.cols...), Dict: e.dict, Counts: e.counts}
-	g.Codes8, g.Codes16 = narrowCodes(e.codes, len(e.counts))
-	if g.InMemorySize() >= int64(len(e.codes))*8*int64(len(e.cols)) {
-		return nil
-	}
-	return g
+	g.Dict = eq.dict
+	return shrinks(g, cu.rows)
 }
 
 // encodeUncompressed slices columns [c0, c1) into one plain block group.

@@ -210,7 +210,7 @@ func TestCompressedKernelsBitwiseStableAcrossThreads(t *testing.T) {
 // per column structure.
 func TestPlannerEncodingChoices(t *testing.T) {
 	m := lowCardMatrix(2000, 3, 4) // col0 low-card, col1 run-heavy, col2 noise
-	plan := EstimatePlan(m, PlannerConfig{})
+	plan := EstimatePlan(m, PlannerConfig{}, 1)
 	if got := plan.Cols[0].Enc; got != EncDDC {
 		t.Errorf("low-cardinality column encoded as %s, want ddc", got)
 	}
@@ -289,8 +289,7 @@ func TestDictionaryOverflowFallsBack(t *testing.T) {
 	for r := 0; r < rows; r++ {
 		m.Set(r, 0, float64(r)+0.5)
 	}
-	encoded := make([]ColGroup, 1)
-	encodeUnits(m, []encodeUnit{{cols: []int{0}, enc: EncDDC}}, 1, encoded)
+	encoded := encodeGroups(m, []encodeUnit{{cols: []int{0}, enc: EncDDC}}, 1)
 	if encoded[0] != nil {
 		t.Fatalf("DDC encoding of %d distinct values should overflow", rows)
 	}
@@ -305,8 +304,7 @@ func TestRLEPastTheCodeSpaceFallsBack(t *testing.T) {
 		for r := range m.Rows() {
 			m.Set(r, 0, float64(r/3))
 		}
-		encoded := make([]ColGroup, 1)
-		encodeUnits(m, []encodeUnit{{cols: []int{0}, enc: EncRLE}}, 1, encoded)
+		encoded := encodeGroups(m, []encodeUnit{{cols: []int{0}, enc: EncRLE}}, 1)
 		if fits := runs <= MaxDictSize; (encoded[0] != nil) != fits {
 			t.Errorf("%d distinct run values: encoded %v, want an RLE group %v", runs, encoded[0] != nil, fits)
 		}

@@ -3,18 +3,20 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 )
 
-// The encoder this file keeps is the one compressBlock replaced: every unit
-// scans its own columns top to bottom through Get. It is the oracle the
-// row-pass encoder is held to, byte for byte.
+// The encoder this file keeps scans every unit's own columns top to bottom
+// through Get, with a Go map per dictionary. It is the oracle the row-block
+// coder is held to, byte for byte.
 
 func oracleCompressBlock(m *matrix.MatrixBlock, cfg PlannerConfig) (*CompressedMatrix, *Plan, bool) {
-	plan := EstimatePlan(m, cfg)
+	plan := oracleEstimatePlan(m, cfg)
 	if !plan.Accepted {
 		return nil, plan, false
 	}
@@ -248,28 +250,34 @@ func encodedBytes(t *testing.T, cm *CompressedMatrix, ok bool) []byte {
 	return buf.Bytes()
 }
 
-// TestEncoderMatchesOracle holds the row-pass encoder to the column-scan one
-// on every encoding and fallback, for dense and sparse inputs and any
-// thread count.
-func TestEncoderMatchesOracle(t *testing.T) {
-	fill := func(rows, cols int, f func(r, c int) float64) *matrix.MatrixBlock {
-		m := matrix.NewDense(rows, cols)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				m.Set(r, c, f(r, c))
-			}
+// oracleThreads are the thread counts the coder is held to its oracles at.
+var oracleThreads = []int{1, 2, 3, 7}
+
+// fillMatrix returns a dense rows x cols matrix with cells f(r, c).
+func fillMatrix(rows, cols int, f func(r, c int) float64) *matrix.MatrixBlock {
+	m := matrix.NewDense(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			m.Set(r, c, f(r, c))
 		}
-		m.RecomputeNNZ()
-		return m
 	}
+	m.RecomputeNNZ()
+	return m
+}
+
+// oracleInputs are the generated inputs both the encoder and the planner
+// are held to their oracles on.
+func oracleInputs(t *testing.T) map[string]*matrix.MatrixBlock {
+	t.Helper()
 	noise := matrix.RandUniform(70000, 40, 0, 1, 1.0, 5)
 	rnd := func(r, c int) float64 { return noise.Get(r%70000, c%40) }
+	negZero := math.Copysign(0, -1)
 	cases := map[string]*matrix.MatrixBlock{
-		"co-coded low cardinality": fill(6000, 37, func(r, c int) float64 { return math.Floor(rnd(r, c) * 5) }),
-		"ddc wide dictionary":      fill(9000, 5, func(r, c int) float64 { return math.Floor(rnd(r, c) * 700) }),
-		"rle runs":                 fill(5000, 6, func(r, c int) float64 { return float64(r / (50 * (c + 1))) }),
-		"sdc mostly default":       fill(8000, 4, func(r, c int) float64 { return 7 * math.Floor(rnd(r, c)+0.03) * math.Ceil(rnd(r, c+1)*9) }),
-		"mixed with plain columns": fill(4000, 21, func(r, c int) float64 {
+		"co-coded low cardinality": fillMatrix(6000, 37, func(r, c int) float64 { return math.Floor(rnd(r, c) * 5) }),
+		"ddc wide dictionary":      fillMatrix(9000, 5, func(r, c int) float64 { return math.Floor(rnd(r, c) * 700) }),
+		"rle runs":                 fillMatrix(5000, 6, func(r, c int) float64 { return float64(r / (50 * (c + 1))) }),
+		"sdc mostly default":       fillMatrix(8000, 4, func(r, c int) float64 { return 7 * math.Floor(rnd(r, c)+0.03) * math.Ceil(rnd(r, c+1)*9) }),
+		"mixed with plain columns": fillMatrix(4000, 21, func(r, c int) float64 {
 			switch c % 3 {
 			case 0:
 				return rnd(r, c)
@@ -278,26 +286,135 @@ func TestEncoderMatchesOracle(t *testing.T) {
 			}
 			return float64(r / 100)
 		}),
-		"signed zeros and NaN": fill(3000, 3, func(r, c int) float64 {
-			return []float64{0, math.Copysign(0, -1), math.NaN(), 1}[int(rnd(r, c)*4)]
+		"signed zeros and NaN": fillMatrix(3000, 3, func(r, c int) float64 {
+			return []float64{0, negZero, math.NaN(), 1}[int(rnd(r, c)*4)]
+		}),
+		// co-coded sets tell tuples apart by bits: +0 and -0 are two values
+		// there, and a NaN tuple repeats
+		"signed zeros and NaN co-coded": fillMatrix(5000, 6, func(r, c int) float64 {
+			if (r+c)%397 == 0 {
+				return math.NaN()
+			}
+			return []float64{0, negZero, 1, 2}[int(rnd(r, c)*4)]
 		}),
 		// the sample sees three values per column in no order; off the sample
 		// the columns have 600 each, so the exact joint dictionary overflows
 		// and the set's members are encoded separately
-		"joint dictionary overflow": fill(70000, 2, func(r, c int) float64 {
+		"joint dictionary overflow": fillMatrix(70000, 2, func(r, c int) float64 {
 			if step := 70000 / DefaultSampleRows; r%step == 0 {
 				return float64((r / step * (c + 1)) % 3)
 			}
 			return math.Floor(rnd(r, c) * 600)
 		}),
-		"one row": fill(1, 9, func(r, c int) float64 { return 1 }),
+		// the same, with signed zeros and NaN among the members' values, which
+		// the separate DDC groups then compare with ==
+		"joint overflow with signed zeros and NaN": fillMatrix(70000, 2, func(r, c int) float64 {
+			if step := 70000 / DefaultSampleRows; r%step == 0 {
+				return float64((r / step * (c + 1)) % 3)
+			}
+			switch {
+			case r%7 == 0:
+				return negZero
+			case r%11 == 0:
+				return math.NaN()
+			}
+			return math.Floor(rnd(r, c) * 600)
+		}),
+		// a DDC and an SDC column the sample makes low-cardinality, more than
+		// MaxDictSize distinct values off the sample, and noise between them
+		"dictionary past the code space": fillMatrix(140000, 3, func(r, c int) float64 {
+			onSample := r%(140000/DefaultSampleRows) == 0
+			switch {
+			case c == 1:
+				return rnd(r, c)
+			case onSample && c == 0:
+				return float64(r % 3)
+			case onSample:
+				return 7 * math.Floor(rnd(r, c)+0.02)
+			}
+			return float64(r) + 0.5
+		}),
+		// two members with 250 values each and a few more than 256 tuples:
+		// a co-coded set with two-byte codes
+		"co-coded past one byte": fillMatrix(2000, 2, func(r, c int) float64 {
+			if c == 1 && r%97 == 0 {
+				return float64((r + 1) % 250)
+			}
+			return float64(r % 250)
+		}),
+		// the first row block has 100 values, the later ones 600
+		"dictionary growing past one byte": fillMatrix(8000, 1, func(r, c int) float64 {
+			if r < encodeBlockRows {
+				return math.Floor(rnd(r, c) * 100)
+			}
+			return math.Floor(rnd(r, c) * 600)
+		}),
+		"sorted and mostly constant": fillMatrix(10000, 6, func(r, c int) float64 {
+			switch c {
+			case 0:
+				return float64(r / 37)
+			case 1: // mostly 3
+				if rnd(r, c) < 0.97 {
+					return 3
+				}
+				return []float64{0, negZero, math.NaN(), 5}[int(rnd(r, c+1)*4)]
+			case 2: // sorted runs, with zero runs of both signs and NaN runs
+				switch v := float64(r / 700); {
+				case v == 2:
+					return []float64{0, negZero}[r/9%2]
+				case v == 5:
+					return math.NaN()
+				default:
+					return v
+				}
+			case 3: // mostly a zero of either sign
+				if rnd(r, c) < 0.9 {
+					return []float64{0, negZero}[int(rnd(r, c+1)*2)]
+				}
+				return math.Floor(rnd(r, c+2) * 50)
+			case 4:
+				return math.Floor(rnd(r, c) * 4)
+			}
+			return float64(r / 1000)
+		}),
+		// the sample's first zero is +0 and its last -0: a zero default has
+		// the last one's sign
+		"zero default of both signs": fillMatrix(3002, 2, func(r, c int) float64 {
+			if r%5 == 4 {
+				return float64(c + 1)
+			}
+			return []float64{0, negZero}[(r+c)%2]
+		}),
+		"rows off the block size": fillMatrix(3*encodeBlockRows+77, 12, func(r, c int) float64 {
+			return math.Floor(rnd(r, c) * float64(2+c%4))
+		}),
+		"one block short": fillMatrix(encodeBlockRows-1, 4, func(r, c int) float64 { return math.Floor(rnd(r, c) * 3) }),
+		"one block long":  fillMatrix(encodeBlockRows+1, 4, func(r, c int) float64 { return math.Floor(rnd(r, c) * 3) }),
+		"one row":         fillMatrix(1, 9, func(r, c int) float64 { return 1 }),
 	}
-	sparse := fill(5000, 30, func(r, c int) float64 { return math.Ceil(rnd(r, c)-0.97) * math.Ceil(rnd(r, c+1)*4) }).ExamineAndApplySparsity()
-	if !sparse.IsSparse() {
-		t.Fatal("fixture should be sparse")
+	sparse := fillMatrix(5000, 30, func(r, c int) float64 { return math.Ceil(rnd(r, c)-0.97) * math.Ceil(rnd(r, c+1)*4) }).ExamineAndApplySparsity()
+	lowCardSparse := fillMatrix(7001, 40, func(r, c int) float64 {
+		if rnd(r, c) < 0.9 {
+			return 0
+		}
+		return math.Floor(rnd(r, c+1) * 3)
+	}).ExamineAndApplySparsity()
+	for _, s := range []*matrix.MatrixBlock{sparse, lowCardSparse} {
+		if !s.IsSparse() {
+			t.Fatal("fixture should be sparse")
+		}
 	}
 	cases["sparse input"] = sparse
-	if over := cases["joint dictionary overflow"]; len(EstimatePlan(over, PlannerConfig{}).CoCoded) != 1 {
+	cases["sparse low cardinality"] = lowCardSparse
+	return cases
+}
+
+// TestEncoderMatchesOracle holds the row-block coder to the column-scan
+// encoder on every encoding and fallback, for dense and sparse inputs and
+// any thread count.
+func TestEncoderMatchesOracle(t *testing.T) {
+	cases := oracleInputs(t)
+	if over := cases["joint dictionary overflow"]; len(EstimatePlan(over, PlannerConfig{}, 1).CoCoded) != 1 {
 		t.Fatal("fixture should plan one co-coded set")
 	}
 	for name, m := range cases {
@@ -309,7 +426,7 @@ func TestEncoderMatchesOracle(t *testing.T) {
 			} else {
 				t.Logf("%s (min ratio %g): rejected", name, cfg.MinRatio)
 			}
-			for _, threads := range []int{1, 2, 5} {
+			for _, threads := range oracleThreads {
 				cm, plan, ok := Compress(m, cfg, threads)
 				if ok != wantOK || plan.ActualCompressedBytes != wantPlan.ActualCompressedBytes {
 					t.Fatalf("%s, %d threads: accepted %v at %d B, oracle %v at %d B", name, threads,
@@ -320,9 +437,136 @@ func TestEncoderMatchesOracle(t *testing.T) {
 						cm.EncodingSummary(), wantCM.EncodingSummary())
 				}
 			}
-			if m.IsSparse() != (name == "sparse input") {
+			if m.IsSparse() != strings.HasPrefix(name, "sparse") {
 				t.Fatalf("%s: encoding changed the input's representation", name)
 			}
 		}
 	}
+}
+
+// TestGroupEncodersMatchOracle encodes every test column under every
+// encoding, whatever the planner would pick, and every co-coded set of
+// adjacent columns: the groups, or their fallback, are the oracle encoders'.
+func TestGroupEncodersMatchOracle(t *testing.T) {
+	noise := matrix.RandUniform(5000, 8, 0, 1, 1.0, 11)
+	rnd := func(r, c int) float64 { return noise.Get(r%5000, c) }
+	negZero := math.Copysign(0, -1)
+	columns := []func(r int) float64{
+		func(r int) float64 { return []float64{0, negZero, math.NaN(), 1, 2}[int(rnd(r, 0)*5)] },
+		func(r int) float64 { return math.Floor(rnd(r, 1) * 700) },
+		func(r int) float64 {
+			switch v := float64(r / 300); v {
+			case 3:
+				return []float64{0, negZero}[r/7%2]
+			case 6:
+				return math.NaN()
+			default:
+				return v
+			}
+		},
+		func(r int) float64 {
+			if rnd(r, 3) < 0.95 {
+				return 3
+			}
+			return []float64{0, negZero, math.NaN(), 5, 6}[int(rnd(r, 4)*5)]
+		},
+		func(r int) float64 { return math.Floor(rnd(r, 5) * 3) },
+	}
+	rows := 2*encodeBlockRows + 300
+	m := fillMatrix(rows, len(columns), func(r, c int) float64 { return columns[c](r) })
+	wide := fillMatrix(MaxDictSize+4500, 2, func(r, c int) float64 {
+		if c == 0 {
+			return float64(r) + 0.5
+		}
+		return float64(r / 3)
+	})
+	// MaxDictSize+1 bit patterns: both zeros and 65535 other values, so the
+	// classes of == just fit the code space
+	edge := fillMatrix(140000, 1, func(r, c int) float64 {
+		switch r % 997 {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		}
+		return float64(r%(MaxDictSize-1) + 1)
+	})
+	groupBytes := func(g ColGroup, rows, cols int) []byte {
+		if g == nil {
+			return nil
+		}
+		return encodedBytes(t, &CompressedMatrix{NumRows: rows, NumCols: cols, Groups: []ColGroup{g}}, true)
+	}
+	for _, x := range []*matrix.MatrixBlock{m, m.ToSparse(), wide, edge} {
+		rows, cols := x.Rows(), x.Cols()
+		type unitCase struct {
+			unit encodeUnit
+			want []ColGroup // indexed by column
+		}
+		var units []unitCase
+		for c := 0; c < cols; c++ {
+			one := func(enc Encoding, def float64, g ColGroup) unitCase {
+				want := make([]ColGroup, cols)
+				want[c] = g
+				return unitCase{encodeUnit{cols: []int{c}, enc: enc, def: def}, want}
+			}
+			units = append(units,
+				one(EncDDC, 0, oracleEncodeDDC(x, c, rows)),
+				one(EncRLE, 0, oracleEncodeRLE(x, c, rows)))
+			for _, def := range []float64{x.Get(0, c), 0, negZero, math.NaN(), 3} {
+				units = append(units, one(EncSDC, def, oracleEncodeSDC(x, c, rows, def)))
+			}
+			for w := 2; c+w <= cols && w <= cocodeMaxWidth; w++ {
+				set := make([]int, w)
+				for j := range set {
+					set[j] = c + j
+				}
+				want := make([]ColGroup, cols)
+				if g := oracleEncodeCoCoded(x, set, rows); g != nil {
+					want[c] = g
+				} else {
+					for _, cc := range set {
+						want[cc] = oracleEncodeDDC(x, cc, rows)
+					}
+				}
+				units = append(units, unitCase{encodeUnit{cols: set, enc: EncCoCoded}, want})
+			}
+		}
+		if x == m {
+			// the cases reach every encoding and the co-coded fallback
+			kinds := map[string]bool{}
+			for _, u := range units {
+				for c, g := range u.want {
+					switch {
+					case g != nil && u.unit.enc == EncCoCoded && len(g.Columns()) == 1:
+						kinds["fallback"] = true
+					case g != nil && c == u.unit.cols[0]:
+						kinds[u.unit.enc.String()] = true
+					}
+				}
+			}
+			if len(kinds) != 5 {
+				t.Fatalf("the oracle encoded only %v", kinds)
+			}
+		}
+		for _, threads := range oracleThreads {
+			for _, u := range units {
+				got := encodeGroups(x, []encodeUnit{u.unit}, threads)
+				for c := range got {
+					if !bytes.Equal(groupBytes(got[c], rows, cols), groupBytes(u.want[c], rows, cols)) {
+						t.Fatalf("%dx%d sparse=%v, %d threads, %s unit %v (default %v): column %d encodes as %v, the oracle as %v",
+							rows, cols, x.IsSparse(), threads, u.unit.enc, u.unit.cols, u.unit.def, c,
+							groupSummary(got[c]), groupSummary(u.want[c]))
+					}
+				}
+			}
+		}
+	}
+}
+
+func groupSummary(g ColGroup) string {
+	if g == nil {
+		return "nil"
+	}
+	return fmt.Sprintf("%s over %v (%d B)", g.Encoding(), g.Columns(), g.InMemorySize())
 }

@@ -202,3 +202,53 @@ func BenchmarkCompressedMMDenseDecompress(b *testing.B) {
 		return err
 	})
 }
+
+// gdBenchMatrix is the loop.gd.compressed input: 60000 x 100 cells, each
+// floor(5 * uniform), so every column has five distinct values in random
+// row order and the planner co-codes adjacent columns.
+func gdBenchMatrix() *matrix.MatrixBlock {
+	x := matrix.RandUniform(60000, 100, 0, 5, 1.0, 504)
+	v := x.DenseValues()
+	for i := range v {
+		v[i] = float64(int(v[i]))
+	}
+	x.RecomputeNNZ()
+	return x
+}
+
+// gdBenchThreads is the benchmark's T.
+const gdBenchThreads = 2
+
+// benchEncodeRate times op over the input and reports gbs, the input bytes
+// read per second; -benchmem adds the allocation per op.
+func benchEncodeRate(b *testing.B, x *matrix.MatrixBlock, op func()) {
+	b.Helper()
+	inBytes := float64(x.Rows()) * float64(x.Cols()) * 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(inBytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "gbs")
+}
+
+// BenchmarkCompressEncode times one Compress of the loop.gd.compressed
+// input at T = 2: the sample plan plus the exact encode.
+func BenchmarkCompressEncode(b *testing.B) {
+	x := gdBenchMatrix()
+	benchEncodeRate(b, x, func() {
+		if _, plan, ok := Compress(x, PlannerConfig{}, gdBenchThreads); !ok {
+			b.Fatalf("benchmark input did not compress: %v", plan)
+		}
+	})
+}
+
+// BenchmarkCompressPlan times the sample planner alone on the same input.
+func BenchmarkCompressPlan(b *testing.B) {
+	x := gdBenchMatrix()
+	benchEncodeRate(b, x, func() {
+		if plan := EstimatePlan(x, PlannerConfig{}, gdBenchThreads); !plan.Accepted {
+			b.Fatalf("benchmark input should be accepted: %v", plan)
+		}
+	})
+}

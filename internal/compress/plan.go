@@ -3,7 +3,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 )
@@ -118,13 +117,15 @@ func (p *Plan) String() string {
 }
 
 // EstimatePlan runs the sample-based planner over a matrix block: a
-// systematic row sample is scanned once per column to estimate cardinality
-// (Haas–Stokes) and run structure, each column is priced under DDC, RLE, SDC
-// and the uncompressed fallback, the cheapest encoding wins, and a greedy
-// pass merges adjacent low-cardinality columns into co-coded groups when the
+// systematic row sample is coded once per column (one column per task, on up
+// to threads workers) to estimate cardinality (Haas–Stokes) and run
+// structure, each column is priced under DDC, RLE, SDC and the uncompressed
+// fallback, the cheapest encoding wins, and a greedy pass over the sample
+// codes merges adjacent low-cardinality columns into co-coded groups when the
 // estimated joint dictionary is smaller. Compression is accepted only when
-// the estimated overall ratio clears cfg.MinRatio.
-func EstimatePlan(m *matrix.MatrixBlock, cfg PlannerConfig) *Plan {
+// the estimated overall ratio clears cfg.MinRatio. The plan does not depend
+// on threads.
+func EstimatePlan(m *matrix.MatrixBlock, cfg PlannerConfig, threads int) *Plan {
 	rows, cols := m.Rows(), m.Cols()
 	plan := &Plan{UncompressedBytes: m.InMemorySize()}
 	if rows == 0 || cols == 0 {
@@ -134,50 +135,33 @@ func EstimatePlan(m *matrix.MatrixBlock, cfg PlannerConfig) *Plan {
 	if s := cfg.sampleRows(); rows > s {
 		step = rows / s
 	}
-	// the sampled rows are copied out once, side by side: the column scans
-	// below then walk a few hundred pages instead of one page per sampled row
+	// column c's i-th sampled value is sample[c+i*stride]: a dense block is
+	// read in place, a sparse one's sampled rows are copied out side by side
 	n := (rows + step - 1) / step
-	sample := make([]float64, n*cols)
-	for i := 0; i < n; i++ {
-		m.CopyRow(sample[i*cols:(i+1)*cols], i*step, 0)
+	var sample []float64
+	stride := step * cols
+	if m.IsSparse() {
+		sample, stride = make([]float64, n*cols), cols
+		for i := 0; i < n; i++ {
+			m.CopyRow(sample[i*cols:(i+1)*cols], i*step, 0)
+		}
+	} else {
+		sample = m.DenseValues()
 	}
 	plan.SampledRows = n
 	plan.Cols = make([]ColPlan, cols)
-	for c := 0; c < cols; c++ {
-		freq := map[float64]int{}
-		changes := 0
-		prev := 0.0
-		for i := 0; i < n; i++ {
-			v := sample[i*cols+c]
-			freq[v]++
-			if i > 0 && v != prev {
-				changes++
-			}
-			prev = v
-		}
-		// collect-then-sort so the frequency statistics never depend on map
-		// iteration order
-		vals := make([]float64, 0, len(freq))
-		for v := range freq {
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
-		maxFreq := 0
-		defaultVal := 0.0
-		cnts := make([]int, 0, len(vals))
-		for _, v := range vals {
-			cnt := freq[v]
-			cnts = append(cnts, cnt)
-			if cnt > maxFreq {
-				maxFreq, defaultVal = cnt, v
-			}
-		}
-		cp := estimateColumn(rows, n, haasStokes(rows, n, cnts), changes, maxFreq)
-		cp.Col = c
-		cp.Default = defaultVal
-		plan.Cols[c] = cp
-	}
-	cocodePlan(sample, plan, rows)
+	// codes[c*n+i] is the bit code of column c's i-th sampled value
+	codes := make([]int32, n*cols)
+	dicts := make([][]float64, cols)
+	tables := make([]codeTable, max(1, min(threads, cols)))
+	_ = matrix.ParallelFor(cols, threads, func(w, c int) error {
+		cc := codes[c*n : (c+1)*n]
+		dicts[c] = tables[w].codeColumn(cc, sample[c:], stride, nil)
+		plan.Cols[c] = planColumn(rows, cc, dicts[c])
+		plan.Cols[c].Col = c
+		return nil
+	})
+	cocodePlan(codes, dicts, plan, rows)
 	// total the plan: co-coded groups once, every other column separately
 	var total int64
 	for _, cc := range plan.CoCoded {
@@ -195,6 +179,57 @@ func EstimatePlan(m *matrix.MatrixBlock, cfg PlannerConfig) *Plan {
 	}
 	plan.Accepted = plan.EstRatio >= cfg.minRatio()
 	return plan
+}
+
+// planColumn prices one column from the bit codes of its sampled values
+// under the statistics of ==: +0 and -0 are one value; every NaN is a value
+// of its own that, like a NaN key of a Go map, is never counted. The default
+// is the most frequent value, the smallest one on a tie, and a zero default
+// carries the sign of the last sampled zero.
+func planColumn(rows int, codes []int32, dict []float64) ColPlan {
+	// the == class of each bit code: the zeros share one, a NaN has none
+	class := make([]int32, len(dict))
+	zero, k := int32(-1), int32(0)
+	for i, v := range dict {
+		switch {
+		case v != v:
+			class[i] = -1
+		case v == 0:
+			if zero < 0 {
+				zero, k = k, k+1
+			}
+			class[i] = zero
+		default:
+			class[i], k = k, k+1
+		}
+	}
+	counts := make([]int, k)
+	vals := make([]float64, k)
+	changes, nans := 0, 0
+	prev := int32(-1)
+	for i, b := range codes {
+		c := class[b]
+		if c < 0 {
+			nans++
+		} else {
+			counts[c]++
+			vals[c] = dict[b]
+		}
+		if i > 0 && (c < 0 || c != prev) {
+			changes++
+		}
+		prev = c
+	}
+	maxFreq, defaultVal := 0, 0.0
+	for c, cnt := range counts {
+		if cnt > maxFreq || cnt == maxFreq && vals[c] < defaultVal {
+			maxFreq, defaultVal = cnt, vals[c]
+		}
+	}
+	counts = append(counts, make([]int, nans)...)
+	cp := estimateColumn(rows, len(codes), haasStokes(rows, len(codes), counts), changes, maxFreq)
+	cp.Default = defaultVal
+	return cp
 }
 
 // haasStokesHeavyCut is the sample count above which a value is treated as a
@@ -318,47 +353,35 @@ func estimateColumn(rows, sampled, card, sampleChanges, maxFreq int) ColPlan {
 	return cp
 }
 
-// cocodeKey identifies a (current joint code, next column value) pair during
-// the greedy joint-cardinality scan.
-type cocodeKey struct {
-	code int32
-	bits uint64
-}
-
 // cocodePlan greedily merges runs of adjacent DDC-planned low-cardinality
 // columns into co-coded groups: a candidate column joins the current set when
 // the estimated bytes of the merged group (joint codes plus a tuple
 // dictionary sized by the Haas–Stokes estimate of the joint cardinality)
-// undercut the current set and the candidate encoded separately. One joint
-// sample scan per tested merge keeps the pass O(cols * sampleRows).
-func cocodePlan(sample []float64, plan *Plan, rows int) {
+// undercut the current set and the candidate encoded separately. codes holds
+// each column's sample bit codes, column after column, and dicts their
+// dictionaries; one joint scan over codes per tested merge keeps the pass
+// O(cols * sampleRows).
+func cocodePlan(codes []int32, dicts [][]float64, plan *Plan, rows int) {
 	cols := len(plan.Cols)
-	n := len(sample) / cols
+	n := len(codes) / cols
 	if n == 0 {
 		return
 	}
 	var cur []int      // columns of the current candidate set
 	var curCard int    // Haas–Stokes joint-cardinality estimate for cur
 	var curBytes int64 // estimated merged bytes for cur
-	// curCodes holds the joint code per sampled row for cur. Every scan below
-	// numbers (joint code, value) pairs into newCodes through the same table,
-	// so a pass over a hundred columns allocates two buffers and one table.
+	// curCodes holds the joint code per sampled row for cur, curIDs how many
+	// there are; a scan numbers (joint code, member code) pairs into newCodes
 	curCodes, newCodes := make([]int32, n), make([]int32, n)
-	ids := map[cocodeKey]int32{}
+	curIDs := 0
+	var pairs pairCoder
 	var counts []int
 	scan := func(c int) {
-		clear(ids)
-		counts = counts[:0]
-		for i := 0; i < n; i++ {
-			k := cocodeKey{code: curCodes[i], bits: math.Float64bits(sample[i*cols+c])}
-			id, ok := ids[k]
-			if !ok {
-				id = int32(len(ids))
-				ids[k] = id
-				counts = append(counts, 0)
-			}
-			counts[id]++
-			newCodes[i] = id
+		pairs.init(curIDs, len(dicts[c]))
+		pairs.number(newCodes, curCodes, codes[c*n:(c+1)*n])
+		counts = append(counts[:0], make([]int, pairs.n)...)
+		for _, k := range newCodes {
+			counts[k]++
 		}
 	}
 	flush := func() {
@@ -377,11 +400,10 @@ func cocodePlan(sample []float64, plan *Plan, rows int) {
 			continue
 		}
 		if cur == nil {
-			// a fresh set: the column's values extend the empty tuple
+			// a fresh set: its joint codes are the column's own
 			cur = []int{c}
-			clear(curCodes)
-			scan(c)
-			curCodes, newCodes = newCodes, curCodes
+			copy(curCodes, codes[c*n:(c+1)*n])
+			curIDs = len(dicts[c])
 			curCard, curBytes = cp.EstCard, cp.EstBytes
 			continue
 		}
@@ -391,7 +413,7 @@ func cocodePlan(sample []float64, plan *Plan, rows int) {
 			continue
 		}
 		// joint scan: extend the current per-row codes with this column's
-		// values and estimate the joint cardinality of the merged set
+		// codes and estimate the joint cardinality of the merged set
 		scan(c)
 		jointCard := haasStokes(rows, n, counts)
 		w := len(cur) + 1
@@ -408,6 +430,7 @@ func cocodePlan(sample []float64, plan *Plan, rows int) {
 		if mergedBytes >= 0 && mergedBytes < curBytes+cp.EstBytes+groupOverheadBytes {
 			cur = append(cur, c)
 			curCodes, newCodes = newCodes, curCodes
+			curIDs = int(pairs.n)
 			curCard, curBytes = jointCard, mergedBytes
 			continue
 		}

@@ -85,6 +85,29 @@ func TestPersistentLineageWarmRunReuse(t *testing.T) {
 	}
 }
 
+// TestWarmRunCountsNoPuts: a put is an intermediate the run computed, so a
+// warm grid search served wholly from the store (its two outputs, probed
+// before the pure call's body runs) reports no put, while the cold run puts
+// every intermediate it misses.
+func TestWarmRunCountsNoPuts(t *testing.T) {
+	dir := t.TempDir()
+	inputs := gridSearchInputs()
+	_, cold, err := persistEngine(dir).Execute(gridSearchScript, inputs, []string{"B", "losses"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := cold.CacheStats; cs.Misses != 52 || cs.Puts != 52 || cs.StorePuts != 52 {
+		t.Errorf("cold run: %+v, want 52 misses, puts and store puts", cs)
+	}
+	_, warm, err := persistEngine(dir).Execute(gridSearchScript, inputs, []string{"B", "losses"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := warm.CacheStats; cs.Hits != 2 || cs.StoreHits != 2 || cs.Misses != 0 || cs.Puts != 0 || cs.StorePuts != 0 {
+		t.Errorf("warm run: %+v, want 2 hits from the store, no miss and no put", cs)
+	}
+}
+
 // TestPersistentLineageInvalidationOnInputChange: rebinding an input name to
 // different data changes the content-fingerprinted lineage leaves, so a warm
 // run must not serve the previous run's intermediates.

@@ -215,7 +215,8 @@ func (c *Cache) Put(item *Item, value any, sizeBytes, computeNs int64) {
 }
 
 // insert is the shared insertion path of Put and store reloads; persist
-// selects write-through (store reloads skip it — their file already exists).
+// marks a Put, which counts as a put and writes through (a store reload is
+// neither: nothing was computed, and its file already exists).
 func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persist bool) {
 	if !c.Enabled() || sizeBytes > c.budget {
 		return
@@ -241,7 +242,9 @@ func (c *Cache) insert(item *Item, value any, sizeBytes, computeNs int64, persis
 	c.entries[item.hash] = el
 	retain(value)
 	c.used += sizeBytes
-	c.stats.Puts++
+	if persist {
+		c.stats.Puts++
+	}
 	c.stats.BytesCached = c.used
 	store := c.store
 	dropped := c.dropped

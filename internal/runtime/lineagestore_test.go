@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"math"
+	goruntime "runtime"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -179,4 +180,63 @@ func TestConfigValueType(t *testing.T) {
 			t.Fatalf("value type %v does not fit one byte", vt)
 		}
 	}
+}
+
+// FuzzDecodeLineagePayload: whatever bytes a lineage-store entry holds,
+// decoding returns a value or an error — never a panic, and nothing allocated
+// from a length field beyond what the bytes hold — and a decoded value encodes
+// to a payload that decodes to the same bits.
+func FuzzDecodeLineagePayload(f *testing.F) {
+	for _, v := range []any{
+		NewMatrixObject(matrix.RandUniform(5, 4, -1, 1, 1.0, 3), nil),
+		NewMatrixObject(matrix.RandUniform(30, 20, -1, 1, 0.05, 4), nil),
+		NewDouble(math.Pi), NewInt(-42), NewBool(true), NewString("hello"),
+	} {
+		payload, ok := encodeLineagePayload(v)
+		if !ok {
+			f.Fatalf("%v must encode", v)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte{'S', 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		v, err := decodeLineagePayload(bytes.NewReader(data))
+		goruntime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		payload, ok := encodeLineagePayload(v)
+		if !ok {
+			t.Fatalf("decoded %T does not encode", v)
+		}
+		again, err := decodeLineagePayload(bytes.NewReader(payload))
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		switch x := v.(type) {
+		case *Scalar:
+			y := again.(*Scalar)
+			if x.VT != y.VT || math.Float64bits(x.F) != math.Float64bits(y.F) || x.B != y.B || x.S != y.S {
+				t.Fatalf("scalar %+v came back as %+v", x, y)
+			}
+		case *MatrixObject:
+			a, _ := x.Acquire()
+			b, _ := again.(*MatrixObject).Acquire()
+			if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+				t.Fatalf("%dx%d matrix came back %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols())
+			}
+			for r := 0; r < a.Rows(); r++ {
+				for c := 0; c < a.Cols(); c++ {
+					if math.Float64bits(a.Get(r, c)) != math.Float64bits(b.Get(r, c)) {
+						t.Fatalf("cell (%d, %d) came back %v, was %v", r, c, b.Get(r, c), a.Get(r, c))
+					}
+				}
+			}
+		}
+	})
 }
