@@ -45,13 +45,17 @@ test:
 # a rebound input, or an output missing from the store, misses; a caller's
 # update and the free list leave a hit output's bits alone; outputs bitwise
 # equal to reuse off at T = 1, 2, 3; parfor workers calling one pure function
-# at once), and a
+# at once), the blocked t(X) %*% Y repeated (dist.XtY bitwise-equal to the
+# local row-scatter leg at 1, 2, 3 and 7 pool workers; the collect writing
+# every block into one output; the GD loop on the dist.loop.spill shape with
+# one xty per epoch, no transpose and no eviction, bitwise-equal to local at
+# T = 1, 2, 3), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
 # (internal/matrix), the deep compressed kernels — TSMM and
 # matrix right-hand side (internal/compress) — and the blocked backend's
-# shuffle matmult, its block tasks on the worker pool (internal/dist).
+# shuffle matmult and xty, their block tasks on the worker pool (internal/dist).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
@@ -62,7 +66,8 @@ race:
 	$(GO) test -race -run 'TestConcurrentPreparedCalls' -count=3 .
 	$(GO) test -race -run 'TestInPlaceOnlyWhenNothingElseSees|TestWrittenBlockSpillsItsNewBits|TestUpdatesLeaveOtherHoldersAlone|TestResultsOutputIsNeverWritten|TestParforMatchesFor' -count=3 . ./internal/runtime/
 	$(GO) test -race -run 'TestImpureCallsRunTheirBody|TestVerboseGridSearchRunsItsBody|TestReboundInputMisses|TestOneOutputMissingFromTheStoreRerunsTheBody|TestCallerUpdateLeavesTheCachedBitsAlone|TestHitOutputsAreNeverRecycled|TestFunctionReuseIsBitwiseEqual|TestParforWorkersShareOnePureCall' -count=3 .
-	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
+	$(GO) test -race -run 'TestXtYBitwiseEqualsTransposeMultiply|TestToMatrixBlockWritesInPlace|TestGDLoopRunsXtYBlocked|TestXtYUnderDistMatchesLocal' -count=3 ./internal/dist/ ./internal/core/
+	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH|XtYBlocked' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed
 # corpora: the SDSB decoder (spill files, persistent-store payloads and `read`

@@ -67,22 +67,66 @@ func TestImpureCallsRunTheirBody(t *testing.T) {
 			t.Errorf("%q printed %q, want %q", tc.call, out.String(), tc.prints)
 		}
 	}
-	// an unseeded generator is seeded when its site is compiled, so each
-	// run of the script draws afresh; a call answered from the cache would
-	// hand the second run the first run's draws
+	// an unseeded generator draws a new seed on every execution, so two
+	// calls in one run and two runs of the script draw afresh; a call
+	// answered from the cache would hand the later call the earlier draws
 	for _, reuse := range []bool{false, true} {
 		ctx := systemds.NewContext(systemds.WithReuse(reuse))
-		var draws [2][]uint64
-		for run := range draws {
-			res, err := ctx.Execute(impureDefs+"A = draw(3)", nil, "A")
+		var draws [3][]uint64
+		for run := range 2 {
+			res, err := ctx.Execute(impureDefs+"A = draw(3)\nB = draw(3)", nil, "A", "B")
 			if err != nil {
 				t.Fatal(err)
 			}
 			a, _ := res.Matrix("A")
 			draws[run] = cells(a)
+			if run == 0 {
+				b, _ := res.Matrix("B")
+				draws[2] = cells(b)
+			}
+		}
+		if sameBits(draws[0], draws[2]) {
+			t.Errorf("reuse %v: two calls of an unseeded rand in one run drew the same matrix", reuse)
 		}
 		if sameBits(draws[0], draws[1]) {
 			t.Errorf("reuse %v: two runs of an unseeded rand drew the same matrix", reuse)
+		}
+	}
+}
+
+// TestSeededRandKeepsItsBits: a rand with a seed draws the matrix its seed
+// names however often it runs — at top level, in a loop and in a function,
+// with reuse on or off — and a negative seed still stands for seed 42.
+func TestSeededRandKeepsItsBits(t *testing.T) {
+	want := cells(systemds.RandMatrix(3, 4, 1, 7))
+	neg := cells(systemds.RandMatrix(3, 4, 1, 42))
+	for _, reuse := range []bool{false, true} {
+		ctx := systemds.NewContext(systemds.WithReuse(reuse))
+		res, err := ctx.Execute(`
+seeded = function(Integer s) return (Matrix[Double] R) {
+  for (i in 1:1) {
+    R = rand(rows=3, cols=4, seed=s)
+  }
+}
+A = rand(rows=3, cols=4, seed=7)
+for (i in 1:2) {
+  B = rand(rows=3, cols=4, seed=7)
+}
+C = seeded(7)
+D = seeded(7)
+N = rand(rows=3, cols=4, seed=-1)
+`, nil, "A", "B", "C", "D", "N")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"A", "B", "C", "D"} {
+			m, _ := res.Matrix(name)
+			if !sameBits(cells(m), want) {
+				t.Errorf("reuse %v: %s = rand(seed=7) drew other bits", reuse, name)
+			}
+		}
+		if n, _ := res.Matrix("N"); !sameBits(cells(n), neg) {
+			t.Errorf("reuse %v: rand(seed=-1) is not seed 42", reuse)
 		}
 	}
 }

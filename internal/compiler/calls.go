@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/instructions"
@@ -51,8 +50,6 @@ var vectorAggBuiltins = map[string]bool{
 	"colSums": true, "colMeans": true, "colMaxs": true, "colMins": true, "colVars": true, "colSds": true,
 	"rowSums": true, "rowMeans": true, "rowMaxs": true, "rowMins": true, "rowIndexMax": true, "cumsum": true,
 }
-
-var seedCounter int64
 
 // buildCall converts a native builtin function call into a HOP.
 func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
@@ -226,7 +223,6 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 		h.DataType = types.Matrix
 		h.Params = map[string]*hops.Hop{
 			"population": positional[0], "size": positional[1], "replace": replace,
-			"seed": hops.NewLiteralNumber(float64(atomic.AddInt64(&seedCounter, 1) + 1000)),
 		}
 		return h, nil
 	case name == "removeEmpty" || name == "replace" || name == "order":
@@ -283,8 +279,8 @@ func (bb *blockBuilder) splitArgs(call *lang.CallExpr) ([]*hops.Hop, map[string]
 	return positional, named, nil
 }
 
-// buildRand builds a rand() datagen HOP, assigning a deterministic seed when
-// none is given so lineage fully determines the generated data.
+// buildRand builds a rand() datagen HOP. Without a seed argument it carries
+// none: the instruction draws one per execution and traces it.
 func (bb *blockBuilder) buildRand(call *lang.CallExpr, named map[string]*hops.Hop) (*hops.Hop, error) {
 	h := hops.NewHop(hops.KindDataGen, "rand")
 	h.DataType = types.Matrix
@@ -300,9 +296,6 @@ func (bb *blockBuilder) buildRand(call *lang.CallExpr, named map[string]*hops.Ho
 	}
 	if _, ok := h.Params["cols"]; !ok {
 		return nil, fmt.Errorf("compiler: line %d: rand requires rows and cols", call.Line)
-	}
-	if _, ok := h.Params["seed"]; !ok {
-		h.Params["seed"] = hops.NewLiteralNumber(float64(atomic.AddInt64(&seedCounter, 1)))
 	}
 	return h, nil
 }

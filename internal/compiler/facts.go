@@ -23,8 +23,8 @@ import (
 // replaced by the branch it takes, and an assignment to a bound name ends its
 // constancy. A call is pure when, in what remains:
 //   - nothing calls print, write, stop, assert or read;
-//   - nothing calls rand without a seed, or sample (whose seed the compiler
-//     draws from a counter): their draws depend on compile order;
+//   - nothing calls rand without a seed, or sample (which takes none): each
+//     of their executions draws a new seed;
 //   - every user or DML-bodied function called is pure under the constants
 //     its own call binds;
 //   - no function is reached again while it is being analyzed (recursion).

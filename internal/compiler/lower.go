@@ -377,7 +377,7 @@ func lowerDataGen(h *hops.Hop, out string) (runtime.Instruction, error) {
 			p("rows", instructions.LitInt(1)), p("cols", instructions.LitInt(1)),
 			p("min", instructions.LitDouble(0)), p("max", instructions.LitDouble(1)),
 			p("sparsity", instructions.LitDouble(1)), p("pdf", instructions.LitString("uniform")),
-			p("seed", instructions.LitInt(42))), nil
+			p("seed", instructions.Operand{})), nil
 	case "seq":
 		return instructions.NewSeq(out,
 			p("from", instructions.LitDouble(1)), p("to", instructions.LitDouble(1)),
@@ -389,7 +389,7 @@ func lowerDataGen(h *hops.Hop, out string) (runtime.Instruction, error) {
 	case "sample":
 		return instructions.NewSample(out,
 			p("population", instructions.LitInt(1)), p("size", instructions.LitInt(1)),
-			p("replace", instructions.LitBool(false)), p("seed", instructions.LitInt(7))), nil
+			p("replace", instructions.LitBool(false)), p("seed", instructions.Operand{})), nil
 	default:
 		return nil, fmt.Errorf("compiler: unknown datagen op %q", h.Op)
 	}

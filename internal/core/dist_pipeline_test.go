@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -215,6 +216,98 @@ s = sum(w)`
 	for r := 0; r < want.Rows(); r++ {
 		if got.Get(r, 0) != want.Get(r, 0) {
 			t.Fatalf("row %d: blocked seq %v != local seq %v", r, got.Get(r, 0), want.Get(r, 0))
+		}
+	}
+}
+
+// gdSpillScript is the GD loop of the dist.loop.spill benchmark row.
+const gdSpillScript = `w = matrix(0, rows=ncol(X), cols=1)
+for (i in 1:epochs) {
+  q = X %*% w
+  g = t(X) %*% (q - y)
+  w = w - lr * g
+}
+s = sum(w)`
+
+// spillRowEngine is the dist.loop.spill configuration: blocked backend, a
+// 2 MB operator budget and a 16 MB buffer pool, so the 6.4 MB X and its
+// partition run blocked under a pool below the old working set.
+func spillRowEngine(dir string, threads int) *Engine {
+	cfg := runtime.DefaultConfig()
+	cfg.DistEnabled = true
+	cfg.OperatorMemBudget = 2 << 20
+	cfg.BufferPoolBudget = 16 << 20
+	cfg.TempDir = dir
+	cfg.Parallelism = threads
+	cfg.TraceEnabled = true
+	return NewEngine(cfg)
+}
+
+// TestGDLoopRunsXtYBlocked: on the dist.loop.spill shape (4000 x 200) every
+// epoch's t(X) %*% (q - y) is one xty record on the blocked backend, nothing
+// transposes X, and with no t(X) in the working set the 16 MB pool evicts
+// nothing.
+func TestGDLoopRunsXtYBlocked(t *testing.T) {
+	const epochs = 4
+	x := matrix.RandUniform(4000, 200, 0, 1, 1.0, 81)
+	y := matrix.RandUniform(4000, 1, -1, 1, 1.0, 82)
+	inputs := map[string]any{"X": x, "y": y, "epochs": epochs, "lr": 0.4 / (4000 * 200 * 0.25)}
+	_, stats, err := spillRowEngine(t.TempDir(), 2).Execute(gdSpillScript, inputs, []string{"w", "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xty := 0
+	for _, pr := range stats.PlanStats {
+		switch {
+		case pr.Op == "mmchain" && pr.Plan == "dist":
+			xty++
+		case pr.Op == "r'":
+			t.Errorf("plan record %+v: X was transposed", pr)
+		}
+	}
+	if xty != epochs {
+		t.Errorf("xty dist records = %d, want one per epoch (%d)", xty, epochs)
+	}
+	if n := instrCounts(stats)["r'"]; n != 0 {
+		t.Errorf("executed %d transposes, want 0", n)
+	}
+	if ps := stats.PoolStats; ps.Evictions != 0 {
+		t.Errorf("pool evicted %d values (%+v), want 0", ps.Evictions, ps)
+	}
+}
+
+// TestXtYUnderDistMatchesLocal: t(X) %*% v on the blocked backend has the bits
+// of the local run at every thread count, and so has the GD loop around it.
+func TestXtYUnderDistMatchesLocal(t *testing.T) {
+	x := matrix.RandUniform(4000, 200, 0, 1, 1.0, 83)
+	v := matrix.RandUniform(4000, 1, -1, 1, 1.0, 84)
+	inputs := map[string]any{"X": x, "y": v, "v": v, "epochs": 3, "lr": 0.4 / (4000 * 200 * 0.25)}
+	for _, tc := range []struct {
+		script string
+		out    string
+	}{
+		{"g = t(X) %*% v", "g"},
+		{gdSpillScript, "w"},
+	} {
+		local, _, err := NewEngine(runtime.DefaultConfig()).Execute(tc.script, inputs, []string{tc.out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := local[tc.out].(*matrix.MatrixBlock)
+		for _, threads := range []int{1, 2, 3} {
+			res, stats, err := spillRowEngine(t.TempDir(), threads).Execute(tc.script, inputs, []string{tc.out})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.DistStats.BlockedOps == 0 {
+				t.Fatalf("%q: nothing ran blocked", tc.script)
+			}
+			got := res[tc.out].(*matrix.MatrixBlock)
+			for r := 0; r < want.Rows(); r++ {
+				if a, b := got.Get(r, 0), want.Get(r, 0); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%q at T=%d: %s[%d] = %v under dist, %v local", tc.script, threads, tc.out, r, a, b)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -357,33 +358,40 @@ for (i in 1:3) {
 	}
 }
 
-// TestXtYGatedOffUnderDist: when the planner sends the multiply to the blocked
-// backend (operator budget below the operand size), fusion must not fire — the
-// plan is exactly the unfused plan and the run uses the blocked operators.
+// TestXtYGatedOffUnderDist: when the planner sends a multiply of the tiled
+// engine's shape (dense X, 64-column Y) to the blocked backend, fusion must
+// not fire — the blocked backend runs t(X) %*% Y without the transpose only on
+// the row-scatter leg's shapes — so the plan is exactly the unfused plan and
+// the run uses the blocked operators.
 func TestXtYGatedOffUnderDist(t *testing.T) {
 	x := matrix.RandUniform(4000, 200, 0, 1, 1.0, 71)
-	y := matrix.RandUniform(4000, 1, -1, 1, 1.0, 72)
-	inputs := map[string]any{"X": x, "y": y}
+	y := matrix.RandUniform(4000, 64, -1, 1, 1.0, 72)
+	inputs := map[string]any{"X": x, "Y": y}
 	dist := func(c *runtime.Config) {
 		c.DistEnabled = true
 		c.OperatorMemBudget = 2 << 20
 	}
-	fusedPlan, err := tracedFusionEngine(true, dist).ExplainPlan("g = t(X) %*% y", inputs)
+	fusedPlan, err := tracedFusionEngine(true, dist).ExplainPlan("G = t(X) %*% Y", inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfusedPlan, err := tracedFusionEngine(false, dist).ExplainPlan("g = t(X) %*% y", inputs)
+	unfusedPlan, err := tracedFusionEngine(false, dist).ExplainPlan("G = t(X) %*% Y", inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fusedPlan != unfusedPlan {
 		t.Errorf("dist-bound plan changed under fusion:\n--- fused\n%s--- unfused\n%s", fusedPlan, unfusedPlan)
 	}
-	fres, fstats, err := tracedFusionEngine(true, dist).Execute(lmLoopScript, inputs, []string{"w"})
+	script := `s = 0
+for (i in 1:3) {
+  G = t(X) %*% Y
+  s = s + sum(G) * i
+}`
+	fres, fstats, err := tracedFusionEngine(true, dist).Execute(script, inputs, []string{"s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ures, ustats, err := tracedFusionEngine(false, dist).Execute(lmLoopScript, inputs, []string{"w"})
+	ures, ustats, err := tracedFusionEngine(false, dist).Execute(script, inputs, []string{"s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +401,7 @@ func TestXtYGatedOffUnderDist(t *testing.T) {
 	if fstats.DistStats != ustats.DistStats || fstats.DistStats.BlockedOps == 0 {
 		t.Errorf("dist stats differ: fused %+v vs unfused %+v", fstats.DistStats, ustats.DistStats)
 	}
-	if !fres["w"].(*matrix.MatrixBlock).Equals(ures["w"].(*matrix.MatrixBlock), 0) {
+	if math.Float64bits(fres["s"].(float64)) != math.Float64bits(ures["s"].(float64)) {
 		t.Error("identical plans must produce bitwise-identical results")
 	}
 }

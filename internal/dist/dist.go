@@ -70,25 +70,21 @@ func fromMatrixBlock(m *matrix.MatrixBlock, blocksize int) (*BlockedMatrix, erro
 	return bm, nil
 }
 
-// ToMatrixBlock collects the blocked matrix into one local matrix.
+// ToMatrixBlock collects the blocked matrix into one local matrix: every
+// block is written into the one output in place, which then takes the
+// representation its non-zero count asks for, like any kernel output.
 func (b *BlockedMatrix) ToMatrixBlock() (*matrix.MatrixBlock, error) {
-	out := matrix.NewDense(b.Rows, b.Cols)
 	gc := b.GridCols()
-	var err error
-	for bi := 0; bi < b.GridRows(); bi++ {
-		for bj := 0; bj < gc; bj++ {
-			blk := b.Blocks[bi*gc+bj]
-			if blk == nil {
-				return nil, fmt.Errorf("dist: missing block (%d,%d)", bi, bj)
-			}
-			rl, cl := bi*b.Blocksize, bj*b.Blocksize
-			out, err = matrix.LeftIndex(out, blk, rl, rl+blk.Rows(), cl, cl+blk.Cols())
-			if err != nil {
-				return nil, err
-			}
+	writes := make([]matrix.RegionWrite, len(b.Blocks))
+	for i, blk := range b.Blocks {
+		bi, bj := i/gc, i%gc
+		if blk == nil {
+			return nil, fmt.Errorf("dist: missing block (%d,%d)", bi, bj)
 		}
+		rl, cl := bi*b.Blocksize, bj*b.Blocksize
+		writes[i] = matrix.RegionWrite{R0: rl, R1: rl + blk.Rows(), C0: cl, C1: cl + blk.Cols(), Src: blk}
 	}
-	return out, nil
+	return matrix.Update(matrix.NewDense(b.Rows, b.Cols), writes, true)
 }
 
 // Region assembles the sub-matrix covering rows [rl, ru) and columns

@@ -51,3 +51,22 @@ func BenchmarkMatMultStrategyForcedSH(b *testing.B) {
 		return err
 	})
 }
+
+// BenchmarkXtYBlocked times t(X) %*% y over a partitioned X on the
+// dist.loop.spill row's shape: 4000 x 200 in 1024-row blocks, a local
+// 4000 x 1 y, no transpose.
+func BenchmarkXtYBlocked(b *testing.B) {
+	x := matrix.RandUniform(4000, 200, 0, 1, 1.0, 403)
+	y := matrix.RandUniform(4000, 1, -1, 1, 1.0, 404)
+	bx, err := FromMatrixBlock(x, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4000 * 200 * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := XtY(bx, y, nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

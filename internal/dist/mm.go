@@ -112,3 +112,88 @@ func (b *BlockedMatrix) InMemorySize() int64 {
 	}
 	return total
 }
+
+// XtY computes t(X) %*% Y over a blocked X without transposing it, for a
+// local Y (y) or a blocked one (by); the other is nil. It walks the fixed row
+// chunks of matrix.TransposeMultiply's row-scatter leg (matrix.XtYChunks) over
+// global rows, one task per chunk: a chunk may cross block boundaries, and it
+// scatters from every block that covers it, in row order, into one n x k
+// partial. The partials are summed in chunk order (matrix.XtYSum), so the
+// result has the bits of the row-scatter leg over the collected X. Y is read
+// by row range — a local Y sliced, a blocked Y block by block — and never
+// collected; the small n x k result is local, as TSMM's is.
+func XtY(x *BlockedMatrix, y *matrix.MatrixBlock, by *BlockedMatrix, threads int) (*matrix.MatrixBlock, error) {
+	m, n := x.Rows, x.Cols
+	var yRows, k int
+	if by != nil {
+		yRows, k = by.Rows, by.Cols
+	} else {
+		yRows, k = y.Rows(), y.Cols()
+	}
+	if yRows != m {
+		return nil, fmt.Errorf("dist: xty dimension mismatch t(%dx%d) %%*%% %dx%d", m, n, yRows, k)
+	}
+	if m == 0 || n == 0 || k == 0 {
+		return matrix.NewDense(n, k), nil
+	}
+	// the rows of Y beside each block row of X, k values per row
+	bs, gr, gc := x.Blocksize, x.GridRows(), x.GridCols()
+	strips := make([][]float64, gr)
+	var yd []float64
+	if by == nil {
+		if y.IsSparse() {
+			y = y.Copy()
+		}
+		yd = y.DenseValues()
+	}
+	for bi := range strips {
+		rl, ru := bi*bs, min(bi*bs+bs, m)
+		if by == nil {
+			strips[bi] = yd[rl*k : ru*k]
+			continue
+		}
+		s, err := by.rowStrip(rl, ru)
+		if err != nil {
+			return nil, err
+		}
+		strips[bi] = s
+	}
+	num, size := matrix.XtYChunks(m, n, k)
+	parts := make([][]float64, num)
+	err := forEachBlock("xty", num, 1, threads, func(ci, _ int) error {
+		r0, r1 := ci*size, min(ci*size+size, m)
+		part := make([]float64, n*k)
+		for bi := r0 / bs; bi*bs < r1; bi++ {
+			rl := bi * bs
+			lo, hi := max(r0, rl)-rl, min(r1, rl+bs)-rl
+			ys := strips[bi][lo*k : hi*k]
+			for bj := 0; bj < gc; bj++ {
+				matrix.XtYScatter(part, k, bj*bs, x.Blocks[bi*gc+bj], lo, hi, ys)
+			}
+		}
+		parts[ci] = part
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return matrix.XtYSum(parts, n, k), nil
+}
+
+// rowStrip returns the cells of rows [rl, ru), all columns, as one dense
+// row-major slice: a dense block's own array when the rows lie in one block
+// row of a one-column grid, else a copy assembled by Region.
+func (b *BlockedMatrix) rowStrip(rl, ru int) ([]float64, error) {
+	bi := rl / b.Blocksize
+	if b.GridCols() == 1 && (ru-1)/b.Blocksize == bi {
+		if blk := b.Blocks[bi]; blk != nil && !blk.IsSparse() {
+			off := rl - bi*b.Blocksize
+			return blk.DenseValues()[off*b.Cols : (off+ru-rl)*b.Cols], nil
+		}
+	}
+	s, err := b.Region(rl, ru, 0, b.Cols)
+	if err != nil {
+		return nil, err
+	}
+	return s.DenseValues(), nil
+}

@@ -303,6 +303,10 @@ func distEligible(h *Hop) bool {
 	switch h.Kind {
 	case KindMatMult, KindTSMM, KindBinary, KindUnary, KindAggUnary, KindReorg:
 		return true
+	case KindMMChain:
+		// fusion keeps the xty variant of a dist-bound multiply only on the
+		// shapes dist.XtY runs; the chains stay unfused there
+		return h.Op == OpXtY
 	case KindNary:
 		return h.Op == "rbind" || h.Op == "cbind"
 	case KindDataGen:
@@ -645,12 +649,27 @@ func Plan(d *DAG, p PlannerParams) {
 				blockedProducer(l), blockedProducer(r))
 			h.MMPlan = m
 			h.CostEst.ShuffleBytes = shuffle
+		} else if h.Kind == KindMMChain && h.CostEst.Known {
+			h.CostEst.ShuffleBytes = xtyShuffleBytes(h)
 		} else if h.CostEst.Known {
 			// non-matmult blocked operators partition unpartitioned inputs and
 			// stream every block once
 			h.CostEst.ShuffleBytes = h.CostEst.InputBytes
 		}
 	}
+}
+
+// xtyShuffleBytes models dist.XtY: X is partitioned unless it arrives
+// blocked, Y is read once by row range wherever it lives, and the n x k
+// partials of the fixed row chunks are summed locally — no transpose and no
+// collect.
+func xtyShuffleBytes(h *Hop) int64 {
+	x, y := h.Inputs[0], h.Inputs[1]
+	bytes := types.EstimateSize(y.DC) + h.CostEst.OutputBytes
+	if !blockedProducer(x) {
+		bytes += types.EstimateSize(x.DC)
+	}
+	return bytes
 }
 
 // PlanString renders the physical plan annotation of a HOP ("CP", "DIST", or

@@ -26,7 +26,10 @@
 // recomputation), only across operators with known, matching shapes, and —
 // when the distributed backend is enabled — only when the root operator fits
 // the per-operator memory budget (larger operators belong to the blocked
-// backend, which has no fused kernels yet).
+// backend). The one fused kernel the blocked backend has is xty: a
+// dist-bound t(X) %*% Y on a shape of the row-scatter leg (sparse X, or below
+// the tiled crossover) still becomes the xty variant, which the planner keeps
+// on the blocked backend (dist.XtY, no transpose, a local n x k result).
 package hops
 
 import (
@@ -107,7 +110,7 @@ func fuseMMChains(d *DAG, p PlannerParams) {
 			continue
 		}
 		x := t.Inputs[0]
-		if !x.IsMatrix() || WouldRunDist(h, p) {
+		if !x.IsMatrix() {
 			continue
 		}
 		var v, w *Hop
@@ -129,10 +132,17 @@ func fuseMMChains(d *DAG, p PlannerParams) {
 				}
 			}
 		}
+		chain := v != nil && isColVector(v, x.DC.Cols)
+		if WouldRunDist(h, p) && (chain || !rowScatterXtY(x, rhs)) {
+			// the blocked backend has the xty kernel only for the shapes of
+			// the row-scatter leg: a chain, a tiled shape or an unknown size
+			// keeps the transpose and the blocked multiply
+			continue
+		}
 		h.Kind = KindMMChain
 		h.Op = "mmchain"
 		switch {
-		case v == nil || !isColVector(v, x.DC.Cols):
+		case !chain:
 			// no chain to fold: the multiply itself still reads X in place
 			h.Op = OpXtY
 			h.Inputs = []*Hop{x, rhs}
@@ -145,6 +155,19 @@ func fuseMMChains(d *DAG, p PlannerParams) {
 		// matches see the rewritten graph
 		consumers = consumerCounts(d)
 	}
+}
+
+// rowScatterXtY reports whether t(X) %*% Y runs on the row-scatter leg of
+// matrix.TransposeMultiply, the leg dist.XtY implements on X's row blocks:
+// X is sparse, or the shape is below the tiled crossover (which every vector
+// Y is). Unknown sizes answer false.
+func rowScatterXtY(x, y *Hop) bool {
+	xd := x.DC
+	if !xd.DimsKnown() || y.DC.Cols < 0 {
+		return false
+	}
+	sparse := xd.NNZKnown() && xd.Sparsity() < types.SparseThreshold
+	return sparse || !matrix.UseTiledGEMM(int(xd.Cols), int(xd.Rows), int(y.DC.Cols))
 }
 
 // isColVector reports whether a hop is statically known to be an n x 1

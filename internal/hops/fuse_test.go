@@ -146,20 +146,84 @@ func TestFuseXtY(t *testing.T) {
 	}
 }
 
-// TestNoFuseXtYWhenDist: a multiply the planner would send to the blocked
-// backend keeps its materialize-then-multiply plan.
+// TestNoFuseXtYWhenDist: a dist-bound multiply whose shape the tiled engine
+// runs (dense X, wide Y) has no blocked xty kernel and keeps its
+// materialize-then-multiply plan; so do the two chain shapes and a product of
+// unknown width.
 func TestNoFuseXtYWhenDist(t *testing.T) {
+	params := PlannerParams{DistEnabled: true, MemBudget: 2 << 20, Blocksize: types.DefaultBlocksize}
 	x := matRead("X", 4000, 200)
-	y := matRead("Y", 4000, 1)
+	y := matRead("Y", 4000, 200)
 	tx := NewHop(KindReorg, "t", x)
 	tx.DataType = types.Matrix
 	root := NewHop(KindMatMult, "ba+*", tx, y)
 	root.DataType = types.Matrix
 	d := &DAG{Roots: []*Hop{NewWrite("g", root)}}
 	PropagateSizes(d, nil)
-	FuseOperators(d, PlannerParams{DistEnabled: true, MemBudget: 2 << 20, Blocksize: types.DefaultBlocksize})
+	FuseOperators(d, params)
 	if root.Kind != KindMatMult {
-		t.Fatalf("dist-bound multiply must not fuse, got %s", root.Kind)
+		t.Fatalf("dist-bound tiled-shape multiply must not fuse, got %s", root.Kind)
+	}
+
+	// t(X) %*% (X %*% v): the chain stays unfused under dist
+	x = matRead("X", 4000, 200)
+	v := matRead("v", 200, 1)
+	tx = NewHop(KindReorg, "t", x)
+	tx.DataType = types.Matrix
+	xv := NewHop(KindMatMult, "ba+*", x, v)
+	xv.DataType = types.Matrix
+	root = NewHop(KindMatMult, "ba+*", tx, xv)
+	root.DataType = types.Matrix
+	d = &DAG{Roots: []*Hop{NewWrite("g", root)}}
+	PropagateSizes(d, nil)
+	FuseOperators(d, params)
+	if root.Kind != KindMatMult || countKind(d, KindMMChain) != 0 {
+		t.Fatalf("dist-bound chain must not fuse, got %s", root.Kind)
+	}
+}
+
+// TestFuseXtYUnderDist: a dist-bound t(X) %*% Y on a shape of the row-scatter
+// leg — a vector or narrow Y, or a sparse X whatever Y's width — fuses into
+// the xty variant, which the planner keeps on the blocked backend with a local
+// output and prices without a transpose.
+func TestFuseXtYUnderDist(t *testing.T) {
+	params := PlannerParams{DistEnabled: true, MemBudget: 2 << 20, Blocksize: types.DefaultBlocksize}
+	for _, tc := range []struct {
+		name string
+		k    int64
+		nnz  int64
+	}{
+		{"vector y", 1, -1},
+		{"three columns", 3, -1},
+		{"sparse X, wide Y", 200, 4000 * 200 / 100},
+	} {
+		x := matRead("X", 4000, 200)
+		x.DC.NNZ = tc.nnz
+		y := matRead("Y", 4000, tc.k)
+		tx := NewHop(KindReorg, "t", x)
+		tx.DataType = types.Matrix
+		root := NewHop(KindMatMult, "ba+*", tx, y)
+		root.DataType = types.Matrix
+		d := &DAG{Roots: []*Hop{NewWrite("g", root)}}
+		PropagateSizes(d, nil)
+		if !WouldRunDist(root, params) {
+			t.Fatalf("%s: the multiply should be dist-bound", tc.name)
+		}
+		FuseOperators(d, params)
+		PropagateSizes(d, nil)
+		if root.Kind != KindMMChain || root.Op != OpXtY || countKind(d, KindReorg) != 0 {
+			t.Fatalf("%s: expected xty fusion without a transpose, got %s %s", tc.name, root.Kind, root.Op)
+		}
+		Plan(d, params)
+		PropagateBlockedOutputs(d)
+		if root.ExecType != types.ExecDist || root.BlockedOutput {
+			t.Errorf("%s: xty planned %s (blocked output %v), want DIST with a local output", tc.name, root.ExecType, root.BlockedOutput)
+		}
+		// X partitioned, Y read once, the output summed: no transpose term
+		want := types.EstimateSize(x.DC) + types.EstimateSize(y.DC) + root.CostEst.OutputBytes
+		if root.CostEst.ShuffleBytes != want {
+			t.Errorf("%s: shuffle = %d, want %d", tc.name, root.CostEst.ShuffleBytes, want)
+		}
 	}
 }
 
@@ -357,11 +421,13 @@ func TestNoFuseCellChainMultiConsumer(t *testing.T) {
 // the blocked backend produces keeps its consumers unfused (they run blocked).
 func TestNoFuseCellChainOverBlockedLeaf(t *testing.T) {
 	x := matRead("X", 4000, 200)
-	v := matRead("v", 4000, 1)
-	w := matRead("w", 200, 1)
+	v := matRead("V", 4000, 200)
+	w := matRead("W", 200, 200)
 	tx := NewHop(KindReorg, "t", x)
 	tx.DataType = types.Matrix
-	g := NewHop(KindMatMult, "ba+*", tx, v) // 6.4 MB operand: over the budget
+	// 6.4 MB operands: over the budget, and a tiled shape, so the multiply
+	// stays a blocked matmult with a blocked output
+	g := NewHop(KindMatMult, "ba+*", tx, v)
 	g.DataType = types.Matrix
 	root := binary("-", w, binary("*", NewLiteralNumber(0.1), g))
 	d := &DAG{Roots: []*Hop{NewWrite("w", root)}}

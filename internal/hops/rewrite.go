@@ -15,8 +15,9 @@ func Rewrite(d *DAG) {
 	unique := func(h *Hop) *Hop {
 		if h.Kind == KindWrite || h.Kind == KindFunctionCall || h.Kind == KindDataGen ||
 			h.Kind == KindParamBuiltin || h.Kind == KindLeftIndex {
-			// side effects and non-determinism are never merged; datagen
-			// nodes carry generated seeds (non-determinism, Section 3.1)
+			// side effects and non-determinism are never merged: an
+			// unseeded datagen node draws a new seed on every execution
+			// (non-determinism, Section 3.1)
 			return h
 		}
 		sig := h.signature()

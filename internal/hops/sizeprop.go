@@ -314,11 +314,11 @@ var rowColAggs = map[string]bool{
 }
 
 // keepsBlockedOutput reports whether a distributed operator's kind produces a
-// blocked result at all — TSMM and full aggregates assemble small local
+// blocked result at all — TSMM, xty and full aggregates assemble small local
 // outputs instead. Shared by PropagateBlockedOutputs and the planner's
 // blocked-operand costing so the two can never disagree.
 func keepsBlockedOutput(h *Hop) bool {
-	return !(h.Kind == KindTSMM || (h.Kind == KindAggUnary && !rowColAggs[h.Op]))
+	return !(h.Kind == KindTSMM || h.Kind == KindMMChain || (h.Kind == KindAggUnary && !rowColAggs[h.Op]))
 }
 
 // PropagateBlockedOutputs runs after Plan and decides, per Dist

@@ -2,6 +2,8 @@ package instructions
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/dist"
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -22,7 +24,10 @@ type DataGenInst struct {
 	Rows, Cols         Operand
 	Min, Max, Sparsity Operand
 	PDF                Operand // "uniform" or "normal"
-	Seed               Operand
+	// Seed is the script's seed (rand and sample); without one (Unseeded)
+	// every execution draws its own (Draw)
+	Seed     Operand
+	Unseeded bool
 	// seq parameters
 	From, To, Incr Operand
 	// fill value
@@ -32,10 +37,12 @@ type DataGenInst struct {
 	Replace          Operand
 }
 
-// NewRand creates a rand data generation instruction.
+// NewRand creates a rand data generation instruction; a zero seed operand
+// makes it unseeded.
 func NewRand(out string, rows, cols, minV, maxV, sparsity, pdf, seed Operand) *DataGenInst {
-	inst := &DataGenInst{Kind: "rand", Rows: rows, Cols: cols, Min: minV, Max: maxV, Sparsity: sparsity, PDF: pdf, Seed: seed, plan: unplanned}
-	inst.base = newBase("rand", []string{out}, "", rows, cols, minV, maxV, sparsity, pdf, seed)
+	inst := &DataGenInst{Kind: "rand", Rows: rows, Cols: cols, Min: minV, Max: maxV, Sparsity: sparsity, PDF: pdf, plan: unplanned}
+	inst.base = newBase("rand", []string{out}, "", rows, cols, minV, maxV, sparsity, pdf)
+	inst.setSeed(seed)
 	return inst
 }
 
@@ -53,11 +60,46 @@ func NewFill(out string, value, rows, cols Operand) *DataGenInst {
 	return inst
 }
 
-// NewSample creates a sample instruction.
+// NewSample creates a sample instruction; a zero seed operand makes it
+// unseeded.
 func NewSample(out string, population, size, replace, seed Operand) *DataGenInst {
-	inst := &DataGenInst{Kind: "sample", Population: population, Size: size, Replace: replace, Seed: seed}
-	inst.base = newBase("sample", []string{out}, "", population, size, replace, seed)
+	inst := &DataGenInst{Kind: "sample", Population: population, Size: size, Replace: replace}
+	inst.base = newBase("sample", []string{out}, "", population, size, replace)
+	inst.setSeed(seed)
 	return inst
+}
+
+// setSeed appends the seed to the traced operands, or marks the generator
+// unseeded when the seed is the zero operand.
+func (i *DataGenInst) setSeed(seed Operand) {
+	if seed == (Operand{}) {
+		i.Unseeded = true
+		return
+	}
+	i.Seed = seed
+	i.ins = append(i.ins, seed)
+}
+
+// seedDraws counts the seeds unseeded generators have drawn in the process.
+var seedDraws atomic.Uint64
+
+// Draw implements runtime.Drawing: an unseeded generator runs as a copy
+// seeded with the next draw — the splitmix64 mix of a process-wide counter,
+// cut to 52 bits so the seed survives its float64 operand exactly. A seeded
+// generator is returned as it is.
+func (i *DataGenInst) Draw() runtime.Instruction {
+	if !i.Unseeded {
+		return i
+	}
+	z := seedDraws.Add(1) * 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	c := *i
+	c.Unseeded = false
+	c.ins = slices.Clone(i.ins)
+	c.setSeed(LitInt(int64(z >> 12)))
+	return &c
 }
 
 // Execute implements runtime.Instruction.

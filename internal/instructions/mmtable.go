@@ -109,6 +109,7 @@ type (
 const (
 	rhsColVector mmShape = 1 << iota // Y has one column
 	lhsRowVector                     // X has one row
+	rowScatter                       // t(X) %*% Y is below the tiled crossover (matrix.UseTiledGEMM)
 )
 
 const (
@@ -155,6 +156,7 @@ var mmTable = []mmRow{
 	{opXtY, repCompressed, repAny, anywhere, rhsColVector, "cvm", yLocal, "compress.VecMat", compressedXtVec},
 	{opXtY, repCompressed, repAny, anywhere, 0, "cmm", yLocal, "compress.TransMatMultDense",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.TransMatMultDense(c.yb, c.threads) }},
+	{opXtY, repAny, repAny, inDist, rowScatter, "dist", 0, "dist.XtY", distXtY},
 	{opXtY, repAny, repAny, anywhere, 0, "", xLocal | yLocal, "matrix.TransposeMultiply",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return matrix.TransposeMultiply(c.xb, c.yb, c.threads) }},
 
@@ -226,11 +228,16 @@ func (c mmCall) dispatch(ctx *runtime.Context) error {
 		}
 	}
 	var shape mmShape
-	if rows, _, ok := matrixDims(c.xd); ok && rows == 1 {
+	xr, xc, xok := matrixDims(c.xd)
+	_, yc, yok := matrixDims(c.yd)
+	if xok && xr == 1 {
 		shape |= lhsRowVector
 	}
-	if _, cols, ok := matrixDims(c.yd); ok && cols == 1 {
+	if yok && yc == 1 {
 		shape |= rhsColVector
+	}
+	if xok && yok && c.op == opXtY && !matrix.UseTiledGEMM(int(xc), int(xr), int(yc)) {
+		shape |= rowScatter
 	}
 	where := inCP
 	if useDist(ctx, c.ExecType, c.xd, c.yd) {
@@ -423,6 +430,27 @@ func lateBoundStrategy(ctx *runtime.Context, l, r runtime.Data) types.MatMultMet
 		return types.MMGridJoin
 	}
 	return types.MMBroadcastRight
+}
+
+// distXtY runs t(X) %*% Y on X's row blocks: X is partitioned once (or
+// already blocked), and Y is read where it lives, never collected.
+func distXtY(c *mmCall) (*matrix.MatrixBlock, error) {
+	bx, err := resolveBlockedData(c.ctx, c.xd, c.x)
+	if err != nil {
+		return nil, err
+	}
+	if bo, ok := c.yd.(*runtime.BlockedMatrixObject); ok {
+		by, err := bo.Blocked()
+		if err != nil {
+			return nil, err
+		}
+		return dist.XtY(bx, nil, by, c.threads)
+	}
+	yb, err := runtime.LocalBlockOf(c.ctx, c.y.Name, c.yd, c.opcode)
+	if err != nil {
+		return nil, err
+	}
+	return dist.XtY(bx, yb, nil, c.threads)
 }
 
 func distTSMM(c *mmCall) (*matrix.MatrixBlock, error) {

@@ -15,7 +15,8 @@ func renderKernelTable() string {
 		}
 		return "`" + s + "`"
 	}
-	shapes := map[mmShape]string{0: "any", rhsColVector: "Y is a column vector", lhsRowVector: "X is a row vector"}
+	shapes := map[mmShape]string{0: "any", rhsColVector: "Y is a column vector", lhsRowVector: "X is a row vector",
+		rowScatter: "below the tiled crossover"}
 	var sb strings.Builder
 	sb.WriteString("| operation | X | Y | backend | shape | plan tag | kernel |\n|---|---|---|---|---|---|---|\n")
 	for _, r := range mmTable {

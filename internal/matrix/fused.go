@@ -977,62 +977,89 @@ const xtyMaxPartialCells = 1 << 20
 // the tiled engine with the A side packed straight from x's column panels;
 // output rows are disjoint per worker and every cell accumulates in ascending
 // row order. Everything else — the t(X) %*% y vector shape of iterative
-// algorithms, sparse x, degenerate widths — scatters row by row,
-// out[j,:] += x[i,j] * y[i,:], into one partial output per fixed row chunk,
-// combined in chunk order. Either way results are bitwise-reproducible across
-// thread counts.
+// algorithms, sparse x, degenerate widths — is the row-scatter leg: one
+// partial output per fixed row chunk (XtYChunks), filled by XtYScatter and
+// combined in chunk order by XtYSum. Either way results are
+// bitwise-reproducible across thread counts.
 func TransposeMultiply(x, y *MatrixBlock, threads int) (*MatrixBlock, error) {
 	if x.rows != y.rows {
 		return nil, fmt.Errorf("matrix: transpose-multiply dimension mismatch t(%dx%d) %%*%% %dx%d", x.rows, x.cols, y.rows, y.cols)
 	}
 	m, n, k := x.rows, x.cols, y.cols
-	out := NewDense(n, k)
 	if m == 0 || n == 0 || k == 0 {
-		return out, nil
+		return NewDense(n, k), nil
 	}
 	yd := asDense(y)
 	if !x.IsSparse() && UseTiledGEMM(n, m, k) {
+		out := NewDense(n, k)
 		out.nnz = accDenseDenseTiled(out, x, yd, resolveThreads(threads), true)
 		return out, nil
 	}
-	var xs *CSR
-	if x.IsSparse() {
-		xs = x.csr()
-	}
-	num, size := fusedChunks(m)
-	if maxNum := max(1, xtyMaxPartialCells/(n*k)); num > maxNum {
-		size = (m + maxNum - 1) / maxNum
-		num = (m + size - 1) / size
-	}
+	num, size := XtYChunks(m, n, k)
 	nw := chunkWorkers(num, threads, m*n)
 	// one allocation per chunk, not one slab: neighbouring chunks run on
 	// different workers, and adjacent partials would share cache lines
 	parts := make([][]float64, num)
 	runChunks(m, num, size, nw, func(wi, ci, r0, r1 int) {
 		buf := make([]float64, n*k)
-		switch {
-		case xs != nil:
-			for r := r0; r < r1; r++ {
-				yrow := yd.dense[r*k : (r+1)*k]
-				for p := xs.RowPtr[r]; p < xs.RowPtr[r+1]; p++ {
-					j := xs.ColIdx[p]
-					scaledAdd(buf[j*k:(j+1)*k], yrow, xs.Values[p])
-				}
-			}
-		case k == 1:
-			for r := r0; r < r1; r++ {
-				scaledAdd(buf, x.dense[r*n:(r+1)*n], yd.dense[r])
-			}
-		default:
-			for r := r0; r < r1; r++ {
-				yrow := yd.dense[r*k : (r+1)*k]
-				for j, xv := range x.dense[r*n : (r+1)*n] {
-					scaledAdd(buf[j*k:(j+1)*k], yrow, xv)
-				}
-			}
-		}
+		XtYScatter(buf, k, 0, x, r0, r1, yd.dense[r0*k:])
 		parts[ci] = buf
 	})
+	return XtYSum(parts, n, k), nil
+}
+
+// XtYChunks is the row chunking of the row-scatter leg of t(X) %*% Y for an
+// m x n X and a k-column Y: num chunks of size rows each (the last one
+// shorter), a function of the shapes alone. The blocked backend walks the
+// same chunks over X's row blocks (dist.XtY), so both sum the same partials
+// in the same order.
+func XtYChunks(m, n, k int) (num, size int) {
+	num, size = fusedChunks(m)
+	if maxNum := max(1, xtyMaxPartialCells/(n*k)); num > maxNum {
+		size = (m + maxNum - 1) / maxNum
+		num = (m + size - 1) / size
+	}
+	return num, size
+}
+
+// XtYScatter adds t(x[r0:r1, :]) %*% Y's matching rows onto part, the n x k
+// row-major partial output of one chunk: out[col+j, :] += x[r, j] * Y[r, :].
+// col is the column of X at which x starts (a block of a wider X fills its
+// own rows of part), and y holds Y's rows densely from the one beside x's
+// row r0 on, k values each. A row adds nothing where its scale is zero; otherwise every cell adds its
+// rows in ascending order, so covering a chunk block by block in row order
+// gives the bits of one call over the whole chunk.
+func XtYScatter(part []float64, k, col int, x *MatrixBlock, r0, r1 int, y []float64) {
+	n := x.cols
+	out := part[col*k : (col+n)*k]
+	switch {
+	case x.sparse != nil:
+		xs := x.csr()
+		for r := r0; r < r1; r++ {
+			yrow := y[(r-r0)*k : (r-r0+1)*k]
+			for p := xs.RowPtr[r]; p < xs.RowPtr[r+1]; p++ {
+				j := xs.ColIdx[p]
+				scaledAdd(out[j*k:(j+1)*k], yrow, xs.Values[p])
+			}
+		}
+	case k == 1:
+		for r := r0; r < r1; r++ {
+			scaledAdd(out, x.dense[r*n:(r+1)*n], y[r-r0])
+		}
+	default:
+		for r := r0; r < r1; r++ {
+			yrow := y[(r-r0)*k : (r-r0+1)*k]
+			for j, xv := range x.dense[r*n : (r+1)*n] {
+				scaledAdd(out[j*k:(j+1)*k], yrow, xv)
+			}
+		}
+	}
+}
+
+// XtYSum adds the chunk partials of the row-scatter leg in chunk order into
+// the n x k result.
+func XtYSum(parts [][]float64, n, k int) *MatrixBlock {
+	out := NewDense(n, k)
 	var nnz int64
 	for c := range out.dense {
 		var acc float64
@@ -1045,5 +1072,5 @@ func TransposeMultiply(x, y *MatrixBlock, threads int) (*MatrixBlock, error) {
 		}
 	}
 	out.nnz = nnz
-	return out, nil
+	return out
 }

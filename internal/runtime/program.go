@@ -37,6 +37,15 @@ type Instruction interface {
 	Execute(ctx *Context) error
 }
 
+// A Drawing instruction draws fresh randomness on every execution: a rand or
+// sample the script gave no seed. executeInstruction runs the copy Draw
+// returns, whose seed is fixed, so the lineage item and the result name the
+// same draw: no two executions share an item, and reuse never hands back an
+// earlier draw.
+type Drawing interface {
+	Draw() Instruction
+}
+
 // ProgramBlock is a node of the runtime program tree.
 type ProgramBlock interface {
 	Execute(ctx *Context) error
@@ -196,6 +205,9 @@ func outputBytes(ctx *Context, inst Instruction) int64 {
 // execution, the reuse cache is probed, and qualifying results are cached
 // afterwards.
 func executeInstruction(ctx *Context, inst Instruction) error {
+	if d, ok := inst.(Drawing); ok {
+		inst = d.Draw()
+	}
 	if !ctx.Config.LineageEnabled {
 		return inst.Execute(ctx)
 	}

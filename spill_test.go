@@ -14,9 +14,10 @@ import (
 )
 
 // The differential scenarios: 600x40 inputs on the blocked backend (operator
-// budget 32 KB, 200-row blocks), so X, its memoized partition and a blocked
-// t(X) — 192 KB each — are the working set the buffer pool budgets are
-// fractions of.
+// budget 32 KB, 200-row blocks), so X and its memoized partition — 192 KB
+// each — and, where a multiply of the tiled engine's shape still transposes
+// (the list round trip), a blocked t(X) are the working set the buffer pool
+// budgets are fractions of.
 const (
 	diffRows, diffCols = 600, 40
 	diffWorkingSet     = 3 * diffRows * diffCols * 8
