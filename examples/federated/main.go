@@ -8,12 +8,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	systemds "github.com/systemds/systemds-go"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run starts two workers on loopback, trains over their partitions, checks
+// the model against centralized training and writes the outcome to w.
+func run(w io.Writer) error {
 	const (
 		rowsPerSite = 4000
 		cols        = 25
@@ -24,15 +34,14 @@ func main() {
 
 	site1, err := systemds.StartFederatedWorker("127.0.0.1:0", map[string]*systemds.Matrix{"X": x1, "y": y1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer site1.Shutdown()
 	site2, err := systemds.StartFederatedWorker("127.0.0.1:0", map[string]*systemds.Matrix{"X": x2, "y": y2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer site2.Shutdown()
-	fmt.Printf("federated workers: %s, %s\n", site1.Addr, site2.Addr)
 
 	totalRows := int64(2 * rowsPerSite)
 	Xfed, err := systemds.Federated(totalRows, cols, []systemds.FederatedRange{
@@ -40,7 +49,7 @@ func main() {
 		{RowStart: rowsPerSite, RowEnd: totalRows, ColStart: 0, ColEnd: cols, Address: site2.Addr, VarName: "X"},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer Xfed.Close()
 	yFed, err := systemds.Federated(totalRows, 1, []systemds.FederatedRange{
@@ -48,7 +57,7 @@ func main() {
 		{RowStart: rowsPerSite, RowEnd: totalRows, ColStart: 0, ColEnd: 1, Address: site2.Addr, VarName: "y"},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer yFed.Close()
 
@@ -63,11 +72,11 @@ rowsSeen = nrow(X)
 `
 	res, err := ctx.Execute(script, map[string]any{"X": Xfed, "y": yFed}, "B", "rowsSeen")
 	if err != nil {
-		log.Fatalf("federated training failed: %v", err)
+		return fmt.Errorf("federated training failed: %w", err)
 	}
 	B, _ := res.Matrix("B")
 	rowsSeen, _ := res.Float("rowsSeen")
-	fmt.Printf("trained federated model with %d coefficients over %.0f rows\n", B.Rows(), rowsSeen)
+	fmt.Fprintf(w, "trained federated model with %d coefficients over %.0f rows\n", B.Rows(), rowsSeen)
 
 	// Verify against centralized training (only possible here because the
 	// example owns both partitions).
@@ -78,7 +87,7 @@ b = t(X) %*% y
 B = solve(A, b)
 `, map[string]any{"X": stack(x1, x2), "y": stack(y1, y2)}, "B")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	Bc, _ := res2.Matrix("B")
 	maxDiff := 0.0
@@ -91,7 +100,8 @@ B = solve(A, b)
 			maxDiff = d
 		}
 	}
-	fmt.Printf("max |federated - centralized| coefficient difference: %.2e\n", maxDiff)
+	fmt.Fprintf(w, "federated and centralized coefficients agree to 1e-9: %v\n", maxDiff < 1e-9)
+	return nil
 }
 
 func stack(a, b *systemds.Matrix) *systemds.Matrix {

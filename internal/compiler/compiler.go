@@ -176,7 +176,9 @@ func (c *Compiler) CompileProgram(prog *lang.Program, knownInputs map[string]typ
 		}
 		c.prog.Functions[name] = fb
 	}
-	blocks, err := c.compileStatements(prog.Body, knownInputs)
+	// top-level code keeps every variable live: a caller may request any
+	// output of the script
+	blocks, err := c.compileStatements(prog.Body, knownInputs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -198,10 +200,13 @@ func (c *Compiler) compileFunction(fn *lang.FunctionDef) (*runtime.FunctionBlock
 		}
 		fb.Params = append(fb.Params, fp)
 	}
+	returns := map[string]bool{}
 	for _, r := range fn.Returns {
 		fb.Returns = append(fb.Returns, r.Name)
+		returns[r.Name] = true
 	}
-	body, err := c.compileStatements(fn.Body, nil)
+	// a function body's live-out set is its returns (liveness.go)
+	body, err := c.compileStatements(fn.Body, nil, returns)
 	if err != nil {
 		return nil, fmt.Errorf("compiler: function %s: %w", fn.Name, err)
 	}
@@ -293,10 +298,27 @@ func (c *Compiler) isUserOrDMLFunction(name string) bool {
 }
 
 // compileStatements groups statements into basic blocks and control-flow
-// blocks.
-func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[string]types.DataCharacteristics) ([]runtime.ProgramBlock, error) {
+// blocks. live holds the variables live after stmts (nil: every variable).
+func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[string]types.DataCharacteristics,
+	live map[string]bool) ([]runtime.ProgramBlock, error) {
 	var out []runtime.ProgramBlock
 	var straight []lang.Statement
+	// an inlined call is a block of its own (inline.go); the live set after a
+	// statement is wanted where a block or a control-flow statement ends
+	inl := make([]*inlined, len(stmts))
+	for i, s := range stmts {
+		if a, ok := s.(*lang.AssignStmt); ok {
+			inl[i] = c.inlinable(a)
+		}
+	}
+	want := make([]bool, len(stmts))
+	for i, s := range stmts {
+		next := i + 1
+		want[i] = !straightLine(s) || inl[i] != nil || next == len(stmts) ||
+			!straightLine(stmts[next]) || inl[next] != nil
+	}
+	after := liveAfterEach(stmts, live, want)
+	var straightLive map[string]bool // live after the last statement of straight
 	// available tracks variables certainly bound when control reaches the
 	// current statement: script inputs with known characteristics plus
 	// unconditional assignments at this nesting level. Compression decision
@@ -314,7 +336,7 @@ func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[str
 		if len(straight) == 0 {
 			return nil
 		}
-		bb, err := c.compileBasicBlock(straight, knownInputs)
+		bb, err := c.compileBasicBlock(straight, knownInputs, straightLive)
 		if err != nil {
 			return err
 		}
@@ -332,20 +354,19 @@ func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[str
 		}
 		return nil
 	}
-	for _, s := range stmts {
+	for i, s := range stmts {
 		switch v := s.(type) {
 		case *lang.AssignStmt, *lang.ExprStmt:
-			if a, ok := s.(*lang.AssignStmt); ok && c.inlinable(a) != nil {
-				// an inlined call is a block of its own (inline.go)
+			if inl[i] != nil {
 				if err := flush(); err != nil {
 					return nil, err
 				}
-				straight = append(straight, s)
+				straight, straightLive = append(straight, s), after[i]
 				if err := flush(); err != nil {
 					return nil, err
 				}
 			} else {
-				straight = append(straight, s)
+				straight, straightLive = append(straight, s), after[i]
 			}
 			if a, ok := s.(*lang.AssignStmt); ok {
 				for name := range lang.StatementWrites(a) {
@@ -357,7 +378,7 @@ func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[str
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			blk, err := c.compileIf(v)
+			blk, err := c.compileIf(v, after[i])
 			if err != nil {
 				return nil, err
 			}
@@ -370,7 +391,7 @@ func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[str
 			if err := emitCompressionSites(v.Body, ""); err != nil {
 				return nil, err
 			}
-			blk, err := c.compileWhile(v)
+			blk, err := c.compileWhile(v, after[i])
 			if err != nil {
 				return nil, err
 			}
@@ -383,7 +404,7 @@ func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[str
 			if err := emitCompressionSites(v.Body, v.Var); err != nil {
 				return nil, err
 			}
-			blk, err := c.compileFor(v)
+			blk, err := c.compileFor(v, after[i])
 			if err != nil {
 				return nil, err
 			}
@@ -397,6 +418,15 @@ func (c *Compiler) compileStatements(stmts []lang.Statement, knownInputs map[str
 		return nil, err
 	}
 	return out, nil
+}
+
+// straightLine reports whether a statement belongs in a basic block.
+func straightLine(s lang.Statement) bool {
+	switch s.(type) {
+	case *lang.AssignStmt, *lang.ExprStmt:
+		return true
+	}
+	return false
 }
 
 // markReassigned records every variable a statement may write (including
@@ -466,41 +496,42 @@ func (c *Compiler) compressionSites(body []lang.Statement, loopVar string,
 	if len(stmts) == 0 {
 		return nil, nil
 	}
-	return c.compileBasicBlock(stmts, siteKnown)
+	return c.compileBasicBlock(stmts, siteKnown, nil)
 }
 
-// compileIf compiles an if statement.
-func (c *Compiler) compileIf(s *lang.IfStmt) (*runtime.IfBlock, error) {
+// compileIf compiles an if statement; live holds the variables live after it.
+func (c *Compiler) compileIf(s *lang.IfStmt, live map[string]bool) (*runtime.IfBlock, error) {
 	predBlock, predVar, err := c.compilePredicate(s.Cond)
 	if err != nil {
 		return nil, err
 	}
-	thenBlocks, err := c.compileStatements(s.Then, nil)
+	thenBlocks, err := c.compileStatements(s.Then, nil, live)
 	if err != nil {
 		return nil, err
 	}
-	elseBlocks, err := c.compileStatements(s.Else, nil)
+	elseBlocks, err := c.compileStatements(s.Else, nil, live)
 	if err != nil {
 		return nil, err
 	}
 	return &runtime.IfBlock{Predicate: predBlock, PredVar: predVar, Then: thenBlocks, Else: elseBlocks}, nil
 }
 
-// compileWhile compiles a while loop.
-func (c *Compiler) compileWhile(s *lang.WhileStmt) (*runtime.WhileBlock, error) {
+// compileWhile compiles a while loop; live holds the variables live after it.
+func (c *Compiler) compileWhile(s *lang.WhileStmt, live map[string]bool) (*runtime.WhileBlock, error) {
 	predBlock, predVar, err := c.compilePredicate(s.Cond)
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.compileStatements(s.Body, nil)
+	body, err := c.compileStatements(s.Body, nil, loopLive(s, live))
 	if err != nil {
 		return nil, err
 	}
 	return &runtime.WhileBlock{Predicate: predBlock, PredVar: predVar, Body: body}, nil
 }
 
-// compileFor compiles a for or parfor loop.
-func (c *Compiler) compileFor(s *lang.ForStmt) (*runtime.ForBlock, error) {
+// compileFor compiles a for or parfor loop; live holds the variables live
+// after it.
+func (c *Compiler) compileFor(s *lang.ForStmt, live map[string]bool) (*runtime.ForBlock, error) {
 	iterExpr := s.Iterable
 	// rewrite "from:to" ranges into seq(from, to, 1)
 	if r, ok := iterExpr.(*lang.RangeExpr); ok {
@@ -510,7 +541,7 @@ func (c *Compiler) compileFor(s *lang.ForStmt) (*runtime.ForBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.compileStatements(s.Body, nil)
+	body, err := c.compileStatements(s.Body, nil, loopLive(s, live))
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +569,7 @@ func (c *Compiler) compilePredicate(cond lang.Expr) (*runtime.BasicBlock, string
 	c.predSeq++
 	predVar := fmt.Sprintf("_pred%d", c.predSeq)
 	stmt := &lang.AssignStmt{Targets: []lang.AssignTarget{{Name: predVar}}, Value: cond}
-	bb, err := c.compileBasicBlock([]lang.Statement{stmt}, nil)
+	bb, err := c.compileBasicBlock([]lang.Statement{stmt}, nil, nil)
 	if err != nil {
 		return nil, "", err
 	}

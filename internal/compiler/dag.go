@@ -35,22 +35,29 @@ type blockBuilder struct {
 	// scope prefixes every variable name while an inlined function body is
 	// built (inline.go); empty in the caller's own code.
 	scope string
+	// live tells a flush during statement pos which variables to write
+	live *blockLive
+	pos  int
 }
 
 // compileBasicBlock compiles straight-line statements into a basic block and
-// attaches a dynamic-recompilation callback.
-func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]types.DataCharacteristics) (*runtime.BasicBlock, error) {
-	bb, err := c.buildBlock(stmts, known)
+// attaches a dynamic-recompilation callback. live holds the variables live
+// after the block (nil: every variable); the block writes no other.
+func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]types.DataCharacteristics,
+	live map[string]bool) (*runtime.BasicBlock, error) {
+	flushLive := newBlockLive(stmts, live)
+	bb, err := c.buildBlock(stmts, known, flushLive)
 	if err != nil {
 		return nil, err
 	}
 	block := &runtime.BasicBlock{Instructions: bb.instrs, CleanupTemps: true}
-	// dynamic recompilation against live sizes drives both exec-type
-	// selection (distributed backend) and operator fusion: loop and function
-	// bodies compile with unknown sizes, so without recompilation the fusion
-	// matcher could never prove shapes inside the hottest blocks
-	sizes := (c.cfg.DistEnabled || !c.cfg.FusionDisabled || c.cfg.CompressionEnabled) && bb.unknownSizes
+	// dynamic recompilation against live sizes drives exec-type selection
+	// (distributed backend), operator fusion and the xty rewrite: loop and
+	// function bodies compile with unknown sizes, so without recompilation no
+	// matcher could prove shapes inside the hottest blocks
+	sizes := bb.unknownSizes
 	if sizes || (!c.cfg.FusionDisabled && bb.untypedChains) {
+		// the live sets are computed once per compile, not per recompile
 		stmtsCopy := stmts
 		block.RequiresRecompile = true
 		// loop bodies recompile on every execution; memoize the lowered
@@ -101,7 +108,7 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 				settled.Store(true)
 				return nil, nil
 			}
-			rebuilt, err := c.buildBlock(stmtsCopy, liveKnown)
+			rebuilt, err := c.buildBlock(stmtsCopy, liveKnown, flushLive)
 			if err != nil {
 				return nil, err
 			}
@@ -141,20 +148,25 @@ func liveSizeOf(ctx *runtime.Context, name string) (liveSize, types.DataCharacte
 	return liveSize{true, dc.Rows, dc.Cols, dc.Blocksize, dc.NNZ}, dc
 }
 
-// buildBlock runs the statement-to-DAG-to-instruction pipeline.
-func (c *Compiler) buildBlock(stmts []lang.Statement, known map[string]types.DataCharacteristics) (*blockBuilder, error) {
+// buildBlock runs the statement-to-DAG-to-instruction pipeline; live says
+// which variables its flushes write.
+func (c *Compiler) buildBlock(stmts []lang.Statement, known map[string]types.DataCharacteristics,
+	live *blockLive) (*blockBuilder, error) {
 	bb := &blockBuilder{
 		c:      c,
 		dag:    &hops.DAG{},
 		varMap: map[string]*hops.Hop{},
 		known:  known,
 		reads:  map[string]bool{},
+		live:   live,
 	}
-	for _, s := range stmts {
+	for i, s := range stmts {
+		bb.pos = i
 		if err := bb.processStatement(s); err != nil {
 			return nil, err
 		}
 	}
+	bb.pos = len(stmts)
 	if err := bb.flush(); err != nil {
 		return nil, err
 	}

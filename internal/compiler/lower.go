@@ -28,6 +28,12 @@ func (bb *blockBuilder) flush() error {
 		if h.Kind == hops.KindRead && h.Name == name {
 			continue
 		}
+		// a dead variable gets no write: nothing reads it again, and its
+		// value stays free to fuse into its one real consumer
+		if !bb.live.writes(name, bb.pos) {
+			delete(bb.c.compressedVars, name)
+			continue
+		}
 		bb.dag.Roots = append(bb.dag.Roots, hops.NewWrite(name, h))
 	}
 	if len(bb.dag.Roots) == 0 {
@@ -47,12 +53,15 @@ func (bb *blockBuilder) flush() error {
 	// subexpressions are single hops and consumer counts are exact) and
 	// before exec-type selection (fusion is gated on the planner's own
 	// predicate over the same params, so it never steals work from the
-	// blocked backend); sizes are re-propagated because fusion rewrites
-	// producer/consumer edges
+	// blocked backend); without fusion, t(X) %*% Y still becomes xty, so the
+	// setting never changes which kernel computes a product. Sizes are
+	// re-propagated because both rewrite producer/consumer edges
 	if !bb.c.cfg.FusionDisabled {
 		hops.FuseOperators(bb.dag, params)
-		hops.PropagateSizes(bb.dag, bb.known)
+	} else {
+		hops.RewriteXtY(bb.dag, params)
 	}
+	hops.PropagateSizes(bb.dag, bb.known)
 	// mark transient reads of variables compressed by an earlier DAG, so the
 	// planner prices their compressed bytes and EXPLAIN tags the CLA kernels;
 	// note a cellwise chain over reads of unknown type (the matcher left it
@@ -312,10 +321,14 @@ func lowerOp(h *hops.Hop) (runtime.Instruction, error) {
 		if h.Op == hops.OpXtY {
 			return instructions.NewXtY(out, in(0), in(1)), nil
 		}
-		if len(h.Inputs) == 3 {
-			return instructions.NewMMChain(out, in(0), in(1), in(2), true), nil
+		if h.Fused == nil {
+			return nil, fmt.Errorf("compiler: row chain without a program")
 		}
-		return instructions.NewMMChain(out, in(0), in(1), instructions.Operand{}, false), nil
+		args := make([]instructions.Operand, len(h.Inputs)-2)
+		for i := range args {
+			args[i] = in(i + 2)
+		}
+		return instructions.NewMMChain(out, in(0), in(1), h.Fused.Prog, args), nil
 	case hops.KindFusedAgg, hops.KindFusedCell:
 		if h.Fused == nil {
 			return nil, fmt.Errorf("compiler: fused operator %s without a plan", h.Op)

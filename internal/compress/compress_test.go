@@ -110,7 +110,6 @@ func TestCompressedKernelsMatchUncompressed(t *testing.T) {
 				rows, cols := m.Rows(), m.Cols()
 				v := matrix.RandUniform(cols, 1, -1, 1, 1.0, 7)
 				u := matrix.RandUniform(1, rows, -1, 1, 1.0, 8)
-				w := matrix.RandUniform(rows, 1, 0, 1, 1.0, 9)
 
 				want, err := matrix.Multiply(m, v, threads)
 				if err != nil {
@@ -131,26 +130,6 @@ func TestCompressedKernelsMatchUncompressed(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertMatClose(t, got, want, "vecmat")
-
-				want, err = matrix.MMChain(m, v, nil, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err = cm.MMChain(v, nil, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatClose(t, got, want, "mmchain")
-
-				want, err = matrix.MMChain(m, v, w, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err = cm.MMChain(v, w, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatClose(t, got, want, "mmchain-weighted")
 
 				fn := func(x float64) float64 { return 2*x + 1 }
 				mapped := cm.MapValues(func(dst, src []float64) {

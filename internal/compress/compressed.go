@@ -175,37 +175,6 @@ func (c *CompressedMatrix) VecMat(v *matrix.MatrixBlock, threads int) (*matrix.M
 	return out, nil
 }
 
-// MMChain computes t(X) %*% (X %*% v), optionally weighted as
-// t(X) %*% (w * (X %*% v)), entirely on the compressed representation: one
-// MatVec pass, a cheap dense scaling of the m x 1 intermediate, and one
-// VecMat pass. The n x 1 result matches the uncompressed fused mmchain.
-func (c *CompressedMatrix) MMChain(v, w *matrix.MatrixBlock, threads int) (*matrix.MatrixBlock, error) {
-	t, err := c.MatVec(v, threads)
-	if err != nil {
-		return nil, err
-	}
-	td := t.DenseValues()
-	if w != nil {
-		if w.Rows() != c.NumRows || w.Cols() != 1 {
-			return nil, fmt.Errorf("compress: mmchain weights are %dx%d, want %dx1", w.Rows(), w.Cols(), c.NumRows)
-		}
-		wd := denseVector(w)
-		for i := range td {
-			td[i] *= wd[i]
-		}
-	}
-	// reshape the m x 1 intermediate as the 1 x m left operand of VecMat
-	tr, err := t.Reshape(1, c.NumRows, true)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.VecMat(tr, threads)
-	if err != nil {
-		return nil, err
-	}
-	return res.Reshape(c.NumCols, 1, true)
-}
-
 // MapValues applies fn to every cell and returns a new compressed matrix: fn
 // maps a row of values src into dst and must be safe for concurrent calls.
 // Encoding structure (codes, run positions) is shared with the receiver; only

@@ -226,15 +226,10 @@ func TestWidthOneDDCMatchesSingleColumnFormulas(t *testing.T) {
 	}
 	v := fill(n)
 	v[1] = 0 // a zero entry skips its group
-	u, w := fill(rows), fill(rows)
+	u := fill(rows)
 	b, bt := fill(n*k), fill(rows*k)
 
 	wantMV := refMV(ref, v, rows)
-	chain := refMV(ref, v, rows)
-	for i := range chain {
-		chain[i] *= w[i]
-	}
-	wantChain := refVM(ref, chain, n)
 	for _, threads := range []int{1, 2, 3} {
 		mv, err := cm.MatVec(vecBlock(v, n, 1), threads)
 		if err != nil {
@@ -246,16 +241,6 @@ func TestWidthOneDDCMatchesSingleColumnFormulas(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBits(t, vm, refVM(ref, u, n), "vecmat")
-		mc, err := cm.MMChain(vecBlock(v, n, 1), nil, threads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBits(t, mc, refVM(ref, wantMV, n), "mmchain")
-		mcw, err := cm.MMChain(vecBlock(v, n, 1), vecBlock(w, rows, 1), threads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBits(t, mcw, wantChain, "weighted mmchain")
 		assertBits(t, cm.TSMM(threads), refTSMM(ref, n, rows), "tsmm")
 		mm, err := cm.MatMultDense(vecBlock(b, n, k), threads)
 		if err != nil {

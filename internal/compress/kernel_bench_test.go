@@ -138,7 +138,14 @@ func BenchmarkCompressedLoopEpoch(b *testing.B) {
 	w := matrix.RandUniform(x.Cols(), 1, -1, 1, 1.0, 78)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cm.MMChain(w, nil, 1); err != nil {
+		q, err := cm.MatVec(w, 1)
+		if err == nil {
+			q, err = q.Reshape(1, x.Rows(), true)
+		}
+		if err == nil {
+			_, err = cm.VecMat(q, 1)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +156,8 @@ func BenchmarkUncompressedLoopEpoch(b *testing.B) {
 	w := matrix.RandUniform(x.Cols(), 1, -1, 1, 1.0, 78)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := matrix.MMChain(x, w, nil, 1); err != nil {
+		q := []matrix.CellArg{{}}
+		if _, err := matrix.RowChain(x, w, &matrix.CellProgram{Instrs: []matrix.CellInstr{{Code: matrix.CellLoad}}, NumArgs: 1}, q, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

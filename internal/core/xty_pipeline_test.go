@@ -49,11 +49,28 @@ func requireMatricesClose(t *testing.T, what string, got, want *matrix.MatrixBlo
 	}
 }
 
+// requireMatricesBitwise fails unless got and want hold the same bits.
+func requireMatricesBitwise(t *testing.T, what string, got, want *matrix.MatrixBlock) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+		t.Fatalf("%s: shape %dx%d vs %dx%d", what, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+	}
+	for r := 0; r < want.Rows(); r++ {
+		for c := 0; c < want.Cols(); c++ {
+			if a, b := got.Get(r, c), want.Get(r, c); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: cell (%d,%d) %v vs %v", what, r, c, a, b)
+			}
+		}
+	}
+}
+
 // TestXtYScriptsMatchUnfused runs the scripts whose inner loop is
-// t(X) %*% y — l2svm, logRegGD, lmDS and the scripts/lm_trace.dml loop — with
-// fusion on and with WithFusion(false) as the oracle: results agree to 1e-9,
-// the fused run executes no transpose at all, and the unfused run executes
-// one per multiply.
+// t(X) %*% f(X %*% w) or t(X) %*% y — l2svm, logRegGD, lmDS and the
+// scripts/lm_trace.dml loop — with fusion on and with WithFusion(false) as the
+// oracle: results are bitwise-equal, neither run executes a transpose, both
+// execute one mmchain instruction per product, and the fused run's are row
+// chains where the gradient sits in a function body (l2svm, logRegGD: one per
+// iteration, nothing else reads margin or p) and plain xty elsewhere.
 func TestXtYScriptsMatchUnfused(t *testing.T) {
 	x := matrix.RandUniform(500, 24, -1, 1, 1.0, 51)
 	beta := matrix.RandUniform(24, 1, -1, 1, 1.0, 52)
@@ -79,11 +96,12 @@ func TestXtYScriptsMatchUnfused(t *testing.T) {
 		inputs       map[string]any
 		output       string
 		xtyOps       int64
+		chains       int64
 	}{
-		{"l2svm", "w = l2svm(X, y, 0.001, 0.1, 6)", map[string]any{"X": x, "y": sign}, "w", 6},
-		{"logRegGD", "w = logRegGD(X, y, 0.001, 0.5, 6)", map[string]any{"X": x, "y": prob}, "w", 6},
-		{"lmDS", "w = lmDS(X, y, 0.001)", map[string]any{"X": x, "y": xb}, "w", 1},
-		{"lm_trace loop", string(traceLoop), nil, "w", 10},
+		{"l2svm", "w = l2svm(X, y, 0.001, 0.1, 6)", map[string]any{"X": x, "y": sign}, "w", 6, 6},
+		{"logRegGD", "w = logRegGD(X, y, 0.001, 0.5, 6)", map[string]any{"X": x, "y": prob}, "w", 6, 6},
+		{"lmDS", "w = lmDS(X, y, 0.001)", map[string]any{"X": x, "y": xb}, "w", 1, 0},
+		{"lm_trace loop", string(traceLoop), nil, "w", 10, 0},
 	}
 	for _, tc := range cases {
 		fused, fstats, err := tracedFusionEngine(true, nil).Execute(tc.script, tc.inputs, []string{tc.output})
@@ -96,23 +114,32 @@ func TestXtYScriptsMatchUnfused(t *testing.T) {
 			t.Fatalf("%s: unfused run failed: %v", tc.name, err)
 		}
 		ucounts := instrCounts(ustats)
-		requireMatricesClose(t, tc.name, fused[tc.output].(*matrix.MatrixBlock), unfused[tc.output].(*matrix.MatrixBlock))
-		if fcounts["r'"] != 0 {
-			t.Errorf("%s: fused run executed %d transposes, want 0", tc.name, fcounts["r'"])
+		requireMatricesBitwise(t, tc.name, fused[tc.output].(*matrix.MatrixBlock), unfused[tc.output].(*matrix.MatrixBlock))
+		if fcounts["r'"] != 0 || ucounts["r'"] != 0 {
+			t.Errorf("%s: executed %d transposes fused and %d unfused, want 0", tc.name, fcounts["r'"], ucounts["r'"])
 		}
-		if fcounts["mmchain"] != tc.xtyOps || fstats.FusedStats.MMChainOps != tc.xtyOps {
-			t.Errorf("%s: fused run executed %d mmchain instructions (stats %d), want %d",
-				tc.name, fcounts["mmchain"], fstats.FusedStats.MMChainOps, tc.xtyOps)
+		if fcounts["mmchain"] != tc.xtyOps || fstats.FusedStats.MMChainOps != tc.chains {
+			t.Errorf("%s: fused run executed %d mmchain instructions (%d row chains), want %d (%d)",
+				tc.name, fcounts["mmchain"], fstats.FusedStats.MMChainOps, tc.xtyOps, tc.chains)
 		}
-		if ucounts["r'"] != tc.xtyOps || ucounts["mmchain"] != 0 {
-			t.Errorf("%s: unfused oracle executed r'=%d mmchain=%d, want %d and 0",
-				tc.name, ucounts["r'"], ucounts["mmchain"], tc.xtyOps)
+		rows := int64(0)
+		for _, pr := range fstats.PlanStats {
+			if pr.Op == "mmchain" && pr.Plan == "row" {
+				rows++
+			}
+		}
+		if rows != tc.chains {
+			t.Errorf("%s: %d mmchain|row plan records, want %d", tc.name, rows, tc.chains)
+		}
+		if ucounts["mmchain"] != tc.xtyOps || ustats.FusedStats.MMChainOps != 0 {
+			t.Errorf("%s: unfused oracle executed %d mmchain instructions (%d row chains), want %d (0)",
+				tc.name, ucounts["mmchain"], ustats.FusedStats.MMChainOps, tc.xtyOps)
 		}
 	}
 }
 
-// TestExplainShowsXtY: with known input sizes the fused plan prints the xty
-// variant and no transpose; the unfused plan keeps the transpose.
+// TestExplainShowsXtY: with known input sizes the plan prints the xty variant
+// and no transpose, with fusion on and off alike.
 func TestExplainShowsXtY(t *testing.T) {
 	x := matrix.RandUniform(300, 20, -1, 1, 1.0, 53)
 	y := matrix.RandUniform(300, 1, -1, 1, 1.0, 54)
@@ -128,8 +155,8 @@ func TestExplainShowsXtY(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(unfused, "Reorg t") || strings.Contains(unfused, "MMChain") {
-		t.Errorf("unfused plan should keep the transpose:\n%s", unfused)
+	if !strings.Contains(unfused, "MMChain xty") || strings.Contains(unfused, "Reorg t") {
+		t.Errorf("unfused plan should show MMChain xty and no transpose:\n%s", unfused)
 	}
 }
 
@@ -282,8 +309,8 @@ func TestXtYOnFederatedX(t *testing.T) {
 // a view — federated or compressed — bound to a variable is a matrix like any
 // other: it answers nrow/ncol, t() of it folds back to the source, and the
 // multiplies that consume it in a later DAG (an if body inside a loop) run the
-// transpose-free kernels on the source. One view type serves both sources, so
-// one table checks both.
+// transpose-free kernels on the source, t(Xt) %*% v included, with fusion on
+// or off. One view type serves both sources, so one table checks both.
 func TestNamedTransposeAcrossDAGs(t *testing.T) {
 	fxLocal, y, fx, _ := federatedXY(t)
 	cx := lowCardFeatures(2000, 40, 65)
@@ -307,7 +334,7 @@ for (i in 1:3) {
 		xIn, y   any
 		tune     func(*runtime.Config)
 		pushdown bool
-		// compressed operators per trip besides the fold-back t(Xt)
+		// compressed operators per trip
 		compOps int64
 	}{
 		// federated: every r' is a metadata operation, every product a push-down
@@ -334,19 +361,13 @@ for (i in 1:3) {
 			for _, name := range []string{"g", "G", "q"} {
 				requireMatricesClose(t, tc.name+" "+name, res[name].(*matrix.MatrixBlock), plain[name].(*matrix.MatrixBlock))
 			}
-			// fused, t(Xt) %*% v is one transpose-free product over the view;
-			// unfused, t(Xt) is an instruction of its own that folds back to X
-			foldBacks := int64(3)
-			if fusion {
-				foldBacks = 0
-			}
-			if n := instrCounts(stats)["r'"]; n != 3+foldBacks {
-				t.Errorf("%s (fusion %v): %d transposes executed, want %d", tc.name, fusion, n, 3+foldBacks)
+			// t(Xt) %*% v is one transpose-free product over the view: the
+			// xty rewrite runs whatever the fusion setting, so the only
+			// transposes are the three bindings of Xt
+			if n := instrCounts(stats)["r'"]; n != 3 {
+				t.Errorf("%s (fusion %v): %d transposes executed, want 3", tc.name, fusion, n)
 			}
 			wantOps := 3 * tc.compOps
-			if tc.compOps > 0 {
-				wantOps += foldBacks
-			}
 			if cs := stats.CompressStats; cs.CompressedOps != wantOps || cs.Decompressions != 0 {
 				t.Errorf("%s (fusion %v): compressed ops = %d, decompressions = %d, want %d and 0",
 					tc.name, fusion, cs.CompressedOps, cs.Decompressions, wantOps)

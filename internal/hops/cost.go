@@ -138,10 +138,11 @@ func estimateFLOPs(h *Hop) float64 {
 			}
 			return 2 * n * float64(k) * h.Inputs[0].DC.Sparsity()
 		}
-		// two passes over X (X%*%v and t(X)%*%·), plus the optional weighting
+		// two passes over X (X%*%v and t(X)%*%·), plus the row program once
+		// per row
 		f := 4 * n
-		if len(h.Inputs) == 3 {
-			f += n
+		if h.Fused != nil && h.Inputs[0].DC.Rows > 0 {
+			f += float64(h.Inputs[0].DC.Rows) * float64(len(h.Fused.Prog.Instrs)-1)
 		}
 		return f
 	case KindFusedAgg, KindFusedCell:
@@ -378,18 +379,15 @@ func UntypedCellChain(h *Hop) bool {
 // input cell is zero: nnz(out) <= min(nnz(a), nnz(b)).
 var zeroAnnihilating = map[string]bool{"*": true, "&": true}
 
-// zeroPreserving lists binary ops whose output cell is zero whenever both
-// input cells are zero: nnz(out) <= nnz(a) + nnz(b). (Comparisons, division
-// and power are excluded: 0==0, 0/0 and 0^0 produce non-zeros from zero
-// pairs.)
-var zeroPreserving = map[string]bool{"+": true, "-": true, "|": true, "min": true, "max": true}
+// zeroPreserving lists the binary ops whose output cell is zero whenever both
+// input cells are zero, f(0, 0) == 0 in the operator table: nnz(out) <=
+// nnz(a) + nnz(b). (==, <=, >=, / and ^ are out: 0==0, 0/0 and 0^0 produce
+// non-zeros from zero pairs.)
+var zeroPreserving = binaryOpsWhere(func(op matrix.BinaryOp) bool { return op.Apply(0, 0) == 0 })
 
-// zeroPreservingUnary lists unary ops with f(0) == 0, which keep the input's
-// nnz as an upper bound.
-var zeroPreservingUnary = map[string]bool{
-	"uminus": true, "abs": true, "sqrt": true, "round": true, "floor": true,
-	"ceil": true, "sign": true, "sin": true, "tan": true,
-}
+// zeroPreservingUnary lists the unary ops with f(0) == 0 in the operator
+// table, which keep the input's nnz as an upper bound.
+var zeroPreservingUnary = unaryOpsWhere(func(op matrix.UnaryOp) bool { return op.Apply(0) == 0 })
 
 // CellwiseNNZBound returns an nnz upper bound for a cell-wise binary operator
 // over two matrices of identical shape, or -1 when no bound is known (unknown

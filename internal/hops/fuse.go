@@ -3,11 +3,16 @@
 // selection, replacing matched subgraphs with fused HOP kinds that lower to
 // single-pass multi-threaded kernels. Three pattern families are recognized:
 //
-//   - mmchain: t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) — the
-//     linear-regression / logistic-regression inner loop — become KindMMChain,
-//     avoiding the materialized transpose and the m x 1 intermediate. Any
-//     other t(X) %*% Y becomes the xty variant of the same kind: one pass
-//     over X, no transpose.
+//   - row-wise gradients (the Row template): t(X) %*% f(X %*% v, a1…ak), with
+//     f a tree of cellwise operators over q = X %*% v, m x 1 vectors and
+//     scalars, becomes KindMMChain carrying f as a cell program — one pass
+//     over X, no transpose, no m x 1 intermediate. The tree may absorb an
+//     interior with several consumers when every consumer is inside it (its
+//     program is emitted once per use). t(X) %*% (X %*% v) and
+//     t(X) %*% (w * (X %*% v)) are the programs q and w*q. Any other
+//     t(X) %*% Y becomes the xty variant of the same kind, and that rewrite
+//     (RewriteXtY) runs with fusion off too: it fuses nothing, so the fusion
+//     setting never changes which kernel computes a product.
 //   - cellwise-aggregate pipelines: sum/min/max/colSums/rowSums over a tree
 //     of cellwise binary/unary/scalar operations with single-consumer
 //     intermediates (e.g. sum(X*Y), sum((X-P)^2)) become KindFusedAgg with a
@@ -21,15 +26,17 @@
 // The leaves of a cell program are scalars, matrices of the root's shape, and
 // row (1 x n) or column (m x 1) vectors broadcast along it.
 //
-// Legality: fusion never fires across multi-consumer intermediates (a shared
-// intermediate is materialized anyway, so fusing would trade reuse for
-// recomputation), only across operators with known, matching shapes, and —
-// when the distributed backend is enabled — only when the root operator fits
-// the per-operator memory budget (larger operators belong to the blocked
-// backend). The one fused kernel the blocked backend has is xty: a
-// dist-bound t(X) %*% Y on a shape of the row-scatter leg (sparse X, or below
-// the tiled crossover) still becomes the xty variant, which the planner keeps
-// on the blocked backend (dist.XtY, no transpose, a local n x k result).
+// Legality: outside the Row template, fusion never fires across
+// multi-consumer intermediates (a shared intermediate is materialized anyway,
+// so fusing would trade reuse for recomputation), only across operators with
+// known, matching shapes, and — when the distributed backend is enabled —
+// only when the root operator fits the per-operator memory budget (larger
+// operators belong to the blocked backend). The one fused kernel the blocked
+// backend has is xty: a dist-bound t(X) %*% Y on a shape of the row-scatter
+// leg (sparse X, or below the tiled crossover) still becomes the xty variant,
+// which the planner keeps on the blocked backend (dist.XtY, no transpose, a
+// local n x k result). A dist-bound row chain keeps that plan, except
+// t(X) %*% (X %*% v), which keeps the transpose and the blocked multiply.
 package hops
 
 import (
@@ -65,9 +72,17 @@ var fusableAggs = map[string]matrix.AggKind{
 // so fusion and execution-type selection can never disagree about where an
 // operator runs.
 func FuseOperators(d *DAG, p PlannerParams) {
-	fuseMMChains(d, p)
+	fuseProducts(d, p, true)
 	fuseAggPipelines(d, p)
 	fuseCellChains(d, p)
+}
+
+// RewriteXtY is the product rewrite of a compile without fusion: every
+// t(X) %*% Y that FuseOperators would turn into a row chain or the xty
+// variant runs the xty kernel instead, so that turning fusion off never
+// changes the bits of a product.
+func RewriteXtY(d *DAG, p PlannerParams) {
+	fuseProducts(d, p, false)
 }
 
 // consumerCounts returns, per HOP id, the number of consuming edges in the
@@ -85,17 +100,16 @@ func consumerCounts(d *DAG) map[int64]int {
 	return counts
 }
 
-// --- mmchain ----------------------------------------------------------------
+// --- row chains and xty -------------------------------------------------------
 
 // OpXtY is the Op of the KindMMChain variant computing t(X) %*% Y from inputs
-// [X, Y]; the two chain shapes keep Op "mmchain" and are told apart by their
-// input count.
+// [X, Y]; a row chain keeps Op "mmchain" and carries its program in Fused.
 const OpXtY = "xty"
 
-// fuseMMChains rewrites t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) into
-// KindMMChain hops with inputs [X, v] or [X, v, w], and every remaining
-// t(X) %*% Y into the xty variant with inputs [X, Y].
-func fuseMMChains(d *DAG, p PlannerParams) {
+// fuseProducts rewrites every t(X) %*% Y: with rowChains, into a row chain
+// (inputs [X, v, a1…ak], Fused.Prog over [q, a1…ak]) when Y is a cellwise
+// tree over one X %*% v; otherwise into the xty variant with inputs [X, Y].
+func fuseProducts(d *DAG, p PlannerParams, rowChains bool) {
 	consumers := consumerCounts(d)
 	for _, h := range d.Nodes() {
 		if h.Kind != KindMatMult || len(h.Inputs) != 2 {
@@ -113,48 +127,93 @@ func fuseMMChains(d *DAG, p PlannerParams) {
 		if !x.IsMatrix() {
 			continue
 		}
-		var v, w *Hop
-		switch {
-		case consumers[rhs.ID] != 1:
-			// a shared right-hand side is materialized anyway: no chain
-		case rhs.Kind == KindMatMult && len(rhs.Inputs) == 2 && rhs.Inputs[0] == x:
-			// t(X) %*% (X %*% v)
-			v = rhs.Inputs[1]
-		case rhs.Kind == KindBinary && rhs.Op == "*" && len(rhs.Inputs) == 2:
-			// t(X) %*% (w * (X %*% v)), either operand order of the product
-			for i := 0; i < 2; i++ {
-				mm, cand := rhs.Inputs[i], rhs.Inputs[1-i]
-				if mm.Kind == KindMatMult && len(mm.Inputs) == 2 && mm.Inputs[0] == x &&
-					consumers[mm.ID] == 1 && isColVector(cand, x.DC.Rows) {
-					v = mm.Inputs[1]
-					w = cand
-					break
-				}
-			}
+		var rc *rowChain
+		if rowChains {
+			rc = matchRowChain(x, rhs, consumers, p)
 		}
-		chain := v != nil && isColVector(v, x.DC.Cols)
-		if WouldRunDist(h, p) && (chain || !rowScatterXtY(x, rhs)) {
+		dist := WouldRunDist(h, p)
+		switch {
+		case rc != nil && !dist && !WouldRunDist(rc.mv, p):
+			h.Kind, h.Op = KindMMChain, "mmchain"
+			h.Inputs = append([]*Hop{x, rc.v}, rc.args...)
+			h.Fused = &FusedPlan{Prog: rc.prog, OutNNZ: -1}
+		case dist && (rc.unfusedOnDist() || !rowScatterXtY(x, rhs)):
 			// the blocked backend has the xty kernel only for the shapes of
-			// the row-scatter leg: a chain, a tiled shape or an unknown size
-			// keeps the transpose and the blocked multiply
+			// the row-scatter leg: a tiled shape or an unknown size keeps the
+			// transpose and the blocked multiply, and so does the chain it
+			// never fused
 			continue
-		}
-		h.Kind = KindMMChain
-		h.Op = "mmchain"
-		switch {
-		case !chain:
-			// no chain to fold: the multiply itself still reads X in place
-			h.Op = OpXtY
-			h.Inputs = []*Hop{x, rhs}
-		case w != nil:
-			h.Inputs = []*Hop{x, v, w}
 		default:
-			h.Inputs = []*Hop{x, v}
+			// no chain to fold: the multiply itself still reads X in place
+			h.Kind, h.Op = KindMMChain, OpXtY
+			h.Inputs = []*Hop{x, rhs}
 		}
 		// interior nodes are now unreachable; refresh edge counts so later
 		// matches see the rewritten graph
 		consumers = consumerCounts(d)
 	}
+}
+
+// rowChain is a matched t(X) %*% f(X %*% v, a1…ak): the program f over
+// [q, a1…ak] and the hops v and a1…ak.
+type rowChain struct {
+	mv, v *Hop // q = X %*% v, and v
+	args  []*Hop
+	prog  *matrix.CellProgram
+}
+
+// unfusedOnDist reports whether a dist-bound product keeps the transposed
+// multiply: t(X) %*% (X %*% v), the chain the blocked backend has never
+// fused (item 19(b) of the roadmap gives it the local bits first).
+func (rc *rowChain) unfusedOnDist() bool {
+	return rc != nil && len(rc.prog.Instrs) == 1
+}
+
+// matchRowChain matches the right-hand side of t(X) %*% rhs against the Row
+// template: rhs is X %*% v itself, or a tree of fusable cellwise operators of
+// rhs's m x 1 shape that reaches exactly one X %*% v. rhs has no consumer
+// but the product, q = X %*% v none outside the tree, and an interior of
+// the tree may have several consumers when all of them are inside it. It
+// returns nil when rhs is no such tree.
+func matchRowChain(x, rhs *Hop, consumers map[int64]int, p PlannerParams) *rowChain {
+	n := x.DC.Cols
+	if consumers[rhs.ID] != 1 || !isColVector(rhs, x.DC.Rows) || (WouldRunDist(x, p) && keepsBlockedOutput(x)) {
+		return nil
+	}
+	isMV := func(h *Hop) bool {
+		return h.Kind == KindMatMult && len(h.Inputs) == 2 && h.Inputs[0] == x && isColVector(h.Inputs[1], n)
+	}
+	if isMV(rhs) {
+		prog := &matrix.CellProgram{Instrs: []matrix.CellInstr{{Code: matrix.CellLoad, Arg: 0}}, NumArgs: 1}
+		return &rowChain{mv: rhs, v: rhs.Inputs[1], prog: prog}
+	}
+	b := &cellBuilder{consumers: consumers, params: p, dims: rhs.DC}
+	if !b.fusable(rhs) {
+		return nil
+	}
+	b.absorb = b.insideTree(rhs)
+	// q: the one X %*% v among the tree's leaves, consumed only inside it
+	var mv *Hop
+	for _, h := range append([]*Hop{rhs}, b.absorbed...) {
+		for _, in := range h.Inputs {
+			if b.absorb[in.ID] || !isMV(in) {
+				continue
+			}
+			if mv != nil && mv != in {
+				return nil
+			}
+			mv = in
+		}
+	}
+	if mv == nil || b.inside[mv.ID] != consumers[mv.ID] {
+		return nil
+	}
+	b.args, b.driver = []*Hop{mv}, mv
+	if !b.build(rhs, true) {
+		return nil
+	}
+	prog := &matrix.CellProgram{Instrs: b.instrs, NumArgs: len(b.args)}
+	return &rowChain{mv: mv, v: mv.Inputs[1], args: b.args[1:], prog: prog}
 }
 
 // rowScatterXtY reports whether t(X) %*% Y runs on the row-scatter leg of
@@ -247,6 +306,12 @@ type cellBuilder struct {
 	driver    *Hop    // first leaf of the root's shape
 	ops       int     // operator instructions, root included
 	depth     int
+	// absorb, when set, names the operators below the root that the program
+	// inlines (a row chain's tree, insideTree); absorbed lists them and
+	// inside counts the edges from the root and them to every hop.
+	absorb   map[int64]bool
+	absorbed []*Hop
+	inside   map[int64]int
 }
 
 // buildCellProgram linearizes the cellwise tree under root — root itself plus
@@ -328,7 +393,7 @@ func (b *cellBuilder) operandOK(h *Hop) bool {
 // and every single-consumer fusable operator below it recurse, everything
 // else becomes an argument load.
 func (b *cellBuilder) build(h *Hop, root bool) bool {
-	if root || (b.consumers[h.ID] == 1 && b.fusable(h)) {
+	if root || b.inline(h) {
 		for _, in := range h.Inputs {
 			if !b.build(in, false) {
 				return false
@@ -365,6 +430,62 @@ func (b *cellBuilder) build(h *Hop, root bool) bool {
 	return b.depth <= matrix.CellMaxStack && len(b.instrs) <= matrix.CellMaxInstrs
 }
 
+// inline reports whether an operator below the root becomes part of the
+// program: by default a single-consumer fusable operator, in a row chain an
+// operator of its tree.
+func (b *cellBuilder) inline(h *Hop) bool {
+	if b.absorb != nil {
+		return b.absorb[h.ID]
+	}
+	return b.consumers[h.ID] == 1 && b.fusable(h)
+}
+
+// insideTree returns the operators below root that a row program absorbs:
+// the fusable operators reachable from root through fusable operators, less
+// those with a consumer outside root and the others (repeated until none
+// has). It sets b.absorbed and b.inside to match.
+func (b *cellBuilder) insideTree(root *Hop) map[int64]bool {
+	var cand []*Hop
+	seen := map[int64]bool{}
+	var walk func(h *Hop)
+	walk = func(h *Hop) {
+		for _, in := range h.Inputs {
+			if !seen[in.ID] && b.fusable(in) {
+				seen[in.ID] = true
+				cand = append(cand, in)
+				walk(in)
+			}
+		}
+	}
+	walk(root)
+	for {
+		inside := map[int64]int{}
+		for _, in := range root.Inputs {
+			inside[in.ID]++
+		}
+		for _, h := range cand {
+			for _, in := range h.Inputs {
+				inside[in.ID]++
+			}
+		}
+		var kept []*Hop
+		for _, h := range cand {
+			if inside[h.ID] == b.consumers[h.ID] {
+				kept = append(kept, h)
+			}
+		}
+		if len(kept) == len(cand) {
+			absorb := make(map[int64]bool, len(cand))
+			for _, h := range cand {
+				absorb[h.ID] = true
+			}
+			b.absorbed, b.inside = cand, inside
+			return absorb
+		}
+		cand = kept
+	}
+}
+
 // annihilates reports the structural guarantee that the subtree evaluates to
 // exactly 0 whenever the driver argument (the first leaf of the root's shape)
 // is 0, for finite leaf values — the legality condition of the sparse-driver
@@ -399,13 +520,60 @@ func (b *cellBuilder) annihilates(h *Hop) bool {
 }
 
 // finiteUnary and finiteBinary list the cellwise operators that map finite
-// operands to a finite result (overflow aside).
+// operands to a finite result, overflow of +, - and * aside: derived from the
+// runtime's operator table (matrix/elementwise.go) over finiteProbes, which
+// hold a zero (log, /, %%), negatives (sqrt, ^) and a magnitude that
+// overflows exp and ^.
 var (
-	finiteUnary = map[string]bool{"uminus": true, "abs": true, "round": true, "floor": true,
-		"ceil": true, "sign": true, "!": true, "sin": true, "cos": true, "sigmoid": true, "is.nan": true}
-	finiteBinary = map[string]bool{"+": true, "-": true, "*": true, "min": true, "max": true,
-		"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true, "&": true, "|": true}
+	finiteUnary = unaryOpsWhere(func(op matrix.UnaryOp) bool {
+		for _, a := range finiteProbes {
+			if r := op.Apply(a); math.IsNaN(r) || math.IsInf(r, 0) {
+				return false
+			}
+		}
+		return true
+	})
+	finiteBinary = binaryOpsWhere(func(op matrix.BinaryOp) bool {
+		for _, a := range finiteProbes {
+			for _, b := range finiteProbes {
+				if r := op.Apply(a, b); math.IsNaN(r) || math.IsInf(r, 0) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	finiteProbes = []float64{0, 0.5, -0.5, 1, -1, 2.5, -2.5, 1000, -1000}
 )
+
+// unaryOpsWhere returns the HOP names ("uminus" for negation) of the unary
+// operators of the operator table for which keep holds.
+func unaryOpsWhere(keep func(matrix.UnaryOp) bool) map[string]bool {
+	names := map[string]bool{}
+	for op := matrix.UnaryOp(0); op.String() != "?"; op++ {
+		if !keep(op) {
+			continue
+		}
+		if op == matrix.OpNeg {
+			names["uminus"] = true
+		} else {
+			names[op.String()] = true
+		}
+	}
+	return names
+}
+
+// binaryOpsWhere returns the symbols of the binary operators of the operator
+// table for which keep holds.
+func binaryOpsWhere(keep func(matrix.BinaryOp) bool) map[string]bool {
+	names := map[string]bool{}
+	for op := matrix.BinaryOp(0); op.String() != "?"; op++ {
+		if keep(op) {
+			names[op.String()] = true
+		}
+	}
+	return names
+}
 
 // staysFinite reports whether a subtree is finite wherever its data is:
 // anything that is not a cellwise operator counts as data, which the kernel

@@ -1,6 +1,7 @@
 package hops
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/types"
@@ -53,6 +54,9 @@ func TestFuseMMChainXtXv(t *testing.T) {
 	if root.DC.Rows != 20 || root.DC.Cols != 1 {
 		t.Errorf("mmchain output characteristics = %v, want 20x1", root.DC)
 	}
+	if root.Fused == nil || root.Fused.Prog.Signature() != "L0" {
+		t.Errorf("mmchain program = %v, want q alone (L0)", root.Fused)
+	}
 }
 
 func TestFuseMMChainWeighted(t *testing.T) {
@@ -73,6 +77,84 @@ func TestFuseMMChainWeighted(t *testing.T) {
 	}
 	if root.Inputs[0] != x || root.Inputs[1] != v || root.Inputs[2] != w {
 		t.Error("mmchain inputs should be [X, v, w]")
+	}
+	if root.Fused == nil || root.Fused.Prog.Signature() != "L1;L0;B*" {
+		t.Errorf("mmchain program = %v, want w * q (L1;L0;B*)", root.Fused)
+	}
+}
+
+// l2svmGradient builds l2svm's t(X) %*% (y * margin * (margin > 0)) with
+// margin = 1 - y * (X %*% v), and writes g; written names the interiors that
+// are transient writes too (as in code where they stay live).
+func l2svmGradient(written ...string) (d *DAG, root, x, v, y *Hop) {
+	x = matRead("X", 200, 20)
+	v = matRead("v", 20, 1)
+	y = matRead("y", 200, 1)
+	tx := NewHop(KindReorg, "t", x)
+	tx.DataType = types.Matrix
+	xv := NewHop(KindMatMult, "ba+*", x, v)
+	xv.DataType = types.Matrix
+	margin := binary("-", NewLiteralNumber(1), binary("*", y, xv))
+	active := binary(">", margin, NewLiteralNumber(0))
+	hinge := binary("*", binary("*", y, margin), active)
+	root = NewHop(KindMatMult, "ba+*", tx, hinge)
+	root.DataType = types.Matrix
+	d = &DAG{Roots: []*Hop{NewWrite("g", root)}}
+	for _, name := range written {
+		h := map[string]*Hop{"margin": margin, "active": active, "hinge": hinge, "q": xv}[name]
+		d.Roots = append(d.Roots, NewWrite(name, h))
+	}
+	return d, root, x, v, y
+}
+
+// TestFuseRowChainL2SVM: l2svm's gradient is one row chain when margin is
+// consumed only inside the tree, twice: its program is emitted at each use.
+func TestFuseRowChainL2SVM(t *testing.T) {
+	d, root, x, v, y := l2svmGradient()
+	prepare(d)
+	if root.Kind != KindMMChain || root.Op != "mmchain" || root.Fused == nil {
+		t.Fatalf("expected a row chain, got %s %s", root.Kind, root.Op)
+	}
+	if len(root.Inputs) != 5 || root.Inputs[0] != x || root.Inputs[1] != v || root.Inputs[2] != y {
+		t.Fatalf("row chain inputs %v, want [X, v, y, 1, 0]", root.Inputs)
+	}
+	const want = "L1;L2;L1;L0;B*;B-;B*;L2;L1;L0;B*;B-;L3;B>;B*"
+	if got := root.Fused.Prog.Signature(); got != want {
+		t.Errorf("program %s, want %s", got, want)
+	}
+	if countKind(d, KindBinary) != 0 || countKind(d, KindMatMult) != 0 || countKind(d, KindReorg) != 0 {
+		t.Error("the tree, X %*% v and t(X) should be gone from the DAG")
+	}
+	if root.DC.Rows != 20 || root.DC.Cols != 1 {
+		t.Errorf("row chain output %v, want 20x1", root.DC)
+	}
+}
+
+// TestNoFuseRowChainAcrossAWrite: an interior (or q) that is also written is
+// consumed outside the tree, so the tree stops there — and so does it at
+// margin when active is written, since active consumes margin — and a tree
+// that no longer reaches q is no row chain: the product runs as xty.
+func TestNoFuseRowChainAcrossAWrite(t *testing.T) {
+	for _, name := range []string{"margin", "active", "q", "hinge"} {
+		d, root, x, _, _ := l2svmGradient(name)
+		prepare(d)
+		if root.Kind != KindMMChain || root.Op != OpXtY || root.Inputs[0] != x {
+			t.Errorf("%s written: got %s %s, want xty", name, root.Kind, root.Op)
+		}
+	}
+}
+
+// TestRewriteXtYWithoutFusion: with fusion off every t(X) %*% Y — the chain
+// shapes included — runs as xty, and nothing else is fused.
+func TestRewriteXtYWithoutFusion(t *testing.T) {
+	d, root, x, _, _ := l2svmGradient()
+	PropagateSizes(d, nil)
+	RewriteXtY(d, PlannerParams{})
+	if root.Kind != KindMMChain || root.Op != OpXtY || root.Fused != nil || root.Inputs[0] != x {
+		t.Fatalf("got %s %s, want xty", root.Kind, root.Op)
+	}
+	if countKind(d, KindFusedCell) != 0 || countKind(d, KindBinary) == 0 {
+		t.Error("the cellwise tree must stay unfused")
 	}
 }
 
@@ -515,6 +597,36 @@ func TestAnnihilationRules(t *testing.T) {
 		root := build(tc.mk)
 		if got := root.Fused.Prog.Annihilating; got != tc.want {
 			t.Errorf("%s: annihilating = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestOperatorPropertiesFromTable pins the operator property lists derived
+// from the operator table to the hand-written lists they replaced. The
+// derivation adds operators the lists had missed, each correct: tan is finite
+// on every finite operand, is.nan(0), 0 != 0, 0 < 0 and 0 > 0 are 0, and
+// * and & (zero-annihilating, checked first) preserve zero pairs too.
+func TestOperatorPropertiesFromTable(t *testing.T) {
+	set := func(names ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, n := range names {
+			m[n] = true
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want map[string]bool
+	}{
+		{"finiteUnary", finiteUnary, set("uminus", "abs", "round", "floor", "ceil", "sign", "!", "sin", "cos",
+			"sigmoid", "is.nan", "tan")},
+		{"finiteBinary", finiteBinary, set("+", "-", "*", "min", "max", "==", "!=", "<", "<=", ">", ">=", "&", "|")},
+		{"zeroPreserving", zeroPreserving, set("+", "-", "|", "min", "max", "!=", "<", ">", "*", "&")},
+		{"zeroPreservingUnary", zeroPreservingUnary, set("uminus", "abs", "sqrt", "round", "floor", "ceil", "sign",
+			"sin", "tan", "is.nan")},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
 		}
 	}
 }

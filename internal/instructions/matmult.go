@@ -2,6 +2,7 @@ package instructions
 
 import (
 	"github.com/systemds/systemds-go/internal/hops"
+	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 	"github.com/systemds/systemds-go/internal/types"
 )
@@ -53,32 +54,29 @@ func (i *TSMMInst) Execute(ctx *runtime.Context) error {
 	return mmCall{plan: i.plan, op: opTSMM, opcode: i.opcode, out: i.outs[0], x: i.In}.dispatch(ctx)
 }
 
-// MMChainInst computes the fused matrix-multiply chain t(X) %*% (X %*% v)
-// (opcode "mmchain"), optionally weighted as t(X) %*% (w * (X %*% v)), in a
-// single pass over X without materializing the transpose or the m x 1
-// intermediate.
+// MMChainInst computes the row-wise fused gradient t(X) %*% f(X %*% v, a1…ak)
+// (opcode "mmchain") in a single pass over X, without materializing the
+// transpose, q = X %*% v or any intermediate of f. Prog is f over [q, a1…ak];
+// its signature is the lineage data, so two chains with different programs
+// never share a lineage entry.
 type MMChainInst struct {
 	base
-	X, V, W  Operand
-	Weighted bool
+	X, V Operand
+	Prog *matrix.CellProgram
+	Args []Operand // a1…ak
 }
 
-// NewMMChain creates a fused mmchain instruction; pass weighted=false and a
-// zero W operand for the unweighted chain.
-func NewMMChain(out string, x, v, w Operand, weighted bool) *MMChainInst {
-	inst := &MMChainInst{X: x, V: v, W: w, Weighted: weighted}
-	if weighted {
-		inst.base = newBase("mmchain", []string{out}, "xtwxv", x, v, w)
-	} else {
-		inst.base = newBase("mmchain", []string{out}, "xtxv", x, v)
-	}
+// NewMMChain creates a row-chain instruction.
+func NewMMChain(out string, x, v Operand, prog *matrix.CellProgram, args []Operand) *MMChainInst {
+	inst := &MMChainInst{X: x, V: v, Prog: prog, Args: args}
+	inst.base = newBase("mmchain", []string{out}, prog.Signature(), append([]Operand{x, v}, args...)...)
 	return inst
 }
 
 // Execute implements runtime.Instruction.
 func (i *MMChainInst) Execute(ctx *runtime.Context) error {
 	return mmCall{plan: unplanned, op: opChain, opcode: i.opcode, out: i.outs[0],
-		x: i.X, y: i.V, w: i.W, weights: i.Weighted, fused: true}.dispatch(ctx)
+		x: i.X, y: i.V, prog: i.Prog, args: i.Args}.dispatch(ctx)
 }
 
 // XtYInst computes t(X) %*% Y (opcode "mmchain", lineage data "xty") without
@@ -96,5 +94,5 @@ func NewXtY(out string, x, y Operand) *XtYInst {
 
 // Execute implements runtime.Instruction.
 func (i *XtYInst) Execute(ctx *runtime.Context) error {
-	return mmCall{plan: i.plan, op: opXtY, opcode: i.opcode, out: i.outs[0], x: i.X, y: i.Y, fused: true}.dispatch(ctx)
+	return mmCall{plan: i.plan, op: opXtY, opcode: i.opcode, out: i.outs[0], x: i.X, y: i.Y}.dispatch(ctx)
 }

@@ -12,8 +12,8 @@ import (
 	"github.com/systemds/systemds-go/internal/types"
 )
 
-// This file is the kernel table of the matmult family: ba+*, tsmm, mmchain and
-// its xty variant all resolve their operands, normalise, look up (operation,
+// This file is the kernel table of the matmult family: ba+*, tsmm, mmchain (a
+// row chain) and its xty variant all resolve their operands, normalise, look up (operation,
 // lhs representation, rhs representation, backend, shape) in mmTable and share
 // one epilogue. It is the one place above internal/runtime that tells the
 // physical representations of a matrix apart; a representation pair without a
@@ -32,7 +32,7 @@ const (
 	opMatMult mmOp = "X %*% Y"
 	opXtY     mmOp = "t(X) %*% Y" // without the transpose
 	opTSMM    mmOp = "t(X) %*% X"
-	opChain   mmOp = "t(X) %*% (w * (X %*% v))" // w optional; v travels as Y
+	opChain   mmOp = "t(X) %*% f(X %*% v)" // v travels as Y, f as prog over [q, args…]
 )
 
 // rep is the physical representation of an operand.
@@ -153,7 +153,8 @@ var mmTable = []mmRow{
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.fedX().XtY(c.yd.(*runtime.FederatedObject).Fed) }},
 	{opXtY, repFederated, repAny, anywhere, 0, "", yLocal, "fed.XtLocalY",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.fedX().XtLocalY(c.yb) }},
-	{opXtY, repCompressed, repAny, anywhere, rhsColVector, "cvm", yLocal, "compress.VecMat", compressedXtVec},
+	{opXtY, repCompressed, repAny, anywhere, rhsColVector, "cvm", yLocal, "compress.VecMat",
+		func(c *mmCall) (*matrix.MatrixBlock, error) { return compressedXtVec(c.cm, c.yb, c.threads) }},
 	{opXtY, repCompressed, repAny, anywhere, 0, "cmm", yLocal, "compress.TransMatMultDense",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.TransMatMultDense(c.yb, c.threads) }},
 	{opXtY, repAny, repAny, inDist, rowScatter, "dist", 0, "dist.XtY", distXtY},
@@ -168,30 +169,32 @@ var mmTable = []mmRow{
 	{opTSMM, repAny, repAny, inCP, 0, "", xLocal, "matrix.TSMM",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return matrix.TSMM(c.xb, c.threads), nil }},
 
-	{opChain, repFederated, repAny, anywhere, 0, "", yLocal, "fed.MatVec, fed.XtLocalY", fedChain},
-	{opChain, repCompressed, repAny, anywhere, 0, "", yLocal, "compress.MMChain",
-		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.MMChain(c.yb, c.wb, c.threads) }},
-	{opChain, repAny, repAny, anywhere, 0, "", xLocal | yLocal, "matrix.MMChain",
-		func(c *mmCall) (*matrix.MatrixBlock, error) { return matrix.MMChain(c.xb, c.yb, c.wb, c.threads) }},
+	{opChain, repFederated, repAny, anywhere, 0, "", yLocal, "fed.MatVec, f, fed.XtLocalY", fedChain},
+	{opChain, repCompressed, repAny, anywhere, 0, "row", yLocal, "compress.MatVec, f, compress.VecMat", compressedChain},
+	{opChain, repAny, repAny, anywhere, 0, "row", xLocal | yLocal, "matrix.RowChain",
+		func(c *mmCall) (*matrix.MatrixBlock, error) {
+			return matrix.RowChain(c.xb, c.yb, c.prog, c.cargs, c.threads)
+		}},
 }
 
 // mmCall is one instruction of the family on its way through the table.
 type mmCall struct {
-	plan                        // the compiler's placement, output form and size estimate
-	method  types.MatMultMethod // the planner's blocked strategy (ba+* only)
-	op      mmOp
-	opcode  string
-	out     string
-	x, y, w Operand // w: the chain's weights, absent unless weighted
-	weights bool
-	fused   bool // the instruction counts as an mmchain in FusedStats
+	plan                       // the compiler's placement, output form and size estimate
+	method types.MatMultMethod // the planner's blocked strategy (ba+* only)
+	op     mmOp
+	opcode string
+	out    string
+	x, y   Operand
+	prog   *matrix.CellProgram // a row chain's f, over [q, args…]; it counts as an mmchain in FusedStats
+	args   []Operand
 
 	ctx     *runtime.Context
 	threads int
 	xd, yd  runtime.Data
 	// what the matched row asked for (see mmRow)
-	xb, yb, wb *matrix.MatrixBlock
-	cm         *compress.CompressedMatrix
+	xb, yb *matrix.MatrixBlock
+	cargs  []matrix.CellArg // a row chain's arguments, q's slot empty
+	cm     *compress.CompressedMatrix
 	// set by the blocked matmult strategies: their result, bound blocked or
 	// collected, and the strategy that ran as the plan-record tag
 	blocked *dist.BlockedMatrix
@@ -280,10 +283,12 @@ func (c *mmCall) run(row *mmRow) error {
 			return err
 		}
 	}
-	if c.weights {
-		if c.wb, err = c.w.MatrixBlockFor(c.ctx, c.opcode); err != nil {
+	if c.prog != nil {
+		args, _, _, err := cellArgs(c.ctx, c.args, c.opcode, false)
+		if err != nil {
 			return err
 		}
+		c.cargs = append([]matrix.CellArg{{}}, args...)
 	}
 	res, err := row.run(c)
 	if err != nil {
@@ -292,7 +297,7 @@ func (c *mmCall) run(row *mmRow) error {
 	if c.cm != nil {
 		c.ctx.Count(func(s *runtime.RunStats) { s.CompressStats.CompressedOps++ })
 	}
-	if c.fused {
+	if c.prog != nil {
 		c.ctx.Count(func(s *runtime.RunStats) { s.FusedStats.MMChainOps++ })
 	}
 	tag := row.tag
@@ -315,12 +320,12 @@ func (c *mmCall) run(row *mmRow) error {
 	return nil
 }
 
-// fedChain is two push-downs around an optional local scaling: q = X %*% v at
-// the sites, w * q here, t(X) %*% q at the sites again — nothing is collected.
+// fedChain is two push-downs around f: q = X %*% v at the sites, f(q, …)
+// here, t(X) %*% f at the sites again — nothing is collected.
 func fedChain(c *mmCall) (*matrix.MatrixBlock, error) {
 	q, err := c.fedX().MatVec(c.yb)
-	if err == nil && c.wb != nil {
-		q, err = matrix.CellwiseOp(c.wb, q, matrix.OpMul, c.threads)
+	if err == nil {
+		q, err = c.chainF(q)
 	}
 	if err != nil {
 		return nil, err
@@ -328,14 +333,33 @@ func fedChain(c *mmCall) (*matrix.MatrixBlock, error) {
 	return c.fedX().XtLocalY(q)
 }
 
-// compressedXtVec computes t(X) %*% y for a column vector y as the
-// vector-matrix kernel over the column groups of X itself.
-func compressedXtVec(c *mmCall) (*matrix.MatrixBlock, error) {
-	rowVec, err := c.yb.Reshape(1, c.yb.Rows(), true)
+// compressedChain runs a row chain over a compressed X: the MV kernel, f,
+// then the vector-matrix kernel over X's column groups.
+func compressedChain(c *mmCall) (*matrix.MatrixBlock, error) {
+	q, err := c.cm.MatVec(c.yb, c.threads)
+	if err == nil {
+		q, err = c.chainF(q)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.cm.VecMat(rowVec, c.threads)
+	return compressedXtVec(c.cm, q, c.threads)
+}
+
+// chainF evaluates a row chain's f over the materialized q.
+func (c *mmCall) chainF(q *matrix.MatrixBlock) (*matrix.MatrixBlock, error) {
+	args := append([]matrix.CellArg{{Mat: q}}, c.cargs[1:]...)
+	return matrix.FusedCell(c.prog, args, c.threads, nil)
+}
+
+// compressedXtVec computes t(X) %*% y for a column vector y as the
+// vector-matrix kernel over the column groups of X itself.
+func compressedXtVec(cm *compress.CompressedMatrix, y *matrix.MatrixBlock, threads int) (*matrix.MatrixBlock, error) {
+	rowVec, err := y.Reshape(1, y.Rows(), true)
+	if err != nil {
+		return nil, err
+	}
+	res, err := cm.VecMat(rowVec, threads)
 	if err != nil {
 		return nil, err
 	}

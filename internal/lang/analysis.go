@@ -51,6 +51,12 @@ func StatementReads(s Statement) map[string]bool {
 	return reads
 }
 
+// AddStatementReads adds the variables read by a statement (including reads
+// in nested blocks) to reads.
+func AddStatementReads(s Statement, reads map[string]bool) {
+	statementReads(s, reads)
+}
+
 func statementReads(s Statement, reads map[string]bool) {
 	switch v := s.(type) {
 	case *AssignStmt:

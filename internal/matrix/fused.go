@@ -11,8 +11,8 @@ import (
 // subsystem (DESIGN.md, "Fused operator pipelines"): cellwise pipelines
 // described by a CellProgram and evaluated a row at a time — by FusedCell
 // into one output block, by FusedAgg straight into an aggregate — without
-// materializing any full-size intermediate, and the mmchain kernel computing
-// t(X) %*% (X %*% v) and t(X) %*% (w * (X %*% v)) in one pass over X.
+// materializing any full-size intermediate, and the row-wise gradient kernel
+// RowChain computing t(X) %*% f(X %*% v, …) in one pass over X.
 //
 // All fused kernels use fixed-chunk row partitioning: chunk boundaries depend
 // only on the row count, partial aggregates are combined in chunk order, and
@@ -836,114 +836,128 @@ func aggInit(agg AggKind) float64 {
 	}
 }
 
-// --- fused matrix-multiply chain -------------------------------------------
+// --- row-wise fused gradients -----------------------------------------------
 
-// MMChain computes t(X) %*% (X %*% v) — or t(X) %*% (w * (X %*% v)) when w
-// is non-nil — in a single pass over X, without materializing the m x 1
-// intermediate or the transpose: per row, the inner product with v is formed,
-// optionally scaled by w[r], and scattered back onto the output through the
-// same row. Partial outputs are accumulated per fixed row chunk and combined
-// in chunk order (deterministic across thread counts).
-func MMChain(x, v, w *MatrixBlock, threads int) (*MatrixBlock, error) {
-	if v.cols != 1 || v.rows != x.cols {
-		return nil, fmt.Errorf("matrix: mmchain vector is %dx%d, want %dx1", v.rows, v.cols, x.cols)
-	}
-	if w != nil && (w.cols != 1 || w.rows != x.rows) {
-		return nil, fmt.Errorf("matrix: mmchain weights are %dx%d, want %dx1", w.rows, w.cols, x.rows)
-	}
+// RowChain computes t(X) %*% f(X %*% v, a₁…aₖ) in one pass over X, without
+// materializing the transpose, q = X %*% v or any intermediate of f. prog is
+// f as a cell program over an m x 1 output: args[0] is q's slot (its value is
+// ignored), every other argument is a scalar, an m x 1 vector or a 1 x 1
+// matrix. Per XtYChunks(m, n, 1) chunk of rows, the kernel forms q for the
+// chunk in the order X %*% v would (dense X: dotRows; CSR X: the stored
+// entries ascending; a CSR v: only v's stored entries, ascending, as the
+// dense-sparse multiply walks them), evaluates f over the chunk with the cell
+// evaluator, and scatters the chunk's rows with XtYScatter; XtYSum combines
+// the chunk partials. Every step is the unfused plan's — MV, the cellwise
+// operators, then the row-scatter leg of TransposeMultiply — so the result is
+// bitwise-equal to it at every thread count.
+func RowChain(x, v *MatrixBlock, prog *CellProgram, args []CellArg, threads int) (*MatrixBlock, error) {
 	m, n := x.rows, x.cols
-	vd := vectorValues(v)
-	var wd []float64
-	if w != nil {
-		wd = vectorValues(w)
+	if v.cols != 1 || v.rows != n {
+		return nil, fmt.Errorf("matrix: row chain vector is %dx%d, want %dx1", v.rows, v.cols, n)
 	}
-	var xs *CSR
-	if x.IsSparse() {
-		xs = x.csr()
+	depth, err := prog.stackDepth()
+	if err != nil {
+		return nil, err
 	}
-	num, size := fusedChunks(m)
+	if len(args) != prog.NumArgs {
+		return nil, fmt.Errorf("matrix: row chain got %d arguments, program wants %d", len(args), prog.NumArgs)
+	}
+	num, size := 0, 0
+	if m > 0 && n > 0 {
+		num, size = XtYChunks(m, n, 1)
+	}
+	fr := &fusedRun{prog: prog, leaves: make([]cellLeaf, len(args)), depth: depth, rows: m, cols: 1, flat: true, spanLen: size}
+	for i, a := range args {
+		l := &fr.leaves[i]
+		switch mat := a.Mat; {
+		case i == 0:
+			l.kind = leafDense // q, one chunk at a time
+		case mat == nil:
+			l.scalar = a.Scalar
+		case mat.rows == m && mat.cols == 1:
+			l.kind, l.dense = leafDense, asDense(mat).dense
+		case mat.rows == 1 && mat.cols == 1:
+			l.scalar = mat.Get(0, 0)
+		default:
+			return nil, fmt.Errorf("matrix: row chain argument %d is %dx%d, want %dx1, 1x1 or a scalar", i, mat.rows, mat.cols, m)
+		}
+	}
+	dots := chainDots(x, v)
 	nw := chunkWorkers(num, threads, m*n)
+	workers := make([]*cellWorker, nw)
+	// one allocation per chunk, as in TransposeMultiply
 	parts := make([][]float64, num)
 	runChunks(m, num, size, nw, func(wi, ci, r0, r1 int) {
-		buf := make([]float64, n)
-		if xs != nil {
-			for r := r0; r < r1; r++ {
-				lo, hi := xs.RowPtr[r], xs.RowPtr[r+1]
-				var dot float64
-				for p := lo; p < hi; p++ {
-					dot += float64(xs.Values[p] * vd[xs.ColIdx[p]])
-				}
-				if wd != nil {
-					dot *= wd[r]
-				}
-				if dot == 0 {
-					continue
-				}
-				for p := lo; p < hi; p++ {
-					buf[xs.ColIdx[p]] += float64(dot * xs.Values[p])
-				}
-			}
-		} else {
-			// Register-blocked dense leg: four rows per step share one pass
-			// over v, with four independent dot accumulators (breaking the
-			// loop-carried add dependency of the row-at-a-time loop), then
-			// scatter row by row in ascending order — each dot and each
-			// buf[j] update sequence is exactly the one the single-row loop
-			// produces, so results stay bitwise-identical.
-			r := r0
-			for ; r+4 <= r1; r += 4 {
-				row0 := x.dense[r*n : (r+1)*n]
-				row1 := x.dense[(r+1)*n : (r+2)*n]
-				row2 := x.dense[(r+2)*n : (r+3)*n]
-				row3 := x.dense[(r+3)*n : (r+4)*n]
-				var d0, d1, d2, d3 float64
-				for j, vj := range vd {
-					d0 += float64(row0[j] * vj)
-					d1 += float64(row1[j] * vj)
-					d2 += float64(row2[j] * vj)
-					d3 += float64(row3[j] * vj)
-				}
-				if wd != nil {
-					d0 *= wd[r]
-					d1 *= wd[r+1]
-					d2 *= wd[r+2]
-					d3 *= wd[r+3]
-				}
-				scaledAdd(buf, row0, d0)
-				scaledAdd(buf, row1, d1)
-				scaledAdd(buf, row2, d2)
-				scaledAdd(buf, row3, d3)
-			}
-			for ; r < r1; r++ {
-				row := x.dense[r*n : (r+1)*n]
-				var dot float64
-				for j, xv := range row {
-					dot += float64(xv * vd[j])
-				}
-				if wd != nil {
-					dot *= wd[r]
-				}
-				scaledAdd(buf, row, dot)
+		if workers[wi] == nil {
+			workers[wi] = fr.newWorker()
+		}
+		w := workers[wi]
+		q := w.scratch(0, r1-r0, size)
+		clear(q)
+		dots(q, r0, r1)
+		for i, l := range fr.leaves {
+			switch {
+			case i == 0:
+				w.cur[i].row = q
+			case l.kind == leafDense:
+				w.cur[i].row = l.dense[r0:r1]
 			}
 		}
+		f, _ := fr.eval(w, r1-r0, nil)
+		buf := make([]float64, n)
+		XtYScatter(buf, 1, 0, x, r0, r1, f)
 		parts[ci] = buf
 	})
-	out := NewDense(n, 1)
-	var nnz int64
-	for j := 0; j < n; j++ {
-		var acc float64
-		for _, buf := range parts {
-			if buf != nil {
-				acc += buf[j]
+	return XtYSum(parts, n, 1), nil
+}
+
+// chainDots returns the function adding rows [r0, r1) of x %*% v onto q
+// (q[0] is row r0), in the order Multiply(x, v) adds them for x's and v's
+// representations.
+func chainDots(x, v *MatrixBlock) func(q []float64, r0, r1 int) {
+	n := x.cols
+	switch {
+	case !x.IsSparse() && !v.IsSparse():
+		return func(q []float64, r0, r1 int) { dotRows(q, x.dense[r0*n:r1*n], v.dense[:n]) }
+	case !x.IsSparse():
+		vs := v.csr()
+		ks := nonEmptyRows(vs, n)
+		return func(q []float64, r0, r1 int) {
+			for r := r0; r < r1; r++ {
+				row := x.dense[r*n : (r+1)*n]
+				for _, k := range ks {
+					xv := row[k]
+					if xv == 0 {
+						continue
+					}
+					for e := vs.RowPtr[k]; e < vs.RowPtr[k+1]; e++ {
+						q[r-r0] += float64(xv * vs.Values[e])
+					}
+				}
 			}
 		}
-		out.dense[j] = acc
-		if acc != 0 {
-			nnz++
+	}
+	xs := x.csr()
+	if !v.IsSparse() {
+		return func(q []float64, r0, r1 int) {
+			for r := r0; r < r1; r++ {
+				for p := xs.RowPtr[r]; p < xs.RowPtr[r+1]; p++ {
+					q[r-r0] += float64(xs.Values[p] * v.dense[xs.ColIdx[p]])
+				}
+			}
 		}
 	}
-	out.nnz = nnz
-	return out, nil
+	vs := v.csr()
+	return func(q []float64, r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			for p := xs.RowPtr[r]; p < xs.RowPtr[r+1]; p++ {
+				k := xs.ColIdx[p]
+				for e := vs.RowPtr[k]; e < vs.RowPtr[k+1]; e++ {
+					q[r-r0] += float64(xs.Values[p] * vs.Values[e])
+				}
+			}
+		}
+	}
 }
 
 // scaledAdd accumulates s * row into buf, skipping a zero scale (the
@@ -955,13 +969,6 @@ func scaledAdd(buf, row []float64, s float64) {
 	for j, xv := range row {
 		buf[j] += float64(s * xv)
 	}
-}
-
-// vectorValues returns the dense values of a column vector (densifying
-// sparse vectors directly into a fresh dense image; vectors are small
-// relative to the fused pass).
-func vectorValues(v *MatrixBlock) []float64 {
-	return asDense(v).dense
 }
 
 // --- transpose-free t(X) %*% Y ------------------------------------------------
@@ -1043,9 +1050,7 @@ func XtYScatter(part []float64, k, col int, x *MatrixBlock, r0, r1 int, y []floa
 			}
 		}
 	case k == 1:
-		for r := r0; r < r1; r++ {
-			scaledAdd(out, x.dense[r*n:(r+1)*n], y[r-r0])
-		}
+		scatterRows(out, x.dense, n, r0, r1, y)
 	default:
 		for r := r0; r < r1; r++ {
 			yrow := y[(r-r0)*k : (r-r0+1)*k]
@@ -1053,6 +1058,44 @@ func XtYScatter(part []float64, k, col int, x *MatrixBlock, r0, r1 int, y []floa
 				scaledAdd(out[j*k:(j+1)*k], yrow, xv)
 			}
 		}
+	}
+}
+
+// scatterRows adds y[r-r0] * x[r, :] onto out (n cells) for every row r of
+// [r0, r1) with a non-zero scale, four such rows per pass over out: each cell
+// still adds its rows' products one at a time in ascending row order, so the
+// bits are those of scaledAdd row by row, with a quarter of the loads and
+// stores of out.
+func scatterRows(out, xd []float64, n, r0, r1 int, y []float64) {
+	var rows [4]int
+	var s [4]float64
+	k := 0
+	for r := r0; r < r1; r++ {
+		if sc := y[r-r0]; sc != 0 {
+			rows[k], s[k] = r*n, sc
+			if k++; k == 4 {
+				scaledAdd4(out, xd[rows[0]:rows[0]+n], xd[rows[1]:rows[1]+n], xd[rows[2]:rows[2]+n],
+					xd[rows[3]:rows[3]+n], s)
+				k = 0
+			}
+		}
+	}
+	for i := 0; i < k; i++ {
+		scaledAdd(out, xd[rows[i]:rows[i]+n], s[i])
+	}
+}
+
+// scaledAdd4 adds s[0]*a + s[1]*b + s[2]*c + s[3]*d onto out, one product at
+// a time in that order per cell.
+func scaledAdd4(out, a, b, c, d []float64, s [4]float64) {
+	a, b, c, d = a[:len(out)], b[:len(out)], c[:len(out)], d[:len(out)]
+	for j := range out {
+		v := out[j]
+		v += float64(s[0] * a[j])
+		v += float64(s[1] * b[j])
+		v += float64(s[2] * c[j])
+		v += float64(s[3] * d[j])
+		out[j] = v
 	}
 }
 

@@ -52,35 +52,76 @@ func BenchmarkFusedSumXYThreads4(b *testing.B)   { benchmarkFusedSumXY(b, 4) }
 func BenchmarkUnfusedSumXYThreads1(b *testing.B) { benchmarkUnfusedSumXY(b, 1) }
 func BenchmarkUnfusedSumXYThreads4(b *testing.B) { benchmarkUnfusedSumXY(b, 4) }
 
-// benchmarkFusedMMChain is t(X) %*% (X %*% v) in one pass over X.
-func benchmarkFusedMMChain(b *testing.B, threads int) {
-	x, _, v := fusedBenchData()
+// l2svmGradient is the row program of l2svm's gradient on its loop body's
+// DAG: y * margin * (margin > 0) with margin = 1 - y * q, margin's program
+// emitted at each of its two uses. Arguments: q, y, the literals 1 and 0.
+func l2svmGradient() *CellProgram {
+	margin := []CellInstr{{Code: CellLoad, Arg: 2}, {Code: CellLoad, Arg: 1}, {Code: CellLoad, Arg: 0},
+		{Code: CellBinary, Bin: OpMul}, {Code: CellBinary, Bin: OpSub}}
+	instrs := []CellInstr{{Code: CellLoad, Arg: 1}}
+	instrs = append(instrs, margin...)
+	instrs = append(instrs, CellInstr{Code: CellBinary, Bin: OpMul})
+	instrs = append(instrs, margin...)
+	instrs = append(instrs, CellInstr{Code: CellLoad, Arg: 3}, CellInstr{Code: CellBinary, Bin: OpGreater},
+		CellInstr{Code: CellBinary, Bin: OpMul})
+	return &CellProgram{Instrs: instrs, NumArgs: 4}
+}
+
+// rowChainBenchData is the l2svm.dense shape of bench/: X 20 000 x 100, w and
+// labels y in {-1, 1}.
+func rowChainBenchData() (x, v, y *MatrixBlock) {
+	x = RandUniform(20000, 100, -1, 1, 1.0, 321)
+	v = RandUniform(100, 1, -1, 1, 1.0, 322)
+	y = RandUniform(20000, 1, -1, 1, 1.0, 323)
+	for i, yv := range y.dense {
+		y.dense[i] = 1
+		if yv < 0 {
+			y.dense[i] = -1
+		}
+	}
+	return
+}
+
+// benchmarkRowChain is l2svm's t(X) %*% (y * margin * (margin > 0)) in one
+// pass over X.
+func benchmarkRowChain(b *testing.B, threads int) {
+	x, v, y := rowChainBenchData()
+	prog, args := l2svmGradient(), []CellArg{{}, {Mat: y}, {Scalar: 1}, {Scalar: 0}}
+	b.SetBytes(int64(len(x.dense)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MMChain(x, v, nil, threads); err != nil {
+		if _, err := RowChain(x, v, prog, args, threads); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchmarkUnfusedMMChain(b *testing.B, threads int) {
-	x, _, v := fusedBenchData()
+// benchmarkRowChainUnfused is the same gradient as the plan without the Row
+// template runs it: MV, the fused cellwise chain, then xty.
+func benchmarkRowChainUnfused(b *testing.B, threads int) {
+	x, v, y := rowChainBenchData()
+	prog := l2svmGradient()
+	b.SetBytes(int64(len(x.dense)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xv, err := Multiply(x, v, threads)
+		q, err := Multiply(x, v, threads)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Multiply(Transpose(x), xv, threads); err != nil {
+		f, err := FusedCell(prog, []CellArg{{Mat: q}, {Mat: y}, {Scalar: 1}, {Scalar: 0}}, threads, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := TransposeMultiply(x, f, threads); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFusedMMChainThreads1(b *testing.B)   { benchmarkFusedMMChain(b, 1) }
-func BenchmarkFusedMMChainThreads4(b *testing.B)   { benchmarkFusedMMChain(b, 4) }
-func BenchmarkUnfusedMMChainThreads1(b *testing.B) { benchmarkUnfusedMMChain(b, 1) }
-func BenchmarkUnfusedMMChainThreads4(b *testing.B) { benchmarkUnfusedMMChain(b, 4) }
+func BenchmarkRowChainThreads1(b *testing.B)        { benchmarkRowChain(b, 1) }
+func BenchmarkRowChainThreads2(b *testing.B)        { benchmarkRowChain(b, 2) }
+func BenchmarkRowChainUnfusedThreads1(b *testing.B) { benchmarkRowChainUnfused(b, 1) }
+func BenchmarkRowChainUnfusedThreads2(b *testing.B) { benchmarkRowChainUnfused(b, 2) }
 
 // BenchmarkFusedXtY is the transpose-free t(X) %*% y on the tall-skinny shape
 // of the iterative scripts (the bench/ l2svm.dense workload's 20 000 x 100).

@@ -300,6 +300,16 @@ func TestFusedAggArgErrors(t *testing.T) {
 	}
 }
 
+// chainProgram is the row program of t(X) %*% (X %*% v) (w == nil) or
+// t(X) %*% (w * (X %*% v)), with its arguments.
+func chainProgram(w *MatrixBlock) (*CellProgram, []CellArg) {
+	if w == nil {
+		return &CellProgram{Instrs: []CellInstr{{Code: CellLoad, Arg: 0}}, NumArgs: 1}, []CellArg{{}}
+	}
+	return &CellProgram{Instrs: []CellInstr{{Code: CellLoad, Arg: 1}, {Code: CellLoad, Arg: 0},
+		{Code: CellBinary, Bin: OpMul}}, NumArgs: 2}, []CellArg{{}, {Mat: w}}
+}
+
 // referenceMMChain composes the chain from unfused kernels.
 func referenceMMChain(x, v, w *MatrixBlock, threads int) *MatrixBlock {
 	xv, err := Multiply(x, v, threads)
@@ -319,8 +329,8 @@ func referenceMMChain(x, v, w *MatrixBlock, threads int) *MatrixBlock {
 	return out
 }
 
-// TestMMChainMatchesUnfused checks both chain types against the unfused
-// composition on dense and sparse X, threads in {1, 4}.
+// TestMMChainMatchesUnfused checks the row programs of both chain types
+// against the unfused composition on dense and sparse X, threads in {1, 4}.
 func TestMMChainMatchesUnfused(t *testing.T) {
 	for _, sparsity := range []float64{1.0, 0.1} {
 		for _, shape := range [][2]int{{5, 3}, {80, 20}, {301, 45}} {
@@ -331,12 +341,14 @@ func TestMMChainMatchesUnfused(t *testing.T) {
 			v := RandUniform(shape[1], 1, -1, 1, 1.0, 99)
 			w := RandUniform(shape[0], 1, 0, 1, 1.0, 98)
 			for _, threads := range []int{1, 4} {
-				got, err := MMChain(x, v, nil, threads)
+				prog, args := chainProgram(nil)
+				got, err := RowChain(x, v, prog, args, threads)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireClose(t, got, referenceMMChain(x, v, nil, 1), "xtxv")
-				gotW, err := MMChain(x, v, w, threads)
+				prog, args = chainProgram(w)
+				gotW, err := RowChain(x, v, prog, args, threads)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -349,12 +361,13 @@ func TestMMChainMatchesUnfused(t *testing.T) {
 func TestMMChainDeterministicAcrossThreads(t *testing.T) {
 	x := RandUniform(513, 31, -1, 1, 1.0, 5)
 	v := RandUniform(31, 1, -1, 1, 1.0, 6)
-	base, err := MMChain(x, v, nil, 1)
+	prog, args := chainProgram(nil)
+	base, err := RowChain(x, v, prog, args, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{2, 4, 7} {
-		got, err := MMChain(x, v, nil, threads)
+		got, err := RowChain(x, v, prog, args, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,14 +379,19 @@ func TestMMChainDeterministicAcrossThreads(t *testing.T) {
 
 func TestMMChainShapeErrors(t *testing.T) {
 	x := NewDense(4, 3)
-	if _, err := MMChain(x, NewDense(4, 1), nil, 1); err == nil {
+	prog, args := chainProgram(nil)
+	if _, err := RowChain(x, NewDense(4, 1), prog, args, 1); err == nil {
 		t.Error("wrong v length should error")
 	}
-	if _, err := MMChain(x, NewDense(3, 2), nil, 1); err == nil {
+	if _, err := RowChain(x, NewDense(3, 2), prog, args, 1); err == nil {
 		t.Error("matrix v should error")
 	}
-	if _, err := MMChain(x, NewDense(3, 1), NewDense(3, 1), 1); err == nil {
+	prog, args = chainProgram(NewDense(3, 1))
+	if _, err := RowChain(x, NewDense(3, 1), prog, args, 1); err == nil {
 		t.Error("wrong w length should error")
+	}
+	if _, err := RowChain(x, NewDense(3, 1), prog, args[:1], 1); err == nil {
+		t.Error("missing argument should error")
 	}
 }
 

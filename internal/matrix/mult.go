@@ -159,8 +159,7 @@ func accDenseDense(acc, a, b *MatrixBlock, threads int) int64 {
 // accDenseMV is the n == 1 leg of accDenseDense: acc += dense(a) %*% v for a
 // column vector v. The generic i-k-j loop degenerates to one dot product per
 // row whose single accumulator serializes on FP-add latency, far below memory
-// bandwidth; here four rows share one pass over v with four independent
-// accumulators (the register blocking of MMChain's dense leg). Every row still
+// bandwidth; dotRows shares one pass over v between four rows. Every row still
 // adds its products one at a time in ascending k, starting from the
 // accumulator's value, so the result is bitwise-equal to the generic loop for
 // finite inputs and the MultiplyAcc stripe contract holds unchanged.
@@ -169,32 +168,41 @@ func accDenseMV(acc, a, v *MatrixBlock, threads int) int64 {
 	av, vv, cv := a.dense, v.dense[:k], acc.dense
 	var nnz atomic.Int64
 	parallelRows(m, threads, func(r0, r1 int) {
-		i := r0
-		for ; i+4 <= r1; i += 4 {
-			row0 := av[i*k : (i+1)*k]
-			row1 := av[(i+1)*k : (i+2)*k]
-			row2 := av[(i+2)*k : (i+3)*k]
-			row3 := av[(i+3)*k : (i+4)*k]
-			d0, d1, d2, d3 := cv[i], cv[i+1], cv[i+2], cv[i+3]
-			for p, vp := range vv {
-				d0 += float64(row0[p] * vp)
-				d1 += float64(row1[p] * vp)
-				d2 += float64(row2[p] * vp)
-				d3 += float64(row3[p] * vp)
-			}
-			cv[i], cv[i+1], cv[i+2], cv[i+3] = d0, d1, d2, d3
-		}
-		for ; i < r1; i++ {
-			row := av[i*k : (i+1)*k]
-			d := cv[i]
-			for p, vp := range vv {
-				d += float64(row[p] * vp)
-			}
-			cv[i] = d
-		}
+		dotRows(cv[r0:r1], av[r0*k:r1*k], vv)
 		nnz.Add(countRowRangeNNZ(cv, 1, r0, r1))
 	})
 	return nnz.Load()
+}
+
+// dotRows adds a's rows (len(v) values each, len(dst) rows) times v onto dst:
+// four rows per step share one pass over v with four independent
+// accumulators, and each row adds its products one at a time in ascending k.
+// It is the dense matrix-vector order that MV and RowChain share.
+func dotRows(dst, a, v []float64) {
+	k := len(v)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		row0 := a[i*k : (i+1)*k]
+		row1 := a[(i+1)*k : (i+2)*k]
+		row2 := a[(i+2)*k : (i+3)*k]
+		row3 := a[(i+3)*k : (i+4)*k]
+		d0, d1, d2, d3 := dst[i], dst[i+1], dst[i+2], dst[i+3]
+		for p, vp := range v {
+			d0 += float64(row0[p] * vp)
+			d1 += float64(row1[p] * vp)
+			d2 += float64(row2[p] * vp)
+			d3 += float64(row3[p] * vp)
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
+	}
+	for ; i < len(dst); i++ {
+		row := a[i*k : (i+1)*k]
+		d := dst[i]
+		for p, vp := range v {
+			d += float64(row[p] * vp)
+		}
+		dst[i] = d
+	}
 }
 
 // multSparseDense computes sparse(a) %*% dense(b).
@@ -221,18 +229,23 @@ func multSparseDense(a, b *MatrixBlock, threads int) *MatrixBlock {
 	return out
 }
 
-// multDenseSparse computes dense(a) %*% sparse(b).
+// multDenseSparse computes dense(a) %*% sparse(b), driven from the CSR side:
+// each row of a visits only b's non-empty rows, in ascending order, so an
+// empty or nearly empty b costs a pass over its row pointers, not over a. The
+// contributions of every output cell arrive in the order of the full i-k-j
+// loop (a zero of a is skipped either way), so the bits are that loop's.
 func multDenseSparse(a, b *MatrixBlock, threads int) *MatrixBlock {
 	m, k, n := a.rows, a.cols, b.cols
 	out := NewDense(m, n)
 	s := b.csr()
+	ks := nonEmptyRows(s, k)
 	av, cv := a.dense, out.dense
 	var nnz atomic.Int64
 	parallelRows(m, threads, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			ci := cv[i*n : (i+1)*n]
 			ai := av[i*k : (i+1)*k]
-			for kp := 0; kp < k; kp++ {
+			for _, kp := range ks {
 				aval := ai[kp]
 				if aval == 0 {
 					continue
@@ -246,6 +259,18 @@ func multDenseSparse(a, b *MatrixBlock, threads int) *MatrixBlock {
 	})
 	out.nnz = nnz.Load()
 	return out
+}
+
+// nonEmptyRows lists, ascending, the rows of a rows-row CSR that hold at least
+// one stored entry.
+func nonEmptyRows(s *CSR, rows int) []int {
+	var ks []int
+	for r := 0; r < rows; r++ {
+		if s.RowPtr[r+1] > s.RowPtr[r] {
+			ks = append(ks, r)
+		}
+	}
+	return ks
 }
 
 // multSparseSparse computes sparse(a) %*% sparse(b) into a dense output

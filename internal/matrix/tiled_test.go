@@ -249,11 +249,12 @@ func TestMMChainBlockedBitwise(t *testing.T) {
 	v := RandUniform(67, 1, -1, 1, 1.0, 92)
 	w := RandUniform(519, 1, -1, 1, 1.0, 93)
 	for _, weights := range []*MatrixBlock{nil, w} {
-		t1, err := MMChain(x, v, weights, 1)
+		prog, args := chainProgram(weights)
+		t1, err := RowChain(x, v, prog, args, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t4, err := MMChain(x, v, weights, 4)
+		t4, err := RowChain(x, v, prog, args, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

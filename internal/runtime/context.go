@@ -37,9 +37,9 @@ type Config struct {
 	// DistEnabled allows the compiler to select the blocked distributed
 	// backend for large operations.
 	DistEnabled bool
-	// FusionDisabled turns off the HOP-level operator fusion pass (mmchain,
-	// transpose-free t(X) %*% Y, cellwise-aggregate pipelines and fused
-	// cellwise chains). Fusion is on by default.
+	// FusionDisabled turns off the HOP-level operator fusion pass (row chains,
+	// cellwise-aggregate pipelines and fused cellwise chains; t(X) %*% Y still
+	// runs transpose-free). Fusion is on by default.
 	FusionDisabled bool
 	// CompressionEnabled turns on compressed linear algebra: the compiler
 	// plants compression decision sites before loops that re-read large

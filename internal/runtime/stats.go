@@ -17,8 +17,9 @@ type DistStats struct {
 	BlockedOps int64
 }
 
-// FusedStats is the fused-operator part of RunStats: how many fused mmchain
-// (both chain shapes and the transpose-free t(X) %*% Y), fused
+// FusedStats is the fused-operator part of RunStats: how many row chains
+// (mmchain instructions carrying a program; the transpose-free t(X) %*% Y
+// shares their opcode but fuses nothing and runs with fusion off too), fused
 // cellwise-aggregate and fused cellwise-chain instructions executed.
 type FusedStats struct {
 	MMChainOps   int64

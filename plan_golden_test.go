@@ -96,6 +96,12 @@ for (i in 1:10) {
 }
 G = Xt %*% X
 `, []string{"w", "n", "G"}},
+	{"l2svm in a function", `
+svm = function(Matrix[Double] X, Matrix[Double] y) return (Matrix[Double] w) {
+  w = l2svm(X, y, 0.001, 0.1, 10)
+}
+w = svm(X, ys)
+`, []string{"w"}},
 	{"real-valued Gram", `
 Gr = t(Xr) %*% Xr
 Gs = t(Xs) %*% Xs
@@ -243,6 +249,49 @@ func TestPlansAndOutputsMatchGolden(t *testing.T) {
 				t.Errorf("%s threads=%d:\n got %+v\nwant %+v", k, th, got[th][k], want[k])
 			}
 		}
+	}
+}
+
+// fusionTwinExceptions are the (script, configuration) pairs whose outputs
+// may depend on the fusion setting, with the reason.
+var fusionTwinExceptions = map[string]string{
+	// under dist, fusion keeps t(X) %*% (X %*% w) as the transpose and the
+	// blocked multiply, while the unfused plan runs dist.XtY (roadmap 19(b))
+	"gd chain/dist": "a dist-bound t(X) %*% (X %*% v) keeps its transpose",
+}
+
+// TestGoldenOutputsIgnoreFusion: every golden key's outputs equal its fusion
+// twin's, the listed exceptions aside — turning fusion off changes which
+// kernels run, never a bit. TestPlansAndOutputsMatchGolden holds the runs to
+// the file, so the file is what is compared.
+func TestGoldenOutputsIgnoreFusion(t *testing.T) {
+	data, err := os.ReadFile(planGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]goldenRun{}
+	if err := json.Unmarshal(data, &runs); err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for _, sc := range goldenScripts {
+		for _, cfg := range goldenConfigs {
+			key := sc.name + "/" + cfg.name
+			on, off := runs[key+"/fusion=true"], runs[key+"/fusion=false"]
+			if on.Outputs == nil || off.Outputs == nil {
+				t.Fatalf("%s: missing from %s", key, planGoldenFile)
+			}
+			pairs++
+			_, excepted := fusionTwinExceptions[key]
+			if same := reflect.DeepEqual(on.Outputs, off.Outputs); !same && !excepted {
+				t.Errorf("%s: fusion on %v, off %v", key, on.Outputs, off.Outputs)
+			} else if same && excepted {
+				t.Errorf("%s: listed as an exception, but the twins agree", key)
+			}
+		}
+	}
+	if pairs != len(goldenScripts)*len(goldenConfigs) {
+		t.Errorf("%d pairs compared", pairs)
 	}
 }
 

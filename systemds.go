@@ -139,10 +139,10 @@ func WithDistBlocksize(n int) Option {
 	return func(c *runtime.Config) { c.DistBlocksize = n }
 }
 
-// WithFusion toggles the HOP-level operator fusion pass (fused mmchain,
-// transpose-free t(X) %*% Y, cellwise-aggregate pipelines and fused cellwise
-// chains). Fusion is enabled by default; disabling it is mainly useful for
-// fused-vs-unfused comparisons.
+// WithFusion toggles the HOP-level operator fusion pass (row-wise fused
+// gradients, cellwise-aggregate pipelines and fused cellwise chains). Fusion
+// is enabled by default; disabling it changes which kernels run, not a local
+// run's output bits, and is mainly useful for fused-vs-unfused comparisons.
 func WithFusion(enabled bool) Option {
 	return func(c *runtime.Config) { c.FusionDisabled = !enabled }
 }
