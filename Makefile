@@ -52,7 +52,12 @@ test:
 # T = 1, 2, 3), the row-wise fused gradient repeated (matrix.RowChain
 # bitwise-equal to MV, the cell program and xty over generated programs,
 # dense and CSR X, sparse and empty v, at 1, 2, 3 and 7 threads; the
-# CSR-driven dense-sparse multiply against the full loop), and a
+# CSR-driven dense-sparse multiply against the full loop), the row-strip
+# views repeated (a dense one-column-block partition viewing its parent's
+# array, copying where a view would differ; the broadcast matmult bitwise-equal
+# to the local multiply at 1, 2 and 3 pool workers; the pool counting a view
+# memo's array once; an update, a rebinding and the free list leaving viewed
+# bits alone; blocked runs bitwise-equal to local under a 16 MB pool), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
@@ -71,6 +76,7 @@ race:
 	$(GO) test -race -run 'TestImpureCallsRunTheirBody|TestVerboseGridSearchRunsItsBody|TestReboundInputMisses|TestOneOutputMissingFromTheStoreRerunsTheBody|TestCallerUpdateLeavesTheCachedBitsAlone|TestHitOutputsAreNeverRecycled|TestFunctionReuseIsBitwiseEqual|TestParforWorkersShareOnePureCall' -count=3 .
 	$(GO) test -race -run 'TestXtYBitwiseEqualsTransposeMultiply|TestToMatrixBlockWritesInPlace|TestGDLoopRunsXtYBlocked|TestXtYUnderDistMatchesLocal' -count=3 ./internal/dist/ ./internal/core/
 	$(GO) test -race -run 'TestRowChainBitwiseEqualsUnfused|TestMultDenseSparseVisitsOnlyStoredRows' -count=3 ./internal/matrix/
+	$(GO) test -race -run 'TestPartitionViewsTheDenseArray|TestPartitionCopiesWhereViewsWouldDiffer|TestMatMultBroadcastMatchesLocal|TestViewMemoCountsTheArrayOnce|TestInPlaceOnlyWhenNothingElseSees|TestViewsOfRecycledArraysAreNeverRead|TestLeftIndexAfterViewPartition|TestBlockedMatchesLocalUnderPool' -count=3 . ./internal/dist/ ./internal/runtime/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH|XtYBlocked' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed

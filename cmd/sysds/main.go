@@ -179,8 +179,8 @@ func printExecStats(ctx *systemds.Context, persist bool) {
 	fmt.Printf("buffer pool: evictions=%d cleanDrops=%d restores=%d spilt=%dB blocksRestored=%d blocksSkipped=%d\n",
 		stats.PoolStats.Evictions, stats.PoolStats.CleanDrops, stats.PoolStats.Restores, stats.PoolStats.BytesSpilt,
 		stats.PoolStats.BlocksRestored, stats.PoolStats.BlocksSkipped)
-	fmt.Printf("distributed: partitions=%d collects=%d blockedOps=%d\n",
-		stats.DistStats.Partitions, stats.DistStats.Collects, stats.DistStats.BlockedOps)
+	fmt.Printf("distributed: partitions=%d viewPartitions=%d collects=%d blockedOps=%d\n",
+		stats.DistStats.Partitions, stats.DistStats.ViewPartitions, stats.DistStats.Collects, stats.DistStats.BlockedOps)
 	fmt.Printf("fused ops: mmchain=%d cellwiseAgg=%d cellwise=%d\n",
 		stats.FusedStats.MMChainOps, stats.FusedStats.FusedAggOps, stats.FusedStats.FusedCellOps)
 	co := stats.CompressStats

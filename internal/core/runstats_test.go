@@ -26,7 +26,7 @@ func TestReusedValueIsCountedByTheRunThatUsesIt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (runtime.DistStats{Partitions: 1, BlockedOps: 3}); first.DistStats != want {
+		if want := (runtime.DistStats{Partitions: 1, ViewPartitions: 1, BlockedOps: 3}); first.DistStats != want {
 			t.Fatalf("first run: %+v, want %+v", first.DistStats, want)
 		}
 		// Y is a cache hit and stays blocked until the output sink collects it

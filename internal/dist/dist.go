@@ -22,6 +22,12 @@ type BlockedMatrix struct {
 	// Blocks[bi*GridCols()+bj] holds the block covering rows
 	// [bi*Blocksize, min((bi+1)*Blocksize, Rows)) and the analogous columns.
 	Blocks []*matrix.MatrixBlock
+	// View is the local block whose array the Blocks are row-strip views of
+	// (FromMatrixBlock on a dense block with one column block), or nil when
+	// the blocks own their memory. Views hold no bytes of their own: they
+	// live exactly as long as View's array, which nothing writes in place or
+	// recycles once partitioned (View was claimed).
+	View *matrix.MatrixBlock
 }
 
 // GridRows returns the number of block rows.
@@ -37,7 +43,10 @@ func (b *BlockedMatrix) Block(bi, bj int) *matrix.MatrixBlock {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// FromMatrixBlock partitions a local matrix into a blocked matrix.
+// FromMatrixBlock partitions a local matrix into a blocked matrix. A dense
+// matrix whose grid has one column block is cut into row strips that are
+// views of its own array (see rowStripViews); any other matrix is copied
+// block by block. The "partition" span carries the bytes copied, 0 for views.
 func FromMatrixBlock(m *matrix.MatrixBlock, blocksize int) (*BlockedMatrix, error) {
 	sp := obs.Begin(obs.CatDist, "partition")
 	bm, err := fromMatrixBlock(m, blocksize)
@@ -45,7 +54,7 @@ func FromMatrixBlock(m *matrix.MatrixBlock, blocksize int) (*BlockedMatrix, erro
 		sp.End()
 		return nil, err
 	}
-	sp.EndBytes(bm.InMemorySize())
+	sp.EndBytes(bm.OwnedSize())
 	return bm, nil
 }
 
@@ -54,6 +63,11 @@ func fromMatrixBlock(m *matrix.MatrixBlock, blocksize int) (*BlockedMatrix, erro
 		return nil, fmt.Errorf("dist: invalid blocksize %d", blocksize)
 	}
 	bm := &BlockedMatrix{Rows: m.Rows(), Cols: m.Cols(), Blocksize: blocksize}
+	if strips := rowStripViews(m, blocksize); strips != nil {
+		m.Claim() // the views are handles: nothing may write or recycle m's array
+		bm.Blocks, bm.View = strips, m
+		return bm, nil
+	}
 	gr, gc := bm.GridRows(), bm.GridCols()
 	bm.Blocks = make([]*matrix.MatrixBlock, gr*gc)
 	for bi := 0; bi < gr; bi++ {
@@ -68,6 +82,38 @@ func fromMatrixBlock(m *matrix.MatrixBlock, blocksize int) (*BlockedMatrix, erro
 		}
 	}
 	return bm, nil
+}
+
+// rowStripViews returns the blocks of a dense m whose grid has one column
+// block as views of m's row-major array, one strip per block row — no copy,
+// no zeroing, and no recount when m is full (a strip's non-zeros are then
+// its cells; else each strip is counted once, read-only). It returns nil,
+// and the partition copies, when m is sparse, has no cells, spans more than
+// one column block, or a strip would fall under matrix.SparseThreshold:
+// Slice would make that strip sparse, and the representations must be the
+// copying path's. Each view's capacity ends at its last cell, so an append
+// to one can never write the next.
+func rowStripViews(m *matrix.MatrixBlock, blocksize int) []*matrix.MatrixBlock {
+	rows, cols := m.Rows(), m.Cols()
+	if m.IsSparse() || rows == 0 || cols == 0 || cols > blocksize {
+		return nil
+	}
+	vals := m.DenseValues()
+	full := m.NNZ() == int64(rows)*int64(cols)
+	strips := make([]*matrix.MatrixBlock, ceilDiv(rows, blocksize))
+	for bi := range strips {
+		rl, ru := bi*blocksize, min(bi*blocksize+blocksize, rows)
+		nnz := int64(ru-rl) * int64(cols)
+		if !full {
+			nnz = m.RangeNNZ(rl, ru, 0, cols)
+		}
+		s := matrix.NewDenseCounted(ru-rl, cols, vals[rl*cols:ru*cols:ru*cols], nnz)
+		if s.Sparsity() < matrix.SparseThreshold {
+			return nil
+		}
+		strips[bi] = s
+	}
+	return strips
 }
 
 // ToMatrixBlock collects the blocked matrix into one local matrix: every
@@ -221,8 +267,13 @@ func CellwiseVector(a *BlockedMatrix, v *matrix.MatrixBlock, op matrix.BinaryOp,
 
 // MatMult multiplies a blocked left operand with a local (broadcast) right
 // operand: every block-row strip of the left input is multiplied with the
-// matching row slice of the right operand independently — the map-side
-// broadcast join of the paper's data-parallel backend.
+// matching row slices of the right operand independently — the map-side
+// broadcast join of the paper's data-parallel backend. A grid with one
+// column block multiplies each strip by b itself; a wider one accumulates
+// the column blocks into one strip with matrix.MultiplyAcc in ascending k,
+// as MatMultShuffle does. Either way every output cell adds its products in
+// the order of the local multiply, so the result has matrix.Multiply's bits
+// for finite inputs.
 func MatMult(a *BlockedMatrix, b *matrix.MatrixBlock, threads int) (*BlockedMatrix, error) {
 	if a.Cols != b.Rows() {
 		return nil, fmt.Errorf("dist: matmult dimension mismatch %dx%d %%*%% %dx%d",
@@ -231,23 +282,32 @@ func MatMult(a *BlockedMatrix, b *matrix.MatrixBlock, threads int) (*BlockedMatr
 	out := &BlockedMatrix{Rows: a.Rows, Cols: b.Cols(), Blocksize: a.Blocksize}
 	gr, agc, ogc := a.GridRows(), a.GridCols(), out.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gr*ogc)
+	// the k-stripes of the broadcast operand are shared by every block row;
+	// slice them once, and not at all when one stripe is all of b
+	var bSlices []*matrix.MatrixBlock
+	if agc > 1 {
+		bSlices = make([]*matrix.MatrixBlock, agc)
+		for bk := range bSlices {
+			s, err := matrix.Slice(b, bk*a.Blocksize, min(bk*a.Blocksize+a.Blocksize, b.Rows()), 0, b.Cols())
+			if err != nil {
+				return nil, err
+			}
+			bSlices[bk] = s
+		}
+	}
 	err := forEachBlock("mm-broadcast", gr, 1, threads, func(bi, _ int) error {
-		// accumulate the full output strip for block-row bi
 		var strip *matrix.MatrixBlock
-		for bk := 0; bk < agc; bk++ {
-			left := a.Blocks[bi*agc+bk]
-			bSlice, err := matrix.Slice(b, bk*a.Blocksize, bk*a.Blocksize+left.Cols(), 0, b.Cols())
-			if err != nil {
+		var err error
+		if agc == 1 {
+			if strip, err = matrix.Multiply(a.Blocks[bi], b, 1); err != nil {
 				return err
 			}
-			part, err := matrix.Multiply(left, bSlice, 1)
-			if err != nil {
-				return err
-			}
-			if strip == nil {
-				strip = part
-			} else if strip, err = matrix.CellwiseOp(strip, part, matrix.OpAdd, 1); err != nil {
-				return err
+		} else {
+			strip = matrix.NewDense(a.Blocks[bi*agc].Rows(), b.Cols())
+			for bk := 0; bk < agc; bk++ {
+				if err := matrix.MultiplyAcc(strip, a.Blocks[bi*agc+bk], bSlices[bk], 1); err != nil {
+					return err
+				}
 			}
 		}
 		// split the strip into output blocks

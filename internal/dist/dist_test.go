@@ -115,18 +115,59 @@ func TestScalarAndUnaryMatchLocal(t *testing.T) {
 	}
 }
 
+// TestMatMultBroadcastMatchesLocal: the broadcast join has the bits of
+// matrix.Multiply for finite data — each strip multiplies by b itself when
+// the grid has one column block and accumulates ascending k-stripes with
+// MultiplyAcc otherwise — over ragged shapes, blocksizes 7, 100 and 1024,
+// dense, sparse and mixed left blocks, a dense and a sparse right-hand side,
+// and 1, 2 and 3 pool workers against the local multiply at as many threads.
 func TestMatMultBroadcastMatchesLocal(t *testing.T) {
-	a := testMatrix(70, 50)
-	b := testMatrix(50, 33)
-	ba, _ := FromMatrixBlock(a, 32)
-	res, err := MatMult(ba, b, 0)
-	if err != nil {
-		t.Fatal(err)
+	lefts := []struct {
+		name string
+		make func(m, k int) *matrix.MatrixBlock
+	}{
+		{"dense", func(m, k int) *matrix.MatrixBlock { return matrix.RandUniform(m, k, -1, 1, 1.0, 41) }},
+		{"sparse", func(m, k int) *matrix.MatrixBlock { return matrix.RandUniform(m, k, -1, 1, 0.05, 42) }},
+		{"mixed", func(m, k int) *matrix.MatrixBlock { return mixedMatrix(m, k, 43) }},
 	}
-	got, _ := res.ToMatrixBlock()
-	want, _ := matrix.Multiply(a, b, 1)
-	if !want.Equals(got, 1e-9) {
-		t.Error("broadcast matmult differs from local")
+	rights := []struct {
+		name     string
+		sparsity float64
+	}{{"dense", 1.0}, {"sparse", 0.1}}
+	for _, sh := range []struct{ m, k, n int }{
+		{70, 50, 33}, {250, 230, 3}, {1030, 45, 1}, {31, 1100, 5}, {9, 7, 120},
+	} {
+		for _, l := range lefts {
+			a := l.make(sh.m, sh.k)
+			for _, r := range rights {
+				b := matrix.RandUniform(sh.k, sh.n, -1, 1, r.sparsity, 44)
+				for _, th := range []int{1, 2, 3} {
+					want, err := matrix.Multiply(a, b, th)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.ExamineAndApplySparsity() // as the collect does
+					for _, bs := range []int{7, 100, 1024} {
+						name := fmt.Sprintf("%dx%dx%d %s x %s bs=%d T=%d", sh.m, sh.k, sh.n, l.name, r.name, bs, th)
+						ba, err := FromMatrixBlock(a, bs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := MatMult(ba, b, th)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						got, err := res.ToMatrixBlock()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sameBits(got, want); err != nil {
+							t.Errorf("%s: %v", name, err)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

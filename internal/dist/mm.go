@@ -113,6 +113,15 @@ func (b *BlockedMatrix) InMemorySize() int64 {
 	return total
 }
 
+// OwnedSize returns the bytes the blocks hold of their own: InMemorySize,
+// or 0 for row-strip views, whose bytes are their View's.
+func (b *BlockedMatrix) OwnedSize() int64 {
+	if b.View != nil {
+		return 0
+	}
+	return b.InMemorySize()
+}
+
 // XtY computes t(X) %*% Y over a blocked X without transposing it, for a
 // local Y (y) or a blocked one (by); the other is nil. It walks the fixed row
 // chunks of matrix.TransposeMultiply's row-scatter leg (matrix.XtYChunks) over

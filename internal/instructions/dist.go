@@ -31,6 +31,8 @@ func useDist(ctx *runtime.Context, et types.ExecType, data ...runtime.Data) bool
 // the object — since rebinding a variable always creates a new object, the
 // memo is keyed by the symbol-table entry's version, and a named input
 // consumed by distributed operators in several DAGs partitions exactly once.
+// A dense input with one column block partitions into views of its own array
+// (dist.FromMatrixBlock), counted apart as a view partition.
 func resolveBlockedData(ctx *runtime.Context, d runtime.Data, o Operand) (*dist.BlockedMatrix, error) {
 	if bo, ok := d.(*runtime.BlockedMatrixObject); ok {
 		return bo.Blocked()
@@ -46,11 +48,16 @@ func resolveBlockedData(ctx *runtime.Context, d runtime.Data, o Operand) (*dist.
 	if err != nil {
 		return nil, err
 	}
-	ctx.Count(func(s *runtime.RunStats) { s.DistStats.Partitions++ })
 	bm, err := dist.FromMatrixBlock(blk, bs)
 	if err != nil {
 		return nil, err
 	}
+	ctx.Count(func(s *runtime.RunStats) {
+		s.DistStats.Partitions++
+		if bm.View != nil {
+			s.DistStats.ViewPartitions++
+		}
+	})
 	if isMO {
 		mo.StoreBlocked(bm, bs)
 	}

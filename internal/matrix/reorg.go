@@ -174,28 +174,41 @@ func RBind(ms ...*MatrixBlock) (*MatrixBlock, error) {
 }
 
 // Slice returns the sub-matrix m[rl:ru, cl:cu] with 0-based inclusive lower
-// and exclusive upper bounds.
+// and exclusive upper bounds. The non-zeros are counted in the pass that
+// copies, each row while it is cache-hot, and the result is sparse exactly
+// when its sparsity falls below SparseThreshold.
 func Slice(m *MatrixBlock, rl, ru, cl, cu int) (*MatrixBlock, error) {
 	if rl < 0 || ru > m.rows || cl < 0 || cu > m.cols || rl > ru || cl > cu {
 		return nil, fmt.Errorf("matrix: slice [%d:%d,%d:%d] out of bounds for %dx%d", rl, ru, cl, cu, m.rows, m.cols)
 	}
 	rows, cols := ru-rl, cu-cl
 	out := NewDense(rows, cols)
+	var nnz int64
 	if m.IsSparse() {
 		s := m.csr()
 		for r := rl; r < ru; r++ {
 			lo, hi := s.RowPtr[r], s.RowPtr[r+1]
 			start := lo + sort.SearchInts(s.ColIdx[lo:hi], cl)
 			for p := start; p < hi && s.ColIdx[p] < cu; p++ {
-				out.dense[(r-rl)*cols+(s.ColIdx[p]-cl)] = s.Values[p]
+				v := s.Values[p]
+				out.dense[(r-rl)*cols+(s.ColIdx[p]-cl)] = v
+				if v != 0 {
+					nnz++
+				}
 			}
 		}
 	} else {
 		for r := rl; r < ru; r++ {
-			copy(out.dense[(r-rl)*cols:(r-rl+1)*cols], m.dense[r*m.cols+cl:r*m.cols+cu])
+			row := out.dense[(r-rl)*cols : (r-rl+1)*cols]
+			copy(row, m.dense[r*m.cols+cl:r*m.cols+cu])
+			for _, v := range row {
+				if v != 0 {
+					nnz++
+				}
+			}
 		}
 	}
-	out.RecomputeNNZ()
+	out.nnz = nnz
 	out.ExamineAndApplySparsity()
 	return out, nil
 }

@@ -155,6 +155,63 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+// sliceRecount is Slice as it was before it counted while copying: copy the
+// cells, then recount the whole output and pick its representation.
+func sliceRecount(m *MatrixBlock, rl, ru, cl, cu int) *MatrixBlock {
+	out := NewDense(ru-rl, cu-cl)
+	for r := rl; r < ru; r++ {
+		for c := cl; c < cu; c++ {
+			out.dense[(r-rl)*(cu-cl)+c-cl] = m.Get(r, c)
+		}
+	}
+	out.RecomputeNNZ()
+	return out.ExamineAndApplySparsity()
+}
+
+// TestSliceCountsWhileCopying: counting non-zeros in the copy pass gives the
+// recounting path's non-zero count, representation and bits (a stored -0
+// included) for dense, sparse and half-empty inputs, over ragged, single-row,
+// single-column, empty and whole ranges.
+func TestSliceCountsWhileCopying(t *testing.T) {
+	negZero := RandUniform(57, 31, -1, 1, 1.0, 71)
+	for i := 0; i < 57*31; i += 5 {
+		negZero.dense[i] = math.Copysign(0, -1)
+	}
+	negZero.RecomputeNNZ()
+	halfEmpty := RandUniform(57, 31, -1, 1, 1.0, 72)
+	for i := 0; i < 40*31; i++ {
+		halfEmpty.dense[i] = 0
+	}
+	halfEmpty.RecomputeNNZ()
+	inputs := map[string]*MatrixBlock{
+		"dense":       RandUniform(57, 31, -1, 1, 1.0, 73),
+		"sparse":      RandUniform(57, 31, -1, 1, 0.1, 74),
+		"negZero":     negZero,
+		"halfEmpty":   halfEmpty,
+		"sparseStore": negZero.Copy().ToSparse(), // CSR above the threshold: a dense slice
+	}
+	ranges := [][4]int{{0, 57, 0, 31}, {3, 50, 2, 29}, {40, 57, 0, 31}, {0, 40, 5, 6}, {7, 8, 0, 31}, {9, 9, 0, 31}, {0, 57, 30, 31}}
+	for name, m := range inputs {
+		for _, r := range ranges {
+			got, err := Slice(m, r[0], r[1], r[2], r[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sliceRecount(m, r[0], r[1], r[2], r[3])
+			if got.NNZ() != want.NNZ() || got.IsSparse() != want.IsSparse() {
+				t.Errorf("%s %v: nnz %d sparse %v, want %d %v", name, r, got.NNZ(), got.IsSparse(), want.NNZ(), want.IsSparse())
+			}
+			for i := 0; i < got.Rows(); i++ {
+				for j := 0; j < got.Cols(); j++ {
+					if a, b := got.Get(i, j), want.Get(i, j); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%s %v: cell (%d,%d) %v, want %v", name, r, i, j, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLeftIndex(t *testing.T) {
 	m := NewDense(3, 3)
 	src := FromRows([][]float64{{1, 2}, {3, 4}})

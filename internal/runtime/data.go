@@ -289,8 +289,11 @@ type MatrixObject struct {
 	// consumed by distributed operators in several DAGs partition once, not
 	// once per DAG. The block is never written in place while the memo
 	// exists (exclusive's callers refuse), so the memo can never serve stale
-	// data. The memo is a second
-	// copy of the data and counts in MemorySize while it is resident. Under
+	// data. A memo of row-strip views (blocked.View, a dense block with one
+	// column block) shares the block's array: it owns no bytes, the
+	// partition claimed the block so nothing writes or recycles the array,
+	// and it leaves memory with the block. Any other memo is a second copy
+	// of the data and counts in MemorySize while it is resident; under
 	// memory pressure the object gives up one of the two forms and keeps the
 	// other (Evict), so that the consumers that come next — dist operators
 	// through the memo, CP operators through the block — find theirs in
@@ -460,8 +463,9 @@ func spillBlock(path string, blk *matrix.MatrixBlock, blocksize int) (int64, err
 	return written, nil
 }
 
-// MemorySize implements bufferpool.Entry: the local block plus the memoized
-// blocked form, whichever are resident.
+// MemorySize implements bufferpool.Entry: the local block plus the bytes the
+// memoized blocked form owns (none for views of the block), whichever are
+// resident.
 func (m *MatrixObject) MemorySize() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -470,7 +474,7 @@ func (m *MatrixObject) MemorySize() int64 {
 		size += m.block.InMemorySize()
 	}
 	if m.blocked != nil {
-		size += m.blocked.InMemorySize()
+		size += m.blocked.OwnedSize()
 	}
 	return size
 }
@@ -481,11 +485,13 @@ func (m *MatrixObject) MemorySize() int64 {
 // else for one write — after which the object serves dist consumers from the
 // memo without touching disk. An object down to one form gives that up: the
 // block is written unless clean, the memo is only ever dropped (its block
-// went to disk before it).
+// went to disk before it). A memo of views is no second form: dropping it
+// alone frees nothing, so the block goes and takes the memo with it, and the
+// array they share is counted once.
 func (m *MatrixObject) Evict(path string, clean bool) (freed, written int64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.blocked != nil && (m.block == nil || !m.blockedLast) {
+	if m.blocked != nil && m.blocked.View == nil && (m.block == nil || !m.blockedLast) {
 		freed = m.blocked.InMemorySize()
 		m.blocked = nil
 		return freed, 0, nil
@@ -501,6 +507,9 @@ func (m *MatrixObject) Evict(path string, clean bool) (freed, written int64, err
 	}
 	freed = m.block.InMemorySize()
 	m.block = nil
+	if m.blocked != nil && m.blocked.View != nil {
+		m.blocked = nil
+	}
 	return freed, written, nil
 }
 
@@ -521,18 +530,21 @@ func (m *MatrixObject) CachedBlocked(blocksize int) (*dist.BlockedMatrix, bool) 
 
 // StoreBlocked memoizes the partitioned form of the matrix so later
 // distributed consumers of the same symbol-table entry reuse it, and reports
-// the growth to the buffer pool so budget enforcement sees the copy. The
-// first store wins: concurrent instructions racing to memoize the same input
-// must notify the pool exactly once.
+// the bytes the memo owns to the buffer pool so budget enforcement sees a
+// copy (views of the block own none). The first store wins: concurrent
+// instructions racing to memoize the same input must notify the pool exactly
+// once. Views of a block the object no longer holds — it was evicted while
+// the partition ran — are not kept: they would pin an array the pool counts
+// as freed.
 func (m *MatrixObject) StoreBlocked(bm *dist.BlockedMatrix, blocksize int) {
 	m.mu.Lock()
-	stored := m.blocked == nil
+	stored := m.blocked == nil && (bm.View == nil || bm.View == m.block)
 	if stored {
 		m.blocked, m.blockedBS, m.blockedLast = bm, blocksize, true
 	}
 	m.mu.Unlock()
 	if stored {
-		m.pool.NotifyResize(m, bm.InMemorySize())
+		m.pool.NotifyResize(m, bm.OwnedSize())
 	}
 }
 

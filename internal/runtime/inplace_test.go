@@ -15,7 +15,8 @@ var cell42 = []matrix.RegionWrite{{R0: 0, R1: 1, C0: 0, C1: 1, Src: matrix.Fill(
 // exactly when a's binding is the block's only holder, and every other holder
 // — a second binding, a reuse-cache entry, a caller, a function result in
 // flight, a parfor worker's copy, a list, a view, a second handle, a
-// partitioned memo — keeps the old bits. An evicted block comes back as a
+// partitioned memo, row-strip views of the block itself, memoized or not —
+// keeps the old bits. An evicted block comes back as a
 // copy nobody claims, and a block written in place is spilled with its new
 // bits.
 func TestInPlaceOnlyWhenNothingElseSees(t *testing.T) {
@@ -83,6 +84,26 @@ func TestInPlaceOnlyWhenNothingElseSees(t *testing.T) {
 				bm, _ := mo.CachedBlocked(32)
 				return bm.ToMatrixBlock()
 			}
+		}, false},
+		{"view memo", 0, func(ctx *Context, mo *MatrixObject) func() (*matrix.MatrixBlock, error) {
+			blk, _ := mo.Acquire()
+			bm, err := dist.FromMatrixBlock(blk, 100)
+			if err != nil || bm.View != blk {
+				t.Fatalf("not a view partition (%v)", err)
+			}
+			mo.StoreBlocked(bm, 100)
+			return func() (*matrix.MatrixBlock, error) {
+				bm, _ := mo.CachedBlocked(100)
+				return bm.ToMatrixBlock()
+			}
+		}, false},
+		{"row-strip views held elsewhere", 0, func(ctx *Context, mo *MatrixObject) func() (*matrix.MatrixBlock, error) {
+			blk, _ := mo.Acquire()
+			bm, err := dist.FromMatrixBlock(blk, 100) // e.g. shared into a blocked cbind
+			if err != nil || bm.View != blk {
+				t.Fatalf("not a view partition (%v)", err)
+			}
+			return bm.ToMatrixBlock
 		}, false},
 		{"evicted and restored", poolOf(1), func(ctx *Context, mo *MatrixObject) func() (*matrix.MatrixBlock, error) {
 			squeeze(ctx.Pool)

@@ -390,6 +390,75 @@ func TestSpiltBlockResidentMemo(t *testing.T) {
 	}
 }
 
+// TestViewMemoCountsTheArrayOnce: a memo of row-strip views owns no bytes,
+// so the pool counts the local block's bytes, not twice them. Evicting the
+// object frees that array once: the block goes to disk and the memo with it,
+// whichever form was asked for last, since views left behind would pin what
+// the pool counts as freed. Views of the evicted block are not memoized
+// again, and the restored block partitions afresh.
+func TestViewMemoCountsTheArrayOnce(t *testing.T) {
+	for _, distLast := range []bool{true, false} {
+		ctx := liveContext(t, 0)
+		pool := bufferpool.New(poolOf(1), ctx.Config.TempDir)
+		want := liveBlock(8)
+		mo := NewMatrixObject(want.Copy(), pool)
+		mo.Retain()
+		blk, err := mo.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm, err := dist.FromMatrixBlock(blk, 100)
+		if err != nil || bm.View != blk {
+			t.Fatalf("not a view partition (%v)", err)
+		}
+		mo.StoreBlocked(bm, 100)
+		if got, ok := mo.CachedBlocked(100); !ok || got != bm {
+			t.Fatal("view memo not kept")
+		}
+		if got := pool.InMemoryBytes(); got != liveBlockBytes || mo.MemorySize() != liveBlockBytes {
+			t.Fatalf("pool counts %d bytes, object %d, want the block's %d", got, mo.MemorySize(), liveBlockBytes)
+		}
+		if !distLast {
+			if _, err := mo.Acquire(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		squeeze(pool)
+		if mo.IsInMemory() {
+			t.Fatalf("distLast=%v: the block is still resident", distLast)
+		}
+		if _, ok := mo.CachedBlocked(100); ok {
+			t.Errorf("distLast=%v: the views outlived the block they view", distLast)
+		}
+		if got := pool.InMemoryBytes(); got != 0 {
+			t.Errorf("distLast=%v: pool counts %d bytes after the eviction, want 0", distLast, got)
+		}
+		if st := pool.Stats(); st.Evictions != 1 || st.CleanDrops != 0 {
+			t.Errorf("distLast=%v: stats = %+v, want one eviction and no clean drop", distLast, st)
+		}
+		mo.StoreBlocked(bm, 100)
+		if _, ok := mo.CachedBlocked(100); ok {
+			t.Errorf("distLast=%v: views of the evicted block were memoized", distLast)
+		}
+		back, err := mo.Acquire()
+		if err != nil || !bitsEqual(back, want) {
+			t.Fatalf("distLast=%v: restored block differs (%v)", distLast, err)
+		}
+		again, err := dist.FromMatrixBlock(back, 100)
+		if err != nil || again.View != back {
+			t.Fatalf("distLast=%v: the restored block did not partition into views (%v)", distLast, err)
+		}
+		mo.StoreBlocked(again, 100)
+		if got := pool.InMemoryBytes(); got != liveBlockBytes {
+			t.Errorf("distLast=%v: pool counts %d bytes after the second partition, want %d", distLast, got, liveBlockBytes)
+		}
+		mo.Release()
+		if got := pool.InMemoryBytes(); got != 0 || pool.Len() != 0 {
+			t.Errorf("distLast=%v: after the last holder: %d bytes, %d entries", distLast, got, pool.Len())
+		}
+	}
+}
+
 func fileBytes(t *testing.T, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)

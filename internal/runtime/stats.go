@@ -10,11 +10,14 @@ import (
 // matrix was partitioned into blocked form, how often a blocked matrix was
 // collected back into a local block, and how many operators executed on the
 // blocked backend. A chain of N blocked operators should cost one partition
-// and at most one collect, not N of each.
+// and at most one collect, not N of each. ViewPartitions counts the
+// partitions that cut a dense matrix into row-strip views of its array
+// instead of copying it (dist.FromMatrixBlock); Partitions counts both kinds.
 type DistStats struct {
-	Partitions int64
-	Collects   int64
-	BlockedOps int64
+	Partitions     int64
+	ViewPartitions int64
+	Collects       int64
+	BlockedOps     int64
 }
 
 // FusedStats is the fused-operator part of RunStats: how many row chains
