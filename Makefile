@@ -57,7 +57,12 @@ test:
 # array, copying where a view would differ; the broadcast matmult bitwise-equal
 # to the local multiply at 1, 2 and 3 pool workers; the pool counting a view
 # memo's array once; an update, a rebinding and the free list leaving viewed
-# bits alone; blocked runs bitwise-equal to local under a 16 MB pool), and a
+# bits alone; blocked runs bitwise-equal to local under a 16 MB pool), the
+# recompile memo repeated (the L2SVM loop planning twice in 20 calls; the
+# examples/lifecycle pipeline's plans, static answers and calls pinned; at
+# every recompilation of the golden corpus the plan from exact sizes equal to
+# the plan from their plan-visible form — parfor workers recompile
+# concurrently under one lock), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
@@ -76,7 +81,8 @@ race:
 	$(GO) test -race -run 'TestImpureCallsRunTheirBody|TestVerboseGridSearchRunsItsBody|TestReboundInputMisses|TestOneOutputMissingFromTheStoreRerunsTheBody|TestCallerUpdateLeavesTheCachedBitsAlone|TestHitOutputsAreNeverRecycled|TestFunctionReuseIsBitwiseEqual|TestParforWorkersShareOnePureCall' -count=3 .
 	$(GO) test -race -run 'TestXtYBitwiseEqualsTransposeMultiply|TestToMatrixBlockWritesInPlace|TestGDLoopRunsXtYBlocked|TestXtYUnderDistMatchesLocal' -count=3 ./internal/dist/ ./internal/core/
 	$(GO) test -race -run 'TestRowChainBitwiseEqualsUnfused|TestMultDenseSparseVisitsOnlyStoredRows' -count=3 ./internal/matrix/
-	$(GO) test -race -run 'TestPartitionViewsTheDenseArray|TestPartitionCopiesWhereViewsWouldDiffer|TestMatMultBroadcastMatchesLocal|TestViewMemoCountsTheArrayOnce|TestInPlaceOnlyWhenNothingElseSees|TestViewsOfRecycledArraysAreNeverRead|TestLeftIndexAfterViewPartition|TestBlockedMatchesLocalUnderPool' -count=3 . ./internal/dist/ ./internal/runtime/
+	$(GO) test -race -run 'TestPartitionViewsTheDenseArray|TestPartitionCopiesWhereViewsWouldDiffer|TestMatMultBroadcastMatchesLocal|TestViewMemoCountsTheArrayOnce|TestInPlaceOnlyWhenNothingElseSees|TestViewsOfRecycledArraysAreNeverRead|TestLeftIndexAfterViewPartition|TestBlockedMatchesLocalUnderPool|TestConcatenationCountsSharedBlocksOnce|TestEvictingASharerFreesOnlyWhatNoOneHolds|TestRBindLoopStaysCounted' -count=3 . ./internal/dist/ ./internal/runtime/
+	$(GO) test -race -run 'TestRecompileMemoHitsOnStableSizes|TestLifecyclePlansOncePerPlanVisibleSize|TestRecompilePlansAlikeFromExactAndVisibleSizes' -count=3 . ./internal/compiler/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH|XtYBlocked' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed

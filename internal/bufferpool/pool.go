@@ -60,6 +60,42 @@ type Discarder interface {
 	Discard()
 }
 
+// Sharer is an optional Entry extension for entries whose data lives in
+// arrays that other entries may hold too: the blocks a concatenation took
+// from its inputs by reference, or the array a matrix and the row-strip
+// views of it share. The pool counts each array once for as long as any
+// registered entry holds it: an entry that lets go of an array another
+// still holds frees none of its bytes, and one that takes up an array that
+// is counted already adds none.
+type Sharer interface {
+	// AppendArrays appends to dst, once each, the arrays the entry holds in
+	// memory, which its MemorySize includes.
+	AppendArrays(dst []Array) []Array
+}
+
+// Array is one array a Sharer holds: its identity and its bytes.
+type Array struct {
+	Key   any
+	Bytes int64
+}
+
+// shareCounts is what a pool keeps on the arrays Sharers hold: each array's
+// holder count, and each Sharer's arrays as last recounted.
+type shareCounts struct {
+	arrays map[any]*sharedArray
+	held   map[int64][]any
+	epoch  uint64
+	listed []Array // AppendArrays' buffer, reused across recounts
+}
+
+// sharedArray is the pool's record of an array that Sharers hold.
+type sharedArray struct {
+	bytes   int64
+	holders int
+	// inOld and kept mark the array during one recount (epoch stamps)
+	inOld, kept uint64
+}
+
 // Pool tracks registered entries and enforces the memory budget with LRU
 // eviction of unpinned entries.
 type Pool struct {
@@ -77,6 +113,10 @@ type Pool struct {
 	// stay valid — a restored entry is evicted again without writing — until
 	// they are removed when the entry is unregistered.
 	spilt map[int64]bool
+	// shares counts the holders of the arrays Sharers hold, so inMem counts
+	// an array once however many entries hold it (recount); nil until a
+	// Sharer holds one.
+	shares *shareCounts
 }
 
 // smallEntryFactor bounds what an eviction may cost relative to what it
@@ -120,10 +160,75 @@ func (p *Pool) Register(e Entry) {
 	p.mu.Lock()
 	if _, ok := p.entries[e.PoolID()]; !ok {
 		p.entries[e.PoolID()] = p.lru.PushFront(e)
-		p.inMem += e.MemorySize()
+		p.inMem += e.MemorySize() + p.recount(e, false)
 	}
 	p.mu.Unlock()
 	p.enforceBudget()
+}
+
+// recount brings the record of the arrays a Sharer holds up to date — to
+// none when the entry is gone — and returns the correction to inMem (p.mu
+// held). MemorySize counts every array an entry holds, so an array an entry
+// takes up while another holds it already would count twice (-bytes), and
+// one it lets go while another still holds it would be freed by neither
+// (+bytes).
+func (p *Pool) recount(e Entry, gone bool) int64 {
+	s, ok := e.(Sharer)
+	if !ok {
+		return 0
+	}
+	id, sc := e.PoolID(), p.shares
+	var old []any
+	var listed []Array
+	if sc != nil {
+		old, listed = sc.held[id], sc.listed[:0]
+	}
+	if !gone {
+		listed = s.AppendArrays(listed)
+	}
+	if len(old) == 0 && len(listed) == 0 {
+		return 0
+	}
+	if sc == nil {
+		sc = &shareCounts{arrays: map[any]*sharedArray{}, held: map[int64][]any{}}
+		p.shares = sc
+	}
+	sc.epoch++
+	for _, k := range old {
+		sc.arrays[k].inOld = sc.epoch
+	}
+	var now []any
+	var delta int64
+	for _, l := range listed {
+		now = append(now, l.Key)
+		switch a := sc.arrays[l.Key]; {
+		case a == nil:
+			sc.arrays[l.Key] = &sharedArray{bytes: l.Bytes, holders: 1, kept: sc.epoch}
+		case a.inOld == sc.epoch:
+			a.kept = sc.epoch
+		default:
+			a.holders++
+			a.kept = sc.epoch
+			delta -= a.bytes
+		}
+	}
+	clear(listed) // hold no array past the recount
+	sc.listed = listed
+	for _, k := range old {
+		if a := sc.arrays[k]; a.kept != sc.epoch {
+			if a.holders--; a.holders > 0 {
+				delta += a.bytes
+			} else {
+				delete(sc.arrays, k)
+			}
+		}
+	}
+	if now != nil {
+		sc.held[id] = now
+	} else {
+		delete(sc.held, id)
+	}
+	return delta
 }
 
 // Unregister removes an entry (e.g. when a variable goes out of scope).
@@ -135,7 +240,7 @@ func (p *Pool) Unregister(id int64) {
 	var discard Discarder
 	if el, ok := p.entries[id]; ok {
 		e := el.Value.(Entry)
-		p.inMem -= e.MemorySize()
+		p.inMem += p.recount(e, true) - e.MemorySize()
 		discard, _ = e.(Discarder)
 		p.lru.Remove(el)
 		delete(p.entries, id)
@@ -174,7 +279,7 @@ func (p *Pool) ReleaseExcept(keep func(Entry) bool) {
 // NotifyAccess moves the entry to the most-recently-used position. restored
 // is the number of bytes the caller just read back from the entry's spill
 // file(s) — 0 when the access was served from memory — so the running
-// in-memory counter stays consistent.
+// in-memory counter stays consistent (a Sharer's arrays are recounted then).
 func (p *Pool) NotifyAccess(e Entry, restored int64) {
 	if p == nil {
 		return
@@ -182,10 +287,12 @@ func (p *Pool) NotifyAccess(e Entry, restored int64) {
 	p.mu.Lock()
 	if el, ok := p.entries[e.PoolID()]; ok {
 		p.lru.MoveToFront(el)
-		p.inMem += restored
+		if restored > 0 {
+			p.inMem += restored + p.recount(e, false)
+		}
 	} else {
 		p.entries[e.PoolID()] = p.lru.PushFront(e)
-		p.inMem += e.MemorySize()
+		p.inMem += e.MemorySize() + p.recount(e, false)
 	}
 	if restored > 0 {
 		p.stats.Restores++
@@ -219,7 +326,8 @@ func (p *Pool) enforceBudget() {
 				if err != nil || freed == 0 {
 					break
 				}
-				p.inMem -= freed
+				// what another entry still holds is not freed
+				p.inMem -= freed - p.recount(e, false)
 				if written > 0 {
 					if p.spilt == nil {
 						p.spilt = map[int64]bool{}
@@ -240,17 +348,21 @@ func (p *Pool) enforceBudget() {
 // on it), then re-enforces the budget. The caller reports the delta it is
 // responsible for; pairing every grow with the entry's MemorySize including
 // the grown bytes keeps the counter balanced regardless of how the resize
-// interleaves with an eviction.
+// interleaves with an eviction. A Sharer's arrays are recounted even when
+// delta is 0: a memo of views adds no bytes but shares the entry's array.
 func (p *Pool) NotifyResize(e Entry, delta int64) {
-	if p == nil || delta == 0 {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	if _, ok := p.entries[e.PoolID()]; ok {
+		delta += p.recount(e, false)
 		p.inMem += delta
 	}
 	p.mu.Unlock()
-	p.enforceBudget()
+	if delta != 0 {
+		p.enforceBudget()
+	}
 }
 
 // RecordPartialRestore accounts a partial restore of a per-block spilled

@@ -61,10 +61,12 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 		stmtsCopy := stmts
 		block.RequiresRecompile = true
 		// loop bodies recompile on every execution; memoize the lowered
-		// instructions by the live sizes of the variables the block reads —
-		// nothing else reaches its plan — so stable-size iterations (the
-		// common case) pay the HOP pipeline once, not per iteration, and
-		// answer "same as last time" by comparing a few tuples in place.
+		// instructions by the plan-visible sizes of the variables the block
+		// reads — nothing else reaches its plan — so iterations the planner
+		// cannot tell apart (the common case) pay the HOP pipeline once, not
+		// per iteration, and answer "same as last time" by comparing a few
+		// tuples in place. The block is planned against the same normalised
+		// sizes it is keyed by, so one key always means one plan.
 		// Parfor workers recompile concurrently — the same block, and
 		// different blocks of one body — so the memo and buildBlock both run
 		// under the compiler-wide recompile lock; the cached instruction
@@ -89,24 +91,28 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 			}
 			c.recompileMu.Lock()
 			defer c.recompileMu.Unlock()
-			same := memoInstrs != nil
-			for i := 0; same && i < len(reads); i++ {
-				sz, _ := liveSizeOf(ctx, reads[i])
-				same = memoSig[i] == sz
+			hit := memoInstrs != nil
+			for i, name := range reads {
+				sz := liveSizeOf(ctx, name)
+				hit = hit && memoSig[i] == sz
+				memoSig[i] = sz
 			}
-			if same {
+			if hit {
 				return memoInstrs, nil
 			}
+			memoInstrs = nil
 			liveKnown := make(map[string]types.DataCharacteristics, len(reads))
 			for i, name := range reads {
-				sz, dc := liveSizeOf(ctx, name)
-				if memoSig[i] = sz; sz.known {
-					liveKnown[name] = dc
+				if memoSig[i].known {
+					liveKnown[name] = memoSig[i].characteristics()
 				}
 			}
 			if !sizes && len(liveKnown) == 0 {
 				settled.Store(true)
 				return nil, nil
+			}
+			if p := probe.Load(); p != nil && p.Rebuild != nil {
+				c.probeRebuild(p, ctx, reads, liveKnown, stmtsCopy, flushLive)
 			}
 			rebuilt, err := c.buildBlock(stmtsCopy, liveKnown, flushLive)
 			if err != nil {
@@ -119,9 +125,9 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 	return block, nil
 }
 
-// liveSize is one entry of a recompilation memo's size signature: what the
-// planner can know about a variable the block reads (known is false for a
-// scalar, a list, or an unbound name).
+// liveSize is one entry of a recompilation memo's key: what the planner can
+// see of a variable the block reads (known is false for a scalar, a list, or
+// an unbound name).
 type liveSize struct {
 	known      bool
 	rows, cols int64
@@ -129,23 +135,105 @@ type liveSize struct {
 	nnz        int64
 }
 
-// liveSizeOf reads the characteristics of a bound variable, if it has any.
-// Local, blocked and federated matrix objects all expose them without
-// touching the data; blocked variables in particular must keep known sizes
-// here, or the recompiled block falls back to eager per-op collects.
-func liveSizeOf(ctx *runtime.Context, name string) (liveSize, types.DataCharacteristics) {
+// characteristics returns the size the block is planned against.
+func (s liveSize) characteristics() types.DataCharacteristics {
+	return types.NewDataCharacteristics(s.rows, s.cols, s.blocksize, s.nnz)
+}
+
+// liveSizeOf reads the characteristics of a bound variable, if it has any,
+// in their plan-visible form (planVisible).
+func liveSizeOf(ctx *runtime.Context, name string) liveSize {
+	dc, ok := boundCharacteristics(ctx, name)
+	if !ok {
+		return liveSize{}
+	}
+	dc = planVisible(dc)
+	return liveSize{true, dc.Rows, dc.Cols, dc.Blocksize, dc.NNZ}
+}
+
+// planVisible keeps of a variable's characteristics what can change a plan:
+// rows, cols and blocksize as they are, nnz when it is unknown or below
+// types.SparseThreshold, and otherwise rows·cols — every count in the dense
+// class plans alike. Dense-class nnz reaches the planner only through
+// types.EstimateSize, whose dense estimate ignores it, the
+// Sparsity() < SparseThreshold tests, and the nnz bounds of cost.go, which
+// keep every intermediate of dense-class inputs in the same class, with
+// equal values where it is sparse (DESIGN.md, "Interaction with
+// recompilation", lists each consumer).
+func planVisible(dc types.DataCharacteristics) types.DataCharacteristics {
+	if cells := dc.Cells(); cells > 0 && dc.NNZKnown() && dc.Sparsity() >= types.SparseThreshold {
+		dc.NNZ = cells
+	}
+	return dc
+}
+
+// boundCharacteristics reads the characteristics of a bound variable, if it
+// has any. Local, blocked and federated matrix objects all expose them
+// without touching the data; blocked variables in particular must keep known
+// sizes here, or the recompiled block falls back to eager per-op collects.
+func boundCharacteristics(ctx *runtime.Context, name string) (types.DataCharacteristics, bool) {
 	d, err := ctx.Get(name)
 	if err != nil {
-		return liveSize{}, types.DataCharacteristics{}
+		return types.DataCharacteristics{}, false
 	}
 	mc, ok := d.(interface {
 		DataCharacteristics() types.DataCharacteristics
 	})
 	if !ok {
-		return liveSize{}, types.DataCharacteristics{}
+		return types.DataCharacteristics{}, false
 	}
-	dc := mc.DataCharacteristics()
-	return liveSize{true, dc.Rows, dc.Cols, dc.Blocksize, dc.NNZ}, dc
+	return mc.DataCharacteristics(), true
+}
+
+// probeRebuild shows a rebuild to a test's probe; without one installed
+// (SetProbe) it never runs. The probe gets the reads' exact sizes, the
+// visible ones, and a plan function that lowers the block aside: it puts
+// back the compressed-variable tracking the build writes, so however often
+// the probe plans, the block's own plan is the one it would have had.
+func (c *Compiler) probeRebuild(p *Probe, ctx *runtime.Context, reads []string,
+	visible map[string]types.DataCharacteristics, stmts []lang.Statement, live *blockLive) {
+	exact := make(map[string]types.DataCharacteristics, len(reads))
+	for _, name := range reads {
+		if dc, ok := boundCharacteristics(ctx, name); ok {
+			exact[name] = dc
+		}
+	}
+	p.Rebuild(exact, visible, func(known map[string]types.DataCharacteristics) ([]runtime.Instruction, error) {
+		saved := make(map[string]bool, len(c.compressedVars))
+		for name, v := range c.compressedVars {
+			saved[name] = v
+		}
+		defer func() { c.compressedVars = saved }()
+		bb, err := c.buildBlock(stmts, known, live)
+		if err != nil {
+			return nil, err
+		}
+		return bb.instrs, nil
+	})
+}
+
+// Probe observes compilation for tests that hold the compiler to its
+// invariants over whole programs; a nil field observes nothing. Only tests
+// install one.
+type Probe struct {
+	// Pass sees a flush's DAG after each of its passes, named by the pass.
+	Pass func(pass string, d *hops.DAG)
+	// Rebuild sees each rebuild of a recompiled block before it runs: the
+	// characteristics of its reads as bound (exact), the plan-visible ones
+	// the block is keyed by and planned against (visible), and plan, which
+	// lowers the block against any characteristics and leaves the
+	// compiler's state as it found it.
+	Rebuild func(exact, visible map[string]types.DataCharacteristics,
+		plan func(map[string]types.DataCharacteristics) ([]runtime.Instruction, error))
+}
+
+var probe atomic.Pointer[Probe]
+
+// SetProbe installs p (nil for none) for every compiler of the process and
+// returns a function that puts the previous probe back.
+func SetProbe(p *Probe) (restore func()) {
+	old := probe.Swap(p)
+	return func() { probe.Store(old) }
 }
 
 // buildBlock runs the statement-to-DAG-to-instruction pipeline; live says

@@ -42,7 +42,9 @@ func (bb *blockBuilder) flush() error {
 		return nil
 	}
 	hops.Rewrite(bb.dag)
+	bb.passed("rewrite")
 	hops.PropagateSizes(bb.dag, bb.known)
+	bb.passed("sizes")
 	params := hops.PlannerParams{
 		MemBudget:          bb.c.cfg.OperatorMemBudget,
 		DistEnabled:        bb.c.cfg.DistEnabled,
@@ -61,7 +63,9 @@ func (bb *blockBuilder) flush() error {
 	} else {
 		hops.RewriteXtY(bb.dag, params)
 	}
+	bb.passed("fuse")
 	hops.PropagateSizes(bb.dag, bb.known)
+	bb.passed("sizes")
 	// mark transient reads of variables compressed by an earlier DAG, so the
 	// planner prices their compressed bytes and EXPLAIN tags the CLA kernels;
 	// note a cellwise chain over reads of unknown type (the matcher left it
@@ -74,10 +78,13 @@ func (bb *blockBuilder) flush() error {
 			bb.untypedChains = true
 		}
 	}
+	bb.passed("mark")
 	// the physical planner: one cost-based pass assigns execution types and
 	// matmult strategies from the same estimates the fusion gate consumed
 	hops.Plan(bb.dag, params)
+	bb.passed("plan")
 	hops.PropagateBlockedOutputs(bb.dag)
+	bb.passed("blocked")
 	// update the cross-DAG compressed-variable tracking from this DAG's
 	// writes: a fired compression site marks its variable, any other producer
 	// clears it (unwritten variables keep their prior state)
@@ -98,6 +105,7 @@ func (bb *blockBuilder) flush() error {
 	if err != nil {
 		return err
 	}
+	bb.passed("lower")
 	if unknown {
 		bb.unknownSizes = true
 	}
@@ -105,6 +113,13 @@ func (bb *blockBuilder) flush() error {
 	bb.varMap = map[string]*hops.Hop{}
 	bb.dag = &hops.DAG{}
 	return nil
+}
+
+// passed shows the DAG to the probe's Pass, if one is installed.
+func (bb *blockBuilder) passed(pass string) {
+	if p := probe.Load(); p != nil && p.Pass != nil {
+		p.Pass(pass, bb.dag)
+	}
 }
 
 // emit appends a directly-emitted (non-DAG) instruction.

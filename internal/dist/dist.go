@@ -28,6 +28,10 @@ type BlockedMatrix struct {
 	// live exactly as long as View's array, which nothing writes in place or
 	// recycles once partitioned (View was claimed).
 	View *matrix.MatrixBlock
+	// Shared lists, once each, the arrays the Blocks live in when they are
+	// the inputs' own, taken by reference by a block-aligned RBind or CBind;
+	// nil when each block is its own array or a view of View's.
+	Shared []*matrix.MatrixBlock
 }
 
 // GridRows returns the number of block rows.

@@ -122,6 +122,34 @@ func (b *BlockedMatrix) OwnedSize() int64 {
 	return b.InMemorySize()
 }
 
+// EachArray calls fn once for every array the blocks live in: View for
+// row-strip views, the inputs' arrays for a concatenation that shares them
+// (Shared), otherwise each block.
+func (b *BlockedMatrix) EachArray(fn func(*matrix.MatrixBlock)) {
+	switch {
+	case b.View != nil:
+		fn(b.View)
+	case b.Shared != nil:
+		for _, a := range b.Shared {
+			fn(a)
+		}
+	default:
+		for _, blk := range b.Blocks {
+			if blk != nil {
+				fn(blk)
+			}
+		}
+	}
+}
+
+// ArraysSize returns the bytes of the arrays the blocks live in, each
+// counted once (EachArray): what holding the blocks keeps in memory.
+func (b *BlockedMatrix) ArraysSize() int64 {
+	var total int64
+	b.EachArray(func(a *matrix.MatrixBlock) { total += a.InMemorySize() })
+	return total
+}
+
 // XtY computes t(X) %*% Y over a blocked X without transposing it, for a
 // local Y (y) or a blocked one (by); the other is nil. It walks the fixed row
 // chunks of matrix.TransposeMultiply's row-scatter leg (matrix.XtYChunks) over

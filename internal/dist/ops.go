@@ -93,8 +93,9 @@ func Transpose(a *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 }
 
 // RBind stacks two blocked matrices vertically. When the first operand's rows
-// are block-aligned the grids are concatenated by reference; otherwise the
-// output blocks are re-assembled from the covering regions of both inputs.
+// are block-aligned the grids are concatenated by reference (a Shared
+// output); otherwise the output blocks are re-assembled from the covering
+// regions of both inputs.
 func RBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	if a.Cols != b.Cols || a.Blocksize != b.Blocksize {
 		return nil, fmt.Errorf("dist: rbind mismatch %dx%d/%d vs %dx%d/%d",
@@ -105,6 +106,7 @@ func RBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 		// blocks are immutable, so sharing them between inputs and output is safe
 		out.Blocks = make([]*matrix.MatrixBlock, 0, len(a.Blocks)+len(b.Blocks))
 		out.Blocks = append(append(out.Blocks, a.Blocks...), b.Blocks...)
+		out.Shared = sharedArrays(a, b)
 		return out, nil
 	}
 	gr, gc := out.GridRows(), out.GridCols()
@@ -140,8 +142,26 @@ func RBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	return out, nil
 }
 
-// CBind concatenates two blocked matrices horizontally, re-assembling
-// boundary-spanning output blocks from the covering regions of both inputs.
+// sharedArrays lists, once each, the arrays of a and b: those a
+// concatenation that takes their blocks by reference lives in.
+func sharedArrays(a, b *BlockedMatrix) []*matrix.MatrixBlock {
+	var arrays []*matrix.MatrixBlock
+	seen := map[*matrix.MatrixBlock]bool{}
+	add := func(m *matrix.MatrixBlock) {
+		if !seen[m] {
+			seen[m] = true
+			arrays = append(arrays, m)
+		}
+	}
+	a.EachArray(add)
+	b.EachArray(add)
+	return arrays
+}
+
+// CBind concatenates two blocked matrices horizontally. When the first
+// operand's columns are block-aligned the grids are interleaved by reference
+// (a Shared output); otherwise boundary-spanning output blocks are
+// re-assembled from the covering regions of both inputs.
 func CBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	if a.Rows != b.Rows || a.Blocksize != b.Blocksize {
 		return nil, fmt.Errorf("dist: cbind mismatch %dx%d/%d vs %dx%d/%d",
@@ -156,6 +176,7 @@ func CBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 			copy(out.Blocks[bi*gc:], a.Blocks[bi*agc:(bi+1)*agc])
 			copy(out.Blocks[bi*gc+agc:], b.Blocks[bi*bgc:(bi+1)*bgc])
 		}
+		out.Shared = sharedArrays(a, b)
 		return out, nil
 	}
 	err := forEachBlock("cbind", gr, gc, threads, func(bi, bj int) error {

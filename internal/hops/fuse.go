@@ -85,21 +85,6 @@ func RewriteXtY(d *DAG, p PlannerParams) {
 	fuseProducts(d, p, false)
 }
 
-// consumerCounts returns, per HOP id, the number of consuming edges in the
-// DAG (a hop referenced twice by one consumer counts twice).
-func consumerCounts(d *DAG) map[int64]int {
-	counts := map[int64]int{}
-	for _, h := range d.Nodes() {
-		for _, in := range h.Inputs {
-			counts[in.ID]++
-		}
-		for _, p := range h.Params {
-			counts[p.ID]++
-		}
-	}
-	return counts
-}
-
 // --- row chains and xty -------------------------------------------------------
 
 // OpXtY is the Op of the KindMMChain variant computing t(X) %*% Y from inputs
@@ -110,7 +95,7 @@ const OpXtY = "xty"
 // (inputs [X, v, a1…ak], Fused.Prog over [q, a1…ak]) when Y is a cellwise
 // tree over one X %*% v; otherwise into the xty variant with inputs [X, Y].
 func fuseProducts(d *DAG, p PlannerParams, rowChains bool) {
-	consumers := consumerCounts(d)
+	consumers := d.consumerCounts()
 	for _, h := range d.Nodes() {
 		if h.Kind != KindMatMult || len(h.Inputs) != 2 {
 			continue
@@ -135,8 +120,8 @@ func fuseProducts(d *DAG, p PlannerParams, rowChains bool) {
 		switch {
 		case rc != nil && !dist && !WouldRunDist(rc.mv, p):
 			h.Kind, h.Op = KindMMChain, "mmchain"
-			h.Inputs = append([]*Hop{x, rc.v}, rc.args...)
 			h.Fused = &FusedPlan{Prog: rc.prog, OutNNZ: -1}
+			d.rewire(h, append([]*Hop{x, rc.v}, rc.args...))
 		case dist && (rc.unfusedOnDist() || !rowScatterXtY(x, rhs)):
 			// the blocked backend has the xty kernel only for the shapes of
 			// the row-scatter leg: a tiled shape or an unknown size keeps the
@@ -146,11 +131,11 @@ func fuseProducts(d *DAG, p PlannerParams, rowChains bool) {
 		default:
 			// no chain to fold: the multiply itself still reads X in place
 			h.Kind, h.Op = KindMMChain, OpXtY
-			h.Inputs = []*Hop{x, rhs}
+			d.rewire(h, []*Hop{x, rhs})
 		}
-		// interior nodes are now unreachable; refresh edge counts so later
-		// matches see the rewritten graph
-		consumers = consumerCounts(d)
+		// interior nodes are now unreachable; recount so later matches see
+		// the rewritten graph
+		consumers = d.consumerCounts()
 	}
 }
 
@@ -243,7 +228,7 @@ func isColVector(h *Hop, rows int64) bool {
 // fuseAggPipelines rewrites aggregates over single-consumer cellwise trees
 // into KindFusedAgg hops carrying a cell program.
 func fuseAggPipelines(d *DAG, p PlannerParams) {
-	consumers := consumerCounts(d)
+	consumers := d.consumerCounts()
 	for _, h := range d.Nodes() {
 		aggKind, ok := fusableAggs[h.Op]
 		if h.Kind != KindAggUnary || !ok || len(h.Inputs) != 1 {
@@ -261,8 +246,8 @@ func fuseAggPipelines(d *DAG, p PlannerParams) {
 		}
 		h.Kind = KindFusedAgg
 		h.Fused = &FusedPlan{Agg: h.Op, Kind: aggKind, Prog: b.program(root)}
-		h.Inputs = b.args
-		consumers = consumerCounts(d)
+		d.rewire(h, b.args)
+		consumers = d.consumerCounts()
 	}
 }
 
@@ -271,7 +256,7 @@ func fuseAggPipelines(d *DAG, p PlannerParams) {
 // visited before their inputs, so a chain fuses at its outermost operator and
 // swallows everything eligible below it.
 func fuseCellChains(d *DAG, p PlannerParams) {
-	consumers := consumerCounts(d)
+	consumers := d.consumerCounts()
 	nodes := d.Nodes()
 	fused := map[int64]bool{} // interiors of an already-rewritten chain
 	for i := len(nodes) - 1; i >= 0; i-- {
@@ -290,8 +275,8 @@ func fuseCellChains(d *DAG, p PlannerParams) {
 		// still the plain operator the analyses below understand
 		h.Fused = &FusedPlan{Prog: b.program(h), OutNNZ: h.DC.NNZ}
 		h.Kind = KindFusedCell
-		h.Inputs = b.args
-		consumers = consumerCounts(d)
+		d.rewire(h, b.args)
+		consumers = d.consumerCounts()
 	}
 }
 

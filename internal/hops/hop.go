@@ -9,8 +9,9 @@ package hops
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/types"
@@ -113,6 +114,10 @@ type Hop struct {
 	// in an earlier DAG); set by the compiler's cross-DAG tracking so pricing
 	// and EXPLAIN see the compressed representation across block boundaries.
 	CompressedRead bool
+
+	// walked is the epoch of the last traversal that visited the HOP
+	// (postOrder).
+	walked uint64
 }
 
 // NewHop creates a HOP with a fresh ID.
@@ -197,71 +202,177 @@ func (h *Hop) IsLiteralNumber() bool {
 }
 
 // signature produces a canonical string describing the operation and its
-// input identities, used for common subexpression elimination.
+// input identities, used for common subexpression elimination. It appends
+// into one buffer rather than formatting: the string is the one
+// "%s:%s:%s" / ":%x:%q:%v:%v" / ":%d" / ":%s=%d" / ":%s:%s" would print,
+// byte for byte (TestSignatureMatchesFormatted).
 func (h *Hop) signature() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s:%s:%s", h.Kind, h.Op, h.Name)
+	b := append(make([]byte, 0, 64), h.Kind.String()...)
+	b = appendField(b, h.Op)
+	b = appendField(b, h.Name)
 	if h.Kind == KindLiteral {
 		// the bits, not the printed value: NaNs of another sign or payload
 		// are other literals
-		fmt.Fprintf(&sb, ":%x:%q:%v:%v", math.Float64bits(h.LitValue), h.LitString, h.LitBool, h.ValueType)
+		b = strconv.AppendUint(append(b, ':'), math.Float64bits(h.LitValue), 16)
+		b = strconv.AppendQuote(append(b, ':'), h.LitString)
+		b = strconv.AppendBool(append(b, ':'), h.LitBool)
+		b = appendField(b, h.ValueType.String())
 	}
 	for _, in := range h.Inputs {
-		fmt.Fprintf(&sb, ":%d", in.ID)
+		b = strconv.AppendInt(append(b, ':'), in.ID, 10)
 	}
-	if len(h.Params) > 0 {
-		keys := make([]string, 0, len(h.Params))
-		for k := range h.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&sb, ":%s=%d", k, h.Params[k].ID)
-		}
+	for _, k := range sortedParamKeys(h.Params) {
+		b = strconv.AppendInt(append(appendField(b, k), '='), h.Params[k].ID, 10)
 	}
 	if h.Fused != nil {
-		fmt.Fprintf(&sb, ":%s:%s", h.Fused.Agg, h.Fused.Prog.Signature())
+		b = appendField(appendField(b, h.Fused.Agg), h.Fused.Prog.Signature())
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendField appends ':' and s to a signature.
+func appendField(b []byte, s string) []byte { return append(append(b, ':'), s...) }
+
+// sortedParamKeys returns the parameter names of a HOP in sorted order (nil
+// for a HOP without parameters): every walk over parameters goes in this
+// order, so listings, consumer orders and signatures repeat run to run.
+func sortedParamKeys(params map[string]*Hop) []string {
+	if len(params) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(params))
+	for k := range params {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // DAG is the HOP DAG of one basic block: the roots are the transient writes
 // (block outputs) plus side-effecting operations like print and write.
+//
+// The DAG caches its post-order (Nodes) and its consumer counts
+// (consumerCounts), so the passes of one compile share one traversal. Adding
+// a root drops both, and so does a pass that rewires edges (rewire,
+// invalidate). CheckCaches compares whatever is cached against a fresh
+// traversal.
 type DAG struct {
 	Roots []*Hop
+
+	order     []*Hop        // cached post-order; nil when stale
+	consumers map[int64]int // cached consumer counts; nil when stale
+	nroots    int           // len(Roots) when the caches were filled
 }
 
 // Nodes returns all nodes of the DAG in a post-order (inputs before
-// consumers), visiting shared subexpressions once.
+// consumers), visiting shared subexpressions once. The slice is cached until
+// a root is added or a pass rewires edges; callers must not modify it.
 func (d *DAG) Nodes() []*Hop {
-	visited := map[int64]bool{}
-	var order []*Hop
-	var visit func(h *Hop)
-	visit = func(h *Hop) {
-		if h == nil || visited[h.ID] {
-			return
-		}
-		visited[h.ID] = true
+	if len(d.Roots) != d.nroots {
+		d.order, d.consumers, d.nroots = nil, nil, len(d.Roots)
+	}
+	if d.order == nil {
+		d.order = postOrder(d.Roots)
+	}
+	return d.order
+}
+
+// walkEpoch numbers the traversals: a HOP visited by traversal e carries
+// e in walked, so a traversal needs no visited set.
+var walkEpoch atomic.Uint64
+
+// postOrder walks the DAG below roots, inputs first and parameters in sorted
+// key order: the post-order decides EXPLAIN listings, consumer orders and
+// lowering order, all of which must be identical across runs.
+func postOrder(roots []*Hop) []*Hop {
+	w := walker{epoch: walkEpoch.Add(1)}
+	for _, r := range roots {
+		w.visit(r)
+	}
+	return w.order
+}
+
+type walker struct {
+	epoch uint64
+	order []*Hop
+}
+
+func (w *walker) visit(h *Hop) {
+	if h == nil || h.walked == w.epoch {
+		return
+	}
+	h.walked = w.epoch
+	for _, in := range h.Inputs {
+		w.visit(in)
+	}
+	for _, k := range sortedParamKeys(h.Params) {
+		w.visit(h.Params[k])
+	}
+	w.order = append(w.order, h)
+}
+
+// countConsumers returns, per HOP id, the number of consuming edges from
+// nodes (a hop referenced twice by one consumer counts twice).
+func countConsumers(nodes []*Hop) map[int64]int {
+	counts := make(map[int64]int, len(nodes))
+	for _, h := range nodes {
 		for _, in := range h.Inputs {
-			visit(in)
+			counts[in.ID]++
 		}
-		// visit params in sorted key order: the post-order returned here
-		// decides EXPLAIN listings, consumer lists, and lowering order, all of
-		// which must be identical across runs
-		pkeys := make([]string, 0, len(h.Params))
-		for k := range h.Params {
-			pkeys = append(pkeys, k)
+		for _, p := range h.Params {
+			counts[p.ID]++
 		}
-		sort.Strings(pkeys)
-		for _, k := range pkeys {
-			visit(h.Params[k])
-		}
-		order = append(order, h)
 	}
-	for _, r := range d.Roots {
-		visit(r)
+	return counts
+}
+
+// consumerCounts returns the DAG's consumer counts per HOP id, cached with
+// the post-order. A matcher that rewires fetches them again after each
+// rewrite.
+func (d *DAG) consumerCounts() map[int64]int {
+	nodes := d.Nodes()
+	if d.consumers == nil {
+		d.consumers = countConsumers(nodes)
 	}
-	return order
+	return d.consumers
+}
+
+// rewire gives h the inputs ins and drops the DAG's cached traversal: the
+// next Nodes or consumerCounts walks the rewired DAG.
+func (d *DAG) rewire(h *Hop, ins []*Hop) {
+	h.Inputs = ins
+	d.invalidate()
+}
+
+// invalidate drops both caches, after a pass that rewired edges in place.
+func (d *DAG) invalidate() {
+	d.order, d.consumers = nil, nil
+}
+
+// CheckCaches reports, as an error, where the cached post-order or consumer
+// counts differ from a fresh traversal of the DAG's current edges; nothing
+// cached is nothing to differ. It is the invariant every pass keeps.
+func (d *DAG) CheckCaches() error {
+	if len(d.Roots) != d.nroots {
+		return nil // Nodes refills both
+	}
+	fresh := postOrder(d.Roots)
+	if d.order != nil && !slices.Equal(d.order, fresh) {
+		return fmt.Errorf("hops: cached post-order has %d nodes, a fresh walk %d, or another order", len(d.order), len(fresh))
+	}
+	if d.consumers == nil {
+		return nil
+	}
+	want := countConsumers(fresh)
+	if len(want) != len(d.consumers) {
+		return fmt.Errorf("hops: cached consumer counts cover %d hops, a fresh walk %d", len(d.consumers), len(want))
+	}
+	for _, h := range fresh {
+		if got, n := d.consumers[h.ID], want[h.ID]; got != n {
+			return fmt.Errorf("hops: hop %d has %d cached consumers, a fresh walk counts %d", h.ID, got, n)
+		}
+	}
+	return nil
 }
 
 // explainIDs maps raw HOP IDs to DAG-local ordinals (post-order position,

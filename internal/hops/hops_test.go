@@ -1,9 +1,13 @@
 package hops
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
+	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/types"
 )
 
@@ -323,5 +327,63 @@ func TestLiteralConstructors(t *testing.T) {
 	b := NewLiteralBool(true)
 	if !b.LitIsBool || b.LitValue != 1 {
 		t.Error("bool literal malformed")
+	}
+}
+
+// formattedSignature is the fmt spelling Hop.signature had before it
+// appended into a buffer; CSE merges exactly what it did while the two agree.
+func formattedSignature(h *Hop) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s:%s:%s", h.Kind, h.Op, h.Name)
+	if h.Kind == KindLiteral {
+		fmt.Fprintf(&sb, ":%x:%q:%v:%v", math.Float64bits(h.LitValue), h.LitString, h.LitBool, h.ValueType)
+	}
+	for _, in := range h.Inputs {
+		fmt.Fprintf(&sb, ":%d", in.ID)
+	}
+	if len(h.Params) > 0 {
+		keys := make([]string, 0, len(h.Params))
+		for k := range h.Params {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&sb, ":%s=%d", k, h.Params[k].ID)
+		}
+	}
+	if h.Fused != nil {
+		fmt.Fprintf(&sb, ":%s:%s", h.Fused.Agg, h.Fused.Prog.Signature())
+	}
+	return sb.String()
+}
+
+// TestSignatureMatchesFormatted: the signature of every node of generated
+// DAGs, and of literals with awkward payloads, parameters and fused
+// programs, is byte for byte the formatted one.
+func TestSignatureMatchesFormatted(t *testing.T) {
+	var hops []*Hop
+	for seed := int64(0); seed < 300; seed++ {
+		hops = append(hops, genDAG(seed, 4+int(seed)%40).Nodes()...)
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Inf(-1), 1e-310, 12345.678} {
+		hops = append(hops, NewLiteralNumber(v), NewLiteralInt(int64(v)))
+	}
+	for _, s := range []string{"", "a b", `q"uo\te`, "tab\tnl\n", "ünï\u00e9", "\x00\xff"} {
+		hops = append(hops, NewLiteralString(s))
+	}
+	hops = append(hops, NewLiteralBool(true), NewLiteralBool(false))
+	rnd := NewHop(KindDataGen, "rand")
+	rnd.Params = map[string]*Hop{"rows": NewLiteralNumber(3), "cols": NewLiteralNumber(4), "seed": NewLiteralInt(-7)}
+	x := NewRead("X", types.Matrix)
+	cell := NewHop(KindFusedCell, "*", x, NewLiteralNumber(2))
+	cell.Fused = &FusedPlan{Prog: &matrix.CellProgram{Instrs: []matrix.CellInstr{
+		{Code: matrix.CellLoad, Arg: 0}, {Code: matrix.CellLoad, Arg: 1}, {Code: matrix.CellBinary, Bin: matrix.OpMul}}, NumArgs: 2}}
+	agg := NewHop(KindFusedAgg, "sum", x)
+	agg.Fused = &FusedPlan{Agg: "sum", Prog: &matrix.CellProgram{Instrs: []matrix.CellInstr{{Code: matrix.CellLoad, Arg: 0}}, NumArgs: 1}}
+	hops = append(hops, rnd, cell, agg, NewWrite("out", cell), NewHop(Kind(99), "?", x))
+	for _, h := range hops {
+		if got, want := h.signature(), formattedSignature(h); got != want {
+			t.Fatalf("signature %q, formatted %q", got, want)
+		}
 	}
 }

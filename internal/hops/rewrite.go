@@ -8,7 +8,8 @@ import "github.com/systemds/systemds-go/internal/matrix"
 // this order: constant folding, algebraic simplification, the t(X)%*%X -> tsmm
 // rewrite, and common subexpression elimination against the signatures seen
 // so far. Inputs are rewritten before their consumers, so no rule can enable
-// another on a node already visited, and one pass reaches the fixpoint.
+// another on a node already visited, and one pass reaches the fixpoint. The
+// pass rewires edges in place, so it drops the DAG's cached traversal.
 func Rewrite(d *DAG) {
 	rep := map[*Hop]*Hop{}
 	seen := map[string]*Hop{}
@@ -56,6 +57,7 @@ func Rewrite(d *DAG) {
 			d.Roots[i] = r
 		}
 	}
+	d.invalidate()
 }
 
 // fold evaluates a binary or unary operation over numeric literals with the

@@ -44,6 +44,7 @@ func refReplaceEverywhere(d *DAG, old, new *Hop) {
 			d.Roots[i] = new
 		}
 	}
+	d.invalidate()
 }
 
 func refFoldConstants(d *DAG) {
@@ -140,6 +141,7 @@ func refFuseTranspose(d *DAG) {
 			h.Inputs = []*Hop{right}
 		}
 	}
+	d.invalidate()
 }
 
 func refEliminateCommonSubexpressions(d *DAG) {
@@ -365,12 +367,21 @@ func genDAG(seed int64, size int) *DAG {
 }
 
 // checkRewriteSeed compares Rewrite against the reference's fixpoint on the
-// DAG of one seed.
+// DAG of one seed, and checks that what the DAG caches after Rewrite — with
+// the caches filled before it ran — is what a fresh traversal finds.
 func checkRewriteSeed(t testing.TB, seed int64, size int) {
 	want := genDAG(seed, size)
 	refFixpoint(t, want)
 	got := genDAG(seed, size)
+	got.consumerCounts()
 	Rewrite(got)
+	if err := got.CheckCaches(); err != nil {
+		t.Fatalf("seed %d size %d: after Rewrite: %v", seed, size, err)
+	}
+	got.consumerCounts()
+	if err := got.CheckCaches(); err != nil {
+		t.Fatalf("seed %d size %d: refilled after Rewrite: %v", seed, size, err)
+	}
 	if w, g := listing(want), listing(got); w != g {
 		t.Fatalf("seed %d size %d: Rewrite differs from the reference fixpoint\nreference:\n%s\nRewrite:\n%s",
 			seed, size, w, g)

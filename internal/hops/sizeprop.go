@@ -2,7 +2,6 @@ package hops
 
 import (
 	"github.com/systemds/systemds-go/internal/types"
-	"sort"
 )
 
 // PropagateSizes performs size propagation over the DAG: starting from the
@@ -329,39 +328,32 @@ func keepsBlockedOutput(h *Hop) bool {
 // the symbol table and later CP consumers or sinks collect lazily, so
 // Dist->Dist chains across DAGs and statements never repartition.
 func PropagateBlockedOutputs(d *DAG) {
-	nodes := d.Nodes()
-	consumers := map[int64][]*Hop{}
-	for _, h := range nodes {
-		for _, in := range h.Inputs {
-			consumers[in.ID] = append(consumers[in.ID], h)
-		}
-		// visit params in sorted key order so every consumer list is built
-		// identically across runs (nodes is already a deterministic post-order)
-		pkeys := make([]string, 0, len(h.Params))
-		for k := range h.Params {
-			pkeys = append(pkeys, k)
-		}
-		sort.Strings(pkeys)
-		for _, k := range pkeys {
-			consumers[h.Params[k].ID] = append(consumers[h.Params[k].ID], h)
+	// held: the dist producers a transient write or a dist operator reads
+	var held map[*Hop]bool
+	hold := func(in *Hop) {
+		if in.ExecType == types.ExecDist {
+			if held == nil {
+				held = map[*Hop]bool{}
+			}
+			held[in] = true
 		}
 	}
-	for _, h := range nodes {
-		if h.ExecType != types.ExecDist || h.DataType == types.Scalar {
+	for _, h := range d.Nodes() {
+		if h.Kind != KindWrite && h.ExecType != types.ExecDist {
 			continue
 		}
+		for _, in := range h.Inputs {
+			hold(in)
+		}
+		for _, k := range sortedParamKeys(h.Params) {
+			hold(h.Params[k])
+		}
+	}
+	consumers := d.consumerCounts()
+	for _, h := range d.Nodes() {
 		// operators with small local outputs never stay blocked
-		if !keepsBlockedOutput(h) {
-			continue
+		if h.ExecType == types.ExecDist && h.DataType != types.Scalar && keepsBlockedOutput(h) {
+			h.BlockedOutput = consumers[h.ID] == 0 || held[h]
 		}
-		cons := consumers[h.ID]
-		allCP := len(cons) > 0
-		for _, c := range cons {
-			if c.Kind == KindWrite || c.ExecType == types.ExecDist {
-				allCP = false
-				break
-			}
-		}
-		h.BlockedOutput = !allCP
 	}
 }

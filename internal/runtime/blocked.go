@@ -193,14 +193,29 @@ func (b *BlockedMatrixObject) collectBlocks() (*matrix.MatrixBlock, error) {
 	return bm.ToMatrixBlock()
 }
 
-// MemorySize implements bufferpool.Entry.
+// MemorySize implements bufferpool.Entry: the bytes of the arrays the
+// blocks live in, each once (dist.BlockedMatrix.ArraysSize); the pool counts
+// those another entry holds too only once (AppendArrays).
 func (b *BlockedMatrixObject) MemorySize() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.bm == nil {
 		return 0
 	}
-	return b.bm.InMemorySize()
+	return b.bm.ArraysSize()
+}
+
+// AppendArrays implements bufferpool.Sharer: the blocks of a concatenation
+// may be its inputs', and row-strip views live in their parent's array.
+func (b *BlockedMatrixObject) AppendArrays(dst []bufferpool.Array) []bufferpool.Array {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.bm != nil {
+		b.bm.EachArray(func(a *matrix.MatrixBlock) {
+			dst = append(dst, bufferpool.Array{Key: a, Bytes: a.InMemorySize()})
+		})
+	}
+	return dst
 }
 
 // Evict implements bufferpool.Entry: unless the spill files are in place
@@ -227,7 +242,7 @@ func (b *BlockedMatrixObject) Evict(path string, clean bool) (freed, written int
 		b.spillBase = path
 		b.nblocks = len(b.bm.Blocks)
 	}
-	freed = b.bm.InMemorySize()
+	freed = b.bm.ArraysSize()
 	b.bm = nil
 	b.local = nil
 	return freed, written, nil

@@ -479,6 +479,21 @@ func (m *MatrixObject) MemorySize() int64 {
 	return size
 }
 
+// AppendArrays implements bufferpool.Sharer: a memo's arrays — the block,
+// for a memo of views — may be held by a concatenation that took the
+// partitioned form's blocks by reference. Without a memo nothing else holds
+// the block.
+func (m *MatrixObject) AppendArrays(dst []bufferpool.Array) []bufferpool.Array {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.blocked != nil {
+		m.blocked.EachArray(func(a *matrix.MatrixBlock) {
+			dst = append(dst, bufferpool.Array{Key: a, Bytes: a.InMemorySize()})
+		})
+	}
+	return dst
+}
+
 // Evict implements bufferpool.Entry. An object holding both forms sheds the
 // one its latest consumer did not ask for: the memo, which the block can
 // rebuild, for free; the block for free if it is on disk already (clean),

@@ -459,6 +459,177 @@ func TestViewMemoCountsTheArrayOnce(t *testing.T) {
 	}
 }
 
+// viewPartitioned returns a matrix object over a dense rows x 100 block
+// with the view partition (blocksize 100) memoized on it, and the partition.
+func viewPartitioned(t *testing.T, pool *bufferpool.Pool, rows int, seed int64) (*MatrixObject, *dist.BlockedMatrix) {
+	t.Helper()
+	mo := NewMatrixObject(matrix.RandUniform(rows, 100, -1, 1, 1, seed), pool)
+	mo.Retain()
+	blk, err := mo.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := dist.FromMatrixBlock(blk, 100)
+	if err != nil || bm.View != blk {
+		t.Fatalf("not a view partition (%v)", err)
+	}
+	mo.StoreBlocked(bm, 100)
+	return mo, bm
+}
+
+// TestConcatenationCountsSharedBlocksOnce: a blocked cbind(Z, Z) of a
+// view-partitioned 600x100 Z (blocksize 100: Z's columns fill whole blocks)
+// is twelve references to Z's six row-strip views, 960 768 bytes if each
+// counted. The pool counts Z's array once, however many entries hold it and
+// in whichever order they let go: Z's last holder going frees nothing the
+// cbind still holds, and the cbind going frees it.
+func TestConcatenationCountsSharedBlocksOnce(t *testing.T) {
+	ctx := liveContext(t, 0)
+	pool := bufferpool.New(0, ctx.Config.TempDir)
+	mo, zb := viewPartitioned(t, pool, 600, 11)
+	zBytes := mo.MemorySize()
+	zz, err := dist.CBind(zb, zb, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := zz.InMemorySize(); got != 960768 {
+		t.Fatalf("cbind(Z, Z) blocks add up to %d bytes, want 960768", got)
+	}
+	bo := NewBlockedMatrixObject(zz, pool)
+	bo.Retain()
+	if got := pool.InMemoryBytes(); got != zBytes || bo.MemorySize() != zBytes {
+		t.Errorf("pool counts %d bytes (the cbind %d), want Z's %d once", got, bo.MemorySize(), zBytes)
+	}
+	mo.Release()
+	if got := pool.InMemoryBytes(); got != zBytes {
+		t.Errorf("after Z's last holder: pool counts %d bytes, want the %d the cbind still holds", got, zBytes)
+	}
+	bo.Release()
+	if got := pool.InMemoryBytes(); got != 0 || pool.Len() != 0 {
+		t.Errorf("after the cbind's last holder: %d bytes, %d entries", got, pool.Len())
+	}
+
+	// copied partitions: each block is its own array
+	s := matrix.RandUniform(600, 100, -1, 1, 0.05, 12)
+	sb, err := dist.FromMatrixBlock(s, 100)
+	if err != nil || sb.View != nil {
+		t.Fatalf("not a copied partition (%v)", err)
+	}
+	held := NewBlockedMatrixObject(sb, pool)
+	ss, err := dist.RBind(sb, sb, 1)
+	if err != nil || len(ss.Shared) != len(sb.Blocks) {
+		t.Fatalf("rbind of block-aligned rows did not share its blocks (%v)", err)
+	}
+	NewBlockedMatrixObject(ss, pool)
+	if got := pool.InMemoryBytes(); got != sb.InMemorySize() || held.MemorySize() != sb.InMemorySize() {
+		t.Errorf("pool counts %d bytes after rbind(S, S), want %d: S's blocks once", got, sb.InMemorySize())
+	}
+}
+
+// TestEvictingASharerFreesOnlyWhatNoOneHolds: under a budget of 1.5 Z, Z
+// (600x100, view-partitioned), cbind(Z, Z) and a filler as large as Z
+// overshoot. The cbind is coldest: evicting it spills its blocks but frees
+// nothing, since Z still holds the array, so the pool goes on to Z, which
+// frees it. The pool then counts the filler alone, as resident.
+func TestEvictingASharerFreesOnlyWhatNoOneHolds(t *testing.T) {
+	ctx := liveContext(t, 0)
+	zBytes := matrix.RandUniform(600, 100, -1, 1, 1, 13).InMemorySize()
+	pool := bufferpool.New(zBytes+zBytes/2, ctx.Config.TempDir)
+	mo, zb := viewPartitioned(t, pool, 600, 13)
+	zz, err := dist.CBind(zb, zb, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bo := NewBlockedMatrixObject(zz, pool)
+	if _, err := mo.Acquire(); err != nil { // Z is hotter than the cbind
+		t.Fatal(err)
+	}
+	filler := NewMatrixObject(matrix.RandUniform(600, 100, -1, 1, 1, 14), pool)
+	if bo.IsInMemory() || mo.IsInMemory() || !filler.IsInMemory() {
+		t.Fatalf("resident after the squeeze: cbind %v, Z %v, filler %v; want the filler alone",
+			bo.IsInMemory(), mo.IsInMemory(), filler.IsInMemory())
+	}
+	if got := pool.InMemoryBytes(); got != filler.MemorySize() {
+		t.Errorf("pool counts %d bytes, want the filler's %d", got, filler.MemorySize())
+	}
+	if st := pool.Stats(); st.Evictions != 2 || st.BytesSpilt < 2*zBytes {
+		t.Errorf("stats = %+v, want two evictions writing the cbind and Z", st)
+	}
+	back, err := bo.Blocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, blk := range back.Blocks {
+		if !bitsEqual(blk, zz.Blocks[i]) {
+			t.Fatalf("restored block %d differs", i)
+		}
+	}
+}
+
+// TestRBindLoopStaysCounted: X = rbind(X, B) in a loop, X's rows
+// block-aligned, B a fresh 100x50 temporary each iteration, under a budget
+// of four B's. Each new X takes the old X's and B's blocks by reference and
+// both let go right after, as temporaries and rebound names do: the pool
+// must keep counting exactly the blocks X holds, and spill X when they
+// outgrow the budget.
+func TestRBindLoopStaysCounted(t *testing.T) {
+	ctx := liveContext(t, 0)
+	bBytes := matrix.RandUniform(100, 50, -1, 1, 1, 1).InMemorySize()
+	pool := bufferpool.New(4*bBytes, ctx.Config.TempDir)
+	first, err := dist.FromMatrixBlock(matrix.RandUniform(100, 50, -1, 1, 1, 1), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := NewBlockedMatrixObject(first, pool)
+	x.Retain()
+	for i := 2; i <= 10; i++ {
+		bm, err := dist.FromMatrixBlock(matrix.RandUniform(100, 50, -1, 1, 1, int64(i)), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBlockedMatrixObject(bm, pool)
+		b.Retain()
+		xb, err := x.Blocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := b.Blocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := dist.RBind(xb, bb, 1)
+		if err != nil || next.Shared == nil {
+			t.Fatalf("iteration %d: rbind did not share its blocks (%v)", i, err)
+		}
+		nx := NewBlockedMatrixObject(next, pool)
+		nx.Retain()
+		b.Release()
+		x.Release()
+		x = nx
+		var resident int64
+		if x.IsInMemory() {
+			resident = x.MemorySize()
+		}
+		if got := pool.InMemoryBytes(); got != resident {
+			t.Fatalf("iteration %d: pool counts %d bytes, X holds %d", i, got, resident)
+		}
+		if resident > 4*bBytes {
+			t.Fatalf("iteration %d: %d resident bytes over the %d budget", i, resident, 4*bBytes)
+		}
+	}
+	if st := pool.Stats(); st.Evictions == 0 {
+		t.Errorf("X grew to ten B's under a budget of four and nothing was spilt: %+v", st)
+	}
+	got, err := x.Blocked()
+	if err != nil || got.Rows != 1000 {
+		t.Fatalf("final X: %v", err)
+	}
+	x.Release()
+	if n := pool.InMemoryBytes(); n != 0 || pool.Len() != 0 {
+		t.Errorf("after the last holder: %d bytes, %d entries", n, pool.Len())
+	}
+}
+
 func fileBytes(t *testing.T, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)
