@@ -62,13 +62,17 @@ test:
 # examples/lifecycle pipeline's plans, static answers and calls pinned; at
 # every recompilation of the golden corpus the plan from exact sizes equal to
 # the plan from their plan-visible form — parfor workers recompile
-# concurrently under one lock), and a
+# concurrently under one lock), placement repeated (the grid join, TSMM and
+# the full, row and column aggregates of the blocked backend bitwise-equal
+# to their CP kernels over ragged, dense, sparse, mixed and empty inputs at
+# blocksizes 7 to 1024 and 1, 2, 3 and 7 pool workers; every golden key's
+# outputs equal to its fusion twin's and its placement twin's), and a
 # bench smoke under the race detector: the tiled GEMM engine's multi-threaded
 # row-panel workers, the tiled TSMM's triangle-panel workers and the blocked
 # Cholesky's row-panel workers, each set writing one shared output
 # (internal/matrix), the deep compressed kernels — TSMM and
 # matrix right-hand side (internal/compress) — and the blocked backend's
-# shuffle matmult and xty, their block tasks on the worker pool (internal/dist).
+# xty and TSMM, on the worker pool and the kernel's threads (internal/dist).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
@@ -83,7 +87,8 @@ race:
 	$(GO) test -race -run 'TestRowChainBitwiseEqualsUnfused|TestMultDenseSparseVisitsOnlyStoredRows' -count=3 ./internal/matrix/
 	$(GO) test -race -run 'TestPartitionViewsTheDenseArray|TestPartitionCopiesWhereViewsWouldDiffer|TestMatMultBroadcastMatchesLocal|TestViewMemoCountsTheArrayOnce|TestInPlaceOnlyWhenNothingElseSees|TestViewsOfRecycledArraysAreNeverRead|TestLeftIndexAfterViewPartition|TestBlockedMatchesLocalUnderPool|TestConcatenationCountsSharedBlocksOnce|TestEvictingASharerFreesOnlyWhatNoOneHolds|TestRBindLoopStaysCounted' -count=3 . ./internal/dist/ ./internal/runtime/
 	$(GO) test -race -run 'TestRecompileMemoHitsOnStableSizes|TestLifecyclePlansOncePerPlanVisibleSize|TestRecompilePlansAlikeFromExactAndVisibleSizes' -count=3 . ./internal/compiler/
-	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|MatMultStrategyForcedSH|XtYBlocked' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
+	$(GO) test -race -run 'TestMatMultBBMatchesLocal|TestMatMultBBBitwiseAboveTiledCrossover|TestTSMMMatchesLocal|TestAggregationsMatchLocal|TestGoldenOutputsIgnoreFusionAndPlacement' -count=3 . ./internal/dist/
+	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|XtYBlocked|TSMMBlocked' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 
 # Ten seconds each of coverage-guided fuzzing from the checked-in seed
 # corpora: the SDSB decoder (spill files, persistent-store payloads and `read`

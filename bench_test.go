@@ -35,8 +35,8 @@ func BenchmarkFusedPipelineEndToEndOn(b *testing.B)  { benchmarkFusedPipelineEnd
 func BenchmarkFusedPipelineEndToEndOff(b *testing.B) { benchmarkFusedPipelineEndToEnd(b, false) }
 
 // BenchmarkMatMultStrategyPlanner runs a both-over-budget multiplication
-// through the engine, where the cost-based planner picks the shuffle split;
-// BenchmarkMatMultStrategyForced{BR,GJ,SH} in internal/dist time each physical
+// through the engine, where the cost-based planner picks the grid join;
+// BenchmarkMatMultStrategyForced{BR,GJ} in internal/dist time each physical
 // strategy on the same operands.
 
 func BenchmarkMatMultStrategyPlanner(b *testing.B) {

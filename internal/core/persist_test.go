@@ -259,9 +259,8 @@ s = sum(S)`
 // TestPersistentLineagePlanUnchangedStoreOnly: the planner is a function of
 // the DAG and the configuration alone, so a persistent directory changes
 // neither the compiled plan nor the executed one, and it holds nothing but
-// lineage-store entries. The shape is a distributed matmult where byte
-// ranking picks the shuffle split (sh) over the grid join by a margin a
-// per-stage latency model could overturn.
+// lineage-store entries. The shape is a distributed matmult of two operands
+// over the broadcast budget, planned as a grid join.
 func TestPersistentLineagePlanUnchangedStoreOnly(t *testing.T) {
 	mk := func(dir string) *Engine {
 		cfg := runtime.DefaultConfig()
@@ -293,8 +292,8 @@ S = t(X) %*% X`
 	}
 
 	wantExplain, wantPlans := run(mk(""))
-	if !strings.Contains(wantExplain, "plan=DIST:sh") {
-		t.Fatalf("precondition: byte ranking must pick sh:\n%s", wantExplain)
+	if !strings.Contains(wantExplain, "plan=DIST:gj") {
+		t.Fatalf("precondition: byte ranking must pick gj:\n%s", wantExplain)
 	}
 	dir := t.TempDir()
 	for i := 0; i < 2; i++ {

@@ -29,12 +29,11 @@ func planOf(stats *Stats, op string) (runtime.PlanRecord, bool) {
 	return runtime.PlanRecord{}, false
 }
 
-// TestPlannerShuffleMatMultAcceptance is the acceptance test of the
+// TestPlannerGridJoinMatMultAcceptance is the acceptance test of the
 // cost-based planner: for a matmult whose operands BOTH exceed the broadcast
-// budget, ExplainPlan reports the shuffle-style strategy, the plan statistics
-// confirm the shuffle executor ran, and the result is bitwise-equal to the
-// pure CP execution.
-func TestPlannerShuffleMatMultAcceptance(t *testing.T) {
+// budget, ExplainPlan reports the grid join, the plan statistics confirm the
+// grid join ran, and the result is bitwise-equal to the pure CP execution.
+func TestPlannerGridJoinMatMultAcceptance(t *testing.T) {
 	a := matrix.RandUniform(64, 256, -1, 1, 1.0, 4001) // ~128 KB
 	b := matrix.RandUniform(256, 32, -1, 1, 1.0, 4002) // ~64 KB
 	inputs := map[string]any{"A": a, "B": b}
@@ -45,8 +44,8 @@ func TestPlannerShuffleMatMultAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExplainPlan: %v", err)
 	}
-	if !strings.Contains(explain, "plan=DIST:sh") {
-		t.Fatalf("ExplainPlan does not name the shuffle strategy:\n%s", explain)
+	if !strings.Contains(explain, "plan=DIST:gj") {
+		t.Fatalf("ExplainPlan does not name the grid join:\n%s", explain)
 	}
 
 	res, stats, err := e.Execute(script, inputs, []string{"C"})
@@ -57,8 +56,8 @@ func TestPlannerShuffleMatMultAcceptance(t *testing.T) {
 	if !ok {
 		t.Fatal("no plan record for the matmult")
 	}
-	if rec.Plan != "sh" {
-		t.Errorf("executed plan = %q, want \"sh\"", rec.Plan)
+	if rec.Plan != "gj" {
+		t.Errorf("executed plan = %q, want \"gj\"", rec.Plan)
 	}
 	if rec.EstBytes <= 0 || rec.ActualBytes <= 0 {
 		t.Errorf("plan record bytes not populated: %+v", rec)
@@ -75,7 +74,7 @@ func TestPlannerShuffleMatMultAcceptance(t *testing.T) {
 	got := res["C"].(*matrix.MatrixBlock)
 	want := cpRes["C"].(*matrix.MatrixBlock)
 	if !want.Equals(got, 0) {
-		t.Error("shuffle matmult result is not bitwise-equal to CP")
+		t.Error("grid-join matmult result is not bitwise-equal to CP")
 	}
 }
 
@@ -90,8 +89,8 @@ func TestExplainPlanNamesExecutedStrategy(t *testing.T) {
 	}{
 		// small right operand -> broadcast-right
 		{"broadcast-right", matrix.RandUniform(120, 90, -1, 1, 1.0, 1), matrix.RandUniform(90, 4, -1, 1, 1.0, 2)},
-		// both large, long common dimension -> shuffle
-		{"shuffle", matrix.RandUniform(64, 256, -1, 1, 1.0, 3), matrix.RandUniform(256, 32, -1, 1, 1.0, 4)},
+		// both large -> grid join
+		{"grid-join", matrix.RandUniform(64, 256, -1, 1, 1.0, 3), matrix.RandUniform(256, 32, -1, 1, 1.0, 4)},
 	} {
 		inputs := map[string]any{"A": tc.a, "B": tc.b}
 		script := `C = A %*% B`

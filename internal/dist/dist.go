@@ -184,6 +184,25 @@ func forEachBlock(op string, gridRows, gridCols, workers int, fn func(bi, bj int
 	})
 }
 
+// walk is x's matrix.ChunkWalk: each row chunk, over global rows, is one
+// task of forEachBlock, recorded as an op span, and gets the block rows that
+// cover it in row order — several when it crosses block boundaries.
+func (x *BlockedMatrix) walk(op string, threads int) matrix.ChunkWalk {
+	bs, gc := x.Blocksize, x.GridCols()
+	return func(num, size int, fn func(int, []matrix.RowPiece)) error {
+		return forEachBlock(op, num, 1, threads, func(ci, _ int) error {
+			r0, r1 := ci*size, min(ci*size+size, x.Rows)
+			var pieces []matrix.RowPiece
+			for bi := r0 / bs; bi*bs < r1; bi++ {
+				rl := bi * bs
+				pieces = append(pieces, matrix.RowPiece{Blocks: x.Blocks[bi*gc : (bi+1)*gc], Row: rl, Lo: max(r0, rl) - rl, Hi: min(r1, rl+bs) - rl})
+			}
+			fn(ci, pieces)
+			return nil
+		})
+	}
+}
+
 // Cellwise applies an element-wise binary operation over two aligned blocked
 // matrices block by block on `threads` workers.
 func Cellwise(a, b *BlockedMatrix, op matrix.BinaryOp, threads int) (*BlockedMatrix, error) {
@@ -275,9 +294,9 @@ func CellwiseVector(a *BlockedMatrix, v *matrix.MatrixBlock, op matrix.BinaryOp,
 // broadcast join of the paper's data-parallel backend. A grid with one
 // column block multiplies each strip by b itself; a wider one accumulates
 // the column blocks into one strip with matrix.MultiplyAcc in ascending k,
-// as MatMultShuffle does. Either way every output cell adds its products in
-// the order of the local multiply, so the result has matrix.Multiply's bits
-// for finite inputs.
+// as MatMultBB does. Either way every output cell adds its products in the
+// order of the local multiply, so the result has matrix.Multiply's bits for
+// finite inputs.
 func MatMult(a *BlockedMatrix, b *matrix.MatrixBlock, threads int) (*BlockedMatrix, error) {
 	if a.Cols != b.Rows() {
 		return nil, fmt.Errorf("dist: matmult dimension mismatch %dx%d %%*%% %dx%d",
@@ -331,35 +350,29 @@ func MatMult(a *BlockedMatrix, b *matrix.MatrixBlock, threads int) (*BlockedMatr
 	return out, nil
 }
 
-// TSMM computes t(X) %*% X over a blocked input: per-strip partial Gram
-// matrices t(X_i) %*% X_i are computed in parallel and summed (the
-// aggregation tree of the distributed backend), returning a local result
-// because the output is only cols x cols.
+// TSMM computes t(X) %*% X over a blocked input into one local cols x cols
+// accumulator (the output is small): the block-row strips are added in
+// ascending order with matrix.TSMMAcc, each on the kernel's own threads, so
+// every cell adds X's rows in ascending order and the result has
+// matrix.TSMM's bits for finite inputs. A strip of several column blocks is
+// assembled by Region first.
 func TSMM(x *BlockedMatrix, threads int) (*matrix.MatrixBlock, error) {
-	gr, gc := x.GridRows(), x.GridCols()
-	partials := make([]*matrix.MatrixBlock, gr)
-	err := forEachBlock("tsmm", gr, 1, threads, func(bi, _ int) error {
-		// reassemble the block-row strip (cheap: gc is small for tall-skinny
-		// inputs, the common TSMM shape)
-		strip := x.Blocks[bi*gc]
-		var err error
-		if gc > 1 {
-			row := make([]*matrix.MatrixBlock, gc)
-			copy(row, x.Blocks[bi*gc:(bi+1)*gc])
-			strip, err = matrix.CBind(row...)
-			if err != nil {
-				return err
-			}
-		}
-		partials[bi] = matrix.TSMM(strip, 1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	out := matrix.NewDense(x.Cols, x.Cols)
+	if x.Rows == 0 || x.Cols == 0 {
+		return out, nil
 	}
-	out := partials[0]
-	for i := 1; i < gr; i++ {
-		out, err = matrix.CellwiseOp(out, partials[i], matrix.OpAdd, 1)
+	for bi := 0; bi < x.GridRows(); bi++ {
+		sp := obs.Begin(obs.CatDist, "tsmm")
+		strip := x.Blocks[bi]
+		var err error
+		if x.GridCols() > 1 {
+			rl := bi * x.Blocksize
+			strip, err = x.Region(rl, min(rl+x.Blocksize, x.Rows), 0, x.Cols)
+		}
+		if err == nil {
+			err = matrix.TSMMAcc(out, strip, threads)
+		}
+		sp.End()
 		if err != nil {
 			return nil, err
 		}

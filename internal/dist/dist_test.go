@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -171,32 +172,87 @@ func TestMatMultBroadcastMatchesLocal(t *testing.T) {
 	}
 }
 
-func TestMatMultBBMatchesLocal(t *testing.T) {
-	for _, s := range []struct{ m, k, n, bs int }{
-		{64, 64, 64, 32}, {70, 50, 33, 32}, {33, 97, 41, 32}, {20, 20, 20, 32},
-	} {
-		a := testMatrix(s.m, s.k)
-		b := testMatrix(s.k, s.n)
-		ba, _ := FromMatrixBlock(a, s.bs)
-		bb, _ := FromMatrixBlock(b, s.bs)
-		res, err := MatMultBB(ba, bb, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := res.ToMatrixBlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := matrix.Multiply(a, b, 1)
-		if !want.Equals(got, 1e-9) {
-			t.Errorf("%v: blocked x blocked matmult differs", s)
-		}
+// kernelInputs are the operands of the bitwise kernel tests: ragged shapes,
+// with several column blocks at every blocksize but 1024 for the wide one,
+// dense, sparse and mixed (real-valued, so every summation order shows in the
+// bits), and the empty shapes 0 x n and m x 0.
+func kernelInputs() []struct {
+	name string
+	x    *matrix.MatrixBlock
+} {
+	var in []struct {
+		name string
+		x    *matrix.MatrixBlock
 	}
-	// dimension mismatch
-	ba, _ := FromMatrixBlock(testMatrix(10, 10), 32)
-	bb, _ := FromMatrixBlock(testMatrix(11, 10), 32)
-	if _, err := MatMultBB(ba, bb, 0); err == nil {
-		t.Error("dimension mismatch should error")
+	add := func(name string, x *matrix.MatrixBlock) {
+		in = append(in, struct {
+			name string
+			x    *matrix.MatrixBlock
+		}{fmt.Sprintf("%dx%d %s", x.Rows(), x.Cols(), name), x})
+	}
+	for _, sh := range []struct{ m, n int }{{1037, 60}, {250, 230}, {75, 530}} {
+		add("dense", matrix.RandUniform(sh.m, sh.n, -1, 1, 1.0, 51))
+		add("sparse", matrix.RandUniform(sh.m, sh.n, -1, 1, 0.05, 52))
+		add("mixed", mixedMatrix(sh.m, sh.n, 53))
+	}
+	add("empty", matrix.NewDense(0, 13))
+	add("empty", matrix.NewDense(13, 0))
+	return in
+}
+
+// kernelBlocksizes and poolWidths span the partitions and pool widths of the
+// bitwise kernel tests.
+var (
+	kernelBlocksizes = []int{7, 100, 500, 1024}
+	poolWidths       = []int{1, 2, 3, 7}
+)
+
+// TestMatMultBBMatchesLocal: the grid join has the bits of matrix.Multiply
+// for finite data — each output block accumulates its k-blocks in ascending
+// order with MultiplyAcc — over ragged shapes with several column blocks,
+// dense, sparse and mixed left blocks, a dense and a sparse right-hand side,
+// empty dimensions, blocksizes 7 to 1024 and 1, 2, 3 and 7 pool workers.
+func TestMatMultBBMatchesLocal(t *testing.T) {
+	lefts := []struct {
+		name string
+		make func(m, k int) *matrix.MatrixBlock
+	}{
+		{"dense", func(m, k int) *matrix.MatrixBlock { return matrix.RandUniform(m, k, -1, 1, 1.0, 61) }},
+		{"sparse", func(m, k int) *matrix.MatrixBlock { return matrix.RandUniform(m, k, -1, 1, 0.05, 62) }},
+		{"mixed", func(m, k int) *matrix.MatrixBlock { return mixedMatrix(m, k, 63) }},
+	}
+	for _, sh := range []struct{ m, k, n int }{
+		{1037, 60, 3}, {250, 230, 33}, {75, 530, 40}, {9, 7, 120}, {0, 5, 3}, {13, 0, 5}, {13, 5, 0},
+	} {
+		for _, l := range lefts {
+			a := l.make(sh.m, sh.k)
+			for _, sparsity := range []float64{1.0, 0.1} {
+				b := matrix.RandUniform(sh.k, sh.n, -1, 1, sparsity, 64)
+				want, err := matrix.Multiply(a, b, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.ExamineAndApplySparsity() // as the collect does
+				for _, bs := range kernelBlocksizes {
+					ba, _ := FromMatrixBlock(a, bs)
+					bb, _ := FromMatrixBlock(b, bs)
+					for _, th := range poolWidths {
+						name := fmt.Sprintf("%dx%dx%d %s x %v bs=%d T=%d", sh.m, sh.k, sh.n, l.name, sparsity, bs, th)
+						res, err := MatMultBB(ba, bb, th)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						got, err := res.ToMatrixBlock()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sameBits(got, want); err != nil {
+							t.Errorf("%s: %v", name, err)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -266,49 +322,56 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 	}
 }
 
+// TestAggregationsMatchLocal: the blocked aggregates walk FusedChunks over
+// global rows with the CP aggregates' chunk bodies, so each has the bits of
+// its CP kernel — NaN for the mean of no cells, ±Inf for the extremes of no
+// cells included — over the kernel inputs, every blocksize and pool width.
 func TestAggregationsMatchLocal(t *testing.T) {
-	for _, s := range shapes {
-		a := testMatrix(s.rows, s.cols)
-		ba, _ := FromMatrixBlock(a, s.bs)
+	for _, in := range kernelInputs() {
+		a := in.x
 		fulls := map[string]float64{
 			"sum": matrix.Sum(a, 1), "sumsq": matrix.SumSq(a, 1), "mean": matrix.Mean(a, 1),
 			"min": matrix.Min(a, 1), "max": matrix.Max(a, 1),
 		}
-		for op, want := range fulls {
-			got, err := FullAgg(ba, op, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("%dx%d/%d: %s = %g, want %g", s.rows, s.cols, s.bs, op, got, want)
-			}
-		}
-		rows := map[string]*matrix.MatrixBlock{
+		vectors := map[string]*matrix.MatrixBlock{
 			"rowSums": matrix.RowSums(a, 1), "rowMeans": matrix.RowMeans(a, 1),
 			"rowMaxs": matrix.RowMaxs(a), "rowMins": matrix.RowMins(a),
-		}
-		for op, want := range rows {
-			res, err := RowAgg(ba, op, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := res.ToMatrixBlock()
-			if !want.Equals(got, 1e-9) {
-				t.Errorf("%dx%d/%d: %s differs", s.rows, s.cols, s.bs, op)
-			}
-		}
-		cols := map[string]*matrix.MatrixBlock{
 			"colSums": matrix.ColSums(a, 1), "colMeans": matrix.ColMeans(a, 1),
 			"colMaxs": matrix.ColMaxs(a), "colMins": matrix.ColMins(a),
 		}
-		for op, want := range cols {
-			res, err := ColAgg(ba, op, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := res.ToMatrixBlock()
-			if !want.Equals(got, 1e-9) {
-				t.Errorf("%dx%d/%d: %s differs", s.rows, s.cols, s.bs, op)
+		for _, want := range vectors {
+			want.ExamineAndApplySparsity() // as the collect does
+		}
+		for _, bs := range kernelBlocksizes {
+			ba, _ := FromMatrixBlock(a, bs)
+			for _, th := range poolWidths {
+				name := fmt.Sprintf("%s bs=%d T=%d", in.name, bs, th)
+				for op, want := range fulls {
+					got, err := FullAgg(ba, op, th)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s: %s = %v, want %v", name, op, got, want)
+					}
+				}
+				for op, want := range vectors {
+					agg := RowAgg
+					if op[:3] == "col" {
+						agg = ColAgg
+					}
+					res, err := agg(ba, op, th)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := res.ToMatrixBlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameBits(got, want); err != nil {
+						t.Errorf("%s: %s: %v", name, op, err)
+					}
+				}
 			}
 		}
 	}
@@ -316,17 +379,29 @@ func TestAggregationsMatchLocal(t *testing.T) {
 	if _, err := FullAgg(ba, "median", 0); err == nil {
 		t.Error("unsupported full aggregate should error")
 	}
+	if _, err := RowAgg(ba, "colSums", 0); err == nil {
+		t.Error("a column aggregate is no row aggregate")
+	}
 }
 
+// TestTSMMMatchesLocal: the blocked TSMM adds the block-row strips in
+// ascending order into one accumulator with TSMMAcc, so it has the bits of
+// matrix.TSMM over the kernel inputs, every blocksize and pool width.
 func TestTSMMMatchesLocal(t *testing.T) {
-	a := testMatrix(70, 12)
-	ba, _ := FromMatrixBlock(a, 32)
-	got, err := TSMM(ba, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.TSMM(a, 1).Equals(got, 1e-9) {
-		t.Error("blocked TSMM differs from local")
+	for _, in := range kernelInputs() {
+		want := matrix.TSMM(in.x, 1)
+		for _, bs := range kernelBlocksizes {
+			ba, _ := FromMatrixBlock(in.x, bs)
+			for _, th := range poolWidths {
+				got, err := TSMM(ba, th)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameBits(got, want); err != nil {
+					t.Errorf("%s bs=%d T=%d: %v", in.name, bs, th, err)
+				}
+			}
+		}
 	}
 }
 

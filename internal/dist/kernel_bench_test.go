@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -8,7 +9,7 @@ import (
 
 // The blocked-backend benchmarks (`make bench-kernels`): each forced matmult
 // strategy on the shape whose planner-chosen run is
-// BenchmarkMatMultStrategyPlanner in the root package.
+// BenchmarkMatMultStrategyPlanner in the root package, xty and TSMM.
 
 // benchmarkMatMultStrategyForced times one physical strategy on
 // pre-partitioned 128 x 2048 and 2048 x 64 operands (64-blocks).
@@ -45,13 +46,6 @@ func BenchmarkMatMultStrategyForcedGJ(b *testing.B) {
 	})
 }
 
-func BenchmarkMatMultStrategyForcedSH(b *testing.B) {
-	benchmarkMatMultStrategyForced(b, func(ba, bb *BlockedMatrix, _ *matrix.MatrixBlock) error {
-		_, err := MatMultShuffle(ba, bb, 0)
-		return err
-	})
-}
-
 // BenchmarkXtYBlocked times t(X) %*% y over a partitioned X on the
 // dist.loop.spill row's shape: 4000 x 200 in 1024-row blocks, a local
 // 4000 x 1 y, no transpose.
@@ -68,5 +62,28 @@ func BenchmarkXtYBlocked(b *testing.B) {
 		if _, err := XtY(bx, y, nil, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTSMMBlocked times t(X) %*% X over a partitioned X at two pool
+// workers: the row strips added in ascending order into one accumulator, on
+// a tall narrow X (100 000 x 60 in 1000-row blocks) and on the
+// dist.loop.spill row's shape (4000 x 200 in 1024-row blocks).
+func BenchmarkTSMMBlocked(b *testing.B) {
+	for _, sh := range []struct{ m, n, bs int }{{100000, 60, 1000}, {4000, 200, 1024}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.m, sh.n), func(b *testing.B) {
+			x := matrix.RandUniform(sh.m, sh.n, -1, 1, 1.0, 405)
+			bx, err := FromMatrixBlock(x, sh.bs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(sh.m * sh.n * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := TSMM(bx, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

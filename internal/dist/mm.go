@@ -61,46 +61,6 @@ func MatMultBL(a *matrix.MatrixBlock, b *BlockedMatrix, threads int) (*BlockedMa
 	return out, nil
 }
 
-// MatMultShuffle multiplies two blocked operands with a shuffle-style split
-// over the common dimension: the k-stripes are processed one stage at a time,
-// each stage joining the co-partitioned block column k of the left input with
-// block row k of the right input and accumulating the partial products into
-// the output blocks — the cross-product (cpmm-style) join the planner picks
-// when both operands exceed the broadcast budget and the output is small
-// relative to the replicated grid-join reads. Stages run in ascending stripe
-// order and accumulate with matrix.MultiplyAcc, so the result is bitwise
-// identical to the local dense multiplication.
-func MatMultShuffle(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("dist: matmult dimension mismatch %dx%d %%*%% %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if a.Blocksize != b.Blocksize {
-		return nil, fmt.Errorf("dist: matmult blocksize mismatch %d vs %d", a.Blocksize, b.Blocksize)
-	}
-	out := &BlockedMatrix{Rows: a.Rows, Cols: b.Cols, Blocksize: a.Blocksize}
-	gr, gc := out.GridRows(), out.GridCols()
-	agc, bgc := a.GridCols(), b.GridCols()
-	out.Blocks = make([]*matrix.MatrixBlock, gr*gc)
-	err := forEachBlock("mm-shuffle", gr, gc, threads, func(bi, bj int) error {
-		rows := min(out.Blocksize, out.Rows-bi*out.Blocksize)
-		cols := min(out.Blocksize, out.Cols-bj*out.Blocksize)
-		out.Blocks[bi*gc+bj] = matrix.NewDense(rows, cols)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for bk := 0; bk < agc; bk++ {
-		err := forEachBlock("mm-shuffle", gr, gc, threads, func(bi, bj int) error {
-			return matrix.MultiplyAcc(out.Blocks[bi*gc+bj], a.Blocks[bi*agc+bk], b.Blocks[bk*bgc+bj], 1)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // InMemorySize returns the total in-memory bytes of all blocks (the "actual
 // bytes" side of the planner's estimated-vs-actual plan statistics).
 func (b *BlockedMatrix) InMemorySize() int64 {
@@ -151,14 +111,13 @@ func (b *BlockedMatrix) ArraysSize() int64 {
 }
 
 // XtY computes t(X) %*% Y over a blocked X without transposing it, for a
-// local Y (y) or a blocked one (by); the other is nil. It walks the fixed row
-// chunks of matrix.TransposeMultiply's row-scatter leg (matrix.XtYChunks) over
-// global rows, one task per chunk: a chunk may cross block boundaries, and it
-// scatters from every block that covers it, in row order, into one n x k
-// partial. The partials are summed in chunk order (matrix.XtYSum), so the
-// result has the bits of the row-scatter leg over the collected X. Y is read
-// by row range — a local Y sliced, a blocked Y block by block — and never
-// collected; the small n x k result is local, as TSMM's is.
+// local Y (y) or a blocked one (by); the other is nil. It runs
+// matrix.TransposeMultiply's row-scatter leg (matrix.XtYWalk) on X's walk:
+// every block that covers part of a chunk scatters its rows, in row order,
+// into the chunk's one partial, so the result has the bits of the
+// row-scatter leg over the collected X. Y is read by row range —
+// a local Y sliced, a blocked Y block by block — and never collected; the
+// small n x k result is local, as TSMM's is.
 func XtY(x *BlockedMatrix, y *matrix.MatrixBlock, by *BlockedMatrix, threads int) (*matrix.MatrixBlock, error) {
 	m, n := x.Rows, x.Cols
 	var yRows, k int
@@ -173,48 +132,28 @@ func XtY(x *BlockedMatrix, y *matrix.MatrixBlock, by *BlockedMatrix, threads int
 	if m == 0 || n == 0 || k == 0 {
 		return matrix.NewDense(n, k), nil
 	}
-	// the rows of Y beside each block row of X, k values per row
-	bs, gr, gc := x.Blocksize, x.GridRows(), x.GridCols()
-	strips := make([][]float64, gr)
-	var yd []float64
+	// Y's rows beside a piece of X, k values per row: a local Y's own, a
+	// blocked Y's strip beside each block row of X
+	bs := x.Blocksize
+	var rows func(p matrix.RowPiece) []float64
 	if by == nil {
 		if y.IsSparse() {
 			y = y.Copy()
 		}
-		yd = y.DenseValues()
-	}
-	for bi := range strips {
-		rl, ru := bi*bs, min(bi*bs+bs, m)
-		if by == nil {
-			strips[bi] = yd[rl*k : ru*k]
-			continue
-		}
-		s, err := by.rowStrip(rl, ru)
-		if err != nil {
-			return nil, err
-		}
-		strips[bi] = s
-	}
-	num, size := matrix.XtYChunks(m, n, k)
-	parts := make([][]float64, num)
-	err := forEachBlock("xty", num, 1, threads, func(ci, _ int) error {
-		r0, r1 := ci*size, min(ci*size+size, m)
-		part := make([]float64, n*k)
-		for bi := r0 / bs; bi*bs < r1; bi++ {
-			rl := bi * bs
-			lo, hi := max(r0, rl)-rl, min(r1, rl+bs)-rl
-			ys := strips[bi][lo*k : hi*k]
-			for bj := 0; bj < gc; bj++ {
-				matrix.XtYScatter(part, k, bj*bs, x.Blocks[bi*gc+bj], lo, hi, ys)
+		yd := y.DenseValues()
+		rows = func(p matrix.RowPiece) []float64 { return yd[(p.Row+p.Lo)*k:] }
+	} else {
+		strips := make([][]float64, x.GridRows())
+		for bi := range strips {
+			s, err := by.rowStrip(bi*bs, min(bi*bs+bs, m))
+			if err != nil {
+				return nil, err
 			}
+			strips[bi] = s
 		}
-		parts[ci] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows = func(p matrix.RowPiece) []float64 { return strips[p.Row/bs][p.Lo*k:] }
 	}
-	return matrix.XtYSum(parts, n, k), nil
+	return matrix.XtYWalk(x.walk("xty", threads), m, n, k, rows)
 }
 
 // rowStrip returns the cells of rows [rl, ru), all columns, as one dense

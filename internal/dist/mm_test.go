@@ -35,22 +35,22 @@ func TestMatMultBLMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// BL accumulates k-stripes in place in ascending order, so it shares
-		// the shuffle split's bitwise-equality guarantee
+		// BL accumulates k-stripes in place in ascending order, so it has
+		// the local multiply's bits
 		if !want.Equals(gotLocal, 0) {
 			t.Errorf("%+v: broadcast-left result differs from local multiply", tc)
 		}
 	}
 }
 
-// TestMatMultShuffleBitwiseEqualsLocal asserts the shuffle split's defining
-// property: accumulating co-partitioned k-stripes in ascending order with the
+// TestMatMultBBBitwiseEqualsLocal asserts the grid join's defining property:
+// accumulating co-partitioned k-blocks in ascending order with the
 // multiply-accumulate kernel reproduces the local dense multiplication
 // bitwise, for aligned and boundary grids alike.
-func TestMatMultShuffleBitwiseEqualsLocal(t *testing.T) {
+func TestMatMultBBBitwiseEqualsLocal(t *testing.T) {
 	for _, tc := range []struct{ m, k, n, bs int }{
-		{64, 128, 64, 32}, // aligned, 4 k-stripes
-		{40, 100, 24, 32}, // boundary blocks, k not a stripe multiple
+		{64, 128, 64, 32}, // aligned, 4 k-blocks
+		{40, 100, 24, 32}, // boundary blocks, k not a block multiple
 		{8, 256, 8, 32},   // long common dimension
 	} {
 		a := seqMatrix(tc.m, tc.k, 21)
@@ -63,7 +63,7 @@ func TestMatMultShuffleBitwiseEqualsLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MatMultShuffle(ba, bb, 0)
+		got, err := MatMultBB(ba, bb, 0)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -76,19 +76,19 @@ func TestMatMultShuffleBitwiseEqualsLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !want.Equals(gotLocal, 0) {
-			t.Errorf("%+v: shuffle result is not bitwise-equal to the local multiply", tc)
+			t.Errorf("%+v: grid join is not bitwise-equal to the local multiply", tc)
 		}
 	}
 }
 
-// TestMatMultShuffleBitwiseAboveTiledCrossover re-runs the shuffle-split
+// TestMatMultBBBitwiseAboveTiledCrossover re-runs the grid join's bitwise
 // acceptance at shapes where the local one-shot multiply selects the tiled
-// GEMM engine: with bs=64 each k-stripe product stays below the crossover
-// (simple-kernel stripes accumulate onto a tiled-sized reference), while
-// bs=256 pushes the stripe products themselves onto the tiled kernel. Both
+// GEMM engine: with bs=64 each k-block product stays below the crossover
+// (simple-kernel blocks accumulate onto a tiled-sized reference), while
+// bs=256 pushes the block products themselves onto the tiled kernel. Both
 // mixes must stay bitwise-equal to CP, which is exactly the
 // accumulation-order contract the tiled engine preserves.
-func TestMatMultShuffleBitwiseAboveTiledCrossover(t *testing.T) {
+func TestMatMultBBBitwiseAboveTiledCrossover(t *testing.T) {
 	const m, k, n = 160, 1024, 144
 	if 2*m*k*n < matrix.TiledGEMMCrossoverFLOPs {
 		t.Fatal("test shape no longer exceeds the tiled-kernel crossover")
@@ -108,7 +108,7 @@ func TestMatMultShuffleBitwiseAboveTiledCrossover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MatMultShuffle(ba, bb, 0)
+		got, err := MatMultBB(ba, bb, 0)
 		if err != nil {
 			t.Fatalf("bs=%d: %v", bs, err)
 		}
@@ -117,19 +117,19 @@ func TestMatMultShuffleBitwiseAboveTiledCrossover(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !want.Equals(gotLocal, 0) {
-			t.Errorf("bs=%d: shuffle result is not bitwise-equal to the tiled local multiply", bs)
+			t.Errorf("bs=%d: grid join is not bitwise-equal to the tiled local multiply", bs)
 		}
 	}
 }
 
-func TestMatMultShuffleDimensionErrors(t *testing.T) {
+func TestMatMultBBDimensionErrors(t *testing.T) {
 	a, _ := FromMatrixBlock(seqMatrix(8, 8, 1), 4)
 	b, _ := FromMatrixBlock(seqMatrix(9, 8, 2), 4)
-	if _, err := MatMultShuffle(a, b, 0); err == nil {
+	if _, err := MatMultBB(a, b, 0); err == nil {
 		t.Error("dimension mismatch not rejected")
 	}
 	c, _ := FromMatrixBlock(seqMatrix(8, 8, 3), 8)
-	if _, err := MatMultShuffle(a, c, 0); err == nil {
+	if _, err := MatMultBB(a, c, 0); err == nil {
 		t.Error("blocksize mismatch not rejected")
 	}
 }

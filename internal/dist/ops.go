@@ -38,11 +38,13 @@ func Scalar(a *BlockedMatrix, s float64, op matrix.BinaryOp, swap bool, threads 
 	return out, nil
 }
 
-// MatMultBB multiplies two blocked operands with a grid join: every output
-// cell (i,j) joins the block row i of the left input with the block column j
-// of the right input and accumulates the per-cell partial products — the
-// replication-based join of the paper's data-parallel backend, used when both
-// operands exceed the broadcast budget.
+// MatMultBB multiplies two blocked operands with a grid join, the plan for
+// two operands over the broadcast budget: every output block (i,j) is one
+// accumulator onto which matrix.MultiplyAcc adds block (i,k) of the left
+// input times block (k,j) of the right, k ascending, so every cell adds its
+// products in the order of the local multiply and the result has
+// matrix.Multiply's bits for finite inputs. The output blocks are
+// independent: one pass over the output grid, one task per block.
 func MatMultBB(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("dist: matmult dimension mismatch %dx%d %%*%% %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -51,19 +53,13 @@ func MatMultBB(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 		return nil, fmt.Errorf("dist: matmult blocksize mismatch %d vs %d", a.Blocksize, b.Blocksize)
 	}
 	out := &BlockedMatrix{Rows: a.Rows, Cols: b.Cols, Blocksize: a.Blocksize}
-	gr, gc := out.GridRows(), out.GridCols()
+	bs, gr, gc := out.Blocksize, out.GridRows(), out.GridCols()
 	agc, bgc := a.GridCols(), b.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gr*gc)
 	err := forEachBlock("mm-grid", gr, gc, threads, func(bi, bj int) error {
-		var acc *matrix.MatrixBlock
+		acc := matrix.NewDense(min(bs, out.Rows-bi*bs), min(bs, out.Cols-bj*bs))
 		for bk := 0; bk < agc; bk++ {
-			part, err := matrix.Multiply(a.Blocks[bi*agc+bk], b.Blocks[bk*bgc+bj], 1)
-			if err != nil {
-				return err
-			}
-			if acc == nil {
-				acc = part
-			} else if acc, err = matrix.CellwiseOp(acc, part, matrix.OpAdd, 1); err != nil {
+			if err := matrix.MultiplyAcc(acc, a.Blocks[bi*agc+bk], b.Blocks[bk*bgc+bj], 1); err != nil {
 				return err
 			}
 		}
@@ -210,122 +206,78 @@ func CBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	return out, nil
 }
 
+// The aggregates run the CP aggregates' drivers (matrix.FullReduce,
+// RowReduce, ColReduce) on x's walk, so each has the bits of its CP kernel
+// over the collected matrix, min and max with CP's comparison rule. The
+// means divide the sums afterwards, as the CP kernels do.
+var (
+	fullAggs = map[string]matrix.Reduction{"sum": matrix.ReduceSum, "mean": matrix.ReduceSum,
+		"sumsq": matrix.ReduceSumSq, "min": matrix.ReduceMin, "max": matrix.ReduceMax}
+	rowAggs = map[string]matrix.Reduction{"rowSums": matrix.ReduceSum, "rowMeans": matrix.ReduceSum,
+		"rowMins": matrix.ReduceMin, "rowMaxs": matrix.ReduceMax}
+	colAggs = map[string]matrix.Reduction{"colSums": matrix.ReduceSum, "colMeans": matrix.ReduceSum,
+		"colMins": matrix.ReduceMin, "colMaxs": matrix.ReduceMax}
+)
+
 // FullAgg computes a full aggregate (sum, sumsq, mean, min, max) over a
-// blocked matrix: per-block partials computed in parallel, combined locally
-// (the aggregation tree of the distributed backend).
+// blocked matrix, with the bits of matrix.Sum, SumSq, Mean, Min and Max.
 func FullAgg(a *BlockedMatrix, op string, threads int) (float64, error) {
-	partials := make([]float64, len(a.Blocks))
-	gc := a.GridCols()
-	var perBlock func(b *matrix.MatrixBlock) float64
-	combine := func(x, y float64) float64 { return x + y }
-	switch op {
-	case "sum", "mean":
-		perBlock = func(b *matrix.MatrixBlock) float64 { return matrix.Sum(b, 1) }
-	case "sumsq":
-		perBlock = func(b *matrix.MatrixBlock) float64 { return matrix.SumSq(b, 1) }
-	case "min":
-		perBlock = func(b *matrix.MatrixBlock) float64 { return matrix.Min(b, 1) }
-		combine = math.Min
-	case "max":
-		perBlock = func(b *matrix.MatrixBlock) float64 { return matrix.Max(b, 1) }
-		combine = math.Max
-	default:
+	red, ok := fullAggs[op]
+	if !ok {
 		return 0, fmt.Errorf("dist: unsupported full aggregate %q", op)
 	}
-	err := forEachBlock("full-agg", a.GridRows(), gc, threads, func(bi, bj int) error {
-		partials[bi*gc+bj] = perBlock(a.Blocks[bi*gc+bj])
-		return nil
-	})
+	res, err := matrix.FullReduce(red, a.Rows, a.walk("full-agg", threads))
 	if err != nil {
 		return 0, err
 	}
-	res := partials[0]
-	for _, p := range partials[1:] {
-		res = combine(res, p)
-	}
 	if op == "mean" {
-		res /= float64(a.Rows) * float64(a.Cols)
+		if a.Rows*a.Cols == 0 {
+			return math.NaN(), nil
+		}
+		res /= float64(a.Rows * a.Cols)
 	}
 	return res, nil
 }
 
 // RowAgg computes a row-wise aggregate (rowSums, rowMeans, rowMaxs, rowMins)
-// returning a blocked Rows x 1 column vector: each block-row strip combines
-// its per-block row aggregates without leaving the blocked representation.
+// with the bits of its CP kernel, returning a blocked Rows x 1 column vector.
 func RowAgg(a *BlockedMatrix, op string, threads int) (*BlockedMatrix, error) {
-	var perBlock func(b *matrix.MatrixBlock) *matrix.MatrixBlock
-	combine := matrix.OpAdd
-	switch op {
-	case "rowSums", "rowMeans":
-		perBlock = func(b *matrix.MatrixBlock) *matrix.MatrixBlock { return matrix.RowSums(b, 1) }
-	case "rowMaxs":
-		perBlock = matrix.RowMaxs
-		combine = matrix.OpMax
-	case "rowMins":
-		perBlock = matrix.RowMins
-		combine = matrix.OpMin
-	default:
+	red, ok := rowAggs[op]
+	if !ok {
 		return nil, fmt.Errorf("dist: unsupported row aggregate %q", op)
 	}
-	out := &BlockedMatrix{Rows: a.Rows, Cols: 1, Blocksize: a.Blocksize}
-	gr, gc := a.GridRows(), a.GridCols()
-	out.Blocks = make([]*matrix.MatrixBlock, gr)
-	err := forEachBlock("row-agg", gr, 1, threads, func(bi, _ int) error {
-		acc := perBlock(a.Blocks[bi*gc])
-		var err error
-		for bj := 1; bj < gc; bj++ {
-			if acc, err = matrix.CellwiseOp(acc, perBlock(a.Blocks[bi*gc+bj]), combine, 1); err != nil {
-				return err
-			}
-		}
-		if op == "rowMeans" {
-			acc = matrix.ScalarOp(acc, float64(a.Cols), matrix.OpDiv, false, 1)
-		}
-		out.Blocks[bi] = acc
-		return nil
-	})
-	if err != nil {
+	out := matrix.NewDense(a.Rows, 1)
+	vals := out.DenseValues()
+	if err := matrix.RowReduce(red, vals, a.walk("row-agg", threads)); err != nil {
 		return nil, err
 	}
-	return out, nil
+	if op == "rowMeans" && a.Cols > 0 {
+		for r := range vals {
+			vals[r] /= float64(a.Cols)
+		}
+	}
+	out.RecomputeNNZ()
+	return fromMatrixBlock(out, a.Blocksize)
 }
 
 // ColAgg computes a column-wise aggregate (colSums, colMeans, colMaxs,
-// colMins) returning a blocked 1 x Cols row vector.
+// colMins) with the bits of its CP kernel, returning a blocked 1 x Cols row
+// vector.
 func ColAgg(a *BlockedMatrix, op string, threads int) (*BlockedMatrix, error) {
-	var perBlock func(b *matrix.MatrixBlock) *matrix.MatrixBlock
-	combine := matrix.OpAdd
-	switch op {
-	case "colSums", "colMeans":
-		perBlock = func(b *matrix.MatrixBlock) *matrix.MatrixBlock { return matrix.ColSums(b, 1) }
-	case "colMaxs":
-		perBlock = matrix.ColMaxs
-		combine = matrix.OpMax
-	case "colMins":
-		perBlock = matrix.ColMins
-		combine = matrix.OpMin
-	default:
+	red, ok := colAggs[op]
+	if !ok {
 		return nil, fmt.Errorf("dist: unsupported column aggregate %q", op)
 	}
-	out := &BlockedMatrix{Rows: 1, Cols: a.Cols, Blocksize: a.Blocksize}
-	gr, gc := a.GridRows(), a.GridCols()
-	out.Blocks = make([]*matrix.MatrixBlock, gc)
-	err := forEachBlock("col-agg", 1, gc, threads, func(_, bj int) error {
-		acc := perBlock(a.Blocks[bj])
-		var err error
-		for bi := 1; bi < gr; bi++ {
-			if acc, err = matrix.CellwiseOp(acc, perBlock(a.Blocks[bi*gc+bj]), combine, 1); err != nil {
-				return err
-			}
-		}
-		if op == "colMeans" {
-			acc = matrix.ScalarOp(acc, float64(a.Rows), matrix.OpDiv, false, 1)
-		}
-		out.Blocks[bj] = acc
-		return nil
-	})
-	if err != nil {
+	out := matrix.NewDense(1, a.Cols)
+	vals := out.DenseValues()
+	if err := matrix.ColReduce(red, vals, a.Rows, a.walk("col-agg", threads)); err != nil {
 		return nil, err
 	}
-	return out, nil
+	if op == "colMeans" && a.Rows > 0 {
+		for c := range vals {
+			vals[c] /= float64(a.Rows)
+		}
+	}
+	out.RecomputeNNZ()
+	return fromMatrixBlock(out, a.Blocksize)
 }

@@ -2,18 +2,17 @@
 // of Section 2.3): a per-HOP cost estimate derived from the size/sparsity
 // propagation in sizeprop.go, consumed by every physical decision the
 // compiler makes — CP vs blocked-distributed execution, the physical matmult
-// strategy (broadcast-left/right, grid join, shuffle-style split), the fusion
-// budget gate, and the dynamic-recompilation trigger. The runtime executes
-// the named plan; it never re-decides against ad-hoc size checks.
+// strategy (broadcast-left/right, grid join), the fusion budget gate, and the
+// dynamic-recompilation trigger. The runtime executes the named plan; it
+// never re-decides against ad-hoc size checks.
 //
 // Cost units are deliberately simple and deterministic: compute is counted in
 // FLOPs, data movement in bytes. For the blocked backend, ShuffleBytes models
 // the bytes a data-parallel engine would move for the chosen join strategy
-// (replicated broadcast copies, replicated grid-join reads, or the one-pass
-// shuffle plus output aggregation). Unknown shapes fall back to worst-case
-// behavior: the operator stays in CP and the block is marked for dynamic
-// recompilation, so the plan is re-derived the moment a cost-relevant size
-// becomes known.
+// (replicated broadcast copies or replicated grid-join reads). Unknown shapes
+// fall back to worst-case behavior: the operator stays in CP and the block is
+// marked for dynamic recompilation, so the plan is re-derived the moment a
+// cost-relevant size becomes known.
 package hops
 
 import (
@@ -482,14 +481,6 @@ func TSMMNNZBound(in types.DataCharacteristics) int64 {
 	return min(in.Cols*in.Cols, in.NNZ*in.Cols)
 }
 
-// shuffleStageLatencyBytes is the per-stage charge of the sh strategy's k
-// sequential common-dimension stages, expressed in the byte unit of the
-// strategy costs: one stage's scheduling plus partial-output aggregation
-// barrier, modeled as moving one extra 16x16 block (2 KB). Without it the sh
-// strategy was priced as if its stages were free, biasing the gj↔sh crossover
-// towards sh near the break-even point for long common dimensions.
-const shuffleStageLatencyBytes = int64(2) << 10
-
 // gridDim returns ceil(n/blocksize) for a known dimension.
 func gridDim(n int64, blocksize int) int64 {
 	if blocksize <= 0 {
@@ -512,10 +503,6 @@ func gridDim(n int64, blocksize int) int64 {
 //	gj: partition both; the replication join re-reads every block row of the
 //	    left per output column and every block column of the right per output
 //	    row              -> (sizeL+sizeR) + sizeL*gridCols(out) + sizeR*gridRows(out)
-//	sh: partition both, shuffle each input once by its common-dimension
-//	    stripe, and aggregate the per-stripe partial outputs across kStages
-//	    sequential stages, each paying a fixed latency charge
-//	                        -> 2*(sizeL+sizeR) + 2*sizeOut + kStages*latency
 //
 // An operand that already arrives in blocked representation (produced by an
 // upstream distributed operator) drops its partition charge; broadcasting
@@ -523,7 +510,7 @@ func gridDim(n int64, blocksize int) int64 {
 // steers broadcast plans away from already-partitioned inputs. Broadcasts
 // are only feasible when the broadcast side fits the per-operator memory
 // budget.
-func matMultStrategyCost(m types.MatMultMethod, sizeL, sizeR, sizeOut, grOut, gcOut, kStages, budget int64, leftBlocked, rightBlocked bool) int64 {
+func matMultStrategyCost(m types.MatMultMethod, sizeL, sizeR, grOut, gcOut, budget int64, leftBlocked, rightBlocked bool) int64 {
 	partL, partR := sizeL, sizeR
 	if leftBlocked {
 		partL = 0
@@ -552,8 +539,6 @@ func matMultStrategyCost(m types.MatMultMethod, sizeL, sizeR, sizeOut, grOut, gc
 		return partR + collect + sizeL*gcOut
 	case types.MMGridJoin:
 		return partL + partR + sizeL*gcOut + sizeR*grOut
-	case types.MMShuffle:
-		return partL + partR + (sizeL + sizeR) + 2*sizeOut + kStages*shuffleStageLatencyBytes
 	}
 	return -1
 }
@@ -569,24 +554,19 @@ func ChooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int,
 
 // chooseMatMultStrategy is the blocked-representation-aware core of
 // ChooseMatMultStrategy. Ties break towards the earlier candidate in
-// (br, bl, gj, sh) order, so the decision is deterministic.
+// (br, bl, gj) order, so the decision is deterministic.
 func chooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int, memBudget int64, leftBlocked, rightBlocked bool) (types.MatMultMethod, int64) {
 	sizeL, sizeR := types.EstimateSize(left), types.EstimateSize(right)
-	outDC := types.NewDataCharacteristics(left.Rows, right.Cols, blocksize, -1)
-	sizeOut := types.EstimateSize(outDC)
-	if sizeL < 0 || sizeR < 0 || sizeOut < 0 {
+	if sizeL < 0 || sizeR < 0 {
 		// unknown shapes: defer the decision — the instruction re-invokes
 		// this chooser at runtime with the operands' actual characteristics,
 		// so the strategy is still decided here, just with late-bound sizes
 		return types.MMAuto, -1
 	}
 	grOut, gcOut := gridDim(left.Rows, blocksize), gridDim(right.Cols, blocksize)
-	kStages := gridDim(left.Cols, blocksize)
 	best, bestCost := types.MMAuto, int64(-1)
-	for _, m := range []types.MatMultMethod{
-		types.MMBroadcastRight, types.MMBroadcastLeft, types.MMGridJoin, types.MMShuffle,
-	} {
-		c := matMultStrategyCost(m, sizeL, sizeR, sizeOut, grOut, gcOut, kStages, memBudget, leftBlocked, rightBlocked)
+	for _, m := range []types.MatMultMethod{types.MMBroadcastRight, types.MMBroadcastLeft, types.MMGridJoin} {
+		c := matMultStrategyCost(m, sizeL, sizeR, grOut, gcOut, memBudget, leftBlocked, rightBlocked)
 		if c < 0 {
 			continue
 		}

@@ -64,75 +64,20 @@ func TestMatMultBroadcastSideSelection(t *testing.T) {
 	}
 }
 
-// TestMatMultGridVsShuffleCrossover pins the gj<->sh decision to its computed
-// crossover. For A: 256 x k, B: k x 128 with blocksize 128 the modeled costs
-// are gj = 2*sizeL + 3*sizeR and sh = 2*sizeL + 2*sizeR + 2*sizeOut, so the
-// strategies cross where sizeR = 2*sizeOut, i.e. k = 512: the grid join wins
-// below, the shuffle split above.
-func TestMatMultGridVsShuffleCrossover(t *testing.T) {
-	const bs = 128
-	budget := int64(16 << 10) // both operands exceed it at every tested k
-	for _, tc := range []struct {
-		k    int64
-		want types.MatMultMethod
-	}{
-		{384, types.MMGridJoin},
-		{768, types.MMShuffle},
-	} {
-		left, right := dc(256, tc.k), dc(tc.k, 128)
-		if types.EstimateSize(left) <= budget || types.EstimateSize(right) <= budget {
-			t.Fatalf("k=%d: operands must exceed the broadcast budget", tc.k)
-		}
-		m, shuffleBytes := ChooseMatMultStrategy(left, right, bs, budget)
-		if m != tc.want {
-			t.Errorf("k=%d: strategy = %s, want %s", tc.k, m, tc.want)
-		}
-		if shuffleBytes <= 0 {
-			t.Errorf("k=%d: shuffle bytes = %d, want > 0", tc.k, shuffleBytes)
-		}
-	}
-}
-
-// TestShuffleStageLatencyShiftsCrossover pins the satellite fix: near the
-// gj<->sh break-even point, charging the sh strategy for its k sequential
-// stages flips the decision to gj. At k=516 (blocksize 128) sh wins on pure
-// movement bytes by ~4 KB, but its 5 stages cost 10 KB of latency.
-func TestShuffleStageLatencyShiftsCrossover(t *testing.T) {
-	const bs = 128
-	budget := int64(16 << 10)
-	left, right := dc(256, 516), dc(516, 128)
-	sizeR := types.EstimateSize(right)
-	outSize := types.EstimateSize(types.NewDataCharacteristics(256, 128, bs, -1))
-	// preconditions of the scenario: sh beats gj on movement bytes alone
-	// (sizeR < 2*sizeOut margin) but loses once stages are charged
-	margin := sizeR - 2*outSize
-	stages := gridDim(516, bs)
-	if margin <= 0 || stages*shuffleStageLatencyBytes <= margin {
-		t.Fatalf("scenario invalid: margin=%d stageCharge=%d", margin, stages*shuffleStageLatencyBytes)
-	}
-	if m, _ := ChooseMatMultStrategy(left, right, bs, budget); m != types.MMGridJoin {
-		t.Errorf("strategy at k=516 = %s, want gj once stage latency is priced", m)
-	}
-	// far from the break-even point the latency term must not flip anything
-	if m, _ := ChooseMatMultStrategy(dc(256, 768), dc(768, 128), bs, budget); m != types.MMShuffle {
-		t.Errorf("strategy at k=768 = %s, want sh", m)
-	}
-}
-
 // TestPlanAnnotatesMatMult checks that Plan writes the strategy and cost
 // annotations onto the HOP and that ExplainPlan renders them.
 func TestPlanAnnotatesMatMult(t *testing.T) {
-	// both operands over budget, k large -> shuffle split
+	// both operands over budget -> grid join
 	d, mm := matmultDAG(dc(256, 768), dc(768, 128))
 	Plan(d, PlannerParams{MemBudget: 16 << 10, DistEnabled: true, Blocksize: 128})
-	if mm.ExecType != types.ExecDist || mm.MMPlan != types.MMShuffle {
-		t.Fatalf("plan = %s, want DIST:sh", mm.PlanString())
+	if mm.ExecType != types.ExecDist || mm.MMPlan != types.MMGridJoin {
+		t.Fatalf("plan = %s, want DIST:gj", mm.PlanString())
 	}
 	if !mm.CostEst.Known || mm.CostEst.Compute <= 0 || mm.CostEst.OutputBytes <= 0 || mm.CostEst.ShuffleBytes <= 0 {
 		t.Errorf("cost estimate not populated: %+v", mm.CostEst)
 	}
 	explain := d.ExplainPlan()
-	if !strings.Contains(explain, "plan=DIST:sh") {
+	if !strings.Contains(explain, "plan=DIST:gj") {
 		t.Errorf("ExplainPlan misses the strategy:\n%s", explain)
 	}
 	if !strings.Contains(explain, "shuffle=") || !strings.Contains(explain, "flops=") {

@@ -35,8 +35,8 @@
 // backend has is xty: a dist-bound t(X) %*% Y on a shape of the row-scatter
 // leg (sparse X, or below the tiled crossover) still becomes the xty variant,
 // which the planner keeps on the blocked backend (dist.XtY, no transpose, a
-// local n x k result). A dist-bound row chain keeps that plan, except
-// t(X) %*% (X %*% v), which keeps the transpose and the blocked multiply.
+// local n x k result). A dist-bound row chain keeps that plan too: its
+// cellwise tree and X %*% v run as operators of their own.
 package hops
 
 import (
@@ -122,11 +122,10 @@ func fuseProducts(d *DAG, p PlannerParams, rowChains bool) {
 			h.Kind, h.Op = KindMMChain, "mmchain"
 			h.Fused = &FusedPlan{Prog: rc.prog, OutNNZ: -1}
 			d.rewire(h, append([]*Hop{x, rc.v}, rc.args...))
-		case dist && (rc.unfusedOnDist() || !rowScatterXtY(x, rhs)):
+		case dist && !rowScatterXtY(x, rhs):
 			// the blocked backend has the xty kernel only for the shapes of
 			// the row-scatter leg: a tiled shape or an unknown size keeps the
-			// transpose and the blocked multiply, and so does the chain it
-			// never fused
+			// transpose and the blocked multiply
 			continue
 		default:
 			// no chain to fold: the multiply itself still reads X in place
@@ -145,13 +144,6 @@ type rowChain struct {
 	mv, v *Hop // q = X %*% v, and v
 	args  []*Hop
 	prog  *matrix.CellProgram
-}
-
-// unfusedOnDist reports whether a dist-bound product keeps the transposed
-// multiply: t(X) %*% (X %*% v), the chain the blocked backend has never
-// fused (item 19(b) of the roadmap gives it the local bits first).
-func (rc *rowChain) unfusedOnDist() bool {
-	return rc != nil && len(rc.prog.Instrs) == 1
 }
 
 // matchRowChain matches the right-hand side of t(X) %*% rhs against the Row

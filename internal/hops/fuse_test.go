@@ -230,8 +230,8 @@ func TestFuseXtY(t *testing.T) {
 
 // TestNoFuseXtYWhenDist: a dist-bound multiply whose shape the tiled engine
 // runs (dense X, wide Y) has no blocked xty kernel and keeps its
-// materialize-then-multiply plan; so do the two chain shapes and a product of
-// unknown width.
+// materialize-then-multiply plan, while a dist-bound t(X) %*% (X %*% v) is
+// no row chain but the xty variant, as every dist-bound chain is.
 func TestNoFuseXtYWhenDist(t *testing.T) {
 	params := PlannerParams{DistEnabled: true, MemBudget: 2 << 20, Blocksize: types.DefaultBlocksize}
 	x := matRead("X", 4000, 200)
@@ -247,7 +247,7 @@ func TestNoFuseXtYWhenDist(t *testing.T) {
 		t.Fatalf("dist-bound tiled-shape multiply must not fuse, got %s", root.Kind)
 	}
 
-	// t(X) %*% (X %*% v): the chain stays unfused under dist
+	// t(X) %*% (X %*% v): xty over X and the multiply, no transpose
 	x = matRead("X", 4000, 200)
 	v := matRead("v", 200, 1)
 	tx = NewHop(KindReorg, "t", x)
@@ -259,8 +259,8 @@ func TestNoFuseXtYWhenDist(t *testing.T) {
 	d = &DAG{Roots: []*Hop{NewWrite("g", root)}}
 	PropagateSizes(d, nil)
 	FuseOperators(d, params)
-	if root.Kind != KindMatMult || countKind(d, KindMMChain) != 0 {
-		t.Fatalf("dist-bound chain must not fuse, got %s", root.Kind)
+	if root.Kind != KindMMChain || root.Op != OpXtY || root.Inputs[1] != xv || countKind(d, KindReorg) != 0 {
+		t.Fatalf("dist-bound chain: got %s %s, want xty over X and X %%*%% v", root.Kind, root.Op)
 	}
 }
 

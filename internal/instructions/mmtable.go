@@ -145,7 +145,7 @@ var mmTable = []mmRow{
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.MatMultDense(c.yb, c.threads) }},
 	{opMatMult, repAny, repCompressed, anywhere, lhsRowVector, "cvm", xLocal, "compress.VecMat",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return c.cm.VecMat(c.xb, c.threads) }},
-	{opMatMult, repAny, repAny, inDist, 0, "br, bl, gj, sh", 0, "dist.MatMult, MatMultBL, MatMultBB, MatMultShuffle", distMatMult},
+	{opMatMult, repAny, repAny, inDist, 0, "br, bl, gj", 0, "dist.MatMult, MatMultBL, MatMultBB", distMatMult},
 	{opMatMult, repAny, repAny, inCP, 0, "", xLocal | yLocal, "matrix.Multiply",
 		func(c *mmCall) (*matrix.MatrixBlock, error) { return matrix.Multiply(c.xb, c.yb, c.threads) }},
 
@@ -412,17 +412,12 @@ func distMatMult(c *mmCall) (*matrix.MatrixBlock, error) {
 		if res, err = dist.MatMultBL(xb, by, c.threads); err != nil {
 			return nil, err
 		}
-	case types.MMGridJoin, types.MMShuffle:
+	case types.MMGridJoin:
 		bx, by, err := resolveBlockedPair(c.ctx, c.x, c.y)
 		if err != nil {
 			return nil, err
 		}
-		if method == types.MMGridJoin {
-			res, err = dist.MatMultBB(bx, by, c.threads)
-		} else {
-			res, err = dist.MatMultShuffle(bx, by, c.threads)
-		}
-		if err != nil {
+		if res, err = dist.MatMultBB(bx, by, c.threads); err != nil {
 			return nil, err
 		}
 	default:

@@ -7,34 +7,37 @@ import (
 	"sync"
 )
 
-// fullAgg runs the identity fused pipeline for a full aggregate; the identity
-// program over one matrix argument cannot fail validation.
-func fullAgg(m *MatrixBlock, agg AggKind, threads int) float64 {
-	out, err := FusedAgg(IdentityProgram(), agg, []CellArg{{Mat: m}}, threads)
-	if err != nil {
-		panic(err) // unreachable: identity program over one matrix
-	}
-	return out.dense[0]
+// The plain aggregates are the drivers of fused.go over m's own walk, which
+// never fails.
+
+func fullReduce(op Reduction, m *MatrixBlock, threads int) float64 {
+	v, _ := FullReduce(op, m.rows, m.walk(threads))
+	return v
+}
+
+func rowReduce(op Reduction, m *MatrixBlock, threads int) *MatrixBlock {
+	out := NewDense(m.rows, 1)
+	_ = RowReduce(op, out.dense, m.walk(threads))
+	out.RecomputeNNZ()
+	return out
+}
+
+func colReduce(op Reduction, m *MatrixBlock, threads int) *MatrixBlock {
+	out := NewDense(1, m.cols)
+	_ = ColReduce(op, out.dense, m.rows, m.walk(threads))
+	out.RecomputeNNZ()
+	return out
 }
 
 // Sum returns the sum of all cells, accumulated multi-threaded over fixed row
 // chunks (reproducible across thread counts).
 func Sum(m *MatrixBlock, threads int) float64 {
-	return fullAgg(m, AggSum, threads)
+	return fullReduce(ReduceSum, m, threads)
 }
 
 // SumSq returns the sum of squared cells.
 func SumSq(m *MatrixBlock, threads int) float64 {
-	prog := &CellProgram{
-		Instrs:       []CellInstr{{Code: CellLoad, Arg: 0}, {Code: CellLoad, Arg: 0}, {Code: CellBinary, Bin: OpMul}},
-		NumArgs:      1,
-		Annihilating: true,
-	}
-	out, err := FusedAgg(prog, AggSum, []CellArg{{Mat: m}}, threads)
-	if err != nil {
-		panic(err) // unreachable
-	}
-	return out.dense[0]
+	return fullReduce(ReduceSumSq, m, threads)
 }
 
 // Mean returns the mean over all cells (including zeros).
@@ -65,12 +68,12 @@ func Variance(m *MatrixBlock) float64 {
 
 // Min returns the minimum cell value.
 func Min(m *MatrixBlock, threads int) float64 {
-	return fullAgg(m, AggMin, threads)
+	return fullReduce(ReduceMin, m, threads)
 }
 
 // Max returns the maximum cell value.
 func Max(m *MatrixBlock, threads int) float64 {
-	return fullAgg(m, AggMax, threads)
+	return fullReduce(ReduceMax, m, threads)
 }
 
 // Trace returns the sum of diagonal cells of a square matrix.
@@ -88,20 +91,12 @@ func Trace(m *MatrixBlock) float64 {
 
 // ColSums returns a 1 x cols row vector with the per-column sums.
 func ColSums(m *MatrixBlock, threads int) *MatrixBlock {
-	out, err := FusedAgg(IdentityProgram(), AggColSums, []CellArg{{Mat: m}}, threads)
-	if err != nil {
-		panic(err) // unreachable
-	}
-	return out
+	return colReduce(ReduceSum, m, threads)
 }
 
 // RowSums returns a rows x 1 column vector with the per-row sums.
 func RowSums(m *MatrixBlock, threads int) *MatrixBlock {
-	out, err := FusedAgg(IdentityProgram(), AggRowSums, []CellArg{{Mat: m}}, threads)
-	if err != nil {
-		panic(err) // unreachable
-	}
-	return out
+	return rowReduce(ReduceSum, m, threads)
 }
 
 // ColMeans returns a 1 x cols row vector with the per-column means.
@@ -128,57 +123,17 @@ func RowMeans(m *MatrixBlock, threads int) *MatrixBlock {
 	return out
 }
 
-// colExtreme computes per-column min or max.
-func colExtreme(m *MatrixBlock, isMax bool) *MatrixBlock {
-	out := NewDense(1, m.cols)
-	for c := 0; c < m.cols; c++ {
-		best := math.Inf(1)
-		if isMax {
-			best = math.Inf(-1)
-		}
-		for r := 0; r < m.rows; r++ {
-			v := m.Get(r, c)
-			if (isMax && v > best) || (!isMax && v < best) {
-				best = v
-			}
-		}
-		out.dense[c] = best
-	}
-	out.RecomputeNNZ()
-	return out
-}
-
 // ColMins returns per-column minimums as a 1 x cols vector.
-func ColMins(m *MatrixBlock) *MatrixBlock { return colExtreme(m, false) }
+func ColMins(m *MatrixBlock) *MatrixBlock { return colReduce(ReduceMin, m, 1) }
 
 // ColMaxs returns per-column maximums as a 1 x cols vector.
-func ColMaxs(m *MatrixBlock) *MatrixBlock { return colExtreme(m, true) }
-
-// rowExtreme computes per-row min or max.
-func rowExtreme(m *MatrixBlock, isMax bool) *MatrixBlock {
-	out := NewDense(m.rows, 1)
-	for r := 0; r < m.rows; r++ {
-		best := math.Inf(1)
-		if isMax {
-			best = math.Inf(-1)
-		}
-		for c := 0; c < m.cols; c++ {
-			v := m.Get(r, c)
-			if (isMax && v > best) || (!isMax && v < best) {
-				best = v
-			}
-		}
-		out.dense[r] = best
-	}
-	out.RecomputeNNZ()
-	return out
-}
+func ColMaxs(m *MatrixBlock) *MatrixBlock { return colReduce(ReduceMax, m, 1) }
 
 // RowMins returns per-row minimums as a rows x 1 vector.
-func RowMins(m *MatrixBlock) *MatrixBlock { return rowExtreme(m, false) }
+func RowMins(m *MatrixBlock) *MatrixBlock { return rowReduce(ReduceMin, m, 1) }
 
 // RowMaxs returns per-row maximums as a rows x 1 vector.
-func RowMaxs(m *MatrixBlock) *MatrixBlock { return rowExtreme(m, true) }
+func RowMaxs(m *MatrixBlock) *MatrixBlock { return rowReduce(ReduceMax, m, 1) }
 
 // RowIndexMax returns, per row, the 1-based column index of the maximum
 // value (DML rowIndexMax semantics).

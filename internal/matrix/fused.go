@@ -98,16 +98,6 @@ type CellProgram struct {
 	Annihilating bool
 }
 
-// IdentityProgram returns the single-argument pass-through program (the plain
-// aggregation over one matrix).
-func IdentityProgram() *CellProgram {
-	return &CellProgram{
-		Instrs:       []CellInstr{{Code: CellLoad, Arg: 0}},
-		NumArgs:      1,
-		Annihilating: true,
-	}
-}
-
 // Validate checks stack discipline and argument bounds.
 func (p *CellProgram) Validate() error {
 	_, err := p.stackDepth()
@@ -191,21 +181,6 @@ const (
 	// single-threaded (goroutine overhead dominates on small operands).
 	parallelMinCells = 16 * 1024
 )
-
-// fusedChunks derives the fixed chunking of a row range: the number of chunks
-// and the chunk size, both functions of rows alone.
-func fusedChunks(rows int) (num, size int) {
-	if rows <= 0 {
-		return 0, 0
-	}
-	num = (rows + fusedChunkRows - 1) / fusedChunkRows
-	if num > fusedMaxChunks {
-		num = fusedMaxChunks
-	}
-	size = (rows + num - 1) / num
-	num = (rows + size - 1) / size
-	return num, size
-}
 
 // chunkWorkers resolves the worker count for a chunked run.
 func chunkWorkers(num, threads, cells int) int {
@@ -681,7 +656,7 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 	if err != nil {
 		return nil, err
 	}
-	num, size := fusedChunks(fr.rows)
+	num, size := FusedChunks(fr.rows)
 	nw := chunkWorkers(num, threads, fr.rows*fr.cols)
 	workers := make([]*cellWorker, nw)
 	ds := fr.leaves[fr.driver].csr // read in sparse mode only
@@ -716,64 +691,26 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 		}
 	}
 
+	red := ReduceSum
+	switch agg {
+	case AggMin:
+		red = ReduceMin
+	case AggMax:
+		red = ReduceMax
+	}
 	switch agg {
 	case AggSum, AggMin, AggMax:
 		partials := make([]float64, num)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
-			acc := aggInit(agg)
+			acc := red.initial()
 			eachRow(wi, r0, r1, func(_ int, _ []int, vals []float64) {
-				switch agg {
-				case AggSum:
-					var rowAcc float64
-					for _, v := range vals {
-						rowAcc += v
-					}
-					acc += rowAcc
-				case AggMin:
-					for _, v := range vals {
-						if v < acc {
-							acc = v
-						}
-					}
-				case AggMax:
-					for _, v := range vals {
-						if v > acc {
-							acc = v
-						}
-					}
-				}
+				acc = red.fold(acc, red.foldRow(red.initial(), vals))
 			})
 			partials[ci] = acc
 		})
-		acc := aggInit(agg)
-		switch agg {
-		case AggSum:
-			for _, p := range partials {
-				acc += p
-			}
-		case AggMin:
-			for _, p := range partials {
-				if p < acc {
-					acc = p
-				}
-			}
-		case AggMax:
-			for _, p := range partials {
-				if p > acc {
-					acc = p
-				}
-			}
-		}
-		if fr.sparse && agg != AggSum {
-			// skipped cells are exact zeros; fold them in once
-			if int64(len(ds.Values)) < int64(fr.rows)*int64(fr.cols) {
-				if agg == AggMin && 0 < acc {
-					acc = 0
-				}
-				if agg == AggMax && 0 > acc {
-					acc = 0
-				}
-			}
+		acc := red.foldRow(red.initial(), partials)
+		if fr.sparse && int64(len(ds.Values)) < int64(fr.rows)*int64(fr.cols) {
+			acc = red.fold(acc, 0) // skipped cells are exact zeros; fold them in once
 		}
 		out := NewDense(1, 1)
 		out.Set(0, 0, acc)
@@ -783,57 +720,33 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 		out := NewDense(fr.rows, 1)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
 			eachRow(wi, r0, r1, func(r int, _ []int, vals []float64) {
-				var rowAcc float64
-				for _, v := range vals {
-					rowAcc += v
-				}
-				out.dense[r] = rowAcc
+				out.dense[r] = red.foldRow(0, vals)
 			})
 		})
 		out.RecomputeNNZ()
 		return out, nil
 
 	case AggColSums:
-		out := NewDense(1, fr.cols)
 		parts := make([][]float64, num)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
 			buf := make([]float64, fr.cols)
 			eachRow(wi, r0, r1, func(_ int, cidx []int, vals []float64) {
-				if cidx != nil {
-					for i, v := range vals {
-						buf[cidx[i]] += v
-					}
+				if cidx == nil {
+					red.foldCols(buf, vals)
 					return
 				}
-				for c, v := range vals {
-					buf[c] += v
+				for i, v := range vals {
+					buf[cidx[i]] += v
 				}
 			})
 			parts[ci] = buf
 		})
-		for _, buf := range parts {
-			if buf == nil {
-				continue
-			}
-			for c, v := range buf {
-				out.dense[c] += v
-			}
-		}
+		out := NewDense(1, fr.cols)
+		red.combineCols(out.dense, parts)
 		out.RecomputeNNZ()
 		return out, nil
 	}
 	return nil, fmt.Errorf("matrix: unknown fused aggregate %d", agg)
-}
-
-func aggInit(agg AggKind) float64 {
-	switch agg {
-	case AggMin:
-		return math.Inf(1)
-	case AggMax:
-		return math.Inf(-1)
-	default:
-		return 0
-	}
 }
 
 // --- row-wise fused gradients -----------------------------------------------
@@ -984,10 +897,9 @@ const xtyMaxPartialCells = 1 << 20
 // the tiled engine with the A side packed straight from x's column panels;
 // output rows are disjoint per worker and every cell accumulates in ascending
 // row order. Everything else — the t(X) %*% y vector shape of iterative
-// algorithms, sparse x, degenerate widths — is the row-scatter leg: one
-// partial output per fixed row chunk (XtYChunks), filled by XtYScatter and
-// combined in chunk order by XtYSum. Either way results are
-// bitwise-reproducible across thread counts.
+// algorithms, sparse x, degenerate widths — is the row-scatter leg
+// (XtYWalk). Either way results are bitwise-reproducible across thread
+// counts.
 func TransposeMultiply(x, y *MatrixBlock, threads int) (*MatrixBlock, error) {
 	if x.rows != y.rows {
 		return nil, fmt.Errorf("matrix: transpose-multiply dimension mismatch t(%dx%d) %%*%% %dx%d", x.rows, x.cols, y.rows, y.cols)
@@ -1002,26 +914,57 @@ func TransposeMultiply(x, y *MatrixBlock, threads int) (*MatrixBlock, error) {
 		out.nnz = accDenseDenseTiled(out, x, yd, resolveThreads(threads), true)
 		return out, nil
 	}
+	return XtYWalk(x.walk(threads), m, n, k, func(p RowPiece) []float64 { return yd.dense[p.Lo*k:] })
+}
+
+// XtYWalk is the row-scatter leg of t(X) %*% Y for an m x n X that walk
+// covers and a k-column Y: each chunk of XtYChunks(m, n, k) scatters its
+// pieces' rows, in row order, into one n x k partial of its own (XtYScatter;
+// one allocation per chunk, not one slab, so that partials on different
+// workers share no cache line), and the partials are added in chunk order
+// (XtYSum). y returns Y's rows beside a piece's, from the one beside its row
+// Lo on, k values each.
+func XtYWalk(walk ChunkWalk, m, n, k int, y func(p RowPiece) []float64) (*MatrixBlock, error) {
 	num, size := XtYChunks(m, n, k)
-	nw := chunkWorkers(num, threads, m*n)
-	// one allocation per chunk, not one slab: neighbouring chunks run on
-	// different workers, and adjacent partials would share cache lines
 	parts := make([][]float64, num)
-	runChunks(m, num, size, nw, func(wi, ci, r0, r1 int) {
-		buf := make([]float64, n*k)
-		XtYScatter(buf, k, 0, x, r0, r1, yd.dense[r0*k:])
-		parts[ci] = buf
+	err := walk(num, size, func(ci int, pieces []RowPiece) {
+		part := make([]float64, n*k)
+		for _, p := range pieces {
+			ys, col := y(p), 0
+			for _, b := range p.Blocks {
+				XtYScatter(part, k, col, b, p.Lo, p.Hi, ys)
+				col += b.cols
+			}
+		}
+		parts[ci] = part
 	})
+	if err != nil {
+		return nil, err
+	}
 	return XtYSum(parts, n, k), nil
+}
+
+// FusedChunks is the fixed row chunking of the fused and plain aggregates
+// over a rows-row operand: num chunks of size rows each (the last one
+// shorter), functions of rows alone.
+func FusedChunks(rows int) (num, size int) {
+	if rows <= 0 {
+		return 0, 0
+	}
+	num = (rows + fusedChunkRows - 1) / fusedChunkRows
+	if num > fusedMaxChunks {
+		num = fusedMaxChunks
+	}
+	size = (rows + num - 1) / num
+	num = (rows + size - 1) / size
+	return num, size
 }
 
 // XtYChunks is the row chunking of the row-scatter leg of t(X) %*% Y for an
 // m x n X and a k-column Y: num chunks of size rows each (the last one
-// shorter), a function of the shapes alone. The blocked backend walks the
-// same chunks over X's row blocks (dist.XtY), so both sum the same partials
-// in the same order.
+// shorter), a function of the shapes alone.
 func XtYChunks(m, n, k int) (num, size int) {
-	num, size = fusedChunks(m)
+	num, size = FusedChunks(m)
 	if maxNum := max(1, xtyMaxPartialCells/(n*k)); num > maxNum {
 		size = (m + maxNum - 1) / maxNum
 		num = (m + size - 1) / size
@@ -1103,17 +1046,233 @@ func scaledAdd4(out, a, b, c, d []float64, s [4]float64) {
 // the n x k result.
 func XtYSum(parts [][]float64, n, k int) *MatrixBlock {
 	out := NewDense(n, k)
-	var nnz int64
-	for c := range out.dense {
-		var acc float64
-		for _, buf := range parts {
-			acc += buf[c]
+	ReduceSum.combineCols(out.dense, parts)
+	out.RecomputeNNZ()
+	return out
+}
+
+// --- plain aggregates, chunk by chunk ---------------------------------------
+
+// Reduction is the cell reduction of an aggregate.
+type Reduction uint8
+
+// Supported reductions.
+const (
+	ReduceSum Reduction = iota
+	ReduceSumSq
+	ReduceMin
+	ReduceMax
+)
+
+// initial is the reduction's starting value: 0 for the sums, +Inf for min and
+// -Inf for max.
+func (op Reduction) initial() float64 {
+	switch op {
+	case ReduceMin:
+		return math.Inf(1)
+	case ReduceMax:
+		return math.Inf(-1)
+	}
+	return 0
+}
+
+// fold folds v into acc. Sums add it (the sum of squares its square); min
+// and max keep it only when it compares below (above) acc, so a NaN is never
+// kept and, of equal values, the first one stays.
+func (op Reduction) fold(acc, v float64) float64 {
+	switch {
+	case op == ReduceSum:
+		return acc + v
+	case op == ReduceSumSq:
+		return acc + float64(v*v)
+	case op == ReduceMin && v < acc, op == ReduceMax && v > acc:
+		return v
+	}
+	return acc
+}
+
+// foldRow folds vals into acc left to right.
+func (op Reduction) foldRow(acc float64, vals []float64) float64 {
+	if op == ReduceSum {
+		for _, v := range vals {
+			acc += v
 		}
-		out.dense[c] = acc
-		if acc != 0 {
-			nnz++
+		return acc
+	}
+	for _, v := range vals {
+		acc = op.fold(acc, v)
+	}
+	return acc
+}
+
+// foldCols folds row into out cell by cell.
+func (op Reduction) foldCols(out, row []float64) {
+	out = out[:len(row)]
+	if op == ReduceSum {
+		for c, v := range row {
+			out[c] += v
+		}
+		return
+	}
+	for c, v := range row {
+		out[c] = op.fold(out[c], v)
+	}
+}
+
+// partial is the reduction that combines op's partial results: a sum of
+// squares squares its cells once, in the rows, and combines as a sum.
+func (op Reduction) partial() Reduction {
+	if op == ReduceSumSq {
+		return ReduceSum
+	}
+	return op
+}
+
+// initCols sets every cell of dst, a column aggregate's partial, to initial.
+func (op Reduction) initCols(dst []float64) {
+	for c := range dst {
+		dst[c] = op.initial()
+	}
+}
+
+// combineCols sets dst to the chunk partials of a column aggregate folded
+// cell by cell, in chunk order.
+func (op Reduction) combineCols(dst []float64, parts [][]float64) {
+	op.initCols(dst)
+	for _, part := range parts {
+		op.partial().foldCols(dst, part)
+	}
+}
+
+// RowPiece is the part of a row chunk that one block row covers: its blocks
+// in column order, the global row it starts at, and the chunk's rows in it,
+// [Lo, Hi) local to it. A local matrix is one block row of one block.
+type RowPiece struct {
+	Blocks      []*MatrixBlock
+	Row, Lo, Hi int
+}
+
+// A ChunkWalk runs fn, possibly concurrently, once per row chunk ci (num
+// chunks of size rows, the last one shorter) on the pieces that cover it, in
+// row order. The plain aggregates and XtYWalk run on a local matrix's walk or
+// on the blocked backend's, whose chunks may cross block boundaries; as the
+// drivers fix the order, both give the same bits.
+type ChunkWalk func(num, size int, fn func(ci int, pieces []RowPiece)) error
+
+// walk is m's ChunkWalk on up to threads workers; it never fails.
+func (m *MatrixBlock) walk(threads int) ChunkWalk {
+	return func(num, size int, fn func(int, []RowPiece)) error {
+		nw := chunkWorkers(num, threads, m.rows*m.cols)
+		pieces, blocks := make([]RowPiece, nw), []*MatrixBlock{m}
+		runChunks(m.rows, num, size, nw, func(w, ci, r0, r1 int) {
+			pieces[w] = RowPiece{blocks, 0, r0, r1}
+			fn(ci, pieces[w:w+1])
+		})
+		return nil
+	}
+}
+
+// FullReduce is a full aggregate (Sum, SumSq, Min, Max) over walk's rows:
+// each chunk of FusedChunks(rows) folds its rows' reductions in row order,
+// and the chunk partials are folded in chunk order.
+func FullReduce(op Reduction, rows int, walk ChunkWalk) (float64, error) {
+	num, size := FusedChunks(rows)
+	partials := make([]float64, num)
+	err := walk(num, size, func(ci int, pieces []RowPiece) {
+		acc := op.initial()
+		for _, p := range pieces {
+			for r := p.Lo; r < p.Hi; r++ {
+				acc = op.partial().fold(acc, reduceRow(op, p.Blocks, r))
+			}
+		}
+		partials[ci] = acc
+	})
+	return op.partial().foldRow(op.initial(), partials), err
+}
+
+// RowReduce writes each row's reduction into dst, one cell per row of walk
+// (RowSums, RowMins, RowMaxs).
+func RowReduce(op Reduction, dst []float64, walk ChunkWalk) error {
+	num, size := FusedChunks(len(dst))
+	return walk(num, size, func(_ int, pieces []RowPiece) {
+		for _, p := range pieces {
+			for r := p.Lo; r < p.Hi; r++ {
+				dst[p.Row+r] = reduceRow(op, p.Blocks, r)
+			}
+		}
+	})
+}
+
+// ColReduce writes each column's reduction over walk's rows into dst, one
+// cell per column (ColSums, ColMins, ColMaxs): each chunk of
+// FusedChunks(rows) folds its rows, ascending, into a partial of its own,
+// and the partials are folded in chunk order.
+func ColReduce(op Reduction, dst []float64, rows int, walk ChunkWalk) error {
+	num, size := FusedChunks(rows)
+	parts := make([][]float64, num)
+	err := walk(num, size, func(ci int, pieces []RowPiece) {
+		part := make([]float64, len(dst))
+		op.initCols(part)
+		for _, p := range pieces {
+			reduceCols(op, part, p.Blocks, p.Lo, p.Hi)
+		}
+		parts[ci] = part
+	})
+	op.combineCols(dst, parts)
+	return err
+}
+
+// reduceRow returns row r's reduction over one block row: one accumulator
+// runs across the blocks, left to right; a CSR row folds its stored values
+// and, for min and max when it leaves a cell unstored, a 0.
+func reduceRow(op Reduction, blocks []*MatrixBlock, r int) float64 {
+	acc := op.initial()
+	for _, b := range blocks {
+		if b.sparse == nil {
+			acc = op.foldRow(acc, b.dense[r*b.cols:(r+1)*b.cols])
+			continue
+		}
+		s := b.csr()
+		lo, hi := s.RowPtr[r], s.RowPtr[r+1]
+		if acc = op.foldRow(acc, s.Values[lo:hi]); hi-lo < b.cols && op.partial() != ReduceSum {
+			acc = op.fold(acc, 0)
 		}
 	}
-	out.nnz = nnz
-	return out
+	return acc
+}
+
+// reduceCols folds rows [r0, r1) of one block row, ascending, onto dst, one
+// cell per column; a CSR row folds its stored values and, for min and max,
+// its zeros.
+func reduceCols(op Reduction, dst []float64, blocks []*MatrixBlock, r0, r1 int) {
+	col := 0
+	for _, b := range blocks {
+		out := dst[col : col+b.cols]
+		col += b.cols
+		if b.sparse == nil {
+			for r := r0; r < r1; r++ {
+				op.foldCols(out, b.dense[r*b.cols:(r+1)*b.cols])
+			}
+			continue
+		}
+		s := b.csr()
+		var row []float64 // a CSR row with its zeros, for min and max
+		if op.partial() != ReduceSum {
+			row = make([]float64, b.cols)
+		}
+		for r := r0; r < r1; r++ {
+			lo, hi := s.RowPtr[r], s.RowPtr[r+1]
+			if row == nil {
+				for p := lo; p < hi; p++ {
+					out[s.ColIdx[p]] = op.fold(out[s.ColIdx[p]], s.Values[p])
+				}
+				continue
+			}
+			clear(row)
+			for p := lo; p < hi; p++ {
+				row[s.ColIdx[p]] = s.Values[p]
+			}
+			op.foldCols(out, row)
+		}
+	}
 }

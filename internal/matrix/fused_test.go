@@ -263,10 +263,14 @@ func TestCellProgramValidate(t *testing.T) {
 			t.Errorf("program %d should fail validation", i)
 		}
 	}
-	if err := IdentityProgram().Validate(); err != nil {
+	if err := identityProgram.Validate(); err != nil {
 		t.Errorf("identity program: %v", err)
 	}
 }
+
+// identityProgram is the single-argument pass-through program: the plain
+// aggregate over one matrix.
+var identityProgram = &CellProgram{Instrs: []CellInstr{{Code: CellLoad, Arg: 0}}, NumArgs: 1, Annihilating: true}
 
 // TestFusedAggIdentityScalarLoad: an identity program whose load references a
 // scalar argument (never emitted by the matcher, but expressible through the
@@ -285,7 +289,7 @@ func TestFusedAggIdentityScalarLoad(t *testing.T) {
 }
 
 func TestFusedAggArgErrors(t *testing.T) {
-	prog := IdentityProgram()
+	prog := identityProgram
 	if _, err := FusedAgg(prog, AggSum, nil, 1); err == nil {
 		t.Error("missing arguments should error")
 	}

@@ -15,7 +15,7 @@ import (
 //     in ascending-k order — the same per-cell order as the simple blocked
 //     kernel in mult.go, which is what makes the two kernels bitwise
 //     interchangeable and preserves the MultiplyAcc stripe-accumulation
-//     contract of the blocked shuffle/broadcast-left executors.
+//     contract of the blocked matmult executors.
 //   - panel packing: A row panels (gemmMR x kc, k-major) and B column panels
 //     (kc x gemmNR, k-major) are copied into contiguous scratch buffers so the
 //     micro-kernel streams both operands sequentially. Ragged edges are packed

@@ -94,7 +94,7 @@ func countRowRangeNNZ(cv []float64, n, r0, r1 int) int64 {
 // multDenseDense is the dense GEMM kernel: one accumulate pass into a zeroed
 // output. Sharing gemmAcc keeps its per-cell accumulation order structurally
 // identical to MultiplyAcc (the bitwise-equality contract of the blocked
-// shuffle/broadcast-left executors).
+// matmult executors).
 func multDenseDense(a, b *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
 	out := NewDense(a.rows, b.cols)
 	out.nnz = gemmAcc(out, a, b, threads, kern)
@@ -303,7 +303,7 @@ func multSparseSparse(a, b *MatrixBlock, threads int) *MatrixBlock {
 // contributions arrive in ascending k order: splitting the common dimension
 // into stripes and accumulating them with MultiplyAcc in ascending stripe
 // order is bitwise-identical to one Multiply over the full common dimension.
-// This is the legality property the shuffle-style blocked matmult relies on.
+// This is the legality property the blocked matmult executors rely on.
 // The accumulator is densified in place; sparse inputs are multiplied through
 // densified copies so the accumulation order stays the same.
 func MultiplyAcc(acc, a, b *MatrixBlock, threads int) error {
@@ -330,21 +330,40 @@ func multiplyAcc(acc, a, b *MatrixBlock, threads int, kern gemmKernel) error {
 // the operation at the heart of the paper's lmDS workload. Workers own
 // disjoint row panels of the output and every cell adds X's rows in ascending
 // order, so the result is the same for every thread count.
-func TSMM(x *MatrixBlock, threads int) *MatrixBlock { return tsmm(x, threads, gemmAuto) }
+func TSMM(x *MatrixBlock, threads int) *MatrixBlock {
+	out := NewDense(x.cols, x.cols)
+	tsmmAcc(out, x, threads, gemmAuto)
+	return out
+}
 
-// tsmm is TSMM on an explicit dense kernel (see multiplyAcc).
-func tsmm(x *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
+// TSMMAcc adds t(X) %*% X onto acc, the n x n symmetric accumulator (zeros,
+// or what TSMMAcc left) of an n-column X: the kernels add onto its upper
+// triangle, which is then mirrored. Every cell adds X's rows in ascending
+// order, so adding X's row stripes in ascending order has the bits of one
+// TSMM over X, whatever each stripe's representation and kernel — what the
+// blocked backend's TSMM rests on. acc is densified in place.
+func TSMMAcc(acc, x *MatrixBlock, threads int) error {
+	if acc.rows != x.cols || acc.cols != x.cols {
+		return fmt.Errorf("matrix: tsmm-acc accumulator is %dx%d, want %dx%d", acc.rows, acc.cols, x.cols, x.cols)
+	}
+	acc.ToDense()
+	tsmmAcc(acc, x, threads, gemmAuto)
+	return nil
+}
+
+// tsmmAcc is TSMMAcc on an explicit dense kernel; only the in-package
+// simple-versus-tiled tests pass anything but gemmAuto.
+func tsmmAcc(acc, x *MatrixBlock, threads int, kern gemmKernel) {
 	threads = resolveThreads(threads)
 	n := x.cols
-	out := NewDense(n, n)
 	if x.IsSparse() {
-		tsmmSparse(x, out, threads)
+		tsmmSparse(x, acc, threads)
 	} else {
-		tsmmDense(x, out, threads, kern)
+		tsmmDense(x, acc, threads, kern)
 	}
 	// mirror the upper triangle into the lower triangle, counting non-zeros
 	// in the same pass (each off-diagonal non-zero appears twice)
-	cv := out.dense
+	cv := acc.dense
 	var nnz int64
 	for i := 0; i < n; i++ {
 		if cv[i*n+i] != 0 {
@@ -357,8 +376,7 @@ func tsmm(x *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
 			}
 		}
 	}
-	out.nnz = nnz
-	return out
+	acc.nnz = nnz
 }
 
 // tsmmPanels splits the n rows of a TSMM's upper triangle into at most parts

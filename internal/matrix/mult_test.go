@@ -164,7 +164,7 @@ func TestMultiplyEmptyOperand(t *testing.T) {
 }
 
 // TestMultiplyAccStripesBitwise verifies the multiply-accumulate contract the
-// shuffle-style blocked matmult relies on: accumulating k-stripes in
+// blocked matmult executors rely on: accumulating k-stripes in
 // ascending order reproduces the one-shot multiply bitwise.
 func TestMultiplyAccStripesBitwise(t *testing.T) {
 	const m, k, n, stripe = 37, 200, 23, 48

@@ -83,7 +83,7 @@ func TestTiledMultiplyAccBitwiseEqualsSimple(t *testing.T) {
 }
 
 // TestTiledMultiplyAccStripesBitwise re-verifies the stripe-accumulation
-// legality property of the blocked shuffle/broadcast-left executors with the
+// legality property of the blocked matmult executors with the
 // tiled kernel underneath — including the mixed case where the one-shot
 // product selects the tiled engine while the short k-stripes fall back to the
 // simple loop.
@@ -109,6 +109,45 @@ func TestTiledMultiplyAccStripesBitwise(t *testing.T) {
 			}
 		}
 		bitwiseEqual(t, want, acc, "stripe accumulation")
+	}
+}
+
+// tsmm is TSMM on an explicit dense kernel.
+func tsmm(x *MatrixBlock, threads int, kern gemmKernel) *MatrixBlock {
+	out := NewDense(x.cols, x.cols)
+	tsmmAcc(out, x, threads, kern)
+	return out
+}
+
+// TestTSMMAccStripesBitwise verifies the contract the blocked TSMM rests
+// on: adding X's row stripes in ascending order with TSMMAcc reproduces the
+// one-shot TSMM bitwise — dense and ~5%-dense CSR stripes, stripes the simple
+// loop runs under a one-shot product on the tiled engine, and 1, 2, 3 and 7
+// threads.
+func TestTSMMAccStripesBitwise(t *testing.T) {
+	for _, x := range []*MatrixBlock{
+		RandUniform(1037, 60, -1, 1, 1.0, 71),
+		RandUniform(700, 130, -1, 1, 0.05, 72).ToSparse(),
+	} {
+		want := TSMM(x, 1)
+		for _, stripe := range []int{7, 100, 500} {
+			for _, threads := range []int{1, 2, 3, 7} {
+				acc := NewDense(x.cols, x.cols)
+				for r0 := 0; r0 < x.rows; r0 += stripe {
+					s, err := Slice(x, r0, min(r0+stripe, x.rows), 0, x.cols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := TSMMAcc(acc, s, threads); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bitwiseEqual(t, want, acc, fmt.Sprintf("%dx%d stripes of %d, %d threads", x.rows, x.cols, stripe, threads))
+			}
+		}
+	}
+	if err := TSMMAcc(NewDense(3, 3), NewDense(5, 4), 1); err == nil {
+		t.Error("an accumulator of the wrong shape should error")
 	}
 }
 

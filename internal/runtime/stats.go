@@ -51,7 +51,7 @@ type CompressStats struct {
 
 // PlanRecord reports one executed physical-plan decision of the cost-based
 // planner: the instruction opcode, the plan string chosen at compile time
-// (e.g. "br", "gj", "sh" for matmult strategies), the compiler's estimated
+// (e.g. "br", "bl", "gj" for matmult strategies), the compiler's estimated
 // output bytes (-1 when the sizes were unknown at compile time) and the bytes
 // the operator actually produced. The records let tests and users audit that
 // the plan named by ExplainPlan is the plan that executed, and how far the

@@ -301,10 +301,6 @@ const (
 	// MMGridJoin partitions both operands and joins block row i with block
 	// column j per output cell (the replication-based join).
 	MMGridJoin
-	// MMShuffle partitions both operands and processes co-partitioned
-	// k-stripes one at a time, accumulating partial products into the output
-	// blocks (the shuffle/cross-product join for two large operands).
-	MMShuffle
 )
 
 // String returns the short plan name used in EXPLAIN output and plan stats.
@@ -316,8 +312,6 @@ func (m MatMultMethod) String() string {
 		return "bl"
 	case MMGridJoin:
 		return "gj"
-	case MMShuffle:
-		return "sh"
 	default:
 		return "auto"
 	}

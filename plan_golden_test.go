@@ -252,19 +252,16 @@ func TestPlansAndOutputsMatchGolden(t *testing.T) {
 	}
 }
 
-// fusionTwinExceptions are the (script, configuration) pairs whose outputs
-// may depend on the fusion setting, with the reason.
-var fusionTwinExceptions = map[string]string{
-	// under dist, fusion keeps t(X) %*% (X %*% w) as the transpose and the
-	// blocked multiply, while the unfused plan runs dist.XtY (roadmap 19(b))
-	"gd chain/dist": "a dist-bound t(X) %*% (X %*% v) keeps its transpose",
-}
+// placementTwins maps each configuration on the blocked backend to its
+// in-process twin.
+var placementTwins = map[string]string{"dist": "local", "compressed+dist": "compressed"}
 
-// TestGoldenOutputsIgnoreFusion: every golden key's outputs equal its fusion
-// twin's, the listed exceptions aside — turning fusion off changes which
-// kernels run, never a bit. TestPlansAndOutputsMatchGolden holds the runs to
-// the file, so the file is what is compared.
-func TestGoldenOutputsIgnoreFusion(t *testing.T) {
+// TestGoldenOutputsIgnoreFusionAndPlacement: every golden key's outputs equal
+// its fusion twin's and, on the blocked backend, its placement twin's —
+// turning fusion off or placing operators on the blocked backend changes
+// which kernels run, never a bit. TestPlansAndOutputsMatchGolden holds the
+// runs to the file, so the file is what is compared.
+func TestGoldenOutputsIgnoreFusionAndPlacement(t *testing.T) {
 	data, err := os.ReadFile(planGoldenFile)
 	if err != nil {
 		t.Fatal(err)
@@ -274,23 +271,28 @@ func TestGoldenOutputsIgnoreFusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := 0
+	compare := func(a, b string) {
+		ra, rb := runs[a], runs[b]
+		if ra.Outputs == nil || rb.Outputs == nil {
+			t.Fatalf("%s or %s: missing from %s", a, b, planGoldenFile)
+		}
+		pairs++
+		if !reflect.DeepEqual(ra.Outputs, rb.Outputs) {
+			t.Errorf("%s: %v, %s: %v", a, ra.Outputs, b, rb.Outputs)
+		}
+	}
 	for _, sc := range goldenScripts {
 		for _, cfg := range goldenConfigs {
 			key := sc.name + "/" + cfg.name
-			on, off := runs[key+"/fusion=true"], runs[key+"/fusion=false"]
-			if on.Outputs == nil || off.Outputs == nil {
-				t.Fatalf("%s: missing from %s", key, planGoldenFile)
-			}
-			pairs++
-			_, excepted := fusionTwinExceptions[key]
-			if same := reflect.DeepEqual(on.Outputs, off.Outputs); !same && !excepted {
-				t.Errorf("%s: fusion on %v, off %v", key, on.Outputs, off.Outputs)
-			} else if same && excepted {
-				t.Errorf("%s: listed as an exception, but the twins agree", key)
+			compare(key+"/fusion=true", key+"/fusion=false")
+			if twin, ok := placementTwins[cfg.name]; ok {
+				for _, fusion := range []string{"/fusion=true", "/fusion=false"} {
+					compare(key+fusion, sc.name+"/"+twin+fusion)
+				}
 			}
 		}
 	}
-	if pairs != len(goldenScripts)*len(goldenConfigs) {
+	if pairs != len(goldenScripts)*(len(goldenConfigs)+2*len(placementTwins)) {
 		t.Errorf("%d pairs compared", pairs)
 	}
 }
