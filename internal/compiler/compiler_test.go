@@ -375,7 +375,11 @@ func TestRecompileMemoHitsOnStableSizes(t *testing.T) {
 	}
 	x := matrix.RandUniform(2000, 20, -1, 1, 1.0, 71)
 	y := matrix.RandUniform(2000, 1, 0, 1, 1.0, 72)
-	y = matrix.ScalarOp(matrix.ScalarOp(matrix.UnaryApply(y, matrix.OpRound, 1), 2, matrix.OpMul, false, 1), 1, matrix.OpSub, false, 1)
+	y, err = matrix.FusedCell(matrix.UnaryProgram(matrix.OpRound), []matrix.CellArg{{Mat: y}}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y = matrix.ScalarOp(matrix.ScalarOp(y, 2, matrix.OpMul, false, 1), 1, matrix.OpSub, false, 1)
 	ctx := runtime.NewContext(runtime.DefaultConfig())
 	ctx.Prog = prog
 	ctx.SetMatrix("X", x)

@@ -203,91 +203,6 @@ func (x *BlockedMatrix) walk(op string, threads int) matrix.ChunkWalk {
 	}
 }
 
-// Cellwise applies an element-wise binary operation over two aligned blocked
-// matrices block by block on `threads` workers.
-func Cellwise(a, b *BlockedMatrix, op matrix.BinaryOp, threads int) (*BlockedMatrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols || a.Blocksize != b.Blocksize {
-		return nil, fmt.Errorf("dist: cellwise dimension mismatch %dx%d/%d vs %dx%d/%d",
-			a.Rows, a.Cols, a.Blocksize, b.Rows, b.Cols, b.Blocksize)
-	}
-	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols, Blocksize: a.Blocksize,
-		Blocks: make([]*matrix.MatrixBlock, len(a.Blocks))}
-	gc := a.GridCols()
-	err := forEachBlock("cellwise", a.GridRows(), gc, threads, func(bi, bj int) error {
-		res, err := matrix.CellwiseOp(a.Blocks[bi*gc+bj], b.Blocks[bi*gc+bj], op, 1)
-		if err != nil {
-			return err
-		}
-		out.Blocks[bi*gc+bj] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CellwiseVector applies an element-wise binary operation between a blocked
-// matrix and a broadcast row or column vector: each block combines with the
-// matching slice of the vector, so cellwise pipelines with vector leaves stay
-// blocked instead of collecting the blocked operand. swap places the vector
-// on the left-hand side of the operator.
-func CellwiseVector(a *BlockedMatrix, v *matrix.MatrixBlock, op matrix.BinaryOp, swap bool, threads int) (*BlockedMatrix, error) {
-	colVec := v.Cols() == 1 && v.Rows() == a.Rows
-	rowVec := v.Rows() == 1 && v.Cols() == a.Cols
-	if !colVec && !rowVec {
-		return nil, fmt.Errorf("dist: cellwise vector %dx%d does not broadcast against %dx%d",
-			v.Rows(), v.Cols(), a.Rows, a.Cols)
-	}
-	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols, Blocksize: a.Blocksize,
-		Blocks: make([]*matrix.MatrixBlock, len(a.Blocks))}
-	gr, gc := a.GridRows(), a.GridCols()
-	// the vector segment is shared by every block of a strip; slice once per
-	// block row (column vector) or block column (row vector), not per block
-	nseg := gr
-	if rowVec {
-		nseg = gc
-	}
-	segs := make([]*matrix.MatrixBlock, nseg)
-	for i := range segs {
-		lo := i * a.Blocksize
-		var err error
-		if colVec {
-			segs[i], err = matrix.Slice(v, lo, min(lo+a.Blocksize, a.Rows), 0, 1)
-		} else {
-			segs[i], err = matrix.Slice(v, 0, 1, lo, min(lo+a.Blocksize, a.Cols))
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	err := forEachBlock("cellwise-vector", gr, gc, threads, func(bi, bj int) error {
-		blk := a.Blocks[bi*gc+bj]
-		var seg *matrix.MatrixBlock
-		if rowVec {
-			seg = segs[bj]
-		} else {
-			seg = segs[bi]
-		}
-		var res *matrix.MatrixBlock
-		var err error
-		if swap {
-			res, err = matrix.CellwiseOp(seg, blk, op, 1)
-		} else {
-			res, err = matrix.CellwiseOp(blk, seg, op, 1)
-		}
-		if err != nil {
-			return err
-		}
-		out.Blocks[bi*gc+bj] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MatMult multiplies a blocked left operand with a local (broadcast) right
 // operand: every block-row strip of the left input is multiplied with the
 // matching row slices of the right operand independently — the map-side

@@ -73,12 +73,14 @@ func TestRegion(t *testing.T) {
 	}
 }
 
+// TestCellwiseMatchesLocal: dist.Cell over two aligned blocked operands
+// equals matrix.CellwiseOp over the local matrices.
 func TestCellwiseMatchesLocal(t *testing.T) {
 	for _, s := range shapes {
 		a, b := testMatrix(s.rows, s.cols), testMatrix(s.rows, s.cols)
 		ba, _ := FromMatrixBlock(a, s.bs)
 		bb, _ := FromMatrixBlock(b, s.bs)
-		res, err := Cellwise(ba, bb, matrix.OpMul, 0)
+		res, err := Cell(matrix.BinaryProgram(matrix.OpMul), []CellArg{{Blocked: ba}, {Blocked: bb}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +95,14 @@ func TestCellwiseMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestScalarAndUnaryMatchLocal: dist.Cell with a scalar operand equals
+// matrix.ScalarOp, and with a unary program the local fused kernel.
 func TestScalarAndUnaryMatchLocal(t *testing.T) {
 	for _, s := range shapes {
 		a := testMatrix(s.rows, s.cols)
 		ba, _ := FromMatrixBlock(a, s.bs)
-		sres, err := Scalar(ba, 2.5, matrix.OpMul, false, 0)
+		scalarArgs := []CellArg{{Blocked: ba}, {CellArg: matrix.CellArg{Scalar: 2.5}}}
+		sres, err := Cell(matrix.ScalarProgram(matrix.OpMul, 2.5, false), scalarArgs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,12 +110,17 @@ func TestScalarAndUnaryMatchLocal(t *testing.T) {
 		if !matrix.ScalarOp(a, 2.5, matrix.OpMul, false, 1).Equals(got, 0) {
 			t.Errorf("%dx%d/%d: scalar op differs", s.rows, s.cols, s.bs)
 		}
-		ures, err := Unary(ba, matrix.OpAbs, 0)
+		abs := matrix.UnaryProgram(matrix.OpAbs)
+		ures, err := Cell(abs, []CellArg{{Blocked: ba}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _ = ures.ToMatrixBlock()
-		if !matrix.UnaryApply(a, matrix.OpAbs, 1).Equals(got, 0) {
+		want, err := matrix.FusedCell(abs, []matrix.CellArg{{Mat: a}}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equals(got, 0) {
 			t.Errorf("%dx%d/%d: unary differs", s.rows, s.cols, s.bs)
 		}
 	}
@@ -431,13 +441,5 @@ func TestForEachBlockStopsAfterError(t *testing.T) {
 	}
 	if n := executed.Load(); n > 8 {
 		t.Errorf("executed %d blocks after first error, want a small bound (<= 8)", n)
-	}
-}
-
-func TestCellwiseErrorPropagates(t *testing.T) {
-	a, _ := FromMatrixBlock(testMatrix(10, 10), 4)
-	b, _ := FromMatrixBlock(testMatrix(10, 11), 4)
-	if _, err := Cellwise(a, b, matrix.OpAdd, 0); err == nil {
-		t.Error("dimension mismatch should error")
 	}
 }

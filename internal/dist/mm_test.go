@@ -134,6 +134,8 @@ func TestMatMultBBDimensionErrors(t *testing.T) {
 	}
 }
 
+// TestCellwiseVector: dist.Cell with a row or column vector on either side
+// of a blocked operand equals matrix.CellwiseOp over the local matrices.
 func TestCellwiseVector(t *testing.T) {
 	x := seqMatrix(40, 24, 31)
 	col := seqMatrix(40, 1, 32)
@@ -153,7 +155,11 @@ func TestCellwiseVector(t *testing.T) {
 		{"col-sub-swapped", col, matrix.OpSub, true},
 		{"row-div-swapped", row, matrix.OpDiv, true},
 	} {
-		got, err := CellwiseVector(bx, tc.v, tc.op, tc.swap, 0)
+		args := []CellArg{{Blocked: bx}, {CellArg: matrix.CellArg{Mat: tc.v}}}
+		if tc.swap {
+			args[0], args[1] = args[1], args[0]
+		}
+		got, err := Cell(matrix.BinaryProgram(tc.op), args, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -174,7 +180,8 @@ func TestCellwiseVector(t *testing.T) {
 			t.Errorf("%s: blocked broadcast differs from local kernel", tc.name)
 		}
 	}
-	if _, err := CellwiseVector(bx, seqMatrix(7, 1, 9), matrix.OpAdd, false, 0); err == nil {
+	nonBroadcasting := []CellArg{{Blocked: bx}, {CellArg: matrix.CellArg{Mat: seqMatrix(7, 1, 9)}}}
+	if _, err := Cell(matrix.BinaryProgram(matrix.OpAdd), nonBroadcasting, 0); err == nil {
 		t.Error("non-broadcastable vector not rejected")
 	}
 }

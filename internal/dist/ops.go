@@ -7,30 +7,98 @@ import (
 	"github.com/systemds/systemds-go/internal/matrix"
 )
 
-// Unary applies an element-wise unary operation block by block.
-func Unary(a *BlockedMatrix, op matrix.UnaryOp, threads int) (*BlockedMatrix, error) {
-	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols, Blocksize: a.Blocksize,
-		Blocks: make([]*matrix.MatrixBlock, len(a.Blocks))}
-	gc := a.GridCols()
-	err := forEachBlock("unary", a.GridRows(), gc, threads, func(bi, bj int) error {
-		out.Blocks[bi*gc+bj] = matrix.UnaryApply(a.Blocks[bi*gc+bj], op, 1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// CellArg is one operand of a blocked cell program: a blocked matrix of the
+// output's shape, or (Blocked nil) a local row or column vector broadcast
+// along it or a scalar, as in matrix.CellArg.
+type CellArg struct {
+	Blocked *BlockedMatrix
+	matrix.CellArg
 }
 
-// Scalar applies a matrix-scalar binary operation block by block; swap places
-// the scalar on the left-hand side.
-func Scalar(a *BlockedMatrix, s float64, op matrix.BinaryOp, swap bool, threads int) (*BlockedMatrix, error) {
-	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols, Blocksize: a.Blocksize,
-		Blocks: make([]*matrix.MatrixBlock, len(a.Blocks))}
-	gc := a.GridCols()
-	err := forEachBlock("scalar", a.GridRows(), gc, threads, func(bi, bj int) error {
-		out.Blocks[bi*gc+bj] = matrix.ScalarOp(a.Blocks[bi*gc+bj], s, op, swap, 1)
-		return nil
+// Cell evaluates a cell program block by block: each output block is
+// matrix.FusedCell, on one thread, over the matching blocks of the blocked
+// operands, the slices of the vectors that cover it and the scalars. Cells
+// are independent, so every cell has the bits of FusedCell over the
+// collected operands. The blocked operands must agree in shape and
+// blocksize; a vector is sliced once per block row (a column vector) or
+// block column (a row vector), not per block.
+func Cell(prog *matrix.CellProgram, args []CellArg, threads int) (*BlockedMatrix, error) {
+	var x *BlockedMatrix
+	first := -1 // the first blocked operand: FusedCell's driver in every block
+	for k, a := range args {
+		switch b := a.Blocked; {
+		case b == nil:
+		case x == nil:
+			x, first = b, k
+		case b.Rows != x.Rows || b.Cols != x.Cols || b.Blocksize != x.Blocksize:
+			return nil, fmt.Errorf("dist: cellwise dimension mismatch %dx%d/%d vs %dx%d/%d",
+				x.Rows, x.Cols, x.Blocksize, b.Rows, b.Cols, b.Blocksize)
+		}
+	}
+	if x == nil {
+		return nil, fmt.Errorf("dist: cell program without a blocked operand")
+	}
+	bs, gr, gc := x.Blocksize, x.GridRows(), x.GridCols()
+	// segs[k][i] is vector k's slice along block row i (a column vector) or
+	// block column i (a row vector)
+	segs := make([][]*matrix.MatrixBlock, len(args))
+	rowVec := make([]bool, len(args))
+	blockProg := prog
+	for k, a := range args {
+		v := a.Mat
+		if a.Blocked != nil || v == nil {
+			continue
+		}
+		switch {
+		case v.Cols() == 1 && v.Rows() == x.Rows:
+			segs[k] = make([]*matrix.MatrixBlock, gr)
+		case v.Rows() == 1 && v.Cols() == x.Cols:
+			segs[k], rowVec[k] = make([]*matrix.MatrixBlock, gc), true
+		default:
+			return nil, fmt.Errorf("dist: cellwise vector %dx%d does not broadcast against %dx%d",
+				v.Rows(), v.Cols(), x.Rows, x.Cols)
+		}
+		for i := range segs[k] {
+			lo := i * bs
+			var err error
+			if rowVec[k] {
+				segs[k][i], err = matrix.Slice(v, 0, 1, lo, min(lo+bs, x.Cols))
+			} else {
+				segs[k][i], err = matrix.Slice(v, lo, min(lo+bs, x.Rows), 0, 1)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if k < first && prog.Annihilating {
+			// a block one column (row) wide makes a column (row) vector's
+			// slice the shape of the block: ahead of the blocked operands it
+			// would become that block's driver, which the program does not
+			// annihilate on. Without the stored-cells shortcut every cell is
+			// evaluated, and the values are the same.
+			plain := *prog
+			plain.Annihilating = false
+			blockProg = &plain
+		}
+	}
+	out := &BlockedMatrix{Rows: x.Rows, Cols: x.Cols, Blocksize: bs, Blocks: make([]*matrix.MatrixBlock, gr*gc)}
+	err := forEachBlock("cell", gr, gc, threads, func(bi, bj int) error {
+		bargs := make([]matrix.CellArg, len(args))
+		for k, a := range args {
+			switch {
+			case a.Blocked != nil:
+				bargs[k].Mat = a.Blocked.Blocks[bi*gc+bj]
+			case segs[k] == nil:
+				bargs[k].Scalar = a.Scalar
+			case rowVec[k]:
+				bargs[k].Mat = segs[k][bj]
+			default:
+				bargs[k].Mat = segs[k][bi]
+			}
+		}
+		blk, err := matrix.FusedCell(blockProg, bargs, 1, nil)
+		out.Blocks[bi*gc+bj] = blk
+		return err
 	})
 	if err != nil {
 		return nil, err

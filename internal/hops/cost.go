@@ -651,7 +651,7 @@ func xtyShuffleBytes(h *Hop) int64 {
 }
 
 // PlanString renders the physical plan annotation of a HOP ("CP", "DIST", or
-// "DIST:sh" for distributed matmults with a chosen strategy).
+// "DIST:gj" for distributed matmults with a chosen strategy).
 func (h *Hop) PlanString() string {
 	if h.Kind == KindCompress {
 		// surface the fire/no-fire decision so a user can audit why a loop

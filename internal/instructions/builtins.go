@@ -133,8 +133,10 @@ func (i *CastInst) Execute(ctx *runtime.Context) error {
 			// representation it has: consumers dispatch as usual
 			ctx.Set(i.outs[0], v)
 		case *runtime.Scalar:
-			m := matrix.NewDense(1, 1)
-			m.Set(0, 0, v.Float64())
+			m, err := runtime.LocalBlockOf(ctx, i.In.Name, v, i.opcode)
+			if err != nil {
+				return fmt.Errorf("instructions: as.matrix: %w", err)
+			}
 			ctx.SetMatrix(i.outs[0], m)
 		case *runtime.FrameObject:
 			m, err := v.Frame.ToMatrix()
@@ -146,17 +148,17 @@ func (i *CastInst) Execute(ctx *runtime.Context) error {
 			return fmt.Errorf("instructions: as.matrix unsupported on %s", d.DataType())
 		}
 	case "as.double":
-		s, err := i.In.Scalar(ctx)
+		v, err := i.In.Float64(ctx)
 		if err != nil {
-			return err
+			return fmt.Errorf("instructions: as.double: %w", err)
 		}
-		ctx.Set(i.outs[0], runtime.NewDouble(s.Float64()))
+		ctx.Set(i.outs[0], runtime.NewDouble(v))
 	case "as.integer":
-		s, err := i.In.Scalar(ctx)
+		v, err := i.In.Float64(ctx)
 		if err != nil {
-			return err
+			return fmt.Errorf("instructions: as.integer: %w", err)
 		}
-		ctx.Set(i.outs[0], runtime.NewInt(int64(s.Float64())))
+		ctx.Set(i.outs[0], runtime.NewInt(int64(v)))
 	case "as.logical":
 		s, err := i.In.Scalar(ctx)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	sdsio "github.com/systemds/systemds-go/internal/io"
 	"github.com/systemds/systemds-go/internal/lineage"
-	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 )
 
@@ -243,8 +242,10 @@ func (i *WriteInst) Execute(ctx *runtime.Context) error {
 		opts.Header = true
 		return sdsio.WriteFrameCSV(path, v.Frame, opts)
 	case *runtime.Scalar:
-		m := matrix.NewDense(1, 1)
-		m.Set(0, 0, v.Float64())
+		m, err := runtime.LocalBlockOf(ctx, i.In.Name, v, i.opcode)
+		if err != nil {
+			return err
+		}
 		return sdsio.WriteMatrixCSV(path, m, sdsio.DefaultCSVOptions())
 	default:
 		return fmt.Errorf("instructions: write unsupported for %s", d.DataType())

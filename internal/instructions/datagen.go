@@ -3,6 +3,8 @@ package instructions
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/dist"
@@ -174,7 +176,7 @@ func (i *DataGenInst) Execute(ctx *runtime.Context) error {
 		ctx.SetMatrix(i.outs[0], matrix.Seq(from, to, incr))
 		return nil
 	case "fill":
-		v, err := i.Value.Float64(ctx)
+		v, err := i.Value.Scalar(ctx)
 		if err != nil {
 			return err
 		}
@@ -189,7 +191,11 @@ func (i *DataGenInst) Execute(ctx *runtime.Context) error {
 		if rows < 0 || cols < 0 {
 			return fmt.Errorf("instructions: matrix(%v, rows=%d, cols=%d): negative dimensions", v, rows, cols)
 		}
-		ctx.SetMatrix(i.outs[0], matrix.Fill(rows, cols, v))
+		m, err := fill(v, rows, cols)
+		if err != nil {
+			return err
+		}
+		ctx.SetMatrix(i.outs[0], m)
 		return nil
 	case "sample":
 		pop, err := i.Population.Int(ctx)
@@ -279,4 +285,33 @@ func (i *DataGenInst) generateBlockedSeq(ctx *runtime.Context, from, to, incr fl
 		bm.Blocks[bi] = blk
 	}
 	return bindBlockedResult(ctx, i.outs[0], bm, i.BlockedOut, i.opcode, "dist", i.EstBytes)
+}
+
+// fill builds matrix(v, rows, cols): a number fills every cell, and so does
+// a string holding one; a string of several numbers separated by blanks is
+// the cells themselves, row-major, as in SystemDS's string initialisation.
+// Anything else in a string — a wrong count, a token that is not a number —
+// is an error.
+func fill(v *runtime.Scalar, rows, cols int) (*matrix.MatrixBlock, error) {
+	if v.VT != types.String {
+		return matrix.Fill(rows, cols, v.Float64()), nil
+	}
+	tokens := strings.Fields(v.S)
+	vals := make([]float64, len(tokens))
+	for k, tok := range tokens {
+		x, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			return nil, fmt.Errorf("instructions: matrix(%q, rows=%d, cols=%d): value %d, %q, is not a number",
+				v.S, rows, cols, k+1, tok)
+		}
+		vals[k] = x
+	}
+	switch len(vals) {
+	case 1:
+		return matrix.Fill(rows, cols, vals[0]), nil
+	case rows * cols:
+		return matrix.NewDenseFromSlice(rows, cols, vals), nil
+	}
+	return nil, fmt.Errorf("instructions: matrix(%q, rows=%d, cols=%d): %d values for %d cells",
+		v.S, rows, cols, len(vals), rows*cols)
 }

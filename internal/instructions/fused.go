@@ -2,43 +2,123 @@ package instructions
 
 import (
 	"fmt"
+	"slices"
 
+	"github.com/systemds/systemds-go/internal/dist"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 )
 
 // cellArgs resolves the operands of a fused cellwise pipeline: scalars by
 // value, everything else as a local block fetched for opcode (a compressed
-// operand decompresses, counted against it). With keepCompressed, a compressed
-// operand whose fellow operands are all scalars is returned as co instead,
-// its slot args[driver] left empty: the program can run over its dictionaries.
-func cellArgs(ctx *runtime.Context, ops []Operand, opcode string, keepCompressed bool) (
-	args []matrix.CellArg, co *runtime.CompressedMatrixObject, driver int, err error) {
-	args = make([]matrix.CellArg, len(ops))
-	mats := make([]int, 0, len(ops))
+// operand decompresses, counted against it).
+func cellArgs(ctx *runtime.Context, ops []Operand, opcode string) ([]matrix.CellArg, error) {
+	args := make([]matrix.CellArg, len(ops))
 	for k, op := range ops {
 		d, err := op.Resolve(ctx)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, err
 		}
 		if s, ok := d.(*runtime.Scalar); ok {
-			args[k].Scalar = s.Float64()
+			if args[k].Scalar, err = s.Number(); err != nil {
+				return nil, fmt.Errorf("instructions: %s: %w", opcode, err)
+			}
+		} else if args[k].Mat, err = runtime.LocalBlockOf(ctx, op.Name, d, opcode); err != nil {
+			return nil, err
+		}
+	}
+	return args, nil
+}
+
+// runCell is the one dispatch of the cellwise instructions — BinaryInst and
+// UnaryInst over a matrix, FusedCellInst: it resolves the operands once and
+// runs prog over them into out on the first of three rungs that applies.
+//
+//  1. Compressed: the only matrix operand is compressed, and the program runs
+//     over its dictionaries (mapCompressed).
+//  2. Blocked: useDist holds over the operands of the output's shape. Those
+//     are partitioned (resolveBlockedData, memoized), a row or column vector
+//     is read locally and sliced per block, scalars are read by value, and
+//     dist.Cell runs the program block by block. A blocked vector alone never
+//     drags a local matrix into a partition.
+//  3. Local: matrix.FusedCell, its output array from the engine's free list.
+func runCell(ctx *runtime.Context, p plan, opcode, out string, prog *matrix.CellProgram, ops []Operand) error {
+	var buf [8]runtime.Data // the resolved operands, on the stack up to 8
+	data := buf[:0]
+	args := make([]matrix.CellArg, len(ops))
+	var rows, cols int64 // the output's shape
+	mats, last := 0, 0   // the matrix operands: their count, the last one
+	for k, o := range ops {
+		d, err := o.Resolve(ctx)
+		if err != nil {
+			return err
+		}
+		data = append(data, d)
+		if s, ok := d.(*runtime.Scalar); ok {
+			if args[k].Scalar, err = s.Number(); err != nil {
+				return fmt.Errorf("instructions: %s: %w", opcode, err)
+			}
 			continue
 		}
-		mats = append(mats, k)
-		if c, ok := resolveCompressed(d); ok && keepCompressed {
-			co, driver = c, k
+		mats, last = mats+1, k
+		if r, c, ok := matrixDims(d); ok {
+			rows, cols = max(rows, r), max(cols, c)
 		}
 	}
-	if co != nil && len(mats) == 1 {
-		return args, co, driver, nil
+	if co, ok := resolveCompressed(data[last]); ok && mats == 1 {
+		return mapCompressed(ctx, co, out, prog, args, last)
 	}
-	for _, k := range mats {
-		if args[k].Mat, err = ops[k].MatrixBlockFor(ctx, opcode); err != nil {
-			return nil, nil, 0, err
+	var bargs []dist.CellArg // the blocked rung's operands
+	for _, d := range data {
+		if bargs == nil && hasShape(d, rows, cols) && useDist(ctx, p.ExecType, d) {
+			bargs = make([]dist.CellArg, len(ops))
 		}
 	}
-	return args, nil, 0, nil
+	for k, o := range ops {
+		var err error
+		switch {
+		case !isMatrix(data[k]):
+		case bargs != nil && hasShape(data[k], rows, cols):
+			if j := slices.Index(data[:k], data[k]); j >= 0 {
+				bargs[k].Blocked = bargs[j].Blocked // X + X partitions once
+			} else {
+				bargs[k].Blocked, err = resolveBlockedData(ctx, data[k], o)
+			}
+		default:
+			args[k].Mat, err = runtime.LocalBlockOf(ctx, o.Name, data[k], opcode)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if bargs != nil {
+		for k := range bargs {
+			bargs[k].CellArg = args[k]
+		}
+		res, err := dist.Cell(prog, bargs, ctx.Config.Threads())
+		if err != nil {
+			return fmt.Errorf("instructions: %s: %w", opcode, err)
+		}
+		return bindBlockedResult(ctx, out, res, p.BlockedOut, opcode, "dist", p.EstBytes)
+	}
+	res, err := matrix.FusedCell(prog, args, ctx.Config.Threads(), ctx.Recycler)
+	if err != nil {
+		return fmt.Errorf("instructions: %s: %w", opcode, err)
+	}
+	ctx.SetMatrix(out, res)
+	return nil
+}
+
+// isMatrix reports whether a cell program operand is not a scalar.
+func isMatrix(d runtime.Data) bool {
+	_, ok := d.(*runtime.Scalar)
+	return !ok
+}
+
+// hasShape reports whether d is a matrix of exactly rows x cols.
+func hasShape(d runtime.Data, rows, cols int64) bool {
+	r, c, ok := matrixDims(d)
+	return ok && r == rows && c == cols
 }
 
 // mapCompressed runs a cell program whose only matrix argument, args[driver],
@@ -80,7 +160,7 @@ func NewFusedAgg(agg matrix.AggKind, out string, prog *matrix.CellProgram, args 
 
 // Execute implements runtime.Instruction.
 func (i *FusedAggInst) Execute(ctx *runtime.Context) error {
-	cargs, _, _, err := cellArgs(ctx, i.Args, i.opcode, false)
+	cargs, err := cellArgs(ctx, i.Args, i.opcode)
 	if err != nil {
 		return err
 	}
@@ -98,12 +178,13 @@ func (i *FusedAggInst) Execute(ctx *runtime.Context) error {
 	return nil
 }
 
-// FusedCellInst evaluates a fused cellwise chain into one output block. Its
-// opcode is the root operator's own (so spans and heavy-hitter tables keep
-// filing it with the cellwise operators); the program signature is part of
-// the lineage data, exactly as for FusedAggInst.
+// FusedCellInst evaluates a fused cellwise chain into one output (runCell).
+// Its opcode is the root operator's own (so spans and heavy-hitter tables
+// keep filing it with the cellwise operators); the program signature is part
+// of the lineage data, exactly as for FusedAggInst.
 type FusedCellInst struct {
 	base
+	plan
 	Prog *matrix.CellProgram
 	Args []Operand
 }
@@ -111,25 +192,13 @@ type FusedCellInst struct {
 // NewFusedCell creates a fused cellwise instruction under the root operator's
 // opcode.
 func NewFusedCell(opcode, out string, prog *matrix.CellProgram, args []Operand) *FusedCellInst {
-	inst := &FusedCellInst{Prog: prog, Args: args}
+	inst := &FusedCellInst{plan: unplanned, Prog: prog, Args: args}
 	inst.base = newBase(opcode, []string{out}, prog.Signature(), args...)
 	return inst
 }
 
 // Execute implements runtime.Instruction.
 func (i *FusedCellInst) Execute(ctx *runtime.Context) error {
-	cargs, co, driver, err := cellArgs(ctx, i.Args, i.opcode, true)
-	if err != nil {
-		return err
-	}
 	ctx.Count(func(s *runtime.RunStats) { s.FusedStats.FusedCellOps++ })
-	if co != nil {
-		return mapCompressed(ctx, co, i.outs[0], i.Prog, cargs, driver)
-	}
-	res, err := matrix.FusedCell(i.Prog, cargs, ctx.Config.Threads(), ctx.Recycler)
-	if err != nil {
-		return fmt.Errorf("instructions: %s: %w", i.opcode, err)
-	}
-	ctx.SetMatrix(i.outs[0], res)
-	return nil
+	return runCell(ctx, i.plan, i.opcode, i.outs[0], i.Prog, i.Args)
 }

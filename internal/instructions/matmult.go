@@ -21,7 +21,7 @@ type MatMultInst struct {
 	plan
 	Left, Right Operand
 	// Method is the physical strategy chosen by the planner for distributed
-	// execution (broadcast-left/right, grid join, shuffle); MMAuto for CP
+	// execution (broadcast-left/right, grid join); MMAuto for CP
 	// plans or plans compiled before sizes were known.
 	Method types.MatMultMethod
 }

@@ -284,7 +284,7 @@ func (c *mmCall) run(row *mmRow) error {
 		}
 	}
 	if c.prog != nil {
-		args, _, _, err := cellArgs(c.ctx, c.args, c.opcode, false)
+		args, err := cellArgs(c.ctx, c.args, c.opcode)
 		if err != nil {
 			return err
 		}

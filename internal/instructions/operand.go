@@ -90,13 +90,14 @@ func (o Operand) MatrixBlockFor(ctx *runtime.Context, op string) (*matrix.Matrix
 	return ctx.GetMatrixBlockFor(o.Name, op)
 }
 
-// Float64 resolves the operand as a float.
+// Float64 resolves the operand as a number: a string that is not one is an
+// error.
 func (o Operand) Float64(ctx *runtime.Context) (float64, error) {
 	s, err := o.Scalar(ctx)
 	if err != nil {
 		return 0, err
 	}
-	return s.Float64(), nil
+	return s.Number()
 }
 
 // Int resolves the operand as an int.

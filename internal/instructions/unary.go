@@ -36,30 +36,14 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 	}
 	switch v := d.(type) {
 	case *runtime.Scalar:
-		ctx.Set(i.outs[0], scalarResult(op.Apply(v.Float64()), op.Boolean()))
-		return nil
-	case *runtime.CompressedMatrixObject:
-		// cellwise unary on compressed data is a dictionary-only update: the
-		// encoding structure is shared, only the distinct values are rewritten
-		return mapCompressed(ctx, v, i.outs[0], matrix.UnaryProgram(op), make([]matrix.CellArg, 1), 0)
-	case runtime.MatrixData:
-		if useDist(ctx, i.ExecType, d) {
-			bm, err := resolveBlockedData(ctx, d, i.In)
-			if err != nil {
-				return err
-			}
-			res, err := dist.Unary(bm, op, ctx.Config.Threads())
-			if err != nil {
-				return err
-			}
-			return bindBlockedResult(ctx, i.outs[0], res, i.BlockedOut, i.opcode, "dist", i.EstBytes)
-		}
-		blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
+		x, err := v.Number()
 		if err != nil {
-			return err
+			return fmt.Errorf("instructions: %s: %w", i.opcode, err)
 		}
-		ctx.SetMatrix(i.outs[0], matrix.UnaryApply(blk, op, ctx.Config.Threads()))
+		ctx.Set(i.outs[0], scalarResult(op.Apply(x), op.Boolean()))
 		return nil
+	case runtime.MatrixData:
+		return runCell(ctx, i.plan, i.opcode, i.outs[0], matrix.UnaryProgram(op), i.ins)
 	default:
 		return fmt.Errorf("instructions: unary %s unsupported on %s", i.opcode, d.DataType())
 	}
@@ -139,7 +123,11 @@ func (i *AggInst) Execute(ctx *runtime.Context) error {
 		case "nrow", "ncol", "length":
 			ctx.Set(i.outs[0], runtime.NewInt(1))
 		case "sum", "mean", "min", "max":
-			ctx.Set(i.outs[0], runtime.NewDouble(sc.Float64()))
+			v, err := sc.Number()
+			if err != nil {
+				return fmt.Errorf("instructions: %s: %w", i.opcode, err)
+			}
+			ctx.Set(i.outs[0], runtime.NewDouble(v))
 		default:
 			return fmt.Errorf("instructions: aggregate %s unsupported on scalars", i.opcode)
 		}

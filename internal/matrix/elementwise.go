@@ -425,7 +425,7 @@ func unaryRow(op UnaryOp, dst, a []float64, count bool) (nnz int) {
 
 // --- single-operator drivers ------------------------------------------------------
 //
-// ScalarOp, UnaryApply and CellwiseOp are one-operator cell programs handed to
+// ScalarOp and CellwiseOp are one-operator cell programs handed to
 // FusedCell (fused.go): they share its loaders, its row kernels, its exact
 // non-zero count and its output representation with every fused chain.
 
@@ -435,6 +435,20 @@ func BinaryProgram(op BinaryOp) *CellProgram {
 		Instrs:  []CellInstr{{Code: CellLoad, Arg: 0}, {Code: CellLoad, Arg: 1}, {Code: CellBinary, Bin: op}},
 		NumArgs: 2,
 	}
+}
+
+// ScalarProgram returns the cell program of `m op s`, or of `s op m` when
+// swap is set. It annihilates on m only when the operator maps zero to zero
+// for this scalar (X * 2, but not X / 0 or X * NaN): a sparse m is then
+// rewritten in place of its stored cells, else every cell is evaluated.
+func ScalarProgram(op BinaryOp, s float64, swap bool) *CellProgram {
+	prog := BinaryProgram(op)
+	zero := op.Apply(0, s)
+	if swap {
+		zero = op.Apply(s, 0)
+	}
+	prog.Annihilating = zero == 0
+	return prog
 }
 
 // UnaryProgram returns the cell program of `op(arg0)`.
@@ -456,25 +470,13 @@ func mustCell(prog *CellProgram, args []CellArg, threads int) *MatrixBlock {
 }
 
 // ScalarOp applies `m op s` cell-wise (or `s op m` when swap is true) and
-// returns a new matrix. A sparse block is rewritten in place of its stored
-// cells only when the operator maps zero to zero for this scalar (X * 2, but
-// not X / 0 or X * NaN); everything else evaluates every cell.
+// returns a new matrix, with ScalarProgram's sparse-pattern rule.
 func ScalarOp(m *MatrixBlock, s float64, op BinaryOp, swap bool, threads int) *MatrixBlock {
-	prog := BinaryProgram(op)
 	args := []CellArg{{Mat: m}, {Scalar: s}}
-	zero := op.Apply(0, s)
 	if swap {
 		args[0], args[1] = args[1], args[0]
-		zero = op.Apply(s, 0)
 	}
-	prog.Annihilating = zero == 0
-	return mustCell(prog, args, threads)
-}
-
-// UnaryApply applies the unary operation cell-wise and returns a new matrix;
-// a sparse block keeps its pattern when the operation maps zero to zero.
-func UnaryApply(m *MatrixBlock, op UnaryOp, threads int) *MatrixBlock {
-	return mustCell(UnaryProgram(op), []CellArg{{Mat: m}}, threads)
+	return mustCell(ScalarProgram(op, s, swap), args, threads)
 }
 
 // CellwiseOp applies the binary operation cell-wise between two matrices of

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// UnaryApply applies the unary operation cell-wise, as the runtime's unary
+// instruction does through the same one-operator program.
+func UnaryApply(m *MatrixBlock, op UnaryOp, threads int) *MatrixBlock {
+	return mustCell(UnaryProgram(op), []CellArg{{Mat: m}}, threads)
+}
+
 func TestScalarOp(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	got := ScalarOp(m, 2, OpMul, false, 1)

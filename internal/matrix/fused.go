@@ -283,7 +283,7 @@ func newFusedRun(prog *CellProgram, args []CellArg) (*fusedRun, error) {
 		return nil, err
 	}
 	if len(args) != prog.NumArgs {
-		return nil, fmt.Errorf("matrix: fused pipeline got %d arguments, program wants %d", len(args), prog.NumArgs)
+		return nil, fmt.Errorf("matrix: cell program got %d arguments, wants %d", len(args), prog.NumArgs)
 	}
 	fr := &fusedRun{prog: prog, leaves: make([]cellLeaf, len(args)), depth: depth, driver: -1, flat: true}
 	for _, a := range args {
@@ -312,12 +312,12 @@ func newFusedRun(prog *CellProgram, args []CellArg) (*fusedRun, error) {
 		case m.cols == 1 && m.rows == fr.rows:
 			l.kind, l.dense, fr.flat = leafColVec, asDense(m).dense, false
 		default:
-			return nil, fmt.Errorf("matrix: fused pipeline argument %d is %dx%d, want %dx%d or a vector along it",
+			return nil, fmt.Errorf("matrix: cellwise dimension mismatch: argument %d is %dx%d, want %dx%d or a vector along it",
 				i, m.rows, m.cols, fr.rows, fr.cols)
 		}
 	}
 	if fr.driver < 0 {
-		return nil, fmt.Errorf("matrix: fused pipeline requires a matrix argument of the output's shape")
+		return nil, fmt.Errorf("matrix: cellwise dimension mismatch: no argument has the output's shape")
 	}
 	fr.sparse = fr.leaves[fr.driver].kind == leafSparse && prog.Annihilating
 	for i := 0; fr.sparse && i < len(fr.leaves); i++ {

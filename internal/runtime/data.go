@@ -69,17 +69,25 @@ func NewString(s string) *Scalar { return &Scalar{VT: types.String, S: s} }
 // DataType returns types.Scalar.
 func (s *Scalar) DataType() types.DataType { return types.Scalar }
 
-// Float64 returns the numeric value of the scalar (parsing strings if
-// necessary).
-func (s *Scalar) Float64() float64 {
+// Number returns the numeric value of the scalar: a string is parsed, and
+// one that is not a number is an error, never 0.
+func (s *Scalar) Number() (float64, error) {
 	if s.VT == types.String {
 		v, err := strconv.ParseFloat(s.S, 64)
 		if err != nil {
-			return 0
+			return 0, fmt.Errorf("runtime: string %q is not a number", s.S)
 		}
-		return v
+		return v, nil
 	}
-	return s.F
+	return s.F, nil
+}
+
+// Float64 is Number with a string that is not a number read as 0: it is
+// for values known to be numeric, and a DML value read as a number goes
+// through Number.
+func (s *Scalar) Float64() float64 {
+	v, _ := s.Number()
+	return v
 }
 
 // Int64 returns the value truncated to an integer.
@@ -220,8 +228,12 @@ func LocalBlockOf(ctx *Context, name string, d Data, op string) (*matrix.MatrixB
 		}
 		return blk, err
 	case *Scalar:
+		x, err := v.Number()
+		if err != nil {
+			return nil, err
+		}
 		m := matrix.NewDense(1, 1)
-		m.Set(0, 0, v.Float64())
+		m.Set(0, 0, x)
 		return m, nil
 	}
 	return nil, fmt.Errorf("runtime: variable %q is a %s, expected a matrix", name, d.DataType())

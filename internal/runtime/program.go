@@ -383,7 +383,8 @@ func (b *ForBlock) iterationValues(ctx *Context) ([]float64, error) {
 	}
 	switch v := d.(type) {
 	case *Scalar:
-		return []float64{v.Float64()}, nil
+		x, err := v.Number()
+		return []float64{x}, err
 	case *MatrixObject:
 		blk, err := v.Acquire()
 		if err != nil {

@@ -368,31 +368,35 @@ for (i in 1:5) {
 // engine, with every array its free list takes back filled with NaN, and
 // holds each run to the bits of a fresh engine without the poison: no run
 // reads an array after it went back, and no run depends on what the engine
-// ran before.
+// ran before. Fusion on and off: with it off every cellwise operator is a
+// plain one, whose output comes from the free list as a fused chain's does.
 func TestRecycledArraysAreNeverRead(t *testing.T) {
 	inputs := goldenInputs()
 	for _, sc := range goldenScripts {
 		for _, cfg := range goldenConfigs {
-			opts := append([]systemds.Option{systemds.WithParallelism(2)}, cfg.opts...)
-			fresh, err := systemds.NewContext(opts...).Execute(sc.script, inputs, sc.outputs...)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", sc.name, cfg.name, err)
-			}
-			systemds.PoisonRecycled(true)
-			shared := systemds.NewContext(opts...)
-			for run := 1; run <= 3; run++ {
-				res, err := shared.Execute(sc.script, inputs, sc.outputs...)
+			for _, fusion := range []bool{true, false} {
+				key := fmt.Sprintf("%s/%s/fusion=%v", sc.name, cfg.name, fusion)
+				opts := append([]systemds.Option{systemds.WithParallelism(2), systemds.WithFusion(fusion)}, cfg.opts...)
+				fresh, err := systemds.NewContext(opts...).Execute(sc.script, inputs, sc.outputs...)
 				if err != nil {
-					systemds.PoisonRecycled(false)
-					t.Fatalf("%s/%s run %d: %v", sc.name, cfg.name, run, err)
+					t.Fatalf("%s: %v", key, err)
 				}
-				for _, name := range sc.outputs {
-					if got, want := fingerprint(res[name]), fingerprint(fresh[name]); got != want {
-						t.Errorf("%s/%s run %d: %s is %s, a fresh engine computes %s", sc.name, cfg.name, run, name, got, want)
+				systemds.PoisonRecycled(true)
+				shared := systemds.NewContext(opts...)
+				for run := 1; run <= 3; run++ {
+					res, err := shared.Execute(sc.script, inputs, sc.outputs...)
+					if err != nil {
+						systemds.PoisonRecycled(false)
+						t.Fatalf("%s run %d: %v", key, run, err)
+					}
+					for _, name := range sc.outputs {
+						if got, want := fingerprint(res[name]), fingerprint(fresh[name]); got != want {
+							t.Errorf("%s run %d: %s is %s, a fresh engine computes %s", key, run, name, got, want)
+						}
 					}
 				}
+				systemds.PoisonRecycled(false)
 			}
-			systemds.PoisonRecycled(false)
 		}
 	}
 }
