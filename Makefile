@@ -111,10 +111,12 @@ race:
 # the DML parser (any source parses and validates to a program or an
 # error, never a panic; seeded with the builtin and golden-plan scripts), the
 # HOP rewrite pass (the DAG generated from any seed and size rewrites to the
-# fixpoint of the separate reference passes in rewrite_ref_test.go) and the
+# fixpoint of the separate reference passes in rewrite_ref_test.go), the
 # federated worker's request handler (any gob-decoded request frame is
 # answered, never a panic — which would end the worker process — and nothing
-# allocated from a length the frame did not pay for).
+# allocated from a length the frame did not pay for) and the AVX2 row kernels
+# of + - * / (any row of 0–67 cells of any bits: every kernel variant equal
+# to its scalar loop by bits and by non-zero count).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime 10s ./internal/hops/
 	$(GO) test -run '^$$' -fuzz FuzzWorkerHandle -fuzztime 10s ./internal/fed/
+	$(GO) test -run '^$$' -fuzz FuzzCellRowKernels -fuzztime 10s ./internal/matrix/
 
 # The repo's benchmark (bench/, a module of its own; see bench/README.md):
 # all eight script-level workloads, every end-to-end and per-layer metric by

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,41 @@ func TestRepoLintClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// fmaMnemonic matches the x86 fused multiply-add family: VFMADD*, VFMSUB*
+// (with VFMADDSUB* / VFMSUBADD*), VFNMADD* and VFNMSUB*.
+var fmaMnemonic = regexp.MustCompile(`\bVFN?M(ADD|SUB)\w*`)
+
+// TestKernelAssemblyHasNoFMA is nofma for the assembly the analyzers cannot
+// read: no amd64 assembly file of a kernel package (the GEMM micro-kernel and
+// the arithmetic row kernels of internal/matrix) may use a fused multiply-add
+// instruction, since every product and sum must round as the scalar Go loops
+// round them. Comments are not scanned.
+func TestKernelAssemblyHasNoFMA(t *testing.T) {
+	var files []string
+	for pkg := range kernelPkgs {
+		found, err := filepath.Glob(filepath.Join("../../internal", pkg, "*_amd64.s"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, found...)
+	}
+	if len(files) == 0 {
+		t.Fatal("no *_amd64.s file in the kernel packages: the scan would pass vacuously")
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if m := fmaMnemonic.FindString(code); m != "" {
+				t.Errorf("%s:%d: %s is a fused multiply-add: products and sums must round separately (bitwise kernel contract)", f, i+1, m)
+			}
+		}
 	}
 }
 

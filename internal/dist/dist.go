@@ -270,10 +270,21 @@ func MatMult(a *BlockedMatrix, b *matrix.MatrixBlock, threads int) (*BlockedMatr
 // ascending order with matrix.TSMMAcc, each on the kernel's own threads, so
 // every cell adds X's rows in ascending order and the result has
 // matrix.TSMM's bits for finite inputs. A strip of several column blocks is
-// assembled by Region first.
+// assembled by Region first. Row-strip views (one column block) are their
+// View's array in order, so they take one TSMMAcc over View: the same rows
+// added in the same order, on one kernel call.
 func TSMM(x *BlockedMatrix, threads int) (*matrix.MatrixBlock, error) {
 	out := matrix.NewDense(x.Cols, x.Cols)
 	if x.Rows == 0 || x.Cols == 0 {
+		return out, nil
+	}
+	if x.View != nil {
+		sp := obs.Begin(obs.CatDist, "tsmm")
+		err := matrix.TSMMAcc(out, x.View, threads)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
 		return out, nil
 	}
 	for bi := 0; bi < x.GridRows(); bi++ {

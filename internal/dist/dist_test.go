@@ -415,6 +415,45 @@ func TestTSMMMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestTSMMOverViewsMatchesPerStrip: over row-strip views TSMM makes one
+// TSMMAcc call on their array, with the bits of one call per strip in
+// ascending order — ragged last strips, blocksizes 7, 100 and 1024, T = 1, 2
+// and 3, and shapes whose strips run the simple kernel while the whole array
+// runs the tiled one as well as shapes on one side of that crossover.
+func TestTSMMOverViewsMatchesPerStrip(t *testing.T) {
+	for _, sh := range [][2]int{{45001, 7}, {1003, 7}, {203, 60}, {2003, 60}, {1030, 100}} {
+		m, n := sh[0], sh[1]
+		x := matrix.RandUniform(m, n, -1, 1, 1.0, int64(m+n))
+		for _, bs := range []int{7, 100, 1024} {
+			if n > bs {
+				continue
+			}
+			bx, err := FromMatrixBlock(x, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bx.View == nil || m%bs == 0 {
+				t.Fatalf("%dx%d bs=%d: want row-strip views with a ragged last strip", m, n, bs)
+			}
+			for _, th := range []int{1, 2, 3} {
+				want := matrix.NewDense(n, n)
+				for _, strip := range bx.Blocks {
+					if err := matrix.TSMMAcc(want, strip, th); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := TSMM(bx, th)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameBits(got, want); err != nil {
+					t.Errorf("%dx%d bs=%d T=%d: %v", m, n, bs, th, err)
+				}
+			}
+		}
+	}
+}
+
 func TestForEachBlockStopsAfterError(t *testing.T) {
 	boom := errors.New("boom")
 	var executed atomic.Int64

@@ -88,22 +88,41 @@ var standardize = &matrix.CellProgram{
 	NumArgs: 3,
 }
 
+// benchStandardize times the fused (X - mu) / sd with row vectors mu and sd.
+func benchStandardize(b *testing.B, rows, cols int) {
+	x := matrix.RandUniform(rows, cols, -3, 3, 1.0, 5)
+	mu := matrix.RandUniform(1, cols, -1, 1, 1.0, 6)
+	sd := matrix.RandUniform(1, cols, 0.5, 2, 1.0, 7)
+	args := []matrix.CellArg{{Mat: x}, {Mat: mu}, {Mat: sd}}
+	benchCellwise(b, 16*rows*cols, func() *matrix.MatrixBlock {
+		out, err := matrix.FusedCell(standardize, args, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
+	})
+}
+
 // BenchmarkFusedCell2Op and BenchmarkUnfusedCell2Op run the same chain as one
 // fused instruction and as two operators with a materialized intermediate;
 // both report throughput over the bytes the fused form moves.
-func BenchmarkFusedCell2Op(b *testing.B) {
+func BenchmarkFusedCell2Op(b *testing.B) { forCellShapes(b, benchStandardize) }
+
+// BenchmarkCellwiseStandardise is the prepared-scoring chain with the AVX2
+// row kernels on ("avx2") and off ("scalar", the loops they must match bit
+// for bit): the kernel ruler of the vector lanes. On a machine without AVX2
+// both rows run the scalar loops.
+func BenchmarkCellwiseStandardise(b *testing.B) {
 	forCellShapes(b, func(b *testing.B, rows, cols int) {
-		x := matrix.RandUniform(rows, cols, -3, 3, 1.0, 5)
-		mu := matrix.RandUniform(1, cols, -1, 1, 1.0, 6)
-		sd := matrix.RandUniform(1, cols, 0.5, 2, 1.0, 7)
-		args := []matrix.CellArg{{Mat: x}, {Mat: mu}, {Mat: sd}}
-		benchCellwise(b, 16*rows*cols, func() *matrix.MatrixBlock {
-			out, err := matrix.FusedCell(standardize, args, 1, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return out
-		})
+		for _, lanes := range []struct {
+			name string
+			on   bool
+		}{{"avx2", true}, {"scalar", false}} {
+			b.Run(lanes.name, func(b *testing.B) {
+				defer matrix.SetVectorKernels(matrix.SetVectorKernels(lanes.on))
+				benchStandardize(b, rows, cols)
+			})
+		}
 	})
 }
 

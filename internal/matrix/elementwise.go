@@ -214,6 +214,23 @@ func elemThreads(threads, cells int) int {
 // data-dependent branch (the evaluator counts only the row it writes into an
 // output block). Zeros are written unsigned (pz). dst may alias an operand:
 // every cell is read before it is written.
+//
+// The four arithmetic operators run their leading whole vectors of cellLanes
+// cells in the AVX2 kernels (cell_amd64.s) when useAVX2 is set; the scalar
+// loops take the ragged tail and are the reference the vector lanes match
+// bit for bit (see DESIGN.md "Determinism").
+
+// cellLanes is the width of one AVX2 vector of float64.
+const cellLanes = 4
+
+// vectorCells is how many leading cells of an n-cell row the AVX2 kernels
+// take for op: the whole vectors, when the gate is on and op is + - * or /.
+func vectorCells(op BinaryOp, n int) int {
+	if !useAVX2 || op > OpDiv {
+		return 0
+	}
+	return n &^ (cellLanes - 1)
+}
 
 // pz returns v with a negative zero turned into +0: a sparse block cannot hold
 // the sign of a zero, so no cell-wise kernel writes one, and a result does not
@@ -225,6 +242,11 @@ func pz(v float64) float64 { return float64(v) + 0 }
 
 func binaryRowVV(op BinaryOp, dst, a, b []float64, count bool) (nnz int) {
 	a, b = a[:len(dst)], b[:len(dst)]
+	if n := vectorCells(op, len(dst)); n > 0 {
+		nnz = cellRowVV(op, &dst[0], &a[0], &b[0], n, count)
+		dst, a, b = dst[n:], a[n:], b[n:]
+	}
+	a, b = a[:len(dst)], b[:len(dst)] // lets the loops drop their bounds checks
 	switch {
 	case op == OpAdd && !count:
 		for c := range dst {
@@ -288,6 +310,11 @@ func binaryRowVV(op BinaryOp, dst, a, b []float64, count bool) (nnz int) {
 }
 
 func binaryRowVS(op BinaryOp, dst, a []float64, s float64, count bool) (nnz int) {
+	a = a[:len(dst)]
+	if n := vectorCells(op, len(dst)); n > 0 {
+		nnz = cellRowVS(op, &dst[0], &a[0], s, n, count)
+		dst, a = dst[n:], a[n:]
+	}
 	a = a[:len(dst)]
 	switch {
 	case op == OpAdd && !count:
@@ -353,10 +380,15 @@ func binaryRowVS(op BinaryOp, dst, a []float64, s float64, count bool) (nnz int)
 
 func binaryRowSV(op BinaryOp, dst []float64, s float64, b []float64, count bool) (nnz int) {
 	b = b[:len(dst)]
+	if n := vectorCells(op, len(dst)); n > 0 {
+		nnz = cellRowSV(op, &dst[0], s, &b[0], n, count)
+		dst, b = dst[n:], b[n:]
+	}
+	b = b[:len(dst)]
 	switch {
 	case op == OpAdd || op == OpMul:
 		// IEEE addition and multiplication commute, NaN payloads aside
-		return binaryRowVS(op, dst, b, s, count)
+		return nnz + binaryRowVS(op, dst, b, s, count)
 	case op == OpSub && !count:
 		for c := range dst {
 			dst[c] = pz(s - b[c])

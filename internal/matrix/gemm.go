@@ -241,7 +241,7 @@ func packATPanels(dst, x []float64, n, p0, kc, c0, mc int) {
 // kernel. Both paths accumulate every cell in ascending-k order and round
 // after the multiply and after the add, so they are bitwise interchangeable.
 func gemmMicroTile(ap, bp []float64, kc int, cv []float64, ci, ldc int) {
-	if gemmAsmAvailable {
+	if useAVX2 {
 		gemmMicroAVX2Asm(&ap[0], &bp[0], kc, &cv[ci], ldc*8)
 		return
 	}

@@ -12,6 +12,8 @@ func gemmMicroAVX2Asm(ap, bp *float64, kc int, c *float64, ldb int)
 // Implemented in gemm_amd64.s.
 func x86HasAVX2() bool
 
-// gemmAsmAvailable gates the vectorized micro-kernel; when false every tiled
-// path runs the (bitwise-identical) scalar micro-kernel.
-var gemmAsmAvailable = x86HasAVX2()
+// useAVX2 is the one gate of the AVX2 kernels, the GEMM micro-kernel and the
+// arithmetic row kernels (cell_amd64.s): when false every path runs its
+// bitwise-identical scalar loop. A var, so tests can force the scalar
+// reference.
+var useAVX2 = x86HasAVX2()

@@ -188,17 +188,17 @@ func TestTiledTSMMBitwiseEqualsSimple(t *testing.T) {
 // disabling the assembly kernel must not change a single bit, which is what
 // makes results architecture-independent.
 func TestTiledScalarFallbackBitwise(t *testing.T) {
-	prev := gemmAsmAvailable
-	t.Cleanup(func() { gemmAsmAvailable = prev })
+	prev := useAVX2
+	t.Cleanup(func() { useAVX2 = prev })
 	for _, dims := range [][3]int{{129, 67, 129}, {4, 256, 4}, {5, 300, 3}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := RandUniform(m, k, -1, 1, 1.0, int64(m+k+n))
 		b := RandUniform(k, n, -1, 1, 1.0, int64(m*k+n))
-		gemmAsmAvailable = prev
+		useAVX2 = prev
 		want := multDenseDense(a, b, 2, gemmTiled)
-		gemmAsmAvailable = false
+		useAVX2 = false
 		got := multDenseDense(a, b, 2, gemmTiled)
-		gemmAsmAvailable = prev
+		useAVX2 = prev
 		bitwiseEqual(t, want, got, "scalar-fallback multiply")
 	}
 }

@@ -249,9 +249,11 @@ func (c *Context) Execute(script string, inputs map[string]any, outputs ...strin
 // ExplainPlan compiles a DML script against the given inputs and returns the
 // physical plan chosen by the cost-based planner: per operator the
 // dimensions, memory estimate, CP/DIST placement, the matmult strategy
-// (broadcast-left/right, grid join, shuffle) and the modeled compute and
-// shuffle costs. Blocks whose sizes are unknown at compile time show their
-// conservative initial plan; dynamic recompilation re-plans them at runtime.
+// (broadcast-left/right, grid join), the modeled FLOPs, output bytes and
+// bytes moved between blocks, the kernel class (compressed or tiled) and a
+// fused chain's signature. Blocks whose sizes are unknown at compile time
+// show their conservative initial plan; dynamic recompilation re-plans them
+// at runtime.
 func (c *Context) ExplainPlan(script string, inputs map[string]any) (string, error) {
 	return c.engine.ExplainPlan(script, inputs)
 }
