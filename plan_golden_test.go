@@ -112,6 +112,40 @@ parfor (i in 1:4) {
   R[, i] = solve(Gr + Gs + diag(matrix(0.001 * i, rows=ncol(Xr), cols=1)), b)
 }
 `, []string{"Gr", "Gs", "w", "R"}},
+	{"aggregates", `
+for (i in 1:3) {
+  s1 = sum(X)
+  s2 = mean(X)
+  s3 = min(X)
+  s4 = max(X)
+  s5 = var(X)
+  s6 = sd(X)
+  s7 = median(X)
+  s8 = trace(X)
+  s9 = nnz(X)
+  n1 = nrow(X)
+  n2 = ncol(X)
+  n3 = length(X)
+  R1 = rowSums(X)
+  R2 = rowMeans(X)
+  R3 = rowMins(X)
+  R4 = rowMaxs(X)
+  R5 = rowIndexMax(X)
+  C1 = colSums(X)
+  C2 = colMeans(X)
+  C3 = colMins(X)
+  C4 = colMaxs(X)
+  C5 = colVars(X)
+  C6 = colSds(X)
+  S = cumsum(X)
+  f1 = sum(X * X)
+  f2 = min(X - i)
+  f3 = max(X + i)
+  F1 = colSums(X * X)
+  F2 = rowSums(X * i)
+}
+`, []string{"s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "n1", "n2", "n3",
+		"R1", "R2", "R3", "R4", "R5", "C1", "C2", "C3", "C4", "C5", "C6", "S", "f1", "f2", "f3", "F1", "F2"}},
 }
 
 var goldenConfigs = []struct {
