@@ -66,7 +66,11 @@ test:
 # the full, row and column aggregates of the blocked backend bitwise-equal
 # to their CP kernels over ragged, dense, sparse, mixed and empty inputs at
 # blocksizes 7 to 1024 and 1, 2, 3 and 7 pool workers; every golden key's
-# outputs equal to its fusion twin's and its placement twin's), the cellwise
+# outputs equal to its fusion twin's and its placement twin's), the
+# aggregate table repeated (every row through the aggregate ladder on dense,
+# CSR, compressed and blocked operands at T = 1, 2, 3, bitwise against the
+# local rung but for the compressed sums; blocked rand drawing the cells of
+# the local kernel), the cellwise
 # ladder repeated (dist.Cell bitwise-equal to matrix.FusedCell over every
 # operator family, scalar and vector operands on either side and chains,
 # ragged dense, sparse and mixed inputs, blocksizes 7 to 1024 and 1, 2, 3
@@ -94,6 +98,7 @@ race:
 	$(GO) test -race -run 'TestPartitionViewsTheDenseArray|TestPartitionCopiesWhereViewsWouldDiffer|TestMatMultBroadcastMatchesLocal|TestViewMemoCountsTheArrayOnce|TestInPlaceOnlyWhenNothingElseSees|TestViewsOfRecycledArraysAreNeverRead|TestLeftIndexAfterViewPartition|TestBlockedMatchesLocalUnderPool|TestConcatenationCountsSharedBlocksOnce|TestEvictingASharerFreesOnlyWhatNoOneHolds|TestRBindLoopStaysCounted' -count=3 . ./internal/dist/ ./internal/runtime/
 	$(GO) test -race -run 'TestRecompileMemoHitsOnStableSizes|TestLifecyclePlansOncePerPlanVisibleSize|TestRecompilePlansAlikeFromExactAndVisibleSizes' -count=3 . ./internal/compiler/
 	$(GO) test -race -run 'TestMatMultBBMatchesLocal|TestMatMultBBBitwiseAboveTiledCrossover|TestTSMMMatchesLocal|TestAggregationsMatchLocal|TestGoldenOutputsIgnoreFusionAndPlacement' -count=3 . ./internal/dist/
+	$(GO) test -race -run 'TestAggregateTableOnEveryRung|TestRandGeneratesBlockedDirectly' -count=3 ./internal/instructions/ ./internal/core/
 	$(GO) test -race -run 'TestCellMatchesLocal|TestCellRejectsMisshapedOperands|TestFusedChainOverBlockedOperandRunsBlocked|TestBlockedVectorBesideLocalMatrixRunsLocally' -count=3 ./internal/dist/ ./internal/core/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|XtYBlocked|TSMMBlocked' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 

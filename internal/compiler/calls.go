@@ -15,10 +15,6 @@ import (
 // dedicated instructions (as opposed to DML-bodied builtins).
 var nativeBuiltins = map[string]bool{
 	"t": true, "diag": true, "rev": true,
-	"sum": true, "mean": true, "min": true, "max": true, "var": true, "sd": true,
-	"trace": true, "nrow": true, "ncol": true, "length": true, "median": true,
-	"colSums": true, "colMeans": true, "colMaxs": true, "colMins": true, "colVars": true, "colSds": true,
-	"rowSums": true, "rowMeans": true, "rowMaxs": true, "rowMins": true, "rowIndexMax": true, "cumsum": true,
 	"solve": true, "inv": true, "cholesky": true, "eigen": true,
 	"cbind": true, "rbind": true,
 	"rand": true, "matrix": true, "seq": true, "sample": true,
@@ -27,11 +23,21 @@ var nativeBuiltins = map[string]bool{
 	"removeEmpty": true, "replace": true, "order": true, "table": true, "quantile": true,
 	"print": true, "stop": true, "assert": true, "write": true, "read": true,
 	"transformencode": true, "transformapply": true,
-	"nnz": true, "compress": true,
+	"compress": true,
 }
 
-// isNativeBuiltin reports whether the function name is a native builtin.
-func isNativeBuiltin(name string) bool { return nativeBuiltins[name] || isUnaryMath(name) }
+// isNativeBuiltin reports whether the function name is a native builtin: one
+// of the list above, a cellwise unary operator or an aggregate.
+func isNativeBuiltin(name string) bool {
+	return nativeBuiltins[name] || isUnaryMath(name) || isAggregate(name)
+}
+
+// isAggregate reports whether the function name is a row of the aggregate
+// table.
+func isAggregate(name string) bool {
+	_, ok := matrix.AggregateOf(name)
+	return ok
+}
 
 // isUnaryMath reports whether the function name is a cellwise unary operator
 // of the operator table called like a function (abs, exp, is.nan, ...): every
@@ -39,16 +45,6 @@ func isNativeBuiltin(name string) bool { return nativeBuiltins[name] || isUnaryM
 func isUnaryMath(name string) bool {
 	op, ok := matrix.UnaryOpFromString(name)
 	return ok && op != matrix.OpNeg && op != matrix.OpNot
-}
-
-var scalarAggBuiltins = map[string]bool{
-	"sum": true, "mean": true, "var": true, "sd": true, "trace": true,
-	"nrow": true, "ncol": true, "length": true, "median": true, "nnz": true,
-}
-
-var vectorAggBuiltins = map[string]bool{
-	"colSums": true, "colMeans": true, "colMaxs": true, "colMins": true, "colVars": true, "colSds": true,
-	"rowSums": true, "rowMeans": true, "rowMaxs": true, "rowMins": true, "rowIndexMax": true, "cumsum": true,
 }
 
 // buildCall converts a native builtin function call into a HOP.
@@ -94,33 +90,24 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 		h := hops.NewHop(hops.KindReorg, op, in)
 		h.DataType = types.Matrix
 		return h, nil
-	case scalarAggBuiltins[name] || vectorAggBuiltins[name]:
-		in, err := argHop(0)
-		if err != nil {
-			return nil, err
-		}
-		h := hops.NewHop(hops.KindAggUnary, name, in)
-		if scalarAggBuiltins[name] {
-			h.DataType = types.Scalar
-			h.ValueType = types.FP64
-		} else {
-			h.DataType = types.Matrix
-		}
-		return h, nil
-	case (name == "min" || name == "max") && len(positional) == 1:
-		in, err := argHop(0)
-		if err != nil {
-			return nil, err
-		}
-		h := hops.NewHop(hops.KindAggUnary, name, in)
-		h.DataType = types.Scalar
-		return h, nil
 	case (name == "min" || name == "max") && len(positional) >= 2:
 		h := hops.NewHop(hops.KindBinary, name, positional[0], positional[1])
 		if positional[0].DataType == types.Matrix || positional[1].DataType == types.Matrix {
 			h.DataType = types.Matrix
 		} else {
 			h.DataType = types.Scalar
+		}
+		return h, nil
+	case isAggregate(name):
+		in, err := argHop(0)
+		if err != nil {
+			return nil, err
+		}
+		h := hops.NewHop(hops.KindAggUnary, name, in)
+		h.DataType = types.Matrix
+		if agg, _ := matrix.AggregateOf(name); agg.Axis == matrix.AggFull {
+			h.DataType = types.Scalar
+			h.ValueType = types.FP64
 		}
 		return h, nil
 	case isUnaryMath(name):

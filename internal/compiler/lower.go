@@ -314,11 +314,7 @@ func lowerOp(h *hops.Hop) (runtime.Instruction, error) {
 	case hops.KindUnary:
 		return instructions.NewUnary(h.Op, out, in(0)), nil
 	case hops.KindAggUnary:
-		op := h.Op
-		if op == "nnz" {
-			op = "sum" // nnz lowered as sum over (X != 0) is handled upstream; direct fallback
-		}
-		return instructions.NewAgg(op, out, in(0)), nil
+		return instructions.NewAgg(h.Op, out, in(0)), nil
 	case hops.KindMatMult:
 		inst := instructions.NewMatMult(out, in(0), in(1))
 		inst.Method = h.MMPlan
@@ -355,7 +351,7 @@ func lowerOp(h *hops.Hop) (runtime.Instruction, error) {
 		if h.Kind == hops.KindFusedCell {
 			return instructions.NewFusedCell(h.Op, out, h.Fused.Prog, args), nil
 		}
-		return instructions.NewFusedAgg(h.Fused.Kind, out, h.Fused.Prog, args), nil
+		return instructions.NewFusedAgg(h.Fused.Agg, out, h.Fused.Prog, args), nil
 	case hops.KindReorg:
 		var opcode string
 		switch h.Op {

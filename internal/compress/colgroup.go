@@ -13,8 +13,6 @@
 package compress
 
 import (
-	"math"
-
 	"github.com/systemds/systemds-go/internal/matrix"
 )
 
@@ -86,11 +84,12 @@ type ColGroup interface {
 	// structure (codes, run positions) is shared, only the value dictionary
 	// is rewritten — the dictionary-only update of CLA.
 	MapValues(fn func(dst, src []float64)) ColGroup
-	// Sum returns the sum of all cells, SumSq the sum of squares.
+	// Sum returns the sum of all cells.
 	Sum() float64
-	SumSq() float64
-	// MinMax returns the smallest and largest cell value of the group.
-	MinMax() (float64, float64)
+	// Fold folds the group's cell values into acc by op, a min or max
+	// reduction: every value that occurs is folded at least once, which is
+	// exact for them, and by op's rule a NaN is never kept.
+	Fold(op matrix.Reduction, acc float64) float64
 	// ColAggInto writes per-column sums into out (global column indexing).
 	ColSumsInto(out []float64)
 	// RowSumsAccum accumulates per-row sums for rows [r0, r1).
@@ -276,31 +275,8 @@ func (g *DDCGroup) Sum() float64 {
 	return s
 }
 
-// SumSq implements ColGroup.
-func (g *DDCGroup) SumSq() float64 {
-	w := len(g.Cols)
-	var s float64
-	for k, cnt := range g.Counts {
-		var ts float64
-		for j := 0; j < w; j++ {
-			d := g.Dict[k*w+j]
-			ts += float64(d * d)
-		}
-		s += float64(float64(cnt) * ts)
-	}
-	return s
-}
-
-// MinMax implements ColGroup. Every dictionary tuple occurs at least once, so
-// scanning the dictionary is exact.
-func (g *DDCGroup) MinMax() (float64, float64) {
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for _, d := range g.Dict {
-		mn = math.Min(mn, d)
-		mx = math.Max(mx, d)
-	}
-	return mn, mx
-}
+// Fold implements ColGroup. Every dictionary tuple occurs at least once.
+func (g *DDCGroup) Fold(op matrix.Reduction, acc float64) float64 { return op.Fold(acc, g.Dict) }
 
 // ColSumsInto implements ColGroup.
 func (g *DDCGroup) ColSumsInto(out []float64) {
@@ -455,24 +431,8 @@ func (g *RLEGroup) Sum() float64 {
 	return s
 }
 
-// SumSq implements ColGroup.
-func (g *RLEGroup) SumSq() float64 {
-	var s float64
-	for i, v := range g.Values {
-		s += float64(v * v * float64(g.Lens[i]))
-	}
-	return s
-}
-
-// MinMax implements ColGroup.
-func (g *RLEGroup) MinMax() (float64, float64) {
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for _, v := range g.Values {
-		mn = math.Min(mn, v)
-		mx = math.Max(mx, v)
-	}
-	return mn, mx
-}
+// Fold implements ColGroup.
+func (g *RLEGroup) Fold(op matrix.Reduction, acc float64) float64 { return op.Fold(acc, g.Values) }
 
 // ColSumsInto implements ColGroup.
 func (g *RLEGroup) ColSumsInto(out []float64) { out[g.Col] += g.Sum() }
@@ -561,15 +521,10 @@ func (g *UncompressedGroup) MapValues(fn func(dst, src []float64)) ColGroup {
 //sysds:ok(threadplumb): group-level aggregation is sequential by design — CompressedMatrix aggregates visit groups in order, and the uncompressed fallback group covers only the few incompressible columns
 func (g *UncompressedGroup) Sum() float64 { return matrix.Sum(g.Data, 1) }
 
-// SumSq implements ColGroup.
-//
-//sysds:ok(threadplumb): group-level aggregation is sequential by design (see Sum)
-func (g *UncompressedGroup) SumSq() float64 { return matrix.SumSq(g.Data, 1) }
-
-// MinMax implements ColGroup.
-func (g *UncompressedGroup) MinMax() (float64, float64) {
+// Fold implements ColGroup.
+func (g *UncompressedGroup) Fold(op matrix.Reduction, acc float64) float64 {
 	//sysds:ok(threadplumb): group-level aggregation is sequential by design (see Sum)
-	return matrix.Min(g.Data, 1), matrix.Max(g.Data, 1)
+	return op.Fold(acc, []float64{matrix.ReduceAll(op, g.Data, 1)})
 }
 
 // ColSumsInto implements ColGroup.

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -148,14 +149,11 @@ func TestCompressedKernelsMatchUncompressed(t *testing.T) {
 				if !relClose(cm.Sum(), matrix.Sum(m, threads)) {
 					t.Errorf("sum = %v, want %v", cm.Sum(), matrix.Sum(m, threads))
 				}
-				if !relClose(cm.SumSq(), matrix.SumSq(m, threads)) {
-					t.Errorf("sumsq = %v, want %v", cm.SumSq(), matrix.SumSq(m, threads))
+				if got := compressedValue(t, cm, "min"); !relClose(got, matrix.Min(m, threads)) {
+					t.Errorf("min = %v, want %v", got, matrix.Min(m, threads))
 				}
-				if !relClose(cm.Min(), matrix.Min(m, threads)) {
-					t.Errorf("min = %v, want %v", cm.Min(), matrix.Min(m, threads))
-				}
-				if !relClose(cm.Max(), matrix.Max(m, threads)) {
-					t.Errorf("max = %v, want %v", cm.Max(), matrix.Max(m, threads))
+				if got := compressedValue(t, cm, "max"); !relClose(got, matrix.Max(m, threads)) {
+					t.Errorf("max = %v, want %v", got, matrix.Max(m, threads))
 				}
 				assertMatClose(t, cm.ColSums(), matrix.ColSums(m, threads), "colsums")
 				assertMatClose(t, cm.RowSums(threads), matrix.RowSums(m, threads), "rowsums")
@@ -339,5 +337,54 @@ func TestAchievedRatioRecheck(t *testing.T) {
 	if ok && cm.InMemorySize() > m.InMemorySize() {
 		t.Fatalf("accepted an encoding larger than the input: %dB vs %dB (est ratio %.2f)",
 			cm.InMemorySize(), m.InMemorySize(), plan.EstRatio)
+	}
+}
+
+// compressedValue runs a full aggregate of the aggregate table on cm's column
+// groups.
+func compressedValue(t *testing.T, cm *CompressedMatrix, name string) float64 {
+	t.Helper()
+	agg, _ := matrix.AggregateOf(name)
+	v, _, ok := cm.Aggregate(agg, 1)
+	if !ok {
+		t.Fatalf("%s has no compressed kernel", name)
+	}
+	return v
+}
+
+// TestCompressedExtremesNeverKeepNaN: the compressed min and max fold every
+// group's values by the rule of the aggregate table's reductions, as the
+// local kernels do, so a NaN cell is never the result and ±Inf are ordinary
+// values; nnz counts a NaN and not a -0. Each case holds the compressed
+// result to the local rung bitwise, over DDC columns, a mostly-constant
+// column with NaN exceptions and an all-NaN column.
+func TestCompressedExtremesNeverKeepNaN(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	for _, levels := range [][][]float64{
+		{{0, 1, 2, nan}, {4, 3, nan}, {nan}},
+		{{inf, -3, 0, nan}, {-inf, 5, negZero}, {nan}},
+		{{7, 7, 7, 7, 7, 7, 7, 7, 7, nan}, {2, 3}},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		const rows, cols = 2000, 6
+		m := matrix.NewDense(rows, cols)
+		for c := 0; c < cols; c++ {
+			lv := levels[c%len(levels)]
+			for r := 0; r < rows; r++ {
+				m.Set(r, c, lv[rng.Intn(len(lv))])
+			}
+		}
+		m.RecomputeNNZ()
+		cm, _, ok := Compress(m, PlannerConfig{}, 1)
+		if !ok {
+			t.Fatalf("%v: does not compress", levels)
+		}
+		for _, name := range []string{"min", "max", "nnz"} {
+			agg, _ := matrix.AggregateOf(name)
+			want, _ := agg.Apply(m, 1)
+			if got := compressedValue(t, cm, name); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v (%s): %s = %v, the local rung %v", levels, cm.EncodingSummary(), name, got, want)
+			}
+		}
 	}
 }

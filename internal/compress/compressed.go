@@ -2,7 +2,6 @@ package compress
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 )
@@ -198,42 +197,32 @@ func (c *CompressedMatrix) Sum() float64 {
 	return s
 }
 
-// SumSq returns the sum of squared cells.
-func (c *CompressedMatrix) SumSq() float64 {
-	var s float64
-	for _, g := range c.Groups {
-		s += g.SumSq()
+// Aggregate runs a row of the aggregate table on the column groups, without
+// decompressing, where the row's reduction and axis have a kernel here: sums
+// over the matrix, its rows or its columns (dictionary-weighted counts, so
+// within rounding of the local rung, not bitwise), the full min and max (each
+// group's values folded by the row's rule, so a NaN is never kept) and nnz.
+// A mean is finished like any rung's. ok is false for every other row, which
+// runs on the decompressed matrix.
+func (c *CompressedMatrix) Aggregate(agg *matrix.Aggregate, threads int) (v float64, vec *matrix.MatrixBlock, ok bool) {
+	switch red := agg.Red; {
+	case agg.Axis == matrix.AggFull && red == matrix.ReduceSum:
+		v = c.Sum()
+	case agg.Axis == matrix.AggRow && red == matrix.ReduceSum:
+		vec = c.RowSums(threads)
+	case agg.Axis == matrix.AggCol && red == matrix.ReduceSum:
+		vec = c.ColSums()
+	case agg.Axis == matrix.AggFull && (red == matrix.ReduceMin || red == matrix.ReduceMax):
+		v = red.Initial()
+		for _, g := range c.Groups {
+			v = g.Fold(red, v)
+		}
+	case agg.Axis == matrix.AggFull && red == matrix.ReduceNNZ:
+		v = float64(c.NNZ())
+	default:
+		return 0, nil, false
 	}
-	return s
-}
-
-// Mean returns the mean cell value.
-func (c *CompressedMatrix) Mean() float64 {
-	cells := float64(c.NumRows) * float64(c.NumCols)
-	if cells == 0 {
-		return 0
-	}
-	return c.Sum() / cells
-}
-
-// Min returns the smallest cell value.
-func (c *CompressedMatrix) Min() float64 {
-	mn := math.Inf(1)
-	for _, g := range c.Groups {
-		m, _ := g.MinMax()
-		mn = math.Min(mn, m)
-	}
-	return mn
-}
-
-// Max returns the largest cell value.
-func (c *CompressedMatrix) Max() float64 {
-	mx := math.Inf(-1)
-	for _, g := range c.Groups {
-		_, m := g.MinMax()
-		mx = math.Max(mx, m)
-	}
-	return mx
+	return agg.Finish(v, vec, c.NumRows, c.NumCols), vec, true
 }
 
 // ColSums returns the per-column sums as a 1 x n block.

@@ -1,8 +1,9 @@
 package compress
 
 import (
-	"math"
 	"sort"
+
+	"github.com/systemds/systemds-go/internal/matrix"
 )
 
 // --- SDC: sparse dictionary coding with a default value ----------------------
@@ -129,26 +130,12 @@ func (g *SDCGroup) Sum() float64 {
 	return s
 }
 
-// SumSq implements ColGroup.
-func (g *SDCGroup) SumSq() float64 {
-	s := float64(g.Default * g.Default * float64(g.N-len(g.Pos)))
-	for k, d := range g.Dict {
-		s += float64(float64(g.Counts[k]) * d * d)
-	}
-	return s
-}
-
-// MinMax implements ColGroup.
-func (g *SDCGroup) MinMax() (float64, float64) {
-	mn, mx := math.Inf(1), math.Inf(-1)
+// Fold implements ColGroup.
+func (g *SDCGroup) Fold(op matrix.Reduction, acc float64) float64 {
 	if len(g.Pos) < g.N {
-		mn, mx = g.Default, g.Default
+		acc = op.Fold(acc, []float64{g.Default})
 	}
-	for _, d := range g.Dict {
-		mn = math.Min(mn, d)
-		mx = math.Max(mx, d)
-	}
-	return mn, mx
+	return op.Fold(acc, g.Dict)
 }
 
 // ColSumsInto implements ColGroup.

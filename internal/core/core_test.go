@@ -397,8 +397,8 @@ W = winsorize(X, 0.25, 0.75)
 O = outlierByIQR(X, 1.5)
 `, map[string]any{"X": x, "Z": withNaN}, []string{"S", "N", "I", "W", "O"})
 	s := asMatrix(t, res["S"])
-	if math.Abs(matrix.Mean(s, 1)) > 1e-9 {
-		t.Errorf("scaled mean = %v", matrix.Mean(s, 1))
+	if mean := matrix.Sum(s, 1) / float64(s.Rows()*s.Cols()); math.Abs(mean) > 1e-9 {
+		t.Errorf("scaled mean = %v", mean)
 	}
 	n := asMatrix(t, res["N"])
 	if matrix.Min(n, 1) != 0 || matrix.Max(n, 1) != 1 {
@@ -594,5 +594,23 @@ func TestEngineExecuteUnsupportedInput(t *testing.T) {
 	_, _, err := e.Execute(`x = 1`, map[string]any{"bad": struct{}{}}, nil)
 	if err == nil {
 		t.Error("expected unsupported input type error")
+	}
+}
+
+// TestNNZCountsNonZeroCells: nnz(X) counts the cells of X that are not 0 —
+// 4 here, where lowering nnz to sum once answered 9 — and a NaN counts while
+// a -0 does not.
+func TestNNZCountsNonZeroCells(t *testing.T) {
+	e := NewEngine(runtime.DefaultConfig())
+	res := execScript(t, e, `
+X = matrix("1 -2 0 4 0 6", rows=3, cols=2)
+n = nnz(X)
+Y = matrix("1 0 0 0", rows=2, cols=2)
+Y[1, 2] = 0/0
+Y[2, 1] = -0
+m = nnz(Y)
+`, nil, []string{"n", "m"})
+	if res["n"] != 4.0 || res["m"] != 2.0 {
+		t.Errorf("nnz = %v and %v, want 4 and 2", res["n"], res["m"])
 	}
 }

@@ -153,7 +153,9 @@ r = rowSums(Z)`
 // TestRandGeneratesBlockedDirectly asserts the distributed-datagen path: a
 // rand above the operator budget produces blocked partitions directly — the
 // downstream blocked operators consume them with ZERO local-to-blocked
-// repartitions — and a blocked seq is bitwise identical to the local kernel.
+// repartitions — and every cell is the one the local kernel draws from the
+// same seed: uniform and normal, dense and sparse, one and several column
+// blocks, ragged edges.
 func TestRandGeneratesBlockedDirectly(t *testing.T) {
 	cfg := runtime.DefaultConfig()
 	cfg.DistEnabled = true
@@ -181,13 +183,38 @@ s = sum(Y)`
 	if s := res["s"].(float64); s <= 0 {
 		t.Errorf("sum of uniform rand = %v, want > 0", s)
 	}
-	// the same seed generates the same blocked content (deterministic per-block seeds)
-	res2, _, err := NewEngine(cfg).Execute(script, nil, []string{"s"})
-	if err != nil {
-		t.Fatalf("second run failed: %v", err)
-	}
-	if res["s"].(float64) != res2["s"].(float64) {
-		t.Errorf("blocked rand not deterministic: %v vs %v", res["s"], res2["s"])
+	for _, gen := range []string{
+		`rand(rows=96, cols=96, seed=7)`,
+		`rand(rows=100, cols=70, min=-2, max=3, seed=11)`,
+		`rand(rows=101, cols=20, seed=5)`,
+		`rand(rows=100, cols=70, sparsity=0.2, seed=13)`,
+		`rand(rows=100, cols=70, pdf="normal", seed=17)`,
+		`rand(rows=100, cols=70, pdf="normal", sparsity=0.3, seed=19)`,
+		`rand(rows=101, cols=20, pdf="normal", sparsity=0.3, seed=23)`,
+	} {
+		script := "X = " + gen
+		local, _, err := NewEngine(runtime.DefaultConfig()).Execute(script, nil, []string{"X"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocked, stats, err := NewEngine(cfg).Execute(script, nil, []string{"X"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := planOf(stats, "rand"); !ok || stats.DistStats.Partitions != 0 {
+			t.Errorf("%s: not generated blocked (partitions %d)", gen, stats.DistStats.Partitions)
+		}
+		want, got := asMatrix(t, local["X"]), asMatrix(t, blocked["X"])
+		if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+			t.Fatalf("%s: %dx%d, want %dx%d", gen, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+		}
+		for r := 0; r < want.Rows(); r++ {
+			for c := 0; c < want.Cols(); c++ {
+				if math.Float64bits(got.Get(r, c)) != math.Float64bits(want.Get(r, c)) {
+					t.Fatalf("%s: cell (%d,%d) = %v, the local kernel draws %v", gen, r, c, got.Get(r, c), want.Get(r, c))
+				}
+			}
+		}
 	}
 }
 

@@ -332,65 +332,52 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 	}
 }
 
-// TestAggregationsMatchLocal: the blocked aggregates walk FusedChunks over
-// global rows with the CP aggregates' chunk bodies, so each has the bits of
-// its CP kernel — NaN for the mean of no cells, ±Inf for the extremes of no
-// cells included — over the kernel inputs, every blocksize and pool width.
+// TestAggregationsMatchLocal: every row of the aggregate table with a
+// reduction folds it on the blocked walk with the local rung's drivers —
+// FusedChunks over global rows, chunk bodies, chunk order, one Finish — so it
+// has the bits of the row's local rung, NaN for the mean of no cells and ±Inf
+// for the extremes of no cells included, over the kernel inputs, every
+// blocksize and pool width. A row without a reduction has no blocked rung.
 func TestAggregationsMatchLocal(t *testing.T) {
 	for _, in := range kernelInputs() {
 		a := in.x
-		fulls := map[string]float64{
-			"sum": matrix.Sum(a, 1), "sumsq": matrix.SumSq(a, 1), "mean": matrix.Mean(a, 1),
-			"min": matrix.Min(a, 1), "max": matrix.Max(a, 1),
-		}
-		vectors := map[string]*matrix.MatrixBlock{
-			"rowSums": matrix.RowSums(a, 1), "rowMeans": matrix.RowMeans(a, 1),
-			"rowMaxs": matrix.RowMaxs(a), "rowMins": matrix.RowMins(a),
-			"colSums": matrix.ColSums(a, 1), "colMeans": matrix.ColMeans(a, 1),
-			"colMaxs": matrix.ColMaxs(a), "colMins": matrix.ColMins(a),
-		}
-		for _, want := range vectors {
-			want.ExamineAndApplySparsity() // as the collect does
-		}
-		for _, bs := range kernelBlocksizes {
-			ba, _ := FromMatrixBlock(a, bs)
-			for _, th := range poolWidths {
-				name := fmt.Sprintf("%s bs=%d T=%d", in.name, bs, th)
-				for op, want := range fulls {
-					got, err := FullAgg(ba, op, th)
+		for _, agg := range matrix.Aggregates() {
+			if agg.Red == 0 {
+				continue
+			}
+			wantV, want := agg.Apply(a, 1)
+			if want != nil {
+				want.ExamineAndApplySparsity() // as the collect does
+			}
+			for _, bs := range kernelBlocksizes {
+				ba, _ := FromMatrixBlock(a, bs)
+				for _, th := range poolWidths {
+					name := fmt.Sprintf("%s bs=%d T=%d %s", in.name, bs, th, agg.Name)
+					v, res, err := Aggregate(ba, agg, th)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("%s: %s = %v, want %v", name, op, got, want)
-					}
-				}
-				for op, want := range vectors {
-					agg := RowAgg
-					if op[:3] == "col" {
-						agg = ColAgg
-					}
-					res, err := agg(ba, op, th)
-					if err != nil {
-						t.Fatal(err)
+					if want == nil {
+						if res != nil || math.Float64bits(v) != math.Float64bits(wantV) {
+							t.Errorf("%s = %v (vector %v), want %v", name, v, res != nil, wantV)
+						}
+						continue
 					}
 					got, err := res.ToMatrixBlock()
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := sameBits(got, want); err != nil {
-						t.Errorf("%s: %s: %v", name, op, err)
+						t.Errorf("%s: %v", name, err)
 					}
 				}
 			}
 		}
 	}
 	ba, _ := FromMatrixBlock(testMatrix(10, 10), 4)
-	if _, err := FullAgg(ba, "median", 0); err == nil {
-		t.Error("unsupported full aggregate should error")
-	}
-	if _, err := RowAgg(ba, "colSums", 0); err == nil {
-		t.Error("a column aggregate is no row aggregate")
+	median, _ := matrix.AggregateOf("median")
+	if _, _, err := Aggregate(ba, median, 0); err == nil {
+		t.Error("an aggregate without a reduction should error")
 	}
 }
 

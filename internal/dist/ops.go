@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 )
@@ -274,78 +273,20 @@ func CBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	return out, nil
 }
 
-// The aggregates run the CP aggregates' drivers (matrix.FullReduce,
-// RowReduce, ColReduce) on x's walk, so each has the bits of its CP kernel
-// over the collected matrix, min and max with CP's comparison rule. The
-// means divide the sums afterwards, as the CP kernels do.
-var (
-	fullAggs = map[string]matrix.Reduction{"sum": matrix.ReduceSum, "mean": matrix.ReduceSum,
-		"sumsq": matrix.ReduceSumSq, "min": matrix.ReduceMin, "max": matrix.ReduceMax}
-	rowAggs = map[string]matrix.Reduction{"rowSums": matrix.ReduceSum, "rowMeans": matrix.ReduceSum,
-		"rowMins": matrix.ReduceMin, "rowMaxs": matrix.ReduceMax}
-	colAggs = map[string]matrix.Reduction{"colSums": matrix.ReduceSum, "colMeans": matrix.ReduceSum,
-		"colMins": matrix.ReduceMin, "colMaxs": matrix.ReduceMax}
-)
-
-// FullAgg computes a full aggregate (sum, sumsq, mean, min, max) over a
-// blocked matrix, with the bits of matrix.Sum, SumSq, Mean, Min and Max.
-func FullAgg(a *BlockedMatrix, op string, threads int) (float64, error) {
-	red, ok := fullAggs[op]
-	if !ok {
-		return 0, fmt.Errorf("dist: unsupported full aggregate %q", op)
+// Aggregate runs a row of the aggregate table that has a reduction on x's
+// walk: the row folds its reduction with the drivers the local rung runs on
+// a local matrix's walk, so the result has the local rung's bits over the
+// collected matrix — min and max with its comparison rule, a mean divided by
+// the same Finish. It returns a full aggregate's value, or a row or column
+// aggregate's vector, blocked.
+func Aggregate(x *BlockedMatrix, agg *matrix.Aggregate, threads int) (float64, *BlockedMatrix, error) {
+	if agg.Red == 0 {
+		return 0, nil, fmt.Errorf("dist: aggregate %s has no reduction", agg.Name)
 	}
-	res, err := matrix.FullReduce(red, a.Rows, a.walk("full-agg", threads))
-	if err != nil {
-		return 0, err
+	v, vec, err := agg.Reduce(x.Rows, x.Cols, x.walk(agg.Name, threads))
+	if err != nil || vec == nil {
+		return v, nil, err
 	}
-	if op == "mean" {
-		if a.Rows*a.Cols == 0 {
-			return math.NaN(), nil
-		}
-		res /= float64(a.Rows * a.Cols)
-	}
-	return res, nil
-}
-
-// RowAgg computes a row-wise aggregate (rowSums, rowMeans, rowMaxs, rowMins)
-// with the bits of its CP kernel, returning a blocked Rows x 1 column vector.
-func RowAgg(a *BlockedMatrix, op string, threads int) (*BlockedMatrix, error) {
-	red, ok := rowAggs[op]
-	if !ok {
-		return nil, fmt.Errorf("dist: unsupported row aggregate %q", op)
-	}
-	out := matrix.NewDense(a.Rows, 1)
-	vals := out.DenseValues()
-	if err := matrix.RowReduce(red, vals, a.walk("row-agg", threads)); err != nil {
-		return nil, err
-	}
-	if op == "rowMeans" && a.Cols > 0 {
-		for r := range vals {
-			vals[r] /= float64(a.Cols)
-		}
-	}
-	out.RecomputeNNZ()
-	return fromMatrixBlock(out, a.Blocksize)
-}
-
-// ColAgg computes a column-wise aggregate (colSums, colMeans, colMaxs,
-// colMins) with the bits of its CP kernel, returning a blocked 1 x Cols row
-// vector.
-func ColAgg(a *BlockedMatrix, op string, threads int) (*BlockedMatrix, error) {
-	red, ok := colAggs[op]
-	if !ok {
-		return nil, fmt.Errorf("dist: unsupported column aggregate %q", op)
-	}
-	out := matrix.NewDense(1, a.Cols)
-	vals := out.DenseValues()
-	if err := matrix.ColReduce(red, vals, a.Rows, a.walk("col-agg", threads)); err != nil {
-		return nil, err
-	}
-	if op == "colMeans" && a.Rows > 0 {
-		for c := range vals {
-			vals[c] /= float64(a.Rows)
-		}
-	}
-	out.RecomputeNNZ()
-	return fromMatrixBlock(out, a.Blocksize)
+	out, err := fromMatrixBlock(vec, x.Blocksize)
+	return v, out, err
 }

@@ -51,18 +51,11 @@ import (
 // Hop's inputs (the pipeline's leaves, in first-use order) and, for
 // KindFusedAgg, the aggregate on top of it.
 type FusedPlan struct {
-	Agg  string // "sum", "min", "max", "colSums", "rowSums"; "" for KindFusedCell
-	Kind matrix.AggKind
+	Agg  *matrix.Aggregate // the aggregate table's row; nil for KindFusedCell
 	Prog *matrix.CellProgram
 	// OutNNZ is the non-zero bound size propagation derived for the root
 	// operator of a KindFusedCell before it was rewritten (-1 when unknown).
 	OutNNZ int64
-}
-
-// fusableAggs maps aggregation HOP ops to fused aggregate kinds.
-var fusableAggs = map[string]matrix.AggKind{
-	"sum": matrix.AggSum, "min": matrix.AggMin, "max": matrix.AggMax,
-	"colSums": matrix.AggColSums, "rowSums": matrix.AggRowSums,
 }
 
 // FuseOperators runs the fusion pattern matcher over a rewritten,
@@ -222,8 +215,8 @@ func isColVector(h *Hop, rows int64) bool {
 func fuseAggPipelines(d *DAG, p PlannerParams) {
 	consumers := d.consumerCounts()
 	for _, h := range d.Nodes() {
-		aggKind, ok := fusableAggs[h.Op]
-		if h.Kind != KindAggUnary || !ok || len(h.Inputs) != 1 {
+		agg, ok := matrix.AggregateOf(h.Op)
+		if h.Kind != KindAggUnary || !ok || !agg.Fusable || len(h.Inputs) != 1 {
 			continue
 		}
 		// the root must itself be a fusable cellwise operator: aggregating a
@@ -237,7 +230,7 @@ func fuseAggPipelines(d *DAG, p PlannerParams) {
 			continue
 		}
 		h.Kind = KindFusedAgg
-		h.Fused = &FusedPlan{Agg: h.Op, Kind: aggKind, Prog: b.program(root)}
+		h.Fused = &FusedPlan{Agg: agg, Prog: b.program(root)}
 		d.rewire(h, b.args)
 		consumers = d.consumerCounts()
 	}

@@ -225,7 +225,7 @@ func (h *Hop) signature() string {
 		b = strconv.AppendInt(append(appendField(b, k), '='), h.Params[k].ID, 10)
 	}
 	if h.Fused != nil {
-		b = appendField(appendField(b, h.Fused.Agg), h.Fused.Prog.Signature())
+		b = appendField(appendField(b, h.Fused.Agg.String()), h.Fused.Prog.Signature())
 	}
 	return string(b)
 }

@@ -157,6 +157,27 @@ func TestPropagateSizesAndMemEstimates(t *testing.T) {
 	}
 }
 
+// TestAggregateShapesFromTheTable: size propagation reads every aggregate's
+// output shape off its row of the aggregate table — cumsum keeps its input's
+// dimensions, where a list of names once gave it a scalar's 0x0.
+func TestAggregateShapesFromTheTable(t *testing.T) {
+	x := NewRead("X", types.Matrix)
+	known := map[string]types.DataCharacteristics{"X": types.NewDataCharacteristics(100, 20, 1024, 2000)}
+	want := map[matrix.AggAxis][2]int64{matrix.AggFull: {0, 0}, matrix.AggRow: {100, 1}, matrix.AggCol: {1, 20}, matrix.AggSame: {100, 20}}
+	for _, agg := range matrix.Aggregates() {
+		h := NewHop(KindAggUnary, agg.Name, x)
+		PropagateSizes(&DAG{Roots: []*Hop{NewWrite("a", h)}}, known)
+		if w := want[agg.Axis]; h.DC.Rows != w[0] || h.DC.Cols != w[1] {
+			t.Errorf("%s(X) is %dx%d, want %dx%d", agg.Name, h.DC.Rows, h.DC.Cols, w[0], w[1])
+		}
+	}
+	cumsum := NewHop(KindAggUnary, "cumsum", x)
+	PropagateSizes(&DAG{Roots: []*Hop{NewWrite("c", cumsum)}}, known)
+	if cumsum.DC.Rows != 100 || cumsum.DC.Cols != 20 {
+		t.Errorf("cumsum(X) is %dx%d, want X's 100x20", cumsum.DC.Rows, cumsum.DC.Cols)
+	}
+}
+
 func TestPropagateSizesSpecificOps(t *testing.T) {
 	x := NewRead("X", types.Matrix)
 	known := map[string]types.DataCharacteristics{"X": types.NewDataCharacteristics(100, 20, 1024, 2000)}
@@ -379,7 +400,8 @@ func TestSignatureMatchesFormatted(t *testing.T) {
 	cell.Fused = &FusedPlan{Prog: &matrix.CellProgram{Instrs: []matrix.CellInstr{
 		{Code: matrix.CellLoad, Arg: 0}, {Code: matrix.CellLoad, Arg: 1}, {Code: matrix.CellBinary, Bin: matrix.OpMul}}, NumArgs: 2}}
 	agg := NewHop(KindFusedAgg, "sum", x)
-	agg.Fused = &FusedPlan{Agg: "sum", Prog: &matrix.CellProgram{Instrs: []matrix.CellInstr{{Code: matrix.CellLoad, Arg: 0}}, NumArgs: 1}}
+	sum, _ := matrix.AggregateOf("sum")
+	agg.Fused = &FusedPlan{Agg: sum, Prog: &matrix.CellProgram{Instrs: []matrix.CellInstr{{Code: matrix.CellLoad, Arg: 0}}, NumArgs: 1}}
 	hops = append(hops, rnd, cell, agg, NewWrite("out", cell), NewHop(Kind(99), "?", x))
 	for _, h := range hops {
 		if got, want := h.signature(), formattedSignature(h); got != want {

@@ -1,6 +1,7 @@
 package hops
 
 import (
+	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/types"
 )
 
@@ -69,16 +70,8 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 			h.DC = h.Inputs[0].DC
 		}
 	case KindAggUnary:
-		if len(h.Inputs) == 1 {
-			in := h.Inputs[0].DC
-			switch h.Op {
-			case "rowSums", "rowMeans", "rowMaxs", "rowMins", "rowIndexMax":
-				h.DC = types.NewDataCharacteristics(in.Rows, 1, in.Blocksize, -1)
-			case "colSums", "colMeans", "colMaxs", "colMins", "colVars", "colSds":
-				h.DC = types.NewDataCharacteristics(1, in.Cols, in.Blocksize, -1)
-			default: // full aggregates produce scalars
-				h.DC = types.NewDataCharacteristics(0, 0, 0, 0)
-			}
+		if agg, ok := matrix.AggregateOf(h.Op); ok && len(h.Inputs) == 1 {
+			h.DC = aggregateDC(agg, h.Inputs[0].DC)
 		}
 	case KindMatMult:
 		if len(h.Inputs) == 2 {
@@ -105,16 +98,11 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 	case KindFusedAgg, KindFusedCell:
 		if h.Fused != nil {
 			in := fusedShape(h)
-			switch h.Fused.Agg {
-			case "": // KindFusedCell: the pipeline's own shape, the root's nnz bound
+			if h.Fused.Agg != nil {
+				h.DC = aggregateDC(h.Fused.Agg, in)
+			} else { // KindFusedCell: the pipeline's own shape, the root's nnz bound
 				h.DC = in
 				h.DC.NNZ = h.Fused.OutNNZ
-			case "colSums":
-				h.DC = types.NewDataCharacteristics(1, in.Cols, in.Blocksize, -1)
-			case "rowSums":
-				h.DC = types.NewDataCharacteristics(in.Rows, 1, in.Blocksize, -1)
-			default: // sum, min, max produce scalars
-				h.DC = types.NewDataCharacteristics(0, 0, 0, 0)
 			}
 		}
 	case KindReorg:
@@ -305,19 +293,27 @@ func estimateMemory(h *Hop) int64 {
 	return out + maxIn
 }
 
-// rowColAggs are the aggregations with matrix (vector) outputs that the
-// blocked backend can keep blocked; full aggregates produce scalars.
-var rowColAggs = map[string]bool{
-	"rowSums": true, "rowMeans": true, "rowMaxs": true, "rowMins": true,
-	"colSums": true, "colMeans": true, "colMaxs": true, "colMins": true,
+// aggregateDC is the output of an aggregate over in: a full aggregate's
+// scalar, a row or column vector, or (cumsum) in's own shape.
+func aggregateDC(agg *matrix.Aggregate, in types.DataCharacteristics) types.DataCharacteristics {
+	if agg.Axis == matrix.AggFull {
+		return types.NewDataCharacteristics(0, 0, 0, 0)
+	}
+	rows, cols := agg.Shape(in.Rows, in.Cols)
+	return types.NewDataCharacteristics(rows, cols, in.Blocksize, -1)
 }
 
 // keepsBlockedOutput reports whether a distributed operator's kind produces a
-// blocked result at all — TSMM, xty and full aggregates assemble small local
-// outputs instead. Shared by PropagateBlockedOutputs and the planner's
+// blocked result at all — TSMM, xty, full aggregates and the aggregates
+// without a reduction (which run locally) assemble small local outputs
+// instead. Shared by PropagateBlockedOutputs and the planner's
 // blocked-operand costing so the two can never disagree.
 func keepsBlockedOutput(h *Hop) bool {
-	return !(h.Kind == KindTSMM || h.Kind == KindMMChain || (h.Kind == KindAggUnary && !rowColAggs[h.Op]))
+	if h.Kind == KindAggUnary {
+		agg, ok := matrix.AggregateOf(h.Op)
+		return ok && agg.Red != 0 && agg.Axis != matrix.AggFull
+	}
+	return h.Kind != KindTSMM && h.Kind != KindMMChain
 }
 
 // PropagateBlockedOutputs runs after Plan and decides, per Dist

@@ -225,19 +225,10 @@ func (i *DataGenInst) Execute(ctx *runtime.Context) error {
 	}
 }
 
-// mixSeed derives a per-block seed from the root seed and the block index
-// with a splitmix64-style finalizer, so block streams are decorrelated and
-// the blocked generation stays deterministic for a given root seed.
-func mixSeed(seed int64, idx int) int64 {
-	z := uint64(seed) + 0x9E3779B97F4A7C15*uint64(idx+1)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
-// generateBlockedRand builds the blocked matrix partition-by-partition: each
-// block is generated with its own derived seed and boundary-clipped shape, so
-// the full matrix never exists as one local allocation and no repartition is
+// generateBlockedRand builds the blocked matrix band by band: one generator
+// draws each band of block rows in row-major order across its column blocks,
+// so every cell is the cell the local kernel draws from the same seed, the
+// full matrix never exists as one local allocation and no repartition is
 // ever paid (DistStats.Partitions stays untouched).
 func (i *DataGenInst) generateBlockedRand(ctx *runtime.Context, rows, cols int, minV, maxV, sp float64, pdf string, seed int64) error {
 	bs := ctx.Config.DistBlocksize
@@ -247,17 +238,13 @@ func (i *DataGenInst) generateBlockedRand(ctx *runtime.Context, rows, cols int, 
 	bm := &dist.BlockedMatrix{Rows: rows, Cols: cols, Blocksize: bs}
 	gr, gc := bm.GridRows(), bm.GridCols()
 	bm.Blocks = make([]*matrix.MatrixBlock, gr*gc)
+	widths := make([]int, gc)
+	for bj := range widths {
+		widths[bj] = min(bs, cols-bj*bs)
+	}
+	gen := matrix.NewRandGen(minV, maxV, sp, pdf == "normal", seed)
 	for bi := 0; bi < gr; bi++ {
-		for bj := 0; bj < gc; bj++ {
-			idx := bi*gc + bj
-			br := min(bs, rows-bi*bs)
-			bc := min(bs, cols-bj*bs)
-			if pdf == "normal" {
-				bm.Blocks[idx] = matrix.RandNormal(br, bc, sp, mixSeed(seed, idx))
-			} else {
-				bm.Blocks[idx] = matrix.RandUniform(br, bc, minV, maxV, sp, mixSeed(seed, idx))
-			}
-		}
+		copy(bm.Blocks[bi*gc:], gen.Band(min(bs, rows-bi*bs), widths))
 	}
 	return bindBlockedResult(ctx, i.outs[0], bm, i.BlockedOut, i.opcode, "dist", i.EstBytes)
 }

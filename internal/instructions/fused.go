@@ -146,15 +146,15 @@ func mapCompressed(ctx *runtime.Context, co *runtime.CompressedMatrixObject, out
 // share a lineage entry.
 type FusedAggInst struct {
 	base
-	Agg  matrix.AggKind
+	Agg  *matrix.Aggregate // a Fusable row of the aggregate table
 	Prog *matrix.CellProgram
 	Args []Operand
 }
 
 // NewFusedAgg creates a fused aggregate instruction.
-func NewFusedAgg(agg matrix.AggKind, out string, prog *matrix.CellProgram, args []Operand) *FusedAggInst {
+func NewFusedAgg(agg *matrix.Aggregate, out string, prog *matrix.CellProgram, args []Operand) *FusedAggInst {
 	inst := &FusedAggInst{Agg: agg, Prog: prog, Args: args}
-	inst.base = newBase("fagg_"+agg.String(), []string{out}, prog.Signature(), args...)
+	inst.base = newBase("fagg_"+agg.Name, []string{out}, prog.Signature(), args...)
 	return inst
 }
 
@@ -169,10 +169,9 @@ func (i *FusedAggInst) Execute(ctx *runtime.Context) error {
 		return fmt.Errorf("instructions: %s: %w", i.opcode, err)
 	}
 	ctx.Count(func(s *runtime.RunStats) { s.FusedStats.FusedAggOps++ })
-	switch i.Agg {
-	case matrix.AggSum, matrix.AggMin, matrix.AggMax:
+	if i.Agg.Axis == matrix.AggFull {
 		ctx.Set(i.outs[0], runtime.NewDouble(res.Get(0, 0)))
-	default:
+	} else {
 		ctx.SetMatrix(i.outs[0], res)
 	}
 	return nil

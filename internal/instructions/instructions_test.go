@@ -172,8 +172,8 @@ func TestUnaryAndAggInstructions(t *testing.T) {
 	if getScalar(t, ctx, "fc").Float64() != 2 {
 		t.Error("frame ncol wrong")
 	}
-	if !scalarAggs["sum"] || scalarAggs["banana"] || vectorAggs["banana"] {
-		t.Error("aggregate op tables wrong")
+	if err := NewAgg("banana", "b", Var("X")).Execute(ctx); err == nil {
+		t.Error("expected unknown aggregate error")
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 // This file is the kernel table of the matmult family: ba+*, tsmm, mmchain (a
 // row chain) and its xty variant all resolve their operands, normalise, look up (operation,
 // lhs representation, rhs representation, backend, shape) in mmTable and share
-// one epilogue. It is the one place above internal/runtime that tells the
-// physical representations of a matrix apart; a representation pair without a
-// row of its own reaches the wildcard row of its operation, which asks for
-// local blocks — so a missing kernel is a counted decompression, a collect, or
+// one epilogue. It is where the matmult family tells the physical
+// representations of a matrix apart — the cellwise operators do so in runCell
+// (fused.go), the aggregates in AggInst's ladder over the aggregate table
+// (unary.go). A representation pair without a row of its own reaches the
+// wildcard row of its operation, which asks for local blocks — so a missing
+// kernel is a counted decompression, a collect, or
 // the "federated; operation requires a local matrix" error, never a silent
 // special case. A compressed operand's rows match any placement: its kernel
 // runs in-process on the column groups wherever the planner put the operator,

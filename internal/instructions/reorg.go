@@ -1,6 +1,7 @@
 package instructions
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/systemds/systemds-go/internal/dist"
@@ -117,6 +118,10 @@ func (i *NaryInst) Execute(ctx *runtime.Context) error {
 	ctx.SetMatrix(i.outs[0], res)
 	return nil
 }
+
+// errNotDist signals that an operation is not handled by the blocked backend
+// and falls through to the local kernels.
+var errNotDist = errors.New("instructions: not distributed")
 
 // tryDistributed concatenates blocked operands without collecting them:
 // block-aligned grids are concatenated by reference, boundary-spanning output

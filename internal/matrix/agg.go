@@ -10,43 +10,21 @@ import (
 // The plain aggregates are the drivers of fused.go over m's own walk, which
 // never fails.
 
-func fullReduce(op Reduction, m *MatrixBlock, threads int) float64 {
-	v, _ := FullReduce(op, m.rows, m.walk(threads))
+// ReduceAll folds op over every cell of m.
+func ReduceAll(op Reduction, m *MatrixBlock, threads int) float64 {
+	v, _ := walkFull(op, m.rows, m.walk(threads))
 	return v
-}
-
-func rowReduce(op Reduction, m *MatrixBlock, threads int) *MatrixBlock {
-	out := NewDense(m.rows, 1)
-	_ = RowReduce(op, out.dense, m.walk(threads))
-	out.RecomputeNNZ()
-	return out
-}
-
-func colReduce(op Reduction, m *MatrixBlock, threads int) *MatrixBlock {
-	out := NewDense(1, m.cols)
-	_ = ColReduce(op, out.dense, m.rows, m.walk(threads))
-	out.RecomputeNNZ()
-	return out
 }
 
 // Sum returns the sum of all cells, accumulated multi-threaded over fixed row
 // chunks (reproducible across thread counts).
 func Sum(m *MatrixBlock, threads int) float64 {
-	return fullReduce(ReduceSum, m, threads)
+	return ReduceAll(ReduceSum, m, threads)
 }
 
 // SumSq returns the sum of squared cells.
 func SumSq(m *MatrixBlock, threads int) float64 {
-	return fullReduce(ReduceSumSq, m, threads)
-}
-
-// Mean returns the mean over all cells (including zeros).
-func Mean(m *MatrixBlock, threads int) float64 {
-	cells := float64(m.rows * m.cols)
-	if cells == 0 {
-		return math.NaN()
-	}
-	return Sum(m, threads) / cells
+	return ReduceAll(ReduceSumSq, m, threads)
 }
 
 // Variance returns the sample variance over all cells.
@@ -55,7 +33,7 @@ func Variance(m *MatrixBlock) float64 {
 	if cells <= 1 {
 		return math.NaN()
 	}
-	mu := Mean(m, 1)
+	mu := Sum(m, 1) / cells
 	var s float64
 	for r := 0; r < m.rows; r++ {
 		for c := 0; c < m.cols; c++ {
@@ -68,12 +46,12 @@ func Variance(m *MatrixBlock) float64 {
 
 // Min returns the minimum cell value.
 func Min(m *MatrixBlock, threads int) float64 {
-	return fullReduce(ReduceMin, m, threads)
+	return ReduceAll(ReduceMin, m, threads)
 }
 
 // Max returns the maximum cell value.
 func Max(m *MatrixBlock, threads int) float64 {
-	return fullReduce(ReduceMax, m, threads)
+	return ReduceAll(ReduceMax, m, threads)
 }
 
 // Trace returns the sum of diagonal cells of a square matrix.
@@ -91,49 +69,19 @@ func Trace(m *MatrixBlock) float64 {
 
 // ColSums returns a 1 x cols row vector with the per-column sums.
 func ColSums(m *MatrixBlock, threads int) *MatrixBlock {
-	return colReduce(ReduceSum, m, threads)
+	out := NewDense(1, m.cols)
+	_ = walkCols(ReduceSum, out.dense, m.rows, m.walk(threads))
+	out.RecomputeNNZ()
+	return out
 }
 
 // RowSums returns a rows x 1 column vector with the per-row sums.
 func RowSums(m *MatrixBlock, threads int) *MatrixBlock {
-	return rowReduce(ReduceSum, m, threads)
-}
-
-// ColMeans returns a 1 x cols row vector with the per-column means.
-func ColMeans(m *MatrixBlock, threads int) *MatrixBlock {
-	out := ColSums(m, threads)
-	if m.rows > 0 {
-		for i := range out.dense {
-			out.dense[i] /= float64(m.rows)
-		}
-	}
+	out := NewDense(m.rows, 1)
+	_ = walkRows(ReduceSum, out.dense, m.walk(threads))
 	out.RecomputeNNZ()
 	return out
 }
-
-// RowMeans returns a rows x 1 column vector with the per-row means.
-func RowMeans(m *MatrixBlock, threads int) *MatrixBlock {
-	out := RowSums(m, threads)
-	if m.cols > 0 {
-		for i := range out.dense {
-			out.dense[i] /= float64(m.cols)
-		}
-	}
-	out.RecomputeNNZ()
-	return out
-}
-
-// ColMins returns per-column minimums as a 1 x cols vector.
-func ColMins(m *MatrixBlock) *MatrixBlock { return colReduce(ReduceMin, m, 1) }
-
-// ColMaxs returns per-column maximums as a 1 x cols vector.
-func ColMaxs(m *MatrixBlock) *MatrixBlock { return colReduce(ReduceMax, m, 1) }
-
-// RowMins returns per-row minimums as a rows x 1 vector.
-func RowMins(m *MatrixBlock) *MatrixBlock { return rowReduce(ReduceMin, m, 1) }
-
-// RowMaxs returns per-row maximums as a rows x 1 vector.
-func RowMaxs(m *MatrixBlock) *MatrixBlock { return rowReduce(ReduceMax, m, 1) }
 
 // RowIndexMax returns, per row, the 1-based column index of the maximum
 // value (DML rowIndexMax semantics).
@@ -156,14 +104,14 @@ func RowIndexMax(m *MatrixBlock) *MatrixBlock {
 
 // ColVars returns the per-column sample variances as a 1 x cols vector.
 func ColVars(m *MatrixBlock) *MatrixBlock {
-	means := ColMeans(m, 1)
 	out := NewDense(1, m.cols)
 	if m.rows <= 1 {
 		return out
 	}
+	sums := ColSums(m, 1)
 	for c := 0; c < m.cols; c++ {
 		var s float64
-		mu := means.dense[c]
+		mu := sums.dense[c] / float64(m.rows)
 		for r := 0; r < m.rows; r++ {
 			d := m.Get(r, c) - mu
 			s += float64(d * d)

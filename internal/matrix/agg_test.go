@@ -8,12 +8,32 @@ import (
 	"testing"
 )
 
+// mustAgg returns the aggregate table's row of an opcode.
+func mustAgg(name string) *Aggregate {
+	a, ok := AggregateOf(name)
+	if !ok {
+		panic("no aggregate " + name)
+	}
+	return a
+}
+
+// aggValue and aggBlock run an aggregate's row on one thread.
+func aggValue(name string, m *MatrixBlock) float64 {
+	v, _ := mustAgg(name).Apply(m, 1)
+	return v
+}
+
+func aggBlock(name string, m *MatrixBlock) *MatrixBlock {
+	_, b := mustAgg(name).Apply(m, 1)
+	return b
+}
+
 func TestSumMeanMinMax(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	if got := Sum(m, 1); got != 21 {
 		t.Errorf("Sum = %v, want 21", got)
 	}
-	if got := Mean(m, 1); got != 3.5 {
+	if got := aggValue("mean", m); got != 3.5 {
 		t.Errorf("Mean = %v, want 3.5", got)
 	}
 	if got := Min(m, 1); got != 1 {
@@ -65,24 +85,24 @@ func TestRowColAggregates(t *testing.T) {
 	if rs.Get(0, 0) != 6 || rs.Get(1, 0) != 15 {
 		t.Errorf("RowSums = %v", rs)
 	}
-	cm := ColMeans(m, 1)
+	cm := aggBlock("colMeans", m)
 	if cm.Get(0, 0) != 2.5 {
 		t.Errorf("ColMeans = %v", cm)
 	}
-	rm := RowMeans(m, 1)
+	rm := aggBlock("rowMeans", m)
 	if rm.Get(1, 0) != 5 {
 		t.Errorf("RowMeans = %v", rm)
 	}
-	if got := ColMins(m).Get(0, 2); got != 3 {
+	if got := aggBlock("colMins", m).Get(0, 2); got != 3 {
 		t.Errorf("ColMins = %v", got)
 	}
-	if got := ColMaxs(m).Get(0, 0); got != 4 {
+	if got := aggBlock("colMaxs", m).Get(0, 0); got != 4 {
 		t.Errorf("ColMaxs = %v", got)
 	}
-	if got := RowMins(m).Get(1, 0); got != 4 {
+	if got := aggBlock("rowMins", m).Get(1, 0); got != 4 {
 		t.Errorf("RowMins = %v", got)
 	}
-	if got := RowMaxs(m).Get(0, 0); got != 3 {
+	if got := aggBlock("rowMaxs", m).Get(0, 0); got != 3 {
 		t.Errorf("RowMaxs = %v", got)
 	}
 }
@@ -230,6 +250,29 @@ func TestQuantileSelectsTheSortedElement(t *testing.T) {
 				return math.Float64bits(a) == math.Float64bits(b)
 			}) {
 				t.Errorf("%s, n=%d: Quantile changed its input", name, n)
+			}
+		}
+	}
+}
+
+// TestNNZCountsCellsThatAreNotZero: the nnz reduction counts the cells that
+// are not 0 — a NaN counts, a -0 and a stored 0 do not — on dense and CSR
+// blocks.
+func TestNNZCountsCellsThatAreNotZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	m := FromRows([][]float64{{1, -2, 0}, {4, negZero, 6}, {math.NaN(), 0, 0}})
+	csr := &MatrixBlock{rows: 3, cols: 3, nnz: 6, sparse: &CSR{RowsN: 3, ColsN: 3,
+		RowPtr: []int{0, 2, 5, 6}, ColIdx: []int{0, 1, 0, 1, 2, 0}, Values: []float64{1, -2, 4, negZero, 6, math.NaN()}}}
+	stored := &MatrixBlock{rows: 1, cols: 3, nnz: 2, sparse: &CSR{RowsN: 1, ColsN: 3,
+		RowPtr: []int{0, 2}, ColIdx: []int{0, 2}, Values: []float64{0, 3}}}
+	for _, tc := range []struct {
+		name string
+		m    *MatrixBlock
+		want float64
+	}{{"dense", m, 5}, {"csr", csr, 5}, {"stored zero", stored, 1}} {
+		for _, th := range []int{1, 2, 3} {
+			if got, _ := mustAgg("nnz").Apply(tc.m, th); got != tc.want {
+				t.Errorf("%s T=%d: nnz = %v, want %v", tc.name, th, got, tc.want)
 			}
 		}
 	}

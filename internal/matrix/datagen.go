@@ -32,51 +32,79 @@ func Fill(rows, cols int, value float64) *MatrixBlock {
 // is seeded deterministically so runs are reproducible and lineage traces can
 // record the seed (Section 3.1: tracing of non-determinism).
 func RandUniform(rows, cols int, minV, maxV, sparsity float64, seed int64) *MatrixBlock {
-	rng := rand.New(rand.NewSource(seed))
-	if sparsity < 1.0 {
-		b := NewBuilder(rows, cols)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if rng.Float64() < sparsity {
-					b.Add(r, c, minV+float64(rng.Float64()*(maxV-minV)))
-				}
-			}
-		}
-		out := b.Build()
-		out.ExamineAndApplySparsity()
-		return out
-	}
-	out := NewDense(rows, cols)
-	for i := range out.dense {
-		out.dense[i] = minV + float64(rng.Float64()*(maxV-minV))
-	}
-	out.RecomputeNNZ()
-	return out
+	return NewRandGen(minV, maxV, sparsity, false, seed).Band(rows, []int{cols})[0]
 }
 
 // RandNormal generates a rows x cols matrix with standard normal values,
 // zeroed with probability 1-sparsity.
 func RandNormal(rows, cols int, sparsity float64, seed int64) *MatrixBlock {
-	rng := rand.New(rand.NewSource(seed))
-	if sparsity < 1.0 {
-		b := NewBuilder(rows, cols)
+	return NewRandGen(0, 0, sparsity, true, seed).Band(rows, []int{cols})[0]
+}
+
+// RandGen draws the cells of one random matrix from one seeded source in
+// row-major order: per cell, below sparsity 1, a uniform draw that keeps the
+// cell with probability sparsity, then the value — uniform in [minV, maxV),
+// or standard normal. A matrix drawn band by band, each band cut into column
+// blocks, so has the cells of RandUniform or RandNormal over the same seed.
+type RandGen struct {
+	rng                  *rand.Rand
+	minV, maxV, sparsity float64
+	normal               bool
+}
+
+// NewRandGen returns the generator of RandUniform(rows, cols, minV, maxV,
+// sparsity, seed) or, normal, of RandNormal(rows, cols, sparsity, seed).
+func NewRandGen(minV, maxV, sparsity float64, normal bool, seed int64) *RandGen {
+	return &RandGen{rng: rand.New(rand.NewSource(seed)), minV: minV, maxV: maxV, sparsity: sparsity, normal: normal}
+}
+
+// Band draws the matrix's next rows rows, cut into blocks of the given
+// widths, left to right.
+func (g *RandGen) Band(rows int, widths []int) []*MatrixBlock {
+	out := make([]*MatrixBlock, len(widths))
+	if g.sparsity < 1.0 {
+		bs := make([]*Builder, len(widths))
+		for j, w := range widths {
+			bs[j] = NewBuilder(rows, w)
+		}
 		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if rng.Float64() < sparsity {
-					b.Add(r, c, rng.NormFloat64())
+			for j, w := range widths {
+				for c := 0; c < w; c++ {
+					if g.rng.Float64() < g.sparsity {
+						bs[j].Add(r, c, g.value())
+					}
 				}
 			}
 		}
-		out := b.Build()
-		out.ExamineAndApplySparsity()
+		for j, b := range bs {
+			out[j] = b.Build()
+			out[j].ExamineAndApplySparsity()
+		}
 		return out
 	}
-	out := NewDense(rows, cols)
-	for i := range out.dense {
-		out.dense[i] = rng.NormFloat64()
+	for j, w := range widths {
+		out[j] = NewDense(rows, w)
 	}
-	out.RecomputeNNZ()
+	for r := 0; r < rows; r++ {
+		for j, w := range widths {
+			row := out[j].dense[r*w : (r+1)*w]
+			for c := range row {
+				row[c] = g.value()
+			}
+		}
+	}
+	for _, b := range out {
+		b.RecomputeNNZ()
+	}
 	return out
+}
+
+// value draws one kept cell's value.
+func (g *RandGen) value() float64 {
+	if g.normal {
+		return g.rng.NormFloat64()
+	}
+	return g.minV + float64(g.rng.Float64()*(g.maxV-g.minV))
 }
 
 // Seq returns the column vector (from, from+incr, ..., to) following DML seq

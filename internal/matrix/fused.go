@@ -19,37 +19,6 @@ import (
 // rows are accumulated left-to-right within a chunk, so results are bitwise
 // reproducible across thread counts.
 
-// AggKind identifies the aggregate applied on top of a fused cellwise
-// pipeline.
-type AggKind int
-
-// Supported fused aggregates.
-const (
-	AggSum AggKind = iota
-	AggMin
-	AggMax
-	AggColSums
-	AggRowSums
-)
-
-// String returns the DML name of the aggregate.
-func (a AggKind) String() string {
-	switch a {
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggColSums:
-		return "colSums"
-	case AggRowSums:
-		return "rowSums"
-	default:
-		return "?"
-	}
-}
-
 // CellOpCode classifies one instruction of a cell program.
 type CellOpCode uint8
 
@@ -642,16 +611,19 @@ func CellMap(prog *CellProgram, args []CellArg, driver int) (func(dst, src []flo
 
 // FusedAgg evaluates a fused cellwise-aggregate pipeline in a single pass
 // over the inputs: the cell program is evaluated row by row and the results
-// flow directly into the aggregate, with no full-size intermediate. Full
-// aggregates (sum, min, max) return a 1x1 block; colSums returns 1 x cols and
-// rowSums returns rows x 1.
+// flow directly into agg, a Fusable row of the aggregate table, with no
+// full-size intermediate. A full aggregate returns a 1x1 block, a column
+// aggregate 1 x cols and a row aggregate rows x 1.
 //
 // When the driver argument (the first output-shaped matrix argument) is
 // sparse and the program annihilates on it, only the driver's stored cells
 // are visited (see CellProgram.Annihilating). Results are reproducible across
 // thread counts: partial aggregates are formed over fixed row chunks and
 // combined in chunk order.
-func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*MatrixBlock, error) {
+func FusedAgg(prog *CellProgram, agg *Aggregate, args []CellArg, threads int) (*MatrixBlock, error) {
+	if !agg.Fusable {
+		return nil, fmt.Errorf("matrix: aggregate %s does not fuse", agg.Name)
+	}
 	fr, err := newFusedRun(prog, args)
 	if err != nil {
 		return nil, err
@@ -691,42 +663,35 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 		}
 	}
 
-	red := ReduceSum
-	switch agg {
-	case AggMin:
-		red = ReduceMin
-	case AggMax:
-		red = ReduceMax
-	}
-	switch agg {
-	case AggSum, AggMin, AggMax:
+	red := agg.Red
+	var out *MatrixBlock
+	switch agg.Axis {
+	case AggFull:
 		partials := make([]float64, num)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
-			acc := red.initial()
+			acc := red.Initial()
 			eachRow(wi, r0, r1, func(_ int, _ []int, vals []float64) {
-				acc = red.fold(acc, red.foldRow(red.initial(), vals))
+				acc = red.fold(acc, red.Fold(red.Initial(), vals))
 			})
 			partials[ci] = acc
 		})
-		acc := red.foldRow(red.initial(), partials)
+		acc := red.Fold(red.Initial(), partials)
 		if fr.sparse && int64(len(ds.Values)) < int64(fr.rows)*int64(fr.cols) {
 			acc = red.fold(acc, 0) // skipped cells are exact zeros; fold them in once
 		}
-		out := NewDense(1, 1)
-		out.Set(0, 0, acc)
+		out = NewDense(1, 1)
+		out.Set(0, 0, agg.Finish(acc, nil, fr.rows, fr.cols))
 		return out, nil
 
-	case AggRowSums:
-		out := NewDense(fr.rows, 1)
+	case AggRow:
+		out = NewDense(fr.rows, 1)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
 			eachRow(wi, r0, r1, func(r int, _ []int, vals []float64) {
-				out.dense[r] = red.foldRow(0, vals)
+				out.dense[r] = red.Fold(0, vals)
 			})
 		})
-		out.RecomputeNNZ()
-		return out, nil
 
-	case AggColSums:
+	default:
 		parts := make([][]float64, num)
 		runChunks(fr.rows, num, size, nw, func(wi, ci, r0, r1 int) {
 			buf := make([]float64, fr.cols)
@@ -741,12 +706,11 @@ func FusedAgg(prog *CellProgram, agg AggKind, args []CellArg, threads int) (*Mat
 			})
 			parts[ci] = buf
 		})
-		out := NewDense(1, fr.cols)
+		out = NewDense(1, fr.cols)
 		red.combineCols(out.dense, parts)
-		out.RecomputeNNZ()
-		return out, nil
 	}
-	return nil, fmt.Errorf("matrix: unknown fused aggregate %d", agg)
+	agg.Finish(0, out, fr.rows, fr.cols)
+	return out, nil
 }
 
 // --- row-wise fused gradients -----------------------------------------------
@@ -1056,17 +1020,18 @@ func XtYSum(parts [][]float64, n, k int) *MatrixBlock {
 // Reduction is the cell reduction of an aggregate.
 type Reduction uint8
 
-// Supported reductions.
+// Supported reductions; the zero Reduction is none.
 const (
-	ReduceSum Reduction = iota
+	ReduceSum Reduction = iota + 1
 	ReduceSumSq
 	ReduceMin
 	ReduceMax
+	ReduceNNZ // counts the cells that are not 0: a NaN counts, a -0 does not
 )
 
-// initial is the reduction's starting value: 0 for the sums, +Inf for min and
-// -Inf for max.
-func (op Reduction) initial() float64 {
+// Initial is the reduction's starting value: 0 for the sums and the count,
+// +Inf for min and -Inf for max.
+func (op Reduction) Initial() float64 {
 	switch op {
 	case ReduceMin:
 		return math.Inf(1)
@@ -1076,23 +1041,29 @@ func (op Reduction) initial() float64 {
 	return 0
 }
 
-// fold folds v into acc. Sums add it (the sum of squares its square); min
-// and max keep it only when it compares below (above) acc, so a NaN is never
-// kept and, of equal values, the first one stays.
+// fold folds v into acc. Sums add it (the sum of squares its square), a
+// count adds 1 when it is not 0; min and max keep it only when it compares
+// below (above) acc, so a NaN is never kept and, of equal values, the first
+// one stays.
 func (op Reduction) fold(acc, v float64) float64 {
 	switch {
 	case op == ReduceSum:
 		return acc + v
 	case op == ReduceSumSq:
 		return acc + float64(v*v)
+	case op == ReduceNNZ:
+		if v != 0 {
+			return acc + 1
+		}
+		return acc
 	case op == ReduceMin && v < acc, op == ReduceMax && v > acc:
 		return v
 	}
 	return acc
 }
 
-// foldRow folds vals into acc left to right.
-func (op Reduction) foldRow(acc float64, vals []float64) float64 {
+// Fold folds vals into acc left to right, by fold's rule.
+func (op Reduction) Fold(acc float64, vals []float64) float64 {
 	if op == ReduceSum {
 		for _, v := range vals {
 			acc += v
@@ -1120,9 +1091,10 @@ func (op Reduction) foldCols(out, row []float64) {
 }
 
 // partial is the reduction that combines op's partial results: a sum of
-// squares squares its cells once, in the rows, and combines as a sum.
+// squares squares its cells once, in the rows, and a count tests them once;
+// both combine as a sum.
 func (op Reduction) partial() Reduction {
-	if op == ReduceSumSq {
+	if op == ReduceSumSq || op == ReduceNNZ {
 		return ReduceSum
 	}
 	return op
@@ -1131,7 +1103,7 @@ func (op Reduction) partial() Reduction {
 // initCols sets every cell of dst, a column aggregate's partial, to initial.
 func (op Reduction) initCols(dst []float64) {
 	for c := range dst {
-		dst[c] = op.initial()
+		dst[c] = op.Initial()
 	}
 }
 
@@ -1172,14 +1144,14 @@ func (m *MatrixBlock) walk(threads int) ChunkWalk {
 	}
 }
 
-// FullReduce is a full aggregate (Sum, SumSq, Min, Max) over walk's rows:
-// each chunk of FusedChunks(rows) folds its rows' reductions in row order,
-// and the chunk partials are folded in chunk order.
-func FullReduce(op Reduction, rows int, walk ChunkWalk) (float64, error) {
+// walkFull folds op over every cell of walk's rows: each chunk of
+// FusedChunks(rows) folds its rows' reductions in row order, and the chunk
+// partials are folded in chunk order.
+func walkFull(op Reduction, rows int, walk ChunkWalk) (float64, error) {
 	num, size := FusedChunks(rows)
 	partials := make([]float64, num)
 	err := walk(num, size, func(ci int, pieces []RowPiece) {
-		acc := op.initial()
+		acc := op.Initial()
 		for _, p := range pieces {
 			for r := p.Lo; r < p.Hi; r++ {
 				acc = op.partial().fold(acc, reduceRow(op, p.Blocks, r))
@@ -1187,12 +1159,11 @@ func FullReduce(op Reduction, rows int, walk ChunkWalk) (float64, error) {
 		}
 		partials[ci] = acc
 	})
-	return op.partial().foldRow(op.initial(), partials), err
+	return op.partial().Fold(op.Initial(), partials), err
 }
 
-// RowReduce writes each row's reduction into dst, one cell per row of walk
-// (RowSums, RowMins, RowMaxs).
-func RowReduce(op Reduction, dst []float64, walk ChunkWalk) error {
+// walkRows writes each row's reduction into dst, one cell per row of walk.
+func walkRows(op Reduction, dst []float64, walk ChunkWalk) error {
 	num, size := FusedChunks(len(dst))
 	return walk(num, size, func(_ int, pieces []RowPiece) {
 		for _, p := range pieces {
@@ -1203,11 +1174,11 @@ func RowReduce(op Reduction, dst []float64, walk ChunkWalk) error {
 	})
 }
 
-// ColReduce writes each column's reduction over walk's rows into dst, one
-// cell per column (ColSums, ColMins, ColMaxs): each chunk of
-// FusedChunks(rows) folds its rows, ascending, into a partial of its own,
-// and the partials are folded in chunk order.
-func ColReduce(op Reduction, dst []float64, rows int, walk ChunkWalk) error {
+// walkCols writes each column's reduction over walk's rows into dst, one
+// cell per column: each chunk of FusedChunks(rows) folds its rows,
+// ascending, into a partial of its own, and the partials are folded in chunk
+// order.
+func walkCols(op Reduction, dst []float64, rows int, walk ChunkWalk) error {
 	num, size := FusedChunks(rows)
 	parts := make([][]float64, num)
 	err := walk(num, size, func(ci int, pieces []RowPiece) {
@@ -1226,15 +1197,15 @@ func ColReduce(op Reduction, dst []float64, rows int, walk ChunkWalk) error {
 // runs across the blocks, left to right; a CSR row folds its stored values
 // and, for min and max when it leaves a cell unstored, a 0.
 func reduceRow(op Reduction, blocks []*MatrixBlock, r int) float64 {
-	acc := op.initial()
+	acc := op.Initial()
 	for _, b := range blocks {
 		if b.sparse == nil {
-			acc = op.foldRow(acc, b.dense[r*b.cols:(r+1)*b.cols])
+			acc = op.Fold(acc, b.dense[r*b.cols:(r+1)*b.cols])
 			continue
 		}
 		s := b.csr()
 		lo, hi := s.RowPtr[r], s.RowPtr[r+1]
-		if acc = op.foldRow(acc, s.Values[lo:hi]); hi-lo < b.cols && op.partial() != ReduceSum {
+		if acc = op.Fold(acc, s.Values[lo:hi]); hi-lo < b.cols && op.partial() != ReduceSum {
 			acc = op.fold(acc, 0)
 		}
 	}

@@ -29,7 +29,7 @@ func benchmarkFusedSumXY(b *testing.B, threads int) {
 	args := []CellArg{{Mat: x}, {Mat: y}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FusedAgg(prog, AggSum, args, threads); err != nil {
+		if _, err := FusedAgg(prog, mustAgg("sum"), args, threads); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -103,26 +103,37 @@ func fusedCases() []fusedCase {
 	}
 }
 
-func unfusedAgg(agg AggKind, m *MatrixBlock) *MatrixBlock {
-	switch agg {
-	case AggSum:
+func unfusedAgg(agg *Aggregate, m *MatrixBlock) *MatrixBlock {
+	switch agg.Name {
+	case "sum":
 		out := NewDense(1, 1)
 		out.Set(0, 0, referenceSum(m))
 		return out
-	case AggMin:
+	case "min":
 		out := NewDense(1, 1)
 		out.Set(0, 0, referenceExtreme(m, false))
 		return out
-	case AggMax:
+	case "max":
 		out := NewDense(1, 1)
 		out.Set(0, 0, referenceExtreme(m, true))
 		return out
-	case AggColSums:
+	case "colSums":
 		return referenceColSums(m)
-	case AggRowSums:
+	case "rowSums":
 		return referenceRowSums(m)
 	}
 	return nil
+}
+
+// fusableAggs are the rows of the aggregate table fusion may take.
+func fusableAggs() []*Aggregate {
+	var rows []*Aggregate
+	for _, a := range Aggregates() {
+		if a.Fusable {
+			rows = append(rows, a)
+		}
+	}
+	return rows
 }
 
 // reference aggregates: plain sequential loops, independent of the fused
@@ -179,7 +190,7 @@ func referenceRowSums(m *MatrixBlock) *MatrixBlock {
 // every fused kernel must match the unfused operator composition on dense and
 // sparse inputs, for threads in {1, 4}, within 1e-9 relative tolerance.
 func TestFusedAggMatchesUnfused(t *testing.T) {
-	aggs := []AggKind{AggSum, AggMin, AggMax, AggColSums, AggRowSums}
+	aggs := fusableAggs()
 	shapes := [][2]int{{1, 1}, {7, 5}, {63, 17}, {200, 33}}
 	for _, tc := range fusedCases() {
 		for _, sparsity := range []float64{1.0, 0.15} {
@@ -212,12 +223,12 @@ func TestFusedAggDeterministicAcrossThreads(t *testing.T) {
 	y := RandUniform(501, 37, -1, 1, 1.0, 43)
 	prog := fusedCases()[0].prog
 	args := []CellArg{{Mat: x}, {Mat: y}}
-	base, err := FusedAgg(prog, AggSum, args, 1)
+	base, err := FusedAgg(prog, mustAgg("sum"), args, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{2, 3, 4, 8} {
-		got, err := FusedAgg(prog, AggSum, args, threads)
+		got, err := FusedAgg(prog, mustAgg("sum"), args, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +248,7 @@ func TestFusedAggSparseDriverSkipsZeros(t *testing.T) {
 	y := RandUniform(120, 40, -1, 1, 1.0, 8)
 	prog := fusedCases()[0].prog // X*Y, annihilating
 	dense := x.Copy().ToDense()
-	for _, agg := range []AggKind{AggSum, AggMin, AggMax, AggColSums, AggRowSums} {
+	for _, agg := range fusableAggs() {
 		got, err := FusedAgg(prog, agg, []CellArg{{Mat: x}, {Mat: y}}, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +290,7 @@ var identityProgram = &CellProgram{Instrs: []CellInstr{{Code: CellLoad, Arg: 0}}
 func TestFusedAggIdentityScalarLoad(t *testing.T) {
 	prog := &CellProgram{Instrs: []CellInstr{{Code: CellLoad, Arg: 0}}, NumArgs: 2}
 	m := NewDense(100, 10)
-	out, err := FusedAgg(prog, AggSum, []CellArg{{Scalar: 5}, {Mat: m}}, 2)
+	out, err := FusedAgg(prog, mustAgg("sum"), []CellArg{{Scalar: 5}, {Mat: m}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,16 +301,16 @@ func TestFusedAggIdentityScalarLoad(t *testing.T) {
 
 func TestFusedAggArgErrors(t *testing.T) {
 	prog := identityProgram
-	if _, err := FusedAgg(prog, AggSum, nil, 1); err == nil {
+	if _, err := FusedAgg(prog, mustAgg("sum"), nil, 1); err == nil {
 		t.Error("missing arguments should error")
 	}
-	if _, err := FusedAgg(prog, AggSum, []CellArg{{Scalar: 1}}, 1); err == nil {
+	if _, err := FusedAgg(prog, mustAgg("sum"), []CellArg{{Scalar: 1}}, 1); err == nil {
 		t.Error("scalar-only arguments should error")
 	}
 	p2 := fusedCases()[0].prog
 	a := NewDense(3, 3)
 	b := NewDense(2, 2)
-	if _, err := FusedAgg(p2, AggSum, []CellArg{{Mat: a}, {Mat: b}}, 1); err == nil {
+	if _, err := FusedAgg(p2, mustAgg("sum"), []CellArg{{Mat: a}, {Mat: b}}, 1); err == nil {
 		t.Error("shape mismatch should error")
 	}
 }

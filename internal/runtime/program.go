@@ -134,14 +134,20 @@ var nonCacheableOpcodes = map[string]bool{
 	"fcall": true, "rand": true, "sample": true, "rmvar": true,
 }
 
-// probeSkipOpcodes read a matrix but can never repay a cache probe: metadata
-// reads answer from the data characteristics and assignvar only binds a name,
-// so executing them is cheaper than looking them up. A hit on leftIndex would
+// probeSkipOpcodes read a matrix but can never repay a cache probe: assignvar
+// only binds a name, so executing it is cheaper than looking it up, as it is
+// for the metadata aggregates, which answer from the data characteristics
+// (metadataRead). A hit on leftIndex would
 // save one copy of the target, but admitting its result pins every version of
 // an updated variable in memory, and a cache entry is a holder, so the next
 // update could never write in place.
-var probeSkipOpcodes = map[string]bool{
-	"nrow": true, "ncol": true, "length": true, "assignvar": true, "leftIndex": true,
+var probeSkipOpcodes = map[string]bool{"assignvar": true, "leftIndex": true}
+
+// metadataRead reports whether op is an aggregate that reads only its
+// input's dimensions.
+func metadataRead(op string) bool {
+	agg, ok := matrix.AggregateOf(op)
+	return ok && agg.Dims != nil
 }
 
 // matrixGeneratorOpcodes produce a matrix from scalar operands alone; their
@@ -158,7 +164,7 @@ var matrixGeneratorOpcodes = map[string]bool{"fill": true, "seq": true}
 // scalar-only arithmetic.
 func reuseCandidate(ctx *Context, inst Instruction, inputs, outs []string) bool {
 	op := inst.Opcode()
-	if len(outs) != 1 || nonCacheableOpcodes[op] || probeSkipOpcodes[op] {
+	if len(outs) != 1 || nonCacheableOpcodes[op] || probeSkipOpcodes[op] || metadataRead(op) {
 		return false
 	}
 	if matrixGeneratorOpcodes[op] {
