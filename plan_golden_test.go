@@ -146,6 +146,21 @@ for (i in 1:3) {
 }
 `, []string{"s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "n1", "n2", "n3",
 		"R1", "R2", "R3", "R4", "R5", "C1", "C2", "C3", "C4", "C5", "C6", "S", "f1", "f2", "f3", "F1", "F2"}},
+	{"reorgs", `
+for (i in 1:3) {
+  Xi = X + i
+  T = t(Xi)
+  R = rev(Xi)
+  D = diag(rowSums(Xi[1:300, ]))
+  d = diag(Xi[1:60, ])
+  C2 = cbind(X, Xi)
+  C3 = cbind(Xi, X, Xi[, 1:7])
+  B2 = rbind(X, Xi)
+  B3 = rbind(Xi, X[1:7, ], Xi)
+  B4 = rbind(X[1:7, ], Xi, X)
+  s = sum(T) + sum(R) + sum(C3) + sum(B3)
+}
+`, []string{"T", "R", "D", "d", "C2", "C3", "B2", "B3", "B4", "s"}},
 }
 
 var goldenConfigs = []struct {
