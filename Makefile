@@ -70,7 +70,10 @@ test:
 # aggregate table repeated (every row through the aggregate ladder on dense,
 # CSR, compressed and blocked operands at T = 1, 2, 3, bitwise against the
 # local rung but for the compressed sums; blocked rand drawing the cells of
-# the local kernel), the cellwise
+# the local kernel), the reorg table repeated (every row through the reorg
+# ladder on dense, CSR, compressed, blocked and DIST-placed operands at
+# T = 1, 2, 3, bitwise against the local kernel; dist.Bind of two and three
+# parts, aligned and unaligned, against the local binds), the cellwise
 # ladder repeated (dist.Cell bitwise-equal to matrix.FusedCell over every
 # operator family, scalar and vector operands on either side and chains,
 # ragged dense, sparse and mixed inputs, blocksizes 7 to 1024 and 1, 2, 3
@@ -99,6 +102,7 @@ race:
 	$(GO) test -race -run 'TestRecompileMemoHitsOnStableSizes|TestLifecyclePlansOncePerPlanVisibleSize|TestRecompilePlansAlikeFromExactAndVisibleSizes' -count=3 . ./internal/compiler/
 	$(GO) test -race -run 'TestMatMultBBMatchesLocal|TestMatMultBBBitwiseAboveTiledCrossover|TestTSMMMatchesLocal|TestAggregationsMatchLocal|TestGoldenOutputsIgnoreFusionAndPlacement' -count=3 . ./internal/dist/
 	$(GO) test -race -run 'TestAggregateTableOnEveryRung|TestRandGeneratesBlockedDirectly' -count=3 ./internal/instructions/ ./internal/core/
+	$(GO) test -race -run 'TestReorgTableOnEveryRung|TestRBindCBindMatchLocal' -count=3 ./internal/instructions/ ./internal/dist/
 	$(GO) test -race -run 'TestCellMatchesLocal|TestCellRejectsMisshapedOperands|TestFusedChainOverBlockedOperandRunsBlocked|TestBlockedVectorBesideLocalMatrixRunsLocally' -count=3 ./internal/dist/ ./internal/core/
 	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelTSMMTiled4096x512|KernelCholesky512|CompressedTSMM$$|CompressedMMDense$$|XtYBlocked|TSMMBlocked' -benchtime=1x -run '^$$' ./internal/matrix/ ./internal/compress/ ./internal/dist/
 

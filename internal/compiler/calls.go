@@ -14,9 +14,7 @@ import (
 // nativeBuiltins lists built-in functions implemented directly as HOPs or
 // dedicated instructions (as opposed to DML-bodied builtins).
 var nativeBuiltins = map[string]bool{
-	"t": true, "diag": true, "rev": true,
 	"solve": true, "inv": true, "cholesky": true, "eigen": true,
-	"cbind": true, "rbind": true,
 	"rand": true, "matrix": true, "seq": true, "sample": true,
 	"ifelse":    true,
 	"as.scalar": true, "as.matrix": true, "as.double": true, "as.integer": true, "as.logical": true,
@@ -27,9 +25,15 @@ var nativeBuiltins = map[string]bool{
 }
 
 // isNativeBuiltin reports whether the function name is a native builtin: one
-// of the list above, a cellwise unary operator or an aggregate.
+// of the list above, a cellwise unary operator, an aggregate or a reorg.
 func isNativeBuiltin(name string) bool {
-	return nativeBuiltins[name] || isUnaryMath(name) || isAggregate(name)
+	return nativeBuiltins[name] || isUnaryMath(name) || isAggregate(name) || isReorg(name)
+}
+
+// isReorg reports whether the function name is a row of the reorg table.
+func isReorg(name string) bool {
+	_, ok := matrix.ReorgOf(name)
+	return ok
 }
 
 // isAggregate reports whether the function name is a row of the aggregate
@@ -81,15 +85,6 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 			h.CompressReuse = int(positional[1].LitValue)
 		}
 		return h, nil
-	case name == "t" || name == "diag" || name == "rev":
-		in, err := argHop(0)
-		if err != nil {
-			return nil, err
-		}
-		op := name
-		h := hops.NewHop(hops.KindReorg, op, in)
-		h.DataType = types.Matrix
-		return h, nil
 	case (name == "min" || name == "max") && len(positional) >= 2:
 		h := hops.NewHop(hops.KindBinary, name, positional[0], positional[1])
 		if positional[0].DataType == types.Matrix || positional[1].DataType == types.Matrix {
@@ -97,6 +92,17 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 		} else {
 			h.DataType = types.Scalar
 		}
+		return h, nil
+	case isReorg(name):
+		if _, err := argHop(0); err != nil {
+			return nil, err
+		}
+		ins := positional // a bind takes every operand, any other row its first
+		if row, _ := matrix.ReorgOf(name); !row.Nary {
+			ins = positional[:1]
+		}
+		h := hops.NewHop(hops.KindReorg, name, ins...)
+		h.DataType = types.Matrix
 		return h, nil
 	case isAggregate(name):
 		in, err := argHop(0)
@@ -139,13 +145,6 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 			return nil, err
 		}
 		h := hops.NewHop(hops.KindParamBuiltin, name, a)
-		h.DataType = types.Matrix
-		return h, nil
-	case name == "cbind" || name == "rbind":
-		if len(positional) == 0 {
-			return nil, fmt.Errorf("compiler: line %d: %s requires arguments", call.Line, name)
-		}
-		h := hops.NewHop(hops.KindNary, name, positional...)
 		h.DataType = types.Matrix
 		return h, nil
 	case name == "ifelse":

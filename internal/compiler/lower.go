@@ -6,6 +6,7 @@ import (
 
 	"github.com/systemds/systemds-go/internal/hops"
 	"github.com/systemds/systemds-go/internal/instructions"
+	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 	"github.com/systemds/systemds-go/internal/types"
 )
@@ -303,6 +304,14 @@ func lowerHop(h *hops.Hop) (runtime.Instruction, error) {
 func lowerOp(h *hops.Hop) (runtime.Instruction, error) {
 	out := tempNameOf(h)
 	in := func(i int) instructions.Operand { return operandOf(h.Inputs[i]) }
+	// ins returns the operands of the inputs from the i-th on
+	ins := func(i int) []instructions.Operand {
+		ops := make([]instructions.Operand, len(h.Inputs)-i)
+		for k := range ops {
+			ops[k] = in(i + k)
+		}
+		return ops
+	}
 	switch h.Kind {
 	case hops.KindRead, hops.KindLiteral:
 		return nil, nil
@@ -335,46 +344,25 @@ func lowerOp(h *hops.Hop) (runtime.Instruction, error) {
 		if h.Fused == nil {
 			return nil, fmt.Errorf("compiler: row chain without a program")
 		}
-		args := make([]instructions.Operand, len(h.Inputs)-2)
-		for i := range args {
-			args[i] = in(i + 2)
-		}
-		return instructions.NewMMChain(out, in(0), in(1), h.Fused.Prog, args), nil
+		return instructions.NewMMChain(out, in(0), in(1), h.Fused.Prog, ins(2)), nil
 	case hops.KindFusedAgg, hops.KindFusedCell:
 		if h.Fused == nil {
 			return nil, fmt.Errorf("compiler: fused operator %s without a plan", h.Op)
 		}
-		args := make([]instructions.Operand, len(h.Inputs))
-		for i := range h.Inputs {
-			args[i] = operandOf(h.Inputs[i])
-		}
 		if h.Kind == hops.KindFusedCell {
-			return instructions.NewFusedCell(h.Op, out, h.Fused.Prog, args), nil
+			return instructions.NewFusedCell(h.Op, out, h.Fused.Prog, ins(0)), nil
 		}
-		return instructions.NewFusedAgg(h.Fused.Agg, out, h.Fused.Prog, args), nil
+		return instructions.NewFusedAgg(h.Fused.Agg, out, h.Fused.Prog, ins(0)), nil
 	case hops.KindReorg:
-		var opcode string
-		switch h.Op {
-		case "t":
-			opcode = "r'"
-		case "diag":
-			opcode = "rdiag"
-		case "rev":
-			opcode = "rev"
-		default:
+		row, ok := matrix.ReorgOf(h.Op)
+		if !ok {
 			return nil, fmt.Errorf("compiler: unknown reorg op %q", h.Op)
 		}
-		return instructions.NewReorg(opcode, out, in(0)), nil
+		return instructions.NewReorg(row, out, ins(0)...), nil
 	case hops.KindIndexing:
 		return instructions.NewRightIndex(out, in(0), in(1), in(2), in(3), in(4)), nil
 	case hops.KindLeftIndex:
 		return instructions.NewLeftIndex(out, in(0), in(1), in(2), in(3), in(4), in(5)), nil
-	case hops.KindNary:
-		ops := make([]instructions.Operand, len(h.Inputs))
-		for i := range h.Inputs {
-			ops[i] = operandOf(h.Inputs[i])
-		}
-		return instructions.NewNary(h.Op, out, ops...), nil
 	case hops.KindTernary:
 		return instructions.NewTernary(out, in(0), in(1), in(2)), nil
 	case hops.KindCast:

@@ -284,16 +284,18 @@ func TestTransposeMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRBindCBindMatchLocal: Bind along either axis over two and three parts
+// equals the local bind kernel over the collected parts, whether the parts'
+// offsets are block-aligned (blocks taken by reference, Shared) or not
+// (blocks assembled from Regions).
 func TestRBindCBindMatchLocal(t *testing.T) {
-	for _, s := range []struct{ r1, r2, c, bs int }{
-		{64, 32, 50, 32}, // aligned fast path
-		{70, 33, 50, 32}, // boundary re-assembly
-		{5, 7, 3, 32},
-	} {
-		a, b := testMatrix(s.r1, s.c), testMatrix(s.r2, s.c)
-		ba, _ := FromMatrixBlock(a, s.bs)
-		bb, _ := FromMatrixBlock(b, s.bs)
-		res, err := RBind(ba, bb, 0)
+	check := func(axis matrix.BindAxis, parts []*matrix.MatrixBlock, bs int, shared bool) {
+		t.Helper()
+		blocked := make([]*BlockedMatrix, len(parts))
+		for k, p := range parts {
+			blocked[k], _ = FromMatrixBlock(p, bs)
+		}
+		res, err := Bind(axis, blocked, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,33 +303,52 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := matrix.RBind(a, b)
-		if !want.Equals(got, 0) {
-			t.Errorf("%v: rbind differs", s)
+		want, _ := axis.Row().Kernel(parts...)
+		if !want.Equals(got, 0) || got.NNZ() != want.NNZ() {
+			t.Errorf("%s of %d parts, blocksize %d: differs from the local kernel", axis.Row().Opcode, len(parts), bs)
+		}
+		if (res.Shared != nil) != shared {
+			t.Errorf("%s of %d parts, blocksize %d: shared %v, want %v", axis.Row().Opcode, len(parts), bs, res.Shared != nil, shared)
 		}
 	}
-	for _, s := range []struct{ r, c1, c2, bs int }{
-		{50, 64, 32, 32}, // aligned fast path
-		{50, 70, 33, 32}, // boundary re-assembly
-		{3, 5, 7, 32},
+	for _, s := range []struct {
+		rs     []int
+		c, bs  int
+		shared bool
+	}{
+		{[]int{64, 32}, 50, 32, true},     // aligned fast path
+		{[]int{70, 33}, 50, 32, true},     // boundary re-assembly; the first part's whole blocks taken
+		{[]int{5, 7}, 3, 32, false},       // one output block
+		{[]int{64, 7, 32}, 50, 32, true},  // three parts, the third unaligned
+		{[]int{9, 64, 41}, 50, 32, false}, // three parts, none aligned
+		{[]int{32, 32, 32}, 70, 32, true}, // three aligned parts over three column blocks
 	} {
-		a, b := testMatrix(s.r, s.c1), testMatrix(s.r, s.c2)
-		ba, _ := FromMatrixBlock(a, s.bs)
-		bb, _ := FromMatrixBlock(b, s.bs)
-		res, err := CBind(ba, bb, 0)
-		if err != nil {
-			t.Fatal(err)
+		parts := make([]*matrix.MatrixBlock, len(s.rs))
+		for k, r := range s.rs {
+			parts[k] = testMatrix(r, s.c)
 		}
-		got, err := res.ToMatrixBlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := matrix.CBind(a, b)
-		if !want.Equals(got, 0) {
-			t.Errorf("%v: cbind differs", s)
-		}
+		check(matrix.BindRows, parts, s.bs, s.shared)
 	}
-	if _, err := RBind(&BlockedMatrix{Cols: 3, Blocksize: 32}, &BlockedMatrix{Cols: 4, Blocksize: 32}, 0); err == nil {
+	for _, s := range []struct {
+		r      int
+		cs     []int
+		bs     int
+		shared bool
+	}{
+		{50, []int{64, 32}, 32, true},
+		{50, []int{70, 33}, 32, true},
+		{3, []int{5, 7}, 32, false},
+		{50, []int{64, 7, 32}, 32, true},
+		{50, []int{9, 64, 41}, 32, false},
+		{70, []int{32, 32, 32}, 32, true},
+	} {
+		parts := make([]*matrix.MatrixBlock, len(s.cs))
+		for k, c := range s.cs {
+			parts[k] = testMatrix(s.r, c)
+		}
+		check(matrix.BindCols, parts, s.bs, s.shared)
+	}
+	if _, err := Bind(matrix.BindRows, []*BlockedMatrix{{Cols: 3, Blocksize: 32}, {Cols: 4, Blocksize: 32}}, 0); err == nil {
 		t.Error("rbind column mismatch should error")
 	}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/systemds/systemds-go/internal/matrix"
 )
@@ -155,120 +156,92 @@ func Transpose(a *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	return out, nil
 }
 
-// RBind stacks two blocked matrices vertically. When the first operand's rows
-// are block-aligned the grids are concatenated by reference (a Shared
-// output); otherwise the output blocks are re-assembled from the covering
-// regions of both inputs.
-func RBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
-	if a.Cols != b.Cols || a.Blocksize != b.Blocksize {
-		return nil, fmt.Errorf("dist: rbind mismatch %dx%d/%d vs %dx%d/%d",
-			a.Rows, a.Cols, a.Blocksize, b.Rows, b.Cols, b.Blocksize)
+// Bind concatenates blocked matrices along axis: row counts add up for
+// matrix.BindRows (rbind), column counts for matrix.BindCols (cbind), and
+// the parts agree in the other dimension and in blocksize. An output block
+// that is exactly one block of one part is that block, taken by reference
+// (blocks are immutable); any other is assembled once, by the row's local
+// kernel, from the Regions of the parts that cover it. So every part whose
+// offset is block-aligned is taken whole, however many parts there are.
+// Shared then lists, once each, the arrays of every part a block was taken
+// from (all of them, even where a part's last block was assembled) and the
+// assembled blocks; it is nil when no block was taken.
+func Bind(axis matrix.BindAxis, parts []*BlockedMatrix, threads int) (*BlockedMatrix, error) {
+	row := axis.Row()
+	if row == nil || len(parts) == 0 {
+		return nil, fmt.Errorf("dist: bind along %d of %d parts", axis, len(parts))
 	}
-	out := &BlockedMatrix{Rows: a.Rows + b.Rows, Cols: a.Cols, Blocksize: a.Blocksize}
-	if a.Rows%a.Blocksize == 0 {
-		// blocks are immutable, so sharing them between inputs and output is safe
-		out.Blocks = make([]*matrix.MatrixBlock, 0, len(a.Blocks)+len(b.Blocks))
-		out.Blocks = append(append(out.Blocks, a.Blocks...), b.Blocks...)
-		out.Shared = sharedArrays(a, b)
-		return out, nil
+	first := parts[0]
+	bs := first.Blocksize
+	out := &BlockedMatrix{Rows: first.Rows, Cols: first.Cols, Blocksize: bs}
+	offs := make([]int, len(parts)+1) // part k's first row (column) in the output
+	for k, p := range parts {
+		along, across, want := p.Rows, p.Cols, first.Cols
+		if axis == matrix.BindCols {
+			along, across, want = p.Cols, p.Rows, first.Rows
+		}
+		if across != want || p.Blocksize != bs {
+			return nil, fmt.Errorf("dist: %s mismatch %dx%d/%d vs %dx%d/%d",
+				row.Opcode, first.Rows, first.Cols, bs, p.Rows, p.Cols, p.Blocksize)
+		}
+		offs[k+1] = offs[k] + along
+	}
+	if axis == matrix.BindCols {
+		out.Cols = offs[len(parts)]
+	} else {
+		out.Rows = offs[len(parts)]
 	}
 	gr, gc := out.GridRows(), out.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gr*gc)
-	err := forEachBlock("rbind", gr, gc, threads, func(bi, bj int) error {
-		rl, ru := bi*out.Blocksize, min(bi*out.Blocksize+out.Blocksize, out.Rows)
-		cl, cu := bj*out.Blocksize, min(bj*out.Blocksize+out.Blocksize, out.Cols)
-		var parts []*matrix.MatrixBlock
-		if rl < a.Rows {
-			top, err := a.Region(rl, min(ru, a.Rows), cl, cu)
+	from := make([]int, gr*gc) // 1 + the part a block was taken from; 0: assembled
+	err := forEachBlock(row.Opcode, gr, gc, threads, func(bi, bj int) error {
+		r0, r1 := bi*bs, min(bi*bs+bs, out.Rows)
+		c0, c1 := bj*bs, min(bj*bs+bs, out.Cols)
+		var regions []*matrix.MatrixBlock
+		for k, p := range parts {
+			// the block's cells in part k, in the part's coordinates
+			rl, ru, cl, cu := r0, r1, c0, c1
+			if axis == matrix.BindCols {
+				cl, cu = max(c0, offs[k])-offs[k], min(c1, offs[k+1])-offs[k]
+			} else {
+				rl, ru = max(r0, offs[k])-offs[k], min(r1, offs[k+1])-offs[k]
+			}
+			switch {
+			case rl >= ru || cl >= cu:
+				continue
+			case rl%bs == 0 && cl%bs == 0 && ru-rl == r1-r0 && cu-cl == c1-c0:
+				out.Blocks[bi*gc+bj], from[bi*gc+bj] = p.Block(rl/bs, cl/bs), k+1
+				return nil
+			}
+			r, err := p.Region(rl, ru, cl, cu)
 			if err != nil {
 				return err
 			}
-			parts = append(parts, top)
+			regions = append(regions, r)
 		}
-		if ru > a.Rows {
-			bot, err := b.Region(max(rl-a.Rows, 0), ru-a.Rows, cl, cu)
-			if err != nil {
-				return err
-			}
-			parts = append(parts, bot)
-		}
-		blk, err := matrix.RBind(parts...)
-		if err != nil {
-			return err
-		}
+		blk, err := row.Kernel(regions...)
 		out.Blocks[bi*gc+bj] = blk
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// sharedArrays lists, once each, the arrays of a and b: those a
-// concatenation that takes their blocks by reference lives in.
-func sharedArrays(a, b *BlockedMatrix) []*matrix.MatrixBlock {
-	var arrays []*matrix.MatrixBlock
 	seen := map[*matrix.MatrixBlock]bool{}
 	add := func(m *matrix.MatrixBlock) {
 		if !seen[m] {
 			seen[m] = true
-			arrays = append(arrays, m)
+			out.Shared = append(out.Shared, m)
 		}
 	}
-	a.EachArray(add)
-	b.EachArray(add)
-	return arrays
-}
-
-// CBind concatenates two blocked matrices horizontally. When the first
-// operand's columns are block-aligned the grids are interleaved by reference
-// (a Shared output); otherwise boundary-spanning output blocks are
-// re-assembled from the covering regions of both inputs.
-func CBind(a, b *BlockedMatrix, threads int) (*BlockedMatrix, error) {
-	if a.Rows != b.Rows || a.Blocksize != b.Blocksize {
-		return nil, fmt.Errorf("dist: cbind mismatch %dx%d/%d vs %dx%d/%d",
-			a.Rows, a.Cols, a.Blocksize, b.Rows, b.Cols, b.Blocksize)
+	for k, p := range parts {
+		if slices.Contains(from, k+1) {
+			p.EachArray(add)
+		}
 	}
-	out := &BlockedMatrix{Rows: a.Rows, Cols: a.Cols + b.Cols, Blocksize: a.Blocksize}
-	gr, gc := out.GridRows(), out.GridCols()
-	out.Blocks = make([]*matrix.MatrixBlock, gr*gc)
-	if a.Cols%a.Blocksize == 0 {
-		agc, bgc := a.GridCols(), b.GridCols()
-		for bi := 0; bi < gr; bi++ {
-			copy(out.Blocks[bi*gc:], a.Blocks[bi*agc:(bi+1)*agc])
-			copy(out.Blocks[bi*gc+agc:], b.Blocks[bi*bgc:(bi+1)*bgc])
+	for t, blk := range out.Blocks {
+		if out.Shared != nil && from[t] == 0 {
+			add(blk)
 		}
-		out.Shared = sharedArrays(a, b)
-		return out, nil
-	}
-	err := forEachBlock("cbind", gr, gc, threads, func(bi, bj int) error {
-		rl, ru := bi*out.Blocksize, min(bi*out.Blocksize+out.Blocksize, out.Rows)
-		cl, cu := bj*out.Blocksize, min(bj*out.Blocksize+out.Blocksize, out.Cols)
-		var parts []*matrix.MatrixBlock
-		if cl < a.Cols {
-			left, err := a.Region(rl, ru, cl, min(cu, a.Cols))
-			if err != nil {
-				return err
-			}
-			parts = append(parts, left)
-		}
-		if cu > a.Cols {
-			right, err := b.Region(rl, ru, max(cl-a.Cols, 0), cu-a.Cols)
-			if err != nil {
-				return err
-			}
-			parts = append(parts, right)
-		}
-		blk, err := matrix.CBind(parts...)
-		if err != nil {
-			return err
-		}
-		out.Blocks[bi*gc+bj] = blk
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -236,8 +236,9 @@ func CompressedOutput(h *Hop) bool {
 	if h.Kind == KindCompress && h.CompressFire {
 		return true
 	}
-	if h.Kind == KindReorg && h.Op == "t" && len(h.Inputs) == 1 {
-		return CompressedOutput(h.Inputs[0])
+	if h.Kind == KindReorg && len(h.Inputs) == 1 {
+		row, ok := matrix.ReorgOf(h.Op)
+		return ok && row.View && CompressedOutput(h.Inputs[0])
 	}
 	return false
 }
@@ -301,14 +302,15 @@ func discountCompressedInputs(h *Hop) {
 // everything else always runs in CP.
 func distEligible(h *Hop) bool {
 	switch h.Kind {
-	case KindMatMult, KindTSMM, KindBinary, KindUnary, KindAggUnary, KindReorg:
+	case KindMatMult, KindTSMM, KindBinary, KindUnary, KindAggUnary:
 		return true
+	case KindReorg:
+		row, ok := matrix.ReorgOf(h.Op)
+		return ok && row.Blocked
 	case KindMMChain:
 		// fusion keeps the xty variant of a dist-bound multiply only on the
 		// shapes dist.XtY runs; the chains stay unfused there
 		return h.Op == OpXtY
-	case KindNary:
-		return h.Op == "rbind" || h.Op == "cbind"
 	case KindDataGen:
 		// rand/seq above the budget generate blocked partitions directly
 		// instead of materializing a huge local matrix and repartitioning it

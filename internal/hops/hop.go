@@ -29,11 +29,10 @@ const (
 	KindAggUnary                 // full or row/column aggregation
 	KindMatMult                  // matrix multiplication
 	KindTSMM                     // fused transpose-self matrix multiply t(X)%*%X
-	KindReorg                    // transpose, diag, rev, order
+	KindReorg                    // a row of the reorg table (matrix.Reorg): t, diag, rev, cbind, rbind
 	KindIndexing                 // right indexing X[a:b, c:d]
 	KindLeftIndex                // left indexing target[a:b, c:d] = src
 	KindDataGen                  // rand, seq, fill
-	KindNary                     // cbind, rbind, n-ary min/max
 	KindTernary                  // ifelse
 	KindParamBuiltin             // parameterized builtins (transformencode, removeEmpty, ...)
 	KindFunctionCall             // call to a user or DML-bodied function
@@ -49,7 +48,7 @@ var kindNames = map[Kind]string{
 	KindRead: "TRead", KindLiteral: "Literal", KindBinary: "Binary", KindUnary: "Unary",
 	KindAggUnary: "AggUnary", KindMatMult: "MatMult", KindTSMM: "TSMM", KindReorg: "Reorg",
 	KindIndexing: "RightIndex", KindLeftIndex: "LeftIndex", KindDataGen: "DataGen",
-	KindNary: "Nary", KindTernary: "Ternary", KindParamBuiltin: "ParamBuiltin",
+	KindTernary: "Ternary", KindParamBuiltin: "ParamBuiltin",
 	KindFunctionCall: "FCall", KindCast: "Cast", KindWrite: "TWrite",
 	KindMMChain: "MMChain", KindFusedAgg: "FusedAgg", KindFusedCell: "FusedCell",
 	KindCompress: "Compress",

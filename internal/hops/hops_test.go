@@ -189,7 +189,7 @@ func TestPropagateSizesSpecificOps(t *testing.T) {
 	total.DataType = types.Scalar
 	trans := NewHop(KindReorg, "t", x)
 	trans.DataType = types.Matrix
-	cb := NewHop(KindNary, "cbind", x, x)
+	cb := NewHop(KindReorg, "cbind", x, x)
 	cb.DataType = types.Matrix
 	gen := NewHop(KindDataGen, "rand")
 	gen.DataType = types.Matrix
@@ -308,7 +308,7 @@ func TestPropagateBlockedOutputs(t *testing.T) {
 func TestSelectExecTypesNaryConcat(t *testing.T) {
 	a := NewRead("A", types.Matrix)
 	b := NewRead("B", types.Matrix)
-	rb := NewHop(KindNary, "rbind", a, b)
+	rb := NewHop(KindReorg, "rbind", a, b)
 	rb.DataType = types.Matrix
 	dag := &DAG{Roots: []*Hop{NewWrite("C", rb)}}
 	known := map[string]types.DataCharacteristics{
@@ -323,6 +323,79 @@ func TestSelectExecTypesNaryConcat(t *testing.T) {
 	PropagateBlockedOutputs(dag)
 	if !rb.BlockedOutput {
 		t.Error("rbind feeding only a transient write should stay blocked")
+	}
+}
+
+// TestIndexingSizesOmittedRanges: an omitted index range (literal bounds 0,
+// 0) spans the whole dimension, a single index one row or column, and an
+// omitted range over an unknown dimension stays unknown.
+func TestIndexingSizesOmittedRanges(t *testing.T) {
+	lit := NewLiteralNumber
+	index := func(x *Hop, rl, ru, cl, cu float64) *Hop {
+		h := NewHop(KindIndexing, "rightIndex", x, lit(rl), lit(ru), lit(cl), lit(cu))
+		h.DataType = types.Matrix
+		return h
+	}
+	x := NewRead("X", types.Matrix)
+	u := NewRead("U", types.Matrix)
+	cases := []struct {
+		h          *Hop
+		rows, cols int64
+	}{
+		{index(x, 0, 0, 2, 8), 2000, 7},  // X[, 2:8]
+		{index(x, 3, 32, 0, 0), 30, 30},  // X[3:32, ]
+		{index(x, 5, 5, 0, 0), 1, 30},    // X[5, ]
+		{index(x, 0, 0, 4, 4), 2000, 1},  // X[, 4]
+		{index(x, 0, 0, 0, 0), 2000, 30}, // X[, ]
+		{index(u, 0, 0, 1, 7), -1, 7},    // U[, 1:7], U's rows unknown
+		{index(u, 1, 10, 0, 0), 10, 30},  // U[1:10, ]
+	}
+	var roots []*Hop
+	for k, c := range cases {
+		roots = append(roots, NewWrite(fmt.Sprint("Y", k), c.h))
+	}
+	PropagateSizes(&DAG{Roots: roots}, map[string]types.DataCharacteristics{
+		"X": types.NewDataCharacteristics(2000, 30, 1024, -1),
+		"U": types.NewDataCharacteristics(-1, 30, 1024, -1),
+	})
+	for k, c := range cases {
+		if c.h.DC.Rows != c.rows || c.h.DC.Cols != c.cols {
+			t.Errorf("case %d: %dx%d, want %dx%d", k, c.h.DC.Rows, c.h.DC.Cols, c.rows, c.cols)
+		}
+	}
+}
+
+// TestReorgPlacementFollowsTheTable: over an input above the budget, only
+// the rows with a blocked kernel (t, cbind, rbind) plan DIST; rev and diag
+// plan CP.
+func TestReorgPlacementFollowsTheTable(t *testing.T) {
+	x := NewRead("X", types.Matrix)
+	v := NewRead("v", types.Matrix)
+	hops := map[string]*Hop{
+		"t": NewHop(KindReorg, "t", x), "rev": NewHop(KindReorg, "rev", x),
+		"diag": NewHop(KindReorg, "diag", v), "cbind": NewHop(KindReorg, "cbind", x, x),
+		"rbind": NewHop(KindReorg, "rbind", x, x),
+	}
+	var roots []*Hop
+	for _, name := range []string{"t", "rev", "diag", "cbind", "rbind"} {
+		hops[name].DataType = types.Matrix
+		roots = append(roots, NewWrite(name, hops[name]))
+	}
+	dag := &DAG{Roots: roots}
+	PropagateSizes(dag, map[string]types.DataCharacteristics{
+		"X": types.NewDataCharacteristics(2000, 30, 1024, -1),
+		"v": types.NewDataCharacteristics(2000, 1, 1024, -1),
+	})
+	planWithBudget(dag, 20000, true)
+	for name, h := range hops {
+		row, _ := matrix.ReorgOf(name)
+		want := types.ExecCP
+		if row.Blocked {
+			want = types.ExecDist
+		}
+		if h.ExecType != want {
+			t.Errorf("%s: plan %s, want %s", name, h.ExecType, want)
+		}
 	}
 }
 

@@ -106,40 +106,17 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 			}
 		}
 	case KindReorg:
-		if len(h.Inputs) == 1 {
-			in := h.Inputs[0].DC
-			switch h.Op {
-			case "t":
-				h.DC = types.NewDataCharacteristics(in.Cols, in.Rows, in.Blocksize, in.NNZ)
-			case "diag":
-				if in.Cols == 1 {
-					h.DC = types.NewDataCharacteristics(in.Rows, in.Rows, in.Blocksize, in.Rows)
-				} else {
-					h.DC = types.NewDataCharacteristics(in.Rows, 1, in.Blocksize, -1)
-				}
-			default:
-				h.DC = in
-			}
+		if row, ok := matrix.ReorgOf(h.Op); ok && len(h.Inputs) > 0 {
+			h.DC = reorgDC(row, h.Inputs)
 		}
 	case KindIndexing:
-		// without literal bounds the result size is unknown; a literal range
-		// yields exact sizes
+		// a literal range yields an exact size: a literal 0 lower bound (an
+		// omitted range) is 1, a literal 0 upper bound the input's dimension
 		h.DC = types.UnknownCharacteristics()
 		if len(h.Inputs) >= 5 {
-			rl, ru := h.Inputs[1], h.Inputs[2]
-			cl, cu := h.Inputs[3], h.Inputs[4]
-			rows, cols := int64(-1), int64(-1)
-			if rl.IsLiteralNumber() && ru.IsLiteralNumber() {
-				rows = int64(ru.LitValue-rl.LitValue) + 1
-			}
-			if cl.IsLiteralNumber() && cu.IsLiteralNumber() {
-				cols = int64(cu.LitValue-cl.LitValue) + 1
-			}
 			in := h.Inputs[0].DC
-			if rows < 0 && in.Rows >= 0 && rl.IsLiteralNumber() && rl.LitValue == 1 && ru.Kind == KindRead {
-				rows = -1
-			}
-			h.DC = types.NewDataCharacteristics(rows, cols, in.Blocksize, -1)
+			h.DC = types.NewDataCharacteristics(indexedDim(h.Inputs[1], h.Inputs[2], in.Rows),
+				indexedDim(h.Inputs[3], h.Inputs[4], in.Cols), in.Blocksize, -1)
 		}
 	case KindLeftIndex:
 		if len(h.Inputs) >= 1 {
@@ -176,45 +153,6 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 			}
 		}
 		h.DC = types.NewDataCharacteristics(rows, cols, types.DefaultBlocksize, nnz)
-	case KindNary:
-		switch h.Op {
-		case "cbind":
-			rows, cols := int64(-1), int64(0)
-			ok := true
-			for _, in := range h.Inputs {
-				if in.DC.Rows >= 0 {
-					rows = in.DC.Rows
-				}
-				if in.DC.Cols < 0 {
-					ok = false
-					break
-				}
-				cols += in.DC.Cols
-			}
-			if !ok {
-				cols = -1
-			}
-			h.DC = types.NewDataCharacteristics(rows, cols, types.DefaultBlocksize, -1)
-		case "rbind":
-			rows, cols := int64(0), int64(-1)
-			ok := true
-			for _, in := range h.Inputs {
-				if in.DC.Cols >= 0 {
-					cols = in.DC.Cols
-				}
-				if in.DC.Rows < 0 {
-					ok = false
-					break
-				}
-				rows += in.DC.Rows
-			}
-			if !ok {
-				rows = -1
-			}
-			h.DC = types.NewDataCharacteristics(rows, cols, types.DefaultBlocksize, -1)
-		default:
-			h.DC = types.UnknownCharacteristics()
-		}
 	case KindTernary:
 		if len(h.Inputs) == 3 {
 			h.DC = h.Inputs[0].DC
@@ -223,6 +161,48 @@ func propagate(h *Hop, known map[string]types.DataCharacteristics) {
 	case KindParamBuiltin, KindFunctionCall:
 		h.DC = types.UnknownCharacteristics()
 	}
+}
+
+// reorgDC is the output of a reorg row over its inputs: the row's shape rule
+// for the dimensions. A transpose or reversal keeps its input's non-zeros, a
+// diagonal matrix has at most one per row; the blocksize is the input's, a
+// bind's the default.
+func reorgDC(row *matrix.Reorg, ins []*Hop) types.DataCharacteristics {
+	rows, cols := make([]int64, len(ins)), make([]int64, len(ins))
+	for k, in := range ins {
+		rows[k], cols[k] = in.DC.Rows, in.DC.Cols
+	}
+	r, c := row.Dims(rows, cols)
+	in := ins[0].DC
+	switch {
+	case row.Shape == matrix.ShapeBind:
+		in.Blocksize, in.NNZ = types.DefaultBlocksize, -1
+	case row.Shape == matrix.ShapeDiag && in.Cols == 1:
+		in.NNZ = in.Rows
+	case row.Shape == matrix.ShapeDiag:
+		in.NNZ = -1
+	}
+	return types.NewDataCharacteristics(r, c, in.Blocksize, in.NNZ)
+}
+
+// indexedDim is the extent of the 1-based inclusive index range [lo, hi]
+// over a dimension of size dim, or -1 when a bound is not a literal or an
+// omitted upper bound meets an unknown dimension.
+func indexedDim(lo, hi *Hop, dim int64) int64 {
+	if !lo.IsLiteralNumber() || !hi.IsLiteralNumber() {
+		return -1
+	}
+	l, u := int64(lo.LitValue), int64(hi.LitValue)
+	if l == 0 {
+		l = 1
+	}
+	if u == 0 {
+		if dim < 0 {
+			return -1
+		}
+		u = dim
+	}
+	return u - l + 1
 }
 
 // fusedShape returns the shape of a fused cellwise pipeline: its matrix leaves

@@ -291,42 +291,39 @@ func TestReorgIndexNaryInstructions(t *testing.T) {
 	ctx := newCtx()
 	x := matrix.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	ctx.SetMatrix("X", x)
-	if err := NewReorg("r'", "T", Var("X")).Execute(ctx); err != nil {
+	if err := NewReorg(reorgRow(t, "t"), "T", Var("X")).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if !getMat(t, ctx, "T").Equals(matrix.Transpose(x), 0) {
 		t.Error("transpose wrong")
 	}
 	ctx.SetMatrix("v", matrix.FromRows([][]float64{{1}, {2}}))
-	if err := NewReorg("rdiag", "D", Var("v")).Execute(ctx); err != nil {
+	if err := NewReorg(reorgRow(t, "diag"), "D", Var("v")).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if getMat(t, ctx, "D").Get(1, 1) != 2 {
 		t.Error("diag wrong")
 	}
-	if err := NewReorg("rev", "R", Var("X")).Execute(ctx); err != nil {
+	if err := NewReorg(reorgRow(t, "rev"), "R", Var("X")).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if getMat(t, ctx, "R").Get(0, 0) != 4 {
 		t.Error("rev wrong")
 	}
-	if err := NewReorg("spin", "Z", Var("X")).Execute(ctx); err == nil {
-		t.Error("expected unknown reorg error")
-	}
-	if err := NewNary("cbind", "CB", Var("X"), Var("X")).Execute(ctx); err != nil {
+	if err := NewReorg(reorgRow(t, "cbind"), "CB", Var("X"), Var("X")).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if getMat(t, ctx, "CB").Cols() != 6 {
 		t.Error("cbind wrong")
 	}
-	if err := NewNary("rbind", "RB", Var("X"), Var("X")).Execute(ctx); err != nil {
+	if err := NewReorg(reorgRow(t, "rbind"), "RB", Var("X"), Var("X")).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if getMat(t, ctx, "RB").Rows() != 4 {
 		t.Error("rbind wrong")
 	}
-	if err := NewNary("zip", "ZZ", Var("X")).Execute(ctx); err == nil {
-		t.Error("expected unknown nary error")
+	if err := NewReorg(reorgRow(t, "t"), "ZZ", Var("X"), Var("X")).Execute(ctx); err == nil {
+		t.Error("expected an error for a transpose of two operands")
 	}
 	// right indexing with 1-based inclusive bounds (0 = unbounded)
 	if err := NewRightIndex("S", Var("X"), LitInt(1), LitInt(2), LitInt(2), LitInt(3)).Execute(ctx); err != nil {

@@ -1,7 +1,6 @@
 package instructions
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/systemds/systemds-go/internal/dist"
@@ -9,129 +8,39 @@ import (
 	"github.com/systemds/systemds-go/internal/runtime"
 )
 
-// ReorgInst implements reorganization operations: transpose (opcode "r'"),
-// diag ("rdiag") and row reversal ("rev").
+// ReorgInst runs a row of the reorg table over one operand (t, diag, rev)
+// or n (cbind, rbind), under the row's opcode. Execute takes the first rung
+// of the ladder the row can run (DESIGN.md, "The reorg table"):
+//
+//  1. View: a row with View (t) binds a lazy view of a compressed or
+//     federated operand, and the operand's source when it is such a view.
+//  2. Blocked: a row with a blocked kernel, when every operand is a local or
+//     blocked matrix and useDist holds: dist.Transpose or dist.Bind along the
+//     row's axis, kept blocked or collected (bindBlockedResult).
+//  3. Local: the row's kernel on the operands' local blocks (a compressed
+//     operand decompresses, counted).
 type ReorgInst struct {
 	base
 	plan
-	In Operand
+	row *matrix.Reorg
 }
 
-// NewReorg creates a reorg instruction with the given opcode.
-func NewReorg(opcode, out string, in Operand) *ReorgInst {
-	inst := &ReorgInst{plan: unplanned, In: in}
-	inst.base = newBase(opcode, []string{out}, "", in)
+// NewReorg creates the instruction of a row of the reorg table.
+func NewReorg(row *matrix.Reorg, out string, ins ...Operand) *ReorgInst {
+	inst := &ReorgInst{plan: unplanned, row: row}
+	inst.base = newBase(row.Opcode, []string{out}, "", ins...)
 	return inst
 }
 
 // Execute implements runtime.Instruction.
 func (i *ReorgInst) Execute(ctx *runtime.Context) error {
-	d, err := i.In.Resolve(ctx)
-	if err != nil {
-		return err
+	row := i.row
+	if len(i.ins) == 0 || (!row.Nary && len(i.ins) != 1) {
+		return fmt.Errorf("instructions: reorg %q over %d operands", i.opcode, len(i.ins))
 	}
-	// the transpose of a compressed or federated matrix stays a zero-cost view
-	// (t(X) %*% Y consumers run the transpose-free kernels on X), and the
-	// transpose of a view folds back to its source
-	if i.opcode == "r'" {
-		if view, ok := transposeView(ctx, d); ok {
-			ctx.Set(i.outs[0], view)
-			return nil
-		}
-	}
-	// blocked transpose: per-block transpose with mirrored grid coordinates;
-	// other reorg ops fall back to the local kernel (collecting lazily)
-	if i.opcode == "r'" && useDist(ctx, i.ExecType, d) {
-		if _, isScalar := d.(*runtime.Scalar); !isScalar {
-			bm, err := resolveBlockedData(ctx, d, i.In)
-			if err != nil {
-				return err
-			}
-			res, err := dist.Transpose(bm, ctx.Config.Threads())
-			if err != nil {
-				return err
-			}
-			return bindBlockedResult(ctx, i.outs[0], res, i.BlockedOut, i.opcode, "dist", i.EstBytes)
-		}
-	}
-	blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
-	if err != nil {
-		return err
-	}
-	switch i.opcode {
-	case "r'":
-		ctx.SetMatrix(i.outs[0], matrix.Transpose(blk))
-	case "rdiag":
-		res, err := matrix.Diag(blk)
-		if err != nil {
-			return err
-		}
-		ctx.SetMatrix(i.outs[0], res)
-	case "rev":
-		ctx.SetMatrix(i.outs[0], matrix.Reverse(blk))
-	default:
-		return fmt.Errorf("instructions: unknown reorg op %q", i.opcode)
-	}
-	return nil
-}
-
-// NaryInst implements n-ary operations over matrices: cbind and rbind.
-type NaryInst struct {
-	base
-	plan
-	Ins []Operand
-}
-
-// NewNary creates a cbind/rbind instruction.
-func NewNary(opcode, out string, ins ...Operand) *NaryInst {
-	inst := &NaryInst{plan: unplanned, Ins: ins}
-	inst.base = newBase(opcode, []string{out}, "", ins...)
-	return inst
-}
-
-// Execute implements runtime.Instruction.
-func (i *NaryInst) Execute(ctx *runtime.Context) error {
-	if err := i.tryDistributed(ctx); err == nil || err != errNotDist {
-		return err
-	}
-	blocks := make([]*matrix.MatrixBlock, len(i.Ins))
-	for idx, op := range i.Ins {
-		blk, err := op.MatrixBlockFor(ctx, i.opcode)
-		if err != nil {
-			return err
-		}
-		blocks[idx] = blk
-	}
-	var res *matrix.MatrixBlock
-	var err error
-	switch i.opcode {
-	case "cbind":
-		res, err = matrix.CBind(blocks...)
-	case "rbind":
-		res, err = matrix.RBind(blocks...)
-	default:
-		return fmt.Errorf("instructions: unknown nary op %q", i.opcode)
-	}
-	if err != nil {
-		return err
-	}
-	ctx.SetMatrix(i.outs[0], res)
-	return nil
-}
-
-// errNotDist signals that an operation is not handled by the blocked backend
-// and falls through to the local kernels.
-var errNotDist = errors.New("instructions: not distributed")
-
-// tryDistributed concatenates blocked operands without collecting them:
-// block-aligned grids are concatenated by reference, boundary-spanning output
-// blocks are re-assembled from the covering regions.
-func (i *NaryInst) tryDistributed(ctx *runtime.Context) error {
-	if (i.opcode != "cbind" && i.opcode != "rbind") || len(i.Ins) < 2 {
-		return errNotDist
-	}
-	datas := make([]runtime.Data, len(i.Ins))
-	for idx, o := range i.Ins {
+	datas := make([]runtime.Data, len(i.ins))
+	blocked := row.Blocked
+	for k, o := range i.ins {
 		d, err := o.Resolve(ctx)
 		if err != nil {
 			return err
@@ -139,32 +48,51 @@ func (i *NaryInst) tryDistributed(ctx *runtime.Context) error {
 		switch d.(type) {
 		case *runtime.MatrixObject, *runtime.BlockedMatrixObject:
 		default:
-			return errNotDist
+			blocked = false
 		}
-		datas[idx] = d
+		datas[k] = d
 	}
-	if !useDist(ctx, i.ExecType, datas...) {
-		return errNotDist
+	if row.View {
+		if view, ok := transposeView(ctx, datas[0]); ok {
+			ctx.Set(i.outs[0], view)
+			return nil
+		}
 	}
-	acc, err := resolveBlockedData(ctx, datas[0], i.Ins[0])
+	if blocked && useDist(ctx, i.ExecType, datas...) {
+		parts := make([]*dist.BlockedMatrix, len(datas))
+		for k, d := range datas {
+			bm, err := resolveBlockedData(ctx, d, i.ins[k])
+			if err != nil {
+				return err
+			}
+			parts[k] = bm
+		}
+		var res *dist.BlockedMatrix
+		var err error
+		if row.Axis == matrix.NoBind {
+			res, err = dist.Transpose(parts[0], ctx.Config.Threads())
+		} else {
+			res, err = dist.Bind(row.Axis, parts, ctx.Config.Threads())
+		}
+		if err != nil {
+			return err
+		}
+		return bindBlockedResult(ctx, i.outs[0], res, i.BlockedOut, i.opcode, "dist", i.EstBytes)
+	}
+	blks := make([]*matrix.MatrixBlock, len(i.ins))
+	for k, o := range i.ins {
+		blk, err := o.MatrixBlockFor(ctx, i.opcode)
+		if err != nil {
+			return err
+		}
+		blks[k] = blk
+	}
+	res, err := row.Kernel(blks...)
 	if err != nil {
 		return err
 	}
-	for idx := 1; idx < len(datas); idx++ {
-		next, err := resolveBlockedData(ctx, datas[idx], i.Ins[idx])
-		if err != nil {
-			return err
-		}
-		if i.opcode == "cbind" {
-			acc, err = dist.CBind(acc, next, ctx.Config.Threads())
-		} else {
-			acc, err = dist.RBind(acc, next, ctx.Config.Threads())
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return bindBlockedResult(ctx, i.outs[0], acc, i.BlockedOut, i.opcode, "dist", i.EstBytes)
+	ctx.SetMatrix(i.outs[0], res)
+	return nil
 }
 
 // IndexInst implements right indexing X[rl:ru, cl:cu] with 1-based inclusive

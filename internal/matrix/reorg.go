@@ -59,16 +59,25 @@ func transposeSparse(m *MatrixBlock) *MatrixBlock {
 
 // Diag implements DML diag semantics: for a column vector it returns a square
 // diagonal matrix; for a square matrix it extracts the diagonal as a column
-// vector.
+// vector. A diagonal matrix is built in the representation its non-zeros ask
+// for (ExamineAndApplySparsity's rule): CSR from the vector's cells when
+// under SparseThreshold, else dense, so no n x n array is zeroed and scanned
+// to emit n cells.
 func Diag(m *MatrixBlock) (*MatrixBlock, error) {
 	if m.cols == 1 {
-		n := m.rows
+		n, k := m.rows, m.RangeNNZ(0, m.rows, 0, 1)
+		if n > 0 && float64(k)/float64(int64(n)*int64(n)) < SparseThreshold {
+			b := NewBuilder(n, n)
+			for i := 0; i < n; i++ {
+				b.Add(i, i, m.Get(i, 0))
+			}
+			return b.Build(), nil
+		}
 		out := NewDense(n, n)
 		for i := 0; i < n; i++ {
 			out.dense[i*n+i] = m.Get(i, 0)
 		}
-		out.RecomputeNNZ()
-		out.ExamineAndApplySparsity()
+		out.nnz = k
 		return out, nil
 	}
 	if m.rows == m.cols {
@@ -82,15 +91,12 @@ func Diag(m *MatrixBlock) (*MatrixBlock, error) {
 	return nil, fmt.Errorf("matrix: diag requires a vector or square matrix, got %dx%d", m.rows, m.cols)
 }
 
-// Reverse returns the matrix with its row order reversed (DML rev).
+// Reverse returns the matrix with its row order reversed (DML rev), dense; a
+// sparse input's rows are read in place.
 func Reverse(m *MatrixBlock) *MatrixBlock {
 	out := NewDense(m.rows, m.cols)
-	src := m
-	if src.IsSparse() {
-		src = m.Copy().ToDense()
-	}
 	for r := 0; r < m.rows; r++ {
-		copy(out.dense[(m.rows-1-r)*m.cols:(m.rows-r)*m.cols], src.dense[r*m.cols:(r+1)*m.cols])
+		m.CopyRow(out.dense[(m.rows-1-r)*m.cols:(m.rows-r)*m.cols], r, 0)
 	}
 	out.nnz = m.nnz
 	return out

@@ -54,6 +54,67 @@ func TestDiag(t *testing.T) {
 	}
 }
 
+// TestDiagBuildsTheRepresentationDirectly: diag of a column vector has the
+// cells (zero signs and NaN included), non-zero count and representation of
+// writing the vector into a zeroed dense n x n array and applying the
+// sparsity rule, as the kernel once did.
+func TestDiagBuildsTheRepresentationDirectly(t *testing.T) {
+	zeroed := func(v *MatrixBlock) *MatrixBlock {
+		n := v.rows
+		out := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			out.dense[i*n+i] = v.Get(i, 0)
+		}
+		out.RecomputeNNZ()
+		return out.ExamineAndApplySparsity()
+	}
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, n := range []int{0, 1, 2, 3, 512} {
+		fills := map[string]func(i int) float64{
+			"full":    func(i int) float64 { return float64(i + 1) },
+			"zeros":   func(int) float64 { return 0 },
+			"-0":      func(i int) float64 { return []float64{negZero, 2}[i%2] },
+			"NaN":     func(i int) float64 { return []float64{nan, 0, 3}[i%3] },
+			"alone":   func(i int) float64 { return []float64{negZero, 7}[min(i, 1)] },
+			"mixed-0": func(i int) float64 { return []float64{5, negZero, nan, 0}[i%4] },
+		}
+		for name, fill := range fills {
+			v := NewDense(n, 1)
+			for i := 0; i < n; i++ {
+				v.dense[i] = fill(i)
+			}
+			v.RecomputeNNZ()
+			for _, in := range []*MatrixBlock{v, v.Copy().ToSparse()} {
+				got, err := Diag(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := zeroed(v)
+				if msg := sameBits(got, want); msg != "" {
+					t.Errorf("n=%d %s sparse=%v: %s", n, name, in.IsSparse(), msg)
+				}
+				if got.NNZ() != want.NNZ() || got.IsSparse() != want.IsSparse() {
+					t.Errorf("n=%d %s sparse=%v: nnz %d sparse %v, want %d %v", n, name, in.IsSparse(),
+						got.NNZ(), got.IsSparse(), want.NNZ(), want.IsSparse())
+				}
+			}
+		}
+	}
+}
+
+// TestReverseReadsSparseRowsInPlace: rev of a CSR input has the bits and
+// non-zero count of rev of its dense copy, and is dense.
+func TestReverseReadsSparseRowsInPlace(t *testing.T) {
+	m := RandUniform(40, 25, -1, 1, 0.1, 23)
+	if !m.IsSparse() {
+		t.Fatal("expected a sparse input")
+	}
+	got, want := Reverse(m), Reverse(m.Copy().ToDense())
+	if msg := sameBits(got, want); msg != "" || got.NNZ() != want.NNZ() || got.IsSparse() || !m.IsSparse() {
+		t.Errorf("%s; nnz %d, want %d; sparse output %v, input still sparse %v", msg, got.NNZ(), want.NNZ(), got.IsSparse(), m.IsSparse())
+	}
+}
+
 func TestReverse(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	got := Reverse(m)

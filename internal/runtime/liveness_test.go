@@ -488,7 +488,7 @@ func TestConcatenationCountsSharedBlocksOnce(t *testing.T) {
 	pool := bufferpool.New(0, ctx.Config.TempDir)
 	mo, zb := viewPartitioned(t, pool, 600, 11)
 	zBytes := mo.MemorySize()
-	zz, err := dist.CBind(zb, zb, 1)
+	zz, err := dist.Bind(matrix.BindCols, []*dist.BlockedMatrix{zb, zb}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestConcatenationCountsSharedBlocksOnce(t *testing.T) {
 		t.Fatalf("not a copied partition (%v)", err)
 	}
 	held := NewBlockedMatrixObject(sb, pool)
-	ss, err := dist.RBind(sb, sb, 1)
+	ss, err := dist.Bind(matrix.BindRows, []*dist.BlockedMatrix{sb, sb}, 1)
 	if err != nil || len(ss.Shared) != len(sb.Blocks) {
 		t.Fatalf("rbind of block-aligned rows did not share its blocks (%v)", err)
 	}
@@ -536,7 +536,7 @@ func TestEvictingASharerFreesOnlyWhatNoOneHolds(t *testing.T) {
 	zBytes := matrix.RandUniform(600, 100, -1, 1, 1, 13).InMemorySize()
 	pool := bufferpool.New(zBytes+zBytes/2, ctx.Config.TempDir)
 	mo, zb := viewPartitioned(t, pool, 600, 13)
-	zz, err := dist.CBind(zb, zb, 1)
+	zz, err := dist.Bind(matrix.BindCols, []*dist.BlockedMatrix{zb, zb}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func TestRBindLoopStaysCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := dist.RBind(xb, bb, 1)
+		next, err := dist.Bind(matrix.BindRows, []*dist.BlockedMatrix{xb, bb}, 1)
 		if err != nil || next.Shared == nil {
 			t.Fatalf("iteration %d: rbind did not share its blocks (%v)", i, err)
 		}
