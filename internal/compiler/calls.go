@@ -98,7 +98,7 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 			return nil, err
 		}
 		ins := positional // a bind takes every operand, any other row its first
-		if row, _ := matrix.ReorgOf(name); !row.Nary {
+		if row, _ := matrix.ReorgOf(name); row.Axis == matrix.NoBind {
 			ins = positional[:1]
 		}
 		h := hops.NewHop(hops.KindReorg, name, ins...)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -285,17 +286,19 @@ func TestTransposeMatchesLocal(t *testing.T) {
 }
 
 // TestRBindCBindMatchLocal: Bind along either axis over two and three parts
-// equals the local bind kernel over the collected parts, whether the parts'
-// offsets are block-aligned (blocks taken by reference, Shared) or not
-// (blocks assembled from Regions).
+// equals the local bind kernel over the collected parts, whether a part lands
+// in whole blocks (its blocks taken by reference, Shared) or not (blocks
+// assembled from Regions). Shared lists exactly the arrays the output's
+// blocks live in: a taken part's View or blocks, and the assembled blocks.
 func TestRBindCBindMatchLocal(t *testing.T) {
-	check := func(axis matrix.BindAxis, parts []*matrix.MatrixBlock, bs int, shared bool) {
+	check := func(name string, parts []*matrix.MatrixBlock, bs int, shared bool) {
 		t.Helper()
+		row, _ := matrix.ReorgOf(name)
 		blocked := make([]*BlockedMatrix, len(parts))
 		for k, p := range parts {
 			blocked[k], _ = FromMatrixBlock(p, bs)
 		}
-		res, err := Bind(axis, blocked, 0)
+		res, err := Bind(row, blocked, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,12 +306,35 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := axis.Row().Kernel(parts...)
+		want, _ := row.Kernel(parts...)
 		if !want.Equals(got, 0) || got.NNZ() != want.NNZ() {
-			t.Errorf("%s of %d parts, blocksize %d: differs from the local kernel", axis.Row().Opcode, len(parts), bs)
+			t.Errorf("%s of %d parts, blocksize %d: differs from the local kernel", name, len(parts), bs)
 		}
 		if (res.Shared != nil) != shared {
-			t.Errorf("%s of %d parts, blocksize %d: shared %v, want %v", axis.Row().Opcode, len(parts), bs, res.Shared != nil, shared)
+			t.Errorf("%s of %d parts, blocksize %d: shared %v, want %v", name, len(parts), bs, res.Shared != nil, shared)
+		}
+		if res.Shared == nil {
+			return
+		}
+		held := map[*matrix.MatrixBlock]bool{}
+		for _, blk := range res.Blocks {
+			array := blk
+			for _, p := range blocked {
+				if p.View != nil && slices.Contains(p.Blocks, blk) {
+					array = p.View
+				}
+			}
+			held[array] = true
+		}
+		listed := map[*matrix.MatrixBlock]bool{}
+		for _, a := range res.Shared {
+			if listed[a] || !held[a] {
+				t.Errorf("%s of %d parts, blocksize %d: Shared lists an array twice or one no block lives in", name, len(parts), bs)
+			}
+			listed[a] = true
+		}
+		if len(listed) != len(held) {
+			t.Errorf("%s of %d parts, blocksize %d: Shared lists %d arrays, the blocks live in %d", name, len(parts), bs, len(listed), len(held))
 		}
 	}
 	for _, s := range []struct {
@@ -317,7 +343,7 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		shared bool
 	}{
 		{[]int{64, 32}, 50, 32, true},     // aligned fast path
-		{[]int{70, 33}, 50, 32, true},     // boundary re-assembly; the first part's whole blocks taken
+		{[]int{70, 33}, 50, 32, false},    // boundary re-assembly: the first part's last block is not whole
 		{[]int{5, 7}, 3, 32, false},       // one output block
 		{[]int{64, 7, 32}, 50, 32, true},  // three parts, the third unaligned
 		{[]int{9, 64, 41}, 50, 32, false}, // three parts, none aligned
@@ -327,7 +353,7 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		for k, r := range s.rs {
 			parts[k] = testMatrix(r, s.c)
 		}
-		check(matrix.BindRows, parts, s.bs, s.shared)
+		check("rbind", parts, s.bs, s.shared)
 	}
 	for _, s := range []struct {
 		r      int
@@ -336,7 +362,7 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		shared bool
 	}{
 		{50, []int{64, 32}, 32, true},
-		{50, []int{70, 33}, 32, true},
+		{50, []int{70, 33}, 32, false},
 		{3, []int{5, 7}, 32, false},
 		{50, []int{64, 7, 32}, 32, true},
 		{50, []int{9, 64, 41}, 32, false},
@@ -346,10 +372,15 @@ func TestRBindCBindMatchLocal(t *testing.T) {
 		for k, c := range s.cs {
 			parts[k] = testMatrix(s.r, c)
 		}
-		check(matrix.BindCols, parts, s.bs, s.shared)
+		check("cbind", parts, s.bs, s.shared)
 	}
-	if _, err := Bind(matrix.BindRows, []*BlockedMatrix{{Cols: 3, Blocksize: 32}, {Cols: 4, Blocksize: 32}}, 0); err == nil {
+	rbind, _ := matrix.ReorgOf("rbind")
+	if _, err := Bind(rbind, []*BlockedMatrix{{Cols: 3, Blocksize: 32}, {Cols: 4, Blocksize: 32}}, 0); err == nil {
 		t.Error("rbind column mismatch should error")
+	}
+	transpose, _ := matrix.ReorgOf("t")
+	if _, err := Bind(transpose, []*BlockedMatrix{{Cols: 3, Blocksize: 32}}, 0); err == nil {
+		t.Error("Bind of a row that is not a bind should error")
 	}
 }
 

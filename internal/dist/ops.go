@@ -156,20 +156,21 @@ func Transpose(a *BlockedMatrix, threads int) (*BlockedMatrix, error) {
 	return out, nil
 }
 
-// Bind concatenates blocked matrices along axis: row counts add up for
-// matrix.BindRows (rbind), column counts for matrix.BindCols (cbind), and
-// the parts agree in the other dimension and in blocksize. An output block
-// that is exactly one block of one part is that block, taken by reference
-// (blocks are immutable); any other is assembled once, by the row's local
-// kernel, from the Regions of the parts that cover it. So every part whose
-// offset is block-aligned is taken whole, however many parts there are.
-// Shared then lists, once each, the arrays of every part a block was taken
-// from (all of them, even where a part's last block was assembled) and the
-// assembled blocks; it is nil when no block was taken.
-func Bind(axis matrix.BindAxis, parts []*BlockedMatrix, threads int) (*BlockedMatrix, error) {
-	row := axis.Row()
-	if row == nil || len(parts) == 0 {
-		return nil, fmt.Errorf("dist: bind along %d of %d parts", axis, len(parts))
+// Bind runs a bind row of the reorg table (rbind, cbind) over blocked
+// matrices: row counts add up along matrix.BindRows, column counts along
+// matrix.BindCols, and the parts agree in the other dimension and in
+// blocksize. A part every block of which lands whole in the output — its
+// offset is block-aligned and its last block is whole or the output's last —
+// is taken by reference (blocks are immutable); every other output block is
+// assembled once, by the row's local kernel, from the Regions of the parts
+// that cover it. So every aligned part is taken whole, however many parts
+// there are. Shared then lists, once each, the arrays of the parts taken and
+// the blocks assembled, which are exactly the arrays the output holds; it is
+// nil when no part was taken.
+func Bind(row *matrix.Reorg, parts []*BlockedMatrix, threads int) (*BlockedMatrix, error) {
+	axis := row.Axis
+	if axis == matrix.NoBind || len(parts) == 0 {
+		return nil, fmt.Errorf("dist: bind %s of %d parts", row.Opcode, len(parts))
 	}
 	first := parts[0]
 	bs := first.Blocksize
@@ -186,14 +187,19 @@ func Bind(axis matrix.BindAxis, parts []*BlockedMatrix, threads int) (*BlockedMa
 		}
 		offs[k+1] = offs[k] + along
 	}
+	total := offs[len(parts)]
 	if axis == matrix.BindCols {
-		out.Cols = offs[len(parts)]
+		out.Cols = total
 	} else {
-		out.Rows = offs[len(parts)]
+		out.Rows = total
+	}
+	taken := make([]bool, len(parts))
+	for k := range parts {
+		taken[k] = offs[k] < offs[k+1] && offs[k]%bs == 0 && ((offs[k+1]-offs[k])%bs == 0 || offs[k+1] == total)
 	}
 	gr, gc := out.GridRows(), out.GridCols()
 	out.Blocks = make([]*matrix.MatrixBlock, gr*gc)
-	from := make([]int, gr*gc) // 1 + the part a block was taken from; 0: assembled
+	assembled := make([]bool, gr*gc)
 	err := forEachBlock(row.Opcode, gr, gc, threads, func(bi, bj int) error {
 		r0, r1 := bi*bs, min(bi*bs+bs, out.Rows)
 		c0, c1 := bj*bs, min(bj*bs+bs, out.Cols)
@@ -209,8 +215,8 @@ func Bind(axis matrix.BindAxis, parts []*BlockedMatrix, threads int) (*BlockedMa
 			switch {
 			case rl >= ru || cl >= cu:
 				continue
-			case rl%bs == 0 && cl%bs == 0 && ru-rl == r1-r0 && cu-cl == c1-c0:
-				out.Blocks[bi*gc+bj], from[bi*gc+bj] = p.Block(rl/bs, cl/bs), k+1
+			case taken[k]:
+				out.Blocks[bi*gc+bj] = p.Block(rl/bs, cl/bs)
 				return nil
 			}
 			r, err := p.Region(rl, ru, cl, cu)
@@ -220,11 +226,14 @@ func Bind(axis matrix.BindAxis, parts []*BlockedMatrix, threads int) (*BlockedMa
 			regions = append(regions, r)
 		}
 		blk, err := row.Kernel(regions...)
-		out.Blocks[bi*gc+bj] = blk
+		out.Blocks[bi*gc+bj], assembled[bi*gc+bj] = blk, true
 		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	if !slices.Contains(taken, true) {
+		return out, nil
 	}
 	seen := map[*matrix.MatrixBlock]bool{}
 	add := func(m *matrix.MatrixBlock) {
@@ -234,12 +243,12 @@ func Bind(axis matrix.BindAxis, parts []*BlockedMatrix, threads int) (*BlockedMa
 		}
 	}
 	for k, p := range parts {
-		if slices.Contains(from, k+1) {
+		if taken[k] {
 			p.EachArray(add)
 		}
 	}
 	for t, blk := range out.Blocks {
-		if out.Shared != nil && from[t] == 0 {
+		if assembled[t] {
 			add(blk)
 		}
 	}

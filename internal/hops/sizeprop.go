@@ -175,7 +175,7 @@ func reorgDC(row *matrix.Reorg, ins []*Hop) types.DataCharacteristics {
 	r, c := row.Dims(rows, cols)
 	in := ins[0].DC
 	switch {
-	case row.Shape == matrix.ShapeBind:
+	case row.Axis != matrix.NoBind:
 		in.Blocksize, in.NNZ = types.DefaultBlocksize, -1
 	case row.Shape == matrix.ShapeDiag && in.Cols == 1:
 		in.NNZ = in.Rows

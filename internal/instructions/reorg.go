@@ -35,7 +35,7 @@ func NewReorg(row *matrix.Reorg, out string, ins ...Operand) *ReorgInst {
 // Execute implements runtime.Instruction.
 func (i *ReorgInst) Execute(ctx *runtime.Context) error {
 	row := i.row
-	if len(i.ins) == 0 || (!row.Nary && len(i.ins) != 1) {
+	if len(i.ins) == 0 || (row.Axis == matrix.NoBind && len(i.ins) != 1) {
 		return fmt.Errorf("instructions: reorg %q over %d operands", i.opcode, len(i.ins))
 	}
 	datas := make([]runtime.Data, len(i.ins))
@@ -72,7 +72,7 @@ func (i *ReorgInst) Execute(ctx *runtime.Context) error {
 		if row.Axis == matrix.NoBind {
 			res, err = dist.Transpose(parts[0], ctx.Config.Threads())
 		} else {
-			res, err = dist.Bind(row.Axis, parts, ctx.Config.Threads())
+			res, err = dist.Bind(row, parts, ctx.Config.Threads())
 		}
 		if err != nil {
 			return err

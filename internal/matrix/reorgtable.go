@@ -17,10 +17,12 @@ const (
 	ShapeSwap ReorgShape = iota // rows x cols → cols x rows
 	ShapeDiag                   // a column vector n x 1 → n x n; a square n x n → n x 1
 	ShapeSame                   // the input's shape
-	ShapeBind                   // the inputs' sum along Axis, their common other dimension
 )
 
-// BindAxis is the dimension a bind's operands are concatenated along.
+// BindAxis is the dimension a bind's operands are concatenated along. A row
+// is a bind exactly when its Axis is not NoBind: it takes one or more
+// operands, and its output is their sum along Axis with their common other
+// dimension. Any other row takes one operand and follows its Shape.
 type BindAxis uint8
 
 // The bind axes.
@@ -32,12 +34,10 @@ const (
 
 // Reorg is one row of the table.
 type Reorg struct {
-	Name   string // the DML function
-	Opcode string // the instruction's opcode: plan records, lineage and spans key by it
-	// Nary says the row takes one or more operands; any other row takes one.
-	Nary  bool
-	Shape ReorgShape
-	Axis  BindAxis // ShapeBind rows only
+	Name   string     // the DML function
+	Opcode string     // the instruction's opcode: plan records, lineage and spans key by it
+	Shape  ReorgShape // rows that are not binds only
+	Axis   BindAxis
 	// Kernel is the local kernel over the operands' local blocks.
 	Kernel func(ms ...*MatrixBlock) (*MatrixBlock, error)
 	// Blocked says the blocked backend has a kernel: the per-block
@@ -55,24 +55,14 @@ var reorgTable = []Reorg{
 		Kernel: func(ms ...*MatrixBlock) (*MatrixBlock, error) { return Diag(ms[0]) }},
 	{Name: "rev", Opcode: "rev", Shape: ShapeSame,
 		Kernel: func(ms ...*MatrixBlock) (*MatrixBlock, error) { return Reverse(ms[0]), nil }},
-	{Name: "cbind", Opcode: "cbind", Nary: true, Shape: ShapeBind, Axis: BindCols, Blocked: true, Kernel: CBind},
-	{Name: "rbind", Opcode: "rbind", Nary: true, Shape: ShapeBind, Axis: BindRows, Blocked: true, Kernel: RBind},
+	{Name: "cbind", Opcode: "cbind", Axis: BindCols, Blocked: true, Kernel: CBind},
+	{Name: "rbind", Opcode: "rbind", Axis: BindRows, Blocked: true, Kernel: RBind},
 }
 
 // ReorgOf returns the row of a DML function name.
 func ReorgOf(name string) (*Reorg, bool) {
-	return findReorg(func(r *Reorg) bool { return r.Name == name })
-}
-
-// Row returns the bind row along a, or nil for NoBind.
-func (a BindAxis) Row() *Reorg {
-	r, _ := findReorg(func(r *Reorg) bool { return a != NoBind && r.Axis == a })
-	return r
-}
-
-func findReorg(match func(*Reorg) bool) (*Reorg, bool) {
 	for i := range reorgTable {
-		if match(&reorgTable[i]) {
+		if reorgTable[i].Name == name {
 			return &reorgTable[i], true
 		}
 	}
@@ -85,15 +75,16 @@ func findReorg(match func(*Reorg) bool) (*Reorg, bool) {
 // dimension is unknown when any operand's is; its other dimension is the
 // last known one.
 func (r *Reorg) Dims(rows, cols []int64) (int64, int64) {
-	switch r.Shape {
-	case ShapeSwap:
+	switch {
+	case r.Axis != NoBind: // a bind: the sum below
+	case r.Shape == ShapeSwap:
 		return cols[0], rows[0]
-	case ShapeDiag:
+	case r.Shape == ShapeDiag:
 		if cols[0] == 1 {
 			return rows[0], rows[0]
 		}
 		return rows[0], 1
-	case ShapeSame:
+	default:
 		return rows[0], cols[0]
 	}
 	sum, other := rows, cols

@@ -488,7 +488,7 @@ func TestConcatenationCountsSharedBlocksOnce(t *testing.T) {
 	pool := bufferpool.New(0, ctx.Config.TempDir)
 	mo, zb := viewPartitioned(t, pool, 600, 11)
 	zBytes := mo.MemorySize()
-	zz, err := dist.Bind(matrix.BindCols, []*dist.BlockedMatrix{zb, zb}, 1)
+	zz, err := dist.Bind(bindRow(t, "cbind"), []*dist.BlockedMatrix{zb, zb}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestConcatenationCountsSharedBlocksOnce(t *testing.T) {
 		t.Fatalf("not a copied partition (%v)", err)
 	}
 	held := NewBlockedMatrixObject(sb, pool)
-	ss, err := dist.Bind(matrix.BindRows, []*dist.BlockedMatrix{sb, sb}, 1)
+	ss, err := dist.Bind(bindRow(t, "rbind"), []*dist.BlockedMatrix{sb, sb}, 1)
 	if err != nil || len(ss.Shared) != len(sb.Blocks) {
 		t.Fatalf("rbind of block-aligned rows did not share its blocks (%v)", err)
 	}
@@ -536,7 +536,7 @@ func TestEvictingASharerFreesOnlyWhatNoOneHolds(t *testing.T) {
 	zBytes := matrix.RandUniform(600, 100, -1, 1, 1, 13).InMemorySize()
 	pool := bufferpool.New(zBytes+zBytes/2, ctx.Config.TempDir)
 	mo, zb := viewPartitioned(t, pool, 600, 13)
-	zz, err := dist.Bind(matrix.BindCols, []*dist.BlockedMatrix{zb, zb}, 1)
+	zz, err := dist.Bind(bindRow(t, "cbind"), []*dist.BlockedMatrix{zb, zb}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func TestRBindLoopStaysCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := dist.Bind(matrix.BindRows, []*dist.BlockedMatrix{xb, bb}, 1)
+		next, err := dist.Bind(bindRow(t, "rbind"), []*dist.BlockedMatrix{xb, bb}, 1)
 		if err != nil || next.Shared == nil {
 			t.Fatalf("iteration %d: rbind did not share its blocks (%v)", i, err)
 		}
@@ -628,6 +628,76 @@ func TestRBindLoopStaysCounted(t *testing.T) {
 	if n := pool.InMemoryBytes(); n != 0 || pool.Len() != 0 {
 		t.Errorf("after the last holder: %d bytes, %d entries", n, pool.Len())
 	}
+}
+
+// TestUnalignedRBindLoopStaysCounted: X = rbind(X, B) in a loop with B
+// 30x150 and blocksize 100, so X's rows are block-aligned only every tenth
+// iteration. X and B are copied partitions (two column blocks): each block is
+// its own array. A part whose last block is not whole is assembled, not
+// taken, so no new X keeps an array its blocks do not live in: the pool
+// counts exactly the bytes of X's current blocks, each once, every iteration.
+func TestUnalignedRBindLoopStaysCounted(t *testing.T) {
+	ctx := liveContext(t, 0)
+	pool := bufferpool.New(0, ctx.Config.TempDir)
+	first, err := dist.FromMatrixBlock(matrix.RandUniform(100, 150, -1, 1, 1, 1), 100)
+	if err != nil || first.View != nil {
+		t.Fatalf("not a copied partition (%v)", err)
+	}
+	x := NewBlockedMatrixObject(first, pool)
+	x.Retain()
+	shared := 0
+	for i := 2; i <= 22; i++ {
+		bm, err := dist.FromMatrixBlock(matrix.RandUniform(30, 150, -1, 1, 1, int64(i)), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBlockedMatrixObject(bm, pool)
+		b.Retain()
+		xb, err := x.Blocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := dist.Bind(bindRow(t, "rbind"), []*dist.BlockedMatrix{xb, bm}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Shared != nil {
+			shared++
+		}
+		nx := NewBlockedMatrixObject(next, pool)
+		nx.Retain()
+		b.Release()
+		x.Release()
+		x = nx
+		var blocks int64
+		seen := map[*matrix.MatrixBlock]bool{}
+		for _, blk := range next.Blocks {
+			if !seen[blk] {
+				seen[blk] = true
+				blocks += blk.InMemorySize()
+			}
+		}
+		if got := pool.InMemoryBytes(); got != blocks || x.MemorySize() != blocks {
+			t.Fatalf("iteration %d: pool counts %d bytes (X %d), X's blocks hold %d", i, got, x.MemorySize(), blocks)
+		}
+	}
+	if shared != 3 {
+		t.Errorf("%d of 21 binds took X's blocks by reference, want the 3 with X aligned", shared)
+	}
+	x.Release()
+	if n := pool.InMemoryBytes(); n != 0 || pool.Len() != 0 {
+		t.Errorf("after the last holder: %d bytes, %d entries", n, pool.Len())
+	}
+}
+
+// bindRow returns the reorg table's row of a bind.
+func bindRow(t *testing.T, name string) *matrix.Reorg {
+	t.Helper()
+	row, ok := matrix.ReorgOf(name)
+	if !ok {
+		t.Fatalf("no reorg row %q", name)
+	}
+	return row
 }
 
 func fileBytes(t *testing.T, path string) int64 {
