@@ -115,6 +115,9 @@ race:
 # drop and count it, never panic, never allocate from an unchecked length),
 # the compressed-matrix spill file (any bytes give a matrix or an error, never
 # a panic; a matrix writes back the bytes it came from and its kernels run),
+# the compressed MV, vector-matrix and X %*% B kernels (generated group lists
+# and vectors: the bits of the one-group-at-a-time loops in
+# kernel_oracle_test.go),
 # the lineage-store entry payload (any bytes decode to a matrix or scalar
 # or an error, never a panic, and a decoded value re-encodes to the same bits),
 # the DML parser (any source parses and validates to a program or an
@@ -132,6 +135,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixCSV -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreOpenGet -fuzztime 10s ./internal/bufferpool/
 	$(GO) test -run '^$$' -fuzz FuzzCompressedRead -fuzztime 10s ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzCompressedKernels -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLineagePayload -fuzztime 10s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime 10s ./internal/hops/

@@ -86,11 +86,15 @@ func (bb *blockBuilder) buildCall(call *lang.CallExpr) (*hops.Hop, error) {
 		}
 		return h, nil
 	case (name == "min" || name == "max") && len(positional) >= 2:
-		h := hops.NewHop(hops.KindBinary, name, positional[0], positional[1])
-		if positional[0].DataType == types.Matrix || positional[1].DataType == types.Matrix {
-			h.DataType = types.Matrix
-		} else {
+		// min(a, b, c, …) folds left to right: min(min(a, b), c), …
+		h := positional[0]
+		for _, in := range positional[1:] {
+			acc := h
+			h = hops.NewHop(hops.KindBinary, name, acc, in)
 			h.DataType = types.Scalar
+			if acc.DataType == types.Matrix || in.DataType == types.Matrix {
+				h.DataType = types.Matrix
+			}
 		}
 		return h, nil
 	case isReorg(name):

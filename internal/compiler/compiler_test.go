@@ -149,6 +149,55 @@ c = min(b, 5)
 	}
 }
 
+// TestNaryMinMaxFoldsEveryArgument: min and max over three or four
+// scalars, matrices or a mix fold every argument left to right.
+func TestNaryMinMaxFoldsEveryArgument(t *testing.T) {
+	x := matrix.FromRows([][]float64{{1, 9}, {-3, 4}})
+	y := matrix.FromRows([][]float64{{2, -8}, {0, 4.5}})
+	z := matrix.FromRows([][]float64{{-1, 7}, {6, 3}})
+	res := compileAndRun(t, `
+a = 3
+b = -2
+s3 = min(a, 2, 1)
+s4 = max(1, a, 5, b)
+l3 = max(1, 2, 5)
+l4 = min(4, 7, -2, 3)
+m3 = min(X, Y, Z)
+m4 = max(X, Y, Z, X)
+x3 = max(X, 0, Y)
+x4 = min(a, X, 5, Z)
+`, map[string]*matrix.MatrixBlock{"X": x, "Y": y, "Z": z}, []string{"s3", "s4", "l3", "l4", "m3", "m4", "x3", "x4"})
+	for name, want := range map[string]float64{"s3": 1, "s4": 5, "l3": 5, "l4": -2} {
+		if got := res[name].(*runtime.Scalar).Float64(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	cells := func(f func(r, c int) float64) *matrix.MatrixBlock {
+		out := matrix.NewDense(2, 2)
+		for r := 0; r < 2; r++ {
+			for c := 0; c < 2; c++ {
+				out.Set(r, c, f(r, c))
+			}
+		}
+		return out
+	}
+	want := map[string]*matrix.MatrixBlock{
+		"m3": cells(func(r, c int) float64 { return math.Min(math.Min(x.Get(r, c), y.Get(r, c)), z.Get(r, c)) }),
+		"m4": cells(func(r, c int) float64 { return math.Max(math.Max(x.Get(r, c), y.Get(r, c)), z.Get(r, c)) }),
+		"x3": cells(func(r, c int) float64 { return math.Max(math.Max(x.Get(r, c), 0), y.Get(r, c)) }),
+		"x4": cells(func(r, c int) float64 { return math.Min(math.Min(3, x.Get(r, c)), z.Get(r, c)) }),
+	}
+	for name, w := range want {
+		got, err := res[name].(*runtime.MatrixObject).Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equals(w, 0) {
+			t.Errorf("%s = %v, want %v", name, got, w)
+		}
+	}
+}
+
 func TestCompiledMatrixPipeline(t *testing.T) {
 	x := matrix.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	res := compileAndRun(t, `

@@ -70,11 +70,11 @@ type ColGroup interface {
 	// DecompressInto scatters rows [r0, r1) of the group into the dense
 	// row-major output of width nCols.
 	DecompressInto(out []float64, nCols, r0, r1 int)
-	// MatVecAccum accumulates out[r] += sum_c group(r,c)*v[c] for rows
-	// [r0, r1); v is indexed by global column, out by global row. scratch is
-	// a caller-provided buffer of at least dictionary size (may be nil) that
-	// lets per-chunk callers amortize the pre-scaled dictionary allocation.
-	MatVecAccum(out, v []float64, r0, r1 int, scratch []float64)
+	// MatVecAccum accumulates out[r-r0] += sum_c group(r,c)*v[c] for rows
+	// [r0, r1); v is indexed by global column, out holds rows [r0, r1).
+	// CompressedMatrix.MatVec runs it for RLE, SDC and uncompressed groups;
+	// it pre-scales DDC dictionaries once per product itself.
+	MatVecAccum(out, v []float64, r0, r1 int)
 	// VecMatAccum accumulates out[c] += sum_r v[r]*group(r,c) over all rows;
 	// out is indexed by global column.
 	VecMatAccum(out, v []float64)
@@ -193,29 +193,23 @@ func (g *DDCGroup) DecompressInto(out []float64, nCols, r0, r1 int) {
 }
 
 // MatVecAccum implements ColGroup: each dictionary tuple is reduced against
-// the vector entries of the member columns once (the CLA pre-scaling, a tuple
-// dot product accumulated column by column), then rows gather by code. Zero
-// vector entries are skipped, and a group whose entries are all zero
-// contributes nothing.
-func (g *DDCGroup) MatVecAccum(out, v []float64, r0, r1 int, scratch []float64) {
-	live := false
-	for _, c := range g.Cols {
-		if v[c] != 0 {
-			live = true
-			break
-		}
-	}
-	if !live {
+// the vector entries of the member columns (the CLA pre-scaling), then rows
+// gather by code. A group whose entries are all zero contributes nothing.
+func (g *DDCGroup) MatVecAccum(out, v []float64, r0, r1 int) {
+	if mvDead(g, v) {
 		return
 	}
+	pre := make([]float64, g.numVals())
+	g.preScale(pre, v)
+	g.gather(out, pre, r0, r1)
+}
+
+// preScale sets pre[k], for every tuple k, to the tuple's dot product with
+// the member columns' vector entries, accumulated column by column from 0;
+// zero entries are skipped.
+func (g *DDCGroup) preScale(pre, v []float64) {
 	w := len(g.Cols)
 	nv := g.numVals()
-	pre := scratch
-	if len(pre) < nv {
-		pre = make([]float64, nv)
-	} else {
-		pre = pre[:nv]
-	}
 	clear(pre)
 	for j, c := range g.Cols {
 		x := v[c]
@@ -226,27 +220,29 @@ func (g *DDCGroup) MatVecAccum(out, v []float64, r0, r1 int, scratch []float64) 
 			pre[k] += float64(d[k*w] * x)
 		}
 	}
-	g.gather(out, pre, r0, r1)
 }
 
 // VecMatAccum implements ColGroup: vector entries are aggregated per tuple
 // code first, then combined with each member column's dictionary values once.
 func (g *DDCGroup) VecMatAccum(out, v []float64) {
-	w := len(g.Cols)
-	nv := g.numVals()
-	agg := make([]float64, nv)
 	if g.Codes8 != nil {
-		for r, c := range g.Codes8 {
-			agg[c] += v[r]
-		}
-	} else {
-		for r, c := range g.Codes16 {
-			agg[c] += v[r]
-		}
+		vecMatRun(out, v, []ColGroup{g})
+		return
 	}
+	agg := make([]float64, g.numVals())
+	for r, c := range g.Codes16 {
+		agg[c] += v[r]
+	}
+	g.vecMatCombine(out, agg)
+}
+
+// vecMatCombine adds to out[col], for every member column, the dot product
+// of agg (the sums of v per code) with the column's dictionary values.
+func (g *DDCGroup) vecMatCombine(out, agg []float64) {
+	w := len(g.Cols)
 	for j, col := range g.Cols {
 		var s float64
-		for k := 0; k < nv; k++ {
+		for k := range agg {
 			s += float64(agg[k] * g.Dict[k*w+j])
 		}
 		out[col] += s
@@ -382,7 +378,7 @@ func (g *RLEGroup) DecompressInto(out []float64, nCols, r0, r1 int) {
 
 // MatVecAccum implements ColGroup: one multiply per run, spread over the run's
 // rows.
-func (g *RLEGroup) MatVecAccum(out, v []float64, r0, r1 int, _ []float64) {
+func (g *RLEGroup) MatVecAccum(out, v []float64, r0, r1 int) {
 	x := v[g.Col]
 	if x == 0 {
 		return
@@ -482,7 +478,7 @@ func (g *UncompressedGroup) DecompressInto(out []float64, nCols, r0, r1 int) {
 }
 
 // MatVecAccum implements ColGroup.
-func (g *UncompressedGroup) MatVecAccum(out, v []float64, r0, r1 int, _ []float64) {
+func (g *UncompressedGroup) MatVecAccum(out, v []float64, r0, r1 int) {
 	for r := r0; r < r1; r++ {
 		var s float64
 		for j, c := range g.ColIdx {

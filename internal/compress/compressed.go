@@ -126,11 +126,47 @@ func forEachGroup(groups []ColGroup, threads int, fn func(i int, g ColGroup)) {
 	forEachIndex(len(groups), threads, func(i int) { fn(i, groups[i]) })
 }
 
+// ddcFuse is the most one-byte-code DDC groups that one MatVec pass gathers
+// and one VecMat task buckets together (BenchmarkCompressedMVGD and
+// BenchmarkCompressedVecMatGD chose it).
+const ddcFuse = 4
+
+// fusable reports whether g takes part in the fused DDC passes: a DDC group
+// with one-byte codes, so a 256-slot table serves any code without a bounds
+// check (Read and the encoder give one-byte codes only to dictionaries of at
+// most 256 tuples).
+func fusable(g ColGroup) bool {
+	d, ok := g.(*DDCGroup)
+	return ok && d.Codes8 != nil
+}
+
+// ddcRuns cuts groups, in order, into runs of up to ddcFuse consecutive
+// fusable groups and single other groups: a function of the group list
+// alone, never of the thread count.
+func ddcRuns(groups []ColGroup) [][]ColGroup {
+	var runs [][]ColGroup
+	for i := 0; i < len(groups); {
+		j := i + 1
+		if fusable(groups[i]) {
+			for j < len(groups) && j-i < ddcFuse && fusable(groups[j]) {
+				j++
+			}
+		}
+		runs = append(runs, groups[i:j])
+		i = j
+	}
+	return runs
+}
+
 // MatVec computes the matrix-vector product c %*% v directly on the
-// compressed representation: per group, the dictionary (or run values) is
-// pre-scaled by the vector entry once, then rows gather by code — the CLA
+// compressed representation: each live DDC group's dictionary is pre-scaled
+// by the vector once per product, then rows gather by code — the CLA
 // pre-aggregation that touches the small encoded data instead of the dense
-// cells. The result is an m x 1 dense block.
+// cells. Rows are cut into the fixed chunks; within a chunk, runs of
+// one-byte-code DDC groups are gathered in one pass that loads and stores
+// each output row once, and every other group runs its own loop at its place
+// in group order. Each output row therefore gets its groups' additions in
+// group order at every thread count. The result is an m x 1 dense block.
 func (c *CompressedMatrix) MatVec(v *matrix.MatrixBlock, threads int) (*matrix.MatrixBlock, error) {
 	if v.Rows() != c.NumCols || v.Cols() != 1 {
 		return nil, fmt.Errorf("compress: matvec vector is %dx%d, want %dx1", v.Rows(), v.Cols(), c.NumCols)
@@ -138,28 +174,158 @@ func (c *CompressedMatrix) MatVec(v *matrix.MatrixBlock, threads int) (*matrix.M
 	vd := denseVector(v)
 	out := matrix.NewDense(c.NumRows, 1)
 	dst := out.DenseValues()
-	// the largest dictionary bounds the pre-scaling scratch one chunk needs,
-	// so each chunk allocates one buffer for all of its groups
-	maxDict := c.maxPreScaleSlots()
-	// rows are partitioned into fixed chunks; within a chunk, groups are
-	// accumulated in group order, so the summation order per output row is
-	// independent of the thread count
+	steps, scratch := c.mvSteps(vd)
 	forEachRowChunk(c.NumRows, threads, func(r0, r1 int) {
 		seg := dst[r0:r1]
-		scratch := make([]float64, maxDict)
-		for _, g := range c.Groups {
-			g.MatVecAccum(seg, vd, r0, r1, scratch)
+		for i := range steps {
+			steps[i].accum(seg, vd, r0, r1)
 		}
 	})
+	matrix.PutScratch(scratch)
 	out.RecomputeNNZ()
 	return out, nil
 }
 
+// mvStep is one pass of MatVec over a row chunk: a run of fusable groups or
+// one two-byte-code DDC group, with their dictionaries pre-scaled for the
+// product, or one other group, which runs its own MatVecAccum.
+type mvStep struct {
+	groups []ColGroup
+	pre    [][]float64 // per DDC group: 256 slots for one-byte codes, else one per tuple
+}
+
+// mvSteps pre-scales every live DDC group's dictionary once into one pooled
+// buffer (released by the caller) and returns the passes of the product in
+// group order. A group that adds nothing is left out, so the runs around it
+// join.
+func (c *CompressedMatrix) mvSteps(v []float64) ([]mvStep, matrix.Scratch) {
+	live := make([]ColGroup, 0, len(c.Groups))
+	slots := 0
+	for _, g := range c.Groups {
+		if mvDead(g, v) {
+			continue
+		}
+		live = append(live, g)
+		if d, ok := g.(*DDCGroup); ok {
+			slots += mvSlots(d)
+		}
+	}
+	scratch := matrix.GetScratch(slots)
+	buf := scratch.Values()
+	runs := ddcRuns(live)
+	steps := make([]mvStep, len(runs))
+	for i, run := range runs {
+		steps[i].groups = run
+		for _, g := range run {
+			d, ok := g.(*DDCGroup)
+			if !ok {
+				break
+			}
+			pre := buf[:mvSlots(d)]
+			buf = buf[len(pre):]
+			d.preScale(pre, v)
+			steps[i].pre = append(steps[i].pre, pre)
+		}
+	}
+	return steps, scratch
+}
+
+// mvSlots is the pre-scaled dictionary length of d in MatVec.
+func mvSlots(d *DDCGroup) int {
+	if d.Codes8 != nil {
+		return 256
+	}
+	return d.numVals()
+}
+
+// mvDead reports whether g adds nothing to c %*% v because every v entry of
+// its columns is 0. An uncompressed group is never dead: it multiplies its
+// cells, 0 · Inf included.
+func mvDead(g ColGroup, v []float64) bool {
+	switch t := g.(type) {
+	case *DDCGroup:
+		for _, c := range t.Cols {
+			if v[c] != 0 {
+				return false
+			}
+		}
+		return true
+	case *RLEGroup:
+		return v[t.Col] == 0
+	case *SDCGroup:
+		return v[t.Col] == 0
+	}
+	return false
+}
+
+// accum adds the step's groups to out, rows [r0, r1) of the product.
+func (s *mvStep) accum(out, v []float64, r0, r1 int) {
+	if len(s.pre) == 0 {
+		s.groups[0].MatVecAccum(out, v, r0, r1)
+		return
+	}
+	if d := s.groups[0].(*DDCGroup); d.Codes16 != nil {
+		gatherCodes(out, s.pre[0], d.Codes16[r0:r1])
+		return
+	}
+	pre, groups := s.pre, s.groups
+	for len(groups) > 0 {
+		codes := func(i int) []uint8 { return groups[i].(*DDCGroup).Codes8[r0:r1] }
+		tab := func(i int) *[256]float64 { return (*[256]float64)(pre[i]) }
+		n := 1
+		switch {
+		case len(groups) >= 4:
+			gather4(out, tab(0), tab(1), tab(2), tab(3), codes(0), codes(1), codes(2), codes(3))
+			n = 4
+		case len(groups) >= 2:
+			gather2(out, tab(0), tab(1), codes(0), codes(1))
+			n = 2
+		default:
+			gather1(out, tab(0), codes(0))
+		}
+		pre, groups = pre[n:], groups[n:]
+	}
+}
+
+// gather4, gather2 and gather1 add the pre-scaled values of four, two or one
+// groups' codes to each row, in group order, loading and storing the row
+// once.
+func gather4(out []float64, p0, p1, p2, p3 *[256]float64, c0, c1, c2, c3 []uint8) {
+	c0, c1, c2, c3 = c0[:len(out)], c1[:len(out)], c2[:len(out)], c3[:len(out)]
+	for r := range out {
+		s := out[r]
+		s += p0[c0[r]]
+		s += p1[c1[r]]
+		s += p2[c2[r]]
+		s += p3[c3[r]]
+		out[r] = s
+	}
+}
+
+func gather2(out []float64, p0, p1 *[256]float64, c0, c1 []uint8) {
+	c0, c1 = c0[:len(out)], c1[:len(out)]
+	for r := range out {
+		s := out[r]
+		s += p0[c0[r]]
+		s += p1[c1[r]]
+		out[r] = s
+	}
+}
+
+func gather1(out []float64, p0 *[256]float64, c0 []uint8) {
+	c0 = c0[:len(out)]
+	for r := range out {
+		out[r] += p0[c0[r]]
+	}
+}
+
 // VecMat computes the vector-matrix product v %*% c directly on the
 // compressed representation: per group, the vector entries are aggregated by
-// dictionary code (or run) first, then combined with the values once. The
-// result is a 1 x n dense block. Groups cover disjoint output columns, so the
-// group-parallel execution is deterministic.
+// dictionary code (or run) first, then combined with the values once. A task
+// is a run of up to ddcFuse one-byte-code DDC groups, whose buckets fill in
+// one pass over v, or one other group. Each bucket sums its rows in
+// ascending order, and tasks own disjoint output columns, so the result, a
+// 1 x n dense block, is the same at every thread count.
 func (c *CompressedMatrix) VecMat(v *matrix.MatrixBlock, threads int) (*matrix.MatrixBlock, error) {
 	if v.Rows() != 1 || v.Cols() != c.NumRows {
 		return nil, fmt.Errorf("compress: vecmat vector is %dx%d, want 1x%d", v.Rows(), v.Cols(), c.NumRows)
@@ -167,11 +333,68 @@ func (c *CompressedMatrix) VecMat(v *matrix.MatrixBlock, threads int) (*matrix.M
 	vd := denseVector(v)
 	out := matrix.NewDense(1, c.NumCols)
 	dst := out.DenseValues()
-	forEachGroup(c.Groups, threads, func(_ int, g ColGroup) {
-		g.VecMatAccum(dst, vd)
+	runs := ddcRuns(c.Groups)
+	forEachIndex(len(runs), threads, func(i int) {
+		if run := runs[i]; fusable(run[0]) {
+			vecMatRun(dst, vd, run)
+		} else {
+			run[0].VecMatAccum(dst, vd)
+		}
 	})
 	out.RecomputeNNZ()
 	return out, nil
+}
+
+// vecMatRun adds a run of fusable groups to v %*% c: one pass over v fills a
+// 256-slot bucket per group, rows ascending, then each group combines its
+// buckets with its dictionary.
+func vecMatRun(out, v []float64, run []ColGroup) {
+	var bk [ddcFuse][256]float64
+	codes := func(i int) []uint8 { return run[i].(*DDCGroup).Codes8 }
+	for i := 0; i < len(run); {
+		switch {
+		case len(run)-i >= 4:
+			bucket4(v, &bk[i], &bk[i+1], &bk[i+2], &bk[i+3], codes(i), codes(i+1), codes(i+2), codes(i+3))
+			i += 4
+		case len(run)-i >= 2:
+			bucket2(v, &bk[i], &bk[i+1], codes(i), codes(i+1))
+			i += 2
+		default:
+			bucket1(v, &bk[i], codes(i))
+			i++
+		}
+	}
+	for i, g := range run {
+		d := g.(*DDCGroup)
+		d.vecMatCombine(out, bk[i][:d.numVals()])
+	}
+}
+
+// bucket4, bucket2 and bucket1 add each v[r] to the bucket of row r's code
+// in four, two or one groups.
+func bucket4(v []float64, b0, b1, b2, b3 *[256]float64, c0, c1, c2, c3 []uint8) {
+	c0, c1, c2, c3 = c0[:len(v)], c1[:len(v)], c2[:len(v)], c3[:len(v)]
+	for r, x := range v {
+		b0[c0[r]] += x
+		b1[c1[r]] += x
+		b2[c2[r]] += x
+		b3[c3[r]] += x
+	}
+}
+
+func bucket2(v []float64, b0, b1 *[256]float64, c0, c1 []uint8) {
+	c0, c1 = c0[:len(v)], c1[:len(v)]
+	for r, x := range v {
+		b0[c0[r]] += x
+		b1[c1[r]] += x
+	}
+}
+
+func bucket1(v []float64, b0 *[256]float64, c0 []uint8) {
+	c0 = c0[:len(v)]
+	for r, x := range v {
+		b0[c0[r]] += x
+	}
 }
 
 // MapValues applies fn to every cell and returns a new compressed matrix: fn
@@ -248,30 +471,6 @@ func (c *CompressedMatrix) RowSums(threads int) *matrix.MatrixBlock {
 	})
 	out.RecomputeNNZ()
 	return out
-}
-
-// preScaleSlots returns the number of pre-scaled-dictionary scratch slots a
-// group's MatVecAccum needs (0 for groups that take no scratch).
-func preScaleSlots(g ColGroup) int {
-	switch t := g.(type) {
-	case *DDCGroup:
-		return t.numVals()
-	case *SDCGroup:
-		return len(t.Dict)
-	}
-	return 0
-}
-
-// maxPreScaleSlots returns the largest pre-scaling scratch any group needs,
-// so per-chunk workers can size one buffer for all groups.
-func (c *CompressedMatrix) maxPreScaleSlots() int {
-	m := 0
-	for _, g := range c.Groups {
-		if s := preScaleSlots(g); s > m {
-			m = s
-		}
-	}
-	return m
 }
 
 // denseVector returns the dense values of a vector block without mutating the

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -259,4 +260,42 @@ func BenchmarkCompressPlan(b *testing.B) {
 			b.Fatalf("benchmark input should be accepted: %v", plan)
 		}
 	})
+}
+
+// BenchmarkCompressedMVGD and BenchmarkCompressedVecMatGD time the two
+// kernels of one loop.gd.compressed epoch on its input (34 one-byte-code
+// DDC groups), at T = 1 and 2. ns/visit is the time per code read: rows
+// times groups per product.
+func BenchmarkCompressedMVGD(b *testing.B) {
+	cm := compressBench(b, gdBenchMatrix())
+	w := matrix.RandUniform(cm.NumCols, 1, -1, 1, 1.0, 78)
+	benchCodeVisits(b, cm, func(threads int) error {
+		_, err := cm.MatVec(w, threads)
+		return err
+	})
+}
+
+func BenchmarkCompressedVecMatGD(b *testing.B) {
+	cm := compressBench(b, gdBenchMatrix())
+	u := matrix.RandUniform(1, cm.NumRows, -1, 1, 1.0, 79)
+	benchCodeVisits(b, cm, func(threads int) error {
+		_, err := cm.VecMat(u, threads)
+		return err
+	})
+}
+
+// benchCodeVisits runs op at T = 1 and 2 and reports ns/visit.
+func benchCodeVisits(b *testing.B, cm *CompressedMatrix, op func(threads int) error) {
+	visits := float64(cm.NumRows) * float64(len(cm.Groups))
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("T=%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op(threads); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/visits, "ns/visit")
+		})
+	}
 }

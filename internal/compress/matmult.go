@@ -18,10 +18,16 @@ import (
 // pre-scaled dictionary (nvals x rhsColBlock) stays in cache.
 const rhsColBlock = 64
 
+// rhsBatchSlots bounds the pre-scaled dictionaries of X %*% B held at once:
+// consecutive groups are pre-scaled together while their tables fit, a larger
+// table alone.
+const rhsBatchSlots = 1 << 20
+
 // MatMultDense computes c %*% b for a dense right-hand side b (NumCols x k),
-// returning an m x k dense block. Rows are partitioned into the fixed chunks;
-// within a chunk, column blocks and groups run in a fixed order, so results
-// are bitwise identical across thread counts.
+// returning an m x k dense block. Per column block, each batch of groups is
+// pre-scaled once, then rows run through the batch in the fixed chunks; every
+// output cell gets its groups' additions in group order, so results are
+// bitwise identical across thread counts.
 func (c *CompressedMatrix) MatMultDense(b *matrix.MatrixBlock, threads int) (*matrix.MatrixBlock, error) {
 	if b.Rows() != c.NumCols {
 		return nil, fmt.Errorf("compress: matmult rhs is %dx%d, want %dx*", b.Rows(), b.Cols(), c.NumCols)
@@ -30,37 +36,60 @@ func (c *CompressedMatrix) MatMultDense(b *matrix.MatrixBlock, threads int) (*ma
 	bd := denseBlockValues(b)
 	out := matrix.NewDense(c.NumRows, k)
 	dst := out.DenseValues()
-	// pre-scaling scratch per chunk: the largest dictionary times the column
-	// block, plus two rhsColBlock-wide rows for RLE/SDC per-run buffers
-	slots := (c.maxPreScaleSlots() + 2) * rhsColBlock
-	forEachRowChunk(c.NumRows, threads, func(r0, r1 int) {
-		scratch := matrix.GetScratch(slots)
-		buf := scratch.Values()
-		for j0 := 0; j0 < k; j0 += rhsColBlock {
-			j1 := min(j0+rhsColBlock, k)
-			for _, g := range c.Groups {
-				accumRHS(g, dst, bd, k, r0, r1, j0, j1, buf)
+	pre := make([][]float64, len(c.Groups))
+	for j0 := 0; j0 < k; j0 += rhsColBlock {
+		j1 := min(j0+rhsColBlock, k)
+		for g0 := 0; g0 < len(c.Groups); {
+			g1, slots := g0, 0
+			for g1 < len(c.Groups) && (g1 == g0 || slots+rhsTableRows(c.Groups[g1])*(j1-j0) <= rhsBatchSlots) {
+				slots += rhsTableRows(c.Groups[g1]) * (j1 - j0)
+				g1++
 			}
+			scratch := matrix.GetScratch(slots)
+			buf := scratch.Values()
+			for i := g0; i < g1; i++ {
+				pre[i] = buf[:rhsTableRows(c.Groups[i])*(j1-j0)]
+				buf = buf[len(pre[i]):]
+			}
+			forEachIndex(g1-g0, threads, func(i int) {
+				preScaleRHS(c.Groups[g0+i], pre[g0+i], bd, k, j0, j1)
+			})
+			forEachRowChunk(c.NumRows, threads, func(r0, r1 int) {
+				for i := g0; i < g1; i++ {
+					accumRHS(c.Groups[i], pre[i], dst, bd, k, r0, r1, j0, j1)
+				}
+			})
+			matrix.PutScratch(scratch)
+			g0 = g1
 		}
-		matrix.PutScratch(scratch)
-	})
+	}
 	out.RecomputeNNZ()
 	return out, nil
 }
 
-// accumRHS accumulates one group's contribution to dst[r0:r1, j0:j1) of
-// X %*% B. bd is B's dense row-major values of width k, dst the output's of
-// width k.
-func accumRHS(g ColGroup, dst, bd []float64, k, r0, r1, j0, j1 int, scratch []float64) {
+// rhsTableRows is the number of blk-wide rows of g's pre-scaled table in
+// X %*% B: one per DDC tuple; the SDC default and one per exception value.
+func rhsTableRows(g ColGroup) int {
+	switch t := g.(type) {
+	case *DDCGroup:
+		return t.numVals()
+	case *SDCGroup:
+		return 1 + len(t.Dict)
+	}
+	return 0
+}
+
+// preScaleRHS fills g's table for columns [j0, j1) of B: DDC tuple kk's row
+// is its dot product with the member columns' rows of B, accumulated column
+// by column from 0 with zero dictionary values skipped; an SDC group's first
+// row is default · B's row, then each exception value's difference from it.
+func preScaleRHS(g ColGroup, pre, bd []float64, k, j0, j1 int) {
 	blk := j1 - j0
 	switch t := g.(type) {
 	case *DDCGroup:
 		w := len(t.Cols)
-		nv := t.numVals()
-		pre := scratch[:nv*blk]
-		for kk := 0; kk < nv; kk++ {
+		for kk := 0; kk < t.numVals(); kk++ {
 			prow := pre[kk*blk : kk*blk+blk]
-			clear(prow)
 			for a, gc := range t.Cols {
 				d := t.Dict[kk*w+a]
 				if d == 0 {
@@ -72,9 +101,31 @@ func accumRHS(g ColGroup, dst, bd []float64, k, r0, r1, j0, j1 int, scratch []fl
 				}
 			}
 		}
+	case *SDCGroup:
+		brow := bd[t.Col*k+j0:]
+		dv := pre[:blk]
+		for jj := 0; jj < blk; jj++ {
+			dv[jj] = float64(t.Default * brow[jj])
+		}
+		for kk, d := range t.Dict {
+			prow := pre[(kk+1)*blk:]
+			for jj := 0; jj < blk; jj++ {
+				prow[jj] = float64(d*brow[jj]) - dv[jj]
+			}
+		}
+	}
+}
+
+// accumRHS accumulates one group's contribution to dst[r0:r1, j0:j1) of
+// X %*% B from its pre-scaled table pre. bd is B's dense row-major values of
+// width k, dst the output's of width k.
+func accumRHS(g ColGroup, pre, dst, bd []float64, k, r0, r1, j0, j1 int) {
+	blk := j1 - j0
+	switch t := g.(type) {
+	case *DDCGroup:
 		gatherRHS(dst, pre, t.Codes8, t.Codes16, k, r0, r1, j0, blk)
 	case *RLEGroup:
-		p := scratch[:blk]
+		var p [rhsColBlock]float64
 		brow := bd[t.Col*k+j0:]
 		for i, val := range t.Values {
 			if val == 0 {
@@ -95,29 +146,18 @@ func accumRHS(g ColGroup, dst, bd []float64, k, r0, r1, j0, j1 int, scratch []fl
 			}
 		}
 	case *SDCGroup:
-		brow := bd[t.Col*k+j0:]
-		dv := scratch[:blk]
-		for jj := 0; jj < blk; jj++ {
-			dv[jj] = float64(t.Default * brow[jj])
-		}
 		if t.Default != 0 {
 			for r := r0; r < r1; r++ {
 				orow := dst[r*k+j0:]
 				for jj := 0; jj < blk; jj++ {
-					orow[jj] += dv[jj]
+					orow[jj] += pre[jj]
 				}
-			}
-		}
-		pre := scratch[blk : blk+len(t.Dict)*blk]
-		for kk, d := range t.Dict {
-			for jj := 0; jj < blk; jj++ {
-				pre[kk*blk+jj] = float64(d*brow[jj]) - dv[jj]
 			}
 		}
 		lo, hi := t.posRange(r0, r1)
 		for i := lo; i < hi; i++ {
 			orow := dst[int(t.Pos[i])*k+j0:]
-			prow := pre[int(t.Codes[i])*blk:]
+			prow := pre[(int(t.Codes[i])+1)*blk:]
 			for jj := 0; jj < blk; jj++ {
 				orow[jj] += prow[jj]
 			}

@@ -70,7 +70,7 @@ func (g *SDCGroup) DecompressInto(out []float64, nCols, r0, r1 int) {
 
 // MatVecAccum implements ColGroup: the default contribution is one multiply
 // spread over all rows; exceptions patch the difference at their positions.
-func (g *SDCGroup) MatVecAccum(out, v []float64, r0, r1 int, scratch []float64) {
+func (g *SDCGroup) MatVecAccum(out, v []float64, r0, r1 int) {
 	x := v[g.Col]
 	if x == 0 {
 		return
@@ -81,18 +81,9 @@ func (g *SDCGroup) MatVecAccum(out, v []float64, r0, r1 int, scratch []float64) 
 			out[r-r0] += pd
 		}
 	}
-	pre := scratch
-	if len(pre) < len(g.Dict) {
-		pre = make([]float64, len(g.Dict))
-	} else {
-		pre = pre[:len(g.Dict)]
-	}
-	for k, d := range g.Dict {
-		pre[k] = float64(d*x) - pd
-	}
 	lo, hi := g.posRange(r0, r1)
 	for i := lo; i < hi; i++ {
-		out[int(g.Pos[i])-r0] += pre[g.Codes[i]]
+		out[int(g.Pos[i])-r0] += float64(g.Dict[g.Codes[i]]*x) - pd
 	}
 }
 

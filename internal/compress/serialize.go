@@ -248,12 +248,12 @@ func (d *spillDecoder) ddc() ColGroup {
 	d.read(&width)
 	n := length[int64](d, "code count", d.rows, d.rows)
 	switch {
-	case width == 1:
+	case width == 1 && nv <= 256:
 		g.Codes8 = readCodes[uint8](d, n, nv)
 	case width == 2:
 		g.Codes16 = readCodes[uint16](d, n, nv)
 	default:
-		d.fail("code width %d", width)
+		d.fail("code width %d for %d tuples", width, nv)
 	}
 	return g
 }

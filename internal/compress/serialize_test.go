@@ -131,29 +131,30 @@ func hostileSpills(tb testing.TB) map[string][]byte {
 		"overlapping-groups": append(head(4, 2, 2),
 			append(spill(uint8(EncRLE), int32(0), int32(1), []float64{1}, []int32{0}, []int32{4}),
 				spill(uint8(EncRLE), int32(0), int32(1), []float64{1}, []int32{0}, []int32{4})...)...),
-		"dictionary-beyond-code-space": append(bytes.Clone(h41), spill(uint8(EncDDC), int32(1), int32(0), int32(MaxDictSize+1))...),
-		"huge-dictionary":              append(bytes.Clone(h41), spill(uint8(EncDDC), int32(1), int32(0), int32(math.MaxInt32))...),
-		"code-width-3":                 ddc([]int32{0}, 2, 3, 4, codes4),
-		"code-count-short":             ddc([]int32{0}, 2, 1, 3, codes4[:3]),
-		"code-count-huge":              ddc([]int32{0}, 2, 1, 1<<40, codes4),
-		"code-beyond-dictionary":       ddc([]int32{0}, 2, 1, 4, []uint8{0, 1, 2, 0}),
-		"wide-code-beyond-dictionary":  ddc([]int32{0}, 2, 2, 4, []uint16{0, 1, 0, 300}),
-		"rle-gap":                      rle([]int32{0, 3}, []int32{2, 1}),
-		"rle-short":                    rle([]int32{0}, []int32{3}),
-		"rle-zero-length":              rle([]int32{0, 0}, []int32{0, 4}),
-		"rle-overlong":                 rle([]int32{0}, []int32{math.MaxInt32}),
-		"rle-too-many-runs":            rle([]int32{0, 1, 2, 3, 4}, []int32{1, 1, 1, 1, 1}),
-		"rle-negative-run-count":       append(bytes.Clone(h41), spill(uint8(EncRLE), int32(0), int32(-5))...),
-		"sdc-row-count":                sdc(5, []int32{1}, []uint16{0}),
-		"sdc-positions-descending":     sdc(4, []int32{2, 1}, []uint16{0, 1}),
-		"sdc-repeated-position":        sdc(4, []int32{1, 1}, []uint16{0, 1}),
-		"sdc-position-beyond-rows":     sdc(4, []int32{4}, []uint16{0}),
-		"sdc-negative-position":        sdc(4, []int32{-1}, []uint16{0}),
-		"sdc-code-beyond-dictionary":   sdc(4, []int32{1}, []uint16{2}),
-		"sdc-too-many-exceptions":      sdc(4, []int32{0, 1, 2, 3, 4}, []uint16{0, 0, 0, 0, 0}),
-		"uncompressed-rows":            unc(3, 1),
-		"uncompressed-width":           unc(4, 2),
-		"uncompressed-huge":            append(bytes.Clone(h41), spill(uint8(EncUncompressed), int32(1), int32(0), int64(4), int64(1<<40))...),
+		"dictionary-beyond-code-space":  append(bytes.Clone(h41), spill(uint8(EncDDC), int32(1), int32(0), int32(MaxDictSize+1))...),
+		"huge-dictionary":               append(bytes.Clone(h41), spill(uint8(EncDDC), int32(1), int32(0), int32(math.MaxInt32))...),
+		"code-width-3":                  ddc([]int32{0}, 2, 3, 4, codes4),
+		"one-byte-codes-for-257-tuples": ddc([]int32{0}, 257, 1, 4, codes4),
+		"code-count-short":              ddc([]int32{0}, 2, 1, 3, codes4[:3]),
+		"code-count-huge":               ddc([]int32{0}, 2, 1, 1<<40, codes4),
+		"code-beyond-dictionary":        ddc([]int32{0}, 2, 1, 4, []uint8{0, 1, 2, 0}),
+		"wide-code-beyond-dictionary":   ddc([]int32{0}, 2, 2, 4, []uint16{0, 1, 0, 300}),
+		"rle-gap":                       rle([]int32{0, 3}, []int32{2, 1}),
+		"rle-short":                     rle([]int32{0}, []int32{3}),
+		"rle-zero-length":               rle([]int32{0, 0}, []int32{0, 4}),
+		"rle-overlong":                  rle([]int32{0}, []int32{math.MaxInt32}),
+		"rle-too-many-runs":             rle([]int32{0, 1, 2, 3, 4}, []int32{1, 1, 1, 1, 1}),
+		"rle-negative-run-count":        append(bytes.Clone(h41), spill(uint8(EncRLE), int32(0), int32(-5))...),
+		"sdc-row-count":                 sdc(5, []int32{1}, []uint16{0}),
+		"sdc-positions-descending":      sdc(4, []int32{2, 1}, []uint16{0, 1}),
+		"sdc-repeated-position":         sdc(4, []int32{1, 1}, []uint16{0, 1}),
+		"sdc-position-beyond-rows":      sdc(4, []int32{4}, []uint16{0}),
+		"sdc-negative-position":         sdc(4, []int32{-1}, []uint16{0}),
+		"sdc-code-beyond-dictionary":    sdc(4, []int32{1}, []uint16{2}),
+		"sdc-too-many-exceptions":       sdc(4, []int32{0, 1, 2, 3, 4}, []uint16{0, 0, 0, 0, 0}),
+		"uncompressed-rows":             unc(3, 1),
+		"uncompressed-width":            unc(4, 2),
+		"uncompressed-huge":             append(bytes.Clone(h41), spill(uint8(EncUncompressed), int32(1), int32(0), int64(4), int64(1<<40))...),
 	}
 }
 
