@@ -126,9 +126,12 @@ race:
 # fixpoint of the separate reference passes in rewrite_ref_test.go), the
 # federated worker's request handler (any gob-decoded request frame is
 # answered, never a panic — which would end the worker process — and nothing
-# allocated from a length the frame did not pay for) and the AVX2 row kernels
+# allocated from a length the frame did not pay for), the AVX2 row kernels
 # of + - * / (any row of 0–67 cells of any bits: every kernel variant equal
-# to its scalar loop by bits and by non-zero count).
+# to its scalar loop by bits and by non-zero count) and the 8x8 GEMM tile
+# (small shapes, operands of any bits: the multiply, its accumulate form,
+# t(X) %*% Y, TSMM and striped TSMMAcc at every vector level the CPU has
+# equal to the scalar kernel by bits, NaN payloads included).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixBinary -fuzztime 10s ./internal/io/
 	$(GO) test -run '^$$' -fuzz FuzzParseFrameCSV -fuzztime 10s ./internal/io/
@@ -141,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime 10s ./internal/hops/
 	$(GO) test -run '^$$' -fuzz FuzzWorkerHandle -fuzztime 10s ./internal/fed/
 	$(GO) test -run '^$$' -fuzz FuzzCellRowKernels -fuzztime 10s ./internal/matrix/
+	$(GO) test -run '^$$' -fuzz FuzzGEMMTile -fuzztime 10s ./internal/matrix/
 
 # The repo's benchmark (bench/, a module of its own; see bench/README.md):
 # all eight script-level workloads, every end-to-end and per-layer metric by

@@ -11,6 +11,14 @@ import (
 // it is the ruler benchmarks normalise kernel numbers against (fraction of
 // peak GFLOPs, fraction of copy bandwidth). The zero value means the
 // measurement failed.
+//
+// GFLOPS is not the hardware's peak: it is this build's own dense GEMM
+// (matrix.Multiply, one thread, on the tiled engine at the detected vector
+// level). A faster micro-kernel raises the ruler as well as the kernel it
+// measures, so a fraction of it, such as the bench's matrix.tsmm_peak_frac,
+// can fall when the kernels speed up: the 8x8 AVX-512 tile moved
+// matrix.tsmm_gflops up and matrix.tsmm_peak_frac down. Compare kernel rates
+// across builds in GFLOP/s, not as fractions of GFLOPS.
 type MachineProfile struct {
 	GFLOPS     float64
 	MemBWBytes float64

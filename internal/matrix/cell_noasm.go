@@ -2,7 +2,7 @@
 
 package matrix
 
-// Without an assembly implementation useAVX2 is false and the row kernels
+// Without an assembly implementation vecLevel is vecScalar and the row kernels
 // run their scalar loops; these stubs only keep the calls compiling.
 
 func cellRowVV(op BinaryOp, dst, a, b *float64, n int, count bool) (nnz int) {

@@ -108,15 +108,15 @@ func quietBits(v float64) uint64 { return math.Float64bits(v) | 1<<51 }
 // NaNs. Every other cell, - and / included, must match to the bit.
 func checkCellRowKernels(t *testing.T, s float64, a, b []float64) {
 	t.Helper()
-	prev := useAVX2
-	defer func() { useAVX2 = prev }()
+	prev := vecLevel
+	defer func() { vecLevel = prev }()
 	for _, form := range []string{"vv", "vs", "sv"} {
 		for _, op := range []BinaryOp{OpAdd, OpSub, OpMul, OpDiv} {
 			for _, count := range []bool{false, true} {
 				for _, inPlace := range []bool{false, true} {
-					useAVX2 = false
+					vecLevel = vecScalar
 					want, wantNNZ := cellRowKernel(form, op, s, a, b, count, inPlace)
-					useAVX2 = true
+					vecLevel = vecAVX2
 					got, gotNNZ := cellRowKernel(form, op, s, a, b, count, inPlace)
 					what := fmt.Sprintf("%s %s count=%v inPlace=%v n=%d", form, op, count, inPlace, len(a))
 					if gotNNZ != wantNNZ {
@@ -180,7 +180,7 @@ func FuzzCellRowKernels(f *testing.F) {
 	}
 	f.Add([]byte{12, 0x80, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !useAVX2 {
+		if vecLevel < vecAVX2 {
 			t.Skip("no AVX2 row kernels on this machine")
 		}
 		s, a, b := cellRowInput(data)
@@ -194,11 +194,11 @@ func FuzzCellRowKernels(f *testing.F) {
 // drivers, row and column vectors and scalars on either side, and cells
 // holding signed zeros, subnormals, ±Inf and NaNs.
 func TestFusedCellVectorLanesMatchScalar(t *testing.T) {
-	if !useAVX2 {
+	if vecLevel < vecAVX2 {
 		t.Skip("no AVX2 row kernels on this machine")
 	}
-	prev := useAVX2
-	defer func() { useAVX2 = prev }()
+	prev := vecLevel
+	defer func() { vecLevel = prev }()
 	seedCorners := func(m *MatrixBlock, stride int) *MatrixBlock {
 		m = m.Copy()
 		m.ToDense()
@@ -247,12 +247,12 @@ func TestFusedCellVectorLanesMatchScalar(t *testing.T) {
 		}
 		for _, c := range cases {
 			for _, threads := range []int{1, 2, 3} {
-				useAVX2 = false
+				vecLevel = vecScalar
 				want, err := FusedCell(c.prog, c.args, threads, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				useAVX2 = true
+				vecLevel = vecAVX2
 				got, err := FusedCell(c.prog, c.args, threads, nil)
 				if err != nil {
 					t.Fatal(err)

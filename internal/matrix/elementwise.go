@@ -216,9 +216,9 @@ func elemThreads(threads, cells int) int {
 // every cell is read before it is written.
 //
 // The four arithmetic operators run their leading whole vectors of cellLanes
-// cells in the AVX2 kernels (cell_amd64.s) when useAVX2 is set; the scalar
-// loops take the ragged tail and are the reference the vector lanes match
-// bit for bit (see DESIGN.md "Determinism").
+// cells in the AVX2 kernels (cell_amd64.s) when vecLevel is vecAVX2 or
+// above; the scalar loops take the ragged tail and are the reference the
+// vector lanes match bit for bit (see DESIGN.md "Determinism").
 
 // cellLanes is the width of one AVX2 vector of float64.
 const cellLanes = 4
@@ -226,7 +226,7 @@ const cellLanes = 4
 // vectorCells is how many leading cells of an n-cell row the AVX2 kernels
 // take for op: the whole vectors, when the gate is on and op is + - * or /.
 func vectorCells(op BinaryOp, n int) int {
-	if !useAVX2 || op > OpDiv {
+	if vecLevel < vecAVX2 || op > OpDiv {
 		return 0
 	}
 	return n &^ (cellLanes - 1)

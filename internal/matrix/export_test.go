@@ -1,12 +1,17 @@
 package matrix
 
-// avx2Detected is the gate as the machine set it.
-var avx2Detected = useAVX2
+// detectedLevel is the vector level as the machine set it.
+var detectedLevel = vecLevel
 
-// SetVectorKernels turns the AVX2 kernels (GEMM micro-kernel, arithmetic row
-// kernels) on or off for the external test package's benchmarks and returns
-// the previous setting; on a machine without AVX2 they stay off.
+// SetVectorKernels runs the vector kernels (GEMM micro-kernel, arithmetic row
+// kernels) at the detected level (on) or none of them (off) for the external
+// test package's benchmarks, and returns whether they were on; on a machine
+// without AVX2 they stay off.
 func SetVectorKernels(on bool) (prev bool) {
-	prev, useAVX2 = useAVX2, on && avx2Detected
+	prev = vecLevel > vecScalar
+	vecLevel = vecScalar
+	if on {
+		vecLevel = detectedLevel
+	}
 	return prev
 }

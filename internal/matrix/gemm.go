@@ -1,21 +1,22 @@
 package matrix
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // This file implements the register-blocked, cache-tiled dense GEMM engine
 // (DESIGN.md, "Dense GEMM micro-kernel"). The engine is a classic three-level
-// blocked loop nest over a fixed-size micro-kernel:
+// blocked loop nest over one fixed-size micro-kernel:
 //
-//   - micro-kernel: a gemmMR x gemmNR output tile held in locals (the Go
-//     compiler keeps them in registers), fully unrolled over the tile, with
-//     the k loop ascending so every output cell accumulates its contributions
-//     in ascending-k order — the same per-cell order as the simple blocked
+//   - micro-kernel: a gemmMR x gemmNR (8x8) output tile, with the k loop
+//     ascending so every output cell accumulates its contributions in
+//     ascending-k order — the same per-cell order as the simple blocked
 //     kernel in mult.go, which is what makes the two kernels bitwise
 //     interchangeable and preserves the MultiplyAcc stripe-accumulation
-//     contract of the blocked matmult executors.
+//     contract of the blocked matmult executors. It has three
+//     implementations, one per vectorLevel, with the same bits.
 //   - panel packing: A row panels (gemmMR x kc, k-major) and B column panels
 //     (kc x gemmNR, k-major) are copied into contiguous scratch buffers so the
 //     micro-kernel streams both operands sequentially. Ragged edges are packed
@@ -35,20 +36,41 @@ import (
 // block.
 
 // Tile-size parameters of the tiled GEMM engine. gemmMR x gemmNR is the
-// register tile (16 accumulator locals); gemmKC is the depth of one packed
-// panel pass (A micro-panel gemmMR*gemmKC*8 = 8KB, B micro-panel 8KB — both
-// L1-resident); gemmMC rows of packed A (gemmMC*gemmKC*8 = 256KB,
+// register tile: one ZMM accumulator per tile row at vecAVX512. gemmMR ==
+// gemmNR, because TSMM reads its A micro-panels out of its B pack and the
+// Cholesky prefix packs its B operand with packAPanels. gemmKC is the depth
+// of one packed panel pass (A micro-panel gemmMR*gemmKC*8 = 16KB, B
+// micro-panel 16KB); gemmMC rows of packed A (gemmMC*gemmKC*8 = 256KB,
 // L2-resident); gemmNC bounds the column block streamed per packed-A reuse.
 const (
-	gemmMR = 4
-	gemmNR = 4
+	gemmMR = 8
+	gemmNR = 8
 	gemmKC = 256
 	gemmMC = 128
 	gemmNC = 4096
 )
 
+// vectorLevel is the widest vector unit the kernels use: the GEMM
+// micro-kernel runs one implementation per level, the arithmetic row kernels
+// (cell_amd64.s) run their AVX2 lanes at vecAVX2 and above. Every level has
+// the scalar loops' bits.
+type vectorLevel int
+
+const (
+	vecScalar vectorLevel = iota
+	vecAVX2
+	vecAVX512
+)
+
 // gemmPackARows is the padded row capacity of one packed A block.
 const gemmPackARows = (gemmMC + gemmMR - 1) / gemmMR * gemmMR
+
+// tiledMinDim is the fewest output rows and columns a product needs to run
+// tiled. It is 4, not gemmMR: a product 4 to 7 wide leaves part of each
+// padded tile idle, but off the tiled engine a t(X) %*% Y of that width
+// would take the row-scatter leg, whose summation order differs, and its
+// output bits would move.
+const tiledMinDim = 4
 
 // TiledGEMMCrossoverFLOPs is the matmult size (in FLOPs, 2*m*k*n) above which
 // the dense kernels switch from the simple blocked loop to the tiled engine;
@@ -75,7 +97,7 @@ const (
 // with (n, m, ncol(Y)) and a dense TSMM with (n, m, n). hops.ExplainPlan asks
 // the same question for its kernel=tiled tag.
 func UseTiledGEMM(m, k, n int) bool {
-	if m < gemmMR || n < gemmNR {
+	if m < tiledMinDim || n < tiledMinDim {
 		// degenerate shapes (vectors, outer products) waste most of every
 		// padded tile; the simple loop streams them better
 		return false
@@ -151,27 +173,23 @@ func PutScratch(s Scratch) { gemmPutBuf(s.b) }
 // ragged last panel zero-padded to gemmNR. dst must hold
 // ceil(cols/gemmNR)*gemmNR*rows elements.
 func packBPanels(dst, b []float64, ldb, rows, cols int) {
-	np := (cols + gemmNR - 1) / gemmNR
-	for jp := 0; jp < np; jp++ {
-		j0 := jp * gemmNR
-		w := min(gemmNR, cols-j0)
-		panel := dst[jp*rows*gemmNR : (jp+1)*rows*gemmNR]
-		if w == gemmNR {
-			for p := 0; p < rows; p++ {
-				src := b[p*ldb+j0 : p*ldb+j0+gemmNR]
-				d := panel[p*gemmNR : p*gemmNR+gemmNR]
-				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
-			}
-			continue
+	full := cols / gemmNR // whole panels
+	// one pass over b's rows, each row read once from left to right
+	for p := 0; p < rows; p++ {
+		src := b[p*ldb : p*ldb+cols]
+		for jp := 0; jp < full; jp++ {
+			s := src[jp*gemmNR : jp*gemmNR+gemmNR]
+			d := dst[(jp*rows+p)*gemmNR : (jp*rows+p)*gemmNR+gemmNR]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
 		}
+	}
+	if w := cols - full*gemmNR; w > 0 {
+		panel := dst[full*rows*gemmNR : (full+1)*rows*gemmNR]
 		for p := 0; p < rows; p++ {
 			d := panel[p*gemmNR : p*gemmNR+gemmNR]
-			for jj := 0; jj < w; jj++ {
-				d[jj] = b[p*ldb+j0+jj]
-			}
-			for jj := w; jj < gemmNR; jj++ {
-				d[jj] = 0
-			}
+			copy(d, b[p*ldb+full*gemmNR:p*ldb+cols])
+			clear(d[w:])
 		}
 	}
 }
@@ -185,15 +203,20 @@ func packAPanels(dst, a []float64, lda, r0, mc, p0, kc int) {
 		h := min(gemmMR, mc-ir)
 		panel := dst[(ir/gemmMR)*kc*gemmMR:]
 		if h == gemmMR {
-			// a full panel: four row streams in, one sequential stream out
+			// a full panel: eight row streams in, one sequential stream out
 			base := (r0+ir)*lda + p0
 			s0 := a[base : base+kc]
 			s1 := a[base+lda : base+lda+kc]
 			s2 := a[base+2*lda : base+2*lda+kc]
 			s3 := a[base+3*lda : base+3*lda+kc]
+			s4 := a[base+4*lda : base+4*lda+kc]
+			s5 := a[base+5*lda : base+5*lda+kc]
+			s6 := a[base+6*lda : base+6*lda+kc]
+			s7 := a[base+7*lda : base+7*lda+kc]
 			for p := range s0 {
 				d := panel[p*gemmMR : p*gemmMR+gemmMR]
 				d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
+				d[4], d[5], d[6], d[7] = s4[p], s5[p], s6[p], s7[p]
 			}
 			continue
 		}
@@ -235,40 +258,45 @@ func packATPanels(dst, x []float64, n, p0, kc, c0, mc int) {
 // --- micro-kernel -----------------------------------------------------------
 
 // gemmMicroTile accumulates one gemmMR x gemmNR output tile (origin ci, row
-// stride ldc) from k-major packed micro-panels. On CPUs with a vector kernel
-// it dispatches to assembly (one output cell per lane, identical
-// mul-round/add-round sequence); otherwise it runs the scalar register
-// kernel. Both paths accumulate every cell in ascending-k order and round
-// after the multiply and after the add, so they are bitwise interchangeable.
+// stride ldc) from k-major packed micro-panels, on the kernel of vecLevel:
+// eight ZMM accumulators, two 8x4 YMM halves, or the scalar 4x2 pieces. All
+// three accumulate every cell in ascending-k order and round after the
+// multiply and after the add, with the same operand order, so they are
+// bitwise interchangeable.
 func gemmMicroTile(ap, bp []float64, kc int, cv []float64, ci, ldc int) {
-	if useAVX2 {
-		gemmMicroAVX2Asm(&ap[0], &bp[0], kc, &cv[ci], ldc*8)
-		return
+	switch vecLevel {
+	case vecAVX512:
+		gemm8x8AVX512Asm(&ap[0], &bp[0], kc, &cv[ci], ldc*8)
+	case vecAVX2:
+		gemm8x8AVX2Asm(&ap[0], &bp[0], kc, &cv[ci], ldc*8)
+	default:
+		gemm8x8Scalar(ap, bp, kc, cv, ci, ldc)
 	}
-	gemmMicro4x4(ap, bp, kc, cv, ci, ldc)
 }
 
-// gemmMicro4x4 is the portable scalar micro-kernel: the 4x4 tile is computed
-// as two sequential 4x2 half-tiles so the eight live accumulators (plus six
-// operand temporaries) fit the 16 SSE registers without spilling — a full
-// 4x4 accumulator set spills ~half its state to the stack every iteration.
-// Each output cell still sees its contributions in ascending-k order, so the
-// half-tile split does not perturb any bit of the result.
-func gemmMicro4x4(ap, bp []float64, kc int, cv []float64, ci, ldc int) {
-	gemmMicro4x2(ap, bp, kc, cv, ci, ldc)
-	gemmMicro4x2(ap, bp[2:], kc, cv, ci+2, ldc)
+// gemm8x8Scalar is the portable micro-kernel: the 8x8 tile is computed as
+// eight sequential 4x2 pieces so the eight live accumulators fit the 16 SSE
+// registers. Each output cell still sees its contributions in ascending-k
+// order, so the split does not perturb any bit of the result.
+func gemm8x8Scalar(ap, bp []float64, kc int, cv []float64, ci, ldc int) {
+	for r := 0; r < gemmMR; r += 4 {
+		for c := 0; c < gemmNR; c += 2 {
+			gemmMicro4x2(ap[r:], bp[c:], kc, cv, ci+r*ldc+c, ldc)
+		}
+	}
 }
 
-// gemmMicro4x2 accumulates a 4-row x 2-col half-tile; bp points at the first
-// of the two packed B columns (panel stride stays gemmNR).
+// gemmMicro4x2 accumulates a 4-row x 2-col piece; ap and bp point at its
+// first packed A row and B column (panel strides stay gemmMR and gemmNR).
 func gemmMicro4x2(ap, bp []float64, kc int, cv []float64, ci, ldc int) {
 	r1, r2, r3 := ci+ldc, ci+2*ldc, ci+3*ldc
 	c00, c01 := cv[ci], cv[ci+1]
 	c10, c11 := cv[r1], cv[r1+1]
 	c20, c21 := cv[r2], cv[r2+1]
 	c30, c31 := cv[r3], cv[r3+1]
+	before := [8]float64{c00, c01, c10, c11, c20, c21, c30, c31}
 	for p := 0; p < kc; p++ {
-		av := ap[p*gemmMR : p*gemmMR+gemmMR]
+		av := ap[p*gemmMR : p*gemmMR+4]
 		bv := bp[p*gemmNR : p*gemmNR+2]
 		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
 		b0, b1 := bv[0], bv[1]
@@ -285,7 +313,40 @@ func gemmMicro4x2(ap, bp []float64, kc int, cv []float64, ci, ldc int) {
 	cv[r1], cv[r1+1] = c10, c11
 	cv[r2], cv[r2+1] = c20, c21
 	cv[r3], cv[r3+1] = c30, c31
+	// a NaN cell may hold either payload where two NaNs met: replay it
+	for i, v := range before {
+		r, col := i/2, i%2
+		if cell := ci + r*ldc + col; cv[cell] != cv[cell] {
+			cv[cell] = gemmNaNCell(v, ap[r:], bp[col:], kc)
+		}
+	}
 }
+
+// gemmNaNCell recomputes one cell of gemmMicro4x2 from its value c before
+// the k loop, with the NaN rule of the vector kernels: a product of two NaNs
+// keeps A's payload and a sum of two NaNs the accumulator's, both quieted.
+// Go does not say which operand of a commutative + or * an instruction gets
+// first — the compiler may swap them — so the scalar loop pins the payloads
+// here; every other value is the same in either order.
+func gemmNaNCell(c float64, ap, bp []float64, kc int) float64 {
+	for p := 0; p < kc; p++ {
+		a, b := ap[p*gemmMR], bp[p*gemmNR]
+		prod := float64(a * b)
+		if a != a && b != b {
+			prod = quietNaN(a)
+		}
+		if c != c && prod != prod {
+			c = quietNaN(c)
+		} else {
+			c += prod
+		}
+	}
+	return c
+}
+
+// quietNaN returns the NaN v with its quiet bit set, as an x86 arithmetic
+// instruction returns a NaN operand.
+func quietNaN(v float64) float64 { return math.Float64frombits(math.Float64bits(v) | 1<<51) }
 
 // gemmMicroEdge handles ragged tiles (h < gemmMR rows and/or w < gemmNR
 // cols): the live h x w corner of the output is staged into a full stack

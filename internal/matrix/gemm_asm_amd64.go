@@ -1,19 +1,26 @@
 package matrix
 
-// gemmMicroAVX2Asm accumulates one 4x4 output tile from packed micro-panels
-// with VMULPD+VADDPD lanes (one output cell per lane, k ascending) — bitwise
-// identical to the scalar micro-kernel for the same tile. ldb is the row
-// stride of c in bytes. Implemented in gemm_amd64.s.
+// gemm8x8AVX512Asm accumulates one 8x8 output tile from packed
+// micro-panels with eight ZMM accumulators (one output cell per lane,
+// VMULPD then VADDPD, k ascending). ldb is the row stride of c in bytes.
+// Implemented in gemm_amd64.s.
 //
 //go:noescape
-func gemmMicroAVX2Asm(ap, bp *float64, kc int, c *float64, ldb int)
+func gemm8x8AVX512Asm(ap, bp *float64, kc int, c *float64, ldb int)
 
-// x86HasAVX2 reports whether the CPU and OS support AVX2 (CPUID + XGETBV).
-// Implemented in gemm_amd64.s.
-func x86HasAVX2() bool
+// gemm8x8AVX2Asm accumulates the same tile as two 8x4 halves, each with
+// eight YMM accumulators, in the same per-cell sequence. Implemented in
+// gemm_amd64.s.
+//
+//go:noescape
+func gemm8x8AVX2Asm(ap, bp *float64, kc int, c *float64, ldb int)
 
-// useAVX2 is the one gate of the AVX2 kernels, the GEMM micro-kernel and the
-// arithmetic row kernels (cell_amd64.s): when false every path runs its
-// bitwise-identical scalar loop. A var, so tests can force the scalar
-// reference.
-var useAVX2 = x86HasAVX2()
+// x86VectorLevel reports the widest vector unit the CPU and the OS support
+// (CPUID + XGETBV). Implemented in gemm_amd64.s.
+func x86VectorLevel() vectorLevel
+
+// vecLevel is the one gate of the vector kernels, the GEMM micro-kernel and
+// the arithmetic row kernels (cell_amd64.s): at vecScalar every path runs its
+// bitwise-identical scalar loop. A var, so tests can force any level up to
+// the detected one.
+var vecLevel = x86VectorLevel()

@@ -20,13 +20,33 @@ func benchGEMMKernel(b *testing.B, m, k, n int, kern gemmKernel) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 }
 
+// benchLevels runs fn once per vector level of the micro-kernel, as the
+// sub-benchmarks avx512, avx2 and scalar; a level the CPU lacks is skipped.
+func benchLevels(b *testing.B, fn func(b *testing.B)) {
+	for _, l := range []struct {
+		name  string
+		level vectorLevel
+	}{{"avx512", vecAVX512}, {"avx2", vecAVX2}, {"scalar", vecScalar}} {
+		b.Run(l.name, func(b *testing.B) {
+			if l.level > detectedLevel {
+				b.Skip("not on this CPU")
+			}
+			withVectorLevel(l.level, func() { fn(b) })
+		})
+	}
+}
+
 // BenchmarkKernelGEMMStandard pins the simple blocked i-k-j kernel on a shape
 // that auto-selects the tiled engine.
 func BenchmarkKernelGEMMStandard(b *testing.B)     { benchGEMMKernel(b, 512, 256, 128, gemmSimple) }
 func BenchmarkKernelGEMMStandard1024(b *testing.B) { benchGEMMKernel(b, 1024, 1024, 1024, gemmSimple) }
-func BenchmarkKernelGEMMTiled512(b *testing.B)     { benchGEMMKernel(b, 512, 512, 512, gemmTiled) }
-func BenchmarkKernelGEMMTiled1024(b *testing.B)    { benchGEMMKernel(b, 1024, 1024, 1024, gemmTiled) }
-func BenchmarkKernelGEMMTiled2048(b *testing.B)    { benchGEMMKernel(b, 2048, 2048, 2048, gemmTiled) }
+func BenchmarkKernelGEMMTiled512(b *testing.B) {
+	benchLevels(b, func(b *testing.B) { benchGEMMKernel(b, 512, 512, 512, gemmTiled) })
+}
+func BenchmarkKernelGEMMTiled1024(b *testing.B) {
+	benchLevels(b, func(b *testing.B) { benchGEMMKernel(b, 1024, 1024, 1024, gemmTiled) })
+}
+func BenchmarkKernelGEMMTiled2048(b *testing.B) { benchGEMMKernel(b, 2048, 2048, 2048, gemmTiled) }
 
 // benchMultiplyAccKernel times the accumulate form the blocked dist executors
 // run stage-by-stage (acc += a %*% b into a preallocated accumulator).
@@ -62,7 +82,15 @@ func benchTSMMKernel(b *testing.B, rows, cols int, kern gemmKernel) {
 }
 
 func BenchmarkKernelTSMMStandard4096x512(b *testing.B) { benchTSMMKernel(b, 4096, 512, gemmSimple) }
-func BenchmarkKernelTSMMTiled4096x512(b *testing.B)    { benchTSMMKernel(b, 4096, 512, gemmTiled) }
+func BenchmarkKernelTSMMTiled4096x512(b *testing.B) {
+	benchLevels(b, func(b *testing.B) { benchTSMMKernel(b, 4096, 512, gemmTiled) })
+}
+
+// BenchmarkKernelTSMMTiled8000x512 is the t(X) %*% X of the lm.ds.dense
+// benchmark row.
+func BenchmarkKernelTSMMTiled8000x512(b *testing.B) {
+	benchLevels(b, func(b *testing.B) { benchTSMMKernel(b, 8000, 512, gemmTiled) })
+}
 
 // BenchmarkKernelTSMMSparse times the sparse TSMM on a 2000 x 40 CSR block
 // at density 0.1.
@@ -80,12 +108,13 @@ func BenchmarkKernelCholesky512(b *testing.B) {
 	const n = 512
 	a := normalEquations(n, 9)
 	threads := DefaultParallelism()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Cholesky(a, threads); err != nil {
-			b.Fatal(err)
+	benchLevels(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Cholesky(a, threads); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	flops := float64(n) * float64(n) * float64(n) / 3
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+		flops := float64(n) * float64(n) * float64(n) / 3
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+	})
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // tileDims exercises every micro-tile edge class: 1, tile-1, tile, tile+1,
-// and sizes that leave ragged tails against the MR/NR (4) and MC/KC panel
+// and sizes that leave ragged tails against the MR/NR (8) and MC/KC panel
 // parameters.
-var tileDims = []int{1, 3, 4, 5, 67, 129}
+var tileDims = []int{1, 3, 4, 5, 7, 8, 9, 67, 129}
 
 func bitwiseEqual(t *testing.T, want, got *MatrixBlock, what string) {
 	t.Helper()
@@ -156,8 +156,8 @@ func TestTSMMAccStripesBitwise(t *testing.T) {
 // the auto, simple and tiled kernels, and a ~5%-dense CSR X on the sparse
 // kernel against the simple loop over its dense copy. The shapes cover ragged
 // tiles, more than one gemmKC block of rows and gemmMC block of columns,
-// n < threads, n not a multiple of 4 and m < threads; the mirrored output
-// must stay symmetric.
+// n < threads, n not a multiple of the tile and m < threads; the mirrored
+// output must stay symmetric.
 func TestTiledTSMMBitwiseEqualsSimple(t *testing.T) {
 	for _, m := range []int{1, 3, 4, 5, 129, 300} {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 9, 17, 67, 129} {
@@ -184,22 +184,21 @@ func TestTiledTSMMBitwiseEqualsSimple(t *testing.T) {
 }
 
 // TestTiledScalarFallbackBitwise pins the portable scalar micro-kernel
-// against the dispatcher's default path (the vector kernel where available):
-// disabling the assembly kernel must not change a single bit, which is what
-// makes results architecture-independent.
+// against every vector kernel the machine has: switching the assembly kernel
+// off must not change a single bit, which is what makes results
+// architecture-independent.
 func TestTiledScalarFallbackBitwise(t *testing.T) {
-	prev := useAVX2
-	t.Cleanup(func() { useAVX2 = prev })
 	for _, dims := range [][3]int{{129, 67, 129}, {4, 256, 4}, {5, 300, 3}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := RandUniform(m, k, -1, 1, 1.0, int64(m+k+n))
 		b := RandUniform(k, n, -1, 1, 1.0, int64(m*k+n))
-		useAVX2 = prev
-		want := multDenseDense(a, b, 2, gemmTiled)
-		useAVX2 = false
-		got := multDenseDense(a, b, 2, gemmTiled)
-		useAVX2 = prev
-		bitwiseEqual(t, want, got, "scalar-fallback multiply")
+		var want *MatrixBlock
+		withVectorLevel(vecScalar, func() { want = multDenseDense(a, b, 2, gemmTiled) })
+		for _, l := range vectorLevels() {
+			var got *MatrixBlock
+			withVectorLevel(l, func() { got = multDenseDense(a, b, 2, gemmTiled) })
+			bitwiseEqual(t, want, got, fmt.Sprintf("scalar-fallback multiply at level %d", l))
+		}
 	}
 }
 
