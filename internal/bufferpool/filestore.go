@@ -323,8 +323,16 @@ func (s *FileStore) read(hash uint64, e *fileEntry, decode func(r io.Reader) err
 	if err := decode(r); err != nil {
 		return false
 	}
-	if _, err := io.Copy(io.Discard, r); err != nil {
-		return false
+	// what decode left unread goes through the checksum too; a decoder that
+	// read everything, the usual case, takes no buffer (io.Discard's pooled
+	// one would make whether a Get allocates depend on the scheduler)
+	for buf := []byte(nil); r.left > 0; {
+		if buf == nil {
+			buf = make([]byte, min(r.left, 32<<10))
+		}
+		if _, err := r.Read(buf); err != nil {
+			return false
+		}
 	}
 	return r.sum.Sum64() == h.checksum
 }

@@ -36,8 +36,39 @@ const (
 )
 
 // chunks recycles the staging buffers; a codec call borrows one for its
-// duration.
-var chunks = sync.Pool{New: func() any { b := make([]byte, codecChunk); return &b }}
+// duration. It is a plain free list, not a sync.Pool: a pool drops its items
+// at every other GC and hides an item put on one P from the others, so
+// whether a call allocated a fresh 256 KB chunk would depend on GC timing and
+// on which P ran it. The list keeps at most maxFreeChunks buffers.
+var chunks struct {
+	sync.Mutex
+	free []*[]byte
+}
+
+// maxFreeChunks bounds the buffers kept between codec calls (2 MB).
+const maxFreeChunks = 8
+
+// getChunk borrows a staging buffer of codecChunk bytes.
+func getChunk() *[]byte {
+	chunks.Lock()
+	defer chunks.Unlock()
+	if n := len(chunks.free); n > 0 {
+		b := chunks.free[n-1]
+		chunks.free = chunks.free[:n-1]
+		return b
+	}
+	b := make([]byte, codecChunk)
+	return &b
+}
+
+// putChunk returns a buffer borrowed with getChunk.
+func putChunk(b *[]byte) {
+	chunks.Lock()
+	defer chunks.Unlock()
+	if len(chunks.free) < maxFreeChunks {
+		chunks.free = append(chunks.free, b)
+	}
+}
 
 // EncodedSize returns the exact number of bytes WriteMatrixBinaryTo produces
 // for a rows x cols matrix (blocksize <= 0 selects the writer's default).
@@ -135,8 +166,8 @@ func WriteMatrixBinaryTo(dst io.Writer, m *matrix.MatrixBlock, blocksize int) er
 	if blocksize <= 0 {
 		blocksize = defaultBlocksize
 	}
-	chunk := chunks.Get().(*[]byte)
-	defer chunks.Put(chunk)
+	chunk := getChunk()
+	defer putChunk(chunk)
 	w := &wordWriter{dst: dst, buf: *chunk}
 	rows, cols := m.Rows(), m.Cols()
 	if err := w.words(binaryMagic, binaryVersion, uint64(rows), uint64(cols), uint64(blocksize)); err != nil {
@@ -290,8 +321,8 @@ func ReadMatrixBinaryFrom(src io.Reader, label string) (*matrix.MatrixBlock, err
 		}
 		src, avail = bytes.NewReader(data), int64(len(data))
 	}
-	chunk := chunks.Get().(*[]byte)
-	defer chunks.Put(chunk)
+	chunk := getChunk()
+	defer putChunk(chunk)
 	r := &wordReader{src: src, buf: *chunk, left: headerBytes}
 	var magic, version, urows, ucols, ubs uint64
 	if err := r.words(&magic, &version, &urows, &ucols, &ubs); err != nil {

@@ -224,6 +224,38 @@ func TestSDSBDecodeAllocation(t *testing.T) {
 	}
 }
 
+// TestSDSBCodecReusesItsChunkAcrossGC: a decode after GCs, on a goroutine of
+// its own, still borrows the staging chunk the previous call returned, so a
+// small read allocates far less than one chunk whatever the scheduling.
+func TestSDSBCodecReusesItsChunkAcrossGC(t *testing.T) {
+	enc := encode(t, matrix.RandUniform(256, 8, -1, 1, 1, 17), 0)
+	decode := func() {
+		if _, err := ReadMatrixBinaryFrom(bytes.NewReader(enc), "gc"); err != nil {
+			t.Error(err)
+		}
+	}
+	decode()
+	least := uint64(math.MaxUint64)
+	for round := 0; round < 5; round++ {
+		// two cycles empty a sync.Pool, its victim cache included
+		runtime.GC()
+		runtime.GC()
+		var ms0, ms1 runtime.MemStats
+		done := make(chan struct{})
+		runtime.ReadMemStats(&ms0)
+		go func() {
+			defer close(done)
+			decode()
+		}()
+		<-done
+		runtime.ReadMemStats(&ms1)
+		least = min(least, ms1.TotalAlloc-ms0.TotalAlloc)
+	}
+	if limit := uint64(codecChunk / 2); least > limit {
+		t.Errorf("a 256x8 decode after GC allocates %d bytes, want < %d: the staging chunk was not reused", least, limit)
+	}
+}
+
 func header(words ...uint64) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, binaryMagic)
 	b = binary.LittleEndian.AppendUint64(b, binaryVersion)
